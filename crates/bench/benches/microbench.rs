@@ -128,23 +128,19 @@ fn bench_ingest(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("ingest");
     g.throughput(Throughput::Bytes((n_blocks * bs) as u64));
-    g.bench_function("import_file_serial", |b| {
-        b.iter(|| {
-            let mut pool = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)));
-            pool.import_file("f", blocks.iter().cloned(), logical);
-            pool
-        })
-    });
-    // One persistent worker pool across iterations, the production shape.
-    let workers = squirrel_hash::par::WorkerPool::new(8);
-    g.bench_function("import_file_parallel_t8", |b| {
-        b.iter(|| {
-            let mut pool = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)).with_threads(8));
-            pool.set_worker_pool(workers.clone());
-            pool.import_file_parallel("f", &blocks, logical);
-            pool
-        })
-    });
+    for threads in [1usize, 8] {
+        // One persistent worker pool across iterations, the production shape.
+        let workers = squirrel_hash::par::WorkerPool::new(threads);
+        g.bench_function(format!("import_file_t{threads}"), |b| {
+            b.iter(|| {
+                let mut pool =
+                    ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)).with_threads(threads));
+                pool.set_worker_pool(workers.clone());
+                pool.import_file("f", &blocks, logical);
+                pool
+            })
+        });
+    }
     g.finish();
 }
 

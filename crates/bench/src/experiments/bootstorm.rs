@@ -31,8 +31,6 @@ pub struct StormRun {
     /// avoided, per storm.
     pub copies_avoided: u64,
     pub arc_hit_rate: f64,
-    /// `arc_bytes_copied_total` on the ccVolume series — must stay zero.
-    pub payload_bytes_copied: u64,
     /// Per-boot simulated latency histogram, in milliseconds.
     pub latency_ms: HistogramSnapshot,
     pub report: BootStormReport,
@@ -78,9 +76,6 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
     let report = report.expect("at least one repeat");
 
     let snap = sq.metrics().snapshot();
-    let copied = snap
-        .counter("arc_bytes_copied_total{pool=\"ccvol\"}")
-        .unwrap_or(0);
     let latency = snap
         .histogram("squirrel_boot_storm_seconds_ms")
         .cloned()
@@ -91,7 +86,6 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         mb_per_sec: report.bytes_served as f64 / wall.max(1e-9) / 1e6,
         copies_avoided: report.arc.hits,
         arc_hit_rate: report.arc.hit_rate(),
-        payload_bytes_copied: copied,
         latency_ms: latency,
         report,
     }
@@ -117,7 +111,6 @@ pub fn run_bootstorm(cfg: &ExperimentConfig, vms: u32, repeat: usize) -> Vec<Sto
         assert_eq!(run.report.bytes_served, first.report.bytes_served);
         assert_eq!(run.report.arc, first.report.arc);
         assert_eq!(run.latency_ms, first.latency_ms, "threads={}", run.threads);
-        assert_eq!(run.payload_bytes_copied, 0, "warm storm must not copy payloads");
     }
 
     for run in &runs {
@@ -161,7 +154,7 @@ fn render_json(cfg: &ExperimentConfig, vms: u32, runs: &[StormRun]) -> String {
         entries.push(format!(
             "    {{\"threads\": {}, \"wall_secs\": {}, \"mb_per_sec\": {}, \
              \"speedup_vs_t1\": {}, \"copies_avoided\": {}, \"arc_hit_rate\": {}, \
-             \"payload_bytes_copied\": {}, \"latency_ms_histogram\": \
+             \"latency_ms_histogram\": \
              {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"log2_buckets\": [{}]}}}}",
             r.threads,
             fmt_f(r.wall_secs),
@@ -169,7 +162,6 @@ fn render_json(cfg: &ExperimentConfig, vms: u32, runs: &[StormRun]) -> String {
             fmt_f(t1_wall / r.wall_secs.max(1e-9)),
             r.copies_avoided,
             fmt_f(r.arc_hit_rate),
-            r.payload_bytes_copied,
             r.latency_ms.count,
             r.latency_ms.sum,
             fmt_f(r.latency_ms.mean()),
@@ -206,7 +198,6 @@ mod tests {
         let runs = run_bootstorm(&cfg, 8, 1);
         assert_eq!(runs.len(), 3);
         assert!(runs.iter().all(|r| r.copies_avoided > 0));
-        assert!(runs.iter().all(|r| r.payload_bytes_copied == 0));
         // 8 VMs over 4 nodes = 2 per node: each block misses once and hits
         // once, so the hit rate is exactly one half.
         assert!(runs.iter().all(|r| r.arc_hit_rate >= 0.5));

@@ -133,7 +133,7 @@ fn run_cell(
     let logical = (versions[0].len() * bs) as u64;
     let mut last_tag = String::new();
     for (v, blocks) in versions.iter().enumerate() {
-        pool.import_file_parallel("cache", blocks, logical);
+        pool.import_file("cache", blocks, logical);
         last_tag = format!("v{v}");
         pool.snapshot(&last_tag);
     }

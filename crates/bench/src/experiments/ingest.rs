@@ -1,5 +1,6 @@
-//! Ingest bench: the staged parallel import (`ZPool::import_file_parallel`)
-//! versus the serial `write_block` replay, swept over worker-thread counts.
+//! Ingest bench: the staged import pipeline (`ZPool::import_file`) versus a
+//! `create_file` + `write_block` replay of the same blocks, swept over
+//! worker-thread counts.
 //!
 //! The workload is a deterministic mix of unique, duplicate, and zero
 //! blocks cut from a generated corpus image, sized well past the old
@@ -13,8 +14,8 @@
 //! journal-quiet stage timers) and enforces two contracts:
 //!
 //! * **Determinism** — pool space stats and the metric snapshot are
-//!   bit-identical to the serial import at every thread count (the run
-//!   aborts otherwise).
+//!   bit-identical to the `write_block` replay at every thread count (the
+//!   run aborts otherwise).
 //! * **Never slower** — `speedup_vs_serial` must be >= 0.95 at threads 2
 //!   and 8; the JSON carries `"speedup_gate": "pass"`/`"fail"` and CI
 //!   greps for the pass marker.
@@ -134,7 +135,7 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> Vec
     let logical = (n_blocks * bs) as u64;
     let repeat = repeat.max(1);
 
-    // Serial baseline: the write_block replay path.
+    // Serial baseline and determinism reference: a `write_block` replay.
     let mut serial_secs = f64::INFINITY;
     let mut serial_print = None;
     for _ in 0..repeat {
@@ -142,7 +143,10 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> Vec
         let mut pool = ZPool::new(PoolConfig::new(bs, codec));
         pool.set_metrics(&reg.handle());
         let t = std::time::Instant::now();
-        pool.import_file("f", blocks.iter().cloned(), logical);
+        pool.create_file("f");
+        for (i, block) in blocks.iter().enumerate() {
+            pool.write_block("f", i as u64, block);
+        }
         serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
         serial_print.get_or_insert_with(|| fingerprint(&pool, &reg));
     }
@@ -161,7 +165,7 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> Vec
             pool
         };
         let mut warm = make_pool(&workers);
-        warm.import_file_parallel("f", &blocks, logical);
+        warm.import_file("f", &blocks, logical);
 
         let mut wall = f64::INFINITY;
         let mut phases = PhaseNanos::default();
@@ -171,7 +175,7 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> Vec
             let mut pool = make_pool(&workers);
             pool.set_metrics(&reg.handle());
             let t = std::time::Instant::now();
-            pool.import_file_parallel("f", &blocks, logical);
+            pool.import_file("f", &blocks, logical);
             let secs = t.elapsed().as_secs_f64();
             if secs < wall {
                 wall = secs;

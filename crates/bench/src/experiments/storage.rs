@@ -4,7 +4,7 @@
 use crate::config::{ExperimentConfig, ZFS_BS_SWEEP};
 use crate::csvout::{gib, mib, Table};
 use squirrel_compress::Codec;
-use squirrel_dataset::Corpus;
+use squirrel_dataset::{Corpus, ImageHandle};
 use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
 
 /// Which content set to store into the pool.
@@ -14,21 +14,24 @@ pub enum StoreSet {
     Caches,
 }
 
+/// Import one image (or its cache) into `pool` as file `f-<id>`.
+fn import_image(pool: &mut ZPool, img: &ImageHandle<'_>, set: StoreSet, block_size: usize) {
+    let (blocks, len): (Vec<Vec<u8>>, u64) = match set {
+        StoreSet::Images => (img.blocks(block_size).collect(), img.nonzero_bytes()),
+        StoreSet::Caches => {
+            let cache = img.cache();
+            (cache.blocks(block_size).collect(), cache.bytes())
+        }
+    };
+    pool.import_file(&format!("f-{}", img.id()), &blocks, len);
+}
+
 /// Store the whole corpus (images or caches) into a fresh accounting-only
 /// pool at `block_size` and return its stats.
 pub fn store_corpus(corpus: &Corpus, set: StoreSet, block_size: usize) -> SpaceStats {
     let mut pool = ZPool::new(PoolConfig::new(block_size, Codec::Gzip(6)).accounting_only());
     for img in corpus.iter() {
-        let name = format!("f-{}", img.id());
-        match set {
-            StoreSet::Images => {
-                pool.import_file(&name, img.blocks(block_size), img.nonzero_bytes());
-            }
-            StoreSet::Caches => {
-                let cache = img.cache();
-                pool.import_file(&name, cache.blocks(block_size), cache.bytes());
-            }
-        }
+        import_image(&mut pool, &img, set, block_size);
     }
     pool.stats()
 }
@@ -39,16 +42,7 @@ pub fn store_incremental(corpus: &Corpus, set: StoreSet, block_size: usize) -> V
     let mut pool = ZPool::new(PoolConfig::new(block_size, Codec::Gzip(6)).accounting_only());
     let mut out = Vec::with_capacity(corpus.len());
     for img in corpus.iter() {
-        let name = format!("f-{}", img.id());
-        match set {
-            StoreSet::Images => {
-                pool.import_file(&name, img.blocks(block_size), img.nonzero_bytes());
-            }
-            StoreSet::Caches => {
-                let cache = img.cache();
-                pool.import_file(&name, cache.blocks(block_size), cache.bytes());
-            }
-        }
+        import_image(&mut pool, &img, set, block_size);
         out.push(pool.stats());
     }
     out

@@ -25,7 +25,8 @@ fn store_caches(corpus: &Corpus, bs: usize) -> SpaceStats {
     let mut pool = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)).accounting_only());
     for img in corpus.iter() {
         let cache = img.cache();
-        pool.import_file(&format!("c-{}", img.id()), cache.blocks(bs), cache.bytes());
+        let blocks: Vec<Vec<u8>> = cache.blocks(bs).collect();
+        pool.import_file(&format!("c-{}", img.id()), &blocks, cache.bytes());
     }
     pool.stats()
 }

@@ -119,34 +119,10 @@ impl BootSim {
     /// eight cores), but the disk serializes: each VM's completion time
     /// includes the device time of the I/O that queued ahead of it
     /// (approximated as half of every peer's device time, the average
-    /// interleaving position).
-    pub fn boot_concurrent(&self, traces: &[BootTrace], backend: &Backend) -> Vec<BootReport> {
-        let solo: Vec<BootReport> = traces.iter().map(|t| self.boot(t, backend)).collect();
-        self.queue_adjust(solo)
-    }
-
-    /// Parallel [`boot_concurrent`](Self::boot_concurrent): the per-VM trace
-    /// replays fan out over up to `threads` scoped workers (0 = all cores).
-    /// `boot` is pure and the queueing adjustment runs over the in-order
-    /// solo reports, so the result is bit-identical to the serial variant at
-    /// any thread count.
-    pub fn boot_concurrent_par(
-        &self,
-        traces: &[BootTrace],
-        backend: &Backend,
-        threads: usize,
-    ) -> Vec<BootReport> {
-        let solo = squirrel_hash::par::parallel_map(traces, threads, |_i, t| {
-            self.boot(t, backend)
-        });
-        self.queue_adjust(solo)
-    }
-
-    /// [`boot_concurrent_par`](Self::boot_concurrent_par) on a persistent
-    /// [`WorkerPool`](squirrel_hash::par::WorkerPool): identical reports,
-    /// but the trace replays reuse already-spawned workers — the boot-storm
-    /// loop calls this once per wave, so the spawn cost would otherwise
-    /// recur per wave.
+    /// interleaving position). The per-VM trace replays fan out over
+    /// `workers`; `boot` is pure and the queueing adjustment runs over the
+    /// in-order solo reports, so the result is bit-identical at any pool
+    /// size (a one-thread pool replays inline on the caller).
     pub fn boot_concurrent_on(
         &self,
         traces: &[BootTrace],
@@ -154,18 +130,10 @@ impl BootSim {
         workers: &squirrel_hash::par::WorkerPool,
     ) -> Vec<BootReport> {
         let solo = workers.parallel_map(traces, |_i, t| self.boot(t, backend));
-        self.queue_adjust(solo)
-    }
-
-    /// Charge each boot the queueing delay of sharing the device with the
-    /// others: half of everyone else's I/O time lands on each boot (the
-    /// fair-share midpoint between no interference and full serialization).
-    fn queue_adjust(&self, solo: Vec<BootReport>) -> Vec<BootReport> {
         let total_io: f64 = solo.iter().map(|r| r.io_seconds).sum();
         solo.into_iter()
             .map(|mut r| {
-                let queued = 0.5 * (total_io - r.io_seconds);
-                r.io_seconds += queued;
+                r.io_seconds += 0.5 * (total_io - r.io_seconds);
                 r.total_seconds = self.cpu.os_boot_seconds + r.io_seconds;
                 r
             })
@@ -452,6 +420,7 @@ impl DedupVolumeParams {
 mod tests {
     use super::*;
     use squirrel_dataset::ReadOp;
+    use squirrel_hash::par::WorkerPool;
 
     /// A paper-scale boot working set: 132 MiB covered by 16 KiB reads in
     /// extent-shuffled order (mirrors `BootTrace::generate`'s shape).
@@ -563,7 +532,8 @@ mod tests {
         let sim = BootSim::new();
         let traces: Vec<BootTrace> = (0..4).map(|_| trace(WS)).collect();
         let solo = sim.boot(&traces[0], &Backend::WarmCacheXfs);
-        let together = sim.boot_concurrent(&traces, &Backend::WarmCacheXfs);
+        let together =
+            sim.boot_concurrent_on(&traces, &Backend::WarmCacheXfs, &WorkerPool::new(1));
         assert_eq!(together.len(), 4);
         for r in &together {
             assert!(
@@ -578,12 +548,13 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_boot_par_bit_identical_at_any_thread_count() {
+    fn concurrent_boot_bit_identical_at_any_thread_count() {
         let sim = BootSim::new();
         let traces: Vec<_> = (0..6).map(|i| trace(WS + i * 4096)).collect();
-        let serial = sim.boot_concurrent(&traces, &Backend::WarmCacheXfs);
-        for threads in [1usize, 2, 8] {
-            let par = sim.boot_concurrent_par(&traces, &Backend::WarmCacheXfs, threads);
+        let serial = sim.boot_concurrent_on(&traces, &Backend::WarmCacheXfs, &WorkerPool::new(1));
+        for threads in [2usize, 8] {
+            let par =
+                sim.boot_concurrent_on(&traces, &Backend::WarmCacheXfs, &WorkerPool::new(threads));
             assert_eq!(par.len(), serial.len());
             for (p, s) in par.iter().zip(&serial) {
                 assert_eq!(
@@ -606,7 +577,11 @@ mod tests {
         let sim = BootSim::new();
         let t = trace(WS);
         let solo = sim.boot(&t, &Backend::WarmCacheXfs);
-        let one = sim.boot_concurrent(std::slice::from_ref(&t), &Backend::WarmCacheXfs);
+        let one = sim.boot_concurrent_on(
+            std::slice::from_ref(&t),
+            &Backend::WarmCacheXfs,
+            &WorkerPool::new(1),
+        );
         assert!((one[0].total_seconds - solo.total_seconds).abs() < 1e-9);
     }
 
@@ -713,7 +688,7 @@ mod tests {
         let blocks: Vec<Vec<u8>> = (0..32)
             .map(|i| (0..bs).map(|j| ((i * 131 + j * 7) % 251) as u8 | 1).collect())
             .collect();
-        p.import_file_parallel("img", &blocks, 32 * bs as u64);
+        p.import_file("img", &blocks, 32 * bs as u64);
         let params = MeasuredVolumeParams::from_pool(&p, "img").expect("file");
         let t = seq_trace(32 * bs as u64);
 

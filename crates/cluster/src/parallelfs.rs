@@ -51,22 +51,13 @@ impl GlusterVolume {
             .map(|(_, n)| n)
     }
 
-    /// Serve a client read of `bytes` at `offset` for `client`: each
-    /// stripe's primary replica sends its share over the network. Returns
-    /// the transfer seconds of the slowest stripe (they proceed in
-    /// parallel). Panics when a stripe has no reachable replica — see
-    /// [`try_read`](Self::try_read).
-    #[deprecated(note = "panics behind a partition; use try_read")]
-    pub fn read(&self, net: &mut Network, client: NodeId, offset: u64, bytes: u64) -> f64 {
-        self.try_read(net, client, offset, bytes)
-            .expect("every stripe has a reachable replica")
-    }
-
-    /// Fallible [`read`](Self::read) with replica failover: each stripe is
-    /// served by its first replica reachable from `client` (the primary on
-    /// a healthy network, so ledgers are unchanged there). Only when *every*
-    /// replica of a stripe is behind a partition does the read fail — and it
-    /// fails before any byte is charged.
+    /// Serve a client read of `bytes` at `offset` for `client`, with
+    /// replica failover: each stripe is served by its first replica
+    /// reachable from `client` (the primary on a healthy network) and sends
+    /// its share over the network. Returns the transfer seconds of the
+    /// slowest stripe (they proceed in parallel). Only when *every* replica
+    /// of a stripe is behind a partition does the read fail — and it fails
+    /// before any byte is charged.
     pub fn try_read(
         &self,
         net: &mut Network,
@@ -107,16 +98,7 @@ impl GlusterVolume {
         Ok(slowest)
     }
 
-    /// Serve a client write: every byte goes to all replicas of its stripe.
-    /// Panics when a stripe loses every replica — see
-    /// [`try_write`](Self::try_write).
-    #[deprecated(note = "panics behind a partition; use try_write")]
-    pub fn write(&self, net: &mut Network, client: NodeId, offset: u64, bytes: u64) -> f64 {
-        self.try_write(net, client, offset, bytes)
-            .expect("every stripe has a reachable replica")
-    }
-
-    /// Fallible write with replica failover: every byte goes to each
+    /// Serve a client write with replica failover: every byte goes to each
     /// *reachable* replica of its stripe (a replica behind a partition is
     /// skipped and heals later via replication repair, like a real gluster
     /// self-heal). Only when a stripe has *no* reachable replica does the
@@ -238,15 +220,6 @@ mod tests {
         let after: u64 = (2..6).map(|n| net.ledger(n).rx_bytes).sum();
         assert_eq!(before, after, "failed write charges nothing");
         net.heal_all();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work_on_a_healthy_network() {
-        let (mut net, vol) = setup();
-        vol.write(&mut net, 1, 0, 4096);
-        vol.read(&mut net, 0, 0, 4096);
-        assert_eq!(net.ledger(0).rx_bytes, 4096);
     }
 
     #[test]

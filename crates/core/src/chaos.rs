@@ -10,10 +10,10 @@
 //! randomness; the seed is the only source of nondeterminism.
 
 use crate::dist::DistributionPolicy;
-use crate::system::{HoardBudget, SharedStorage, Squirrel, SquirrelConfig};
+use crate::system::{HoardBudget, RepairSweep, SharedStorage, Squirrel, SquirrelConfig};
 use squirrel_cluster::{NodeId, TopologyConfig};
 use squirrel_dataset::{Corpus, CorpusConfig};
-use squirrel_faults::{ChurnEvent, FaultConfig, FaultPlan, FaultReport, PartitionEvent};
+use squirrel_faults::{FaultConfig, FaultPlan, FaultReport, PartitionEvent};
 use squirrel_hash::ContentHash;
 use std::sync::Arc;
 
@@ -157,92 +157,33 @@ pub fn chaos_soak(cfg: &ChaosConfig) -> ChaosReport {
         corpus,
     );
     sq.set_fault_plan(FaultPlan::new(cfg.seed, cfg.faults));
-    let storage = cfg.nodes; // first storage node id
     let mut r = ChaosReport { days: cfg.days, ..ChaosReport::default() };
     let mut feed = String::new();
     let mut next_image: u32 = 0;
 
     for day in 0..cfg.days {
-        // Draw the day's environment events from the plan, serially, then
-        // re-arm it so register's delivery path keeps drawing from the
-        // same stream.
-        let mut plan = sq.clear_fault_plan().expect("plan armed");
-        let churn = plan.churn_event(cfg.nodes, |n| sq.node_is_online(n));
-        let cut = plan.partition_event(storage, cfg.nodes, |n| {
-            !sq.network().is_reachable(storage, n)
-        });
-        // Correlated domain outages only exist on multi-rack layouts; a
-        // flat topology draws nothing, keeping classic soaks bit-identical.
-        let domain = if cfg.topology.total_racks() > 1 {
-            plan.domain_event(
-                cfg.topology.total_racks(),
-                cfg.topology.total_datacenters(),
-                |rk| sq.network().rack_is_down(rk),
-                |dc| sq.network().datacenter_is_down(dc),
-            )
-        } else {
-            None
-        };
-        let rot = plan.block_corruption(cfg.nodes);
-        sq.set_fault_plan(plan);
-
-        match churn {
-            Some(ChurnEvent::Offline(n)) => {
-                let _ = sq.node_offline(n);
-                r.churn_applied += 1;
-            }
-            Some(ChurnEvent::Rejoin(n)) | Some(ChurnEvent::Flap(n)) => {
-                if matches!(churn, Some(ChurnEvent::Flap(_))) {
-                    let _ = sq.node_offline(n);
-                }
-                r.churn_applied += 1;
-                if sq.node_rejoin(n).is_err() {
-                    r.rejoin_failures += 1;
-                }
-            }
-            None => {}
-        }
-        match cut {
-            Some(PartitionEvent::Cut(a, b)) => sq.network_mut().partition(a, b),
-            Some(PartitionEvent::Heal(a, b)) => sq.network_mut().heal(a, b),
-            _ => {}
-        }
-        match domain {
+        // The day's churn, partition, domain-outage and bit-rot events.
+        let tick = sq.fault_tick().expect("plan armed");
+        r.churn_applied += u64::from(tick.churn.is_some());
+        r.rejoin_failures += u64::from(tick.rejoined == Some(false));
+        match tick.domain {
             Some(PartitionEvent::RackDown(rk)) => {
-                sq.rack_down(rk);
                 r.rack_outages += 1;
                 feed.push_str(&format!("rack-down:{rk}\n"));
             }
-            Some(PartitionEvent::RackUp(rk)) => {
-                sq.rack_up(rk);
-                feed.push_str(&format!("rack-up:{rk}\n"));
-            }
+            Some(PartitionEvent::RackUp(rk)) => feed.push_str(&format!("rack-up:{rk}\n")),
             Some(PartitionEvent::DatacenterDown(dc)) => {
-                sq.datacenter_down(dc);
                 r.dc_outages += 1;
                 feed.push_str(&format!("dc-down:{dc}\n"));
             }
-            Some(PartitionEvent::DatacenterUp(dc)) => {
-                sq.datacenter_up(dc);
-                feed.push_str(&format!("dc-up:{dc}\n"));
-            }
+            Some(PartitionEvent::DatacenterUp(dc)) => feed.push_str(&format!("dc-up:{dc}\n")),
             _ => {}
         }
-        if let Some((victim, nth)) = rot {
-            let key = match victim {
-                Some(n) => sq.corrupt_cc_block(n, nth),
-                None => sq.corrupt_sc_block(nth),
-            };
-            // Rot aimed at the shared tier also rots one erasure shard when
-            // the tier is erasure-coded — same draw, so replicated runs are
-            // untouched.
-            if victim.is_none() {
-                let shard = sq.corrupt_ec_shard(nth);
-                if shard.is_some() {
-                    feed.push_str(&format!("ec-rot:{shard:?}\n"));
-                }
+        if let Some(rot) = tick.rot {
+            if rot.ec_shard.is_some() {
+                feed.push_str(&format!("ec-rot:{:?}\n", rot.ec_shard));
             }
-            feed.push_str(&format!("rot:{victim:?}:{}\n", key.is_some()));
+            feed.push_str(&format!("rot:{:?}:{}\n", rot.victim, rot.block_hit));
         }
 
         // One registration per day while images remain.
@@ -310,7 +251,7 @@ pub fn chaos_soak(cfg: &ChaosConfig) -> ChaosReport {
         // Periodic self-healing: scVolume first (it is the authoritative
         // repair donor), then the ccVolumes, then replication catch-up.
         if day % 3 == 2 {
-            tally_repair(&mut r, &mut sq);
+            tally_repair(&mut r, sq.repair_sweep());
         }
 
         let _ = sq.gc();
@@ -327,7 +268,7 @@ pub fn chaos_soak(cfg: &ChaosConfig) -> ChaosReport {
             r.rejoin_failures += 1;
         }
     }
-    tally_repair(&mut r, &mut sq);
+    tally_repair(&mut r, sq.repair_sweep());
     // The final repair full-replicates lagging nodes, which can push them
     // back over budget: one last enforcement pass settles the steady state.
     r.within_budget = if cfg.budget.is_unlimited() {
@@ -355,31 +296,17 @@ pub fn chaos_soak(cfg: &ChaosConfig) -> ChaosReport {
     r
 }
 
-/// One full repair pass: the erasure-coded shared tier (when configured),
-/// the scVolume, every online ccVolume, then replication.
-fn tally_repair(r: &mut ChaosReport, sq: &mut Squirrel) {
-    if let Some(ec) = sq.repair_shared_storage() {
+/// Add one repair sweep to the soak's running totals.
+fn tally_repair(r: &mut ChaosReport, sweep: RepairSweep) {
+    if let Some(ec) = sweep.ec {
         r.ec_shards_rematerialized += ec.shards_rematerialized + ec.shards_relocated;
         r.ec_repair_bytes += ec.repair_bytes;
         r.ec_cross_domain_repair_bytes += ec.cross_domain_repair_bytes;
     }
-    let sc = sq.scrub_and_repair_scvol();
-    r.blocks_repaired += sc.repaired;
-    r.blocks_unrepaired += sc.unrepaired;
-    r.repair_wire_bytes += sc.refetch_bytes;
-    for n in 0..sq.config().compute_nodes {
-        if !sq.node_is_online(n) {
-            continue;
-        }
-        if let Ok(rep) = sq.scrub_and_repair(n) {
-            r.blocks_repaired += rep.repaired;
-            r.blocks_unrepaired += rep.unrepaired;
-            r.repair_wire_bytes += rep.refetch_bytes;
-        }
-    }
-    let sync = sq.repair_replication();
-    r.sync_repaired_nodes += u64::from(sync.repaired);
-    r.repair_wire_bytes += sync.wire_bytes;
+    r.blocks_repaired += sweep.blocks.repaired;
+    r.blocks_unrepaired += sweep.blocks.unrepaired;
+    r.repair_wire_bytes += sweep.blocks.refetch_bytes + sweep.sync.wire_bytes;
+    r.sync_repaired_nodes += u64::from(sweep.sync.repaired);
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ use crate::system::{HoardBudget, Squirrel, SquirrelConfig};
 use squirrel_cluster::NodeId;
 use squirrel_dataset::rng::{SplitMix64, Zipf};
 use squirrel_dataset::{Corpus, CorpusConfig, ImageId};
-use squirrel_faults::{ChurnEvent, FaultConfig, FaultPlan, FaultReport, PartitionEvent};
+use squirrel_faults::{ChurnEvent, FaultConfig, FaultPlan, FaultReport};
 use squirrel_hash::ContentHash;
 use std::sync::Arc;
 
@@ -310,7 +310,6 @@ pub fn run_fleet_with_metrics(
     );
     sq.set_fault_plan(FaultPlan::new(cfg.seed, cfg.faults));
     let obs = sq.obs_handle().clone();
-    let storage: NodeId = cfg.nodes; // first storage node id
 
     let zipf = Zipf::new(u64::from(cfg.images), cfg.zipf_exponent);
     let mut rng = SplitMix64::from_parts(&[cfg.seed, 0xf1ee7]);
@@ -490,41 +489,18 @@ pub fn run_fleet_with_metrics(
                 }
             }
             Event::FaultTick => {
-                // Chaos-style serial draws: detach the plan, draw the day's
-                // environment events, re-arm it so deliveries keep drawing
-                // from the same stream.
-                let mut plan = sq.clear_fault_plan().expect("plan armed");
-                let churn = plan.churn_event(cfg.nodes, |n| sq.node_is_online(n));
-                let cut = plan.partition_event(storage, cfg.nodes, |n| {
-                    !sq.network().is_reachable(storage, n)
-                });
-                let rot = plan.block_corruption(cfg.nodes);
-                sq.set_fault_plan(plan);
-                match churn {
-                    Some(ChurnEvent::Offline(n)) => {
-                        let _ = sq.node_offline(n);
+                let tick = sq.fault_tick().expect("plan armed");
+                match (tick.churn, tick.rejoined) {
+                    (Some(ChurnEvent::Offline(n)), _) => {
                         feed.push_str(&format!("churn-off:{n}\n"));
                     }
-                    Some(ChurnEvent::Rejoin(n)) | Some(ChurnEvent::Flap(n)) => {
-                        if matches!(churn, Some(ChurnEvent::Flap(_))) {
-                            let _ = sq.node_offline(n);
-                        }
-                        let ok = sq.node_rejoin(n).is_ok();
+                    (Some(ChurnEvent::Rejoin(n) | ChurnEvent::Flap(n)), Some(ok)) => {
                         feed.push_str(&format!("churn-join:{n}:{ok}\n"));
                     }
-                    None => {}
-                }
-                match cut {
-                    Some(PartitionEvent::Cut(a, b)) => sq.network_mut().partition(a, b),
-                    Some(PartitionEvent::Heal(a, b)) => sq.network_mut().heal(a, b),
                     _ => {}
                 }
-                if let Some((victim, nth)) = rot {
-                    let key = match victim {
-                        Some(n) => sq.corrupt_cc_block(n, nth),
-                        None => sq.corrupt_sc_block(nth),
-                    };
-                    feed.push_str(&format!("rot:{victim:?}:{}\n", key.is_some()));
+                if let Some(rot) = tick.rot {
+                    feed.push_str(&format!("rot:{:?}:{}\n", rot.victim, rot.block_hit));
                 }
             }
             Event::Maintenance => {
@@ -547,19 +523,10 @@ pub fn run_fleet_with_metrics(
                 feed.push_str(&format!("gc:{}\n", gc.snapshots_collected));
             }
             Event::Repair => {
-                let sc = sq.scrub_and_repair_scvol();
-                let mut repaired = sc.repaired;
-                for n in 0..cfg.nodes {
-                    if !sq.node_is_online(n) {
-                        continue;
-                    }
-                    if let Ok(rep) = sq.scrub_and_repair(n) {
-                        repaired += rep.repaired;
-                    }
-                }
-                let sync = sq.repair_replication();
+                let sweep = sq.repair_sweep();
+                let (repaired, synced) = (sweep.blocks.repaired, sweep.sync.repaired);
                 report.blocks_repaired += repaired;
-                feed.push_str(&format!("repair:{repaired}:{}\n", sync.repaired));
+                feed.push_str(&format!("repair:{repaired}:{synced}\n"));
             }
             Event::DayEnd => {
                 let day = t / DAY_MS;

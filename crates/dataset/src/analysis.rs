@@ -3,12 +3,11 @@
 //!
 //! These sweeps are the hot path of Figures 2–4 and 12: every nonzero block
 //! of every image is hashed (and unique blocks compressed). Work fans out
-//! across images on std scoped worker threads (`squirrel_hash::par`), then
-//! per-worker partial maps merge into one; per the perf book, hot maps use
-//! FNV keyed by 128-bit digest prefixes.
+//! across images on a [`par::WorkerPool`], then per-worker partial maps
+//! merge into one; per the perf book, hot maps use FNV keyed by 128-bit
+//! digest prefixes.
 
-use crate::cache::CacheView;
-use crate::corpus::{Corpus, ImageHandle};
+use crate::corpus::Corpus;
 use squirrel_compress::{compressed_len, Codec};
 use squirrel_hash::{par, ContentHash, FnvHashMap};
 
@@ -120,7 +119,7 @@ pub fn sweep(
     // Each worker consumes images round-robin and builds a partial map from
     // digest prefix to (count, images, sampled compression fraction).
     // Partials merge in worker order, so results match the serial pass.
-    let results: Vec<WorkerResult> = par::run_workers(n_workers, |w| {
+    let results: Vec<WorkerResult> = par::WorkerPool::new(threads).run(n_workers, |w| {
         worker_pass(corpus, set, block_size, codec, sampling, w, n_workers)
     });
 
@@ -268,12 +267,6 @@ fn merge(block_size: usize, results: Vec<WorkerResult>, sampling: CompressionSam
     }
 }
 
-/// Convenience: cache of `img` as an owned list of blocks (used by tests and
-/// the Squirrel register path).
-pub fn cache_blocks(cache: &CacheView<'_>, block_size: usize) -> Vec<Vec<u8>> {
-    cache.blocks(block_size).collect()
-}
-
 /// Convenience full-accuracy sweep for small test corpora.
 pub fn sweep_exact(corpus: &Corpus, set: ContentSet, block_size: usize, codec: Codec) -> SweepStats {
     sweep(corpus, set, block_size, codec, CompressionSampling { max_blocks: usize::MAX }, 0)
@@ -289,11 +282,6 @@ pub fn sweep_block_sizes(
     sampling: CompressionSampling,
 ) -> Vec<SweepStats> {
     block_sizes.iter().map(|&bs| sweep(corpus, set, bs, codec, sampling, 0)).collect()
-}
-
-#[allow(dead_code)]
-fn image_handle_id(img: &ImageHandle<'_>) -> u32 {
-    img.id()
 }
 
 #[cfg(test)]

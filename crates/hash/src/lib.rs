@@ -43,15 +43,6 @@ pub fn is_zero_block(data: &[u8]) -> bool {
     acc == 0 && words.remainder().iter().all(|&b| b == 0)
 }
 
-/// Hash a batch of blocks across `threads` workers (0 = all cores),
-/// returning digests in input order.
-pub fn hash_blocks<B>(blocks: &[B], threads: usize) -> Vec<ContentHash>
-where
-    B: AsRef<[u8]> + Sync,
-{
-    par::parallel_map(blocks, threads, |_i, b| ContentHash::of(b.as_ref()))
-}
-
 /// A 256-bit content digest identifying a block's bytes.
 ///
 /// This is the dedup key: two blocks with equal `ContentHash` are treated as
@@ -173,15 +164,5 @@ mod tests {
         // Nonzero byte in the first group too (early-exit path).
         buf[0] = 9;
         assert_eq!(ContentHash::of_nonzero(&buf), Some(ContentHash::of(&buf)));
-    }
-
-    #[test]
-    fn hash_blocks_matches_serial_at_any_thread_count() {
-        let blocks: Vec<Vec<u8>> = (0..50u8).map(|i| vec![i; 100]).collect();
-        let serial: Vec<ContentHash> =
-            blocks.iter().map(|b| ContentHash::of(b)).collect();
-        for threads in [1, 2, 8] {
-            assert_eq!(hash_blocks(&blocks, threads), serial);
-        }
     }
 }

@@ -1,23 +1,22 @@
 //! Minimal std-only parallelism substrate (`std::thread` only; no external
 //! thread crates, per the workspace dependency policy).
 //!
-//! Three shapes cover every parallel stage in the workspace:
+//! One shape covers every parallel stage in the workspace: [`WorkerPool`],
+//! a **persistent** pool of workers spawned lazily on first use and reused
+//! across stages and calls. A `ZPool` or `Squirrel` owns one pool for its
+//! lifetime, so no parallel stage pays thread-creation cost after the
+//! first; a one-shot batch (a corpus sweep) builds a pool for the call. It
+//! is the only place non-test code in the workspace spawns threads.
 //!
-//! * [`WorkerPool`] — a **persistent** pool of workers spawned lazily on
-//!   first use and reused across stages and calls. This is the ingest /
-//!   boot-storm hot-path shape: a `ZPool` or `Squirrel` owns one pool for
-//!   its lifetime, so no parallel stage ever pays thread-creation cost
-//!   after the first.
-//! * [`run_workers`] — fixed worker count on one-shot scoped threads, each
-//!   worker owning a round-robin slice of the input (the corpus-analysis
-//!   shape, where a single long batch amortizes the spawn).
-//! * [`parallel_map`] / [`parallel_map_indices`] — dynamic work-stealing
-//!   over a slice via an atomic cursor, results returned **in input order**.
-//!   The free-function variants spawn scoped threads per call; the
-//!   [`WorkerPool`] methods of the same names reuse the persistent workers.
+//! * [`WorkerPool::run`] — a fixed number of work shares, each told its
+//!   index, results in index order (the corpus-analysis shape, where every
+//!   worker owns a round-robin slice of the input).
+//! * [`WorkerPool::parallel_map`] / [`WorkerPool::parallel_map_indices`] —
+//!   dynamic work-stealing over a slice or index range via an atomic
+//!   cursor, results returned **in input order**.
 //!
-//! Output order is independent of scheduling in every shape, which is what
-//! lets callers promise bit-identical results at any thread count.
+//! Output order is independent of scheduling in both, which is what lets
+//! callers promise bit-identical results at any thread count.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -38,28 +37,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Run `n_workers` copies of `work` (each told its worker index) on scoped
-/// threads and collect their results in worker order. With one worker the
-/// closure runs on the calling thread.
-pub fn run_workers<R, F>(n_workers: usize, work: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let n = n_workers.max(1);
-    if n == 1 {
-        return vec![work(0)];
-    }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..n).map(|w| scope.spawn(move || work(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread panicked"))
-            .collect()
-    })
-}
-
 /// Batch size pulled from the shared cursor per grab; amortizes contention
 /// while keeping the tail balanced.
 const GRAB: usize = 16;
@@ -70,48 +47,6 @@ const GRAB: usize = 16;
 /// workers that would find the cursor already drained.
 fn useful_workers(count: usize, max: usize) -> usize {
     max.min(count.div_ceil(GRAB)).max(1)
-}
-
-/// Apply `f` to every item of `items` across up to `threads` scoped workers
-/// (0 = all cores), returning results in input order regardless of how the
-/// work was scheduled.
-pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    parallel_map_indices(items.len(), threads, |i| f(i, &items[i]))
-}
-
-/// Apply `f` to every index in `0..count` across up to `threads` scoped
-/// workers (0 = all cores), results in index order. The index-space variant
-/// of [`parallel_map`] for callers whose work items are *generated* — e.g.
-/// the M VMs of a boot storm — rather than stored in a slice.
-pub fn parallel_map_indices<R, F>(count: usize, threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let n = useful_workers(count, resolve_threads(threads));
-    if n <= 1 {
-        return (0..count).map(f).collect();
-    }
-    let cursor = AtomicUsize::new(0);
-    let parts = run_workers(n, |_w| {
-        let mut out: Vec<(usize, R)> = Vec::new();
-        loop {
-            let start = cursor.fetch_add(GRAB, Ordering::Relaxed);
-            if start >= count {
-                break;
-            }
-            for i in start..(start + GRAB).min(count) {
-                out.push((i, f(i)));
-            }
-        }
-        out
-    });
-    merge_indexed(count, parts)
 }
 
 /// Scatter `(index, result)` pairs back into input order.
@@ -210,9 +145,8 @@ impl Drop for PoolCore {
 /// workers spawns `k - 1` persistent threads — the dispatching caller always
 /// participates as worker 0, so a pool sized for `t` threads parks at most
 /// `t - 1`. Later dispatches reuse them via a condvar wake, which is the
-/// whole point: per-call `thread::spawn` cost, the dominant overhead of the
-/// old scoped pipeline, is paid once per pool lifetime instead of once per
-/// stage.
+/// whole point: `thread::spawn` cost is paid once per pool lifetime
+/// instead of once per stage.
 ///
 /// Cloning shares the pool (an `Arc` bump); the threads exit when the last
 /// clone drops. Dispatches are serialized per pool (one job at a time); a
@@ -222,9 +156,9 @@ impl Drop for PoolCore {
 /// concurrent even on a single-core host): extra workers beyond the core
 /// count would only timeslice, so `threads = 8` on a 2-core box
 /// dispatches 2.
-/// Determinism: the `parallel_map*` methods merge results in input order
-/// exactly like the free functions, so outputs are bit-identical at any
-/// pool size.
+/// Determinism: `run` and the `parallel_map*` methods return results in
+/// index order however the work was scheduled, so outputs are bit-identical
+/// at any pool size.
 #[derive(Clone)]
 pub struct WorkerPool {
     core: Arc<PoolCore>,
@@ -271,30 +205,41 @@ impl WorkerPool {
     }
 
     /// Run `work(w)` exactly once for every index `w` in `0..workers`,
-    /// spread over up to the pool's thread budget (the caller participates).
-    /// Blocks until every index has run. A panic in any participant
-    /// propagates to the caller after the job has fully drained.
-    pub fn run(&self, workers: usize, work: impl Fn(usize) + Sync) {
+    /// spread over up to the pool's thread budget (the caller participates),
+    /// and return the results in index order. Blocks until every index has
+    /// run. A panic in any participant propagates to the caller after the
+    /// job has fully drained.
+    pub fn run<R, F>(&self, workers: usize, work: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
         let total = workers.max(1);
         let n = total.min(self.core.effective);
         if n <= 1 || IN_POOL_JOB.with(|flag| flag.get()) {
-            for w in 0..total {
-                work(w);
-            }
-            return;
+            return (0..total).map(work).collect();
         }
         let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
         self.dispatch(n, &|_p: usize| loop {
             let w = cursor.fetch_add(1, Ordering::Relaxed);
             if w >= total {
                 break;
             }
-            work(w);
+            *slots[w].lock().expect("result slot poisoned") = Some(work(w));
         });
+        slots
+            .into_iter()
+            .map(|m| {
+                m.into_inner()
+                    .expect("result slot poisoned")
+                    .expect("every index ran exactly once")
+            })
+            .collect()
     }
 
-    /// [`parallel_map`] on the persistent workers: apply `f` to every item,
-    /// results in input order.
+    /// Apply `f` to every item of `items`, results in input order
+    /// regardless of how the work was scheduled.
     pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -304,8 +249,10 @@ impl WorkerPool {
         self.parallel_map_indices(items.len(), |i| f(i, &items[i]))
     }
 
-    /// [`parallel_map_indices`] on the persistent workers: apply `f` to
-    /// every index in `0..count`, results in index order.
+    /// Apply `f` to every index in `0..count`, results in index order. The
+    /// index-space variant of [`parallel_map`](Self::parallel_map) for
+    /// callers whose work items are *generated* — e.g. the M VMs of a boot
+    /// storm — rather than stored in a slice.
     pub fn parallel_map_indices<R, F>(&self, count: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -316,9 +263,7 @@ impl WorkerPool {
             return (0..count).map(f).collect();
         }
         let cursor = AtomicUsize::new(0);
-        let outs: Vec<Mutex<Vec<(usize, R)>>> =
-            (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        self.dispatch(n, &|w: usize| {
+        let parts = self.run(n, |_w| {
             let mut local: Vec<(usize, R)> = Vec::new();
             loop {
                 let start = cursor.fetch_add(GRAB, Ordering::Relaxed);
@@ -329,14 +274,9 @@ impl WorkerPool {
                     local.push((i, f(i)));
                 }
             }
-            *outs[w].lock().expect("result slot poisoned") = local;
+            local
         });
-        merge_indexed(
-            count,
-            outs.into_iter()
-                .map(|m| m.into_inner().expect("result slot poisoned"))
-                .collect(),
-        )
+        merge_indexed(count, parts)
     }
 
     /// Post one job for `participants >= 2` workers and run share 0 on the
@@ -466,37 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn run_workers_orders_by_worker() {
-        assert_eq!(run_workers(4, |w| w * 10), vec![0, 10, 20, 30]);
-        assert_eq!(run_workers(1, |w| w), vec![0]);
-    }
-
-    #[test]
-    fn parallel_map_preserves_input_order() {
-        let items: Vec<u64> = (0..1000).collect();
-        for threads in [1, 2, 8] {
-            let out = parallel_map(&items, threads, |i, &x| x * 2 + i as u64);
-            assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn parallel_map_indices_matches_serial() {
-        for threads in [1, 2, 8] {
-            let out = parallel_map_indices(100, threads, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
-        }
-        assert!(parallel_map_indices(0, 8, |i| i).is_empty());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty_and_tiny() {
-        let empty: Vec<u8> = Vec::new();
-        assert!(parallel_map(&empty, 8, |_, &b| b).is_empty());
-        assert_eq!(parallel_map(&[7u8], 8, |_, &b| b + 1), vec![8]);
-    }
-
-    #[test]
     fn useful_workers_clamps_to_grabs() {
         assert_eq!(useful_workers(0, 8), 1);
         assert_eq!(useful_workers(3, 8), 1, "one grab covers a tiny batch");
@@ -527,9 +436,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_free_function_at_any_size() {
+    fn pool_matches_iterator_map_at_any_size() {
         let items: Vec<u64> = (0..333).collect();
-        let reference = parallel_map(&items, 1, |i, &x| x * 3 + i as u64);
+        let reference: Vec<u64> =
+            items.iter().enumerate().map(|(i, &x)| x * 3 + i as u64).collect();
         for threads in [1usize, 2, 8] {
             let pool = WorkerPool::new(threads);
             assert_eq!(pool.parallel_map(&items, |i, &x| x * 3 + i as u64), reference);
@@ -537,6 +447,8 @@ mod tests {
                 pool.parallel_map_indices(items.len(), |i| items[i] * 3 + i as u64),
                 reference
             );
+            assert!(pool.parallel_map(&[0u8; 0], |_, &b| b).is_empty());
+            assert!(pool.parallel_map_indices(0, |i| i).is_empty());
         }
     }
 
@@ -544,9 +456,12 @@ mod tests {
     fn pool_run_covers_every_index_once() {
         let pool = WorkerPool::new(4);
         let hits: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(4, |w| {
+        // Results come back in index order, whoever ran which share.
+        let out = pool.run(4, |w| {
             hits[w].fetch_add(1, Ordering::Relaxed);
+            w * 10
         });
+        assert_eq!(out, vec![0, 10, 20, 30]);
         for h in &hits {
             assert_eq!(h.load(Ordering::Relaxed), 1);
         }

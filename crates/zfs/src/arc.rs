@@ -45,7 +45,6 @@ pub struct ArcCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    bytes_copied: Counter,
 }
 
 struct Entry {
@@ -69,19 +68,15 @@ impl ArcCache {
             hits: Counter::default(),
             misses: Counter::default(),
             evictions: Counter::default(),
-            bytes_copied: Counter::default(),
         }
     }
 
     /// Attach observability: hits/misses/evictions additionally accumulate
-    /// into `arc_*_total` counters on `metrics`. `arc_bytes_copied_total`
-    /// charges every payload byte the cache duplicates — the shared-payload
-    /// read path keeps it at zero (regression-tested).
+    /// into `arc_*_total` counters on `metrics`.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         self.hits = metrics.counter("arc_hits_total");
         self.misses = metrics.counter("arc_misses_total");
         self.evictions = metrics.counter("arc_evictions_total");
-        self.bytes_copied = metrics.counter("arc_bytes_copied_total");
     }
 
     pub fn stats(&self) -> ArcStats {
@@ -183,8 +178,7 @@ impl ArcCache {
     ///
     /// Zero-copy on both paths: a hit hands out another reference to the
     /// cached payload, a miss caches the very buffer the pool's
-    /// decompression just produced. No payload bytes are duplicated
-    /// (see `arc_bytes_copied_total`).
+    /// decompression just produced. No payload bytes are duplicated.
     pub fn read_through(
         &mut self,
         pool: &ZPool,
@@ -202,21 +196,6 @@ impl ArcCache {
                 Some(data)
             }
         }
-    }
-
-    /// Legacy copying read for callers that need an owned, mutable buffer.
-    /// This is the only ARC path that duplicates payload bytes; every copy
-    /// is charged to `arc_bytes_copied_total` so tests can assert the hot
-    /// path performs none.
-    pub fn read_through_owned(
-        &mut self,
-        pool: &ZPool,
-        file: &str,
-        block_idx: u64,
-    ) -> Option<Vec<u8>> {
-        let data = self.read_through(pool, file, block_idx)?;
-        self.bytes_copied.add(data.len() as u64);
-        Some(data.to_vec())
     }
 }
 
@@ -324,36 +303,24 @@ mod tests {
 
     /// Regression test for the double-copy bug: a hit used to `to_vec()` and
     /// a miss used to `clone()` before insert. With shared payloads the warm
-    /// read is the *same allocation* as the cached entry (`Arc::ptr_eq`) and
-    /// `arc_bytes_copied_total` stays zero; only the legacy owned accessor
-    /// copies.
+    /// read is the *same allocation* as the cached entry (`Arc::ptr_eq`).
     #[test]
     fn read_through_copies_zero_payload_bytes() {
-        let registry = squirrel_obs::MetricsRegistry::new();
         let mut pool = ZPool::new(PoolConfig::new(512, Codec::Lz4));
         pool.create_file("f");
         pool.write_block("f", 0, &[7u8; 512]);
         let mut arc = ArcCache::new(1 << 20);
-        arc.set_metrics(&registry.handle());
 
         let miss = arc.read_through(&pool, "f", 0).expect("file");
         let hit = arc.read_through(&pool, "f", 0).expect("file");
         // Both reads alias the single cached buffer: no bytes duplicated.
         assert!(Arc::ptr_eq(&miss, &hit));
         assert!(Arc::ptr_eq(&miss, &arc.entries[&pool.block_ref("f", 0).unwrap().unwrap().key].data));
-        assert_eq!(registry.snapshot().counter("arc_bytes_copied_total"), Some(0));
 
         // Hole reads alias the pool's shared zero block.
         let z1 = arc.read_through(&pool, "f", 9).expect("hole");
         let z2 = pool.zero_block_shared();
         assert!(Arc::ptr_eq(&z1, &z2));
-        assert_eq!(registry.snapshot().counter("arc_bytes_copied_total"), Some(0));
-
-        // The legacy owned accessor is the only copying path, and it pays
-        // the counter.
-        let owned = arc.read_through_owned(&pool, "f", 0).expect("file");
-        assert_eq!(owned, vec![7u8; 512]);
-        assert_eq!(registry.snapshot().counter("arc_bytes_copied_total"), Some(512));
     }
 
     #[test]

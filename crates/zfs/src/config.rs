@@ -45,7 +45,7 @@ pub struct PoolConfig {
     /// blocks; ZFS blkptr_t is 128 B but metadata is itself compressed).
     pub bp_disk_bytes: u64,
     /// Worker threads for the staged ingestion pipeline
-    /// ([`crate::ZPool::import_file_parallel`]); `0` = all available cores.
+    /// ([`crate::ZPool::import_file`]); `0` = all available cores.
     /// Results are bit-identical at any setting.
     pub threads: usize,
     /// Hoard budget: total on-disk bytes this pool should occupy

@@ -25,13 +25,17 @@
 //!    lookups), pointer table pre-sized once, shards pre-reserved, and
 //!    meters updated with one `add(n)` per counter per batch.
 //!
-//! Determinism contract: for any `threads` setting (including the serial
-//! [`ZPool::import_file`] path), the resulting pool state is bit-identical —
-//! same DDT entries, same physical allocation order (the append-only
-//! allocator assigns offsets in first-occurrence order, which commit
-//! preserves), same file tables, same send-stream bytes. Compression runs
-//! exactly once per batch-new unique key, mirroring the serial path's
-//! lazy `add_ref` closure.
+//! This is the only whole-file import ([`ZPool::import_file`],
+//! [`ZPool::import_blocks_parallel`]) and the one place a
+//! [`DedupMode::Reverse`] import runs [`ZPool::reverse_dedup_pass`].
+//!
+//! Determinism contract: for any `threads` setting the resulting pool state
+//! is bit-identical to a `create_file` + [`ZPool::write_block`] replay (the
+//! tests' reference) — same DDT entries, same physical allocation order
+//! (the append-only allocator assigns offsets in first-occurrence order,
+//! which commit preserves), same file tables, same send-stream bytes.
+//! Compression runs exactly once per batch-new unique key, mirroring
+//! `write_block`'s lazy `add_ref` closure.
 
 use crate::config::{ChunkStrategy, DedupMode};
 use crate::ddt::{BlockKey, SharedPayload};
@@ -51,12 +55,11 @@ type PreparedFrame = (u32, Option<SharedPayload>);
 type ScannedChunk = (usize, usize, Option<(BlockKey, bool)>);
 
 impl ZPool {
-    /// Parallel counterpart of [`ZPool::import_file`]: import `blocks` as
-    /// file `name` (replacing any existing file), using the pool's
-    /// configured ingestion thread count. Each block must be exactly
-    /// `block_size` bytes (callers zero-pad tails). The final logical
-    /// length is set to `logical_len`, as in the serial path.
-    pub fn import_file_parallel(&mut self, name: &str, blocks: &[Vec<u8>], logical_len: u64) {
+    /// Import `blocks` as file `name` (replacing any existing file), using
+    /// the pool's configured ingestion thread count. Each block must be
+    /// exactly `block_size` bytes (callers zero-pad tails). The final
+    /// logical length is set to `logical_len`.
+    pub fn import_file(&mut self, name: &str, blocks: &[Vec<u8>], logical_len: u64) {
         let data: Vec<&[u8]> = blocks.iter().map(|b| b.as_slice()).collect();
         let idxs: Vec<u64> = (0..blocks.len() as u64).collect();
         self.ingest(name, &idxs, &data, Some(logical_len));
@@ -65,7 +68,7 @@ impl ZPool {
     /// Parallel import of sparse `(block_index, data)` pairs (the register
     /// path's copy-on-read cache shape). Indices must be strictly
     /// increasing; unmentioned indices become holes. The logical length is
-    /// block-granular, matching a serial [`ZPool::write_block`] replay.
+    /// block-granular, matching a [`ZPool::write_block`] replay.
     /// Generic over the payload container so both owned (`Box<[u8]>`,
     /// `Vec<u8>`) and shared (`Arc<[u8]>`) blocks import without copying.
     pub fn import_blocks_parallel<B: AsRef<[u8]>>(&mut self, name: &str, blocks: &[(u64, B)]) {
@@ -92,7 +95,7 @@ impl ZPool {
         }
     }
 
-    /// The fixed-record four-stage pipeline (bit-identical to a serial
+    /// The fixed-record four-stage pipeline (bit-identical to a
     /// [`ZPool::write_block`] replay at any thread count).
     fn ingest_fixed(&mut self, name: &str, idxs: &[u64], data: &[&[u8]], logical_len: Option<u64>) {
         let cfg = *self.config();
@@ -135,7 +138,7 @@ impl ZPool {
         }
 
         // Stage 3 "compress" (parallel, pure): compress one representative
-        // per new unique key — exactly the work the serial path's lazy
+        // per new unique key — exactly the work `write_block`'s lazy
         // `add_ref` closure performs, once per key — with codec dispatch
         // resolved once per batch instead of once per block.
         let mut prepared: Vec<(BlockKey, PreparedFrame)> = {
@@ -150,7 +153,7 @@ impl ZPool {
 
         // Stage 4 "commit" (serial, batched): apply in block order. DDT
         // entries appear in first-occurrence order, so the append-only
-        // physical allocator reproduces the serial layout exactly — and
+        // physical allocator reproduces the `write_block` layout exactly — and
         // because `prepared` is *also* in first-occurrence order, commit
         // drains it with a plain cursor instead of per-block map removals.
         // Pointer table and DDT shards are pre-sized once from the scan;
@@ -375,9 +378,13 @@ mod tests {
             .collect()
     }
 
-    fn serial_pool(bs: usize, codec: Codec, blocks: &[Vec<u8>], len: u64) -> ZPool {
-        let mut p = ZPool::new(PoolConfig::new(bs, codec));
-        p.import_file("f", blocks.iter().cloned(), len);
+    /// The pipeline tests' reference: one `write_block` per block.
+    fn write_block_replay(cfg: PoolConfig, blocks: &[Vec<u8>]) -> ZPool {
+        let mut p = ZPool::new(cfg);
+        p.create_file("f");
+        for (i, b) in blocks.iter().enumerate() {
+            p.write_block("f", i as u64, b);
+        }
         p
     }
 
@@ -385,15 +392,15 @@ mod tests {
     fn parallel_import_matches_serial_bit_for_bit() {
         let bs = 1024;
         let blocks = test_blocks(bs, 64);
-        let len = 64 * bs as u64 - 100;
-        let mut serial = serial_pool(bs, Codec::Gzip(6), &blocks, len);
+        let len = 64 * bs as u64;
+        let mut serial = write_block_replay(PoolConfig::new(bs, Codec::Gzip(6)), &blocks);
         let serial_stats = serial.stats();
         serial.snapshot("s");
         let serial_wire = serial.send_latest().expect("snapshot").encode();
 
         for threads in [1, 2, 8] {
             let mut p = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)).with_threads(threads));
-            p.import_file_parallel("f", &blocks, len);
+            p.import_file("f", &blocks, len);
             assert_eq!(p.stats(), serial_stats, "threads={threads}");
             assert!(p.check_refcounts());
             // Physical layout (allocation order) must match exactly.
@@ -414,7 +421,7 @@ mod tests {
         let bs = 512;
         let blocks = test_blocks(bs, 40);
         let mut p = ZPool::new(PoolConfig::new(bs, Codec::Lz4).with_threads(4));
-        p.import_file_parallel("f", &blocks, 40 * bs as u64);
+        p.import_file("f", &blocks, 40 * bs as u64);
         for (i, b) in blocks.iter().enumerate() {
             assert_eq!(p.read_block("f", i as u64).expect("file"), *b);
         }
@@ -448,9 +455,9 @@ mod tests {
     fn reimport_replaces_and_releases_old_blocks() {
         let bs = 512;
         let mut p = ZPool::new(PoolConfig::new(bs, Codec::Off).with_threads(2));
-        p.import_file_parallel("f", &[vec![1u8; bs], vec![2u8; bs]], 2 * bs as u64);
+        p.import_file("f", &[vec![1u8; bs], vec![2u8; bs]], 2 * bs as u64);
         assert_eq!(p.stats().unique_blocks, 2);
-        p.import_file_parallel("f", &[vec![3u8; bs]], bs as u64);
+        p.import_file("f", &[vec![3u8; bs]], bs as u64);
         assert_eq!(p.stats().unique_blocks, 1);
         assert!(p.check_refcounts());
     }
@@ -459,10 +466,10 @@ mod tests {
     fn batch_dedups_against_existing_pool_content() {
         let bs = 512;
         let mut p = ZPool::new(PoolConfig::new(bs, Codec::Off).with_threads(2));
-        p.import_file_parallel("a", &[vec![5u8; bs]], bs as u64);
+        p.import_file("a", &[vec![5u8; bs]], bs as u64);
         let phys_before = p.stats().physical_bytes;
         // Same content under another name: no new physical allocation.
-        p.import_file_parallel("b", &[vec![5u8; bs]], bs as u64);
+        p.import_file("b", &[vec![5u8; bs]], bs as u64);
         assert_eq!(p.stats().unique_blocks, 1);
         assert_eq!(p.stats().physical_bytes, phys_before);
         assert!(p.check_refcounts());
@@ -474,19 +481,16 @@ mod tests {
         let blocks = test_blocks(bs, 20);
         let mut p =
             ZPool::new(PoolConfig::new(bs, Codec::Lzjb).accounting_only().with_threads(2));
-        p.import_file_parallel("f", &blocks, 20 * bs as u64);
-        let serial = {
-            let mut s = ZPool::new(PoolConfig::new(bs, Codec::Lzjb).accounting_only());
-            s.import_file("f", blocks.iter().cloned(), 20 * bs as u64);
-            s
-        };
+        p.import_file("f", &blocks, 20 * bs as u64);
+        let serial =
+            write_block_replay(PoolConfig::new(bs, Codec::Lzjb).accounting_only(), &blocks);
         assert_eq!(p.stats(), serial.stats());
     }
 
     #[test]
     fn empty_import_creates_empty_file() {
         let mut p = ZPool::new(PoolConfig::new(512, Codec::Off).with_threads(8));
-        p.import_file_parallel("f", &[], 0);
+        p.import_file("f", &[], 0);
         assert!(p.has_file("f"));
         assert_eq!(p.file_len("f"), Some(0));
         assert_eq!(p.stats().unique_blocks, 0);
@@ -505,13 +509,13 @@ mod tests {
                 .with_threads(threads)
         };
         let mut reference = ZPool::new(mk(1));
-        reference.import_file_parallel("f", &blocks, len);
+        reference.import_file("f", &blocks, len);
         let ref_stats = reference.stats();
         reference.snapshot("s");
         let ref_wire = reference.send_latest().expect("snapshot").encode();
         for threads in [2, 8] {
             let mut p = ZPool::new(mk(threads));
-            p.import_file_parallel("f", &blocks, len);
+            p.import_file("f", &blocks, len);
             assert_eq!(p.stats(), ref_stats, "threads={threads}");
             assert_eq!(p.block_refs("f"), reference.block_refs("f"), "threads={threads}");
             assert!(p.check_refcounts());
@@ -567,9 +571,9 @@ mod tests {
             |data: &[u8]| -> Vec<Vec<u8>> { data.chunks(bs).map(|c| c.to_vec()).collect() };
         let growth = |cfg: PoolConfig| {
             let mut p = ZPool::new(cfg);
-            p.import_file_parallel("v1", &to_blocks(&base), (n * bs) as u64);
+            p.import_file("v1", &to_blocks(&base), (n * bs) as u64);
             let before = p.stats().physical_bytes;
-            p.import_file_parallel("v2", &to_blocks(&shifted), (n * bs) as u64);
+            p.import_file("v2", &to_blocks(&shifted), (n * bs) as u64);
             p.stats().physical_bytes - before
         };
         let fixed_growth = growth(PoolConfig::new(bs, Codec::Off));

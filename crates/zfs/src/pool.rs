@@ -8,7 +8,7 @@
 //! plus one per snapshot pointer, so destroying snapshots frees exactly the
 //! blocks nothing else uses.
 
-use crate::config::{DedupMode, PoolConfig};
+use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, SharedPayload};
 use crate::meter::PoolMeters;
 use crate::sddt::ShardedDedupTable;
@@ -381,33 +381,6 @@ impl ZPool {
             let e = self.ddt.get(&key).expect("dangling block pointer");
             BlockRef { key, phys: e.phys, psize: e.psize }
         }))
-    }
-
-    /// Import a whole file from an iterator of `block_size` blocks. Under
-    /// `ChunkStrategy::Cdc` this routes through the staged ingest pipeline
-    /// (the only writer of chunked tables); under `DedupMode::Reverse` the
-    /// import ends with a [`reverse_dedup_pass`](Self::reverse_dedup_pass).
-    pub fn import_file(
-        &mut self,
-        name: &str,
-        blocks: impl Iterator<Item = Vec<u8>>,
-        logical_len: u64,
-    ) {
-        if self.config.chunking.is_cdc() {
-            let blocks: Vec<Vec<u8>> = blocks.collect();
-            self.import_file_parallel(name, &blocks, logical_len);
-            return;
-        }
-        self.create_file(name);
-        for (i, block) in blocks.enumerate() {
-            self.write_block(name, i as u64, &block);
-        }
-        if let Some(table) = self.files.get_mut(name) {
-            table.len = logical_len;
-        }
-        if self.config.dedup_mode == DedupMode::Reverse {
-            self.reverse_dedup_pass(name);
-        }
     }
 
     /// Resolved record pointers of `name` (for physical-layout analysis);
@@ -962,7 +935,7 @@ mod tests {
     fn import_file_sets_logical_len() {
         let mut p = pool(512);
         let blocks = vec![block(512, 1), block(512, 2)];
-        p.import_file("img", blocks.into_iter(), 900);
+        p.import_file("img", &blocks, 900);
         assert_eq!(p.file_len("img"), Some(900));
         assert_eq!(p.read_block("img", 1).expect("file"), block(512, 2));
     }
@@ -1053,9 +1026,9 @@ mod tests {
         let blocks = patterned(bs, n, 3);
         let len = (n * bs) as u64;
         let mut fixed = pool(bs);
-        fixed.import_file("img", blocks.iter().cloned(), len);
+        fixed.import_file("img", &blocks, len);
         let mut cdc = cdc_pool(bs);
-        cdc.import_file("img", blocks.iter().cloned(), len);
+        cdc.import_file("img", &blocks, len);
         for i in 0..n as u64 {
             assert_eq!(cdc.read_block("img", i), fixed.read_block("img", i), "block {i}");
             assert_eq!(
@@ -1094,7 +1067,7 @@ mod tests {
     fn write_block_on_chunked_file_panics() {
         let bs = 512;
         let mut cdc = cdc_pool(bs);
-        cdc.import_file("img", vec![vec![5u8; bs]].into_iter(), bs as u64);
+        cdc.import_file("img", &[vec![5u8; bs]], bs as u64);
         cdc.write_block("img", 0, &vec![6u8; bs]);
     }
 
@@ -1157,7 +1130,7 @@ mod tests {
             PoolConfig::new(512, Codec::Lzjb).with_dedup_mode(DedupMode::Reverse),
         );
         let v1: Vec<Vec<u8>> = (0..6).map(|i| block(512, 1 + i as u8)).collect();
-        p.import_file("v1", v1.iter().cloned(), 6 * 512);
+        p.import_file("v1", &v1, 6 * 512);
         p.snapshot("s1");
         // v2 shares half of v1's blocks — scattered under forward dedup,
         // sequential after the import's trailing reverse pass.
@@ -1170,7 +1143,7 @@ mod tests {
                 }
             })
             .collect();
-        p.import_file("v2", v2.iter().cloned(), 6 * 512);
+        p.import_file("v2", &v2, 6 * 512);
         assert_eq!(p.file_scatter("v2").expect("file").extents, 1);
         for (i, b) in v2.iter().enumerate() {
             assert_eq!(p.read_block("v2", i as u64).expect("file"), *b);
@@ -1272,12 +1245,12 @@ mod proptests {
                 .collect();
             let len = (blocks.len() * bs) as u64;
             let mut fixed = ZPool::new(PoolConfig::new(bs, Codec::Lz4));
-            fixed.import_file("f", blocks.iter().cloned(), len);
+            fixed.import_file("f", &blocks, len);
             let mut cdc = ZPool::new(
                 PoolConfig::new(bs, Codec::Lz4)
                     .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024))),
             );
-            cdc.import_file("f", blocks.iter().cloned(), len);
+            cdc.import_file("f", &blocks, len);
             for i in 0..blocks.len() as u64 {
                 prop_assert_eq!(cdc.read_block("f", i), fixed.read_block("f", i));
                 prop_assert_eq!(

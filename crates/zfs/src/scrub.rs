@@ -256,7 +256,7 @@ mod tests {
         let blocks: Vec<Vec<u8>> = (0..12)
             .map(|i| (0..bs).map(|j| ((i * 29 + j * 7) % 249) as u8).collect())
             .collect();
-        p.import_file_parallel("img", &blocks, 12 * bs as u64);
+        p.import_file("img", &blocks, 12 * bs as u64);
         assert!(p.scrub().is_clean(), "variable-size records verify at their lsize");
         assert_eq!(p.file_is_intact("img"), Some(true));
 
@@ -269,7 +269,7 @@ mod tests {
                 PoolConfig::new(bs, Codec::Lzjb)
                     .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024))),
             );
-            d.import_file_parallel("img", &blocks, 12 * bs as u64);
+            d.import_file("img", &blocks, 12 * bs as u64);
             d
         };
         let (psize, frame) = donor.payload_of(key).expect("donor payload");

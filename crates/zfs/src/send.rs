@@ -436,41 +436,10 @@ impl SendStream {
 
     /// Apply this stream to many independent pools concurrently (the
     /// registration multicast: one prepared stream, N receiver ccVolumes).
-    /// Pools are partitioned into contiguous chunks across up to `threads`
-    /// scoped workers (0 = all cores); results come back in pool order.
-    /// Each pool's `recv` is the same serial routine the single-receiver
-    /// path runs, so outcomes are identical to an in-order replay.
-    pub fn apply_all(
-        &self,
-        mut pools: Vec<&mut ZPool>,
-        threads: usize,
-    ) -> Vec<Result<(), RecvError>> {
-        let n = squirrel_hash::par::resolve_threads(threads).min(pools.len().max(1));
-        if n <= 1 {
-            return pools.into_iter().map(|p| p.recv(self)).collect();
-        }
-        let chunk = pools.len().div_ceil(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pools
-                .chunks_mut(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        part.iter_mut().map(|p| p.recv(self)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("recv worker panicked"))
-                .collect()
-        })
-    }
-
-    /// [`apply_all`](Self::apply_all) on a persistent [`WorkerPool`]: the
-    /// same contiguous-chunk partitioning and per-pool serial `recv`, but
-    /// executed by already-spawned workers — the registration fan-out's
-    /// per-call thread-spawn cost disappears. Results come back in pool
-    /// order, identical to an in-order replay.
+    /// Pools are partitioned into contiguous chunks, one per worker of
+    /// `workers`; results come back in pool order. Each pool's `recv` is the
+    /// same serial routine the single-receiver path runs, so outcomes are
+    /// identical to an in-order replay.
     pub fn apply_all_on(
         &self,
         mut pools: Vec<&mut ZPool>,
@@ -481,21 +450,17 @@ impl SendStream {
             return pools.into_iter().map(|p| p.recv(self)).collect();
         }
         let chunk = pools.len().div_ceil(n);
-        // Each chunk sits behind its own mutex slot; worker `w` takes chunk
-        // `w` exactly once, so locks never contend.
-        type Slot<'a, 'b> = (Option<&'a mut [&'b mut ZPool]>, Vec<Result<(), RecvError>>);
-        let slots: Vec<Mutex<Slot<'_, '_>>> = pools
-            .chunks_mut(chunk)
-            .map(|part| Mutex::new((Some(part), Vec::new())))
-            .collect();
-        workers.run(slots.len(), |w| {
-            let mut slot = slots[w].lock().expect("recv slot poisoned");
-            let part = slot.0.take().expect("each chunk is taken once");
-            slot.1 = part.iter_mut().map(|p| p.recv(self)).collect();
-        });
-        slots
+        // Each chunk sits behind its own mutex; share `w` locks chunk `w`
+        // exactly once, so locks never contend.
+        let parts: Vec<Mutex<&mut [&mut ZPool]>> =
+            pools.chunks_mut(chunk).map(Mutex::new).collect();
+        workers
+            .run(parts.len(), |w| {
+                let mut part = parts[w].lock().expect("recv chunk poisoned");
+                part.iter_mut().map(|p| p.recv(self)).collect::<Vec<_>>()
+            })
             .into_iter()
-            .flat_map(|m| m.into_inner().expect("recv slot poisoned").1)
+            .flatten()
             .collect()
     }
 }
@@ -1134,35 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_all_matches_serial_recv_on_every_pool() {
-        let mut src = pool();
-        fill(&mut src, "cache-1", &[1, 2, 3, 2]);
-        src.snapshot("s1");
-        let stream = src.send_between(None, "s1").expect("send");
-
-        for threads in [1, 2, 8] {
-            let mut pools: Vec<ZPool> = (0..5).map(|_| pool()).collect();
-            let results = stream.apply_all(pools.iter_mut().collect(), threads);
-            assert_eq!(results.len(), 5);
-            assert!(results.iter().all(|r| r.is_ok()), "threads={threads}");
-            let mut reference = pool();
-            reference.recv(&stream).expect("recv");
-            for p in &pools {
-                assert_eq!(p.stats(), reference.stats());
-                assert!(p.check_refcounts());
-                assert_eq!(p.read_block("cache-1", 1), reference.read_block("cache-1", 1));
-            }
-        }
-        // Errors surface per pool, in pool order.
-        let mut good = pool();
-        let mut dup = pool();
-        dup.recv(&stream).expect("pre-seed");
-        let results = stream.apply_all(vec![&mut good, &mut dup], 2);
-        assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(RecvError::DuplicateTip("s1".to_string())));
-    }
-
-    #[test]
     fn apply_all_on_pool_matches_serial_recv() {
         use squirrel_hash::par::WorkerPool;
         let mut src = pool();
@@ -1181,6 +1117,7 @@ mod tests {
             for p in &pools {
                 assert_eq!(p.stats(), reference.stats());
                 assert!(p.check_refcounts());
+                assert_eq!(p.read_block("cache-1", 1), reference.read_block("cache-1", 1));
             }
             // The pool is reusable: a second fan-out over fresh receivers.
             let mut again: Vec<ZPool> = (0..3).map(|_| pool()).collect();
@@ -1210,7 +1147,7 @@ mod tests {
         let blocks: Vec<Vec<u8>> = (0..16)
             .map(|i| (0..bs).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
             .collect();
-        src.import_file_parallel("img", &blocks, 16 * bs as u64);
+        src.import_file("img", &blocks, 16 * bs as u64);
         src.snapshot("s1");
         let stream = src.send_between(None, "s1").expect("send");
         assert!(stream.upserts[0].1.chunks.is_some(), "chunk table on the wire");
@@ -1230,7 +1167,7 @@ mod tests {
         // An incremental on top: re-import with a shifted prefix, send s1→s2.
         let mut v2 = vec![vec![9u8; bs]];
         v2.extend(blocks[..15].iter().cloned());
-        src.import_file_parallel("img", &v2, 16 * bs as u64);
+        src.import_file("img", &v2, 16 * bs as u64);
         src.snapshot("s2");
         let inc = src.send_between(Some("s1"), "s2").expect("inc");
         let inc = SendStream::decode(&inc.encode()).expect("decode");

@@ -214,7 +214,6 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("shared_arc_reads_total"), Some(6));
         assert_eq!(snap.counter("shared_arc_fills_total"), Some(2));
-        assert_eq!(snap.counter("arc_bytes_copied_total"), Some(0));
     }
 
     #[test]

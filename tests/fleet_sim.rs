@@ -6,6 +6,7 @@
 use squirrel_repro::core::{run_fleet_with_metrics, FleetConfig, HoardBudget};
 use squirrel_repro::dataset::rng::{SplitMix64, Zipf};
 use squirrel_repro::faults::FaultConfig;
+use squirrel_repro::hash::ContentHash;
 
 // ---------------------------------------------------------------- Zipf ----
 
@@ -79,6 +80,11 @@ fn pressured(threads: usize) -> FleetConfig {
     }
 }
 
+/// Recorded before the fleet's fault tick and repair sweep were refactored:
+/// a change must replay this exact trajectory and leave the same metrics.
+const PINNED_READS: &str = "c4937f6d4ffe70cc79de44732cfdc87b04a13f263d726af78ae8f4276f77c24c";
+const PINNED_METRICS: &str = "549822032f65ba716e25f41599cf8361e119aea9f2b74f2e3ab49a41dfa18268";
+
 #[test]
 fn fleet_soak_is_bit_identical_at_any_thread_count() {
     let (reference, ref_snap) = run_fleet_with_metrics(&pressured(1));
@@ -87,6 +93,12 @@ fn fleet_soak_is_bit_identical_at_any_thread_count() {
     assert!(reference.popularity_decays > 0, "decay cadence never fired");
     assert!(reference.fault.total_injected() > 0, "chaos must inject faults");
     assert!(reference.joins > 0 && reference.leaves > 0, "fleet never scaled");
+    assert_eq!(reference.read_checksum, PINNED_READS);
+    // The snapshot hash skips counters that never fired, so it pins what
+    // the run did, not the inventory of series.
+    let mut fired = ref_snap.clone();
+    fired.counters.retain(|(_, v)| *v > 0);
+    assert_eq!(ContentHash::of(fired.to_json().as_bytes()).to_hex(), PINNED_METRICS);
     for threads in [2, 8] {
         let (r, snap) = run_fleet_with_metrics(&pressured(threads));
         assert_eq!(r, reference, "threads={threads}: report diverged");

@@ -24,11 +24,8 @@ fn cache_streams_survive_the_wire_format_end_to_end() {
     let mut scvol = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)));
     for img in corpus.iter() {
         let cache = img.cache();
-        scvol.import_file(
-            &format!("cache-{}", img.id()),
-            cache.blocks(bs),
-            cache.bytes(),
-        );
+        let blocks: Vec<Vec<u8>> = cache.blocks(bs).collect();
+        scvol.import_file(&format!("cache-{}", img.id()), &blocks, cache.bytes());
         scvol.snapshot(&format!("s{}", img.id()));
     }
 
@@ -64,7 +61,8 @@ fn scrub_catches_corruption_in_a_replicated_cache() {
     let bs = 16 * 1024;
     let mut pool = ZPool::new(PoolConfig::new(bs, Codec::Lz4));
     let img = corpus.image(0);
-    pool.import_file("cache-0", img.cache().blocks(bs), img.cache().bytes());
+    let blocks: Vec<Vec<u8>> = img.cache().blocks(bs).collect();
+    pool.import_file("cache-0", &blocks, img.cache().bytes());
     assert!(pool.scrub().is_clean());
 
     let victim = pool

@@ -97,12 +97,14 @@ cargo run --release --quiet -p squirrel-bench --bin squirrel-experiments -- \
 test -f results/BENCH_distribution.json
 # Peer-assisted and tree-multicast delivery must cut the storage-tier
 # uplink strictly below serial unicast once the fleet scales (1k and 10k
-# node points), and every policy must replay bit-identically at every
-# thread count of the sweep.
+# node points), every policy must replay bit-identically at every thread
+# count of the sweep, and every cell must have verified each diff's
+# payload exactly once, however many nodes it went to.
 grep -q '"peer_below_unicast_1k": true' results/BENCH_distribution.json
 grep -q '"peer_below_unicast_10k": true' results/BENCH_distribution.json
 grep -q '"multicast_below_unicast_1k": true' results/BENCH_distribution.json
 grep -q '"deterministic_across_threads": true' results/BENCH_distribution.json
+grep -q '"verify_once": true' results/BENCH_distribution.json
 
 echo "== fleet soak smoke (release, pinned seed) =="
 rm -f results/BENCH_fleet.json

@@ -110,6 +110,39 @@ fn bench_zfs(c: &mut Criterion) {
     g.finish();
 }
 
+/// One diff, N fresh receivers: the registration fan-out without the
+/// network. The payload is verified once per `apply_all_on`, so the cost per
+/// receiver at 64 is what applying metadata costs, not what proving the
+/// payload costs.
+fn bench_recv_fanout(c: &mut Criterion) {
+    let config = PoolConfig::new(65536, Codec::Gzip(6));
+    let mut src = ZPool::new(config);
+    src.create_file("cache");
+    let block = content_block(65536);
+    for i in 0..16u64 {
+        let mut blk = block.clone();
+        blk[1] = i as u8;
+        src.write_block("cache", i, &blk);
+    }
+    src.snapshot("s");
+    let stream = src.send_between(None, "s").expect("send");
+    let workers = squirrel_hash::par::WorkerPool::new(2);
+
+    let mut g = c.benchmark_group("recv_fanout");
+    for receivers in [1u64, 64] {
+        g.throughput(Throughput::Elements(receivers));
+        g.bench_function(receivers.to_string(), |b| {
+            b.iter(|| {
+                let mut pools: Vec<ZPool> = (0..receivers).map(|_| ZPool::new(config)).collect();
+                let results = stream.apply_all_on(pools.iter_mut().collect(), &workers);
+                assert!(results.iter().all(|r| r.is_ok()));
+                pools
+            })
+        });
+    }
+    g.finish();
+}
+
 /// Ingest pipeline micro-number. The full thread sweep — phase breakdown,
 /// determinism check, speedup gate, `results/BENCH_ingest.json` — lives in
 /// the `ingest` experiment (`squirrel-experiments ingest`); this keeps a
@@ -188,6 +221,7 @@ criterion_group!(
     bench_compress,
     bench_dataset,
     bench_zfs,
+    bench_recv_fanout,
     bench_ingest,
     bench_qcow,
     bench_bootsim,

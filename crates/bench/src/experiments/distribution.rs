@@ -41,6 +41,12 @@ pub struct DistPoint {
     pub peer_misses: u64,
     /// Mean simulated seconds per registration (first boot included).
     pub mean_register_secs: f64,
+    /// Logical bytes the registrations' diffs carried: what the scVolume
+    /// compressed while importing (every DDT miss is a payload block).
+    pub payload_logical_bytes: u64,
+    /// Logical bytes the ccVolumes decompressed + hashed verifying those
+    /// diffs — the per-registration work that must not scale with `nodes`.
+    pub verified_bytes: u64,
     pub wall_secs: f64,
 }
 
@@ -82,6 +88,12 @@ pub fn run_point(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32)
         peer_hits: snap.counter("squirrel_dist_peer_hits_total").unwrap_or(0),
         peer_misses: snap.counter("squirrel_dist_peer_misses_total").unwrap_or(0),
         mean_register_secs: secs / f64::from(images.max(1)),
+        payload_logical_bytes: snap
+            .counter("zpool_compress_in_bytes_total{pool=\"scvol\"}")
+            .unwrap_or(0),
+        verified_bytes: snap
+            .counter("zpool_recv_verified_bytes_total{pool=\"ccvol\"}")
+            .unwrap_or(0),
         wall_secs: t.elapsed().as_secs_f64(),
     }
 }
@@ -172,6 +184,10 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<Dist
             assert!(multicast <= unicast, "multicast {multicast} > unicast {unicast} at {nodes}");
         }
     }
+    assert!(
+        verify_once(&points),
+        "some cell verified more (or less) than its diffs' payload"
+    );
     assert_thread_determinism(cfg, node_counts[0]);
 
     t.print("Distribution: storage-tier uplink vs fleet size per policy");
@@ -184,6 +200,14 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<Dist
         println!("distribution bench written to {}", path.display());
     }
     points
+}
+
+/// Every cell verified exactly its diffs' logical payload: once per
+/// registration, whatever the fleet size or policy.
+fn verify_once(points: &[DistPoint]) -> bool {
+    points
+        .iter()
+        .all(|p| p.payload_logical_bytes > 0 && p.verified_bytes == p.payload_logical_bytes)
 }
 
 /// Hand-rolled JSON (the workspace is std-only by policy). The named gates
@@ -206,7 +230,7 @@ fn render_json(cfg: &ExperimentConfig, node_counts: &[u32], points: &[DistPoint]
                 "    {{\"policy\": \"{}\", \"nodes\": {}, \"registrations\": {}, \
                  \"wire_bytes\": {}, \"storage_tx_bytes\": {}, \"peer_tx_bytes\": {}, \
                  \"peer_hits\": {}, \"peer_misses\": {}, \"mean_register_secs\": {}, \
-                 \"wall_secs\": {}}}",
+                 \"payload_logical_bytes\": {}, \"verified_bytes\": {}, \"wall_secs\": {}}}",
                 p.policy.name(),
                 p.nodes,
                 p.registrations,
@@ -216,6 +240,8 @@ fn render_json(cfg: &ExperimentConfig, node_counts: &[u32], points: &[DistPoint]
                 p.peer_hits,
                 p.peer_misses,
                 fmt_f(p.mean_register_secs),
+                p.payload_logical_bytes,
+                p.verified_bytes,
                 fmt_f(p.wall_secs),
             )
         })
@@ -228,6 +254,7 @@ fn render_json(cfg: &ExperimentConfig, node_counts: &[u32], points: &[DistPoint]
          \"peer_below_unicast_10k\": {},\n  \
          \"multicast_below_unicast_1k\": {},\n  \
          \"deterministic_across_threads\": true,\n  \
+         \"verify_once\": {},\n  \
          \"points\": [\n{}\n  ]\n}}\n",
         cfg.seed,
         cfg.images.min(DIST_IMAGES),
@@ -236,6 +263,7 @@ fn render_json(cfg: &ExperimentConfig, node_counts: &[u32], points: &[DistPoint]
         tx(top, DistributionPolicy::PeerAssisted) < tx(top, DistributionPolicy::Unicast),
         tx(mid, DistributionPolicy::Multicast { fanout: 8 })
             < tx(mid, DistributionPolicy::Unicast),
+        verify_once(points),
         entries.join(",\n"),
     )
 }
@@ -280,6 +308,8 @@ mod tests {
             "\"peer_below_unicast_10k\": true",
             "\"multicast_below_unicast_1k\": true",
             "\"deterministic_across_threads\": true",
+            "\"verify_once\": true",
+            "\"verified_bytes\"",
             "\"storage_tx_bytes\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");

@@ -1092,6 +1092,90 @@ impl Squirrel {
     /// only for receivers partitioned from every donor.
     fn plan_peer_rounds(&self, targets: &[NodeId], plan: &mut TransferPlan) {
         let root = plan.root;
+        let mut donors: BTreeSet<NodeId> = BTreeSet::new();
+        let mut pending: Vec<NodeId> = targets.to_vec();
+        let mut round = 0u32;
+        while !pending.is_empty() {
+            // Donors not yet serving anyone this round, ordered by id so
+            // the nearest one is found by probing outward from the receiver.
+            let mut idle = donors.clone();
+            let mut root_used = false;
+            let mut served: Vec<NodeId> = Vec::new();
+            let mut waiting: Vec<NodeId> = Vec::new();
+            for &t in &pending {
+                if let Some(d) = self.nearest_reachable(&idle, t) {
+                    idle.remove(&d);
+                    plan.legs.push(TransferLeg {
+                        src: d,
+                        dst: t,
+                        round,
+                        from_peer: true,
+                    });
+                    served.push(t);
+                } else if donors.iter().any(|&d| self.net.is_reachable(d, t)) {
+                    // Every donor that could serve it is busy this round.
+                    waiting.push(t);
+                } else if self.net.is_reachable(root, t) {
+                    if root_used {
+                        waiting.push(t);
+                    } else {
+                        root_used = true;
+                        plan.legs.push(TransferLeg {
+                            src: root,
+                            dst: t,
+                            round,
+                            from_peer: false,
+                        });
+                        served.push(t);
+                    }
+                } else if targets
+                    .iter()
+                    .any(|&o| o != t && self.net.is_reachable(o, t))
+                {
+                    // A future donor might still reach it.
+                    waiting.push(t);
+                } else {
+                    plan.unreachable.push(t);
+                }
+            }
+            if served.is_empty() {
+                // No source can make progress; whatever is left stays
+                // lagging until links heal.
+                plan.unreachable.append(&mut waiting);
+                break;
+            }
+            donors.extend(served);
+            pending = waiting;
+            round += 1;
+        }
+    }
+
+    /// The member of `donors` nearest to `t` — smallest `(|d - t|, d)` —
+    /// that has a live link to it. Probes outward from `t`'s id in both
+    /// directions, so with healthy links the first candidate wins.
+    fn nearest_reachable(&self, donors: &BTreeSet<NodeId>, t: NodeId) -> Option<NodeId> {
+        let mut below = donors.range(..t).rev().copied().peekable();
+        let mut above = donors.range(t..).copied().peekable();
+        loop {
+            let d = match (below.peek(), above.peek()) {
+                // Equidistant: the lower id wins, as in `(distance, id)`.
+                (Some(&lo), Some(&hi)) if t - lo <= hi - t => below.next(),
+                (Some(_), None) => below.next(),
+                (_, Some(_)) => above.next(),
+                (None, None) => return None,
+            }?;
+            if self.net.is_reachable(d, t) {
+                return Some(d);
+            }
+        }
+    }
+
+    /// The planner as first written — every donor scanned for every pending
+    /// receiver every round — kept as the oracle [`Self::plan_peer_rounds`]
+    /// must equal leg for leg.
+    #[cfg(test)]
+    fn plan_peer_rounds_oracle(&self, targets: &[NodeId], plan: &mut TransferPlan) {
+        let root = plan.root;
         let mut donors: Vec<NodeId> = Vec::new();
         let mut pending: Vec<NodeId> = targets.to_vec();
         let mut round = 0u32;
@@ -1309,15 +1393,10 @@ impl Squirrel {
         let mut secs = 0.0f64;
         let mut peer_hits = 0u64;
         let mut peer_misses = 0u64;
-        let mut donors: Vec<NodeId> = Vec::new();
+        let mut donors: BTreeSet<NodeId> = BTreeSet::new();
         for &node in online {
             let src = if peer_policy {
-                donors
-                    .iter()
-                    .copied()
-                    .filter(|&d| self.net.is_reachable(d, node))
-                    .min_by_key(|&d| (d.abs_diff(node), d))
-                    .unwrap_or(storage_src)
+                self.nearest_reachable(&donors, node).unwrap_or(storage_src)
             } else {
                 storage_src
             };
@@ -1396,7 +1475,7 @@ impl Squirrel {
                         peer_hits += 1;
                     }
                 }
-                donors.push(node);
+                donors.insert(node);
             } else {
                 plan.note_giveup();
                 self.obs.inc("squirrel_fault_giveups_total");
@@ -2873,6 +2952,82 @@ mod tests {
         let reference = run(1);
         for threads in [2, 8] {
             assert_eq!(run(threads), reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn peer_planner_equals_the_scan_everything_oracle() {
+        use squirrel_dataset::rng::SplitMix64;
+        const NODES: u32 = 1000;
+        let corpus = Arc::new(Corpus::generate(CorpusConfig::test_corpus(2, 77)));
+        let mut sq = Squirrel::new(
+            SquirrelConfig {
+                compute_nodes: NODES,
+                block_size: 16 * 1024,
+                distribution: DistributionPolicy::PeerAssisted,
+                topology: TopologyConfig {
+                    regions: 1,
+                    dcs_per_region: 2,
+                    racks_per_dc: 4,
+                },
+                ..Default::default()
+            },
+            corpus,
+        );
+        let root = NODES; // first storage node
+        let targets: Vec<NodeId> = (0..NODES).collect();
+        let check = |sq: &Squirrel, what: &str| {
+            let plan = sq.plan_fanout(&targets, 4096);
+            let mut oracle = TransferPlan::new(plan.policy, plan.root, plan.payload_bytes);
+            sq.plan_peer_rounds_oracle(&targets, &mut oracle);
+            assert_eq!(plan, oracle, "{what}");
+            assert_eq!(
+                plan.planned_receivers() + plan.unreachable.len(),
+                targets.len(),
+                "{what}"
+            );
+            plan
+        };
+        let healthy = check(&sq, "healthy");
+        assert!(healthy.unreachable.is_empty());
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::from_parts(&[seed, 0x9ee2]);
+            sq.network_mut().heal_all();
+            // Scattered single-link cuts...
+            for _ in 0..3000 {
+                let (a, b) = (
+                    rng.below(NODES.into()) as NodeId,
+                    rng.below(NODES.into()) as NodeId,
+                );
+                sq.network_mut().partition(a, b);
+            }
+            // ...a few receivers the storage tier cannot reach, one of them
+            // reachable by nobody...
+            let hermit = rng.below(NODES.into()) as NodeId;
+            for _ in 0..20 {
+                sq.network_mut()
+                    .partition(root, rng.below(NODES.into()) as NodeId);
+            }
+            for other in 0..=NODES {
+                sq.network_mut().partition(hermit, other);
+            }
+            // ...a neighbourhood cut off from everyone near it, so the
+            // outward probe has to walk past dead candidates...
+            let centre = rng.range(100, u64::from(NODES) - 100) as NodeId;
+            for a in centre - 5..centre + 5 {
+                for b in centre - 60..centre + 60 {
+                    sq.network_mut().partition(a, b);
+                }
+            }
+            // ...and whole racks down.
+            for _ in 0..=seed % 3 {
+                sq.rack_down(rng.below(8) as u32);
+            }
+            let plan = check(&sq, &format!("seed {seed}"));
+            assert!(plan.unreachable.contains(&hermit), "seed {seed}");
+            for rack in 0..8 {
+                sq.rack_up(rack);
+            }
         }
     }
 

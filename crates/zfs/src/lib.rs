@@ -51,6 +51,6 @@ pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, Z
 pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use scrub::ScrubReport;
 pub use sddt::ShardedDedupTable;
-pub use send::{DecodeError, RecvError, SendError, SendStream};
+pub use send::{DecodeError, RecvError, SendError, SendStream, VerifiedStream};
 pub use sharedarc::SharedArcCache;
 pub use stats::{QuotaExcess, SpaceStats};

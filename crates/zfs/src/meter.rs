@@ -22,6 +22,10 @@ pub(crate) struct PoolMeters {
     pub(crate) compress_out_bytes: Counter,
     pub(crate) recv_streams: Counter,
     pub(crate) recv_wire_bytes: Counter,
+    /// Logical bytes decompressed + hashed by stream verification, recorded
+    /// once per [`SendStream::verify`](crate::SendStream::verify) by whoever
+    /// ran it — not once per pool the verified stream was applied to.
+    pub(crate) recv_verified_bytes: Counter,
     pub(crate) scrub_blocks: Counter,
     pub(crate) scrub_bytes: Counter,
     pub(crate) compressed_block_bytes: Histogram,
@@ -50,6 +54,7 @@ impl PoolMeters {
             compress_out_bytes: m.counter("zpool_compress_out_bytes_total"),
             recv_streams: m.counter("zpool_recv_streams_total"),
             recv_wire_bytes: m.counter("zpool_recv_wire_bytes_total"),
+            recv_verified_bytes: m.counter("zpool_recv_verified_bytes_total"),
             scrub_blocks: m.counter("zpool_scrub_blocks_total"),
             scrub_bytes: m.counter("zpool_scrub_bytes_total"),
             compressed_block_bytes: m.histogram("zpool_compressed_block_bytes"),

@@ -434,20 +434,91 @@ impl SendStream {
         sizes
     }
 
+    /// The pool-independent half of [`ZPool::recv`], done **once** however
+    /// many pools the stream is then applied to: decompress and hash every
+    /// payload block against its key, and resolve the logical sizes and the
+    /// incoming-key set the pool-dependent half needs. Nothing here reads
+    /// receiver state, and the payload buffers are immutable and shared
+    /// (`Arc<[u8]>`), so the proof holds for every pool of record size
+    /// `block_size` that is handed this same stream.
+    ///
+    /// Blocks are checked in parallel over contiguous payload ranges; the
+    /// reported offender is the first **in payload order**, so the error is
+    /// the same at any thread count.
+    pub fn verify(
+        &self,
+        block_size: u32,
+        workers: &WorkerPool,
+    ) -> Result<VerifiedStream<'_>, RecvError> {
+        let mut verified = self.resolve(block_size);
+        let logical: usize = self
+            .payload
+            .iter()
+            .filter(|b| b.data.is_some())
+            .map(|b| verified.lsize(b.key) as usize)
+            .sum();
+        let shares = workers.threads().min(logical / VERIFY_SHARE_BYTES).max(1);
+        let n = self.payload.len();
+        let per_share = n.div_ceil(shares);
+        let ranges = workers.run(shares, |w| {
+            verified
+                .check_blocks(&self.payload[(w * per_share).min(n)..((w + 1) * per_share).min(n)])
+        });
+        for range in ranges {
+            verified.verified_bytes += range?;
+        }
+        Ok(verified)
+    }
+
+    /// [`verify`](Self::verify) on the calling thread alone, for a single
+    /// receiver: one stream's payload is a few blocks, and a hand-off to a
+    /// second thread per stream buys less than its wake-up jitter costs.
+    fn verify_serial(&self, block_size: u32) -> Result<VerifiedStream<'_>, RecvError> {
+        let mut verified = self.resolve(block_size);
+        verified.verified_bytes = verified.check_blocks(&self.payload)?;
+        Ok(verified)
+    }
+
+    /// What both verifications resolve before touching the payload; nothing
+    /// is proved until `check_blocks` has passed over every block.
+    fn resolve(&self, block_size: u32) -> VerifiedStream<'_> {
+        VerifiedStream {
+            stream: self,
+            block_size,
+            lsizes: self.referenced_lsizes(block_size),
+            incoming: self.payload.iter().map(|b| b.key).collect(),
+            verified_bytes: 0,
+        }
+    }
+
     /// Apply this stream to many independent pools concurrently (the
     /// registration multicast: one prepared stream, N receiver ccVolumes).
+    /// The payload is verified once up front — every pool is handed the
+    /// same buffers — then each pool runs its own checks and the apply.
     /// Pools are partitioned into contiguous chunks, one per worker of
-    /// `workers`; results come back in pool order. Each pool's `recv` is the
-    /// same serial routine the single-receiver path runs, so outcomes are
-    /// identical to an in-order replay.
+    /// `workers`; results come back in pool order and are exactly what an
+    /// in-order loop of [`ZPool::recv`] returns.
     pub fn apply_all_on(
         &self,
         mut pools: Vec<&mut ZPool>,
         workers: &WorkerPool,
     ) -> Vec<Result<(), RecvError>> {
-        let n = workers.threads().min(pools.len().max(1));
+        let Some(first) = pools.first() else {
+            return Vec::new();
+        };
+        let verified = self.verify(first.block_size() as u32, workers);
+        if let Ok(v) = &verified {
+            first.meters.recv_verified_bytes.add(v.verified_bytes);
+        }
+        let recv = |p: &mut ZPool| match &verified {
+            Ok(v) => p.recv_verified(v),
+            // A rejected stream is rare and ends the fan-out; each pool
+            // reports it through its own full check, in its own order.
+            Err(_) => p.recv(self),
+        };
+        let n = workers.threads().min(pools.len());
         if n <= 1 {
-            return pools.into_iter().map(|p| p.recv(self)).collect();
+            return pools.into_iter().map(recv).collect();
         }
         let chunk = pools.len().div_ceil(n);
         // Each chunk sits behind its own mutex; share `w` locks chunk `w`
@@ -457,11 +528,58 @@ impl SendStream {
         workers
             .run(parts.len(), |w| {
                 let mut part = parts[w].lock().expect("recv chunk poisoned");
-                part.iter_mut().map(|p| p.recv(self)).collect::<Vec<_>>()
+                part.iter_mut().map(|p| recv(p)).collect::<Vec<_>>()
             })
             .into_iter()
             .flatten()
             .collect()
+    }
+}
+
+/// Logical payload bytes one verification share must carry before
+/// [`SendStream::verify`] splits the payload further: below this the
+/// decompress + hash work is cheaper than waking a worker for it.
+const VERIFY_SHARE_BYTES: usize = 64 * 1024;
+
+/// A [`SendStream`] whose payload has been proved against its keys for
+/// pools of one record size. Only [`SendStream::verify`] builds one, so a
+/// stream cannot reach [`ZPool::recv_verified`] unverified.
+pub struct VerifiedStream<'a> {
+    stream: &'a SendStream,
+    /// Record size the block-pointer lsizes (and so the proof) assume.
+    block_size: u32,
+    lsizes: BTreeMap<BlockKey, u32>,
+    /// Keys the payload carries.
+    incoming: BTreeSet<BlockKey>,
+    verified_bytes: u64,
+}
+
+impl VerifiedStream<'_> {
+    /// Logical bytes the verification decompressed and hashed.
+    pub fn verified_bytes(&self) -> u64 {
+        self.verified_bytes
+    }
+
+    /// Logical size of payload block `key`; a block no upsert references
+    /// is a whole record.
+    fn lsize(&self, key: BlockKey) -> u32 {
+        self.lsizes.get(&key).copied().unwrap_or(self.block_size)
+    }
+
+    /// Decompress and hash `blocks` in order: the logical bytes checked, or
+    /// the first block whose content does not hash to its key.
+    fn check_blocks(&self, blocks: &[StreamBlock]) -> Result<u64, RecvError> {
+        let mut bytes = 0u64;
+        for b in blocks {
+            if let Some(frame) = &b.data {
+                let content = decompress(frame, self.lsize(b.key) as usize);
+                if ContentHash::of(&content).short() != b.key {
+                    return Err(RecvError::CorruptPayload(b.key));
+                }
+                bytes += content.len() as u64;
+            }
+        }
+        Ok(bytes)
     }
 }
 
@@ -550,13 +668,29 @@ impl ZPool {
     /// must equal the stream's base (or the stream must be full); every
     /// payload block must hash to its key; every upsert pointer must resolve
     /// to either a payload block or a block already present. All of that is
-    /// checked *before* the first mutation, so any `Err` leaves the pool
-    /// exactly as it was — a corrupt or impossible stream never half-applies.
-    /// On success the receiver's live files match the sender's tip and a
-    /// snapshot with the tip tag is created locally.
+    /// checked *before* the first mutation, in that order, so any `Err`
+    /// leaves the pool exactly as it was — a corrupt or impossible stream
+    /// never half-applies. On success the receiver's live files match the
+    /// sender's tip and a snapshot with the tip tag is created locally.
+    ///
+    /// This is [`SendStream::verify`] for this pool's record size followed
+    /// by [`recv_verified`](Self::recv_verified).
     pub fn recv(&mut self, stream: &SendStream) -> Result<(), RecvError> {
-        self.validate_recv(stream)?;
-        self.apply_stream(stream);
+        let verified = self.verify_for_recv(stream)?;
+        self.recv_verified(&verified)
+    }
+
+    /// The pool-dependent half of [`recv`](Self::recv): the tip and base
+    /// checks, pointer resolution against this pool's DDT, then the apply.
+    /// A stream verified for another record size is verified again for this
+    /// one — the proof does not carry over.
+    pub fn recv_verified(&mut self, verified: &VerifiedStream<'_>) -> Result<(), RecvError> {
+        if verified.block_size != self.block_size() as u32 {
+            return self.recv(verified.stream);
+        }
+        self.check_position(verified.stream)?;
+        self.check_pointers(verified)?;
+        self.apply_stream(verified);
         Ok(())
     }
 
@@ -565,35 +699,42 @@ impl ZPool {
     /// guarantee under test) and the caller sees [`RecvError::Interrupted`]
     /// — or the stream's own validation error if it had one.
     pub fn recv_crashed(&mut self, stream: &SendStream) -> Result<(), RecvError> {
-        self.validate_recv(stream)?;
+        let verified = self.verify_for_recv(stream)?;
+        self.check_pointers(&verified)?;
         Err(RecvError::Interrupted)
     }
 
-    /// The fallible half of [`recv`](Self::recv): every check, no mutation.
-    fn validate_recv(&self, stream: &SendStream) -> Result<(), RecvError> {
+    /// Single-receiver verification: the position checks come first, so a
+    /// replayed or out-of-order stream is refused before any payload work.
+    fn verify_for_recv<'s>(&self, stream: &'s SendStream) -> Result<VerifiedStream<'s>, RecvError> {
+        self.check_position(stream)?;
+        let verified = stream.verify_serial(self.block_size() as u32)?;
+        self.meters.recv_verified_bytes.add(verified.verified_bytes);
+        Ok(verified)
+    }
+
+    /// Does the stream fit this pool's history? The tip must be new and the
+    /// pool must sit exactly at the base: a diff applied past its base
+    /// would mix two states. A pool elsewhere reports `MissingBase` — it
+    /// needs a different stream (a full one, or a diff from where it is).
+    fn check_position(&self, stream: &SendStream) -> Result<(), RecvError> {
         if self.has_snapshot(&stream.tip) {
             return Err(RecvError::DuplicateTip(stream.tip.clone()));
         }
-        if let Some(base) = &stream.base {
-            if !self.has_snapshot(base) {
-                return Err(RecvError::MissingBase(base.clone()));
+        match &stream.base {
+            Some(base) if self.latest_snapshot() != Some(base) => {
+                Err(RecvError::MissingBase(base.clone()))
             }
+            _ => Ok(()),
         }
-        let bs = self.block_size();
-        let lsizes = stream.referenced_lsizes(bs as u32);
-        let mut incoming: BTreeSet<BlockKey> = BTreeSet::new();
-        for b in &stream.payload {
-            if let Some(frame) = &b.data {
-                let lsize = lsizes.get(&b.key).copied().unwrap_or(bs as u32) as usize;
-                if ContentHash::of(&decompress(frame, lsize)).short() != b.key {
-                    return Err(RecvError::CorruptPayload(b.key));
-                }
-            }
-            incoming.insert(b.key);
-        }
-        for (_, meta) in &stream.upserts {
+    }
+
+    /// Every upsert pointer resolves to a payload block or a block this
+    /// pool already holds.
+    fn check_pointers(&self, verified: &VerifiedStream<'_>) -> Result<(), RecvError> {
+        for (_, meta) in &verified.stream.upserts {
             for key in meta.iter_keys() {
-                if !incoming.contains(&key) && self.ddt().get(&key).is_none() {
+                if !verified.incoming.contains(&key) && self.ddt().get(&key).is_none() {
                     return Err(RecvError::MissingBlock(key));
                 }
             }
@@ -602,20 +743,18 @@ impl ZPool {
     }
 
     /// The infallible half of [`recv`](Self::recv); only called on a
-    /// validated stream.
-    fn apply_stream(&mut self, stream: &SendStream) {
+    /// stream that passed every check.
+    fn apply_stream(&mut self, verified: &VerifiedStream<'_>) {
+        let stream = verified.stream;
         self.meters.recv_streams.inc();
         self.meters.recv_wire_bytes.add(stream.wire_bytes());
 
         // Ingest payload blocks first so pointer installation always finds
         // its targets in the DDT.
-        let lsizes = stream.referenced_lsizes(self.block_size() as u32);
         for b in &stream.payload {
             // add_ref with an initial "staging" reference; released after the
             // tables are installed so unreferenced payload doesn't leak.
-            let bs = self.block_size() as u32;
-            let lsize = lsizes.get(&b.key).copied().unwrap_or(bs);
-            let (psize, data) = (b.psize, b.data.clone());
+            let (psize, lsize, data) = (b.psize, verified.lsize(b.key), b.data.clone());
             self.ddt_mut().add_ref(b.key, || (psize, lsize, data));
         }
 
@@ -1176,6 +1315,256 @@ mod tests {
             assert_eq!(dst.read_block("img", i), src.read_block("img", i), "v2 block {i}");
         }
         assert!(dst.check_refcounts());
+    }
+
+    #[test]
+    fn recv_refuses_a_diff_once_the_pool_moved_past_its_base() {
+        let mut src = pool();
+        fill(&mut src, "a", &[1]);
+        src.snapshot("s1");
+        fill(&mut src, "b", &[2]);
+        src.snapshot("s2");
+        fill(&mut src, "c", &[3]);
+        src.snapshot("s3");
+        let mut dst = pool();
+        dst.recv(&src.send_between(None, "s1").expect("full"))
+            .expect("seed");
+        dst.recv(&src.send_between(Some("s1"), "s2").expect("inc"))
+            .expect("s2");
+        // The pool still *holds* s1, but it sits at s2: s1→s3 applied on top
+        // would be a state the sender never had.
+        let skip = src.send_between(Some("s1"), "s3").expect("s1→s3");
+        assert_eq!(
+            dst.recv(&skip),
+            Err(RecvError::MissingBase("s1".to_string()))
+        );
+        assert_eq!(dst.snapshot_tags(), ["s1", "s2"]);
+        dst.recv(&src.send_between(Some("s2"), "s3").expect("s2→s3"))
+            .expect("in order");
+        assert!(dst.check_refcounts());
+    }
+
+    // --- verify once, apply N times -----------------------------------------
+
+    /// 4 KiB records, so a few dozen new blocks are enough logical payload
+    /// for `verify` to split into several shares.
+    const BS: usize = 4096;
+
+    fn sized(block_size: usize) -> ZPool {
+        ZPool::new(PoolConfig::new(block_size, Codec::Lzjb))
+    }
+
+    fn fill_sized(p: &mut ZPool, name: &str, fills: impl Iterator<Item = u8>) {
+        p.create_file(name);
+        for (i, f) in fills.enumerate() {
+            p.write_block(name, i as u64, &vec![f; BS]);
+        }
+    }
+
+    /// Sender history `s1 = {a}`, `s2 = {a, b}` where `b` shares two blocks
+    /// with `a` (so the diff leans on the base) and adds 60 new ones:
+    /// `(full s1, diff s1→s2)`.
+    fn history() -> (SendStream, SendStream) {
+        let mut src = sized(BS);
+        fill_sized(&mut src, "a", 1..=3);
+        src.snapshot("s1");
+        fill_sized(&mut src, "b", (2..=3).chain(40..100));
+        src.snapshot("s2");
+        (
+            src.send_between(None, "s1").expect("full"),
+            src.send_between(Some("s1"), "s2").expect("diff"),
+        )
+    }
+
+    /// Swap payload block `i` for a validly framed block of other content.
+    fn corrupt(stream: &mut SendStream, i: usize) -> BlockKey {
+        stream.payload[i].data =
+            Some(squirrel_compress::compress(Codec::Lzjb, &vec![0xee_u8; BS]).into());
+        stream.payload[i].key
+    }
+
+    fn state(p: &ZPool) -> (crate::SpaceStats, Vec<String>, bool) {
+        let tags = p.snapshot_tags().into_iter().map(String::from).collect();
+        (p.stats(), tags, p.check_refcounts())
+    }
+
+    /// `apply_all_on` over `build()`'s pools returns the results and leaves
+    /// the states of an in-order `recv` loop over the same pools, at any
+    /// thread count. Returns the serial results for the caller to pin.
+    fn fanout_matches_serial(
+        stream: &SendStream,
+        build: &dyn Fn() -> Vec<ZPool>,
+    ) -> Vec<Result<(), RecvError>> {
+        let mut serial = build();
+        let expected: Vec<_> = serial.iter_mut().map(|p| p.recv(stream)).collect();
+        for threads in [1, 2, 8] {
+            let mut pools = build();
+            let got = stream.apply_all_on(pools.iter_mut().collect(), &WorkerPool::new(threads));
+            assert_eq!(got, expected, "threads={threads}");
+            for (i, (p, s)) in pools.iter().zip(&serial).enumerate() {
+                assert_eq!(state(p), state(s), "threads={threads} pool {i}");
+            }
+        }
+        expected
+    }
+
+    /// Receivers of the diff: in sync, never seeded, already at the tip, in
+    /// sync but with the base file purged (the diff's shared blocks are
+    /// gone), and in sync at twice the record size.
+    fn mixed_receivers(full: &SendStream, diff: &SendStream) -> Vec<ZPool> {
+        let seeded = |bs: usize| {
+            let mut p = sized(bs);
+            p.recv(full).expect("seed");
+            p
+        };
+        let mut at_tip = seeded(BS);
+        at_tip.recv(diff).expect("tip");
+        let mut purged = seeded(BS);
+        assert!(purged.purge_file("a"));
+        vec![seeded(BS), sized(BS), at_tip, purged, seeded(2 * BS)]
+    }
+
+    #[test]
+    fn fanout_over_mixed_receivers_matches_serial_recv() {
+        let (full, diff) = history();
+        let results = fanout_matches_serial(&diff, &|| mixed_receivers(&full, &diff));
+        assert_eq!(results[0], Ok(()));
+        assert_eq!(results[1], Err(RecvError::MissingBase("s1".to_string())));
+        assert_eq!(results[2], Err(RecvError::DuplicateTip("s2".to_string())));
+        assert!(
+            matches!(results[3], Err(RecvError::MissingBlock(_))),
+            "{:?}",
+            results[3]
+        );
+        assert_eq!(results[4], Ok(()));
+
+        // One corrupt payload block: whoever gets as far as the payload
+        // reports it — after tip and base, before pointer resolution.
+        let mut bad = diff.clone();
+        let victim = corrupt(&mut bad, 7);
+        let results = fanout_matches_serial(&bad, &|| mixed_receivers(&full, &diff));
+        assert_eq!(results[0], Err(RecvError::CorruptPayload(victim)));
+        assert_eq!(results[1], Err(RecvError::MissingBase("s1".to_string())));
+        assert_eq!(results[2], Err(RecvError::DuplicateTip("s2".to_string())));
+        assert_eq!(
+            results[3],
+            Err(RecvError::CorruptPayload(victim)),
+            "payload before pointers"
+        );
+        assert_eq!(results[4], Err(RecvError::CorruptPayload(victim)));
+    }
+
+    #[test]
+    fn a_verdict_for_one_record_size_is_not_trusted_at_another() {
+        let (full, _) = history();
+        // An lzjb frame decoded for half the record size comes out short and
+        // fails its hash; for the sender's size or twice it, it passes. So
+        // which pool leads the fan-out (the stream is verified for *its*
+        // size) must not leak into any other pool's result.
+        for sizes in [
+            [BS, BS / 2, 2 * BS],
+            [BS / 2, BS, 2 * BS],
+            [2 * BS, BS / 2, BS],
+        ] {
+            let results =
+                fanout_matches_serial(&full, &|| sizes.iter().map(|&bs| sized(bs)).collect());
+            for (bs, r) in sizes.iter().zip(&results) {
+                assert_eq!(r.is_ok(), *bs != BS / 2, "record size {bs}: {r:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fanout_of_a_cdc_stream_matches_serial_recv() {
+        use crate::config::ChunkStrategy;
+        use squirrel_hash::cdc::CdcParams;
+        let cdc = |bs: usize| {
+            ZPool::new(
+                PoolConfig::new(bs, Codec::Lzjb)
+                    .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(2048))),
+            )
+        };
+        let mut src = cdc(BS);
+        let blocks: Vec<Vec<u8>> = (0..48usize)
+            .map(|i| {
+                (0..BS)
+                    .map(|j| ((i * 37 + j * 11 + (i * j) % 13) % 251) as u8)
+                    .collect()
+            })
+            .collect();
+        src.import_file("img", &blocks, (48 * BS) as u64);
+        src.snapshot("s1");
+        let full = src.send_between(None, "s1").expect("send");
+        assert!(full.upserts[0].1.chunks.is_some());
+        // Chunk records carry their own lengths, so the record size of the
+        // receiver does not enter the proof.
+        let results = fanout_matches_serial(&full, &|| vec![cdc(BS), cdc(BS / 2), cdc(BS)]);
+        assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
+        let mut bad = full.clone();
+        let victim = corrupt(&mut bad, 3);
+        let results = fanout_matches_serial(&bad, &|| vec![cdc(BS), cdc(BS / 2)]);
+        assert_eq!(results, vec![Err(RecvError::CorruptPayload(victim)); 2]);
+    }
+
+    #[test]
+    fn first_corrupt_block_in_payload_order_wins_at_any_thread_count() {
+        let (_, mut diff) = history();
+        assert_eq!(diff.payload_blocks(), 60);
+        let late = corrupt(&mut diff, 50);
+        let early = corrupt(&mut diff, 10);
+        assert_ne!(early, late);
+        for threads in [1, 2, 8] {
+            let workers = WorkerPool::new(threads);
+            let verdict = diff.verify(BS as u32, &workers).map(|v| v.verified_bytes());
+            assert_eq!(
+                verdict,
+                Err(RecvError::CorruptPayload(early)),
+                "threads={threads}"
+            );
+            // 240 KiB of logical payload really is split across workers.
+            assert_eq!(
+                workers.spawned_workers() > 0,
+                threads > 1,
+                "threads={threads}"
+            );
+        }
+        // A clean stream's verified bytes are its logical payload, however
+        // the ranges were cut.
+        let (_, clean) = history();
+        for threads in [1, 2, 8] {
+            let v = clean
+                .verify(BS as u32, &WorkerPool::new(threads))
+                .expect("clean");
+            assert_eq!(v.verified_bytes(), 60 * BS as u64, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn crashed_recv_reports_the_streams_own_error_first() {
+        let (full, diff) = history();
+        let mut pools = mixed_receivers(&full, &diff);
+        let before: Vec<_> = pools.iter().map(state).collect();
+        let mut bad = diff.clone();
+        let victim = corrupt(&mut bad, 0);
+        assert_eq!(
+            pools[0].recv_crashed(&bad),
+            Err(RecvError::CorruptPayload(victim))
+        );
+        assert_eq!(pools[0].recv_crashed(&diff), Err(RecvError::Interrupted));
+        assert_eq!(
+            pools[1].recv_crashed(&diff),
+            Err(RecvError::MissingBase("s1".to_string()))
+        );
+        assert_eq!(
+            pools[2].recv_crashed(&diff),
+            Err(RecvError::DuplicateTip("s2".to_string()))
+        );
+        assert!(matches!(
+            pools[3].recv_crashed(&diff),
+            Err(RecvError::MissingBlock(_))
+        ));
+        // Whatever it reported, a crashed recv changed nothing.
+        assert_eq!(pools.iter().map(state).collect::<Vec<_>>(), before);
     }
 
     #[test]

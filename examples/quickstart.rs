@@ -90,6 +90,12 @@ fn main() {
         "  zpool_recv_streams_total{{ccvol}}     {}",
         snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}").unwrap_or(0)
     );
+    // Eight streams applied, one payload proved: the nodes share its buffers.
+    println!(
+        "  zpool_recv_verified_bytes_total{{ccvol}} {}",
+        snap.counter("zpool_recv_verified_bytes_total{pool=\"ccvol\"}")
+            .unwrap_or(0)
+    );
 
     // Persist the full snapshot (JSON, includes the event journal) for the
     // acceptance record; the same data renders as Prometheus text.

@@ -4,6 +4,7 @@
 
 use squirrel_repro::core::{Squirrel, SquirrelConfig};
 use squirrel_repro::dataset::{Corpus, CorpusConfig};
+use squirrel_repro::faults::{FaultConfig, FaultPlan};
 use squirrel_repro::obs::MetricsSnapshot;
 use std::sync::Arc;
 
@@ -50,6 +51,74 @@ fn snapshots_are_bit_identical_across_thread_counts() {
         let snap = run_workflows(threads).metrics().snapshot();
         assert_eq!(snap, reference, "threads={threads}");
         assert_eq!(snap.to_json(), reference_json, "threads={threads}");
+    }
+}
+
+/// Register image 0 on a fresh `nodes`-node cluster, over the lossy
+/// per-node path when a fault plan is given.
+fn register_once(nodes: u32, threads: usize, plan: Option<FaultPlan>) -> MetricsSnapshot {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        scale: 1024,
+        ..CorpusConfig::test_corpus(8, 99)
+    }));
+    let mut sq = Squirrel::new(
+        SquirrelConfig::builder()
+            .compute_nodes(nodes)
+            .block_size(16 * 1024)
+            .threads(threads)
+            .build(),
+        corpus,
+    );
+    if let Some(plan) = plan {
+        sq.set_fault_plan(plan);
+    }
+    assert_eq!(sq.register(0).expect("register").nodes_updated, nodes);
+    sq.metrics().snapshot()
+}
+
+#[test]
+fn a_registration_verifies_its_payload_once_per_distinct_copy() {
+    const VERIFIED: &str = "zpool_recv_verified_bytes_total{pool=\"ccvol\"}";
+    let verified = |snap: &MetricsSnapshot| snap.counter(VERIFIED).expect("series");
+    // The first diff's payload is every block the import missed in the
+    // scVolume's DDT, so what the sender compressed is what a receiver
+    // must decompress and hash.
+    let clean = register_once(8, 1, None);
+    let payload = clean
+        .counter("zpool_compress_in_bytes_total{pool=\"scvol\"}")
+        .expect("scvol");
+    assert!(payload > 0);
+    // Clean path: eight nodes share one set of buffers, proved once.
+    assert_eq!(verified(&clean), payload);
+    assert_eq!(verified(&register_once(1, 1, None)), payload);
+    // Lossy path: every node decodes its own copy off the wire, and every
+    // copy is proved — including the ones a crashing receiver throws away.
+    assert_eq!(
+        verified(&register_once(8, 1, Some(FaultPlan::quiet(7)))),
+        8 * payload
+    );
+    let crashy = || {
+        FaultPlan::new(
+            7,
+            FaultConfig {
+                crash_recv_prob: 0.3,
+                ..FaultConfig::default()
+            },
+        )
+    };
+    let lossy = register_once(8, 1, Some(crashy()));
+    let crashes = lossy
+        .counter("squirrel_fault_recv_crashes_total")
+        .expect("crashes");
+    assert!(crashes > 0);
+    assert_eq!(verified(&lossy), (8 + crashes) * payload);
+    for threads in [2, 8] {
+        assert_eq!(register_once(8, threads, None), clean, "threads={threads}");
+        assert_eq!(
+            register_once(8, threads, Some(crashy())),
+            lossy,
+            "threads={threads}"
+        );
     }
 }
 

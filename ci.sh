@@ -30,6 +30,8 @@ cargo run --release --quiet -p squirrel-bench --bin squirrel-experiments -- \
     bootstorm --images 16 --scale 8192 --seed 7 --threads 2 > /dev/null
 test -f results/BENCH_bootstorm.json
 grep -q '"deterministic_across_threads": true' results/BENCH_bootstorm.json
+# A repeated storm re-hashes nothing; one rotted record costs one record.
+grep -q '"reverify_free": true' results/BENCH_bootstorm.json
 # Warm storm served from the shared ARC: hit rate strictly positive.
 grep -Eq '"arc_hit_rate": 0\.[0-9]*[1-9]' results/BENCH_bootstorm.json
 

@@ -111,9 +111,9 @@ fn bench_zfs(c: &mut Criterion) {
 }
 
 /// One diff, N fresh receivers: the registration fan-out without the
-/// network. The payload is verified once per `apply_all_on`, so the cost per
-/// receiver at 64 is what applying metadata costs, not what proving the
-/// payload costs.
+/// network. The stream's frames are proved by the first fan-out and remember
+/// it, so what is timed is the steady state: what applying metadata costs
+/// per receiver, not what proving the payload costs.
 fn bench_recv_fanout(c: &mut Criterion) {
     let config = PoolConfig::new(65536, Codec::Gzip(6));
     let mut src = ZPool::new(config);
@@ -140,6 +140,42 @@ fn bench_recv_fanout(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// The warm-boot integrity check on a 16-record cache file: `first` on
+/// frames nothing has proved yet (fresh from ingest: one decompress +
+/// SHA-256 per record), `again` on the same pool afterwards (a walk over
+/// remembered keys).
+fn bench_file_is_intact(c: &mut Criterion) {
+    let config = PoolConfig::new(65536, Codec::Gzip(6));
+    let block = content_block(65536);
+    let blocks: Vec<Vec<u8>> = (0..16u8)
+        .map(|i| {
+            let mut blk = block.clone();
+            blk[1] = i;
+            blk
+        })
+        .collect();
+    let imported = || {
+        let mut pool = ZPool::new(config);
+        pool.import_file("cache", &blocks, 16 * 65536);
+        pool
+    };
+
+    let mut g = c.benchmark_group("file_is_intact");
+    g.throughput(Throughput::Bytes(16 * 65536));
+    g.bench_function("first", |b| {
+        b.iter_batched(
+            imported,
+            |pool| assert_eq!(pool.file_is_intact("cache"), Some(true)),
+            criterion::BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("again", |b| {
+        let pool = imported();
+        b.iter(|| assert_eq!(pool.file_is_intact("cache"), Some(true)))
+    });
     g.finish();
 }
 
@@ -222,6 +258,7 @@ criterion_group!(
     bench_dataset,
     bench_zfs,
     bench_recv_fanout,
+    bench_file_is_intact,
     bench_ingest,
     bench_qcow,
     bench_bootsim,

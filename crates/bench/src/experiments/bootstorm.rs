@@ -10,6 +10,13 @@
 //! different read checksum, byte count, or latency histogram — the
 //! determinism contract is part of what this bench verifies.
 //!
+//! Two more storms follow, untimed: the same storm again, then once more
+//! after one record of node 0's cache rotted. `verify_hashed_bytes` records
+//! what the ccVolumes decompressed + hashed to classify their nodes in the
+//! first storm, in the repeat and after the rot; `"reverify_free": true`
+//! says the repeat hashed nothing (registration's proof was remembered) and
+//! the rot cost exactly the one record that changed.
+//!
 //! Results land in `results/BENCH_bootstorm.json`. Thread speedup is
 //! hardware-dependent: a single-core container shows ~1.0x while the
 //! checksum equality still proves the parallel path ran correctly.
@@ -34,6 +41,12 @@ pub struct StormRun {
     /// Per-boot simulated latency histogram, in milliseconds.
     pub latency_ms: HistogramSnapshot,
     pub report: BootStormReport,
+    /// Bytes the ccVolumes really hashed (`zpool_verify_hashed_bytes_total`)
+    /// during the first storm, a repeat of it, and a storm after one record
+    /// rotted.
+    pub verify_hashed_bytes: [u64; 3],
+    /// The repeat hashed nothing and the rot exactly one record.
+    pub reverify_free: bool,
 }
 
 /// Default storm shape: 16 VMs over 4 compute nodes.
@@ -60,6 +73,14 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         cfg.corpus(),
     );
     sq.register(0).expect("register image 0");
+    let hashed = |sq: &Squirrel| {
+        sq.metrics()
+            .snapshot()
+            .counter("zpool_verify_hashed_bytes_total{pool=\"ccvol\"}")
+            .unwrap_or(0)
+    };
+    let registered = hashed(&sq);
+    let mut first = None;
 
     let mut wall = f64::INFINITY;
     let mut report = None;
@@ -67,6 +88,7 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         let t = std::time::Instant::now();
         let r = sq.boot_storm(0, vms).expect("boot storm");
         wall = wall.min(t.elapsed().as_secs_f64());
+        first.get_or_insert(hashed(&sq) - registered);
         if let Some(prev) = &report {
             let prev: &BootStormReport = prev;
             assert_eq!(prev.read_checksum, r.read_checksum, "storm repeat diverged");
@@ -80,6 +102,21 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         .histogram("squirrel_boot_storm_seconds_ms")
         .cloned()
         .unwrap_or_default();
+
+    // Untimed, after the snapshot the report is built from: the storm
+    // again, and once more with one rotted record on node 0.
+    let before = hashed(&sq);
+    let rerun = sq.boot_storm(0, vms).expect("repeat storm");
+    assert_eq!(
+        rerun.read_checksum, report.read_checksum,
+        "storm repeat diverged"
+    );
+    let again = hashed(&sq) - before;
+    sq.corrupt_cc_block(0, 0).expect("a record to rot");
+    let sick = sq.boot_storm(0, vms).expect("storm after rot");
+    assert!(sick.degraded_vms > 0, "the rotted node must serve degraded");
+    let after_rot = hashed(&sq) - before - again;
+    let record = sq.config().block_size as u64;
     StormRun {
         threads,
         wall_secs: wall,
@@ -88,6 +125,8 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         arc_hit_rate: report.arc.hit_rate(),
         latency_ms: latency,
         report,
+        verify_hashed_bytes: [first.expect("at least one repeat"), again, after_rot],
+        reverify_free: again == 0 && after_rot == record,
     }
 }
 
@@ -111,6 +150,11 @@ pub fn run_bootstorm(cfg: &ExperimentConfig, vms: u32, repeat: usize) -> Vec<Sto
         assert_eq!(run.report.bytes_served, first.report.bytes_served);
         assert_eq!(run.report.arc, first.report.arc);
         assert_eq!(run.latency_ms, first.latency_ms, "threads={}", run.threads);
+        assert_eq!(
+            run.verify_hashed_bytes, first.verify_hashed_bytes,
+            "threads={}",
+            run.threads
+        );
     }
 
     for run in &runs {
@@ -154,6 +198,7 @@ fn render_json(cfg: &ExperimentConfig, vms: u32, runs: &[StormRun]) -> String {
         entries.push(format!(
             "    {{\"threads\": {}, \"wall_secs\": {}, \"mb_per_sec\": {}, \
              \"speedup_vs_t1\": {}, \"copies_avoided\": {}, \"arc_hit_rate\": {}, \
+             \"verify_hashed_bytes\": {{\"first\": {}, \"again\": {}, \"after_rot\": {}}}, \
              \"latency_ms_histogram\": \
              {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"log2_buckets\": [{}]}}}}",
             r.threads,
@@ -162,6 +207,9 @@ fn render_json(cfg: &ExperimentConfig, vms: u32, runs: &[StormRun]) -> String {
             fmt_f(t1_wall / r.wall_secs.max(1e-9)),
             r.copies_avoided,
             fmt_f(r.arc_hit_rate),
+            r.verify_hashed_bytes[0],
+            r.verify_hashed_bytes[1],
+            r.verify_hashed_bytes[2],
             r.latency_ms.count,
             r.latency_ms.sum,
             fmt_f(r.latency_ms.mean()),
@@ -174,6 +222,7 @@ fn render_json(cfg: &ExperimentConfig, vms: u32, runs: &[StormRun]) -> String {
          \"blocks_per_vm\": {},\n  \"bytes_served_per_storm\": {},\n  \
          \"read_checksum\": \"{}\",\n  \
          \"deterministic_across_threads\": true,\n  \
+         \"reverify_free\": {},\n  \
          \"note\": \"speedup is hardware-dependent; single-core containers show ~1.0x\",\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         cfg.images,
@@ -184,6 +233,7 @@ fn render_json(cfg: &ExperimentConfig, vms: u32, runs: &[StormRun]) -> String {
         first.report.blocks_per_vm,
         first.report.bytes_served,
         first.report.read_checksum,
+        runs.iter().all(|r| r.reverify_free),
         entries.join(",\n"),
     )
 }
@@ -202,6 +252,11 @@ mod tests {
         // once, so the hit rate is exactly one half.
         assert!(runs.iter().all(|r| r.arc_hit_rate >= 0.5));
         assert_eq!(runs[0].latency_ms.count, 8, "one sample per VM");
+        // Registration proved every record: no storm hashes anything until
+        // one rots, and then only that one.
+        let record = SquirrelConfig::builder().build().block_size as u64;
+        assert!(runs.iter().all(|r| r.reverify_free));
+        assert!(runs.iter().all(|r| r.verify_hashed_bytes == [0, 0, record]));
     }
 
     #[test]
@@ -224,6 +279,8 @@ mod tests {
             "\"arc_hit_rate\"",
             "\"read_checksum\"",
             "\"speedup_vs_t1\"",
+            "\"verify_hashed_bytes\"",
+            "\"reverify_free\": true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }

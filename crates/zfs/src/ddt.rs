@@ -6,19 +6,87 @@
 //! both the in-core and on-disk DDT footprints that the paper measures in
 //! Figures 9, 10 and 13.
 
-use squirrel_hash::FnvHashMap;
-use std::sync::Arc;
+use squirrel_compress::decompress;
+use squirrel_hash::{ContentHash, FnvHashMap};
+use std::sync::{Arc, OnceLock};
 
 /// Key type: the first 128 bits of the block's SHA-256.
 pub type BlockKey = u128;
 
-/// A shared, immutable block payload. Every consumer of a block's bytes —
-/// the DDT entry itself, ARC cache entries, copy-on-read cache blocks, and
-/// send-stream payloads — holds a reference to the *same* buffer, so a warm
-/// read or a stream build is a refcount bump, never a copy. The one copy in
-/// a payload's life is its birth (`Vec` → `Arc<[u8]>` after the single
-/// compress or decompress that produced it), on the cold path.
+/// A shared, immutable block of *decompressed* data. Every consumer of a
+/// block's bytes — ARC cache entries, copy-on-read cache blocks, hole reads
+/// — holds a reference to the *same* buffer, so a warm read is a refcount
+/// bump, never a copy. The one copy in a payload's life is its birth (`Vec`
+/// → `Arc<[u8]>` after the single decompress that produced it), on the cold
+/// path. Stored compressed records are [`Frame`]s.
 pub type SharedPayload = Arc<[u8]>;
+
+/// A stored compressed record: immutable bytes that remember their own
+/// content key. The DDT entry, every send stream built from it and every
+/// receiver's DDT entry after `recv` hold the *same* frame (a clone is a
+/// refcount bump), so the one decompress + SHA-256 that proves it — at
+/// registration, normally — serves every later boot, scrub, rejoin and
+/// repair on every pool that shares it.
+///
+/// The memo is a pure function of bytes nobody can change: there is no
+/// mutable access to them and no constructor that fills the memo, so
+/// nothing is ever invalidated. A rotted, repaired or re-decoded record is
+/// a *different* frame, born unproven and checked on first touch.
+#[derive(Clone, Debug)]
+pub struct Frame(Arc<FrameInner>);
+
+#[derive(Debug)]
+struct FrameInner {
+    bytes: Box<[u8]>,
+    /// `(lsize, content key)` of the first proof. The key depends on the
+    /// length the frame is decompressed to, so the length is part of it.
+    proof: OnceLock<(u32, BlockKey)>,
+}
+
+impl Frame {
+    /// `ContentHash::of(decompress(bytes, lsize)).short()`, computed at most
+    /// once per buffer for the `lsize` it was first asked at (a question at
+    /// another length is answered afresh, every time). Bytes this call
+    /// actually decompressed and hashed are added to `hashed`; a remembered
+    /// answer adds nothing.
+    pub fn content_key(&self, lsize: u32, hashed: &mut u64) -> BlockKey {
+        let compute = |hashed: &mut u64| {
+            let content = decompress(&self.0.bytes, lsize as usize);
+            *hashed += content.len() as u64;
+            ContentHash::of(&content).short()
+        };
+        let &(proved_at, key) = self.0.proof.get_or_init(|| (lsize, compute(hashed)));
+        if proved_at == lsize {
+            key
+        } else {
+            compute(hashed)
+        }
+    }
+
+    /// Do two handles share one buffer (and so one proof)?
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(a: &Frame, b: &Frame) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl From<Vec<u8>> for Frame {
+    /// A new, unproven frame.
+    fn from(bytes: Vec<u8>) -> Frame {
+        Frame(Arc::new(FrameInner {
+            bytes: bytes.into(),
+            proof: OnceLock::new(),
+        }))
+    }
+}
+
+impl std::ops::Deref for Frame {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0.bytes
+    }
+}
 
 /// One unique block's directory entry.
 #[derive(Clone, Debug)]
@@ -33,7 +101,7 @@ pub struct DdtEntry {
     /// Physical byte offset on the (modelled) disk.
     pub phys: u64,
     /// Compressed payload, present when the pool retains data.
-    pub data: Option<SharedPayload>,
+    pub data: Option<Frame>,
 }
 
 /// The dedup table proper.
@@ -76,7 +144,7 @@ impl DedupTable {
     pub fn add_ref(
         &mut self,
         key: BlockKey,
-        make: impl FnOnce() -> (u32, u32, Option<SharedPayload>),
+        make: impl FnOnce() -> (u32, u32, Option<Frame>),
     ) -> bool {
         match self.entries.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut o) => {
@@ -115,12 +183,7 @@ impl DedupTable {
     /// physical offset are untouched. This is the primitive under both
     /// corruption injection and block repair. Returns `false` when the key
     /// is absent.
-    pub fn replace_payload(
-        &mut self,
-        key: BlockKey,
-        psize: u32,
-        data: Option<SharedPayload>,
-    ) -> bool {
+    pub fn replace_payload(&mut self, key: BlockKey, psize: u32, data: Option<Frame>) -> bool {
         let Some(entry) = self.entries.get_mut(&key) else {
             return false;
         };
@@ -161,8 +224,46 @@ impl DedupTable {
 mod tests {
     use super::*;
 
-    fn payload(n: u32) -> impl FnOnce() -> (u32, u32, Option<SharedPayload>) {
+    fn payload(n: u32) -> impl FnOnce() -> (u32, u32, Option<Frame>) {
         move || (n, n, Some(vec![0xabu8; n as usize].into()))
+    }
+
+    #[test]
+    fn a_frame_is_hashed_once_per_buffer_and_length() {
+        use squirrel_compress::{compress, Codec};
+        let content = vec![7u8; 512];
+        let key = ContentHash::of(&content).short();
+        let frame = Frame::from(compress(Codec::Lzjb, &content));
+        let mut hashed = 0u64;
+        assert_eq!(frame.content_key(512, &mut hashed), key);
+        assert_eq!(
+            hashed, 512,
+            "born unproven: the first question does the work"
+        );
+        // The same buffer through another handle remembers.
+        let shared = frame.clone();
+        assert!(Frame::ptr_eq(&frame, &shared));
+        assert_eq!(shared.content_key(512, &mut hashed), key);
+        assert_eq!(hashed, 512);
+        // Another length is another question, answered afresh every time
+        // (and never overwriting the first answer).
+        let short = decompress(&frame, 256);
+        assert_ne!(ContentHash::of(&short).short(), key);
+        for asked in 1..=2u64 {
+            assert_eq!(
+                frame.content_key(256, &mut hashed),
+                ContentHash::of(&short).short()
+            );
+            assert_eq!(hashed, 512 + asked * short.len() as u64);
+        }
+        assert_eq!(frame.content_key(512, &mut hashed), key);
+        assert_eq!(hashed, 512 + 2 * short.len() as u64);
+        // Equal bytes in another buffer prove nothing about each other.
+        let copy = Frame::from(frame.to_vec());
+        assert!(!Frame::ptr_eq(&frame, &copy));
+        let mut copy_hashed = 0u64;
+        assert_eq!(copy.content_key(512, &mut copy_hashed), key);
+        assert_eq!(copy_hashed, 512);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! `write_block`'s lazy `add_ref` closure.
 
 use crate::config::{ChunkStrategy, DedupMode};
-use crate::ddt::{BlockKey, SharedPayload};
+use crate::ddt::{BlockKey, Frame};
 use crate::pool::{CdcChunk, FileTable, ZPool};
 use squirrel_compress::Compressor;
 use squirrel_hash::cdc::{chunk_boundaries_with, gear_table, CdcParams};
@@ -47,7 +47,9 @@ use std::sync::Arc;
 
 /// A prepared DDT payload: compressed size plus the frame itself (absent in
 /// accounting-only pools) — exactly what `DedupTable::add_ref` consumes.
-type PreparedFrame = (u32, Option<SharedPayload>);
+/// The frame is unproven: compressing is not evidence that decompressing
+/// gives the content back, so its first verification does the work.
+type PreparedFrame = (u32, Option<Frame>);
 
 /// One content-defined chunk out of the parallel boundary scan: its byte
 /// range within the run buffer, and `None` for all-zero chunks (elided as

@@ -23,10 +23,19 @@
 //!   and pools, and a batched in-order serial commit — bit-identical to
 //!   the serial write path at any thread count.
 //! * **Zero-copy read path** ([`arc`], [`sharedarc`]) — payloads are shared
-//!   immutable `Arc<[u8]>` buffers ([`SharedPayload`]) decompressed at most
-//!   once per cache residency; warm reads are refcount bumps, and the
+//!   immutable buffers: stored compressed records are [`Frame`]s,
+//!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`), decompressed at
+//!   most once per cache residency; warm reads are refcount bumps, and the
 //!   shard-locked [`SharedArcCache`] serves any number of concurrent
 //!   boot-storm readers with bit-identical bytes and statistics.
+//! * **Proved once per buffer** ([`Frame::content_key`]) — a stored record
+//!   is checked against its key by one decompress + SHA-256, which the
+//!   frame remembers. The sender's DDT entry, the streams built from it and
+//!   every receiver's DDT entry share the frame, so the proof a
+//!   registration's [`SendStream::verify`] made serves every later `recv`,
+//!   [`ZPool::scrub`], [`ZPool::file_is_intact`] and repair on every pool.
+//!   Nothing pre-fills the memo and nothing can mutate the bytes: a rotted,
+//!   repaired or wire-decoded record is a different frame, born unproven.
 //! * **Physical layout** — unique blocks are allocated sequentially in
 //!   arrival order, so logically adjacent blocks of a deduplicated file end
 //!   up scattered; the boot simulator reads this layout to reproduce the
@@ -37,6 +46,8 @@ pub mod config;
 pub mod ddt;
 pub mod ingest;
 mod meter;
+#[cfg(test)]
+mod oracle;
 pub mod pool;
 pub mod scrub;
 pub mod sddt;
@@ -46,7 +57,7 @@ pub mod stats;
 
 pub use arc::{ArcCache, ArcStats};
 pub use config::{DedupMode, PoolConfig, PoolConfigBuilder};
-pub use ddt::{BlockKey, DdtEntry, DedupTable, SharedPayload};
+pub use ddt::{BlockKey, DdtEntry, DedupTable, Frame, SharedPayload};
 pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, ZPool};
 pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use scrub::ScrubReport;

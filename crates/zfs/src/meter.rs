@@ -22,12 +22,19 @@ pub(crate) struct PoolMeters {
     pub(crate) compress_out_bytes: Counter,
     pub(crate) recv_streams: Counter,
     pub(crate) recv_wire_bytes: Counter,
-    /// Logical bytes decompressed + hashed by stream verification, recorded
-    /// once per [`SendStream::verify`](crate::SendStream::verify) by whoever
-    /// ran it — not once per pool the verified stream was applied to.
+    /// Logical payload bytes covered by a successful stream verification,
+    /// recorded once per [`SendStream::verify`](crate::SendStream::verify)
+    /// by whoever ran it — not once per pool the verified stream was
+    /// applied to.
     pub(crate) recv_verified_bytes: Counter,
     pub(crate) scrub_blocks: Counter,
+    /// Logical bytes of the records scrub walks covered.
     pub(crate) scrub_bytes: Counter,
+    /// Bytes this pool actually decompressed + hashed to prove records
+    /// (recv, scrub, intact checks, repairs): the misses of the per-buffer
+    /// memo ([`Frame::content_key`](crate::Frame::content_key)). Covered
+    /// minus hashed is what remembering proofs saved.
+    pub(crate) verify_hashed_bytes: Counter,
     pub(crate) compressed_block_bytes: Histogram,
     /// Chunks emitted by the CDC prepare stage (zero chunks included).
     pub(crate) chunking_chunks: Counter,
@@ -57,6 +64,7 @@ impl PoolMeters {
             recv_verified_bytes: m.counter("zpool_recv_verified_bytes_total"),
             scrub_blocks: m.counter("zpool_scrub_blocks_total"),
             scrub_bytes: m.counter("zpool_scrub_bytes_total"),
+            verify_hashed_bytes: m.counter("zpool_verify_hashed_bytes_total"),
             compressed_block_bytes: m.histogram("zpool_compressed_block_bytes"),
             chunking_chunks: m.counter("squirrel_chunking_chunks_total"),
             chunking_chunk_bytes: m.counter("squirrel_chunking_chunk_bytes_total"),

@@ -1,0 +1,299 @@
+//! Differential test of the per-buffer proof memo ([`Frame::content_key`]):
+//! a sender and two receivers that share frames are driven through random
+//! histories, and after **every** step each pool's `scrub`, `file_is_intact`
+//! and `recv` verdicts must equal a memo-free oracle that decompresses and
+//! hashes the stored bytes again, every time.
+
+use crate::config::PoolConfig;
+use crate::ddt::{BlockKey, Frame};
+use crate::pool::ZPool;
+use crate::send::{RecvError, SendStream};
+use proptest::prelude::*;
+use squirrel_compress::{decompress, Codec};
+use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
+use squirrel_hash::par::WorkerPool;
+use squirrel_hash::ContentHash;
+use std::collections::BTreeMap;
+
+const BS: usize = 1024;
+const FILE_BLOCKS: usize = 6;
+
+/// The truth about a frame, recomputed from its bytes.
+fn key_of(frame: &Frame, lsize: u32) -> BlockKey {
+    ContentHash::of(&decompress(frame, lsize as usize)).short()
+}
+
+fn is_rotten(p: &ZPool, key: BlockKey) -> bool {
+    let entry = p.ddt().get(&key).expect("dangling block pointer");
+    let frame = entry.data.as_ref().expect("data-retaining pool");
+    key_of(frame, entry.lsize) != key
+}
+
+/// What `scrub().corrupt` must say.
+fn oracle_corrupt(p: &ZPool) -> Vec<BlockKey> {
+    let mut corrupt: Vec<BlockKey> = p
+        .ddt()
+        .iter()
+        .map(|(k, _)| *k)
+        .filter(|k| is_rotten(p, *k))
+        .collect();
+    corrupt.sort_unstable();
+    corrupt
+}
+
+/// What `file_is_intact(name)` must say.
+fn oracle_intact(p: &ZPool, name: &str) -> Option<bool> {
+    let table = p.files().get(name)?;
+    Some(table.iter_keys().all(|key| !is_rotten(p, key)))
+}
+
+/// The block a receiver of record size `block_size` must reject `stream`
+/// for: the first, in payload order, whose bytes are not its key's.
+fn oracle_rejects(stream: &SendStream, block_size: u32) -> Option<BlockKey> {
+    let mut lsizes = BTreeMap::new();
+    for (_, meta) in &stream.upserts {
+        match meta.chunks.as_deref() {
+            Some(chunks) => lsizes.extend(chunks.iter().map(|c| (c.key, c.len))),
+            None => lsizes.extend(meta.ptrs.iter().flatten().map(|key| (*key, block_size))),
+        }
+    }
+    stream.payload.iter().find_map(|b| {
+        let lsize = lsizes.get(&b.key).copied().unwrap_or(block_size);
+        (key_of(b.data.as_ref()?, lsize) != b.key).then_some(b.key)
+    })
+}
+
+/// Every verdict of every pool against the oracle. `step` rotates which
+/// check gets to a not-yet-proved frame first.
+fn check_verdicts(pools: &[ZPool], step: usize) -> Result<(), TestCaseError> {
+    let workers = WorkerPool::new(2);
+    for (i, p) in pools.iter().enumerate() {
+        for check in 0..3 {
+            match (check + step) % 3 {
+                0 => prop_assert_eq!(p.scrub().corrupt, oracle_corrupt(p), "scrub, pool {}", i),
+                1 => {
+                    for name in p.file_names() {
+                        prop_assert_eq!(
+                            p.file_is_intact(name),
+                            oracle_intact(p, name),
+                            "file_is_intact({}), pool {}",
+                            name,
+                            i
+                        );
+                    }
+                }
+                _ => {
+                    let Some(tip) = p.latest_snapshot() else {
+                        continue;
+                    };
+                    let full = p.send_between(None, tip).expect("own snapshot");
+                    // Another record size asks every fixed-size frame at
+                    // another length than it was proved for: at twice the
+                    // length an intact frame still passes, at half it
+                    // comes out short and must fail.
+                    for bs in [BS as u32, 2 * BS as u32, BS as u32 / 2] {
+                        let expected = oracle_rejects(&full, bs).map(RecvError::CorruptPayload);
+                        prop_assert_eq!(
+                            full.verify(bs, &workers).err(),
+                            expected.clone(),
+                            "verify at {}, pool {}",
+                            bs,
+                            i
+                        );
+                        let mut fresh = ZPool::new(PoolConfig {
+                            block_size: bs as usize,
+                            ..*p.config()
+                        });
+                        prop_assert_eq!(
+                            fresh.recv_crashed(&full),
+                            Err(expected.unwrap_or(RecvError::Interrupted)),
+                            "recv at {}, pool {}",
+                            bs,
+                            i
+                        );
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+#[derive(Clone, Debug)]
+enum Op {
+    /// (Re)import file `file` on the sender in one of a few versions.
+    Import {
+        file: u8,
+        version: u8,
+    },
+    /// Snapshot the sender.
+    Snapshot,
+    /// Send receiver `to` the diff from where it is to the sender's tip —
+    /// the sender's own frames, or a copy through the framed wire format.
+    Replicate {
+        to: usize,
+        framed: bool,
+    },
+    Rot {
+        pool: usize,
+        nth: u64,
+    },
+    /// Repair `victim`'s `nth` record with `donor`'s copy, rotten or not.
+    Repair {
+        victim: usize,
+        donor: usize,
+        nth: u64,
+    },
+    DestroyOldestSnapshot {
+        pool: usize,
+    },
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => (0u8..3, 0u8..3).prop_map(|(file, version)| Op::Import { file, version }),
+        3 => Just(Op::Snapshot),
+        5 => (1usize..3, any::<bool>()).prop_map(|(to, framed)| Op::Replicate { to, framed }),
+        3 => (0usize..3, any::<u64>()).prop_map(|(pool, nth)| Op::Rot { pool, nth }),
+        3 => (0usize..3, 0usize..3, any::<u64>())
+            .prop_map(|(victim, donor, nth)| Op::Repair { victim, donor, nth }),
+        1 => (0usize..3).prop_map(|pool| Op::DestroyOldestSnapshot { pool }),
+    ]
+}
+
+/// Block `i` of `file` at `version`: every third block is common to all
+/// files, and a version only rewrites the odd blocks.
+fn block(file: u8, version: u8, i: usize) -> Vec<u8> {
+    let seed = match i % 3 {
+        0 => i,
+        _ => 100 + file as usize * 40 + (i % 2) * version as usize * 10 + i,
+    };
+    (0..BS)
+        .map(|j| ((seed * 31 + j * 7 + (seed * j) % 13) % 251) as u8)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn remembered_verdicts_equal_the_memo_free_oracle(
+        cdc in any::<bool>(),
+        ops in proptest::collection::vec(op_strategy(), 1..40),
+    ) {
+        let chunking = if cdc {
+            ChunkStrategy::Cdc(CdcParams::with_average(1024))
+        } else {
+            ChunkStrategy::Fixed(BS)
+        };
+        let cfg = PoolConfig::new(BS, Codec::Lzjb).with_chunking(chunking);
+        // Pool 0 sends; pools 1 and 2 receive.
+        let mut pools: Vec<ZPool> = (0..3).map(|_| ZPool::new(cfg)).collect();
+        let mut next_tag = 0u32;
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Import { file, version } => {
+                    let blocks: Vec<Vec<u8>> =
+                        (0..FILE_BLOCKS).map(|i| block(file, version, i)).collect();
+                    pools[0].import_file(&format!("f{file}"), &blocks, (FILE_BLOCKS * BS) as u64);
+                }
+                Op::Snapshot => {
+                    pools[0].snapshot(&format!("s{next_tag}"));
+                    next_tag += 1;
+                }
+                Op::Replicate { to, framed } => {
+                    let base = pools[to].latest_snapshot().map(String::from);
+                    let tip = pools[0].latest_snapshot().map(String::from);
+                    // Nothing to send, or the sender destroyed the base.
+                    let sent = match tip {
+                        Some(tip) if base.as_deref() != Some(&tip) => {
+                            pools[0].send_between(base.as_deref(), &tip).ok()
+                        }
+                        _ => None,
+                    };
+                    if let Some(mut stream) = sent {
+                        if framed {
+                            stream = SendStream::decode_framed(&stream.encode_framed())
+                                .expect("clean wire");
+                        }
+                        let expected = match oracle_rejects(&stream, BS as u32) {
+                            Some(key) => Err(RecvError::CorruptPayload(key)),
+                            None => Ok(()),
+                        };
+                        prop_assert_eq!(pools[to].recv(&stream), expected, "step {}", step);
+                    }
+                }
+                Op::Rot { pool, nth } => {
+                    let verdicts = |pools: &[ZPool]| -> Vec<Vec<BlockKey>> {
+                        pools.iter().map(|p| p.scrub().corrupt).collect()
+                    };
+                    let before = verdicts(&pools);
+                    pools[pool].corrupt_nth_block(nth);
+                    let after = verdicts(&pools);
+                    for other in (0..3).filter(|&o| o != pool) {
+                        prop_assert_eq!(
+                            &after[other], &before[other],
+                            "rot on pool {} changed pool {}'s verdict", pool, other
+                        );
+                    }
+                }
+                Op::Repair { victim, donor, nth } => {
+                    // Aim at records that are rotten on either side, when
+                    // there are any: healing, and a rotten donor's refusal.
+                    let mut keys = oracle_corrupt(&pools[victim]);
+                    keys.extend(oracle_corrupt(&pools[donor]));
+                    if keys.is_empty() {
+                        keys.extend(pools[victim].ddt().iter().map(|(k, _)| *k));
+                    }
+                    keys.sort_unstable();
+                    if let Some(&key) = keys.get((nth % keys.len().max(1) as u64) as usize) {
+                        if let Some((psize, frame)) = pools[donor].payload_of(key) {
+                            let heals = pools[victim]
+                                .ddt()
+                                .get(&key)
+                                .is_some_and(|e| key_of(&frame, e.lsize) == key);
+                            prop_assert_eq!(
+                                pools[victim].repair_block(key, psize, &frame),
+                                heals,
+                                "step {}", step
+                            );
+                        }
+                    }
+                }
+                Op::DestroyOldestSnapshot { pool } => {
+                    let tags = pools[pool].snapshot_tags();
+                    if tags.len() >= 2 {
+                        let oldest = tags[0].to_string();
+                        pools[pool].destroy_snapshot(&oldest);
+                    }
+                }
+            }
+            check_verdicts(&pools, step)?;
+            for p in &pools {
+                prop_assert!(p.check_refcounts());
+            }
+        }
+    }
+}
+
+/// The history above only means something if receivers really end up
+/// holding the sender's buffers — and wire copies really do not.
+#[test]
+fn receivers_share_the_senders_frames_and_wire_copies_do_not() {
+    let cfg = PoolConfig::new(BS, Codec::Lzjb);
+    let mut src = ZPool::new(cfg);
+    let blocks: Vec<Vec<u8>> = (0..FILE_BLOCKS).map(|i| block(0, 0, i)).collect();
+    src.import_file("f0", &blocks, (FILE_BLOCKS * BS) as u64);
+    src.snapshot("s0");
+    let stream = src.send_between(None, "s0").expect("send");
+    let wire = SendStream::decode_framed(&stream.encode_framed()).expect("decode");
+    let (mut shared, mut copied) = (ZPool::new(cfg), ZPool::new(cfg));
+    shared.recv(&stream).expect("recv");
+    copied.recv(&wire).expect("recv");
+    for b in &stream.payload {
+        let of = |p: &ZPool| p.payload_of(b.key).expect("payload").1;
+        assert!(Frame::ptr_eq(&of(&src), &of(&shared)));
+        assert!(!Frame::ptr_eq(&of(&src), &of(&copied)));
+        assert_eq!(*of(&src), *of(&copied));
+    }
+}

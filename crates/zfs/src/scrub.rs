@@ -1,55 +1,62 @@
 //! Pool scrubbing: ZFS's end-to-end integrity walk.
 //!
-//! Every stored record is decompressed and re-hashed; a mismatch between
-//! the recomputed digest and the record's content-address key means the
-//! stored bytes no longer are what the dedup table says they are (bit rot,
-//! torn write, or a buggy codec). Squirrel inherits this for free by
-//! running on a checksumming store — replicated ccVolumes make repair as
-//! easy as re-fetching from any peer.
+//! Every stored record must decompress and hash to its content-address
+//! key; a mismatch means the stored bytes no longer are what the dedup
+//! table says they are (bit rot, torn write, or a buggy codec). A record is
+//! proved once per buffer ([`Frame::content_key`]): the walk re-hashes only
+//! what nothing has proved yet — a rotted or repaired record is a new
+//! buffer. Squirrel inherits this for free by running on a checksumming
+//! store — replicated ccVolumes make repair as easy as re-fetching from
+//! any peer.
 
-use crate::ddt::{BlockKey, SharedPayload};
+use crate::ddt::{BlockKey, Frame};
 use crate::pool::ZPool;
-use squirrel_compress::{compress, decompress};
-use squirrel_hash::ContentHash;
+use squirrel_compress::compress;
 
 /// Result of one scrub pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[must_use]
 pub struct ScrubReport {
-    /// Unique records examined.
+    /// Unique records proved or found corrupt.
     pub blocks_checked: u64,
-    /// Bytes decompressed and hashed.
+    /// Logical bytes of those records — covered by a proof, whether this
+    /// pass hashed them or an earlier one did.
     pub bytes_verified: u64,
     /// Records whose content no longer matches their key.
     pub corrupt: Vec<BlockKey>,
+    /// Records with no stored bytes (an accounting-only pool): nothing to
+    /// prove either way, so neither checked nor corrupt.
+    pub unverifiable: u64,
 }
 
 impl ScrubReport {
+    /// No record was found corrupt (unverifiable ones are not).
     pub fn is_clean(&self) -> bool {
         self.corrupt.is_empty()
     }
 }
 
 impl ZPool {
-    /// Walk every unique record, decompress it, and verify its digest
-    /// matches its dedup key. Requires a data-retaining pool.
+    /// Walk every unique record and check that its stored bytes hash to its
+    /// dedup key.
     pub fn scrub(&self) -> ScrubReport {
         let mut report = ScrubReport::default();
+        let mut hashed = 0u64;
         for (key, entry) in self.ddt().iter() {
-            let frame = entry
-                .data
-                .as_ref()
-                .expect("scrub requires a data-retaining pool");
-            let data = decompress(frame, entry.lsize as usize);
+            let Some(frame) = &entry.data else {
+                report.unverifiable += 1;
+                continue;
+            };
             report.blocks_checked += 1;
-            report.bytes_verified += data.len() as u64;
-            if ContentHash::of(&data).short() != *key {
+            report.bytes_verified += entry.lsize as u64;
+            if frame.content_key(entry.lsize, &mut hashed) != *key {
                 report.corrupt.push(*key);
             }
         }
         report.corrupt.sort_unstable();
         self.meters.scrub_blocks.add(report.blocks_checked);
         self.meters.scrub_bytes.add(report.bytes_verified);
+        self.meters.verify_hashed_bytes.add(hashed);
         report
     }
 
@@ -71,6 +78,7 @@ impl ZPool {
             *b = (key as u8).wrapping_add(i as u8).wrapping_mul(31) | 1;
         }
         let frame = compress(self.config().codec, &garbage);
+        // A fresh buffer: whatever was proved about the old one is gone.
         self.ddt_mut()
             .replace_payload(key, frame.len() as u32, Some(frame.into()))
     }
@@ -91,7 +99,7 @@ impl ZPool {
     /// The stored compressed record of `key`: `(psize, frame)`. `None` when
     /// the key is absent or the pool is accounting-only. This is what a
     /// repair peer serves to a node whose copy of the block rotted.
-    pub fn payload_of(&self, key: BlockKey) -> Option<(u32, SharedPayload)> {
+    pub fn payload_of(&self, key: BlockKey) -> Option<(u32, Frame)> {
         let e = self.ddt().get(&key)?;
         Some((e.psize, e.data.clone()?))
     }
@@ -100,31 +108,36 @@ impl ZPool {
     /// that the decompressed content actually hashes to `key` — a repair
     /// source that is itself corrupt is rejected. Returns `true` when the
     /// block was repaired.
-    pub fn repair_block(&mut self, key: BlockKey, psize: u32, frame: &SharedPayload) -> bool {
+    pub fn repair_block(&mut self, key: BlockKey, psize: u32, frame: &Frame) -> bool {
         let Some(entry) = self.ddt().get(&key) else {
             return false;
         };
-        let data = decompress(frame, entry.lsize as usize);
-        if ContentHash::of(&data).short() != key {
-            return false;
-        }
-        self.ddt_mut().replace_payload(key, psize, Some(frame.clone()))
+        let mut hashed = 0u64;
+        let intact = frame.content_key(entry.lsize, &mut hashed) == key;
+        self.meters.verify_hashed_bytes.add(hashed);
+        intact
+            && self
+                .ddt_mut()
+                .replace_payload(key, psize, Some(frame.clone()))
     }
 
     /// Is every nonzero block of `name` intact (stored bytes still hash to
     /// their key)? `None` when the file does not exist. The warm boot path
     /// runs this before trusting a local cache; it is a per-file slice of
-    /// [`scrub`](Self::scrub).
+    /// [`scrub`](Self::scrub). A record with no stored bytes cannot be
+    /// proved, so an accounting-only pool's files are never intact.
     pub fn file_is_intact(&self, name: &str) -> Option<bool> {
         let table = self.files().get(name)?;
-        for key in table.iter_keys() {
+        let mut hashed = 0u64;
+        let intact = table.iter_keys().all(|key| {
             let entry = self.ddt().get(&key).expect("dangling block pointer");
-            let frame = entry.data.as_ref().expect("intact check requires data");
-            if ContentHash::of(&decompress(frame, entry.lsize as usize)).short() != key {
-                return Some(false);
-            }
-        }
-        Some(true)
+            entry
+                .data
+                .as_ref()
+                .is_some_and(|frame| frame.content_key(entry.lsize, &mut hashed) == key)
+        });
+        self.meters.verify_hashed_bytes.add(hashed);
+        Some(intact)
     }
 }
 
@@ -242,6 +255,70 @@ mod tests {
         holey.create_file("h");
         holey.write_block("h", 2, &vec![0u8; 512]);
         assert_eq!(holey.file_is_intact("h"), Some(true), "holes are intact");
+    }
+
+    #[test]
+    fn records_without_bytes_are_unverifiable_not_a_panic() {
+        let mut p = ZPool::new(PoolConfig::new(512, Codec::Lzjb).accounting_only());
+        p.create_file("f");
+        for i in 0..3u8 {
+            p.write_block("f", i as u64, &vec![i + 1; 512]);
+        }
+        p.create_file("holes");
+        p.write_block("holes", 1, &vec![0u8; 512]);
+        let r = p.scrub();
+        assert_eq!(r.unverifiable, 3);
+        assert_eq!((r.blocks_checked, r.bytes_verified), (0, 0));
+        assert!(
+            r.corrupt.is_empty() && r.is_clean(),
+            "unprovable is not corrupt"
+        );
+        // Never warm on unproven bytes; a file of holes has nothing to prove.
+        assert_eq!(p.file_is_intact("f"), Some(false));
+        assert_eq!(p.file_is_intact("holes"), Some(true));
+        assert_eq!(p.file_is_intact("nope"), None);
+        // A data-retaining pool leaves nothing unverifiable.
+        assert_eq!(pool_with_data().0.scrub().unverifiable, 0);
+    }
+
+    #[test]
+    fn a_proof_is_per_buffer_rot_and_repair_start_over() {
+        let registry = squirrel_obs::MetricsRegistry::new();
+        let hashed = || {
+            registry
+                .snapshot()
+                .counter("zpool_verify_hashed_bytes_total")
+                .expect("series")
+        };
+        let (mut p, keys) = pool_with_data();
+        p.set_metrics(&registry.handle());
+        let (donor, _) = pool_with_data();
+        let all = keys.len() as u64 * 512;
+        assert!(p.scrub().is_clean());
+        assert_eq!(hashed(), all, "freshly compressed frames are born unproven");
+        assert!(p.scrub().is_clean());
+        assert_eq!(p.file_is_intact("f"), Some(true));
+        assert_eq!(hashed(), all, "proved once: nothing is hashed again");
+        // Rot swaps in a different buffer; only that one is re-hashed, and
+        // the report still covers every record.
+        assert!(p.inject_corruption(keys[2]));
+        let r = p.scrub();
+        assert_eq!(r.corrupt, vec![keys[2]]);
+        assert_eq!(r.bytes_verified, all);
+        assert_eq!(hashed(), all + 512);
+        assert_eq!(p.file_is_intact("f"), Some(false));
+        assert_eq!(
+            hashed(),
+            all + 512,
+            "a remembered mismatch stays a mismatch"
+        );
+        // The donor's frame was never proved (no scrub ran there): the
+        // repair proves it, and the proof travels with the buffer.
+        let (psize, frame) = donor.payload_of(keys[2]).expect("donor");
+        assert!(p.repair_block(keys[2], psize, &frame));
+        assert_eq!(hashed(), all + 1024);
+        assert!(p.scrub().is_clean() && donor.scrub().is_clean());
+        assert_eq!(hashed(), all + 1024);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! the same operation sequence, which the differential proptest below
 //! checks operation by operation.
 
-use crate::ddt::{BlockKey, DdtEntry, SharedPayload};
+use crate::ddt::{BlockKey, DdtEntry, Frame};
 use squirrel_hash::FnvHashMap;
 
 /// Fixed shard count. A power of two so `key % SHARDS` compiles to a mask;
@@ -96,7 +96,7 @@ impl ShardedDedupTable {
     pub fn add_ref(
         &mut self,
         key: BlockKey,
-        make: impl FnOnce() -> (u32, u32, Option<SharedPayload>),
+        make: impl FnOnce() -> (u32, u32, Option<Frame>),
     ) -> bool {
         match self.shards[Self::shard_of(key)].entry(key) {
             std::collections::hash_map::Entry::Occupied(mut o) => {
@@ -138,7 +138,7 @@ impl ShardedDedupTable {
         &mut self,
         key: BlockKey,
         psize: u32,
-        data: Option<SharedPayload>,
+        data: Option<Frame>,
     ) -> bool {
         let Some(entry) = self.shards[Self::shard_of(key)].get_mut(&key) else {
             return false;
@@ -183,7 +183,7 @@ mod tests {
     use super::*;
     use crate::ddt::DedupTable;
 
-    fn payload(n: u32) -> impl FnOnce() -> (u32, u32, Option<SharedPayload>) {
+    fn payload(n: u32) -> impl FnOnce() -> (u32, u32, Option<Frame>) {
         move || (n, n, Some(vec![0xabu8; n as usize].into()))
     }
 

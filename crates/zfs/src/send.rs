@@ -9,23 +9,24 @@
 //! fails and the caller falls back to a full replication, exactly the
 //! offline-propagation logic of Section 3.5.
 
-use crate::ddt::{BlockKey, SharedPayload};
+use crate::ddt::{BlockKey, Frame};
+use crate::meter::PoolMeters;
 use crate::pool::{CdcChunk, FileTable, Snapshot, ZPool};
-use squirrel_compress::decompress;
 use squirrel_hash::par::WorkerPool;
 use squirrel_hash::ContentHash;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-/// One block carried by a stream. The payload is the *same* shared buffer
-/// the sender's DDT entry holds — building a stream clones no block bytes —
-/// and the receiver's DDT entry shares it too after `recv`.
+/// One block carried by a stream. The payload is the *same* frame the
+/// sender's DDT entry holds — building a stream clones no block bytes — and
+/// the receiver's DDT entry shares it too after `recv`, proof included. A
+/// stream decoded off the wire carries fresh, unproven copies.
 #[derive(Clone, Debug)]
 pub struct StreamBlock {
     pub key: BlockKey,
     pub psize: u32,
     /// Compressed payload; `None` when the sending pool is accounting-only.
-    pub data: Option<SharedPayload>,
+    pub data: Option<Frame>,
 }
 
 /// A serialized snapshot difference.
@@ -342,6 +343,7 @@ impl SendStream {
                 0 => None,
                 _ => {
                     let n = r.u32()? as usize;
+                    // A copy off the wire: proved when it is received.
                     Some(r.take(n)?.to_vec().into())
                 }
             };
@@ -435,12 +437,13 @@ impl SendStream {
     }
 
     /// The pool-independent half of [`ZPool::recv`], done **once** however
-    /// many pools the stream is then applied to: decompress and hash every
-    /// payload block against its key, and resolve the logical sizes and the
-    /// incoming-key set the pool-dependent half needs. Nothing here reads
-    /// receiver state, and the payload buffers are immutable and shared
-    /// (`Arc<[u8]>`), so the proof holds for every pool of record size
-    /// `block_size` that is handed this same stream.
+    /// many pools the stream is then applied to: prove every payload block
+    /// against its key, and resolve the logical sizes and the incoming-key
+    /// set the pool-dependent half needs. Nothing here reads receiver
+    /// state, and the payload frames are immutable and shared, so the proof
+    /// holds for every pool of record size `block_size` that is handed this
+    /// same stream — and a frame something already proved (an earlier
+    /// verification, a donor's scrub) is not hashed again.
     ///
     /// Blocks are checked in parallel over contiguous payload ranges; the
     /// reported offender is the first **in payload order**, so the error is
@@ -450,45 +453,57 @@ impl SendStream {
         block_size: u32,
         workers: &WorkerPool,
     ) -> Result<VerifiedStream<'_>, RecvError> {
-        let mut verified = self.resolve(block_size);
-        let logical: usize = self
-            .payload
-            .iter()
-            .filter(|b| b.data.is_some())
-            .map(|b| verified.lsize(b.key) as usize)
-            .sum();
-        let shares = workers.threads().min(logical / VERIFY_SHARE_BYTES).max(1);
-        let n = self.payload.len();
-        let per_share = n.div_ceil(shares);
-        let ranges = workers.run(shares, |w| {
-            verified
-                .check_blocks(&self.payload[(w * per_share).min(n)..((w + 1) * per_share).min(n)])
-        });
-        for range in ranges {
-            verified.verified_bytes += range?;
-        }
-        Ok(verified)
+        self.verify_on(block_size, Some(workers), &PoolMeters::disabled())
     }
 
-    /// [`verify`](Self::verify) on the calling thread alone, for a single
-    /// receiver: one stream's payload is a few blocks, and a hand-off to a
-    /// second thread per stream buys less than its wake-up jitter costs.
-    fn verify_serial(&self, block_size: u32) -> Result<VerifiedStream<'_>, RecvError> {
-        let mut verified = self.resolve(block_size);
-        verified.verified_bytes = verified.check_blocks(&self.payload)?;
-        Ok(verified)
-    }
-
-    /// What both verifications resolve before touching the payload; nothing
-    /// is proved until `check_blocks` has passed over every block.
-    fn resolve(&self, block_size: u32) -> VerifiedStream<'_> {
-        VerifiedStream {
+    /// [`verify`](Self::verify), on `workers` or — for a single receiver:
+    /// one stream's payload is a few blocks, and a hand-off to a second
+    /// thread per stream buys less than its wake-up jitter costs — on the
+    /// calling thread alone. `meters` are those of the pool the work is
+    /// accounted to.
+    fn verify_on(
+        &self,
+        block_size: u32,
+        workers: Option<&WorkerPool>,
+        meters: &PoolMeters,
+    ) -> Result<VerifiedStream<'_>, RecvError> {
+        // Nothing is proved until `check_blocks` has passed over every block.
+        let mut verified = VerifiedStream {
             stream: self,
             block_size,
             lsizes: self.referenced_lsizes(block_size),
             incoming: self.payload.iter().map(|b| b.key).collect(),
             verified_bytes: 0,
+        };
+        let shares = workers.map_or(1, |w| {
+            let logical: usize = self
+                .payload
+                .iter()
+                .filter(|b| b.data.is_some())
+                .map(|b| verified.lsize(b.key) as usize)
+                .sum();
+            w.threads().min(logical / VERIFY_SHARE_BYTES).max(1)
+        });
+        let n = self.payload.len();
+        let per_share = n.div_ceil(shares);
+        let share = |w: usize| {
+            verified
+                .check_blocks(&self.payload[(w * per_share).min(n)..((w + 1) * per_share).min(n)])
+        };
+        let checked = match workers {
+            Some(workers) => workers
+                .run(shares, share)
+                .into_iter()
+                .fold(Checked::default(), Checked::then),
+            None => share(0),
+        };
+        meters.verify_hashed_bytes.add(checked.hashed);
+        if let Some(key) = checked.corrupt {
+            return Err(RecvError::CorruptPayload(key));
         }
+        meters.recv_verified_bytes.add(checked.covered);
+        verified.verified_bytes = checked.covered;
+        Ok(verified)
     }
 
     /// Apply this stream to many independent pools concurrently (the
@@ -506,10 +521,7 @@ impl SendStream {
         let Some(first) = pools.first() else {
             return Vec::new();
         };
-        let verified = self.verify(first.block_size() as u32, workers);
-        if let Ok(v) = &verified {
-            first.meters.recv_verified_bytes.add(v.verified_bytes);
-        }
+        let verified = self.verify_on(first.block_size() as u32, Some(workers), &first.meters);
         let recv = |p: &mut ZPool| match &verified {
             Ok(v) => p.recv_verified(v),
             // A rejected stream is rare and ends the fan-out; each pool
@@ -554,8 +566,31 @@ pub struct VerifiedStream<'a> {
     verified_bytes: u64,
 }
 
+/// What one pass over a run of payload blocks found.
+#[derive(Default)]
+struct Checked {
+    /// Logical bytes of the blocks passed over.
+    covered: u64,
+    /// Bytes of those actually decompressed + hashed (not yet proved).
+    hashed: u64,
+    /// First block, in payload order, whose content is not its key's.
+    corrupt: Option<BlockKey>,
+}
+
+impl Checked {
+    /// This run followed by `next`.
+    fn then(self, next: Checked) -> Checked {
+        Checked {
+            covered: self.covered + next.covered,
+            hashed: self.hashed + next.hashed,
+            corrupt: self.corrupt.or(next.corrupt),
+        }
+    }
+}
+
 impl VerifiedStream<'_> {
-    /// Logical bytes the verification decompressed and hashed.
+    /// Logical payload bytes the verification covers (proved by it or, for
+    /// frames that remembered an earlier proof, before it).
     pub fn verified_bytes(&self) -> u64 {
         self.verified_bytes
     }
@@ -566,20 +601,21 @@ impl VerifiedStream<'_> {
         self.lsizes.get(&key).copied().unwrap_or(self.block_size)
     }
 
-    /// Decompress and hash `blocks` in order: the logical bytes checked, or
-    /// the first block whose content does not hash to its key.
-    fn check_blocks(&self, blocks: &[StreamBlock]) -> Result<u64, RecvError> {
-        let mut bytes = 0u64;
+    /// Prove `blocks` in order — all of them, past an offender too, so what
+    /// a rejected stream leaves proved (and what that cost) does not depend
+    /// on how the payload was cut into shares.
+    fn check_blocks(&self, blocks: &[StreamBlock]) -> Checked {
+        let mut checked = Checked::default();
         for b in blocks {
             if let Some(frame) = &b.data {
-                let content = decompress(frame, self.lsize(b.key) as usize);
-                if ContentHash::of(&content).short() != b.key {
-                    return Err(RecvError::CorruptPayload(b.key));
+                let lsize = self.lsize(b.key);
+                checked.covered += u64::from(lsize);
+                if frame.content_key(lsize, &mut checked.hashed) != b.key {
+                    checked.corrupt.get_or_insert(b.key);
                 }
-                bytes += content.len() as u64;
             }
         }
-        Ok(bytes)
+        checked
     }
 }
 
@@ -708,9 +744,7 @@ impl ZPool {
     /// replayed or out-of-order stream is refused before any payload work.
     fn verify_for_recv<'s>(&self, stream: &'s SendStream) -> Result<VerifiedStream<'s>, RecvError> {
         self.check_position(stream)?;
-        let verified = stream.verify_serial(self.block_size() as u32)?;
-        self.meters.recv_verified_bytes.add(verified.verified_bytes);
-        Ok(verified)
+        stream.verify_on(self.block_size() as u32, None, &self.meters)
     }
 
     /// Does the stream fit this pool's history? The tip must be new and the
@@ -1536,6 +1570,54 @@ mod tests {
                 .verify(BS as u32, &WorkerPool::new(threads))
                 .expect("clean");
             assert_eq!(v.verified_bytes(), 60 * BS as u64, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn what_a_verification_hashes_does_not_depend_on_the_thread_count() {
+        const HASHED: &str = "zpool_verify_hashed_bytes_total";
+        const COVERED: &str = "zpool_recv_verified_bytes_total";
+        for threads in [1, 2, 8] {
+            let registry = squirrel_obs::MetricsRegistry::new();
+            let count = |series| registry.snapshot().counter(series).expect("series");
+            let fan_out = |stream: &SendStream, n: usize| {
+                let mut pools: Vec<ZPool> = (0..n).map(|_| sized(BS)).collect();
+                for p in &mut pools {
+                    p.set_metrics(&registry.handle());
+                }
+                stream.apply_all_on(pools.iter_mut().collect(), &WorkerPool::new(threads))
+            };
+            // A fresh sender's frames are unproven: the first fan-out
+            // hashes each once, a second one covers them again for free.
+            let (full, _) = history();
+            assert!(fan_out(&full, 3).iter().all(|r| r.is_ok()));
+            assert_eq!(
+                (count(HASHED), count(COVERED)),
+                (3 * BS as u64, 3 * BS as u64)
+            );
+            assert!(fan_out(&full, 3).iter().all(|r| r.is_ok()));
+            assert_eq!(
+                (count(HASHED), count(COVERED)),
+                (3 * BS as u64, 6 * BS as u64)
+            );
+            // A rejected stream: every share runs to its end, so all 60
+            // blocks are hashed however they were cut, and the pools' own
+            // checks afterwards find everything already proved.
+            let (_, mut diff) = history();
+            corrupt(&mut diff, 50);
+            let early = corrupt(&mut diff, 10);
+            let mut seeded: Vec<ZPool> = (0..3).map(|_| sized(BS)).collect();
+            for p in &mut seeded {
+                p.recv(&full).expect("seed");
+                p.set_metrics(&registry.handle());
+            }
+            let results = diff.apply_all_on(seeded.iter_mut().collect(), &WorkerPool::new(threads));
+            assert_eq!(results, vec![Err(RecvError::CorruptPayload(early)); 3]);
+            assert_eq!(
+                (count(HASHED), count(COVERED)),
+                (63 * BS as u64, 6 * BS as u64),
+                "threads={threads}"
+            );
         }
     }
 

@@ -90,10 +90,16 @@ fn main() {
         "  zpool_recv_streams_total{{ccvol}}     {}",
         snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}").unwrap_or(0)
     );
-    // Eight streams applied, one payload proved: the nodes share its buffers.
+    // Eight streams applied, one payload proved: the nodes share its buffers
+    // — and the eight warm boots after it hashed nothing again.
     println!(
         "  zpool_recv_verified_bytes_total{{ccvol}} {}",
         snap.counter("zpool_recv_verified_bytes_total{pool=\"ccvol\"}")
+            .unwrap_or(0)
+    );
+    println!(
+        "  zpool_verify_hashed_bytes_total{{ccvol}} {}",
+        snap.counter("zpool_verify_hashed_bytes_total{pool=\"ccvol\"}")
             .unwrap_or(0)
     );
 

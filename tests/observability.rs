@@ -122,6 +122,104 @@ fn a_registration_verifies_its_payload_once_per_distinct_copy() {
     }
 }
 
+/// Register, boot, rot, repair, rejoin and re-register over the lossy path,
+/// recording after each step what the ccVolumes really hashed
+/// (`zpool_verify_hashed_bytes_total`) next to what their proofs covered.
+fn proof_reuse_trail(threads: usize) -> (Vec<(&'static str, u64)>, MetricsSnapshot) {
+    const BLOCK: u64 = 16 * 1024;
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        scale: 1024,
+        ..CorpusConfig::test_corpus(8, 99)
+    }));
+    let mut sq = Squirrel::new(
+        SquirrelConfig::builder()
+            .compute_nodes(4)
+            .block_size(BLOCK as usize)
+            .threads(threads)
+            .build(),
+        corpus,
+    );
+    let counter =
+        |sq: &Squirrel, series: &str| sq.metrics().snapshot().counter(series).unwrap_or(0);
+    let hashed = |sq: &Squirrel| counter(sq, "zpool_verify_hashed_bytes_total{pool=\"ccvol\"}");
+    let covered = |sq: &Squirrel| counter(sq, "zpool_recv_verified_bytes_total{pool=\"ccvol\"}");
+    let compressed = |sq: &Squirrel| counter(sq, "zpool_compress_in_bytes_total{pool=\"scvol\"}");
+    let mut trail = Vec::new();
+    let mut last = 0u64;
+    let mut step = |sq: &Squirrel, what: &'static str| {
+        let now = hashed(sq);
+        trail.push((what, now - last));
+        last = now;
+    };
+
+    // A clean registration proves its payload once, for every receiver.
+    sq.register(0).expect("r0");
+    let payload0 = compressed(&sq);
+    assert!(payload0 > 0);
+    step(&sq, "register");
+    // Every boot walks the whole cache file — and hashes none of it.
+    for _ in 0..2 {
+        assert!(sq.boot(1, 0).expect("boot").warm);
+    }
+    step(&sq, "two warm boots");
+    // Rot is a new buffer on that node only: its next boot hashes exactly
+    // that one record, finds it bad, and is served degraded.
+    sq.corrupt_cc_block(1, 5).expect("victim");
+    let sick = sq.boot(1, 0).expect("degraded boot");
+    assert!(!sick.warm && sick.degraded);
+    step(&sq, "boot on the rotted node");
+    for node in [0, 2, 3] {
+        assert!(sq.boot(node, 0).expect("boot").warm, "node {node}");
+    }
+    step(&sq, "boots elsewhere");
+    // The repair installs the scVolume's frame — the buffer registration
+    // proved — so scrub, repair and the warm boot after it hash nothing.
+    let repair = sq.scrub_and_repair(1).expect("repair");
+    assert!(repair.is_healed() && repair.repaired == 1, "{repair:?}");
+    assert!(sq.boot(1, 0).expect("boot").warm);
+    step(&sq, "scrub, repair, warm boot");
+    // A rejoin's donor scrub and catch-up recv cover the diff again, on
+    // buffers the registration the node missed already proved.
+    sq.node_offline(3).expect("offline");
+    sq.register(1).expect("r1");
+    let payload1 = compressed(&sq) - payload0;
+    step(&sq, "register while one node is away");
+    let before = covered(&sq);
+    sq.node_rejoin(3).expect("rejoin");
+    assert!(covered(&sq) > before, "the catch-up stream was verified");
+    step(&sq, "rejoin");
+    // Over the lossy path every node decodes its own copy off the wire,
+    // and a copy is proved by hashing it.
+    sq.set_fault_plan(FaultPlan::quiet(7));
+    assert_eq!(sq.register(2).expect("r2").nodes_updated, 4);
+    let payload2 = compressed(&sq) - payload0 - payload1;
+    step(&sq, "register over the lossy path");
+
+    assert!(payload1 > 0 && payload2 > 0);
+    assert_eq!(
+        trail,
+        [
+            ("register", payload0),
+            ("two warm boots", 0),
+            ("boot on the rotted node", BLOCK),
+            ("boots elsewhere", 0),
+            ("scrub, repair, warm boot", 0),
+            ("register while one node is away", payload1),
+            ("rejoin", 0),
+            ("register over the lossy path", 4 * payload2),
+        ]
+    );
+    (trail, sq.metrics().snapshot())
+}
+
+#[test]
+fn a_stored_record_is_hashed_once_per_buffer_not_once_per_use() {
+    let reference = proof_reuse_trail(1);
+    for threads in [2, 8] {
+        assert_eq!(proof_reuse_trail(threads), reference, "threads={threads}");
+    }
+}
+
 #[test]
 fn one_snapshot_answers_the_acceptance_questions() {
     // One `snapshot()` call after the quickstart workflow must report the

@@ -63,6 +63,49 @@ pub fn thread_sweep(cfg: &ExperimentConfig) -> Vec<usize> {
     sweep
 }
 
+/// One thread count's timed outcome of a [`sweep_equal`].
+#[derive(Clone, Debug)]
+pub struct SweepRun<T> {
+    pub threads: usize,
+    pub wall_secs: f64,
+    pub outcome: T,
+}
+
+/// Run `at(threads)` on fresh state at every thread count of the sweep,
+/// timing each, and assert every outcome equals the first — the witness
+/// behind a bench's `"deterministic_across_threads": true`.
+pub fn sweep_equal<T: PartialEq + std::fmt::Debug>(
+    cfg: &ExperimentConfig,
+    mut at: impl FnMut(usize) -> T,
+) -> Vec<SweepRun<T>> {
+    let mut runs: Vec<SweepRun<T>> = Vec::new();
+    for threads in thread_sweep(cfg) {
+        let t = std::time::Instant::now();
+        let outcome = at(threads);
+        let wall_secs = t.elapsed().as_secs_f64();
+        if let Some(first) = runs.first() {
+            assert_eq!(
+                outcome, first.outcome,
+                "threads={threads} diverged from threads={}",
+                first.threads
+            );
+        }
+        runs.push(SweepRun { threads, wall_secs, outcome });
+    }
+    runs
+}
+
+/// The entries of a bench's `"runs"` array: thread count and wall seconds.
+pub fn runs_json<T>(runs: &[SweepRun<T>]) -> String {
+    let entries: Vec<String> = runs
+        .iter()
+        .map(|r| {
+            format!("    {{\"threads\": {}, \"wall_secs\": {}}}", r.threads, fmt_f(r.wall_secs))
+        })
+        .collect();
+    entries.join(",\n")
+}
+
 /// Run the storm at one thread count on a fresh system.
 fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> StormRun {
     let mut sq = Squirrel::new(

@@ -16,7 +16,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::csvout::fmt_f;
-use crate::experiments::bootstorm::thread_sweep;
+use crate::experiments::bootstorm::{runs_json, sweep_equal, SweepRun};
 use squirrel_core::{HoardBudget, Squirrel, SquirrelConfig};
 use squirrel_dataset::Corpus;
 use std::sync::Arc;
@@ -58,13 +58,8 @@ impl TierOutcome {
     }
 }
 
-/// One thread count's full sweep.
-#[derive(Clone, Debug)]
-pub struct BudgetRun {
-    pub threads: usize,
-    pub wall_secs: f64,
-    pub cells: Vec<TierOutcome>,
-}
+/// One thread count's full sweep: every tier cell and its final metrics.
+pub type BudgetSweep = (Vec<TierOutcome>, Vec<squirrel_obs::MetricsSnapshot>);
 
 /// Catalog sizes swept: a quarter, half and the whole corpus.
 fn catalogs(cfg: &ExperimentConfig) -> Vec<u32> {
@@ -144,7 +139,7 @@ fn sweep_once(
     corpus: &Arc<Corpus>,
     cfg: &ExperimentConfig,
     threads: usize,
-) -> (Vec<TierOutcome>, Vec<squirrel_obs::MetricsSnapshot>) {
+) -> BudgetSweep {
     let mut cells = Vec::new();
     let mut snaps = Vec::new();
     for catalog in catalogs(cfg) {
@@ -170,34 +165,11 @@ fn sweep_once(
 
 /// Sweep the thread counts, assert the tier invariants and bit-identical
 /// outcomes, and persist `BENCH_budget.json`.
-pub fn run_budget(cfg: &ExperimentConfig) -> Vec<BudgetRun> {
+pub fn run_budget(cfg: &ExperimentConfig) -> Vec<SweepRun<BudgetSweep>> {
     let corpus = cfg.corpus();
-    let mut reference_snaps: Option<Vec<squirrel_obs::MetricsSnapshot>> = None;
-    let runs: Vec<BudgetRun> = thread_sweep(cfg)
-        .into_iter()
-        .map(|threads| {
-            let t = std::time::Instant::now();
-            let (cells, snaps) = sweep_once(&corpus, cfg, threads);
-            match &reference_snaps {
-                None => reference_snaps = Some(snaps),
-                Some(reference) => assert_eq!(
-                    &snaps, reference,
-                    "threads={threads}: metric snapshots diverged"
-                ),
-            }
-            BudgetRun { threads, wall_secs: t.elapsed().as_secs_f64(), cells }
-        })
-        .collect();
-
-    let first = &runs[0];
-    for run in &runs {
-        assert_eq!(
-            run.cells, first.cells,
-            "threads={} diverged from threads={}",
-            run.threads, first.threads
-        );
-    }
-    for cell in &first.cells {
+    let runs = sweep_equal(cfg, |threads| sweep_once(&corpus, cfg, threads));
+    let cells = &runs[0].outcome.0;
+    for cell in cells {
         match cell.tier {
             "generous" | "exact" => {
                 assert_eq!(cell.evictions, 0, "{cell:?}");
@@ -212,7 +184,7 @@ pub fn run_budget(cfg: &ExperimentConfig) -> Vec<BudgetRun> {
         }
     }
 
-    for cell in &first.cells {
+    for cell in cells {
         println!(
             "budget catalog={} tier={}: {} evictions, {} freed, \
              degraded rate {:.3}, node footprint {} B disk / {} B ddt",
@@ -236,8 +208,8 @@ pub fn run_budget(cfg: &ExperimentConfig) -> Vec<BudgetRun> {
 }
 
 /// Hand-rolled JSON (the workspace is std-only by policy).
-fn render_json(cfg: &ExperimentConfig, runs: &[BudgetRun]) -> String {
-    let cells = &runs[0].cells;
+fn render_json(cfg: &ExperimentConfig, runs: &[SweepRun<BudgetSweep>]) -> String {
+    let cells = &runs[0].outcome.0;
     // Headline rates come from the largest catalog (the last tier group).
     let rate_of = |tier: &str| {
         cells
@@ -273,16 +245,6 @@ fn render_json(cfg: &ExperimentConfig, runs: &[BudgetRun]) -> String {
             )
         })
         .collect();
-    let run_entries: Vec<String> = runs
-        .iter()
-        .map(|run| {
-            format!(
-                "    {{\"threads\": {}, \"wall_secs\": {}}}",
-                run.threads,
-                fmt_f(run.wall_secs)
-            )
-        })
-        .collect();
     let paper = HoardBudget::paper();
     format!(
         "{{\n  \"seed\": {},\n  \"images\": {},\n  \"nodes\": {BUDGET_NODES},\n  \
@@ -301,7 +263,7 @@ fn render_json(cfg: &ExperimentConfig, runs: &[BudgetRun]) -> String {
         fmt_f(rate_of("exact")),
         fmt_f(rate_of("starved")),
         cell_entries.join(",\n"),
-        run_entries.join(",\n"),
+        runs_json(runs),
     )
 }
 
@@ -314,7 +276,7 @@ mod tests {
         let cfg = ExperimentConfig::smoke();
         let runs = run_budget(&cfg);
         assert_eq!(runs.len(), 3);
-        let cells = &runs[0].cells;
+        let cells = &runs[0].outcome.0;
         assert!(cells.iter().any(|c| c.tier == "starved" && c.evictions > 0));
         assert!(cells
             .iter()
@@ -325,8 +287,8 @@ mod tests {
     fn json_has_the_acceptance_fields() {
         let cfg = ExperimentConfig { threads: 1, ..ExperimentConfig::smoke() };
         let corpus = cfg.corpus();
-        let (cells, _) = sweep_once(&corpus, &cfg, 1);
-        let runs = vec![BudgetRun { threads: 1, wall_secs: 0.1, cells }];
+        let outcome = sweep_once(&corpus, &cfg, 1);
+        let runs = vec![SweepRun { threads: 1, wall_secs: 0.1, outcome }];
         let json = render_json(&cfg, &runs);
         for key in [
             "\"deterministic_across_threads\": true",

@@ -15,8 +15,7 @@
 //! Results land in `results/BENCH_fleet.json`.
 
 use crate::config::ExperimentConfig;
-use crate::csvout::fmt_f;
-use crate::experiments::bootstorm::thread_sweep;
+use crate::experiments::bootstorm::{runs_json, sweep_equal, SweepRun};
 use squirrel_core::{run_fleet_with_metrics, DistributionPolicy, FleetConfig, FleetReport};
 
 /// Fleet sizes swept (compute-node slots).
@@ -36,13 +35,8 @@ pub struct FleetCell {
     pub report: FleetReport,
 }
 
-/// One thread count's full sweep.
-#[derive(Clone, Debug)]
-pub struct FleetBenchRun {
-    pub threads: usize,
-    pub wall_secs: f64,
-    pub cells: Vec<FleetCell>,
-}
+/// One thread count's full sweep: every cell and its final metrics.
+pub type FleetSweep = (Vec<FleetCell>, Vec<squirrel_obs::MetricsSnapshot>);
 
 /// Scenario shape for one cell. Faults stay quiet and the budget unlimited
 /// so the demand trajectory — and with it the degraded-boot rate — is
@@ -74,7 +68,7 @@ fn sweep_once(
     cfg: &ExperimentConfig,
     node_counts: &[u32],
     threads: usize,
-) -> (Vec<FleetCell>, Vec<squirrel_obs::MetricsSnapshot>) {
+) -> FleetSweep {
     let mut cells = Vec::new();
     let mut snaps = Vec::new();
     for &nodes in node_counts {
@@ -130,43 +124,20 @@ fn gates(cells: &[FleetCell]) -> Gates {
 
 /// Sweep the thread counts, assert determinism and the policy gates, and
 /// persist `BENCH_fleet.json`.
-pub fn run_fleet_bench(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<FleetBenchRun> {
-    let mut reference_snaps: Option<Vec<squirrel_obs::MetricsSnapshot>> = None;
-    let runs: Vec<FleetBenchRun> = thread_sweep(cfg)
-        .into_iter()
-        .map(|threads| {
-            let t = std::time::Instant::now();
-            let (cells, snaps) = sweep_once(cfg, node_counts, threads);
-            match &reference_snaps {
-                None => reference_snaps = Some(snaps),
-                Some(reference) => assert_eq!(
-                    &snaps, reference,
-                    "threads={threads}: metric snapshots diverged"
-                ),
-            }
-            FleetBenchRun { threads, wall_secs: t.elapsed().as_secs_f64(), cells }
-        })
-        .collect();
+pub fn run_fleet_bench(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<SweepRun<FleetSweep>> {
+    let runs = sweep_equal(cfg, |threads| sweep_once(cfg, node_counts, threads));
+    let cells = &runs[0].outcome.0;
 
-    let first = &runs[0];
-    for run in &runs {
-        assert_eq!(
-            run.cells, first.cells,
-            "threads={} diverged from threads={}",
-            run.threads, first.threads
-        );
-    }
-
-    let g = gates(&first.cells);
-    assert!(g.p99_finite, "p99 out of range: {:#?}", first.cells);
-    assert!(g.degraded_rate_bounded, "degraded rate unbounded: {:#?}", first.cells);
+    let g = gates(cells);
+    assert!(g.p99_finite, "p99 out of range: {cells:#?}");
+    assert!(g.degraded_rate_bounded, "degraded rate unbounded: {cells:#?}");
     assert!(g.degraded_rates_equal, "policies changed the demand outcome");
     assert!(
         g.peer_storage_below_unicast,
         "peer-assisted failed to relieve the storage tier"
     );
 
-    for cell in &first.cells {
+    for cell in cells {
         let r = &cell.report;
         println!(
             "fleet nodes={} policy={}: {} boots ({} warm, {} degraded, {} failed), \
@@ -197,8 +168,8 @@ pub fn run_fleet_bench(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<Fleet
 
 /// Hand-rolled JSON (the workspace is std-only by policy). The acceptance
 /// booleans are recomputed from the cells, not echoed from the asserts.
-fn render_json(cfg: &ExperimentConfig, runs: &[FleetBenchRun]) -> String {
-    let cells = &runs[0].cells;
+fn render_json(cfg: &ExperimentConfig, runs: &[SweepRun<FleetSweep>]) -> String {
+    let cells = &runs[0].outcome.0;
     let g = gates(cells);
     let cell_entries: Vec<String> = cells
         .iter()
@@ -260,16 +231,6 @@ fn render_json(cfg: &ExperimentConfig, runs: &[FleetBenchRun]) -> String {
             )
         })
         .collect();
-    let run_entries: Vec<String> = runs
-        .iter()
-        .map(|run| {
-            format!(
-                "    {{\"threads\": {}, \"wall_secs\": {}}}",
-                run.threads,
-                fmt_f(run.wall_secs)
-            )
-        })
-        .collect();
     format!(
         "{{\n  \"seed\": {},\n  \"days\": {FLEET_DAYS},\n  \
          \"deterministic_across_threads\": true,\n  \
@@ -284,7 +245,7 @@ fn render_json(cfg: &ExperimentConfig, runs: &[FleetBenchRun]) -> String {
         g.degraded_rates_equal,
         g.peer_storage_below_unicast,
         cell_entries.join(",\n"),
-        run_entries.join(",\n"),
+        runs_json(runs),
     )
 }
 
@@ -300,7 +261,7 @@ mod tests {
         let cfg = ExperimentConfig::smoke();
         let runs = run_fleet_bench(&cfg, &SMOKE_NODES);
         assert_eq!(runs.len(), 3);
-        let cells = &runs[0].cells;
+        let cells = &runs[0].outcome.0;
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.report.boots > 0));
         assert!(cells.iter().all(|c| c.report.days.len() == FLEET_DAYS as usize));
@@ -313,8 +274,8 @@ mod tests {
     #[test]
     fn json_has_the_acceptance_fields() {
         let cfg = ExperimentConfig { threads: 1, ..ExperimentConfig::smoke() };
-        let (cells, _) = sweep_once(&cfg, &SMOKE_NODES, 1);
-        let runs = vec![FleetBenchRun { threads: 1, wall_secs: 0.1, cells }];
+        let outcome = sweep_once(&cfg, &SMOKE_NODES, 1);
+        let runs = vec![SweepRun { threads: 1, wall_secs: 0.1, outcome }];
         let json = render_json(&cfg, &runs);
         for key in [
             "\"deterministic_across_threads\": true",

@@ -13,22 +13,24 @@
 //!    fraction of objects still readable, degraded reads count parity
 //!    reconstructions, and the EC scrub pass reports how many repair bytes
 //!    crossed a rack boundary to re-home stranded shards.
-//! 2. An **EC chaos soak**: `chaos_soak` on the multi-rack topology with
-//!    rack/DC outages armed in the fault plan and the shared tier erasure
-//!    coded. The soak must converge to a consistent, scrub-clean state and
-//!    replay bit-identically at every thread count.
+//! 2. An **EC chaos soak**: the chaos bench's fleet scenario on the
+//!    multi-rack topology with rack/DC outages armed in the fault plan and
+//!    the shared tier erasure coded. The soak must converge to a
+//!    consistent, scrub-clean state and replay bit-identically at every
+//!    thread count.
 //!
 //! Results land in `results/BENCH_topology.json`; `ci.sh` gates on
 //! `"converged": true` and `"ec_survives_rack_loss": true`.
 
 use crate::config::ExperimentConfig;
 use crate::csvout::fmt_f;
-use crate::experiments::bootstorm::thread_sweep;
+use crate::experiments::bootstorm::{runs_json, SweepRun};
+use crate::experiments::chaosbench::{chaos_scenario, soak_json, sweep_soak, Soak};
 use squirrel_cluster::{
     EcConfig, ErasureCodedVolume, GlusterConfig, GlusterVolume, LinkKind, Network, NodeId,
     TopologyConfig,
 };
-use squirrel_core::{chaos_soak, ChaosConfig, ChaosReport, FaultConfig, SharedStorage};
+use squirrel_core::{FaultConfig, FleetConfig, SharedStorage};
 
 /// Compute nodes of the scenario cluster.
 pub const TOPO_COMPUTE: u32 = 4;
@@ -216,32 +218,19 @@ fn run_erasure(seed: u64, loss: Loss) -> ScenarioResult {
     }
 }
 
-/// One thread count's soak.
-#[derive(Clone, Debug)]
-pub struct TopologySoakRun {
-    pub threads: usize,
-    pub wall_secs: f64,
-    pub report: ChaosReport,
-}
-
-fn soak_config(cfg: &ExperimentConfig, threads: usize) -> ChaosConfig {
-    ChaosConfig {
-        days: TOPO_SOAK_DAYS,
-        images: cfg.images.min(6),
-        nodes: TOPO_COMPUTE,
-        seed: cfg.seed,
-        threads,
+fn soak_scenario(cfg: &ExperimentConfig) -> FleetConfig {
+    FleetConfig {
         topology: topo(),
         storage_nodes: TOPO_STORAGE,
         storage: SharedStorage::ErasureCoded { k: EC_K, m: EC_M },
         faults: FaultConfig::chaos_with_domains(),
-        ..ChaosConfig::default()
+        ..chaos_scenario(cfg, TOPO_SOAK_DAYS, TOPO_COMPUTE, cfg.images.min(6))
     }
 }
 
 /// Run the sweep and the soak, assert the acceptance properties, and
 /// persist `BENCH_topology.json` under the configured output directory.
-pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Vec<TopologySoakRun>) {
+pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Vec<SweepRun<Soak>>) {
     let mut scenarios = Vec::new();
     for loss in Loss::ALL {
         scenarios.push(run_replicated(cfg.seed, loss));
@@ -280,36 +269,19 @@ pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Vec<Topolog
         && ec_rack.cross_domain_repair_bytes > 0;
     assert!(ec_survives_rack_loss, "EC tier must survive a rack loss: {ec_rack:?}");
 
-    let runs: Vec<TopologySoakRun> = thread_sweep(cfg)
-        .into_iter()
-        .map(|threads| {
-            let t = std::time::Instant::now();
-            let report = chaos_soak(&soak_config(cfg, threads));
-            TopologySoakRun { threads, wall_secs: t.elapsed().as_secs_f64(), report }
-        })
-        .collect();
-    let first = &runs[0];
-    for run in &runs {
-        assert!(run.report.converged, "threads={}: topology soak did not converge", run.threads);
-        assert!(run.report.scrub_clean, "threads={}: pools not scrub-clean", run.threads);
-        assert_eq!(
-            run.report, first.report,
-            "threads={} diverged from threads={}",
-            run.threads, first.threads
-        );
-    }
-    let r = &first.report;
+    let runs = sweep_soak(cfg, soak_scenario(cfg));
+    let (r, c, snap) = &runs[0].outcome;
     println!(
         "topology soak: {} days, {} rack outages, {} DC outages, {} degraded EC reads, \
          {} shards rebuilt in repair, {} EC repair bytes ({} cross-domain); converged={}",
-        r.days,
-        r.rack_outages,
-        r.dc_outages,
-        r.ec_degraded_reads,
-        r.ec_shards_rematerialized,
-        r.ec_repair_bytes,
-        r.ec_cross_domain_repair_bytes,
-        r.converged,
+        r.days.len(),
+        r.fault.rack_downs,
+        r.fault.dc_downs,
+        snap.counter_sum("squirrel_ec_degraded_reads_total"),
+        snap.counter_sum("squirrel_ec_shards_rematerialized_total"),
+        snap.counter_sum("squirrel_ec_repair_bytes_total"),
+        snap.counter_sum("squirrel_ec_cross_domain_repair_bytes_total"),
+        c.converged,
     );
 
     if let Some(dir) = &cfg.out_dir {
@@ -326,7 +298,7 @@ pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Vec<Topolog
 fn render_json(
     cfg: &ExperimentConfig,
     scenarios: &[ScenarioResult],
-    runs: &[TopologySoakRun],
+    runs: &[SweepRun<Soak>],
     ec_survives_rack_loss: bool,
 ) -> String {
     let cells: Vec<String> = scenarios
@@ -349,13 +321,6 @@ fn render_json(
             )
         })
         .collect();
-    let entries: Vec<String> = runs
-        .iter()
-        .map(|run| {
-            format!("    {{\"threads\": {}, \"wall_secs\": {}}}", run.threads, fmt_f(run.wall_secs))
-        })
-        .collect();
-    let r = &runs[0].report;
     format!(
         "{{\n  \"seed\": {},\n  \
          \"topology\": {{\"regions\": 1, \"datacenters\": 2, \"racks\": 4, \
@@ -363,30 +328,13 @@ fn render_json(
          \"erasure\": {{\"k\": {EC_K}, \"m\": {EC_M}, \"storage_overhead\": {}}},\n  \
          \"replication\": {{\"replicas\": 2, \"storage_overhead\": 2}},\n  \
          \"scenarios\": [\n{}\n  ],\n  \
-         \"ec_survives_rack_loss\": {ec_survives_rack_loss},\n  \
-         \"soak\": {{\"days\": {}, \"faults_injected\": {}, \"rack_outages\": {}, \
-         \"dc_outages\": {}, \"ec_degraded_reads\": {}, \"ec_shards_reconstructed\": {}, \
-         \"ec_shards_rematerialized\": {}, \"ec_repair_bytes\": {}, \
-         \"ec_cross_domain_repair_bytes\": {}, \"read_checksum\": \"{}\"}},\n  \
-         \"converged\": {},\n  \"scrub_clean\": {},\n  \
-         \"deterministic_across_threads\": true,\n  \
+         \"ec_survives_rack_loss\": {ec_survives_rack_loss},\n{},\n  \
          \"runs\": [\n{}\n  ]\n}}\n",
         cfg.seed,
         fmt_f(f64::from(EC_K + EC_M) / f64::from(EC_K)),
         cells.join(",\n"),
-        r.days,
-        r.fault.total_injected(),
-        r.rack_outages,
-        r.dc_outages,
-        r.ec_degraded_reads,
-        r.ec_shards_reconstructed,
-        r.ec_shards_rematerialized,
-        r.ec_repair_bytes,
-        r.ec_cross_domain_repair_bytes,
-        r.read_checksum,
-        r.converged,
-        r.scrub_clean,
-        entries.join(",\n"),
+        soak_json(&runs[0].outcome),
+        runs_json(runs),
     )
 }
 
@@ -401,7 +349,8 @@ mod tests {
         assert_eq!(scenarios.len(), 8);
         assert_eq!(runs.len(), 3);
         // Rack and DC outages fired in the soak for the smoke seed.
-        assert!(runs[0].report.rack_outages + runs[0].report.dc_outages > 0);
+        let fault = &runs[0].outcome.0.fault;
+        assert!(fault.rack_downs + fault.dc_downs > 0, "{fault:?}");
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Fleet-scale traffic simulation on the discrete-event scheduler.
 //!
-//! This is ROADMAP item 5 wired together: a paper-shaped catalog (the Azure
-//! census at a byte-volume divisor), seeded Zipf + diurnal demand emitting
-//! boot and storm events over O(1k) compute nodes, elastic autoscaling
-//! (nodes leave overnight and rejoin — re-hoarding through the configured
+//! The one long-horizon driver: a paper-shaped catalog (the Azure census at
+//! a byte-volume divisor), seeded Zipf + diurnal demand emitting boot and
+//! storm events over O(1k) compute nodes, elastic autoscaling (nodes leave
+//! overnight and rejoin — re-hoarding through the configured
 //! [`DistributionPolicy`] — as the morning ramp needs them), popularity
 //! decay feeding hoard-budget enforcement on a cadence, and periodic
-//! GC/scrub/fault events reusing the seeded [`FaultPlan`].
+//! GC/scrub/fault events reusing the seeded [`FaultPlan`]. A chaos soak is
+//! a [`FleetConfig`] like any other — a lively `faults` schedule,
+//! `min_online == nodes` for a non-elastic fleet, optionally a multi-rack
+//! `topology` under an erasure-coded `storage` tier — run through
+//! [`soak_fleet`], which ends on [`Squirrel::converge`].
 //!
 //! Demand is *semantics-aware*: Zipf ranks are assigned over the catalog
 //! ordered by OS family and release, so the heavy head of the distribution
@@ -22,12 +26,13 @@
 
 use crate::dist::DistributionPolicy;
 use crate::sched::EventQueue;
-use crate::system::{HoardBudget, Squirrel, SquirrelConfig};
-use squirrel_cluster::NodeId;
+use crate::system::{Convergence, HoardBudget, SharedStorage, Squirrel, SquirrelConfig};
+use squirrel_cluster::{NodeId, TopologyConfig};
 use squirrel_dataset::rng::{SplitMix64, Zipf};
 use squirrel_dataset::{Corpus, CorpusConfig, ImageId};
 use squirrel_faults::{ChurnEvent, FaultConfig, FaultPlan, FaultReport};
 use squirrel_hash::ContentHash;
+use squirrel_obs::MetricsSnapshot;
 use std::sync::Arc;
 
 const HOUR_MS: u64 = 3_600_000;
@@ -105,6 +110,15 @@ pub struct FleetConfig {
     pub faults: FaultConfig,
     /// Pool record size.
     pub block_size: usize,
+    /// Failure-domain layout. A multi-rack layout lets the fault plan draw
+    /// correlated outages — whole racks and datacenters dropping off the
+    /// network.
+    pub topology: TopologyConfig,
+    /// Storage nodes backing the shared tier.
+    pub storage_nodes: u32,
+    /// Physical layer of the shared tier (replicated gluster or
+    /// erasure-coded k+m shards spread across the topology's racks).
+    pub storage: SharedStorage,
 }
 
 impl Default for FleetConfig {
@@ -130,6 +144,9 @@ impl Default for FleetConfig {
             distribution: DistributionPolicy::Unicast,
             faults: FaultConfig::default(),
             block_size: 16 * 1024,
+            topology: TopologyConfig::flat(),
+            storage_nodes: 4,
+            storage: SharedStorage::Replicated,
         }
     }
 }
@@ -279,9 +296,26 @@ pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
 /// [`run_fleet`], additionally returning the final metrics snapshot of the
 /// internal system — the second half of the thread-invariance witness
 /// (snapshot equality across `threads` settings).
-pub fn run_fleet_with_metrics(
-    cfg: &FleetConfig,
-) -> (FleetReport, squirrel_obs::MetricsSnapshot) {
+pub fn run_fleet_with_metrics(cfg: &FleetConfig) -> (FleetReport, MetricsSnapshot) {
+    let (report, sq) = drive(cfg);
+    let snapshot = sq.metrics().snapshot();
+    (report, snapshot)
+}
+
+/// The same run, then [`Squirrel::converge`] on the system it leaves behind
+/// (the fault plan is disarmed by then: faults stop, links heal, one repair
+/// sweep runs), then the snapshot. Equality of the whole triple across
+/// `threads` settings is the determinism witness of a chaos soak.
+pub fn soak_fleet(cfg: &FleetConfig) -> (FleetReport, Convergence, MetricsSnapshot) {
+    let (report, mut sq) = drive(cfg);
+    let convergence = sq.converge();
+    let snapshot = sq.metrics().snapshot();
+    (report, convergence, snapshot)
+}
+
+/// The event loop: build the system, arm the plan, run the horizon, and
+/// hand back the finished report with the system as the last event left it.
+fn drive(cfg: &FleetConfig) -> (FleetReport, Squirrel) {
     assert!(cfg.days > 0 && cfg.nodes > 0 && cfg.images > 0, "empty fleet config");
     let corpus_cfg = CorpusConfig {
         n_images: cfg.images,
@@ -300,10 +334,13 @@ pub fn run_fleet_with_metrics(
     let mut sq = Squirrel::new(
         SquirrelConfig {
             compute_nodes: cfg.nodes,
+            storage_nodes: cfg.storage_nodes,
             block_size: cfg.block_size,
             threads: cfg.threads,
             hoard_budget: cfg.budget,
             distribution: cfg.distribution,
+            topology: cfg.topology,
+            shared_storage: cfg.storage,
             ..Default::default()
         },
         Arc::clone(&corpus),
@@ -499,7 +536,15 @@ pub fn run_fleet_with_metrics(
                     }
                     _ => {}
                 }
+                // Domain events and shard rot only exist on multi-rack /
+                // erasure-coded layouts, so a flat run's feed never moves.
+                if let Some(event) = tick.domain {
+                    feed.push_str(&format!("domain:{event:?}\n"));
+                }
                 if let Some(rot) = tick.rot {
+                    if let Some(shard) = &rot.ec_shard {
+                        feed.push_str(&format!("ec-rot:{shard:?}\n"));
+                    }
                     feed.push_str(&format!("rot:{:?}:{}\n", rot.victim, rot.block_hit));
                 }
             }
@@ -595,17 +640,7 @@ pub fn run_fleet_with_metrics(
     report.degraded_per_10k = report.degraded_boots * 10_000 / report.boots.max(1);
     report.fault = sq.clear_fault_plan().expect("plan armed").report();
     report.read_checksum = ContentHash::of(feed.as_bytes()).to_hex();
-    let snapshot = sq.metrics().snapshot();
-    (report, snapshot)
-}
-
-impl Squirrel {
-    /// Run a fleet-scale soak (see [`run_fleet`]). Like
-    /// [`chaos_soak`](crate::chaos::chaos_soak), the system is built from
-    /// the config internally — the soak owns its whole lifecycle.
-    pub fn run_fleet(cfg: &FleetConfig) -> FleetReport {
-        run_fleet(cfg)
-    }
+    (report, sq)
 }
 
 #[cfg(test)]

@@ -29,35 +29,39 @@
 //!   zero-copy from the hoarded ccVolumes through a shard-locked ARC; the
 //!   read phase fans out over worker threads with bit-identical results at
 //!   any thread count.
-
 //! * [`Squirrel::set_fault_plan`] + the `scrub_and_repair` family — a
 //!   seeded, deterministic fault schedule ([`squirrel_faults`]) drives
 //!   drops, duplicates, in-flight bit flips, crashed receives, rotten
 //!   blocks and churn; recovery is transactional recv, bounded
 //!   retry-with-backoff, scrub-and-repair from intact replicas, and
 //!   degraded boots that fall back to shared storage.
-//! * [`Squirrel::run_fleet`] — a fleet-scale soak on the [`sched`]
-//!   discrete-event core: Zipf + diurnal demand over an elastic fleet,
-//!   popularity decay feeding budget enforcement, and per-day
-//!   latency/byte roll-ups in a [`FleetReport`].
+//! * [`Squirrel::converge`] — heal every link, rejoin every node, one
+//!   repair sweep, one budget pass, then check the replication invariant
+//!   and scrub every pool.
+//! * [`run_fleet`] / [`soak_fleet`] — the one long-horizon driver, on the
+//!   [`sched`] discrete-event core: Zipf + diurnal demand over an elastic
+//!   fleet, popularity decay feeding budget enforcement, the daily fault
+//!   tick, and per-day latency/byte roll-ups in a [`FleetReport`];
+//!   `soak_fleet` ends the same run on `converge`.
 
-pub mod chaos;
 mod dist;
 pub mod fleet;
 pub mod sched;
 mod system;
 mod trace;
 
-pub use chaos::{chaos_soak, ChaosConfig, ChaosReport};
-pub use fleet::{run_fleet, run_fleet_with_metrics, FleetConfig, FleetDay, FleetReport};
+pub use fleet::{
+    run_fleet, run_fleet_with_metrics, soak_fleet, FleetConfig, FleetDay, FleetReport,
+};
 pub use sched::{EventQueue, Scheduled};
 pub use dist::{DistributionPolicy, TransferLeg, TransferPlan};
 pub use squirrel_faults::{FaultConfig, FaultPlan, FaultReport};
 pub use squirrel_cluster::{EcRepairReport, EcStats, TopologyConfig};
 pub use system::{
-    BootOutcome, BootStormReport, BootVerification, BudgetReport, EvictReport, FaultTick,
-    GcReport, HoardBudget, NodeReplication, RegisterReport, RegistrationInfo, RehoardReport,
-    RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit, SharedStorage, Squirrel,
-    SquirrelConfig, SquirrelConfigBuilder, SquirrelError, SyncRepairReport,
+    BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence, EvictReport,
+    FaultTick, GcReport, HoardBudget, NodeReplication, RegisterReport, RegistrationInfo,
+    RehoardReport, RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit,
+    SharedStorage, Squirrel, SquirrelConfig, SquirrelConfigBuilder, SquirrelError,
+    SyncRepairReport,
 };
 pub use trace::paper_scale_trace;

@@ -633,6 +633,30 @@ pub struct RepairSweep {
     pub sync: SyncRepairReport,
 }
 
+/// Outcome of [`Squirrel::converge`]: what "heal everything, then check"
+/// found, did and left behind. `Eq` across thread counts is part of the
+/// determinism witness.
+#[derive(Clone, Debug, PartialEq, Eq)]
+#[must_use]
+pub struct Convergence {
+    /// Whether the replication invariant already held before anything was
+    /// healed (under faults it usually does not — that is the point).
+    pub consistent_before: bool,
+    /// Offline nodes whose rejoin failed and stayed offline.
+    pub rejoin_failures: u64,
+    /// The one repair sweep run after every link healed.
+    pub repair: RepairSweep,
+    /// Whole-cache evictions by the final budget enforcement: the sweep
+    /// full-replicates lagging nodes, which can push them back over budget.
+    pub evictions: u64,
+    /// Every online node mirrors the scVolume.
+    pub converged: bool,
+    /// The scVolume, every ccVolume and the shared tier scrub clean.
+    pub scrub_clean: bool,
+    /// Every node fits its hoard budget (vacuous when unlimited).
+    pub within_budget: bool,
+}
+
 /// What one [`Squirrel::fault_tick`] drew from the armed plan and applied.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultTick {
@@ -2427,7 +2451,8 @@ impl Squirrel {
         let blocks: Vec<Vec<u8>> = (0..nblocks)
             .map(|b| donor_pool.read_block(&name, b).expect("donor holds the file"))
             .collect();
-        self.net
+        let transfer = self
+            .net
             .try_unicast(src, node, wire)
             .map_err(SquirrelError::Net)?;
         self.nodes[idx].ccvol.import_file(&name, &blocks, len);
@@ -2436,7 +2461,7 @@ impl Squirrel {
         self.obs.add("squirrel_rehoard_wire_bytes_total", wire);
         let stats = DeliveryStats {
             updated: 1,
-            seconds: wire as f64 / (self.config.link.mbps() * 1e6),
+            seconds: transfer.seconds,
             storage_bytes: if donor.is_some() { 0 } else { wire },
             peer_bytes: if donor.is_some() { wire } else { 0 },
             peer_hits: u64::from(donor.is_some()),
@@ -2744,6 +2769,38 @@ impl Squirrel {
         }
         let sync = self.repair_replication();
         RepairSweep { ec, blocks, sync }
+    }
+
+    /// Heal everything, then check: restore every cut link and downed
+    /// domain, bring every offline node back, run one [`repair_sweep`],
+    /// settle the hoard budgets once more, and report whether the paper's
+    /// invariant holds — every online node mirrors the scVolume and every
+    /// pool scrubs clean. On a system already at rest a call repairs
+    /// nothing and moves no bytes.
+    ///
+    /// [`repair_sweep`]: Self::repair_sweep
+    pub fn converge(&mut self) -> Convergence {
+        let consistent_before = self.check_replication().is_consistent();
+        self.net.heal_all();
+        let mut rejoin_failures = 0;
+        for n in 0..self.config.compute_nodes {
+            if !self.node_is_online(n) && self.node_rejoin(n).is_err() {
+                rejoin_failures += 1;
+            }
+        }
+        let repair = self.repair_sweep();
+        let budget = self.enforce_hoard_budgets();
+        Convergence {
+            consistent_before,
+            rejoin_failures,
+            repair,
+            evictions: budget.evictions.len() as u64,
+            within_budget: budget.is_within_budget(),
+            converged: self.check_replication().is_consistent(),
+            scrub_clean: self.scrub_scvol().is_clean()
+                && self.nodes.iter().all(|n| n.ccvol.scrub().is_clean())
+                && self.shared_storage_clean(),
+        }
     }
 
     /// One day's environment faults: detach the armed plan, draw churn, a
@@ -3662,6 +3719,30 @@ mod tests {
     }
 
     #[test]
+    fn converge_heals_cuts_churn_and_rot_then_finds_nothing_to_do() {
+        let mut sq = small_system(3);
+        let storage = sq.config().compute_nodes;
+        sq.register(0).expect("register");
+        sq.network_mut().partition(storage, 0);
+        sq.node_offline(1).expect("offline");
+        sq.register(1).expect("register reaches node 2 only");
+        assert!(sq.corrupt_cc_block(2, 0).is_some());
+        assert!(sq.corrupt_sc_block(1).is_some());
+
+        let c = sq.converge();
+        assert!(!c.consistent_before, "node 0 missed a registration behind the cut");
+        assert_eq!(c.rejoin_failures, 0);
+        assert!(c.converged && c.scrub_clean && c.within_budget, "{c:?}");
+        assert_eq!(c.repair.blocks.repaired, 2, "{c:?}");
+        assert!(sq.node_is_online(1) && sq.network().is_reachable(storage, 0));
+
+        let again = sq.converge();
+        assert!(again.consistent_before && again.converged && again.scrub_clean);
+        assert_eq!(again.repair.blocks.repaired, 0);
+        assert_eq!(again.repair.blocks.refetch_bytes + again.repair.sync.wire_bytes, 0);
+    }
+
+    #[test]
     fn register_under_total_loss_gives_up_then_repair_replication_recovers() {
         use squirrel_faults::{FaultConfig, FaultPlan};
         let mut sq = small_system(3);
@@ -3897,6 +3978,39 @@ mod tests {
         let out = sq.boot(0, victim).expect("boot");
         assert!(out.warm && !out.degraded, "{out:?}");
         assert!(sq.check_replication().is_consistent());
+    }
+
+    #[test]
+    fn rehoard_is_priced_by_the_link_scope_it_crosses() {
+        // Two racks, nodes alternating: the scVolume's node (id 2, rack 0)
+        // shares a rack with compute node 0 but not with node 1.
+        let corpus = Arc::new(Corpus::generate(CorpusConfig::test_corpus(8, 77)));
+        let mut sq = Squirrel::new(
+            SquirrelConfig {
+                compute_nodes: 2,
+                block_size: 16 * 1024,
+                topology: TopologyConfig { regions: 1, dcs_per_region: 1, racks_per_dc: 2 },
+                ..Default::default()
+            },
+            corpus,
+        );
+        sq.register(0).expect("register");
+        let mut priced_ms = |node: NodeId| {
+            let total = |sq: &Squirrel| {
+                let snap = sq.metrics().snapshot();
+                snap.histogram("squirrel_dist_transfer_seconds_ms").map_or(0, |h| h.sum)
+            };
+            let _ = sq.evict_cache(node, 0).expect("evict");
+            let before = total(&sq);
+            let re = sq.rehoard_cache(node, 0).expect("rehoard");
+            (total(&sq) - before, re.wire_bytes)
+        };
+        let (same_rack, wire) = priced_ms(0);
+        let (cross_rack, _) = priced_ms(1);
+        let plain_ms = wire as f64 / (LinkKind::GbE.mbps() * 1e6) * 1000.0;
+        assert_eq!(same_rack, plain_ms.round() as u64);
+        assert_eq!(cross_rack, (plain_ms * 2.0).round() as u64);
+        assert!(cross_rack > same_rack, "{cross_rack} vs {same_rack} ms for {wire} B");
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! of VMI caches. Every compute node runs a *ccVolume*, a replica of the
 //! scVolume kept in sync via incremental snapshot streams.
 //!
-//! Workflows implemented here:
+//! Workflows implemented here — one file each under `system/`, sharing one
+//! source picker, one transfer-accounting path, one cache-state
+//! classification and one block-repair loop:
 //!
 //! * [`Squirrel::register`] — first-boot the image on a storage node behind
 //!   a copy-on-read cache, move the captured boot working set into the

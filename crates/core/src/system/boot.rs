@@ -1,0 +1,777 @@
+//! Booting (paper §3.3): one classification of a node's cache — warm,
+//! degraded or cold — and one pair of backends behind every boot path:
+//! [`Squirrel::boot`], [`Squirrel::boot_storm`], [`Squirrel::verify_boot`]
+//! and registration's first boot.
+
+use super::{BootOutcome, BootStormReport, BootVerification, SquirrelError};
+use super::{ComputeNode, ImageDisk, Squirrel};
+use crate::trace::paper_scale_trace;
+use squirrel_bootsim::{Backend, DedupVolumeParams};
+use squirrel_cluster::NodeId;
+use squirrel_dataset::ImageId;
+use squirrel_qcow::{CorCache, VirtualDisk};
+use squirrel_zfs::{SharedArcCache, ZPool};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+/// What a node's ccVolume can do for a boot of one image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum CacheState {
+    /// Hoarded and every record intact: serves the boot with zero network
+    /// I/O.
+    Warm,
+    /// The node *should* be serving it but cannot: the cache is present
+    /// with a rotted record, or the budget policy evicted it. The boot
+    /// works, from shared storage.
+    Degraded,
+    /// Never delivered: the plain cold path.
+    Cold,
+}
+
+impl ComputeNode {
+    /// Trust, but verify: a hoarded cache only serves a boot if its stored
+    /// records still hash to their keys. Silent corruption downgrades to
+    /// the cold path — the shared volume is the safe fallback until
+    /// scrub-and-repair heals the replica. A cache the budget policy
+    /// evicted is degraded too: the boot works, from shared storage,
+    /// exactly as the paper's partial hoarding promises.
+    pub(super) fn cache_state(&self, image: ImageId) -> CacheState {
+        match self.ccvol.file_is_intact(&Squirrel::cache_file_name(image)) {
+            Some(true) => CacheState::Warm,
+            Some(false) => CacheState::Degraded,
+            None if self.evicted.contains(&image) => CacheState::Degraded,
+            None => CacheState::Cold,
+        }
+    }
+}
+
+impl Squirrel {
+    /// Paper-volume working-set bytes of `image` (scaled back up).
+    pub(super) fn paper_ws_bytes(&self, image: ImageId) -> u64 {
+        self.corpus.image(image).cache().bytes() * self.corpus.config().scale
+    }
+
+    /// Paper-volume virtual image size.
+    fn paper_image_bytes(&self, image: ImageId) -> u64 {
+        self.corpus.image(image).virtual_bytes() * self.corpus.config().scale
+    }
+
+    /// Boot `image` on compute node `node` (paper Section 3.3): warm when
+    /// the ccVolume holds the cache (zero network I/O), cold otherwise
+    /// (CoW over the parallel file system).
+    pub fn boot(&mut self, node: NodeId, image: ImageId) -> Result<BootOutcome, SquirrelError> {
+        let n = self.online_node(node)?;
+        self.known_image(image)?;
+        let state = n.cache_state(image);
+        let warm = state == CacheState::Warm;
+        let trace = paper_scale_trace(self.paper_ws_bytes(image), image as u64);
+        let (backend, net_bytes) = if warm {
+            (self.warm_backend(&n.ccvol, &Self::cache_file_name(image)), 0)
+        } else {
+            // Cold path: the boot working set crosses the network from the
+            // shared tier (charged at corpus scale in the ledger, simulated
+            // at paper scale for timing). A node cut off from every replica
+            // — or from k shards — cannot boot at all.
+            (self.cold_backend(image), self.shared_read(node, image)?)
+        };
+        let report = self.sim.boot(&trace, &backend);
+        // Popularity counts only boots that succeed: every fallible step is
+        // behind us.
+        self.note_popularity(image, 1);
+        self.record_boot(node, image, warm, net_bytes);
+        let degraded = state == CacheState::Degraded;
+        if degraded {
+            self.obs.inc("squirrel_boot_degraded_total");
+        }
+        Ok(BootOutcome { image, node, warm, degraded, net_bytes, report })
+    }
+
+    /// Serve a cold boot's working set from the shared tier, charging the
+    /// transfer to the network ledgers. Under erasure-coded storage the
+    /// registered cache object serves from any k reachable shards
+    /// (reconstructing through parity when a domain is down — tallied in
+    /// `squirrel_ec_*`); otherwise, or for images never registered, the
+    /// replicated gluster volume serves the raw bytes. Returns the bytes
+    /// that crossed the network.
+    fn shared_read(&mut self, node: NodeId, image: ImageId) -> Result<u64, SquirrelError> {
+        if let Some(ec) = self.ec.as_mut() {
+            let name = Self::cache_file_name(image);
+            if ec.has_object(&name) {
+                let r = ec.try_read(&mut self.net, node, &name).map_err(SquirrelError::Ec)?;
+                if r.degraded {
+                    self.obs.inc("squirrel_ec_degraded_reads_total");
+                    self.obs.add("squirrel_ec_shards_reconstructed_total", r.reconstructed);
+                }
+                return Ok(r.net_bytes);
+            }
+        }
+        let ws_corpus_scale = self.corpus.image(image).cache().bytes();
+        self.gluster
+            .try_read(&mut self.net, node, 0, ws_corpus_scale)
+            .map_err(SquirrelError::Net)?;
+        Ok(ws_corpus_scale)
+    }
+
+    /// Derive the dedup-backend parameters for a boot served from a warm
+    /// (hoarded) ccVolume, from the pool's real dedup/compression state.
+    fn warm_backend(&self, ccvol: &ZPool, name: &str) -> Backend {
+        let stats = ccvol.stats();
+        let scale = self.corpus.config().scale;
+        let threshold = 1 + ccvol.snapshot_tags().len() as u64;
+        let shared = ccvol.file_shared_fraction(name, threshold).unwrap_or(0.6);
+        Backend::DedupVolume(DedupVolumeParams {
+            record_size: self.config.block_size as u64,
+            compressed_fraction: (stats.physical_bytes as f64
+                / (stats.unique_blocks.max(1) * stats.block_size) as f64)
+                .clamp(0.05, 1.0),
+            ddt_entries: stats.unique_blocks * scale / self.config.block_size as u64 * 512,
+            pool_physical_bytes: (stats.physical_bytes * scale).max(1),
+            shared_fraction: shared,
+            ..DedupVolumeParams::new(self.config.block_size as u64)
+        })
+    }
+
+    /// The backend of every boot the hoard cannot serve — cold, degraded,
+    /// and registration's first boot: CoW over the parallel file system.
+    pub(super) fn cold_backend(&self, image: ImageId) -> Backend {
+        Backend::ColdCache {
+            net_mbps: self.config.link.mbps(),
+            image_bytes: self.paper_image_bytes(image),
+        }
+    }
+
+    /// Per-node boot accounting (serial: boots never run concurrently).
+    fn record_boot(&self, node: NodeId, image: ImageId, warm: bool, net_bytes: u64) {
+        if !self.obs.is_enabled() {
+            return;
+        }
+        let result = if warm { "warm" } else { "cold" };
+        self.obs.add_with(
+            "squirrel_boot_total",
+            &[("node", node.to_string().as_str()), ("result", result)],
+            1,
+        );
+        self.obs.add("squirrel_boot_net_bytes_total", net_bytes);
+        self.obs.event(
+            "boot",
+            &[
+                ("node", node.into()),
+                ("image", image.into()),
+                ("warm", warm.into()),
+                ("net_bytes", net_bytes.into()),
+            ],
+        );
+    }
+
+    /// Serve a boot storm: `vms` instances of `image` boot at once,
+    /// round-robined over the online compute nodes. Warm nodes serve every
+    /// working-set block zero-copy from their hoarded ccVolume through a
+    /// shard-locked [`SharedArcCache`] (a warm read is a refcount bump on
+    /// the pool's shared payload); cold nodes pull the working set over the
+    /// network first. The read phase fans out over `config.threads` workers;
+    /// read bytes, ARC statistics, and metric snapshots are bit-identical at
+    /// any thread count (see [`BootStormReport::read_checksum`]).
+    ///
+    /// Errors: [`SquirrelError::UnknownImage`] for an unknown image;
+    /// [`SquirrelError::NodeOffline`] (reported against node 0) when every
+    /// compute node is offline.
+    pub fn boot_storm(
+        &mut self,
+        image: ImageId,
+        vms: u32,
+    ) -> Result<BootStormReport, SquirrelError> {
+        self.known_image(image)?;
+        let online: Vec<usize> =
+            (0..self.nodes.len()).filter(|&i| self.nodes[i].online).collect();
+        if online.is_empty() {
+            return Err(SquirrelError::NodeOffline(0));
+        }
+        let threads = self.config.threads;
+        let bs = self.config.block_size as u64;
+        let name = Self::cache_file_name(image);
+        let mut span = self.obs.span("boot_storm");
+        span.field("image", image);
+        span.field("vms", u64::from(vms));
+
+        // VM i boots on the i-th online node, round-robin.
+        let assignments: Vec<usize> =
+            (0..vms as usize).map(|i| online[i % online.len()]).collect();
+
+        // The working set every VM reads: the boot trace's blocks at
+        // cVolume record granularity — exactly the set registration's
+        // copy-on-read boot captured into the cache file.
+        let trace = self.corpus.image(image).cache().boot_trace();
+        let mut block_set = BTreeSet::new();
+        for op in &trace.ops {
+            if op.len == 0 {
+                continue;
+            }
+            let first = op.offset / bs;
+            let last = (op.offset + op.len as u64 - 1) / bs;
+            block_set.extend(first..=last);
+        }
+        let blocks: Vec<u64> = block_set.into_iter().collect();
+
+        // Classify each participating node once.
+        let mut states: BTreeMap<usize, CacheState> = BTreeMap::new();
+        for &node in &assignments {
+            states.entry(node).or_insert_with(|| self.nodes[node].cache_state(image));
+        }
+
+        // Cold nodes fetch the working set over the network up front
+        // (serial: the network ledger is single-threaded state).
+        let mut net_bytes = 0u64;
+        let mut cold_vms = 0u32;
+        let mut degraded_vms = 0u32;
+        for &node in &assignments {
+            if states[&node] != CacheState::Warm {
+                net_bytes += self.shared_read(node as NodeId, image)?;
+                cold_vms += 1;
+                if states[&node] == CacheState::Degraded {
+                    degraded_vms += 1;
+                }
+            }
+        }
+        let warm_vms = vms - cold_vms;
+
+        // One shard-locked ARC per warm node. The byte budget splits per
+        // shard, so oversize by the shard count: even a fully skewed key
+        // distribution must never evict — evictions are the one
+        // schedule-dependent statistic (see DESIGN.md's determinism
+        // contract).
+        let ws_bytes = (blocks.len() as u64 * bs).max(bs);
+        let mut caches: BTreeMap<usize, SharedArcCache> = BTreeMap::new();
+        for &node in &assignments {
+            if states[&node] == CacheState::Warm && !caches.contains_key(&node) {
+                let mut cache = SharedArcCache::new(ws_bytes * 16, 16);
+                cache.set_metrics(&self.ccvol_obs);
+                caches.insert(node, cache);
+            }
+        }
+
+        // Concurrent read phase: every VM reads its whole working set. Warm
+        // VMs go through the shared ARC (a hit is a refcount bump on the
+        // one decompressed buffer); cold VMs read the image bytes the
+        // network just delivered. Results come back in VM order, so the
+        // checksum is schedule-independent.
+        let nodes = &self.nodes;
+        let corpus = &self.corpus;
+        let raw: Vec<Result<(u64, String), SquirrelError>> =
+            self.workers.parallel_map(&assignments, |_i, &node| {
+                let mut bytes = Vec::with_capacity(blocks.len() * bs as usize);
+                if let Some(cache) = caches.get(&node) {
+                    for &b in &blocks {
+                        let data = cache
+                            .read_through(&nodes[node].ccvol, &name, b)
+                            .ok_or(SquirrelError::MissingCache {
+                                node: node as NodeId,
+                                image,
+                            })?;
+                        bytes.extend_from_slice(&data);
+                    }
+                } else {
+                    let handle = corpus.image(image);
+                    let mut buf = vec![0u8; bs as usize];
+                    for &b in &blocks {
+                        handle.read_at(b * bs, &mut buf);
+                        bytes.extend_from_slice(&buf);
+                    }
+                }
+                Ok((bytes.len() as u64, squirrel_hash::ContentHash::of(&bytes).to_hex()))
+            });
+        let mut per_vm = Vec::with_capacity(raw.len());
+        for r in raw {
+            per_vm.push(r?);
+        }
+
+        let bytes_served: u64 = per_vm.iter().map(|(n, _)| n).sum();
+        let mut concat = String::new();
+        for (_, hex) in &per_vm {
+            concat.push_str(hex);
+        }
+        let read_checksum = squirrel_hash::ContentHash::of(concat.as_bytes()).to_hex();
+
+        // Every fallible phase is behind us: only now do the storm's VMs
+        // count toward the eviction signal. A storm that errored out above
+        // (offline fleet, unreachable storage, missing cache) must not
+        // inflate popularity for boots that never happened.
+        self.note_popularity(image, u64::from(vms));
+
+        // Timing: VMs sharing a node queue on that node's device. Backends
+        // derive serially (they read pool state), then the node groups
+        // replay concurrently on the persistent worker pool — `BootSim::boot`
+        // is pure, and the serial reduction below assigns results in node
+        // order, so `boot_seconds` is bit-identical at any thread count.
+        let paper_trace = paper_scale_trace(self.paper_ws_bytes(image), image as u64);
+        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (vm, &node) in assignments.iter().enumerate() {
+            by_node.entry(node).or_default().push(vm);
+        }
+        let groups: Vec<(Vec<usize>, Backend)> = by_node
+            .iter()
+            .map(|(&node, vm_ids)| {
+                let backend = if caches.contains_key(&node) {
+                    self.warm_backend(&self.nodes[node].ccvol, &name)
+                } else {
+                    self.cold_backend(image)
+                };
+                (vm_ids.clone(), backend)
+            })
+            .collect();
+        let sim = &self.sim;
+        let workers = &self.workers;
+        let timed = workers.parallel_map(&groups, |_i, (vm_ids, backend)| {
+            let traces = vec![paper_trace.clone(); vm_ids.len()];
+            sim.boot_concurrent_on(&traces, backend, workers)
+        });
+        let mut boot_seconds = vec![0.0f64; vms as usize];
+        for ((vm_ids, _), reports) in groups.iter().zip(&timed) {
+            for (&vm, report) in vm_ids.iter().zip(reports) {
+                boot_seconds[vm] = report.total_seconds;
+            }
+        }
+
+        // Aggregate ARC statistics over the warm nodes. Every hit is a
+        // decompression (and a payload copy) the shared read path avoided.
+        let mut arc = squirrel_zfs::ArcStats::default();
+        for cache in caches.values() {
+            let s = cache.stats();
+            arc.hits += s.hits;
+            arc.misses += s.misses;
+            arc.evictions += s.evictions;
+        }
+
+        // Serial post-phase: record the storm in deterministic VM order.
+        for &s in &boot_seconds {
+            self.obs
+                .observe("squirrel_boot_storm_seconds_ms", (s * 1000.0).round() as u64);
+        }
+        self.obs.add("squirrel_boot_storm_boots_total", u64::from(vms));
+        self.obs.add("squirrel_boot_storm_bytes_total", bytes_served);
+        self.obs.add("squirrel_boot_storm_copies_avoided_total", arc.hits);
+        self.obs.add("squirrel_boot_storm_net_bytes_total", net_bytes);
+        if degraded_vms > 0 {
+            self.obs.add("squirrel_boot_degraded_total", u64::from(degraded_vms));
+        }
+        span.field("warm_vms", u64::from(warm_vms));
+        span.field("cold_vms", u64::from(cold_vms));
+        span.field("bytes_served", bytes_served);
+        span.field("read_checksum", read_checksum.as_str());
+
+        Ok(BootStormReport {
+            image,
+            vms,
+            threads,
+            warm_vms,
+            cold_vms,
+            degraded_vms,
+            blocks_per_vm: blocks.len() as u64,
+            bytes_served,
+            net_bytes,
+            boot_seconds,
+            arc,
+            read_checksum,
+        })
+    }
+
+    /// Replay `image`'s boot trace on `node` through the *real* data path —
+    /// a QCOW2-style CoW overlay chained onto a copy-on-read layer that is
+    /// pre-populated from the node's ccVolume (decompressing actual pool
+    /// records) and backed by the image over the parallel FS — verifying
+    /// every byte against the image's ground-truth content.
+    ///
+    /// A warm cache must give zero backing fetches for reads inside the
+    /// working set; see [`BootVerification`]. Like [`Self::boot`], only a
+    /// cache that passes the integrity check is trusted: a rotted or
+    /// evicted one reads through the backing image instead. Bytes that
+    /// still differ from the image are
+    /// [`SquirrelError::BootDataMismatch`].
+    pub fn verify_boot(
+        &mut self,
+        node: NodeId,
+        image: ImageId,
+    ) -> Result<BootVerification, SquirrelError> {
+        let n = self.online_node(node)?;
+        self.known_image(image)?;
+
+        let bs = self.config.block_size;
+        let mut chain = squirrel_qcow::CowImage::new(CorCache::new(
+            ImageDisk { corpus: Arc::clone(&self.corpus), image },
+            bs,
+        ));
+        chain.set_metrics(&self.obs);
+        chain.backing().set_metrics(&self.obs);
+        // Warm the CoR layer from the ccVolume's cache file, exercising the
+        // full decompress path of the pool.
+        let name = Self::cache_file_name(image);
+        let trusted = n.cache_state(image) == CacheState::Warm;
+        if let Some(len) = n.ccvol.file_len(&name).filter(|_| trusted) {
+            let blocks = len.div_ceil(bs as u64);
+            for b in 0..blocks {
+                // The decompressed buffer moves into the CoR layer as a
+                // shared payload: one decompression, zero copies. Holes (or
+                // a cache mutated underneath us) simply aren't prewarmed —
+                // the CoR layer fetches them from the backing image.
+                let Some(data) = n.ccvol.read_block_shared(&name, b) else {
+                    continue;
+                };
+                chain.backing().prepopulate_shared(b, data);
+            }
+        }
+
+        let handle = self.corpus.image(image);
+        let trace = handle.cache().boot_trace();
+        let mut verified = 0u64;
+        let mut expect = Vec::new();
+        let mut got = Vec::new();
+        for op in &trace.ops {
+            expect.resize(op.len as usize, 0);
+            got.resize(op.len as usize, 0);
+            handle.read_at(op.offset, &mut expect);
+            chain.read_at(op.offset, &mut got);
+            if expect != got {
+                return Err(SquirrelError::BootDataMismatch { node, image, offset: op.offset });
+            }
+            verified += op.len as u64;
+        }
+        Ok(BootVerification {
+            bytes_verified: verified,
+            backing_fetches: chain.backing().fetch_count,
+        })
+    }
+
+    /// Boot a sequence of images on `node`, reading every cache block
+    /// through a byte-bounded ARC, and report the cache statistics. This
+    /// *measures* the cross-VMI hot-record effect that the boot simulator's
+    /// `hot_fraction` parameter assumes: records shared between working
+    /// sets stay resident across consecutive boots of different images.
+    pub fn measure_arc_hit_rate(
+        &mut self,
+        node: NodeId,
+        images: &[ImageId],
+        arc_bytes: u64,
+    ) -> Result<squirrel_zfs::ArcStats, SquirrelError> {
+        let n = self.online_node(node)?;
+        let bs = self.config.block_size as u64;
+        // One shard is the serial LRU: same hits, misses and evictions.
+        let mut arc = SharedArcCache::new(arc_bytes, 1);
+        arc.set_metrics(&self.obs);
+        for &image in images {
+            self.known_image(image)?;
+            let name = Self::cache_file_name(image);
+            let Some(len) = n.ccvol.file_len(&name) else {
+                continue; // not hoarded: nothing to measure
+            };
+            for b in 0..len.div_ceil(bs) {
+                arc.read_through(&n.ccvol, &name, b);
+            }
+        }
+        let stats = arc.stats();
+        self.obs.set_gauge_f64("squirrel_arc_hit_rate", stats.hit_rate());
+        Ok(stats)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+
+    #[test]
+    fn warm_boot_has_zero_network_traffic() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("register");
+        sq.network_mut().reset_ledgers();
+        let out = sq.boot(1, 0).expect("boot");
+        assert!(out.warm);
+        assert_eq!(out.net_bytes, 0);
+        assert_eq!(sq.network().ledger(1).rx_bytes, 0);
+        assert!(out.report.total_seconds > 5.0 && out.report.total_seconds < 60.0);
+    }
+
+    #[test]
+    fn cold_boot_crosses_network() {
+        let mut sq = small_system(2);
+        sq.network_mut().reset_ledgers();
+        let out = sq.boot(0, 3).expect("boot unregistered image");
+        assert!(!out.warm);
+        assert!(out.net_bytes > 0);
+        assert_eq!(sq.network().ledger(0).rx_bytes, out.net_bytes);
+    }
+
+    #[test]
+    fn warm_boot_faster_than_cold() {
+        let mut sq = small_system(2);
+        sq.register(2).expect("register");
+        let warm = sq.boot(0, 2).expect("warm");
+        let cold = sq.boot(1, 3).expect("cold");
+        assert!(
+            warm.report.total_seconds < cold.report.total_seconds,
+            "warm {} cold {}",
+            warm.report.total_seconds,
+            cold.report.total_seconds
+        );
+    }
+
+    #[test]
+    fn arc_hit_rate_rises_with_cross_vmi_sharing() {
+        // Booting several same-family images back to back: later boots hit
+        // the records earlier boots left resident.
+        let corpus = Arc::new(Corpus::generate(
+            CorpusConfig { scale: 1024, ..CorpusConfig::test_corpus(12, 77) },
+        ));
+        let mut sq = system_on(corpus, 1, |_| {});
+        for img in 0..6 {
+            sq.register(img).expect("register");
+        }
+        let one = sq.measure_arc_hit_rate(0, &[0], 64 << 20).expect("one image");
+        let many = sq
+            .measure_arc_hit_rate(0, &[0, 1, 2, 3, 4, 5], 64 << 20)
+            .expect("many images");
+        assert_eq!(one.hits, 0, "first boot of a lone image cannot hit");
+        assert!(
+            many.hit_rate() > 0.2,
+            "cross-VMI sharing must produce ARC hits: {:?}",
+            many
+        );
+    }
+
+    #[test]
+    fn cdc_reverse_system_full_workflow() {
+        use squirrel_zfs::CdcParams;
+        let mut sq = system_with(2, |c| {
+            c.chunking = ChunkStrategy::Cdc(CdcParams::with_average(16 * 1024));
+            c.dedup_mode = DedupMode::Reverse;
+        });
+        sq.register(0).expect("r0");
+        sq.register(1).expect("r1");
+        // Warm boots are served byte-exact from the chunked hoarded cache.
+        let v = sq.verify_boot(1, 0).expect("verify");
+        assert!(v.bytes_verified > 0);
+        assert!(v.backing_fetches <= 2, "warm boot fetched {}", v.backing_fetches);
+        // Chunked pools scrub clean end to end (scVolume and ccVolume).
+        assert!(sq.scrub_scvol().is_clean());
+        assert!(sq.scrub_node(0).expect("node").is_clean());
+        // Evict + rehoard round-trips a chunked cache, whose block count
+        // comes from the file length rather than the per-record refs.
+        assert!(sq.evict_cache(1, 0).expect("evict").was_cached);
+        let re = sq.rehoard_cache(1, 0).expect("rehoard");
+        assert!(re.blocks > 0);
+        let v2 = sq.verify_boot(1, 0).expect("verify rehoarded");
+        assert!(v2.bytes_verified > 0);
+        assert!(v2.backing_fetches <= 2);
+    }
+
+    #[test]
+    fn boot_storm_serves_warm_vms_zero_copy_and_deterministically() {
+        let run = |threads: usize| {
+            let mut sq = system_with(4, |c| c.threads = threads);
+            sq.register(0).expect("register");
+            let storm = sq.boot_storm(0, 8).expect("storm");
+            assert_eq!((storm.vms, storm.warm_vms, storm.cold_vms), (8, 8, 0));
+            assert_eq!(storm.net_bytes, 0, "warm storm moves nothing");
+            assert!(storm.blocks_per_vm > 0);
+            assert_eq!(storm.bytes_served, 8 * storm.blocks_per_vm * 16 * 1024);
+            assert!(storm.arc.hits > 0, "storm must avoid copies: {:?}", storm.arc);
+            assert_eq!(storm.arc.evictions, 0);
+            let snap = sq.metrics().snapshot();
+            assert_eq!(
+                snap.counter("squirrel_boot_storm_copies_avoided_total"),
+                Some(storm.arc.hits)
+            );
+            let bits: Vec<u64> = storm.boot_seconds.iter().map(|s| s.to_bits()).collect();
+            (storm.read_checksum, storm.bytes_served, storm.arc, bits, snap)
+        };
+        let reference = run(1);
+        for threads in [2, 8] {
+            assert_eq!(run(threads), reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn boot_storm_mixes_warm_and_cold_nodes() {
+        let mut sq = small_system(3);
+        sq.register(0).expect("register");
+        let _ = sq.evict_cache(2, 0).expect("evict");
+        sq.network_mut().reset_ledgers();
+        let storm = sq.boot_storm(0, 6).expect("storm");
+        // Round-robin: VMs 2 and 5 land on the evicted node 2.
+        assert_eq!(storm.warm_vms, 4);
+        assert_eq!(storm.cold_vms, 2);
+        assert!(storm.net_bytes > 0, "cold VMs must cross the network");
+        assert_eq!(sq.network().ledger(2).rx_bytes, storm.net_bytes);
+        assert_eq!(storm.boot_seconds.len(), 6);
+        // Cold boots pay for the network pull; warm boots stay fast.
+        assert!(
+            storm.boot_seconds[2] > storm.boot_seconds[0],
+            "cold {} vs warm {}",
+            storm.boot_seconds[2],
+            storm.boot_seconds[0]
+        );
+    }
+
+    #[test]
+    fn boot_storm_skips_offline_nodes() {
+        let mut sq = small_system(4);
+        sq.register(0).expect("register");
+        sq.node_offline(1).expect("offline");
+        sq.node_offline(3).expect("offline");
+        sq.network_mut().reset_ledgers();
+        let storm = sq.boot_storm(0, 6).expect("storm");
+        assert_eq!((storm.warm_vms, storm.cold_vms), (6, 0));
+        // Round-robin lands only on the online nodes 0 and 2.
+        assert_eq!(sq.network().ledger(1).rx_bytes, 0);
+        assert_eq!(sq.network().ledger(3).rx_bytes, 0);
+    }
+
+    #[test]
+    fn degraded_boot_falls_back_to_shared_storage_until_repaired() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("register");
+        let intact = sq.verify_boot(1, 0).expect("verify");
+        let key = sq.corrupt_cc_block(1, 0).expect("victim block");
+        sq.network_mut().reset_ledgers();
+
+        let out = sq.boot(1, 0).expect("degraded boot");
+        assert!(!out.warm && out.degraded, "{out:?}");
+        assert!(out.net_bytes > 0, "degraded boot pulls from shared storage");
+        let snap = sq.metrics().snapshot();
+        assert_eq!(snap.counter("squirrel_boot_degraded_total"), Some(1));
+        // The byte-checked replay distrusts the rotted cache the same way:
+        // it reads through the backing image instead of serving rot.
+        let rotted = sq.verify_boot(1, 0).expect("a rotted cache degrades, it does not panic");
+        assert_eq!(rotted.bytes_verified, intact.bytes_verified);
+        assert!(rotted.backing_fetches > intact.backing_fetches, "{rotted:?} vs {intact:?}");
+
+        let repair = sq.scrub_and_repair(1).expect("repair");
+        assert_eq!((repair.corrupt_found, repair.repaired, repair.unrepaired), (1, 1, 0));
+        assert!(repair.is_healed());
+        assert!(repair.refetch_bytes > 0, "repair is charged to the network");
+        assert!(sq.scrub_node(1).expect("node").is_clean());
+        let _ = key;
+
+        let out = sq.boot(1, 0).expect("healed boot");
+        assert!(out.warm && !out.degraded, "{out:?}");
+        assert_eq!(sq.verify_boot(1, 0).expect("verify"), intact);
+    }
+
+    #[test]
+    fn boot_storm_serves_corrupt_node_degraded() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("register");
+        sq.corrupt_cc_block(1, 3).expect("corrupt");
+        let storm = sq.boot_storm(0, 4).expect("storm");
+        assert_eq!((storm.warm_vms, storm.cold_vms, storm.degraded_vms), (2, 2, 2));
+        assert!(storm.net_bytes > 0);
+    }
+
+    #[test]
+    fn errored_boot_leaves_popularity_unchanged() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("register");
+        sq.boot(0, 0).expect("boot");
+        assert_eq!(sq.image_popularity(0), 1);
+
+        // Offline node: the boot fails before any work happens.
+        sq.node_offline(1).expect("offline");
+        assert!(matches!(sq.boot(1, 0), Err(SquirrelError::NodeOffline(1))));
+        assert_eq!(sq.image_popularity(0), 1, "failed boot must not count");
+
+        // Cold boot with the shared tier unreachable: the boot fails after
+        // validation, in the shared read.
+        sq.node_rejoin(1).expect("rejoin");
+        let storage = sq.config().compute_nodes;
+        for n in 0..sq.config().storage_nodes {
+            sq.network_mut().partition(0, storage + n);
+        }
+        assert!(sq.boot(0, 5).is_err(), "unregistered image, storage cut");
+        assert_eq!(sq.image_popularity(5), 0, "failed cold boot must not count");
+    }
+
+    #[test]
+    fn errored_boot_storm_leaves_popularity_unchanged() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("register");
+
+        // Unknown image: rejected up front.
+        assert!(matches!(sq.boot_storm(99, 4), Err(SquirrelError::UnknownImage(99))));
+        assert_eq!(sq.image_popularity(99), 0);
+
+        // Whole fleet offline: rejected before any VM boots.
+        sq.node_offline(0).expect("offline");
+        sq.node_offline(1).expect("offline");
+        assert!(matches!(sq.boot_storm(0, 4), Err(SquirrelError::NodeOffline(0))));
+        assert_eq!(sq.image_popularity(0), 0, "failed storm must not count");
+
+        // A storm that goes through counts every VM.
+        sq.node_rejoin(0).expect("rejoin");
+        sq.node_rejoin(1).expect("rejoin");
+        let _ = sq.boot_storm(0, 4).expect("storm");
+        assert_eq!(sq.image_popularity(0), 4);
+    }
+
+    #[test]
+    fn three_boot_paths_share_one_classification() {
+        use CacheState::{Cold, Degraded, Warm};
+        let run = |threads: usize| {
+            let mut sq = system_with(1, |c| c.threads = threads);
+            for img in 0..3 {
+                sq.register(img).expect("register");
+            }
+            // Image 0 stays hoarded and intact; image 1 gets one rotted
+            // record (of a block no other cache shares); image 2 is
+            // budget-evicted; image 3 was never delivered.
+            let blocks = sq.ccvol_stats(0).expect("node").unique_blocks;
+            let private_to_1 = (0..blocks).find(|&nth| {
+                sq.corrupt_cc_block(0, nth).expect("victim block");
+                let hit: Vec<ImageId> =
+                    (0..3).filter(|&i| sq.nodes[0].cache_state(i) == Degraded).collect();
+                if hit != [1] {
+                    assert!(sq.scrub_and_repair(0).expect("repair").is_healed());
+                }
+                hit == [1]
+            });
+            assert!(private_to_1.is_some(), "no record is private to image 1");
+            assert!(sq.evict_cache(0, 2).expect("evict").was_cached);
+
+            let mut outcomes = Vec::new();
+            for (image, state) in [(0, Warm), (1, Degraded), (2, Degraded), (3, Cold)] {
+                assert_eq!(sq.nodes[0].cache_state(image), state, "image {image}");
+                let before = sq.image_popularity(image);
+                let boot = sq.boot(0, image).expect("boot");
+                let storm = sq.boot_storm(image, 1).expect("storm");
+                let verify = sq.verify_boot(0, image).expect("verify");
+                let warm = state == Warm;
+                assert_eq!((boot.warm, storm.warm_vms), (warm, u32::from(warm)), "image {image}");
+                assert_eq!(boot.net_bytes == 0, warm, "image {image}: {boot:?}");
+                assert_eq!(storm.net_bytes == 0, warm, "image {image}: {storm:?}");
+                // Inside the working set a trusted cache fetches nothing;
+                // the QCOW2 cluster over-fetch may cross its tail.
+                assert_eq!(verify.backing_fetches <= 2, warm, "image {image}: {verify:?}");
+                assert!(verify.bytes_verified > 0);
+                let degraded = state == Degraded;
+                assert_eq!(
+                    (boot.degraded, storm.degraded_vms),
+                    (degraded, u32::from(degraded)),
+                    "image {image}"
+                );
+                assert_eq!(storm.net_bytes, boot.net_bytes, "image {image}: same shared read");
+                // Credited per boot that happened: one boot, one 1-VM storm;
+                // the replay credits nothing.
+                assert_eq!(sq.image_popularity(image), before + 2, "image {image}");
+                outcomes.push((
+                    boot.net_bytes,
+                    boot.report.total_seconds.to_bits(),
+                    storm.boot_seconds[0].to_bits(),
+                    storm.read_checksum,
+                    verify,
+                ));
+            }
+            outcomes
+        };
+        let reference = run(1);
+        for threads in [2, 8] {
+            assert_eq!(run(threads), reference, "threads={threads}");
+        }
+    }
+}

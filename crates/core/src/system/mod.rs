@@ -1,0 +1,712 @@
+//! The Squirrel system: scVolume, ccVolumes, and the paper's workflows —
+//! one struct, one `impl` block per workflow file (module map in DESIGN.md).
+//! This file owns what the workflows share: the node guards, the
+//! nearest-first ordering, source choice and single-transfer accounting.
+
+mod boot;
+mod budget;
+mod config;
+mod membership;
+mod register;
+mod repair;
+mod reports;
+
+pub use config::{HoardBudget, SharedStorage, SquirrelConfig, SquirrelConfigBuilder};
+pub use reports::{
+    BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence, EvictReport,
+    FaultTick, GcReport, NodeReplication, RegisterReport, RegistrationInfo, RehoardReport,
+    RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit, SquirrelError,
+    SyncRepairReport,
+};
+
+use crate::dist::DistributionPolicy;
+use squirrel_bootsim::BootSim;
+use squirrel_cluster::{
+    EcConfig, ErasureCodedVolume, GlusterConfig, GlusterVolume, Network, NodeId,
+};
+use squirrel_dataset::{Corpus, ImageId};
+use squirrel_faults::{FaultPlan, FaultReport};
+use squirrel_hash::par::WorkerPool;
+use squirrel_obs::{Metrics, MetricsRegistry};
+use squirrel_qcow::{CorCache, VirtualDisk};
+use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+struct ComputeNode {
+    ccvol: ZPool,
+    online: bool,
+    /// Caches the budget policy evicted from this node. Replication checks
+    /// exempt them (the node is *deliberately* not hoarding them); a stream
+    /// delivery or re-hoard that restores the file clears the mark.
+    evicted: BTreeSet<ImageId>,
+}
+
+struct Registration {
+    snapshot_tag: String,
+    day: u64,
+}
+
+impl ComputeNode {
+    /// Rejoin-donor proof: exactly at the scVolume's `tip` snapshot and
+    /// scrub-clean (a donor serving rotten bytes never qualifies). In-sync
+    /// replicas are bit-identical by the determinism contract, so such a
+    /// peer can serve any stream the scVolume could.
+    fn mirrors(&self, tip: &str) -> bool {
+        self.ccvol.latest_snapshot() == Some(tip) && self.ccvol.scrub().is_clean()
+    }
+
+    /// Re-hoard-donor proof: not under an eviction mark for `image`, and
+    /// holding its cache with every record intact.
+    fn can_donate(&self, image: ImageId) -> bool {
+        !self.evicted.contains(&image) && self.cache_state(image) == boot::CacheState::Warm
+    }
+}
+
+/// Who serves the bytes of a single-receiver hoard transfer or a block
+/// repair: the storage root's scVolume, or a compute peer's ccVolume.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Source {
+    Storage,
+    Peer(NodeId),
+}
+
+impl Source {
+    fn peer(self) -> Option<NodeId> {
+        match self {
+            Source::Storage => None,
+            Source::Peer(p) => Some(p),
+        }
+    }
+}
+
+/// Ids `below` (descending from `t`) and `above` (ascending from `t`)
+/// merged nearest-first: ascending `(|d - t|, d)`, so at equal distance
+/// the lower id wins. The one implementation of that ordering — the
+/// fan-out planner probes a donor set with it, the source picker the fleet.
+fn nearest_first(
+    t: NodeId,
+    below: impl Iterator<Item = NodeId>,
+    above: impl Iterator<Item = NodeId>,
+) -> impl Iterator<Item = NodeId> {
+    let (mut below, mut above) = (below.peekable(), above.peekable());
+    std::iter::from_fn(move || match (below.peek(), above.peek()) {
+        (Some(&lo), Some(&hi)) if t - lo <= hi - t => below.next(),
+        (Some(_), None) => below.next(),
+        (_, Some(_)) => above.next(),
+        (None, None) => None,
+    })
+}
+
+/// Outcome tally of one stream fan-out (see [`Squirrel::deliver_stream`]):
+/// the numbers every delivery shape must report identically.
+#[derive(Clone, Copy, Debug, Default)]
+struct DeliveryStats {
+    /// Receivers whose ccVolume applied the stream.
+    updated: u32,
+    /// Online receivers that did not (unreachable, abandoned, or lagging).
+    lagging: u32,
+    /// Simulated wall-clock seconds the whole fan-out took.
+    seconds: f64,
+    /// Bytes the storage tier transmitted (ledger delta).
+    storage_bytes: u64,
+    /// Bytes warm compute peers transmitted on its behalf (ledger delta).
+    peer_bytes: u64,
+    /// Receivers served by a peer (peer-assisted policy only).
+    peer_hits: u64,
+    /// Receivers the storage tier had to serve despite the peer-assisted
+    /// policy (no peer qualified yet).
+    peer_misses: u64,
+}
+
+/// The system: one scVolume, `compute_nodes` ccVolumes, a parallel FS for
+/// the raw images, and a simulated clock (days).
+pub struct Squirrel {
+    config: SquirrelConfig,
+    corpus: Arc<Corpus>,
+    net: Network,
+    gluster: GlusterVolume,
+    /// Erasure-coded physical layer of the shared tier, when
+    /// [`SharedStorage::ErasureCoded`] is configured: registration caches
+    /// are striped into k+m shards across racks, and cold-path reads serve
+    /// from any k (reconstructing through parity when domains are down).
+    ec: Option<ErasureCodedVolume>,
+    scvol: ZPool,
+    nodes: Vec<ComputeNode>,
+    registered: BTreeMap<ImageId, Registration>,
+    /// Boot counts per image (single boots count 1, storms count their VM
+    /// count) — the popularity signal hoard-budget eviction ranks by.
+    popularity: BTreeMap<ImageId, u64>,
+    day: u64,
+    snapshot_days: BTreeMap<String, u64>,
+    /// Monotonic registration counter: snapshot tags must be unique even
+    /// when an image is deregistered and registered again.
+    reg_seq: u64,
+    sim: BootSim,
+    registry: MetricsRegistry,
+    /// Unlabeled handle used by the workflow layer (`squirrel_*` series).
+    obs: Metrics,
+    /// Shared `pool="ccvol"` handle: every ccVolume — including ones rebuilt
+    /// on rejoin — records into the same commutative series, so parallel
+    /// stream application stays deterministic.
+    ccvol_obs: Metrics,
+    /// Armed fault schedule, if any. Consulted only from serial
+    /// orchestration code (never inside a parallel region), so one seed
+    /// yields one schedule at any thread count.
+    faults: Option<FaultPlan>,
+    /// One persistent worker pool shared by every parallel region: the
+    /// scVolume and all ccVolumes ingest through it, registration fans a
+    /// stream out to receivers on it, and boot storms serve reads and
+    /// replay boot timings on it. Workers spawn lazily on first use and
+    /// live for the system's lifetime.
+    workers: WorkerPool,
+}
+
+/// Adapter: expose a corpus image as a [`VirtualDisk`] for the registration
+/// boot chain.
+struct ImageDisk {
+    corpus: Arc<Corpus>,
+    image: ImageId,
+}
+
+impl VirtualDisk for ImageDisk {
+    fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
+        self.corpus.image(self.image).read_at(offset, buf);
+    }
+
+    fn len(&self) -> u64 {
+        self.corpus.image(self.image).virtual_bytes()
+    }
+}
+
+/// A materialized boot working set: `(offset, payload)` blocks in offset
+/// order, as captured by the registration's copy-on-read cache.
+type CacheBlocks = Vec<(u64, Arc<[u8]>)>;
+
+impl Squirrel {
+    /// Bring up the system for `corpus` (images known, none registered).
+    pub fn new(config: SquirrelConfig, corpus: Arc<Corpus>) -> Self {
+        assert!(config.storage_nodes >= 4, "gluster 2x2 needs four bricks");
+        let registry = MetricsRegistry::new();
+        let obs = if config.metrics { registry.handle() } else { Metrics::disabled() };
+        let ccvol_obs = obs.with_label("pool", "ccvol");
+        let mut net = Network::with_topology(
+            config.link,
+            config.compute_nodes,
+            config.storage_nodes,
+            config.topology,
+        );
+        net.set_metrics(&obs);
+        let root = config.storage_root();
+        let bricks: Vec<NodeId> = (root..root + 4).collect();
+        let gluster = GlusterVolume::new(GlusterConfig::default(), bricks);
+        let ec = match config.shared_storage {
+            SharedStorage::Replicated => None,
+            SharedStorage::ErasureCoded { k, m } => {
+                let candidates: Vec<NodeId> = (root..root + config.storage_nodes).collect();
+                Some(ErasureCodedVolume::new(
+                    EcConfig { k, m, shard_unit: 64 * 1024 },
+                    candidates,
+                ))
+            }
+        };
+        let workers = WorkerPool::new(config.threads);
+        let ccvol_cfg = Self::ccvol_pool_config(&config);
+        let nodes = (0..config.compute_nodes)
+            .map(|_| {
+                let mut ccvol = ZPool::new(ccvol_cfg);
+                ccvol.set_metrics(&ccvol_obs);
+                ccvol.set_worker_pool(workers.clone());
+                ComputeNode { ccvol, online: true, evicted: BTreeSet::new() }
+            })
+            .collect();
+        // The scVolume is the shared catalog: the hoard budget is a
+        // per-compute-node constraint and does not apply to it.
+        let mut scvol = ZPool::new(
+            PoolConfig::new(config.block_size, config.codec)
+                .with_threads(config.threads)
+                .with_chunking(config.pool_chunking())
+                .with_dedup_mode(config.dedup_mode),
+        );
+        scvol.set_metrics(&obs.with_label("pool", "scvol"));
+        scvol.set_worker_pool(workers.clone());
+        Squirrel {
+            config,
+            corpus,
+            net,
+            gluster,
+            ec,
+            scvol,
+            nodes,
+            registered: BTreeMap::new(),
+            popularity: BTreeMap::new(),
+            day: 0,
+            snapshot_days: BTreeMap::new(),
+            reg_seq: 0,
+            sim: BootSim::new(),
+            registry,
+            obs,
+            ccvol_obs,
+            faults: None,
+            workers,
+        }
+    }
+
+    /// Arm a deterministic fault schedule: registration deliveries go
+    /// through the lossy per-node path (drops, duplicates, transients,
+    /// in-flight bit flips, crashed receives) with bounded retries and
+    /// deterministic backoff. Disarm with [`Self::clear_fault_plan`].
+    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.faults = Some(plan);
+    }
+
+    /// Disarm the fault schedule, returning it (and its tally) if one was
+    /// armed.
+    pub fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
+        self.faults.take()
+    }
+
+    /// Tally of everything the armed plan has injected so far.
+    pub fn fault_report(&self) -> Option<FaultReport> {
+        self.faults.as_ref().map(|p| p.report())
+    }
+
+    /// The system's metrics registry. [`MetricsRegistry::snapshot`] after
+    /// any workflow sequence is bit-identical across `threads` settings;
+    /// see DESIGN.md's observability section for the contract.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.registry
+    }
+
+    pub fn config(&self) -> &SquirrelConfig {
+        &self.config
+    }
+
+    pub fn corpus(&self) -> &Corpus {
+        &self.corpus
+    }
+
+    /// The simulated clock, in days since bring-up.
+    pub fn today(&self) -> u64 {
+        self.day
+    }
+
+    /// Advance the clock (drives the GC window).
+    pub fn advance_days(&mut self, days: u64) {
+        self.day += days;
+    }
+
+    /// Pool configuration for compute nodes' ccVolumes: the hoard budget is
+    /// carried as a pool quota so the pool reports pressure. Also used when
+    /// a rejoin rebuilds a ccVolume from a full stream.
+    fn ccvol_pool_config(config: &SquirrelConfig) -> PoolConfig {
+        PoolConfig::new(config.block_size, config.codec)
+            .with_threads(config.threads)
+            .with_chunking(config.pool_chunking())
+            .with_dedup_mode(config.dedup_mode)
+            .with_quotas(config.hoard_budget.disk_bytes, config.hoard_budget.ddt_mem_bytes)
+    }
+
+    fn cache_file_name(image: ImageId) -> String {
+        format!("cache-{image:06}")
+    }
+
+    /// Replay the registration's copy-on-read boot to materialize `image`'s
+    /// cache: the boot trace drives reads through a CoR cache, capturing
+    /// exactly the working set. Deterministic — the same image yields the
+    /// same bytes — so the EC repair path can rebuild an authoritative copy
+    /// long after registration.
+    fn materialize_cache(&self, image: ImageId) -> (u64, CacheBlocks) {
+        let trace = self.corpus.image(image).cache().boot_trace();
+        let mut cor = CorCache::new(
+            ImageDisk { corpus: Arc::clone(&self.corpus), image },
+            self.config.block_size,
+        );
+        for op in &trace.ops {
+            let mut buf = vec![0u8; op.len as usize];
+            cor.read_at(op.offset, &mut buf);
+        }
+        (cor.cached_bytes(), cor.into_blocks())
+    }
+
+    /// Concatenate a cache's blocks (offset order) into the byte payload
+    /// the erasure-coded tier stripes.
+    fn ec_payload(blocks: &[(u64, Arc<[u8]>)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (_, data) in blocks {
+            out.extend_from_slice(data);
+        }
+        out
+    }
+
+    /// Inverse of [`Self::cache_file_name`].
+    fn image_of_cache_name(name: &str) -> Option<ImageId> {
+        name.strip_prefix("cache-")?.parse().ok()
+    }
+
+    fn snapshot_tag(image: ImageId, seq: u64) -> String {
+        format!("vmi-{image:06}-r{seq}")
+    }
+
+    fn node(&self, id: NodeId) -> Result<&ComputeNode, SquirrelError> {
+        self.nodes.get(id as usize).ok_or(SquirrelError::NoSuchNode(id))
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> Result<&mut ComputeNode, SquirrelError> {
+        self.node(id)?;
+        Ok(&mut self.nodes[id as usize])
+    }
+
+    /// The guard of every workflow that runs *on* a node.
+    fn online_node(&self, id: NodeId) -> Result<&ComputeNode, SquirrelError> {
+        let node = self.node(id)?;
+        if node.online {
+            Ok(node)
+        } else {
+            Err(SquirrelError::NodeOffline(id))
+        }
+    }
+
+    fn known_image(&self, image: ImageId) -> Result<(), SquirrelError> {
+        if (image as usize) < self.corpus.len() {
+            Ok(())
+        } else {
+            Err(SquirrelError::UnknownImage(image))
+        }
+    }
+
+    /// The member of `donors` nearest to `t` that has a live link to it.
+    /// Probes outward from `t`'s id in both directions, so with healthy
+    /// links the first candidate wins.
+    fn nearest_reachable(&self, donors: &BTreeSet<NodeId>, t: NodeId) -> Option<NodeId> {
+        nearest_first(t, donors.range(..t).rev().copied(), donors.range(t..).copied())
+            .find(|&d| self.net.is_reachable(d, t))
+    }
+
+    fn wants_peers(&self) -> bool {
+        self.config.distribution == DistributionPolicy::PeerAssisted
+    }
+
+    /// The one source picker for single-receiver transfers (rejoin
+    /// catch-up, re-hoard). Under [`DistributionPolicy::PeerAssisted`]: the
+    /// nearest peer — by node-id distance, the flat switch's stand-in for
+    /// topology — that is online, has a live link to `node` and passes
+    /// `proof`, the workflow's own donor check; that may walk a whole pool,
+    /// so it runs nearest-first and only until the first pass. The storage
+    /// root under every other policy, and whenever no peer qualifies.
+    fn pick_source(&self, node: NodeId, proof: impl Fn(&ComputeNode) -> bool) -> Source {
+        if !self.wants_peers() {
+            return Source::Storage;
+        }
+        nearest_first(node, (0..node).rev(), node + 1..self.nodes.len() as NodeId)
+            .find(|&p| {
+                let peer = &self.nodes[p as usize];
+                peer.online && self.net.is_reachable(p, node) && proof(peer)
+            })
+            .map_or(Source::Storage, Source::Peer)
+    }
+
+    /// [`Self::pick_source`] as filter-everything-then-minimum: its oracle.
+    #[cfg(test)]
+    fn pick_source_oracle(&self, node: NodeId, proof: impl Fn(&ComputeNode) -> bool) -> Source {
+        (0..self.nodes.len() as NodeId)
+            .filter(|&p| {
+                let peer = &self.nodes[p as usize];
+                p != node && peer.online && self.net.is_reachable(p, node) && proof(peer)
+            })
+            .min_by_key(|&p| (p.abs_diff(node), p))
+            .filter(|_| self.wants_peers())
+            .map_or(Source::Storage, Source::Peer)
+    }
+
+    fn source_id(&self, src: Source) -> NodeId {
+        src.peer().unwrap_or(self.config.storage_root())
+    }
+
+    fn source_pool(&self, src: Source) -> &ZPool {
+        match src {
+            Source::Storage => &self.scvol,
+            Source::Peer(p) => &self.nodes[p as usize].ccvol,
+        }
+    }
+
+    fn source_pool_mut(&mut self, src: Source) -> &mut ZPool {
+        match src {
+            Source::Storage => &mut self.scvol,
+            Source::Peer(p) => &mut self.nodes[p as usize].ccvol,
+        }
+    }
+
+    /// Account one completed single-receiver transfer of `bytes` served by
+    /// `src`: all on the storage ledger or all on the peer ledger, one peer
+    /// hit — or, when a peer was wanted and none qualified, one miss.
+    fn record_transfer(&self, src: Source, bytes: u64, seconds: f64) {
+        let from_peer = src.peer().is_some();
+        self.record_dist(&DeliveryStats {
+            updated: 1,
+            seconds,
+            storage_bytes: if from_peer { 0 } else { bytes },
+            peer_bytes: if from_peer { bytes } else { 0 },
+            peer_hits: u64::from(from_peer),
+            peer_misses: u64::from(!from_peer && self.wants_peers()),
+            ..DeliveryStats::default()
+        });
+    }
+
+    /// Record the distribution counters for one completed fan-out or
+    /// restore transfer. Same series regardless of shape or fault state.
+    fn record_dist(&self, stats: &DeliveryStats) {
+        self.obs.add_with(
+            "squirrel_dist_transfers_total",
+            &[("policy", self.config.distribution.name())],
+            1,
+        );
+        self.obs.add("squirrel_dist_storage_bytes_total", stats.storage_bytes);
+        self.obs.add("squirrel_dist_peer_bytes_total", stats.peer_bytes);
+        self.obs.add("squirrel_dist_peer_hits_total", stats.peer_hits);
+        self.obs.add("squirrel_dist_peer_misses_total", stats.peer_misses);
+        self.obs
+            .observe("squirrel_dist_transfer_seconds_ms", (stats.seconds * 1000.0).round() as u64);
+    }
+
+    /// Unlabeled workflow metrics handle, for sibling orchestration modules
+    /// in this crate (the fleet driver records `squirrel_fleet_*` series
+    /// through it).
+    pub(crate) fn obs_handle(&self) -> &Metrics {
+        &self.obs
+    }
+
+    // --- introspection for experiments and tests ---------------------------
+
+    pub fn registered_images(&self) -> Vec<ImageId> {
+        self.registered.keys().copied().collect()
+    }
+
+    /// Registration record of `image`, if registered.
+    pub fn registration_info(&self, image: ImageId) -> Option<RegistrationInfo> {
+        self.registered.get(&image).map(|r| RegistrationInfo {
+            image,
+            snapshot_tag: r.snapshot_tag.clone(),
+            day: r.day,
+        })
+    }
+
+    pub fn is_registered(&self, image: ImageId) -> bool {
+        self.registered.contains_key(&image)
+    }
+
+    pub fn scvol_stats(&self) -> SpaceStats {
+        self.scvol.stats()
+    }
+
+    pub fn ccvol_stats(&self, node: NodeId) -> Option<SpaceStats> {
+        self.nodes.get(node as usize).map(|n| n.ccvol.stats())
+    }
+
+    pub fn ccvol_file_count(&self, node: NodeId) -> Option<usize> {
+        self.nodes.get(node as usize).map(|n| n.ccvol.file_count())
+    }
+
+    pub fn node_is_online(&self, node: NodeId) -> bool {
+        self.nodes.get(node as usize).is_some_and(|n| n.online)
+    }
+
+    pub fn network(&self) -> &Network {
+        &self.net
+    }
+
+    pub fn network_mut(&mut self) -> &mut Network {
+        &mut self.net
+    }
+}
+
+/// The unit tests' shared fixtures: every workflow file builds its systems
+/// here, over one 8-image corpus with 16 KiB records.
+#[cfg(test)]
+mod testkit {
+    pub use super::*;
+    pub use squirrel_cluster::{LinkKind, TopologyConfig};
+    pub use squirrel_dataset::rng::SplitMix64;
+    pub use squirrel_dataset::CorpusConfig;
+    pub use squirrel_zfs::{ChunkStrategy, DedupMode};
+
+    pub fn corpus() -> Arc<Corpus> {
+        Arc::new(Corpus::generate(CorpusConfig::test_corpus(8, 77)))
+    }
+
+    /// `nodes` compute nodes over `corpus`, with whatever `tune` overrides.
+    pub fn system_on(
+        corpus: Arc<Corpus>,
+        nodes: u32,
+        tune: impl FnOnce(&mut SquirrelConfig),
+    ) -> Squirrel {
+        let mut config =
+            SquirrelConfig { compute_nodes: nodes, block_size: 16 * 1024, ..Default::default() };
+        tune(&mut config);
+        Squirrel::new(config, corpus)
+    }
+
+    pub fn system_with(nodes: u32, tune: impl FnOnce(&mut SquirrelConfig)) -> Squirrel {
+        system_on(corpus(), nodes, tune)
+    }
+
+    /// Heal every link, then damage the network at random: scattered
+    /// single-link cuts, a few receivers the storage tier cannot reach, one
+    /// `hermit` reachable by nobody, and a neighbourhood around `centre`
+    /// cut off from everyone near it, so an outward probe has to walk past
+    /// dead candidates. Returns `(hermit, centre)`.
+    pub fn cut_links(sq: &mut Squirrel, rng: &mut SplitMix64) -> (NodeId, NodeId) {
+        let nodes = sq.config.compute_nodes;
+        let root = sq.config.storage_root();
+        let net = sq.network_mut();
+        net.heal_all();
+        for _ in 0..3000 {
+            let (a, b) = (rng.below(nodes.into()) as NodeId, rng.below(nodes.into()) as NodeId);
+            net.partition(a, b);
+        }
+        let hermit = rng.below(nodes.into()) as NodeId;
+        for _ in 0..20 {
+            net.partition(root, rng.below(nodes.into()) as NodeId);
+        }
+        for other in 0..=nodes {
+            net.partition(hermit, other);
+        }
+        let centre = rng.range(100, u64::from(nodes) - 100) as NodeId;
+        for a in centre - 5..centre + 5 {
+            for b in centre - 60..centre + 60 {
+                net.partition(a, b);
+            }
+        }
+        (hermit, centre)
+    }
+
+    pub fn small_system(nodes: u32) -> Squirrel {
+        system_with(nodes, |_| {})
+    }
+
+    pub fn budgeted_system(nodes: u32, budget: HoardBudget) -> Squirrel {
+        system_with(nodes, |c| c.hoard_budget = budget)
+    }
+
+    /// Four compute nodes and eight storage nodes on 2 × 2 racks, with a
+    /// 4+2 erasure-coded shared tier.
+    pub fn ec_system() -> Squirrel {
+        system_with(4, |c| {
+            c.storage_nodes = 8;
+            c.topology = TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 };
+            c.shared_storage = SharedStorage::ErasureCoded { k: 4, m: 2 };
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testkit::*;
+
+    #[test]
+    fn errors_on_unknown_entities() {
+        let mut sq = small_system(1);
+        assert!(matches!(sq.register(999), Err(SquirrelError::UnknownImage(999))));
+        sq.register(1).expect("first");
+        assert!(matches!(sq.register(1), Err(SquirrelError::AlreadyRegistered(1))));
+        assert!(matches!(sq.deregister(0), Err(SquirrelError::NotRegistered(0))));
+        assert!(matches!(sq.boot(9, 0), Err(SquirrelError::NoSuchNode(9))));
+        assert!(matches!(sq.node_offline(9), Err(SquirrelError::NoSuchNode(9))));
+    }
+
+    #[test]
+    fn workflow_metrics_land_in_one_snapshot() {
+        let mut sq = small_system(2);
+        let r = sq.register(0).expect("register");
+        sq.boot(0, 0).expect("warm boot");
+        sq.boot(1, 3).expect("cold boot");
+        let _ = sq.gc();
+        let snap = sq.metrics().snapshot();
+        assert_eq!(snap.counter("squirrel_register_total"), Some(1));
+        assert_eq!(
+            snap.counter("squirrel_register_wire_bytes_total"),
+            Some(r.diff_wire_bytes)
+        );
+        assert_eq!(
+            snap.counter("squirrel_boot_total{node=\"0\",result=\"warm\"}"),
+            Some(1)
+        );
+        assert_eq!(
+            snap.counter("squirrel_boot_total{node=\"1\",result=\"cold\"}"),
+            Some(1)
+        );
+        assert_eq!(snap.counter("squirrel_gc_runs_total"), Some(1));
+        assert!(snap.gauge_u64("squirrel_scvol_ddt_entries").unwrap() > 0);
+        // The pool layers reported through the same registry.
+        assert!(snap.counter("zpool_ingest_blocks_total{pool=\"scvol\"}").unwrap() > 0);
+        assert!(snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}").unwrap() >= 2);
+        assert!(snap.counter_sum("net_tx_bytes_total") > 0);
+        // Workflow events are journaled in order.
+        let names: Vec<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, vec!["register", "boot", "boot", "gc"]);
+    }
+
+    #[test]
+    fn source_picker_equals_the_scan_everything_oracle() {
+        const NODES: u32 = 1000;
+        let mut sq = system_with(NODES, |c| c.distribution = DistributionPolicy::PeerAssisted);
+        sq.register(0).expect("register");
+        let (mut far_picks, mut storage_picks) = (0, 0);
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::from_parts(&[seed, 0x50c3]);
+            // Sleepers miss this round's registration. Half stay offline;
+            // half are switched back on without a catch-up, so they are
+            // online but behind the tip.
+            let sleepers: Vec<NodeId> = (0..60).map(|_| rng.below(NODES.into()) as NodeId).collect();
+            for &n in &sleepers {
+                sq.node_offline(n).expect("offline");
+            }
+            sq.register(seed as ImageId + 1).expect("register");
+            for &n in &sleepers[..30] {
+                sq.nodes[n as usize].online = true;
+            }
+            let tip = sq.scvol.latest_snapshot().expect("tip").to_string();
+            let (hermit, centre) = cut_links(&mut sq, &mut rng);
+            let mut any = move || rng.below(NODES.into()) as NodeId;
+            // Donors that fail the proofs: evicted copies, rotted records.
+            for _ in 0..150 {
+                let _ = sq.evict_cache(any(), 0).expect("evict");
+                sq.corrupt_cc_block(any(), u64::from(any()));
+            }
+
+            let probes: Vec<NodeId> =
+                (0..30).map(|_| any()).chain([hermit, centre - 5, centre, centre + 4]).collect();
+            for &t in &probes {
+                for (what, pick, oracle) in [
+                    (
+                        "rejoin",
+                        sq.pick_source(t, |p| p.mirrors(&tip)),
+                        sq.pick_source_oracle(t, |p| p.mirrors(&tip)),
+                    ),
+                    (
+                        "rehoard",
+                        sq.pick_source(t, |p| p.can_donate(0)),
+                        sq.pick_source_oracle(t, |p| p.can_donate(0)),
+                    ),
+                ] {
+                    assert_eq!(pick, oracle, "seed {seed} {what} donor for node {t}");
+                    far_picks += usize::from(pick.peer().is_some_and(|p| p.abs_diff(t) > 50));
+                    storage_picks += usize::from(pick == Source::Storage);
+                }
+            }
+            // The workflow asks for the donor the oracle names.
+            for t in probes {
+                if t == hermit || !sq.node_is_online(t) {
+                    continue;
+                }
+                let _ = sq.evict_cache(t, 0).expect("evict");
+                let want = sq.pick_source_oracle(t, |p| p.can_donate(0));
+                match sq.rehoard_cache(t, 0) {
+                    Ok(r) => assert_eq!(r.peer, want.peer(), "seed {seed} node {t}"),
+                    Err(e) => assert_eq!(want, Source::Storage, "seed {seed} node {t}: {e}"),
+                }
+            }
+        }
+        assert!(far_picks > 0 && storage_picks > 0, "{far_picks} far, {storage_picks} storage");
+    }
+}

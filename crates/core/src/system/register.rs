@@ -1,0 +1,811 @@
+//! Registration (paper §3.2) and its inverse (§3.4): first boot, snapshot,
+//! the fan-out planner and the two delivery executors that carry the diff
+//! to every online node; deregistration and snapshot garbage collection.
+
+use super::{DeliveryStats, Registration, Squirrel};
+use super::{GcReport, RegisterReport, SquirrelError};
+use crate::dist::{DistributionPolicy, TransferLeg, TransferPlan};
+use crate::trace::paper_scale_trace;
+#[cfg(doc)]
+use squirrel_cluster::Network;
+use squirrel_cluster::NodeId;
+use squirrel_dataset::ImageId;
+use squirrel_faults::{FaultPlan, TransferFault};
+use squirrel_zfs::{RecvError, SendStream, ZPool};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// How one receiver's `recv` outcome is treated — shared by the faulty and
+/// fault-free delivery paths so their classifications cannot drift.
+enum RecvDisposition {
+    /// Stream applied (or an earlier duplicate already had).
+    Delivered,
+    /// The receiver lags: its base snapshot is missing (it slept through
+    /// earlier registrations) or budget-evicted blocks the diff counts on
+    /// are gone. Retrying the same stream cannot help; the rejoin/repair
+    /// workflows own the catch-up.
+    Lagging,
+    /// Transient rejection (corrupt payload, unresolvable pointer): worth
+    /// a bounded retry under a fault plan, fatal on the clean path.
+    Retryable(RecvError),
+}
+
+fn classify_recv(result: Result<(), RecvError>) -> RecvDisposition {
+    match result {
+        Ok(()) | Err(RecvError::DuplicateTip(_)) => RecvDisposition::Delivered,
+        Err(RecvError::MissingBase(_)) | Err(RecvError::MissingBlock(_)) => {
+            RecvDisposition::Lagging
+        }
+        Err(e) => RecvDisposition::Retryable(e),
+    }
+}
+
+impl Squirrel {
+    /// Register an image (paper Section 3.2): first boot on a storage node
+    /// behind a copy-on-read cache, store the cache into the scVolume,
+    /// snapshot, and multicast the incremental diff to online nodes.
+    pub fn register(&mut self, image: ImageId) -> Result<RegisterReport, SquirrelError> {
+        self.known_image(image)?;
+        if self.registered.contains_key(&image) {
+            return Err(SquirrelError::AlreadyRegistered(image));
+        }
+        let mut span = self.obs.span("register");
+        span.field("image", image);
+
+        // 1. First boot behind a CoR cache on the storage node. The cache
+        //    captures exactly the boot working set.
+        let (cache_bytes, blocks) = self.materialize_cache(image);
+
+        // 2. Move the cache from memory into the scVolume through the
+        //    staged pipeline: hashing and compression fan out over workers,
+        //    the dedup/file-table commit stays serial and in block order,
+        //    so the pool state matches a write_block replay exactly.
+        let name = Self::cache_file_name(image);
+        self.scvol.import_blocks_parallel(&name, &blocks);
+
+        // 2b. Under erasure-coded shared storage, the cache's physical
+        //     bytes also stripe into k+m shards across racks — the layer a
+        //     rack loss actually tests.
+        if let Some(ec) = self.ec.as_mut() {
+            let payload = Self::ec_payload(&blocks);
+            ec.write(&mut self.net, self.config.storage_root(), &name, &payload)
+                .map_err(SquirrelError::Ec)?;
+        }
+
+        // 3. Snapshot the scVolume for this registration.
+        self.reg_seq += 1;
+        let tag = Self::snapshot_tag(image, self.reg_seq);
+        self.scvol.snapshot(&tag);
+        self.snapshot_days.insert(tag.clone(), self.day);
+
+        // 4. Distribute the incremental diff to all online compute nodes
+        //    under the configured DistributionPolicy. With a fault plan
+        //    armed, delivery goes per node through the lossy path (retry +
+        //    deterministic backoff); either way the one executor charges
+        //    the ledgers and dist counters.
+        let stream = self.scvol.send_latest().map_err(SquirrelError::Send)?;
+        let wire = stream.wire_bytes();
+        let online: Vec<NodeId> = (0..self.nodes.len() as u32)
+            .filter(|&n| self.nodes[n as usize].online)
+            .collect();
+        let delivery = self.deliver_stream(&stream, &online)?;
+
+        // First boot takes a normal boot's time (paper: ~20 s), snapshot
+        // creation is cheap, multicast as computed.
+        let first_boot = self
+            .sim
+            .boot(
+                &paper_scale_trace(self.paper_ws_bytes(image), image as u64),
+                &self.cold_backend(image),
+            )
+            .total_seconds;
+
+        self.registered.insert(image, Registration { snapshot_tag: tag.clone(), day: self.day });
+        // A delivered stream mirrors the scVolume's tip, restoring any cache
+        // the budget policy had evicted: clear the marks for restored files.
+        self.reconcile_evictions();
+
+        self.obs.inc("squirrel_register_total");
+        self.obs.add("squirrel_register_wire_bytes_total", wire);
+        self.obs.add("squirrel_register_cache_bytes_total", cache_bytes);
+        let sc = self.scvol.stats();
+        self.obs.set_gauge("squirrel_registered_images", self.registered.len() as u64);
+        self.obs.set_gauge("squirrel_scvol_ddt_entries", sc.unique_blocks);
+        self.obs.set_gauge("squirrel_scvol_disk_bytes", sc.total_disk_bytes());
+        self.obs.set_gauge("squirrel_scvol_ddt_mem_bytes", sc.ddt_memory_bytes);
+        span.field("cache_bytes", cache_bytes);
+        span.field("wire_bytes", wire);
+        span.field("nodes_updated", u64::from(delivery.updated));
+        span.field("nodes_lagging", u64::from(delivery.lagging));
+        span.field("snapshot_tag", tag.as_str());
+
+        Ok(RegisterReport {
+            image,
+            cache_bytes,
+            diff_wire_bytes: wire,
+            nodes_updated: delivery.updated,
+            nodes_lagging: delivery.lagging,
+            seconds: first_boot + 1.0 + delivery.seconds,
+            snapshot_tag: tag,
+        })
+    }
+
+    /// Resolve the configured [`DistributionPolicy`] into a deterministic
+    /// [`TransferPlan`] for fanning one payload out to `targets`: which
+    /// link carries each copy, in which parallel round, and which
+    /// receivers have no usable source at all (they stay lagging).
+    /// Partitions are respected through [`Network::is_reachable`]. Only
+    /// consulted from serial orchestration code, so one configuration
+    /// yields one plan at any thread count.
+    pub fn plan_fanout(&self, targets: &[NodeId], payload_bytes: u64) -> TransferPlan {
+        let root = self.config.storage_root();
+        let policy = self.config.distribution;
+        let mut plan = TransferPlan::new(policy, root, payload_bytes);
+        match policy {
+            DistributionPolicy::Unicast => {
+                // Serial storage uplink: one leg per receiver, one round
+                // each — the cost model the paper's Section 3.2 worries
+                // about at fleet scale.
+                let mut round = 0u32;
+                for &t in targets {
+                    if self.net.is_reachable(root, t) {
+                        plan.legs.push(TransferLeg { src: root, dst: t, round, from_peer: false });
+                        round += 1;
+                    } else {
+                        plan.unreachable.push(t);
+                    }
+                }
+            }
+            DistributionPolicy::Multicast { .. } | DistributionPolicy::Pipeline => {
+                // Group shapes ride one charged network call over every
+                // receiver the storage tier can reach.
+                for &t in targets {
+                    if self.net.is_reachable(root, t) {
+                        plan.group.push(t);
+                    } else {
+                        plan.unreachable.push(t);
+                    }
+                }
+            }
+            DistributionPolicy::PeerAssisted => self.plan_peer_rounds(targets, &mut plan),
+        }
+        plan
+    }
+
+    /// Doubling rounds for the peer-assisted shape: the storage tier seeds
+    /// the first copy; every delivered receiver becomes a donor and serves
+    /// its nearest pending receiver in later rounds, so capacity doubles
+    /// per round. The storage tier steps back in (one receiver per round)
+    /// only for receivers partitioned from every donor.
+    fn plan_peer_rounds(&self, targets: &[NodeId], plan: &mut TransferPlan) {
+        let root = plan.root;
+        let mut donors: BTreeSet<NodeId> = BTreeSet::new();
+        let mut pending: Vec<NodeId> = targets.to_vec();
+        let mut round = 0u32;
+        while !pending.is_empty() {
+            // Donors not yet serving anyone this round, ordered by id so
+            // the nearest one is found by probing outward from the receiver.
+            let mut idle = donors.clone();
+            let mut root_used = false;
+            let mut served: Vec<NodeId> = Vec::new();
+            let mut waiting: Vec<NodeId> = Vec::new();
+            for &t in &pending {
+                if let Some(d) = self.nearest_reachable(&idle, t) {
+                    idle.remove(&d);
+                    plan.legs.push(TransferLeg {
+                        src: d,
+                        dst: t,
+                        round,
+                        from_peer: true,
+                    });
+                    served.push(t);
+                } else if donors.iter().any(|&d| self.net.is_reachable(d, t)) {
+                    // Every donor that could serve it is busy this round.
+                    waiting.push(t);
+                } else if self.net.is_reachable(root, t) {
+                    if root_used {
+                        waiting.push(t);
+                    } else {
+                        root_used = true;
+                        plan.legs.push(TransferLeg {
+                            src: root,
+                            dst: t,
+                            round,
+                            from_peer: false,
+                        });
+                        served.push(t);
+                    }
+                } else if targets
+                    .iter()
+                    .any(|&o| o != t && self.net.is_reachable(o, t))
+                {
+                    // A future donor might still reach it.
+                    waiting.push(t);
+                } else {
+                    plan.unreachable.push(t);
+                }
+            }
+            if served.is_empty() {
+                // No source can make progress; whatever is left stays
+                // lagging until links heal.
+                plan.unreachable.append(&mut waiting);
+                break;
+            }
+            donors.extend(served);
+            pending = waiting;
+            round += 1;
+        }
+    }
+
+    /// The planner as first written — every donor scanned for every pending
+    /// receiver every round — kept as the oracle [`Self::plan_peer_rounds`]
+    /// must equal leg for leg.
+    #[cfg(test)]
+    fn plan_peer_rounds_oracle(&self, targets: &[NodeId], plan: &mut TransferPlan) {
+        let root = plan.root;
+        let mut donors: Vec<NodeId> = Vec::new();
+        let mut pending: Vec<NodeId> = targets.to_vec();
+        let mut round = 0u32;
+        while !pending.is_empty() {
+            let mut busy: BTreeSet<NodeId> = BTreeSet::new();
+            let mut root_used = false;
+            let mut served: Vec<NodeId> = Vec::new();
+            let mut waiting: Vec<NodeId> = Vec::new();
+            for &t in &pending {
+                let donor = donors
+                    .iter()
+                    .copied()
+                    .filter(|&d| !busy.contains(&d) && self.net.is_reachable(d, t))
+                    .min_by_key(|&d| (d.abs_diff(t), d));
+                if let Some(d) = donor {
+                    busy.insert(d);
+                    plan.legs.push(TransferLeg { src: d, dst: t, round, from_peer: true });
+                    served.push(t);
+                } else if donors.iter().any(|&d| self.net.is_reachable(d, t)) {
+                    // Every donor that could serve it is busy this round.
+                    waiting.push(t);
+                } else if self.net.is_reachable(root, t) {
+                    if root_used {
+                        waiting.push(t);
+                    } else {
+                        root_used = true;
+                        plan.legs
+                            .push(TransferLeg { src: root, dst: t, round, from_peer: false });
+                        served.push(t);
+                    }
+                } else if targets.iter().any(|&o| o != t && self.net.is_reachable(o, t)) {
+                    // A future donor might still reach it.
+                    waiting.push(t);
+                } else {
+                    plan.unreachable.push(t);
+                }
+            }
+            if served.is_empty() {
+                // No source can make progress; whatever is left stays
+                // lagging until links heal.
+                plan.unreachable.append(&mut waiting);
+                break;
+            }
+            donors.extend(served);
+            pending = waiting;
+            round += 1;
+        }
+    }
+
+    /// The one fan-out executor behind [`Self::register`]: resolve the
+    /// configured policy into a [`TransferPlan`], charge the network per
+    /// shape (or run the lossy per-node path when a fault plan is armed),
+    /// apply the stream to every receiver that got a copy, and record the
+    /// `squirrel_dist_*` counters — identically for every shape.
+    fn deliver_stream(
+        &mut self,
+        stream: &SendStream,
+        online: &[NodeId],
+    ) -> Result<DeliveryStats, SquirrelError> {
+        let storage_tx0 = self.net.storage_tx_total();
+        let compute_tx0 = self.net.compute_tx_total();
+        let mut stats = if let Some(mut plan) = self.faults.take() {
+            let stats = self.deliver_with_faults(&mut plan, stream, online);
+            self.faults = Some(plan);
+            stats
+        } else {
+            self.deliver_clean(stream, online)?
+        };
+        // Byte attribution comes from the ledgers themselves, so every
+        // shape (and the fault path's retries and duplicates) is counted
+        // by what actually crossed each link.
+        stats.storage_bytes = self.net.storage_tx_total() - storage_tx0;
+        stats.peer_bytes = self.net.compute_tx_total() - compute_tx0;
+        self.record_dist(&stats);
+        Ok(stats)
+    }
+
+    /// Fault-free delivery: charge the plan's group call or legs, then
+    /// apply the one prepared stream to every receiver that got a copy
+    /// concurrently (N independent receivers, bit-identical at any thread
+    /// count).
+    fn deliver_clean(
+        &mut self,
+        stream: &SendStream,
+        online: &[NodeId],
+    ) -> Result<DeliveryStats, SquirrelError> {
+        let wire = stream.wire_bytes();
+        let plan = self.plan_fanout(online, wire);
+        let mut seconds = 0.0f64;
+        let mut peer_hits = 0u64;
+        let mut peer_misses = 0u64;
+        let mut delivered: BTreeSet<NodeId> = BTreeSet::new();
+
+        // Group shapes ride one charged network call. A cut compute-to-
+        // compute relay edge fails the group atomically; delivery then
+        // degrades to serial unicast from the storage tier rather than
+        // failing the registration.
+        let mut legs = plan.legs.clone();
+        if !plan.group.is_empty() {
+            let result = match plan.policy {
+                DistributionPolicy::Multicast { fanout } => {
+                    self.net.try_tree_multicast(plan.root, &plan.group, wire, fanout)
+                }
+                _ => self.net.try_pipeline(plan.root, &plan.group, wire),
+            };
+            match result {
+                Ok(r) => {
+                    seconds += r.seconds;
+                    delivered.extend(plan.group.iter().copied());
+                }
+                Err(_) => {
+                    legs = plan
+                        .group
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &dst)| TransferLeg {
+                            src: plan.root,
+                            dst,
+                            round: i as u32,
+                            from_peer: false,
+                        })
+                        .collect();
+                }
+            }
+        }
+
+        // Leg shapes: legs sharing a round overlap in time, rounds
+        // serialize — so peer-assisted fan-out costs one payload time per
+        // doubling round while serial unicast costs one per receiver.
+        let mut round_secs: BTreeMap<u32, f64> = BTreeMap::new();
+        for leg in &legs {
+            // The plan was resolved against this same network state, so a
+            // failing leg means a malformed plan; the receiver simply
+            // stays lagging.
+            if let Ok(r) = self.net.try_unicast(leg.src, leg.dst, wire) {
+                delivered.insert(leg.dst);
+                if leg.from_peer {
+                    peer_hits += 1;
+                } else if plan.policy == DistributionPolicy::PeerAssisted {
+                    peer_misses += 1;
+                }
+                let slot = round_secs.entry(leg.round).or_insert(0.0);
+                *slot = slot.max(r.seconds);
+            }
+        }
+        seconds += round_secs.values().sum::<f64>();
+
+        let workers = self.workers.clone();
+        let targets: Vec<&mut ZPool> = self
+            .nodes
+            .iter_mut()
+            .enumerate()
+            .filter(|(i, _)| delivered.contains(&(*i as NodeId)))
+            .map(|(_, n)| &mut n.ccvol)
+            .collect();
+        let mut updated = 0u32;
+        for result in stream.apply_all_on(targets, &workers) {
+            match classify_recv(result) {
+                RecvDisposition::Delivered => updated += 1,
+                RecvDisposition::Lagging => {}
+                // A stream built straight off the scVolume resolves every
+                // block — but an injected-corrupt scVolume can produce a
+                // rejected stream, so surface anything else instead of
+                // asserting.
+                RecvDisposition::Retryable(e) => return Err(SquirrelError::Recv(e)),
+            }
+        }
+        Ok(DeliveryStats {
+            updated,
+            lagging: online.len() as u32 - updated,
+            seconds,
+            peer_hits,
+            peer_misses,
+            ..DeliveryStats::default()
+        })
+    }
+
+    /// Deliver one registration stream to every online node over the lossy
+    /// network: each node is served independently with bounded retries and
+    /// deterministic exponential backoff (charged in simulated seconds).
+    /// Every fault decision is drawn here, serially — never inside a worker
+    /// thread — so a plan seed yields one schedule at any thread count.
+    /// Under [`DistributionPolicy::PeerAssisted`] a receiver that took the
+    /// stream earlier in this call donates to later receivers (nearest
+    /// reachable donor; the storage tier is the fallback). Nodes whose
+    /// delivery is abandoned stay lagging; the repair workflow
+    /// ([`Self::repair_replication`]) catches them up.
+    fn deliver_with_faults(
+        &mut self,
+        plan: &mut FaultPlan,
+        stream: &SendStream,
+        online: &[NodeId],
+    ) -> DeliveryStats {
+        let storage_src = self.config.storage_root();
+        let peer_policy = self.config.distribution == DistributionPolicy::PeerAssisted;
+        let framed = stream.encode_framed();
+        let wire = stream.wire_bytes();
+        let mut updated = 0u32;
+        let mut secs = 0.0f64;
+        let mut peer_hits = 0u64;
+        let mut peer_misses = 0u64;
+        let mut donors: BTreeSet<NodeId> = BTreeSet::new();
+        for &node in online {
+            let src = if peer_policy {
+                self.nearest_reachable(&donors, node).unwrap_or(storage_src)
+            } else {
+                storage_src
+            };
+            let mut delivered = false;
+            for attempt in 0..=plan.max_retries() {
+                if attempt > 0 {
+                    plan.note_retry();
+                    self.obs.inc("squirrel_fault_retries_total");
+                    secs += plan.backoff_secs(attempt - 1);
+                }
+                let fault = plan.transfer_fault();
+                if fault == TransferFault::Transient {
+                    // The link errors before any bytes move.
+                    self.obs.inc("squirrel_fault_net_transients_total");
+                    continue;
+                }
+                // Bytes move for drops, duplicates and clean deliveries
+                // alike — a dropped stream still consumed the wire.
+                let t = match self.net.try_unicast(src, node, wire) {
+                    Ok(r) => r.seconds,
+                    Err(_) => {
+                        // Link partitioned: nothing was charged; burn the
+                        // attempt (the cut may heal between workflow steps).
+                        self.obs.inc("squirrel_fault_partitioned_total");
+                        continue;
+                    }
+                };
+                secs += t;
+                if fault == TransferFault::Drop {
+                    self.obs.inc("squirrel_fault_net_drops_total");
+                    continue;
+                }
+                if fault == TransferFault::Duplicate {
+                    // The frame arrives twice; the second copy is charged
+                    // and discarded by the transactional recv's tip check.
+                    if let Ok(r) = self.net.try_unicast(src, node, wire) {
+                        secs += r.seconds;
+                    }
+                    self.obs.inc("squirrel_fault_net_duplicates_total");
+                }
+                // In-flight corruption: flip one bit of this node's copy.
+                // The frame checksum catches it before anything is applied.
+                let mut bytes = framed.clone();
+                if plan.corrupt_stream(&mut bytes) {
+                    self.obs.inc("squirrel_fault_stream_corruptions_total");
+                }
+                let decoded = match SendStream::decode_framed(&bytes) {
+                    Ok(s) => s,
+                    Err(_) => continue,
+                };
+                let ccvol = &mut self.nodes[node as usize].ccvol;
+                if plan.crash_mid_recv() {
+                    // Validate, then die before the apply phase: the pool is
+                    // untouched and the retry starts clean.
+                    self.obs.inc("squirrel_fault_recv_crashes_total");
+                    let _ = ccvol.recv_crashed(&decoded);
+                    continue;
+                }
+                match classify_recv(ccvol.recv(&decoded)) {
+                    RecvDisposition::Delivered => {
+                        delivered = true;
+                        updated += 1;
+                        break;
+                    }
+                    RecvDisposition::Lagging => break,
+                    // Corrupt source payload or unresolvable pointer:
+                    // bounded retries, then give up.
+                    RecvDisposition::Retryable(_) => continue,
+                }
+            }
+            if delivered {
+                if peer_policy {
+                    if src == storage_src {
+                        peer_misses += 1;
+                    } else {
+                        peer_hits += 1;
+                    }
+                }
+                donors.insert(node);
+            } else {
+                plan.note_giveup();
+                self.obs.inc("squirrel_fault_giveups_total");
+            }
+        }
+        DeliveryStats {
+            updated,
+            lagging: online.len() as u32 - updated,
+            seconds: secs,
+            peer_hits,
+            peer_misses,
+            ..DeliveryStats::default()
+        }
+    }
+
+    /// Deregister an image (paper Section 3.4): delete the VMI and its
+    /// cache from the scVolume. No snapshot is taken; the deletion reaches
+    /// ccVolumes with the next registration's diff.
+    pub fn deregister(&mut self, image: ImageId) -> Result<(), SquirrelError> {
+        let reg = self
+            .registered
+            .remove(&image)
+            .ok_or(SquirrelError::NotRegistered(image))?;
+        let _ = reg;
+        let name = Self::cache_file_name(image);
+        self.scvol.delete_file(&name);
+        if let Some(ec) = self.ec.as_mut() {
+            ec.remove_object(&name);
+        }
+        Ok(())
+    }
+
+    /// Daily garbage collection (paper Section 3.4): on every cVolume, keep
+    /// snapshots from the last `n` days plus the latest one regardless of
+    /// age.
+    pub fn gc(&mut self) -> GcReport {
+        let mut span = self.obs.span("gc");
+        let before = self.scvol.stats().total_disk_bytes();
+        let cutoff = self.day.saturating_sub(self.config.gc_window_days);
+        let latest = self.scvol.latest_snapshot().map(|s| s.to_string());
+        let doomed: Vec<String> = self
+            .scvol
+            .snapshot_tags()
+            .iter()
+            .filter(|t| {
+                Some(**t) != latest.as_deref()
+                    && self.snapshot_days.get(**t).copied().unwrap_or(0) < cutoff
+            })
+            .map(|t| t.to_string())
+            .collect();
+        for tag in &doomed {
+            self.scvol.destroy_snapshot(tag);
+            for node in &mut self.nodes {
+                node.ccvol.destroy_snapshot(tag);
+            }
+            self.snapshot_days.remove(tag);
+        }
+        let after = self.scvol.stats().total_disk_bytes();
+        let report = GcReport {
+            snapshots_collected: doomed.len() as u32,
+            bytes_reclaimed: before.saturating_sub(after),
+        };
+        self.obs.inc("squirrel_gc_runs_total");
+        self.obs.add("squirrel_gc_snapshots_total", u64::from(report.snapshots_collected));
+        self.obs.add("squirrel_gc_bytes_reclaimed_total", report.bytes_reclaimed);
+        self.obs.set_gauge("squirrel_scvol_disk_bytes", after);
+        span.field("snapshots_collected", u64::from(report.snapshots_collected));
+        span.field("bytes_reclaimed", report.bytes_reclaimed);
+        report
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::*;
+    use super::*;
+
+    #[test]
+    fn register_propagates_to_all_nodes() {
+        let mut sq = small_system(4);
+        let r = sq.register(0).expect("register");
+        assert_eq!(r.nodes_updated, 4);
+        assert!(r.cache_bytes > 0);
+        assert!(r.diff_wire_bytes > 0);
+        assert!(sq.check_replication().is_consistent());
+        for n in 0..4 {
+            assert_eq!(sq.ccvol_file_count(n), Some(1));
+        }
+    }
+
+    #[test]
+    fn peer_planner_equals_the_scan_everything_oracle() {
+        const NODES: u32 = 1000;
+        let corpus = Arc::new(Corpus::generate(CorpusConfig::test_corpus(2, 77)));
+        let mut sq = system_on(corpus, NODES, |c| {
+            c.distribution = DistributionPolicy::PeerAssisted;
+            c.topology = TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 4 };
+        });
+        let targets: Vec<NodeId> = (0..NODES).collect();
+        let check = |sq: &Squirrel, what: &str| {
+            let plan = sq.plan_fanout(&targets, 4096);
+            let mut oracle = TransferPlan::new(plan.policy, plan.root, plan.payload_bytes);
+            sq.plan_peer_rounds_oracle(&targets, &mut oracle);
+            assert_eq!(plan, oracle, "{what}");
+            assert_eq!(
+                plan.planned_receivers() + plan.unreachable.len(),
+                targets.len(),
+                "{what}"
+            );
+            plan
+        };
+        let healthy = check(&sq, "healthy");
+        assert!(healthy.unreachable.is_empty());
+        for seed in 0..4u64 {
+            let mut rng = SplitMix64::from_parts(&[seed, 0x9ee2]);
+            let (hermit, _) = cut_links(&mut sq, &mut rng);
+            // ...and whole racks down.
+            for _ in 0..=seed % 3 {
+                sq.rack_down(rng.below(8) as u32);
+            }
+            let plan = check(&sq, &format!("seed {seed}"));
+            assert!(plan.unreachable.contains(&hermit), "seed {seed}");
+            for rack in 0..8 {
+                sq.rack_up(rack);
+            }
+        }
+    }
+
+    #[test]
+    fn deregister_then_next_register_propagates_deletion() {
+        let mut sq = small_system(3);
+        sq.register(0).expect("r0");
+        sq.register(1).expect("r1");
+        sq.deregister(0).expect("deregister");
+        // ccVolumes still hold cache-0 (no snapshot on delete).
+        assert_eq!(sq.ccvol_file_count(0), Some(2));
+        sq.register(2).expect("r2");
+        // The new diff carries the deletion.
+        assert_eq!(sq.ccvol_file_count(0), Some(2));
+        assert!(sq.check_replication().is_consistent());
+    }
+
+    #[test]
+    fn scvol_grows_sublinearly_with_registrations() {
+        // The scatter-hoarding feasibility claim: caches dedup heavily.
+        // Use a corpus whose head images are all Ubuntu (the census head),
+        // like the real catalog where one family dominates.
+        let corpus = Arc::new(Corpus::generate(
+            CorpusConfig { scale: 1024, ..CorpusConfig::test_corpus(16, 77) },
+        ));
+        let mut sq = system_on(corpus, 1, |_| {});
+        sq.register(0).expect("r");
+        let one = sq.scvol_stats().total_disk_bytes();
+        for i in 1..8 {
+            sq.register(i).expect("r");
+        }
+        let eight = sq.scvol_stats().total_disk_bytes();
+        assert!(
+            (eight as f64) < 5.0 * one as f64,
+            "eight caches {eight} vs one {one}: dedup must help"
+        );
+    }
+
+    #[test]
+    fn deregister_drops_the_ec_object() {
+        let mut sq = ec_system();
+        sq.register(0).expect("register");
+        sq.register(1).expect("register");
+        sq.deregister(0).expect("deregister");
+        // Only image 1's cache remains in the EC tier; the pass stays
+        // clean (no orphaned shards keep getting scrubbed).
+        assert!(sq.shared_storage_clean());
+        let rep = sq.repair_shared_storage().expect("ec repair report");
+        assert_eq!(rep.stripes_scanned, 1);
+    }
+
+    #[test]
+    fn registration_info_reflects_clock() {
+        let mut sq = small_system(1);
+        sq.advance_days(3);
+        sq.register(0).expect("register");
+        let info = sq.registration_info(0).expect("registered");
+        assert_eq!(info.snapshot_tag, "vmi-000000-r1");
+        assert_eq!(info.day, 3);
+        assert_eq!(info.image, 0);
+        assert_eq!(sq.registration_info(5), None);
+    }
+
+    #[test]
+    fn registration_report_times_are_plausible() {
+        let mut sq = small_system(2);
+        let r = sq.register(0).expect("register");
+        // Paper: registration "does not take more than a minute".
+        assert!(r.seconds > 10.0 && r.seconds < 120.0, "{}", r.seconds);
+    }
+
+    #[test]
+    fn gc_keeps_latest_snapshot_regardless_of_age() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("r0");
+        sq.advance_days(100);
+        let _ = sq.gc();
+        assert!(sq.scvol_stats().unique_blocks > 0);
+        // Latest snapshot must survive.
+        let outcome = sq.node_rejoin(0).expect("rejoin");
+        assert_eq!(outcome, RejoinOutcome::UpToDate);
+    }
+
+    #[test]
+    fn gc_reports_collected_snapshots_and_reclaimed_bytes() {
+        let mut sq = small_system(2);
+        sq.register(0).expect("r0");
+        let noop = sq.gc();
+        assert_eq!(noop, GcReport { snapshots_collected: 0, bytes_reclaimed: 0 });
+        sq.advance_days(10);
+        sq.register(1).expect("r1");
+        sq.advance_days(10);
+        sq.register(2).expect("r2");
+        let report = sq.gc();
+        assert_eq!(report.snapshots_collected, 2, "{report:?}");
+    }
+
+    #[test]
+    fn register_under_total_loss_gives_up_then_repair_replication_recovers() {
+        use squirrel_faults::{FaultConfig, FaultPlan};
+        let mut sq = small_system(3);
+        sq.register(0).expect("clean register");
+        // Every delivery attempt drops; retries are exhausted immediately.
+        let config = FaultConfig { drop_prob: 1.0, max_retries: 1, ..FaultConfig::default() };
+        sq.set_fault_plan(FaultPlan::new(9, config));
+        let r = sq.register(1).expect("register survives total loss");
+        assert_eq!(r.nodes_updated, 0);
+        let fault = sq.fault_report().expect("armed");
+        assert_eq!(fault.giveups, 3);
+        assert_eq!(fault.net_drops, 6, "two attempts per node");
+        assert!(!sq.check_replication().is_consistent());
+
+        // The plan stays armed: the repair path itself must work under it.
+        let sync = sq.repair_replication();
+        assert_eq!((sync.lagging, sync.repaired, sync.failed), (3, 3, 0));
+        assert!(sync.all_repaired());
+        assert!(sq.check_replication().is_consistent());
+    }
+
+    #[test]
+    fn register_behind_partition_leaves_node_lagging_until_heal() {
+        use squirrel_faults::FaultPlan;
+        let mut sq = small_system(3);
+        sq.register(0).expect("clean register");
+        let storage = sq.config().compute_nodes;
+        sq.network_mut().partition(storage, 2);
+        // A quiet plan injects nothing; the partition alone blocks node 2.
+        sq.set_fault_plan(FaultPlan::quiet(5));
+        let r = sq.register(1).expect("register");
+        assert_eq!(r.nodes_updated, 2);
+        assert_eq!(sq.check_replication().lagging_nodes(), vec![2]);
+        // Repair can't reach it either, until the cut heals.
+        let sync = sq.repair_replication();
+        assert_eq!((sync.repaired, sync.failed), (0, 1));
+        sq.network_mut().heal_all();
+        let sync = sq.repair_replication();
+        assert_eq!((sync.repaired, sync.failed), (1, 0));
+        assert!(sq.check_replication().is_consistent());
+    }
+
+    #[test]
+    fn faulty_register_is_deterministic_per_seed_and_thread_count() {
+        use squirrel_faults::{FaultConfig, FaultPlan};
+        let run = |threads: usize, seed: u64| {
+            let mut sq = system_with(4, |c| c.threads = threads);
+            sq.set_fault_plan(FaultPlan::new(seed, FaultConfig::chaos()));
+            let r0 = sq.register(0).expect("r0");
+            let r1 = sq.register(1).expect("r1");
+            let fault = sq.clear_fault_plan().expect("armed").report();
+            ((r0.nodes_updated, r1.nodes_updated), fault, sq.metrics().snapshot())
+        };
+        let reference = run(1, 21);
+        for threads in [2, 8] {
+            assert_eq!(run(threads, 21), reference, "threads={threads}");
+        }
+        assert_ne!(run(1, 22).1, reference.1, "different seed, different schedule");
+    }
+}

@@ -9,9 +9,11 @@
 //! documented as such.
 
 use crate::ddt::{BlockKey, SharedPayload};
+#[cfg(test)]
 use crate::pool::ZPool;
 use squirrel_obs::{Counter, Metrics};
 use std::collections::HashMap;
+#[cfg(test)]
 use std::sync::Arc;
 
 /// Cache statistics.
@@ -33,8 +35,11 @@ impl ArcStats {
     }
 }
 
-/// Doubly-linked LRU over block keys with byte-capacity eviction.
-pub struct ArcCache {
+/// Doubly-linked LRU over block keys with byte-capacity eviction: the shard
+/// type inside [`SharedArcCache`](crate::SharedArcCache), and — through its
+/// own `read_through` — the serial reference the shared cache's differential
+/// tests compare against.
+pub(crate) struct ArcCache {
     capacity_bytes: u64,
     used_bytes: u64,
     /// key -> (data, prev, next); the list is threaded through the map.
@@ -91,6 +96,7 @@ impl ArcCache {
         self.entries.len()
     }
 
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -179,6 +185,7 @@ impl ArcCache {
     /// Zero-copy on both paths: a hit hands out another reference to the
     /// cached payload, a miss caches the very buffer the pool's
     /// decompression just produced. No payload bytes are duplicated.
+    #[cfg(test)]
     pub fn read_through(
         &mut self,
         pool: &ZPool,

@@ -7,7 +7,9 @@
 //! Figures 9, 10 and 13.
 
 use squirrel_compress::decompress;
-use squirrel_hash::{ContentHash, FnvHashMap};
+use squirrel_hash::ContentHash;
+#[cfg(test)]
+use squirrel_hash::FnvHashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Key type: the first 128 bits of the block's SHA-256.
@@ -104,9 +106,12 @@ pub struct DdtEntry {
     pub data: Option<Frame>,
 }
 
-/// The dedup table proper.
+/// The serial dedup table: the reference `sddt`'s differential tests hold
+/// [`ShardedDedupTable`](crate::sddt::ShardedDedupTable) to, operation by
+/// operation. Pools run on the sharded table only.
+#[cfg(test)]
 #[derive(Default)]
-pub struct DedupTable {
+pub(crate) struct DedupTable {
     entries: FnvHashMap<BlockKey, DdtEntry>,
     /// Next physical allocation offset (append-only allocator; freed space
     /// becomes holes, like an aging pool).
@@ -115,6 +120,7 @@ pub struct DedupTable {
     physical_bytes: u64,
 }
 
+#[cfg(test)]
 impl DedupTable {
     pub fn new() -> Self {
         Self::default()

@@ -7,8 +7,8 @@
 //!
 //! * **Content addressing** — fixed-size blocks keyed by SHA-256 (like
 //!   `dedup=sha256`), with a refcounted dedup table sharded by hash prefix
-//!   for lock-free concurrent probes ([`sddt`]; the serial [`ddt`] is kept
-//!   as the differential-test reference).
+//!   for lock-free concurrent probes ([`sddt`]; the serial table in [`ddt`]
+//!   is compiled only as the differential-test reference).
 //! * **Inline compression** — every unique block is stored compressed with a
 //!   configurable codec (gzip-6 by default, like the paper's choice).
 //! * **Space accounting** ([`stats`]) — physical data, on-disk DDT, in-core
@@ -55,9 +55,9 @@ pub mod send;
 pub mod sharedarc;
 pub mod stats;
 
-pub use arc::{ArcCache, ArcStats};
+pub use arc::ArcStats;
 pub use config::{DedupMode, PoolConfig, PoolConfigBuilder};
-pub use ddt::{BlockKey, DdtEntry, DedupTable, Frame, SharedPayload};
+pub use ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
 pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, ZPool};
 pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use scrub::ScrubReport;

@@ -334,8 +334,7 @@ impl ZPool {
     /// [`read_block`](Self::read_block) returning a shared payload: holes
     /// hand out the pool's one zero block (a refcount bump), data blocks
     /// decompress once into a buffer that caches and callers then share.
-    /// This is the fill path of [`crate::ArcCache`] and
-    /// [`crate::SharedArcCache`].
+    /// This is the fill path of [`crate::SharedArcCache`].
     pub fn read_block_shared(&self, name: &str, block_idx: u64) -> Option<SharedPayload> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;

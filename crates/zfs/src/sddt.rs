@@ -17,7 +17,7 @@
 //! Determinism: all mutation happens through `&mut self` from the serial
 //! commit stage, and the physical allocator (`alloc_cursor`) is a single
 //! global cursor — so allocation order, offsets, and accounting are
-//! bit-identical to the serial [`DedupTable`](crate::ddt::DedupTable) fed
+//! bit-identical to the serial `ddt::DedupTable` fed
 //! the same operation sequence, which the differential proptest below
 //! checks operation by operation.
 
@@ -28,7 +28,7 @@ use squirrel_hash::FnvHashMap;
 /// 16 keeps per-shard maps small without bloating the empty-table footprint.
 const SHARDS: usize = 16;
 
-/// The sharded dedup table. Drop-in for [`DedupTable`](crate::ddt::DedupTable):
+/// The sharded dedup table. Drop-in for the serial `ddt::DedupTable`:
 /// identical observable behaviour (entries, refcounts, allocation order,
 /// accounting), different interior layout.
 pub struct ShardedDedupTable {
@@ -150,8 +150,12 @@ impl ShardedDedupTable {
     }
 
     /// Relocate `key`'s block to a fresh extent at the (global) allocation
-    /// cursor; see [`DedupTable::reassign_phys`](crate::ddt::DedupTable::reassign_phys)
-    /// for semantics. Returns `(old_phys, psize)`, or `None` when absent.
+    /// cursor (the reverse-dedup primitive: the caller is making some file's
+    /// working set physically sequential, and every other referent of the
+    /// block chases the move for free because `phys` lives only here).
+    /// Physical accounting is unchanged — the old extent becomes a hole,
+    /// like any freed space under the append-only allocator. Returns
+    /// `(old_phys, psize)`, or `None` when the key is absent.
     pub fn reassign_phys(&mut self, key: &BlockKey) -> Option<(u64, u32)> {
         let entry = self.shards[Self::shard_of(*key)].get_mut(key)?;
         let old = entry.phys;

@@ -1,15 +1,16 @@
 //! A concurrency-safe, shard-locked ARC for boot storms.
 //!
-//! [`ArcCache`] needs `&mut self`; during a boot storm N booting VMs hammer
-//! one ccVolume's cache simultaneously, so [`SharedArcCache`] wraps a set of
-//! `Mutex<ArcCache>` shards keyed by block key. `read_through` takes `&self`
+//! The serial LRU (`arc::ArcCache`) needs `&mut self`; during a boot storm N
+//! booting VMs hammer one ccVolume's cache simultaneously, so
+//! [`SharedArcCache`] wraps a set of `Mutex<ArcCache>` shards keyed by block
+//! key — one shard *is* the serial cache, op for op. `read_through` takes `&self`
 //! and can be called from any number of `squirrel_hash::par` workers at
 //! once; each block key always maps to the same shard, so a given block is
 //! decompressed at most once per residency (the fill happens under the
 //! shard lock — single-flight per key).
 //!
 //! Determinism: payload bytes returned are bit-identical to the serial
-//! [`ArcCache`] path at any thread count (both alias the pool's shared
+//! LRU's own read-through at any thread count (both alias the pool's shared
 //! payloads). Aggregate counters (`reads`, `fills`) are additive and
 //! commute, so metric snapshots are thread-count-invariant as long as the
 //! cache never evicts — size the cache at or above the working set, as the
@@ -22,7 +23,7 @@ use crate::pool::ZPool;
 use squirrel_obs::{Counter, Metrics};
 use std::sync::{Arc, Mutex};
 
-/// Shard-locked ARC: interior mutability over [`ArcCache`] shards so
+/// Shard-locked ARC: interior mutability over serial LRU shards so
 /// concurrent readers only contend when their blocks map to the same shard.
 pub struct SharedArcCache {
     shards: Vec<Mutex<ArcCache>>,
@@ -66,7 +67,7 @@ impl SharedArcCache {
 
     /// Concurrent read-through: hit bumps the payload refcount, miss
     /// decompresses under the shard lock and caches the produced buffer.
-    /// Semantics match [`ArcCache::read_through`] exactly (missing file →
+    /// Semantics match the serial LRU's read-through exactly (missing file →
     /// `None`, hole → shared zero block).
     pub fn read_through(
         &self,
@@ -294,6 +295,42 @@ mod proptests {
                 prop_assert_eq!(a, b, "probe diverged at idx {}", idx);
             }
             prop_assert_eq!(shared.stats(), serial.stats());
+        }
+
+        /// The serial reference itself returns bytes identical to
+        /// re-decompressing the pool record on every read, across random
+        /// block sizes, codecs, and cache capacities (including a zero-byte
+        /// cache that bypasses constantly, and reads of holes and past-EOF
+        /// blocks). `tests/zero_copy_props.rs` holds the shared cache to
+        /// the same oracle from outside the crate.
+        #[test]
+        fn serial_read_path_matches_decompress_oracle(
+            bs_pow in 9u32..13,
+            codec in prop_oneof![
+                Just(Codec::Off), Just(Codec::Gzip(6)), Just(Codec::Lzjb), Just(Codec::Lz4),
+                Just(Codec::Zle),
+            ],
+            capacity in prop_oneof![Just(0u64), 512u64..(1 << 16)],
+            writes in proptest::collection::vec((0u64..24, any::<u8>(), any::<bool>()), 1..24),
+            reads in proptest::collection::vec(0u64..26, 1..64),
+        ) {
+            let bs = 1usize << bs_pow;
+            let mut pool = ZPool::new(PoolConfig::new(bs, codec));
+            pool.create_file("f");
+            for &(idx, seed, compressible) in &writes {
+                let block: Vec<u8> = if compressible {
+                    vec![seed; bs]
+                } else {
+                    (0..bs).map(|i| seed.wrapping_mul(31).wrapping_add((i % 251) as u8)).collect()
+                };
+                pool.write_block("f", idx, &block);
+            }
+            let mut arc = ArcCache::new(capacity);
+            for &idx in &reads {
+                let via_arc = arc.read_through(&pool, "f", idx).map(|d| d.to_vec());
+                prop_assert_eq!(via_arc, pool.read_block("f", idx), "diverged at block {}", idx);
+            }
+            prop_assert_eq!(arc.read_through(&pool, "missing", 0), None);
         }
     }
 }

@@ -58,7 +58,8 @@ fn register_reports_are_bit_identical_across_thread_counts() {
             let mut sq = system(policy, 4, 6, threads);
             let reports: Vec<_> =
                 (0..4).map(|img| sq.register(img).expect("register")).collect();
-            (reports, sq.metrics().snapshot())
+            assert!(sq.check_replication().is_consistent(), "{} threads={threads}", policy.name());
+            (reports, sq.scvol_stats(), sq.ccvol_stats(0), sq.metrics().snapshot())
         };
         let reference = run(1);
         for threads in [2, 8] {

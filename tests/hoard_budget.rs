@@ -70,6 +70,7 @@ fn budget_equal_to_footprint_keeps_every_cache() {
     let report = sq.enforce_hoard_budgets();
     assert!(report.evictions.is_empty(), "{report:?}");
     assert_eq!(report.nodes_over_budget, 0);
+    assert!(report.is_within_budget());
     for node in 0..NODES {
         for img in 0..IMAGES {
             assert!(sq.boot(node, img).expect("boot").warm);
@@ -91,9 +92,23 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
         }
     }
     let before = sq.ccvol_stats(0).expect("node");
+    let baselines: Vec<_> =
+        (0..IMAGES).map(|img| sq.verify_boot(0, img).expect("baseline verify")).collect();
     let report = sq.enforce_hoard_budgets();
     assert!(!report.evictions.is_empty());
+    assert_eq!(report.nodes_over_budget, NODES);
     assert!(report.is_within_budget(), "{report:?}");
+    // Each node actually fits now, and the metrics recorded the pass.
+    assert!(sq.ccvol_stats(0).expect("node").total_disk_bytes() < disk);
+    let snap = sq.metrics().snapshot();
+    assert_eq!(
+        snap.counter("squirrel_budget_evictions_total"),
+        Some(report.evictions.len() as u64)
+    );
+    assert_eq!(snap.gauge_u64("squirrel_hoard_max_disk_bytes"), Some(disk - 1));
+    // Idempotent: a second pass finds every node within budget.
+    let again = sq.enforce_hoard_budgets();
+    assert!(again.evictions.is_empty() && again.nodes_over_budget == 0, "{again:?}");
     // Per node, evictions run least-popular-first (ascending popularity).
     for node in 0..NODES {
         let pops: Vec<u64> = report
@@ -105,9 +120,11 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
         assert!(pops.windows(2).all(|w| w[0] <= w[1]), "node {node}: {pops:?}");
     }
     // The least popular image on node 0 went first there.
-    let first_evicted =
-        report.evictions.iter().find(|e| e.node == 0).expect("node 0 evicts").image;
-    assert_eq!(first_evicted, IMAGES - 1, "least-booted image goes first");
+    let first = report.evictions.iter().find(|e| e.node == 0).expect("node 0 evicts");
+    assert_eq!(first.image, IMAGES - 1, "least-booted image goes first");
+    assert!(first.was_cached && first.popularity == 1, "{first:?}");
+    assert!(first.disk_bytes_freed > 0 && first.ddt_mem_bytes_freed > 0, "{first:?}");
+    assert!(report.disk_bytes_freed >= first.disk_bytes_freed);
 
     // Re-hoard on demand: warm boots come back, space accounting matches
     // the first hoard (the purge also slimmed old snapshots, so only the
@@ -119,9 +136,17 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
         .map(|e| e.image)
         .collect();
     for &img in &evicted_on_0 {
-        assert!(!sq.boot(0, img).expect("boot").warm);
+        // Evicted images boot degraded from shared storage.
+        assert!(!sq.has_cache(0, img));
+        let out = sq.boot(0, img).expect("degraded boot");
+        assert!(!out.warm && out.degraded && out.net_bytes > 0, "image {img}: {out:?}");
         let re = sq.rehoard_cache(0, img).expect("rehoard");
-        assert!(re.wire_bytes > 0 && re.blocks > 0);
+        assert_eq!((re.node, re.image), (0, img));
+        assert!(re.wire_bytes > 0 && re.blocks > 0, "re-hoard crosses the network");
+        assert!(sq.has_cache(0, img));
+        // The full decompress-and-compare walk sees the original image
+        // bytes, with the same fetch profile as the first hoard.
+        assert_eq!(sq.verify_boot(0, img).expect("verify"), baselines[img as usize]);
         let out = sq.boot(0, img).expect("boot");
         assert!(out.warm && !out.degraded, "image {img}: {out:?}");
     }

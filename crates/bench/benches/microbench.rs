@@ -180,7 +180,7 @@ fn bench_file_is_intact(c: &mut Criterion) {
 }
 
 /// Ingest pipeline micro-number. The full thread sweep — phase breakdown,
-/// determinism check, speedup gate, `results/BENCH_ingest.json` — lives in
+/// determinism check, speedup gate, the `ingest` bench record — lives in
 /// the `ingest` experiment (`squirrel-experiments ingest`); this keeps a
 /// criterion-tracked throughput figure on the same workload builder.
 fn bench_ingest(c: &mut Criterion) {

@@ -3,39 +3,126 @@
 //! ```text
 //! squirrel-experiments <command> [--images N] [--scale S] [--seed S]
 //!                                [--out DIR] [--threads T]
-//!
-//! commands:
-//!   table1 table2 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 fig13
-//!   fig14 fig15 fig16 fig17 fig18 ablation-sync ablation-ccr ablation-hoard\n\u{20}         ablation-chunking whatif-windows bootstorm ingest chunking chaos topology budget distribution fleet all smoke
 //! ```
 //!
-//! Defaults (96 images at 1/512 volume) finish in minutes in release
-//! mode; pass `--images 607 --scale 512` for a fuller run. Every byte
-//! quantity is printed both as measured and as the paper-volume projection.
+//! Run it without arguments for the command list ([`COMMANDS`] plus `all`,
+//! `smoke` and `ci`). Defaults (96 images at 1/512 volume) finish in minutes
+//! in release mode; pass `--images 607 --scale 512` for a fuller run. Every
+//! byte quantity is printed both as measured and as the paper-volume
+//! projection.
+//!
+//! The eight benches return a [`Record`]: `<out>/BENCH_<name>.json` gets its
+//! gates and deterministic block, `<out>/history.jsonl` its wall block, and
+//! a false gate exits non-zero naming it. `ci` runs them at the pinned CI
+//! sizes of [`CI_CELLS`]; afterwards `git diff -- 'results/BENCH_*.json'`
+//! is empty unless a simulated number moved.
 
 use squirrel_bench::experiments::{
     ablations, boottime, bootstorm, budget, chaosbench, chunking, distribution, extrapolate,
     fleet, ingest, network, storage, sweeps, topology, whatif,
 };
+use squirrel_bench::record::Record;
 use squirrel_bench::ExperimentConfig;
 
+const DISK_BS: [usize; 4] = [16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024];
+
+type Command = fn(&ExperimentConfig);
+
+/// A table or figure: run it for its printed rows and CSVs.
+macro_rules! figure {
+    ($run:path $(, $arg:expr)*) => {
+        |cfg| {
+            $run(cfg $(, $arg)*);
+        }
+    };
+}
+
+/// Every command — its names (aliases share a row) and what it runs — in
+/// the order `all` runs them.
+const COMMANDS: &[(&str, Command)] = &[
+    ("ingest", |cfg| finish(cfg, ingest::run_ingest(cfg, ingest::INGEST_BLOCKS, 3).1)),
+    ("chunking", |cfg| {
+        let (blocks, bs) = (chunking::CHUNKING_BLOCKS, chunking::CHUNKING_BLOCK_SIZE);
+        finish(cfg, chunking::run_chunking(cfg, blocks, bs, chunking::CHUNKING_VERSIONS).1)
+    }),
+    ("bootstorm", |cfg| finish(cfg, bootstorm::run_bootstorm(cfg, bootstorm::STORM_VMS, 3).1)),
+    ("chaos", |cfg| finish(cfg, chaosbench::run_chaos(cfg))),
+    ("topology", |cfg| finish(cfg, topology::run_topology(cfg).2)),
+    ("budget", |cfg| finish(cfg, budget::run_budget(cfg).1)),
+    ("distribution", |cfg| {
+        finish(cfg, distribution::run_distribution(cfg, &distribution::DIST_NODE_COUNTS).1)
+    }),
+    ("fleet", |cfg| finish(cfg, fleet::run_fleet_bench(cfg, &fleet::FLEET_NODE_COUNTS).1)),
+    ("table2", figure!(sweeps::run_table2)),
+    ("table1", figure!(sweeps::run_table1)),
+    ("fig2", figure!(sweeps::run_fig2)),
+    ("fig3", figure!(sweeps::run_fig3)),
+    ("fig4", figure!(sweeps::run_fig4)),
+    ("fig8 fig9 fig10", figure!(storage::run_fig8_9_10)),
+    ("fig11", figure!(boottime::run_fig11)),
+    ("fig12", figure!(sweeps::run_fig12)),
+    ("fig13", figure!(storage::run_fig13)),
+    (
+        "fig14 fig15",
+        figure!(extrapolate::run_extrapolation, extrapolate::Resource::DiskBytes, &DISK_BS, 3000),
+    ),
+    (
+        "fig16 fig17",
+        figure!(extrapolate::run_extrapolation, extrapolate::Resource::MemoryBytes, &DISK_BS, 3000),
+    ),
+    ("fig18", figure!(network::run_fig18)),
+    ("ablation-sync", figure!(ablations::run_ablation_sync)),
+    ("ablation-ccr", figure!(ablations::run_ablation_ccr, 64 * 1024)),
+    ("ablation-hoard", figure!(ablations::run_ablation_hoard)),
+    ("ablation-chunking", figure!(ablations::run_ablation_chunking)),
+    ("whatif-windows", figure!(whatif::run_whatif_windows)),
+];
+
+/// The CI cells: each bench at its pinned size and seed, spelled as the
+/// command line that reproduces it.
+const CI_CELLS: &[(&str, &[&str])] = &[
+    ("bootstorm", &["--images", "16", "--scale", "8192", "--seed", "7", "--threads", "2"]),
+    ("ingest", &[]),
+    ("chaos", &["--images", "12", "--seed", "2014"]),
+    ("topology", &["--images", "8", "--scale", "8192", "--seed", "2014"]),
+    ("budget", &["--images", "8", "--scale", "8192", "--seed", "7", "--threads", "2"]),
+    ("distribution", &["--images", "8", "--scale", "8192", "--seed", "7", "--threads", "2"]),
+    ("fleet", &["--images", "8", "--scale", "8192", "--seed", "2014", "--threads", "2"]),
+    ("chunking", &["--images", "8", "--scale", "8192", "--seed", "7", "--threads", "2"]),
+];
+
+/// Show a bench record's clocks and verdicts (its numbers are the file it
+/// persists), then fail the process on a false gate.
+fn finish(cfg: &ExperimentConfig, record: Record) {
+    print!("{} wall: {}", record.experiment, record.wall.render());
+    record.persist(cfg).expect("write the bench record");
+    match record.enforce() {
+        Ok(()) => println!("{}: all {} gates hold", record.experiment, record.gates.len()),
+        Err(failed) => {
+            eprintln!("{failed}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn usage() -> ! {
+    let names: Vec<&str> = COMMANDS.iter().map(|(names, _)| *names).collect();
     eprintln!(
         "usage: squirrel-experiments <command> [--images N] [--scale S] [--seed S] [--out DIR] [--threads T]\n\
-         commands: table1 table2 fig2 fig3 fig4 fig8 fig9 fig10 fig11 fig12 fig13\n\
-         \u{20}         fig14 fig15 fig16 fig17 fig18 ablation-sync ablation-ccr ablation-hoard\n\u{20}         ablation-chunking whatif-windows bootstorm ingest chunking chaos topology budget distribution fleet all smoke"
+         commands: {} all smoke ci",
+        names.join(" ")
     );
     std::process::exit(2);
 }
 
-fn parse_config(args: &[String]) -> ExperimentConfig {
+fn parse_config<S: AsRef<str>>(args: &[S]) -> ExperimentConfig {
     let mut cfg = ExperimentConfig::default();
     let mut i = 0;
     while i < args.len() {
         let value = |i: usize| -> &str {
-            args.get(i + 1).map(|s| s.as_str()).unwrap_or_else(|| usage())
+            args.get(i + 1).map(|s| s.as_ref()).unwrap_or_else(|| usage())
         };
-        match args[i].as_str() {
+        match args[i].as_ref() {
             "--images" => cfg.images = value(i).parse().unwrap_or_else(|_| usage()),
             "--scale" => cfg.scale = value(i).parse().unwrap_or_else(|_| usage()),
             "--seed" => cfg.seed = value(i).parse().unwrap_or_else(|_| usage()),
@@ -46,6 +133,14 @@ fn parse_config(args: &[String]) -> ExperimentConfig {
         i += 2;
     }
     cfg
+}
+
+fn run(cmd: &str, cfg: &ExperimentConfig) {
+    let Some((_, command)) = COMMANDS.iter().find(|(names, _)| names.split(' ').any(|n| n == cmd))
+    else {
+        usage()
+    };
+    command(cfg);
 }
 
 fn main() {
@@ -60,139 +155,20 @@ fn main() {
         cfg.projection()
     );
 
-    let disk_bs = [16 * 1024usize, 32 * 1024, 64 * 1024, 128 * 1024];
     match cmd.as_str() {
-        "table1" => {
-            sweeps::run_table1(&cfg);
-        }
-        "table2" => {
-            sweeps::run_table2(&cfg);
-        }
-        "fig2" => {
-            sweeps::run_fig2(&cfg);
-        }
-        "fig3" => {
-            sweeps::run_fig3(&cfg);
-        }
-        "fig4" => {
-            sweeps::run_fig4(&cfg);
-        }
-        "fig8" | "fig9" | "fig10" => {
-            storage::run_fig8_9_10(&cfg);
-        }
-        "fig11" => {
-            boottime::run_fig11(&cfg);
-        }
-        "fig12" => {
-            sweeps::run_fig12(&cfg);
-        }
-        "fig13" => {
-            storage::run_fig13(&cfg);
-        }
-        "fig14" | "fig15" => {
-            extrapolate::run_extrapolation(&cfg, extrapolate::Resource::DiskBytes, &disk_bs, 3000);
-        }
-        "fig16" | "fig17" => {
-            extrapolate::run_extrapolation(
-                &cfg,
-                extrapolate::Resource::MemoryBytes,
-                &disk_bs,
-                3000,
-            );
-        }
-        "fig18" => {
-            network::run_fig18(&cfg);
-        }
-        "ablation-sync" => {
-            ablations::run_ablation_sync(&cfg);
-        }
-        "ablation-ccr" => {
-            ablations::run_ablation_ccr(&cfg, 64 * 1024);
-        }
-        "ablation-hoard" => {
-            ablations::run_ablation_hoard(&cfg);
-        }
-        "whatif-windows" => {
-            whatif::run_whatif_windows(&cfg);
-        }
-        "ablation-chunking" => {
-            ablations::run_ablation_chunking(&cfg);
-        }
-        "bootstorm" => {
-            bootstorm::run_bootstorm(&cfg, bootstorm::STORM_VMS, 3);
-        }
-        "ingest" => {
-            ingest::run_ingest(&cfg, ingest::INGEST_BLOCKS, 3);
-        }
-        "chunking" => {
-            chunking::run_chunking(
-                &cfg,
-                chunking::CHUNKING_BLOCKS,
-                chunking::CHUNKING_BLOCK_SIZE,
-                chunking::CHUNKING_VERSIONS,
-            );
-        }
-        "chaos" => {
-            chaosbench::run_chaos(&cfg);
-        }
-        "topology" => {
-            topology::run_topology(&cfg);
-        }
-        "budget" => {
-            budget::run_budget(&cfg);
-        }
-        "distribution" => {
-            distribution::run_distribution(&cfg, &distribution::DIST_NODE_COUNTS);
-        }
-        "fleet" => {
-            fleet::run_fleet_bench(&cfg, &fleet::FLEET_NODE_COUNTS);
-        }
-        "all" => {
-            ingest::run_ingest(&cfg, ingest::INGEST_BLOCKS, 3);
-            chunking::run_chunking(
-                &cfg,
-                chunking::CHUNKING_BLOCKS,
-                chunking::CHUNKING_BLOCK_SIZE,
-                chunking::CHUNKING_VERSIONS,
-            );
-            bootstorm::run_bootstorm(&cfg, bootstorm::STORM_VMS, 3);
-            chaosbench::run_chaos(&cfg);
-            topology::run_topology(&cfg);
-            budget::run_budget(&cfg);
-            distribution::run_distribution(&cfg, &distribution::DIST_NODE_COUNTS);
-            fleet::run_fleet_bench(&cfg, &fleet::FLEET_NODE_COUNTS);
-            sweeps::run_table2(&cfg);
-            sweeps::run_table1(&cfg);
-            sweeps::run_fig2(&cfg);
-            sweeps::run_fig3(&cfg);
-            sweeps::run_fig4(&cfg);
-            storage::run_fig8_9_10(&cfg);
-            boottime::run_fig11(&cfg);
-            sweeps::run_fig12(&cfg);
-            storage::run_fig13(&cfg);
-            extrapolate::run_extrapolation(&cfg, extrapolate::Resource::DiskBytes, &disk_bs, 3000);
-            extrapolate::run_extrapolation(
-                &cfg,
-                extrapolate::Resource::MemoryBytes,
-                &disk_bs,
-                3000,
-            );
-            network::run_fig18(&cfg);
-            ablations::run_ablation_sync(&cfg);
-            ablations::run_ablation_ccr(&cfg, 64 * 1024);
-            ablations::run_ablation_hoard(&cfg);
-            ablations::run_ablation_chunking(&cfg);
-            whatif::run_whatif_windows(&cfg);
-        }
+        "all" => COMMANDS.iter().for_each(|(_, command)| command(&cfg)),
         "smoke" => {
             // A fast end-to-end pass with a tiny corpus for CI-style checks.
             let cfg =
                 ExperimentConfig { out_dir: cfg.out_dir.clone(), ..ExperimentConfig::smoke() };
-            sweeps::run_table2(&cfg);
-            sweeps::run_table1(&cfg);
-            storage::run_fig13(&cfg);
-            network::run_fig18(&cfg);
+            ["table2", "table1", "fig13", "fig18"].iter().for_each(|cmd| run(cmd, &cfg));
         }
-        _ => usage(),
+        "ci" => {
+            for (cmd, cell_args) in CI_CELLS {
+                println!("== {cmd} {}", cell_args.join(" "));
+                run(cmd, &ExperimentConfig { out_dir: cfg.out_dir.clone(), ..parse_config(cell_args) });
+            }
+        }
+        cmd => run(cmd, &cfg),
     }
 }

@@ -10,13 +10,12 @@
 //! production default this sweep scales down.
 //!
 //! Every tier repeats at each worker-thread count; eviction decisions,
-//! reports and metric snapshots must be bit-identical across the sweep.
-//!
-//! Results land in `results/BENCH_budget.json`.
+//! reports and metric snapshots must be bit-identical across the sweep. A
+//! generous budget must degrade no boot at any catalog size; a starved one
+//! must push a strictly positive share of them to shared storage.
 
 use crate::config::ExperimentConfig;
-use crate::csvout::fmt_f;
-use crate::experiments::bootstorm::{runs_json, sweep_equal, SweepRun};
+use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
 use squirrel_core::{HoardBudget, Squirrel, SquirrelConfig};
 use squirrel_dataset::Corpus;
 use std::sync::Arc;
@@ -163,108 +162,57 @@ fn sweep_once(
     (cells, snaps)
 }
 
-/// Sweep the thread counts, assert the tier invariants and bit-identical
-/// outcomes, and persist `BENCH_budget.json`.
-pub fn run_budget(cfg: &ExperimentConfig) -> Vec<SweepRun<BudgetSweep>> {
+/// Sweep the thread counts, assert the tier invariants that are not gates,
+/// and report the sweep as a [`Record`].
+pub fn run_budget(cfg: &ExperimentConfig) -> (Sweep<BudgetSweep>, Record) {
     let corpus = cfg.corpus();
-    let runs = sweep_equal(cfg, |threads| sweep_once(&corpus, cfg, threads));
-    let cells = &runs[0].outcome.0;
+    let sweep = sweep_equal(cfg, |threads| (sweep_once(&corpus, cfg, threads), ()));
+    let cells = &sweep.outcome.0;
     for cell in cells {
         match cell.tier {
-            "generous" | "exact" => {
-                assert_eq!(cell.evictions, 0, "{cell:?}");
-                assert_eq!(cell.degraded_boots, 0, "{cell:?}");
-            }
+            "generous" => assert_eq!(cell.evictions, 0, "{cell:?}"),
+            "exact" => assert_eq!((cell.evictions, cell.degraded_boots), (0, 0), "{cell:?}"),
             _ => {
                 assert!(cell.evictions > 0, "{cell:?}");
-                assert!(cell.degraded_boots > 0, "{cell:?}");
                 assert!(cell.within_budget, "{cell:?}");
                 assert!(cell.node_disk_bytes <= cell.budget.disk_bytes, "{cell:?}");
             }
         }
     }
 
-    for cell in cells {
-        println!(
-            "budget catalog={} tier={}: {} evictions, {} freed, \
-             degraded rate {:.3}, node footprint {} B disk / {} B ddt",
-            cell.catalog,
-            cell.tier,
-            cell.evictions,
-            cell.disk_bytes_freed,
-            cell.degraded_rate(),
-            cell.node_disk_bytes,
-            cell.node_ddt_mem_bytes,
-        );
-    }
-
-    if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir).expect("create results dir");
-        let path = std::path::Path::new(dir).join("BENCH_budget.json");
-        std::fs::write(&path, render_json(cfg, &runs)).expect("write BENCH_budget.json");
-        println!("budget bench written to {}", path.display());
-    }
-    runs
-}
-
-/// Hand-rolled JSON (the workspace is std-only by policy).
-fn render_json(cfg: &ExperimentConfig, runs: &[SweepRun<BudgetSweep>]) -> String {
-    let cells = &runs[0].outcome.0;
+    let tier = |tier: &'static str| cells.iter().filter(move |c| c.tier == tier);
     // Headline rates come from the largest catalog (the last tier group).
-    let rate_of = |tier: &str| {
-        cells
-            .iter()
-            .rev()
-            .find(|c| c.tier == tier)
-            .map(|c| c.degraded_rate())
-            .unwrap_or(0.0)
-    };
-    let cell_entries: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"catalog\": {}, \"tier\": \"{}\", \"budget_disk_bytes\": {}, \
-                 \"budget_ddt_mem_bytes\": {}, \"evictions\": {}, \
-                 \"disk_bytes_freed\": {}, \"ddt_mem_bytes_freed\": {}, \
-                 \"within_budget\": {}, \"node_disk_bytes\": {}, \
-                 \"node_ddt_mem_bytes\": {}, \"probe_boots\": {}, \
-                 \"degraded_boots\": {}, \"degraded_boot_rate\": {}}}",
-                c.catalog,
-                c.tier,
-                c.budget.disk_bytes,
-                c.budget.ddt_mem_bytes,
-                c.evictions,
-                c.disk_bytes_freed,
-                c.ddt_mem_bytes_freed,
-                c.within_budget,
-                c.node_disk_bytes,
-                c.node_ddt_mem_bytes,
-                c.probe_boots,
-                c.degraded_boots,
-                fmt_f(c.degraded_rate()),
-            )
-        })
-        .collect();
+    let rate_of = |t: &'static str| tier(t).next_back().map(|c| c.degraded_rate()).unwrap_or(0.0);
     let paper = HoardBudget::paper();
-    format!(
-        "{{\n  \"seed\": {},\n  \"images\": {},\n  \"nodes\": {BUDGET_NODES},\n  \
-         \"block_size\": {BUDGET_BLOCK_SIZE},\n  \
-         \"paper_budget\": {{\"disk_bytes\": {}, \"ddt_mem_bytes\": {}}},\n  \
-         \"deterministic_across_threads\": true,\n  \
-         \"generous_degraded_boot_rate\": {},\n  \
-         \"exact_degraded_boot_rate\": {},\n  \
-         \"starved_degraded_boot_rate\": {},\n  \
-         \"cells\": [\n{}\n  ],\n  \"runs\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.images,
-        paper.disk_bytes,
-        paper.ddt_mem_bytes,
-        fmt_f(rate_of("generous")),
-        fmt_f(rate_of("exact")),
-        fmt_f(rate_of("starved")),
-        cell_entries.join(",\n"),
-        runs_json(runs),
-    )
+    let record = Record {
+        experiment: "budget",
+        params: json_obj! {
+            cfg => [seed, images, scale],
+            "nodes": BUDGET_NODES,
+            "block_size": BUDGET_BLOCK_SIZE,
+            "paper_budget": json_obj! {paper => [disk_bytes, ddt_mem_bytes]},
+        },
+        gates: vec![
+            ("deterministic_across_threads", sweep.deterministic),
+            ("generous_degraded_boot_rate", tier("generous").all(|c| c.degraded_boots == 0)),
+            ("starved_degraded_boot_rate", tier("starved").all(|c| c.degraded_boots > 0)),
+        ],
+        deterministic: json_obj! {
+            "generous_degraded_boot_rate": rate_of("generous"),
+            "exact_degraded_boot_rate": rate_of("exact"),
+            "starved_degraded_boot_rate": rate_of("starved"),
+            "cells": Json::arr(cells, |c| json_obj! {
+                c => [catalog, tier],
+                "budget_disk_bytes": c.budget.disk_bytes,
+                "budget_ddt_mem_bytes": c.budget.ddt_mem_bytes,
+                c => [evictions, disk_bytes_freed, ddt_mem_bytes_freed, within_budget,
+                      node_disk_bytes, node_ddt_mem_bytes, probe_boots, degraded_boots],
+                "degraded_boot_rate": c.degraded_rate(),
+            }),
+        },
+        wall: sweep.wall(),
+    };
+    (sweep, record)
 }
 
 #[cfg(test)]
@@ -274,36 +222,13 @@ mod tests {
     #[test]
     fn budget_sweep_is_deterministic_and_tiers_behave() {
         let cfg = ExperimentConfig::smoke();
-        let runs = run_budget(&cfg);
-        assert_eq!(runs.len(), 3);
-        let cells = &runs[0].outcome.0;
+        let (sweep, record) = run_budget(&cfg);
+        assert_eq!(sweep.runs.len(), 3);
+        assert_eq!(record.enforce(), Ok(()));
+        let cells = &sweep.outcome.0;
         assert!(cells.iter().any(|c| c.tier == "starved" && c.evictions > 0));
         assert!(cells
             .iter()
             .all(|c| c.tier != "generous" || c.degraded_boots == 0));
-    }
-
-    #[test]
-    fn json_has_the_acceptance_fields() {
-        let cfg = ExperimentConfig { threads: 1, ..ExperimentConfig::smoke() };
-        let corpus = cfg.corpus();
-        let outcome = sweep_once(&corpus, &cfg, 1);
-        let runs = vec![SweepRun { threads: 1, wall_secs: 0.1, outcome }];
-        let json = render_json(&cfg, &runs);
-        for key in [
-            "\"deterministic_across_threads\": true",
-            "\"generous_degraded_boot_rate\": 0,",
-            "\"starved_degraded_boot_rate\": ",
-            "\"paper_budget\"",
-            "\"cells\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // The starved headline rate must be strictly positive.
-        let rate_line = json
-            .lines()
-            .find(|l| l.contains("starved_degraded_boot_rate"))
-            .expect("rate line");
-        assert!(!rate_line.contains(": 0,"), "starved rate should be > 0: {rate_line}");
     }
 }

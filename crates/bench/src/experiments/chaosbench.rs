@@ -6,15 +6,14 @@
 //!
 //! For each worker-thread count the soak replays the *same* fault schedule
 //! on a fresh system; report, convergence outcome and metric snapshot must
-//! compare equal, and each run must converge to a consistent, scrub-clean
-//! state. Both properties are asserted here, so a passing bench *is* the
-//! acceptance check. The topology bench runs its multi-rack soak through
-//! the same [`sweep_soak`] and persists the same [`soak_json`] fragment.
-//!
-//! Results land in `results/BENCH_chaos.json`.
+//! compare equal (`deterministic_across_threads`), and the run must end in
+//! a consistent, scrub-clean state (`converged`, `scrub_clean`) having
+//! injected at least one fault (`faults_injected`). The topology bench runs
+//! its multi-rack soak through the same [`sweep_soak`] and reports it with
+//! the same [`soak_gates`] and [`soak_block`].
 
 use crate::config::ExperimentConfig;
-use crate::experiments::bootstorm::{runs_json, sweep_equal, SweepRun};
+use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
 use squirrel_core::{soak_fleet, Convergence, FaultConfig, FleetConfig, FleetReport};
 use squirrel_obs::MetricsSnapshot;
 
@@ -48,140 +47,72 @@ pub fn chaos_scenario(cfg: &ExperimentConfig, days: u64, nodes: u32, images: u32
     }
 }
 
-/// Soak `scenario` at every thread count of the sweep; every run must end
-/// converged and scrub-clean, and all of them must compare equal.
-pub fn sweep_soak(cfg: &ExperimentConfig, scenario: FleetConfig) -> Vec<SweepRun<Soak>> {
-    let runs = sweep_equal(cfg, |threads| soak_fleet(&FleetConfig { threads, ..scenario }));
-    for run in &runs {
-        let (_, c, _) = &run.outcome;
-        assert!(c.converged, "threads={}: soak did not converge", run.threads);
-        assert!(c.scrub_clean, "threads={}: pools not scrub-clean", run.threads);
-    }
-    runs
+/// Soak `scenario` at every thread count of the sweep.
+pub fn sweep_soak(cfg: &ExperimentConfig, scenario: FleetConfig) -> Sweep<Soak> {
+    sweep_equal(cfg, |threads| (soak_fleet(&FleetConfig { threads, ..scenario }), ()))
 }
 
-/// The soak outcome as JSON members (hand-rolled: the workspace is std-only
-/// by policy). Repair, EC and domain tallies are the system's own counters
-/// over the whole run, `converge` included.
-pub fn soak_json((r, c, snap): &Soak) -> String {
+/// The gates every soak carries: it ended consistent and scrub-clean, and
+/// replayed bit-identically at every thread count.
+pub fn soak_gates(sweep: &Sweep<Soak>) -> Vec<(&'static str, bool)> {
+    let (_, c, _) = &sweep.outcome;
+    vec![
+        ("converged", c.converged),
+        ("scrub_clean", c.scrub_clean),
+        ("deterministic_across_threads", sweep.deterministic),
+    ]
+}
+
+/// The soak outcome as a JSON object. Repair, EC and domain tallies are the
+/// system's own counters over the whole run, `converge` included.
+pub fn soak_block((r, c, snap): &Soak) -> Json {
     let f = &r.fault;
     let n = |series: &str| snap.counter_sum(series);
-    format!(
-        "  \"converged\": {},\n  \"scrub_clean\": {},\n  \"consistent_before\": {},\n  \
-         \"deterministic_across_threads\": true,\n  \
-         \"read_checksum\": \"{}\",\n  \
-         \"faults_injected\": {},\n  \
-         \"fault_breakdown\": {{\"net_drops\": {}, \"net_duplicates\": {}, \
-         \"net_transients\": {}, \"stream_corruptions\": {}, \"recv_crashes\": {}, \
-         \"block_corruptions\": {}, \"offlines\": {}, \"rejoins\": {}, \"flaps\": {}, \
-         \"partitions\": {}, \"heals\": {}, \"retries\": {}, \"giveups\": {}}},\n  \
-         \"domains\": {{\"rack_outages\": {}, \"dc_outages\": {}, \"ec_degraded_reads\": {}, \
-         \"ec_shards_reconstructed\": {}, \"ec_shards_rematerialized\": {}, \
-         \"ec_repair_bytes\": {}, \"ec_cross_domain_repair_bytes\": {}}},\n  \
-         \"repair\": {{\"blocks_repaired\": {}, \"blocks_unrepaired\": {}, \
-         \"refetch_bytes\": {}, \"sync_repaired_nodes\": {}, \"rejoin_failures\": {}}},\n  \
-         \"workflows\": {{\"days\": {}, \"events\": {}, \"boots\": {}, \"warm_boots\": {}, \
-         \"degraded_boots\": {}, \"failed_boots\": {}, \"storms\": {}, \"evictions\": {}}}",
-        c.converged,
-        c.scrub_clean,
-        c.consistent_before,
-        r.read_checksum,
-        f.total_injected(),
-        f.net_drops,
-        f.net_duplicates,
-        f.net_transients,
-        f.stream_corruptions,
-        f.recv_crashes,
-        f.block_corruptions,
-        f.offlines,
-        f.rejoins,
-        f.flaps,
-        f.partitions,
-        f.heals,
-        f.retries,
-        f.giveups,
-        f.rack_downs,
-        f.dc_downs,
-        n("squirrel_ec_degraded_reads_total"),
-        n("squirrel_ec_shards_reconstructed_total"),
-        n("squirrel_ec_shards_rematerialized_total"),
-        n("squirrel_ec_repair_bytes_total"),
-        n("squirrel_ec_cross_domain_repair_bytes_total"),
-        n("squirrel_repair_blocks_total"),
-        n("squirrel_repair_unrepaired_total"),
-        n("squirrel_repair_bytes_total"),
-        n("squirrel_repair_sync_nodes_total"),
-        c.rejoin_failures,
-        r.days.len(),
-        r.events,
-        r.boots,
-        r.warm_boots,
-        r.degraded_boots,
-        r.failed_boots,
-        r.storms,
-        r.evictions + c.evictions,
-    )
+    json_obj! {
+        c => [consistent_before],
+        r => [read_checksum],
+        "faults_injected": f.total_injected(),
+        "fault_breakdown": json_obj! {
+            f => [net_drops, net_duplicates, net_transients, stream_corruptions, recv_crashes,
+                  block_corruptions, offlines, rejoins, flaps, partitions, heals, retries, giveups],
+        },
+        "domains": json_obj! {
+            "rack_outages": f.rack_downs,
+            "dc_outages": f.dc_downs,
+            "ec_degraded_reads": n("squirrel_ec_degraded_reads_total"),
+            "ec_shards_reconstructed": n("squirrel_ec_shards_reconstructed_total"),
+            "ec_shards_rematerialized": n("squirrel_ec_shards_rematerialized_total"),
+            "ec_repair_bytes": n("squirrel_ec_repair_bytes_total"),
+            "ec_cross_domain_repair_bytes": n("squirrel_ec_cross_domain_repair_bytes_total"),
+        },
+        "repair": json_obj! {
+            "blocks_repaired": n("squirrel_repair_blocks_total"),
+            "blocks_unrepaired": n("squirrel_repair_unrepaired_total"),
+            "refetch_bytes": n("squirrel_repair_bytes_total"),
+            "sync_repaired_nodes": n("squirrel_repair_sync_nodes_total"),
+            c => [rejoin_failures],
+        },
+        "workflows": json_obj! {
+            "days": r.days.len(),
+            r => [events, boots, warm_boots, degraded_boots, failed_boots, storms],
+            "evictions": r.evictions + c.evictions,
+        },
+    }
 }
 
-/// Sweep the thread counts, assert convergence and bit-identical outcomes,
-/// and persist `BENCH_chaos.json` under the configured output directory.
-pub fn run_chaos(cfg: &ExperimentConfig) -> Vec<SweepRun<Soak>> {
+/// Sweep the thread counts and report the soak as a [`Record`].
+pub fn run_chaos(cfg: &ExperimentConfig) -> Record {
     // One image registers per day; more than `SOAK_DAYS` never land.
-    let runs = sweep_soak(cfg, chaos_scenario(cfg, SOAK_DAYS, SOAK_NODES, cfg.images.min(12)));
-    for run in &runs {
-        let (r, c, snap) = &run.outcome;
-        println!(
-            "chaos threads={}: {} days, {} faults injected, {} blocks repaired, \
-             {} nodes re-synced, {} degraded boots; converged={} ({:.2}s wall)",
-            run.threads,
-            r.days.len(),
-            r.fault.total_injected(),
-            snap.counter_sum("squirrel_repair_blocks_total"),
-            snap.counter_sum("squirrel_repair_sync_nodes_total"),
-            r.degraded_boots,
-            c.converged,
-            run.wall_secs,
-        );
-    }
-
-    if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir).expect("create results dir");
-        let path = std::path::Path::new(dir).join("BENCH_chaos.json");
-        std::fs::write(&path, render_json(cfg, &runs)).expect("write BENCH_chaos.json");
-        println!("chaos bench written to {}", path.display());
-    }
-    runs
-}
-
-fn render_json(cfg: &ExperimentConfig, runs: &[SweepRun<Soak>]) -> String {
-    format!(
-        "{{\n  \"seed\": {},\n  \"nodes\": {SOAK_NODES},\n{},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        soak_json(&runs[0].outcome),
-        runs_json(runs),
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chaos_sweep_converges_and_json_has_the_acceptance_fields() {
-        let cfg = ExperimentConfig::smoke();
-        let runs = run_chaos(&cfg);
-        assert_eq!(runs.len(), 3);
-        assert!(runs[0].outcome.0.fault.total_injected() > 0);
-        let json = render_json(&cfg, &runs);
-        for key in [
-            "\"converged\": true",
-            "\"scrub_clean\": true",
-            "\"deterministic_across_threads\": true",
-            "\"faults_injected\"",
-            "\"blocks_repaired\"",
-            "\"read_checksum\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
+    let scenario = chaos_scenario(cfg, SOAK_DAYS, SOAK_NODES, cfg.images.min(12));
+    let sweep = sweep_soak(cfg, scenario);
+    let mut gates = soak_gates(&sweep);
+    // Chaos actually happened: the plan injected a nonzero number of faults.
+    gates.push(("faults_injected", sweep.outcome.0.fault.total_injected() > 0));
+    Record {
+        experiment: "chaos",
+        params: json_obj! {scenario => [images, scale, seed, nodes, days]},
+        gates,
+        deterministic: soak_block(&sweep.outcome),
+        wall: sweep.wall(),
     }
 }

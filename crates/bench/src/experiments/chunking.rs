@@ -11,11 +11,11 @@
 //!
 //! Each cell reports the pool's space stats, the latest file's scatter
 //! ([`ZPool::file_scatter`]), and a warm-boot time from
-//! [`BootSim::boot_measured`] over the file's actual extents. Three
-//! contracts are enforced and carried in `results/BENCH_chunking.json`:
+//! [`BootSim::boot_measured`] over the file's actual extents. Three gates:
 //!
-//! * **`deterministic_across_threads`** — every cell's pool state and full
-//!   send-stream bytes are bit-identical at threads 1/2/8.
+//! * **`deterministic_across_threads`** — every cell's pool state, layout
+//!   and full send-stream bytes are bit-identical at every thread count of
+//!   the sweep.
 //! * **`reverse_not_slower`** — per strategy, the reverse-mode warm boot is
 //!   no slower than forward at equal physical bytes (relocation never
 //!   changes what is stored, only where).
@@ -24,6 +24,7 @@
 
 use crate::config::ExperimentConfig;
 use crate::csvout::{fmt_f, Table};
+use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
 use squirrel_bootsim::{BootSim, MeasuredVolumeParams};
 use squirrel_compress::Codec;
 use squirrel_dataset::rng::SplitMix64;
@@ -39,11 +40,10 @@ pub const CHUNKING_BLOCK_SIZE: usize = 16 * 1024;
 pub const CHUNKING_VERSIONS: usize = 4;
 /// Bytes inserted at the front of the shifted half per version.
 pub const CHUNKING_SHIFT: usize = 512;
-/// Thread counts the determinism contract pins.
-pub const CHUNKING_THREADS: [usize; 3] = [1, 2, 8];
 
-/// One (strategy, mode) cell of the sweep.
-#[derive(Clone, Debug)]
+/// One (strategy, mode) cell of the sweep. Equality across thread counts is
+/// the determinism witness.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChunkingCell {
     pub strategy: &'static str,
     pub mode: &'static str,
@@ -52,15 +52,6 @@ pub struct ChunkingCell {
     pub warm_boot_seconds: f64,
     /// SHA-256 (folded) of the final snapshot's full send stream.
     pub fingerprint: u128,
-}
-
-/// The whole sweep plus its gate verdicts.
-#[derive(Clone, Debug)]
-pub struct ChunkingBench {
-    pub cells: Vec<ChunkingCell>,
-    pub deterministic: bool,
-    pub reverse_not_slower: bool,
-    pub cdc_dedup_gte_fixed: bool,
 }
 
 /// All versions of the evolving cache, cut into records. Version `k`'s
@@ -158,14 +149,14 @@ fn run_cell(
     }
 }
 
-/// Sweep the four cells, enforce the three contracts, persist
-/// `BENCH_chunking.json`.
+/// Sweep the four cells at every thread count and report them as a
+/// [`Record`].
 pub fn run_chunking(
     cfg: &ExperimentConfig,
     n_blocks: usize,
     bs: usize,
     versions: usize,
-) -> ChunkingBench {
+) -> (Sweep<Vec<ChunkingCell>>, Record) {
     let chain = version_chain(n_blocks, bs, versions, CHUNKING_SHIFT, cfg.seed);
     let strategies = [
         ("fixed", ChunkStrategy::Fixed(bs)),
@@ -173,26 +164,14 @@ pub fn run_chunking(
     ];
     let modes = [("forward", DedupMode::Forward), ("reverse", DedupMode::Reverse)];
 
-    let mut cells = Vec::new();
-    let mut deterministic = true;
-    for strategy in strategies {
-        for mode in modes {
-            let reference = run_cell(strategy, mode, &chain, bs, CHUNKING_THREADS[0]);
-            for &threads in &CHUNKING_THREADS[1..] {
-                let again = run_cell(strategy, mode, &chain, bs, threads);
-                if again.stats != reference.stats
-                    || again.fingerprint != reference.fingerprint
-                {
-                    eprintln!(
-                        "chunking: {}/{} diverged at threads {threads}",
-                        strategy.0, mode.0
-                    );
-                    deterministic = false;
-                }
-            }
-            cells.push(reference);
-        }
-    }
+    let sweep = sweep_equal(cfg, |threads| {
+        let cells = strategies
+            .iter()
+            .flat_map(|&strategy| modes.map(|mode| run_cell(strategy, mode, &chain, bs, threads)))
+            .collect::<Vec<_>>();
+        (cells, ())
+    });
+    let cells = &sweep.outcome;
 
     let find = |s: &str, m: &str| {
         cells
@@ -217,7 +196,7 @@ pub fn run_chunking(
         "mean_gap_kib",
         "warm_boot_s",
     ]);
-    for c in &cells {
+    for c in cells {
         t.push(vec![
             c.strategy.to_string(),
             c.mode.to_string(),
@@ -228,56 +207,37 @@ pub fn run_chunking(
         ]);
     }
     t.print("Chunking: {fixed, cdc} x {forward, reverse} on a shifted version chain");
-    println!(
-        "chunking gates: deterministic_across_threads={deterministic} \
-         reverse_not_slower={reverse_not_slower} cdc_dedup_gte_fixed={cdc_dedup_gte_fixed}"
-    );
 
-    let bench = ChunkingBench { cells, deterministic, reverse_not_slower, cdc_dedup_gte_fixed };
-    if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir).expect("create results dir");
-        let path = std::path::Path::new(dir).join("BENCH_chunking.json");
-        std::fs::write(&path, render_json(n_blocks, bs, versions, &bench))
-            .expect("write BENCH_chunking.json");
-        println!("chunking bench written to {}", path.display());
-    }
-    bench
-}
-
-/// Hand-rolled JSON (the workspace is std-only by policy).
-fn render_json(n_blocks: usize, bs: usize, versions: usize, b: &ChunkingBench) -> String {
-    let entries: Vec<String> = b
-        .cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"strategy\": \"{}\", \"mode\": \"{}\", \"logical_bytes\": {}, \
-                 \"physical_bytes\": {}, \"unique_records\": {}, \"extents\": {}, \
-                 \"mean_gap_bytes\": {}, \"warm_boot_seconds\": {}, \
-                 \"fingerprint\": \"{:032x}\"}}",
-                c.strategy,
-                c.mode,
-                c.stats.logical_bytes,
-                c.stats.physical_bytes,
-                c.stats.unique_blocks,
-                c.scatter.extents,
-                fmt_f(c.scatter.mean_gap_bytes),
-                fmt_f(c.warm_boot_seconds),
-                c.fingerprint,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"block_size\": {bs},\n  \"blocks_per_version\": {n_blocks},\n  \
-         \"versions\": {versions},\n  \"shift_bytes\": {CHUNKING_SHIFT},\n  \
-         \"codec\": \"lzjb\",\n  \"deterministic_across_threads\": {},\n  \
-         \"reverse_not_slower\": {},\n  \"cdc_dedup_gte_fixed\": {},\n  \
-         \"cells\": [\n{}\n  ]\n}}\n",
-        b.deterministic,
-        b.reverse_not_slower,
-        b.cdc_dedup_gte_fixed,
-        entries.join(",\n"),
-    )
+    let record = Record {
+        experiment: "chunking",
+        params: json_obj! {
+            "seed": cfg.seed,
+            "block_size": bs,
+            "blocks_per_version": n_blocks,
+            "versions": versions,
+            "shift_bytes": CHUNKING_SHIFT,
+            "codec": "lzjb",
+        },
+        gates: vec![
+            ("deterministic_across_threads", sweep.deterministic),
+            ("reverse_not_slower", reverse_not_slower),
+            ("cdc_dedup_gte_fixed", cdc_dedup_gte_fixed),
+        ],
+        deterministic: json_obj! {
+            "cells": Json::arr(cells, |c| json_obj! {
+                c => [strategy, mode],
+                "logical_bytes": c.stats.logical_bytes,
+                "physical_bytes": c.stats.physical_bytes,
+                "unique_records": c.stats.unique_blocks,
+                "extents": c.scatter.extents,
+                "mean_gap_bytes": c.scatter.mean_gap_bytes,
+                c => [warm_boot_seconds],
+                "fingerprint": format!("{:032x}", c.fingerprint),
+            }),
+        },
+        wall: sweep.wall(),
+    };
+    (sweep, record)
 }
 
 #[cfg(test)]
@@ -305,37 +265,18 @@ mod tests {
     #[test]
     fn chunking_sweep_enforces_all_three_gates() {
         let cfg = ExperimentConfig { out_dir: None, ..ExperimentConfig::smoke() };
-        let b = run_chunking(&cfg, 64, 4096, 3);
-        assert_eq!(b.cells.len(), 4);
-        assert!(b.deterministic, "pool state must not depend on threads");
-        assert!(b.reverse_not_slower, "reverse must not lose the warm boot");
-        assert!(b.cdc_dedup_gte_fixed, "cdc must win the shifted chain");
+        let (sweep, record) = run_chunking(&cfg, 64, 4096, 3);
+        let cells = &sweep.outcome;
+        assert_eq!(cells.len(), 4);
+        assert_eq!(record.enforce(), Ok(()), "all three gates hold");
         // Reverse really defragments the latest version.
         for s in ["fixed", "cdc"] {
-            let fwd = b.cells.iter().find(|c| c.strategy == s && c.mode == "forward");
-            let rev = b.cells.iter().find(|c| c.strategy == s && c.mode == "reverse");
+            let fwd = cells.iter().find(|c| c.strategy == s && c.mode == "forward");
+            let rev = cells.iter().find(|c| c.strategy == s && c.mode == "reverse");
             assert!(
                 rev.expect("rev").scatter.extents <= fwd.expect("fwd").scatter.extents,
                 "strategy {s}"
             );
-        }
-    }
-
-    #[test]
-    fn json_has_the_acceptance_fields() {
-        let bench = ChunkingBench {
-            cells: vec![],
-            deterministic: true,
-            reverse_not_slower: true,
-            cdc_dedup_gte_fixed: true,
-        };
-        let json = render_json(64, 4096, 3, &bench);
-        for key in [
-            "\"deterministic_across_threads\": true",
-            "\"reverse_not_slower\": true",
-            "\"cdc_dedup_gte_fixed\": true",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
         }
     }
 }

@@ -6,15 +6,15 @@
 //! The serial-unicast baseline pays the storage uplink one payload per
 //! receiver, so its cost grows linearly with the fleet; tree multicast
 //! caps it at the fanout, pipelining and peer-assisted transfer at one
-//! payload. The sweep measures all four from the network ledgers, checks
-//! the ordering at every fleet size, and replays the smallest point at
-//! worker-thread counts 1/2/8 asserting bit-identical [`RegisterReport`]s
-//! and metrics. A passing run *is* the acceptance check; results land in
-//! `results/BENCH_distribution.json`.
+//! payload. The sweep measures all four from the network ledgers, gates on
+//! the ordering at the two largest fleet sizes (and asserts it at the rest)
+//! and on every cell having verified each diff's payload exactly once, and
+//! replays the smallest point at worker-thread counts 1/2/8 for
+//! bit-identical [`RegisterReport`]s and metrics.
 
 use crate::config::ExperimentConfig;
 use crate::csvout::{fmt_f, Table};
-use crate::experiments::bootstorm::thread_sweep;
+use crate::record::{json_obj, sweep_equal, Json, Record};
 use squirrel_core::{DistributionPolicy, RegisterReport, Squirrel, SquirrelConfig};
 
 /// Fleet sizes swept (the paper's DAS-4 cluster is 64 nodes; the point of
@@ -24,6 +24,8 @@ pub const DIST_NODE_COUNTS: [u32; 3] = [100, 1000, 10_000];
 /// Catalog size per point: the sweep measures transfer shape, not dedup,
 /// so a handful of images is enough signal.
 const DIST_IMAGES: u32 = 3;
+/// Pool record size for the sweep.
+const DIST_BLOCK_SIZE: usize = 16 * 1024;
 
 /// One (policy, fleet size) measurement.
 #[derive(Clone, Debug)]
@@ -56,7 +58,7 @@ fn point_system(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32) 
     Squirrel::new(
         SquirrelConfig::builder()
             .compute_nodes(nodes)
-            .block_size(16 * 1024)
+            .block_size(DIST_BLOCK_SIZE)
             .threads(cfg.threads)
             .distribution(policy)
             .build(),
@@ -98,32 +100,28 @@ pub fn run_point(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32)
     }
 }
 
-/// Replay the smallest fleet at every thread count; reports and metrics
-/// must be bit-identical under every policy.
-fn assert_thread_determinism(cfg: &ExperimentConfig, nodes: u32) {
-    for policy in DistributionPolicy::standard_set() {
-        let run = |threads: usize| {
+/// One thread count's replay of the smallest fleet under every policy.
+fn replay_at(
+    cfg: &ExperimentConfig,
+    nodes: u32,
+    threads: usize,
+) -> Vec<(Vec<RegisterReport>, squirrel_obs::MetricsSnapshot)> {
+    DistributionPolicy::standard_set()
+        .into_iter()
+        .map(|policy| {
             let mut sq = point_system(&ExperimentConfig { threads, ..cfg.clone() }, policy, nodes);
-            let reports: Vec<RegisterReport> = (0..cfg.images.min(DIST_IMAGES))
+            let reports = (0..cfg.images.min(DIST_IMAGES))
                 .map(|img| sq.register(img).expect("register"))
                 .collect();
             (reports, sq.metrics().snapshot())
-        };
-        let reference = run(1);
-        for threads in thread_sweep(cfg) {
-            assert_eq!(
-                run(threads),
-                reference,
-                "{} diverged at threads={threads}",
-                policy.name()
-            );
-        }
-    }
+        })
+        .collect()
 }
 
-/// The full sweep: every policy at every fleet size, ordering gates
-/// asserted, CSV + `BENCH_distribution.json` written.
-pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<DistPoint> {
+/// The full sweep: every policy at every fleet size, the CSV written, the
+/// result reported as a [`Record`]. The named gates read the two largest
+/// swept fleet sizes — 1 000 and 10 000 on the default sweep.
+pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Vec<DistPoint>, Record) {
     let mut points = Vec::new();
     let mut t = Table::new(&[
         "policy",
@@ -136,16 +134,6 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<Dist
     for &nodes in node_counts {
         for policy in DistributionPolicy::standard_set() {
             let p = run_point(cfg, policy, nodes);
-            println!(
-                "distribution {} nodes={}: storage_tx={} B, peer_tx={} B, \
-                 mean register {:.2} s ({:.2}s wall)",
-                policy.name(),
-                nodes,
-                p.storage_tx_bytes,
-                p.peer_tx_bytes,
-                p.mean_register_secs,
-                p.wall_secs,
-            );
             let served = p.peer_hits + p.peer_misses;
             t.push(vec![
                 p.policy.name().to_string(),
@@ -158,62 +146,11 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> Vec<Dist
             points.push(p);
         }
     }
-
-    // Ordering gates, at every fleet size: the redesigned shapes must beat
-    // the serial uplink, and peer-assisted must leave it at a constant.
-    for &nodes in node_counts {
-        let tx = |policy: DistributionPolicy| {
-            points
-                .iter()
-                .find(|p| p.nodes == nodes && p.policy == policy)
-                .expect("swept point")
-                .storage_tx_bytes
-        };
-        let unicast = tx(DistributionPolicy::Unicast);
-        let multicast = tx(DistributionPolicy::Multicast { fanout: 8 });
-        let peer = tx(DistributionPolicy::PeerAssisted);
-        let pipeline = tx(DistributionPolicy::Pipeline);
-        assert!(peer < unicast, "peer {peer} !< unicast {unicast} at {nodes} nodes");
-        assert!(pipeline < unicast, "pipeline {pipeline} !< unicast {unicast} at {nodes}");
-        if nodes > 8 {
-            // The tree only undercuts serial unicast once the fleet
-            // outgrows its fanout; below that every receiver is a child
-            // of the root and the two shapes cost the uplink the same.
-            assert!(multicast < unicast, "multicast {multicast} !< unicast {unicast} at {nodes}");
-        } else {
-            assert!(multicast <= unicast, "multicast {multicast} > unicast {unicast} at {nodes}");
-        }
-    }
-    assert!(
-        verify_once(&points),
-        "some cell verified more (or less) than its diffs' payload"
-    );
-    assert_thread_determinism(cfg, node_counts[0]);
-
     t.print("Distribution: storage-tier uplink vs fleet size per policy");
     t.write(&cfg.out_dir, "distribution").expect("csv");
-    if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir).expect("create results dir");
-        let path = std::path::Path::new(dir).join("BENCH_distribution.json");
-        std::fs::write(&path, render_json(cfg, node_counts, &points))
-            .expect("write BENCH_distribution.json");
-        println!("distribution bench written to {}", path.display());
-    }
-    points
-}
 
-/// Every cell verified exactly its diffs' logical payload: once per
-/// registration, whatever the fleet size or policy.
-fn verify_once(points: &[DistPoint]) -> bool {
-    points
-        .iter()
-        .all(|p| p.payload_logical_bytes > 0 && p.verified_bytes == p.payload_logical_bytes)
-}
+    let replay = sweep_equal(cfg, |threads| (replay_at(cfg, node_counts[0], threads), ()));
 
-/// Hand-rolled JSON (the workspace is std-only by policy). The named gates
-/// read the two largest swept fleet sizes — 1 000 and 10 000 on the
-/// default sweep.
-fn render_json(cfg: &ExperimentConfig, node_counts: &[u32], points: &[DistPoint]) -> String {
     let tx = |nodes: u32, policy: DistributionPolicy| {
         points
             .iter()
@@ -223,49 +160,64 @@ fn render_json(cfg: &ExperimentConfig, node_counts: &[u32], points: &[DistPoint]
     };
     let mid = node_counts[node_counts.len().saturating_sub(2)];
     let top = *node_counts.last().expect("non-empty sweep");
-    let entries: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"policy\": \"{}\", \"nodes\": {}, \"registrations\": {}, \
-                 \"wire_bytes\": {}, \"storage_tx_bytes\": {}, \"peer_tx_bytes\": {}, \
-                 \"peer_hits\": {}, \"peer_misses\": {}, \"mean_register_secs\": {}, \
-                 \"payload_logical_bytes\": {}, \"verified_bytes\": {}, \"wall_secs\": {}}}",
-                p.policy.name(),
-                p.nodes,
-                p.registrations,
-                p.wire_bytes,
-                p.storage_tx_bytes,
-                p.peer_tx_bytes,
-                p.peer_hits,
-                p.peer_misses,
-                fmt_f(p.mean_register_secs),
-                p.payload_logical_bytes,
-                p.verified_bytes,
-                fmt_f(p.wall_secs),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed\": {},\n  \"images\": {},\n  \"block_size\": 16384,\n  \
-         \"node_counts\": [{}],\n  \
-         \"policies\": [\"unicast\", \"multicast\", \"pipeline\", \"peer-assisted\"],\n  \
-         \"peer_below_unicast_1k\": {},\n  \
-         \"peer_below_unicast_10k\": {},\n  \
-         \"multicast_below_unicast_1k\": {},\n  \
-         \"deterministic_across_threads\": true,\n  \
-         \"verify_once\": {},\n  \
-         \"points\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        cfg.images.min(DIST_IMAGES),
-        node_counts.iter().map(|n| n.to_string()).collect::<Vec<_>>().join(", "),
-        tx(mid, DistributionPolicy::PeerAssisted) < tx(mid, DistributionPolicy::Unicast),
-        tx(top, DistributionPolicy::PeerAssisted) < tx(top, DistributionPolicy::Unicast),
-        tx(mid, DistributionPolicy::Multicast { fanout: 8 })
-            < tx(mid, DistributionPolicy::Unicast),
-        verify_once(points),
-        entries.join(",\n"),
-    )
+    let below_unicast = |nodes: u32, policy| tx(nodes, policy) < tx(nodes, DistributionPolicy::Unicast);
+    // The orderings no gate names, at every fleet size: the redesigned
+    // shapes must beat the serial uplink.
+    let multicast = DistributionPolicy::Multicast { fanout: 8 };
+    for &nodes in node_counts {
+        assert!(below_unicast(nodes, DistributionPolicy::Pipeline), "pipeline at {nodes} nodes");
+        if nodes != mid && nodes != top {
+            assert!(below_unicast(nodes, DistributionPolicy::PeerAssisted), "peer at {nodes} nodes");
+        }
+        if nodes != mid {
+            // The tree only undercuts serial unicast once the fleet
+            // outgrows its fanout; below that every receiver is a child
+            // of the root and the two shapes cost the uplink the same.
+            let (tree, serial) = (tx(nodes, multicast), tx(nodes, DistributionPolicy::Unicast));
+            assert!(if nodes > 8 { tree < serial } else { tree <= serial }, "multicast at {nodes}");
+        }
+    }
+    let record = Record {
+        experiment: "distribution",
+        params: json_obj! {
+            "seed": cfg.seed,
+            "images": cfg.images.min(DIST_IMAGES),
+            "scale": cfg.scale,
+            "block_size": DIST_BLOCK_SIZE,
+            "node_counts": Json::arr(node_counts, |&n| n.into()),
+            "policies": Json::arr(DistributionPolicy::standard_set(), |p| p.name().into()),
+        },
+        gates: vec![
+            ("peer_below_unicast_1k", below_unicast(mid, DistributionPolicy::PeerAssisted)),
+            ("peer_below_unicast_10k", below_unicast(top, DistributionPolicy::PeerAssisted)),
+            ("multicast_below_unicast_1k", below_unicast(mid, multicast)),
+            ("deterministic_across_threads", replay.deterministic),
+            // Every cell verified exactly its diffs' logical payload: once
+            // per registration, whatever the fleet size or policy.
+            (
+                "verify_once",
+                points.iter().all(|p| {
+                    p.payload_logical_bytes > 0 && p.verified_bytes == p.payload_logical_bytes
+                }),
+            ),
+        ],
+        deterministic: json_obj! {
+            "points": Json::arr(&points, |p| json_obj! {
+                "policy": p.policy.name(),
+                p => [nodes, registrations, wire_bytes, storage_tx_bytes, peer_tx_bytes, peer_hits,
+                      peer_misses],
+                "mean_register_seconds": p.mean_register_secs,
+                p => [payload_logical_bytes, verified_bytes],
+            }),
+        },
+        wall: json_obj! {
+            "points": Json::arr(&points, |p| {
+                json_obj! {"policy": p.policy.name(), p => [nodes, wall_secs]}
+            }),
+            "replay": replay.wall(),
+        },
+    };
+    (points, record)
 }
 
 #[cfg(test)]
@@ -275,8 +227,10 @@ mod tests {
     #[test]
     fn sweep_orders_policies_and_stays_deterministic() {
         let cfg = ExperimentConfig::smoke();
-        let points = run_distribution(&cfg, &[6, 12]);
-        assert_eq!(points.len(), 8, "4 policies x 2 fleet sizes");
+        // 6 nodes is below the multicast fanout; the gates read 12 and 16.
+        let (points, record) = run_distribution(&cfg, &[6, 12, 16]);
+        assert_eq!(points.len(), 12, "4 policies x 3 fleet sizes");
+        assert_eq!(record.enforce(), Ok(()));
         // The uplink constant: peer-assisted storage bytes don't grow with
         // the fleet, serial unicast's do.
         let peer: Vec<u64> = points
@@ -291,28 +245,5 @@ mod tests {
             .map(|p| p.storage_tx_bytes)
             .collect();
         assert_eq!(uni[1], 2 * uni[0]);
-    }
-
-    #[test]
-    fn json_has_the_acceptance_fields() {
-        let cfg = ExperimentConfig::smoke();
-        let mut points = Vec::new();
-        for n in [12u32, 16] {
-            for policy in DistributionPolicy::standard_set() {
-                points.push(run_point(&cfg, policy, n));
-            }
-        }
-        let json = render_json(&cfg, &[12, 16], &points);
-        for key in [
-            "\"peer_below_unicast_1k\": true",
-            "\"peer_below_unicast_10k\": true",
-            "\"multicast_below_unicast_1k\": true",
-            "\"deterministic_across_threads\": true",
-            "\"verify_once\": true",
-            "\"verified_bytes\"",
-            "\"storage_tx_bytes\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

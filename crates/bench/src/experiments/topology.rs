@@ -17,15 +17,12 @@
 //!    multi-rack topology with rack/DC outages armed in the fault plan and
 //!    the shared tier erasure coded. The soak must converge to a
 //!    consistent, scrub-clean state and replay bit-identically at every
-//!    thread count.
-//!
-//! Results land in `results/BENCH_topology.json`; `ci.sh` gates on
-//! `"converged": true` and `"ec_survives_rack_loss": true`.
+//!    thread count, with at least one rack outage injected and EC repair
+//!    bytes moved.
 
 use crate::config::ExperimentConfig;
-use crate::csvout::fmt_f;
-use crate::experiments::bootstorm::{runs_json, SweepRun};
-use crate::experiments::chaosbench::{chaos_scenario, soak_json, sweep_soak, Soak};
+use crate::experiments::chaosbench::{chaos_scenario, soak_gates, soak_block, sweep_soak, Soak};
+use crate::record::{json_obj, Json, Record, Sweep};
 use squirrel_cluster::{
     EcConfig, ErasureCodedVolume, GlusterConfig, GlusterVolume, LinkKind, Network, NodeId,
     TopologyConfig,
@@ -228,35 +225,20 @@ fn soak_scenario(cfg: &ExperimentConfig) -> FleetConfig {
     }
 }
 
-/// Run the sweep and the soak, assert the acceptance properties, and
-/// persist `BENCH_topology.json` under the configured output directory.
-pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Vec<SweepRun<Soak>>) {
+/// Run the scenario sweep and the soak and report both as a [`Record`].
+pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Sweep<Soak>, Record) {
     let mut scenarios = Vec::new();
     for loss in Loss::ALL {
         scenarios.push(run_replicated(cfg.seed, loss));
         scenarios.push(run_erasure(cfg.seed, loss));
     }
-    for s in &scenarios {
-        println!(
-            "topology {} loss={}: {}/{} objects readable ({} degraded), \
-             repair {} B ({} B cross-domain), clean={}",
-            s.mode,
-            s.loss.name(),
-            s.available,
-            s.objects,
-            s.degraded_reads,
-            s.repair_bytes,
-            s.cross_domain_repair_bytes,
-            s.clean_after_repair,
-        );
-    }
 
-    // The headline claims: both designs ride out a single-node loss, and
+    // Both designs ride out a single-node loss; the headline gate is that
     // the erasure-coded tier also rides out a whole-rack loss (the 4-rack
     // placement caps any rack at m shards per stripe) *and* scrubs back to
     // clean by re-homing the lost shards across racks.
     let cell = |mode: &str, loss: Loss| {
-        scenarios.iter().find(|s| s.mode == mode && s.loss == loss).unwrap().clone()
+        scenarios.iter().find(|s| s.mode == mode && s.loss == loss).expect("swept cell")
     };
     for mode in ["replicated", "erasure"] {
         assert_eq!(cell(mode, Loss::None).availability(), 1.0, "{mode}: healthy reads failed");
@@ -267,75 +249,48 @@ pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Vec<SweepRu
         && ec_rack.degraded_reads > 0
         && ec_rack.clean_after_repair
         && ec_rack.cross_domain_repair_bytes > 0;
-    assert!(ec_survives_rack_loss, "EC tier must survive a rack loss: {ec_rack:?}");
 
-    let runs = sweep_soak(cfg, soak_scenario(cfg));
-    let (r, c, snap) = &runs[0].outcome;
-    println!(
-        "topology soak: {} days, {} rack outages, {} DC outages, {} degraded EC reads, \
-         {} shards rebuilt in repair, {} EC repair bytes ({} cross-domain); converged={}",
-        r.days.len(),
-        r.fault.rack_downs,
-        r.fault.dc_downs,
-        snap.counter_sum("squirrel_ec_degraded_reads_total"),
-        snap.counter_sum("squirrel_ec_shards_rematerialized_total"),
-        snap.counter_sum("squirrel_ec_repair_bytes_total"),
-        snap.counter_sum("squirrel_ec_cross_domain_repair_bytes_total"),
-        c.converged,
-    );
+    let soak = soak_scenario(cfg);
+    let sweep = sweep_soak(cfg, soak);
+    let (r, _, snap) = &sweep.outcome;
 
-    if let Some(dir) = &cfg.out_dir {
-        std::fs::create_dir_all(dir).expect("create results dir");
-        let path = std::path::Path::new(dir).join("BENCH_topology.json");
-        std::fs::write(&path, render_json(cfg, &scenarios, &runs, ec_survives_rack_loss))
-            .expect("write BENCH_topology.json");
-        println!("topology bench written to {}", path.display());
-    }
-    (scenarios, runs)
-}
-
-/// Hand-rolled JSON (the workspace is std-only by policy).
-fn render_json(
-    cfg: &ExperimentConfig,
-    scenarios: &[ScenarioResult],
-    runs: &[SweepRun<Soak>],
-    ec_survives_rack_loss: bool,
-) -> String {
-    let cells: Vec<String> = scenarios
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"mode\": \"{}\", \"loss\": \"{}\", \"objects\": {}, \
-                 \"available\": {}, \"availability\": {}, \"degraded_reads\": {}, \
-                 \"repair_bytes\": {}, \"cross_domain_repair_bytes\": {}, \
-                 \"clean_after_repair\": {}}}",
-                s.mode,
-                s.loss.name(),
-                s.objects,
-                s.available,
-                fmt_f(s.availability()),
-                s.degraded_reads,
-                s.repair_bytes,
-                s.cross_domain_repair_bytes,
-                s.clean_after_repair,
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed\": {},\n  \
-         \"topology\": {{\"regions\": 1, \"datacenters\": 2, \"racks\": 4, \
-         \"compute_nodes\": {TOPO_COMPUTE}, \"storage_nodes\": {TOPO_STORAGE}}},\n  \
-         \"erasure\": {{\"k\": {EC_K}, \"m\": {EC_M}, \"storage_overhead\": {}}},\n  \
-         \"replication\": {{\"replicas\": 2, \"storage_overhead\": 2}},\n  \
-         \"scenarios\": [\n{}\n  ],\n  \
-         \"ec_survives_rack_loss\": {ec_survives_rack_loss},\n{},\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        cfg.seed,
-        fmt_f(f64::from(EC_K + EC_M) / f64::from(EC_K)),
-        cells.join(",\n"),
-        soak_json(&runs[0].outcome),
-        runs_json(runs),
-    )
+    let mut gates = vec![("ec_survives_rack_loss", ec_survives_rack_loss)];
+    gates.extend(soak_gates(&sweep));
+    // At least one correlated domain outage hit the soak, and EC repair ran.
+    gates.push(("rack_outages", r.fault.rack_downs > 0));
+    gates.push(("ec_repair_bytes", snap.counter_sum("squirrel_ec_repair_bytes_total") > 0));
+    let record = Record {
+        experiment: "topology",
+        params: json_obj! {
+            soak => [images, scale, seed, days],
+            "topology": json_obj! {
+                "regions": 1u32,
+                "datacenters": 2u32,
+                "racks": 4u32,
+                "compute_nodes": TOPO_COMPUTE,
+                "storage_nodes": TOPO_STORAGE,
+            },
+            "erasure": json_obj! {
+                "k": EC_K,
+                "m": EC_M,
+                "storage_overhead": f64::from(EC_K + EC_M) / f64::from(EC_K),
+            },
+            "replication": json_obj! {"replicas": 2u32, "storage_overhead": 2u32},
+        },
+        gates,
+        deterministic: json_obj! {
+            "scenarios": Json::arr(&scenarios, |s| json_obj! {
+                s => [mode],
+                "loss": s.loss.name(),
+                s => [objects, available],
+                "availability": s.availability(),
+                s => [degraded_reads, repair_bytes, cross_domain_repair_bytes, clean_after_repair],
+            }),
+            "soak": soak_block(&sweep.outcome),
+        },
+        wall: sweep.wall(),
+    };
+    (scenarios, sweep, record)
 }
 
 #[cfg(test)]
@@ -345,28 +300,15 @@ mod tests {
     #[test]
     fn scenario_sweep_and_soak_pass_the_acceptance_gates() {
         let cfg = ExperimentConfig::smoke();
-        let (scenarios, runs) = run_topology(&cfg);
+        let (scenarios, sweep, mut record) = run_topology(&cfg);
         assert_eq!(scenarios.len(), 8);
-        assert_eq!(runs.len(), 3);
+        assert_eq!(sweep.runs.len(), 3);
+        // These two speak about the CI cell's fault schedule, not the smoke seed's.
+        record.gates.retain(|(name, _)| !["rack_outages", "ec_repair_bytes"].contains(name));
+        assert_eq!(record.gates.len(), 4);
+        assert_eq!(record.enforce(), Ok(()));
         // Rack and DC outages fired in the soak for the smoke seed.
-        let fault = &runs[0].outcome.0.fault;
+        let fault = &sweep.outcome.0.fault;
         assert!(fault.rack_downs + fault.dc_downs > 0, "{fault:?}");
-    }
-
-    #[test]
-    fn json_has_the_acceptance_fields() {
-        let cfg = ExperimentConfig { threads: 1, ..ExperimentConfig::smoke() };
-        let (scenarios, runs) = run_topology(&cfg);
-        let json = render_json(&cfg, &scenarios, &runs, true);
-        for key in [
-            "\"converged\": true",
-            "\"scrub_clean\": true",
-            "\"ec_survives_rack_loss\": true",
-            "\"deterministic_across_threads\": true,",
-            "\"cross_domain_repair_bytes\"",
-            "\"rack_outages\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
     }
 }

@@ -23,10 +23,12 @@
 
 mod histogram;
 mod journal;
+pub mod json;
 mod registry;
 mod snapshot;
 
 pub use histogram::{bucket_bound, HistogramSnapshot};
 pub use journal::{Event, FieldValue};
 pub use registry::{Counter, Histogram, Metrics, MetricsRegistry, Span, WallStats};
-pub use snapshot::{GaugeValue, MetricsSnapshot, ParseError};
+pub use json::ParseError;
+pub use snapshot::{GaugeValue, MetricsSnapshot};

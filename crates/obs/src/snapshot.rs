@@ -8,6 +8,8 @@
 
 use crate::histogram::{bucket_bound, bucket_index, HistogramSnapshot};
 use crate::journal::{Event, FieldValue};
+use crate::json::{parse_f64, Json, ParseError};
+use crate::json_obj;
 
 /// A gauge is either an integer or a float series.
 #[derive(Clone, Debug, PartialEq)]
@@ -233,126 +235,92 @@ impl MetricsSnapshot {
 
     // --- JSON ---------------------------------------------------------------
 
-    /// Render the full snapshot (including events) as JSON.
+    /// Render the full snapshot (including events) as JSON: one entry per
+    /// line under each section — a layout tests pin by hash.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": [");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\n    [{}, {v}]", json_str(name)));
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match v {
-                GaugeValue::Int(g) => {
-                    out.push_str(&format!("\n    [{}, {{\"int\": {g}}}]", json_str(name)))
-                }
-                GaugeValue::Float(g) => out.push_str(&format!(
-                    "\n    [{}, {{\"float\": {}}}]",
-                    json_str(name),
-                    json_f64(*g)
-                )),
-            }
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let buckets: Vec<String> =
-                h.buckets.iter().map(|(idx, n)| format!("[{idx}, {n}]")).collect();
-            out.push_str(&format!(
-                "\n    [{}, {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}]",
-                json_str(name),
-                h.count,
-                h.sum,
-                buckets.join(", ")
-            ));
-        }
-        out.push_str("\n  ],\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let fields: Vec<String> = e
-                .fields
-                .iter()
-                .map(|(k, v)| {
-                    let val = match v {
-                        FieldValue::U64(x) => format!("{{\"u64\": {x}}}"),
-                        FieldValue::I64(x) => format!("{{\"i64\": {x}}}"),
-                        FieldValue::F64(x) => format!("{{\"f64\": {}}}", json_f64(*x)),
-                        FieldValue::Str(x) => format!("{{\"str\": {}}}", json_str(x)),
-                    };
-                    format!("[{}, {}]", json_str(k), val)
-                })
-                .collect();
-            out.push_str(&format!(
-                "\n    {{\"seq\": {}, \"name\": {}, \"fields\": [{}]}}",
-                e.seq,
-                json_str(&e.name),
-                fields.join(", ")
-            ));
-        }
-        out.push_str(&format!(
-            "\n  ],\n  \"events_dropped\": {}\n}}\n",
+        let pair = |name: &str, value: Json| Json::Arr(vec![name.into(), value]);
+        let mut counters = self.counters.iter().map(|(name, v)| pair(name, (*v).into()));
+        let mut gauges = self.gauges.iter().map(|(name, v)| {
+            let value = match v {
+                GaugeValue::Int(g) => json_obj! {"int": *g},
+                GaugeValue::Float(g) => json_obj! {"float": *g},
+            };
+            pair(name, value)
+        });
+        let mut histograms = self.histograms.iter().map(|(name, h)| {
+            let buckets = Json::arr(&h.buckets, |&(idx, n)| Json::Arr(vec![idx.into(), n.into()]));
+            pair(name, json_obj! {"count": h.count, "sum": h.sum, "buckets": buckets})
+        });
+        let mut events = self.events.iter().map(|e| {
+            let fields = Json::arr(&e.fields, |(k, v)| {
+                let value = match v {
+                    FieldValue::U64(x) => json_obj! {"u64": *x},
+                    FieldValue::I64(x) => json_obj! {"i64": Json::I64(*x)},
+                    FieldValue::F64(x) => json_obj! {"f64": *x},
+                    FieldValue::Str(x) => json_obj! {"str": x.as_str()},
+                };
+                pair(k, value)
+            });
+            json_obj! {"seq": e.seq, "name": e.name.as_str(), "fields": fields}
+        });
+        let section = |name: &str, rows: &mut dyn Iterator<Item = Json>| {
+            let rows: Vec<String> = rows.map(|row| format!("\n    {}", row.render_line())).collect();
+            format!("  \"{name}\": [{}\n  ],\n", rows.join(","))
+        };
+        format!(
+            "{{\n{}{}{}{}  \"events_dropped\": {}\n}}\n",
+            section("counters", &mut counters),
+            section("gauges", &mut gauges),
+            section("histograms", &mut histograms),
+            section("events", &mut events),
             self.events_dropped
-        ));
-        out
+        )
     }
 
     /// Parse [`to_json`](Self::to_json) output back into a snapshot.
     /// Exact inverse for snapshots this crate produced.
     pub fn from_json(text: &str) -> Result<MetricsSnapshot, ParseError> {
         let json = Json::parse(text)?;
-        let obj = json.as_obj("snapshot")?;
         let mut snap = MetricsSnapshot::default();
-        for pair in obj_get(obj, "counters")?.as_arr("counters")? {
-            let p = pair.as_arr("counter pair")?;
-            snap.counters
-                .push((pair_name(p)?, p[1].as_u64("counter value")?));
+        for entry in json.get("counters")?.as_arr("counters")? {
+            let (name, v) = pair(entry)?;
+            snap.counters.push((name, v.as_u64("counter value")?));
         }
-        for pair in obj_get(obj, "gauges")?.as_arr("gauges")? {
-            let p = pair.as_arr("gauge pair")?;
-            let g = p[1].as_obj("gauge value")?;
-            let value = if let Ok(v) = obj_get(g, "int") {
+        for entry in json.get("gauges")?.as_arr("gauges")? {
+            let (name, g) = pair(entry)?;
+            let value = if let Ok(v) = g.get("int") {
                 GaugeValue::Int(v.as_u64("int gauge")?)
             } else {
-                GaugeValue::Float(obj_get(g, "float")?.as_f64("float gauge")?)
+                GaugeValue::Float(g.get("float")?.as_f64("float gauge")?)
             };
-            snap.gauges.push((pair_name(p)?, value));
+            snap.gauges.push((name, value));
         }
-        for pair in obj_get(obj, "histograms")?.as_arr("histograms")? {
-            let p = pair.as_arr("histogram pair")?;
-            let h = p[1].as_obj("histogram value")?;
+        for entry in json.get("histograms")?.as_arr("histograms")? {
+            let (name, h) = pair(entry)?;
             let mut buckets = Vec::new();
-            for b in obj_get(h, "buckets")?.as_arr("buckets")? {
-                let b = b.as_arr("bucket pair")?;
-                buckets.push((
-                    b[0].as_u64("bucket index")? as u8,
-                    b[1].as_u64("bucket count")?,
-                ));
+            for b in h.get("buckets")?.as_arr("buckets")? {
+                let [idx, count] = b.as_arr("bucket pair")? else {
+                    return Err(ParseError::new("expected [index, count] bucket"));
+                };
+                buckets.push((idx.as_u64("bucket index")? as u8, count.as_u64("bucket count")?));
             }
             snap.histograms.push((
-                pair_name(p)?,
+                name,
                 HistogramSnapshot {
-                    count: obj_get(h, "count")?.as_u64("histogram count")?,
-                    sum: obj_get(h, "sum")?.as_u64("histogram sum")?,
+                    count: h.get("count")?.as_u64("histogram count")?,
+                    sum: h.get("sum")?.as_u64("histogram sum")?,
                     buckets,
                 },
             ));
         }
-        for ev in obj_get(obj, "events")?.as_arr("events")? {
-            let e = ev.as_obj("event")?;
+        for e in json.get("events")?.as_arr("events")? {
             let mut fields = Vec::new();
-            for f in obj_get(e, "fields")?.as_arr("fields")? {
-                let f = f.as_arr("field pair")?;
-                let fv = f[1].as_obj("field value")?;
-                let (tag, raw) = fv.first().ok_or_else(|| ParseError::new("empty field"))?;
+            for f in e.get("fields")?.as_arr("fields")? {
+                let (name, fv) = pair(f)?;
+                let (tag, raw) = fv
+                    .as_obj("field value")?
+                    .first()
+                    .ok_or_else(|| ParseError::new("empty field"))?;
                 let value = match tag.as_str() {
                     "u64" => FieldValue::U64(raw.as_u64("u64 field")?),
                     "i64" => FieldValue::I64(raw.as_i64("i64 field")?),
@@ -360,24 +328,26 @@ impl MetricsSnapshot {
                     "str" => FieldValue::Str(raw.as_str("str field")?.to_string()),
                     other => return Err(ParseError::new(&format!("bad field tag {other}"))),
                 };
-                fields.push((pair_name(f)?, value));
+                fields.push((name, value));
             }
             snap.events.push(Event {
-                seq: obj_get(e, "seq")?.as_u64("event seq")?,
-                name: obj_get(e, "name")?.as_str("event name")?.to_string(),
+                seq: e.get("seq")?.as_u64("event seq")?,
+                name: e.get("name")?.as_str("event name")?.to_string(),
                 fields,
             });
         }
-        snap.events_dropped = obj_get(obj, "events_dropped")?.as_u64("events_dropped")?;
+        snap.events_dropped = json.get("events_dropped")?.as_u64("events_dropped")?;
         Ok(snap)
     }
 }
 
-fn pair_name(p: &[Json]) -> Result<String, ParseError> {
-    if p.len() != 2 {
-        return Err(ParseError::new("expected [name, value] pair"));
+/// A `[name, value]` entry; a shorter or longer array is a parse error, not
+/// an index panic.
+fn pair(entry: &Json) -> Result<(String, &Json), ParseError> {
+    match entry.as_arr("pair")? {
+        [name, value] => Ok((name.as_str("pair name")?.to_string(), value)),
+        _ => Err(ParseError::new("expected [name, value] pair")),
     }
-    Ok(p[0].as_str("pair name")?.to_string())
 }
 
 enum HistoPart {
@@ -452,294 +422,6 @@ fn with_inf_label(series: &str) -> String {
     match named.rfind('}') {
         Some(i) => format!("{},le=\"+Inf\"}}", &named[..i]),
         None => format!("{named}{{le=\"+Inf\"}}"),
-    }
-}
-
-/// Render an f64 so that parsing recovers the exact bit pattern (`{:?}` is
-/// Rust's shortest round-trip representation).
-fn json_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
-fn parse_f64(s: &str) -> Option<f64> {
-    match s {
-        "NaN" => Some(f64::NAN),
-        "inf" => Some(f64::INFINITY),
-        "-inf" => Some(f64::NEG_INFINITY),
-        _ => s.parse().ok(),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Errors from the snapshot parsers.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseError {
-    pub message: String,
-}
-
-impl ParseError {
-    fn new(message: &str) -> Self {
-        ParseError { message: message.to_string() }
-    }
-
-    fn at(line: usize, message: &str) -> Self {
-        ParseError { message: format!("line {line}: {message}") }
-    }
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "snapshot parse error: {}", self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-// --- minimal JSON value model (the subset to_json emits) --------------------
-
-#[derive(Debug)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    U64(u64),
-    I64(i64),
-    F64(f64),
-}
-
-fn obj_get<'a>(obj: &'a [(String, Json)], key: &str) -> Result<&'a Json, ParseError> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| ParseError::new(&format!("missing key {key}")))
-}
-
-impl Json {
-    fn as_obj(&self, what: &str) -> Result<&[(String, Json)], ParseError> {
-        match self {
-            Json::Obj(o) => Ok(o),
-            _ => Err(ParseError::new(&format!("{what}: expected object"))),
-        }
-    }
-
-    fn as_arr(&self, what: &str) -> Result<&[Json], ParseError> {
-        match self {
-            Json::Arr(a) => Ok(a),
-            _ => Err(ParseError::new(&format!("{what}: expected array"))),
-        }
-    }
-
-    fn as_str(&self, what: &str) -> Result<&str, ParseError> {
-        match self {
-            Json::Str(s) => Ok(s),
-            _ => Err(ParseError::new(&format!("{what}: expected string"))),
-        }
-    }
-
-    fn as_u64(&self, what: &str) -> Result<u64, ParseError> {
-        match self {
-            Json::U64(v) => Ok(*v),
-            _ => Err(ParseError::new(&format!("{what}: expected unsigned integer"))),
-        }
-    }
-
-    fn as_i64(&self, what: &str) -> Result<i64, ParseError> {
-        match self {
-            Json::I64(v) => Ok(*v),
-            Json::U64(v) if *v <= i64::MAX as u64 => Ok(*v as i64),
-            _ => Err(ParseError::new(&format!("{what}: expected integer"))),
-        }
-    }
-
-    fn as_f64(&self, what: &str) -> Result<f64, ParseError> {
-        match self {
-            Json::F64(v) => Ok(*v),
-            Json::U64(v) => Ok(*v as f64),
-            Json::I64(v) => Ok(*v as f64),
-            _ => Err(ParseError::new(&format!("{what}: expected number"))),
-        }
-    }
-
-    fn parse(text: &str) -> Result<Json, ParseError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(ParseError::new("trailing data after JSON value"));
-        }
-        Ok(v)
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&c) {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(ParseError::new(&format!(
-            "expected '{}' at byte {}",
-            c as char, *pos
-        )))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => {
-            *pos += 1;
-            let mut obj = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(obj));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                expect(b, pos, b':')?;
-                obj.push((key, parse_value(b, pos)?));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(obj));
-                    }
-                    _ => return Err(ParseError::new("expected ',' or '}' in object")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut arr = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(arr));
-            }
-            loop {
-                arr.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(arr));
-                    }
-                    _ => return Err(ParseError::new("expected ',' or ']' in array")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(_) => parse_number(b, pos),
-        None => Err(ParseError::new("unexpected end of input")),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(ParseError::new("expected string"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err(ParseError::new("unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| ParseError::new("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex)
-                                .map_err(|_| ParseError::new("bad \\u escape"))?,
-                            16,
-                        )
-                        .map_err(|_| ParseError::new("bad \\u escape"))?;
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| ParseError::new("bad \\u codepoint"))?,
-                        );
-                        *pos += 4;
-                    }
-                    _ => return Err(ParseError::new("bad escape")),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| ParseError::new("invalid utf-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
-    let start = *pos;
-    // Accept the non-finite tokens json_f64 can emit.
-    for token in ["NaN", "inf", "-inf"] {
-        if b[*pos..].starts_with(token.as_bytes()) {
-            *pos += token.len();
-            return Ok(Json::F64(parse_f64(token).expect("known token")));
-        }
-    }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    let s = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
-    if s.is_empty() {
-        return Err(ParseError::new("expected number"));
-    }
-    if s.contains(['.', 'e', 'E']) {
-        s.parse().map(Json::F64).map_err(|_| ParseError::new("bad float"))
-    } else if s.starts_with('-') {
-        s.parse().map(Json::I64).map_err(|_| ParseError::new("bad integer"))
-    } else {
-        s.parse().map(Json::U64).map_err(|_| ParseError::new("bad integer"))
     }
 }
 
@@ -839,8 +521,55 @@ mod tests {
     fn parse_errors_are_reported() {
         assert!(MetricsSnapshot::from_json("{").is_err());
         assert!(MetricsSnapshot::from_json("not json").is_err());
+        // A short `[name, value]` entry is an error, not an index panic.
+        assert!(MetricsSnapshot::from_json("{\"counters\": [], \"gauges\": [[\"g\"]]}").is_err());
         let err = MetricsSnapshot::from_prometheus("lone_sample 5").unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
+    }
+
+    /// `from_json` is `pub` and reads files: a bracket bomb is a
+    /// `ParseError`, not a stack overflow.
+    #[test]
+    fn from_json_bounds_nesting() {
+        for open in ["[", "{\"k\": "] {
+            let err = MetricsSnapshot::from_json(&open.repeat(100_000)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 64"), "{err}");
+        }
+        let nested = |levels: usize| format!("{}7{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(64)).is_ok());
+        assert!(Json::parse(&nested(65)).is_err());
+    }
+
+    /// Any prefix of a real snapshot, any prefix with a few flipped bits,
+    /// and byte soup from JSON's own alphabet (so the parser gets past the
+    /// first byte) all parse or error — none panics. Fixed-seed xorshift:
+    /// the smoke replays identically every run.
+    #[test]
+    fn from_json_survives_truncation_bitflips_and_random_bytes() {
+        let mut state = 0x2014_u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as usize
+        };
+        let survives = |bytes: &[u8]| drop(MetricsSnapshot::from_json(&String::from_utf8_lossy(bytes)));
+        let clean = sample_snapshot().to_json().into_bytes();
+        for len in 0..=clean.len() {
+            let mut bytes = clean[..len].to_vec();
+            survives(&bytes);
+            for _ in 0..rng() % 4 {
+                if let Some(byte) = bytes.get_mut(rng() % len.max(1)) {
+                    *byte ^= 1 << (rng() % 8);
+                }
+            }
+            survives(&bytes);
+        }
+        const ALPHABET: &[u8] = b"{}[]\",:\\ \n0123456789-+.eEuintflosaN\xc3\xa9";
+        for _ in 0..2000 {
+            let soup: Vec<u8> = (0..rng() % 120).map(|_| ALPHABET[rng() % ALPHABET.len()]).collect();
+            survives(&soup);
+        }
     }
 
     #[test]

@@ -41,6 +41,9 @@ cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 echo "== ARC differential proptest (release, name-seeded) =="
 cargo test -q --release -p squirrel-zfs differential_shared_vs_serial > /dev/null
 
+echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
+cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
+
 echo "== benchmark package smoke (out-of-workspace, release) =="
 # The benchmark links the crates' public API from outside the workspace: a
 # removed or renamed item it uses must fail here, not at the next run.

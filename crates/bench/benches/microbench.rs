@@ -3,12 +3,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use squirrel_bootsim::{Backend, BootSim, DedupVolumeParams};
 use squirrel_compress::{compress, decompress, Codec};
-use squirrel_core::paper_scale_trace;
+use squirrel_core::{paper_scale_trace, Squirrel, SquirrelConfig};
 use squirrel_curvefit::{fit_linear, fit_mmf};
 use squirrel_dataset::{Corpus, CorpusConfig};
 use squirrel_hash::{sha256, ContentHash};
 use squirrel_qcow::{CorCache, CowImage, MemDisk, VirtualDisk};
 use squirrel_zfs::{PoolConfig, ZPool};
+use std::sync::Arc;
 
 fn content_block(n: usize) -> Vec<u8> {
     // Mixed texture matching corpus content (compressible + filler).
@@ -179,6 +180,56 @@ fn bench_file_is_intact(c: &mut Criterion) {
     g.finish();
 }
 
+/// One 64 KiB gzip record read through `read_block_shared` on a receiver of
+/// the pool that wrote it: `alone`, where the payload is dropped after every
+/// read (a decompression each time), and `while_shared`, where a reader on
+/// the *sending* pool holds the record's payload (a refcount bump).
+fn bench_read_block_shared(c: &mut Criterion) {
+    let config = PoolConfig::new(65536, Codec::Gzip(6));
+    let mut src = ZPool::new(config);
+    src.import_file("cache", &[content_block(65536)], 65536);
+    src.snapshot("s");
+    let mut dst = ZPool::new(config);
+    dst.recv(&src.send_latest().expect("send")).expect("recv");
+
+    let mut g = c.benchmark_group("read_block_shared");
+    g.throughput(Throughput::Bytes(65536));
+    g.bench_function("alone", |b| b.iter(|| dst.read_block_shared("cache", 0)));
+    g.bench_function("while_shared", |b| {
+        let _held = src.read_block_shared("cache", 0).expect("file");
+        b.iter(|| dst.read_block_shared("cache", 0))
+    });
+    g.finish();
+}
+
+/// A warm `Squirrel::boot`: `memo_miss` on a system that has not simulated
+/// this image on this pool state before (classify, derive the backend,
+/// synthesise the paper-scale trace, replay it), `memo_hit` on one that has
+/// (classify, derive the backend, look the replay up).
+fn bench_boot(c: &mut Criterion) {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig::test_corpus(2, 5)));
+    let registered = || {
+        let config = SquirrelConfig::builder().compute_nodes(1).build();
+        let mut sq = Squirrel::new(config, Arc::clone(&corpus));
+        sq.register(0).expect("register");
+        sq
+    };
+
+    let mut g = c.benchmark_group("boot");
+    g.bench_function("memo_miss", |b| {
+        b.iter_batched(
+            registered,
+            |mut sq| assert!(sq.boot(0, 0).expect("boot").warm),
+            criterion::BatchSize::PerIteration,
+        )
+    });
+    g.bench_function("memo_hit", |b| {
+        let mut sq = registered();
+        b.iter(|| assert!(sq.boot(0, 0).expect("boot").warm))
+    });
+    g.finish();
+}
+
 /// Ingest pipeline micro-number. The full thread sweep — phase breakdown,
 /// determinism check, speedup gate, the `ingest` bench record — lives in
 /// the `ingest` experiment (`squirrel-experiments ingest`); this keeps a
@@ -259,6 +310,8 @@ criterion_group!(
     bench_zfs,
     bench_recv_fanout,
     bench_file_is_intact,
+    bench_read_block_shared,
+    bench_boot,
     bench_ingest,
     bench_qcow,
     bench_bootsim,

@@ -15,7 +15,10 @@
 //! what the ccVolumes decompressed + hashed to classify their nodes in the
 //! first storm, in the repeat and after the rot; the `reverify_free` gate
 //! says the repeat hashed nothing (registration's proof was remembered) and
-//! the rot cost exactly the one record that changed.
+//! the rot cost exactly the one record that changed. `read_decompressed_bytes`
+//! records what their reads decompressed in the first storm and the repeat;
+//! the `decompress_once_per_record` gate says each was one working set — the
+//! warm nodes share one payload per record — not one per warm node.
 //!
 //! Thread speedup (in the record's `wall` block) is hardware-dependent: a
 //! single-core container shows ~1.0x while the checksum equality still
@@ -46,6 +49,13 @@ pub struct StormOutcome {
     pub verify_hashed_bytes: [u64; 3],
     /// The repeat hashed nothing and the rot exactly one record.
     pub reverify_free: bool,
+    /// Bytes the ccVolumes' reads really decompressed
+    /// (`zpool_read_decompressed_bytes_total`) in the first storm and in the
+    /// repeat of it.
+    pub read_decompressed_bytes: [u64; 2],
+    /// Each of the two was `blocks_per_vm` records: once per record, not
+    /// once per warm node.
+    pub decompress_once_per_record: bool,
 }
 
 /// Default storm shape: 16 VMs over 4 compute nodes.
@@ -63,13 +73,12 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         cfg.corpus(),
     );
     sq.register(0).expect("register image 0");
-    let hashed = |sq: &Squirrel| {
-        sq.metrics()
-            .snapshot()
-            .counter("zpool_verify_hashed_bytes_total{pool=\"ccvol\"}")
-            .unwrap_or(0)
-    };
-    let registered = hashed(&sq);
+    let counter =
+        |sq: &Squirrel, series: &str| sq.metrics().snapshot().counter(series).unwrap_or(0);
+    let hashed = |sq: &Squirrel| counter(sq, "zpool_verify_hashed_bytes_total{pool=\"ccvol\"}");
+    let decompressed =
+        |sq: &Squirrel| counter(sq, "zpool_read_decompressed_bytes_total{pool=\"ccvol\"}");
+    let (hashed_registering, read_registering) = (hashed(&sq), decompressed(&sq));
     let mut first = None;
 
     let mut wall = f64::INFINITY;
@@ -78,7 +87,10 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         let t = std::time::Instant::now();
         let r = sq.boot_storm(0, vms).expect("boot storm");
         wall = wall.min(t.elapsed().as_secs_f64());
-        first.get_or_insert(hashed(&sq) - registered);
+        first.get_or_insert((
+            hashed(&sq) - hashed_registering,
+            decompressed(&sq) - read_registering,
+        ));
         if let Some(prev) = &report {
             assert_eq!(prev.read_checksum, r.read_checksum, "storm repeat diverged");
         }
@@ -95,17 +107,20 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
     // Untimed, after the snapshot the report is built from: the storm
     // again, and once more with one rotted record on node 0.
     let before = hashed(&sq);
+    let read_before = decompressed(&sq);
     let rerun = sq.boot_storm(0, vms).expect("repeat storm");
     assert_eq!(
         rerun.read_checksum, report.read_checksum,
         "storm repeat diverged"
     );
     let again = hashed(&sq) - before;
+    let read_again = decompressed(&sq) - read_before;
     sq.corrupt_cc_block(0, 0).expect("a record to rot");
     let sick = sq.boot_storm(0, vms).expect("storm after rot");
     assert!(sick.degraded_vms > 0, "the rotted node must serve degraded");
     let after_rot = hashed(&sq) - before - again;
     let record = sq.config().block_size as u64;
+    let (first, read_first) = first.expect("at least one repeat");
     let outcome = StormOutcome {
         warm_vms: report.warm_vms,
         cold_vms: report.cold_vms,
@@ -114,8 +129,10 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         read_checksum: report.read_checksum,
         arc: report.arc,
         latency_ms: latency,
-        verify_hashed_bytes: [first.expect("at least one repeat"), again, after_rot],
+        verify_hashed_bytes: [first, again, after_rot],
         reverify_free: again == 0 && after_rot == record,
+        read_decompressed_bytes: [read_first, read_again],
+        decompress_once_per_record: [read_first, read_again] == [report.blocks_per_vm * record; 2],
     };
     (outcome, wall)
 }
@@ -138,6 +155,7 @@ pub fn run_bootstorm(
         gates: vec![
             ("deterministic_across_threads", sweep.deterministic),
             ("reverify_free", o.reverify_free),
+            ("decompress_once_per_record", o.decompress_once_per_record),
             // Warm storm served from the shared ARC: hit rate strictly positive.
             ("arc_hit_rate", o.arc.hit_rate() > 0.0),
         ],
@@ -151,6 +169,10 @@ pub fn run_bootstorm(
                 "first": o.verify_hashed_bytes[0],
                 "again": o.verify_hashed_bytes[1],
                 "after_rot": o.verify_hashed_bytes[2],
+            },
+            "read_decompressed_bytes": json_obj! {
+                "first": o.read_decompressed_bytes[0],
+                "again": o.read_decompressed_bytes[1],
             },
             "latency_ms_histogram": json_obj! {
                 "count": o.latency_ms.count,
@@ -194,5 +216,8 @@ mod tests {
         let record = SquirrelConfig::builder().build().block_size as u64;
         assert!(o.reverify_free);
         assert_eq!(o.verify_hashed_bytes, [0, 0, record]);
+        // Four warm nodes, one decompression per record per storm.
+        assert!(o.decompress_once_per_record);
+        assert_eq!(o.read_decompressed_bytes, [o.blocks_per_vm * record; 2]);
     }
 }

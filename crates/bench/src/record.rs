@@ -215,7 +215,7 @@ mod tests {
     const EXPERIMENTS: [(Experiment, &str); 8] = [
         (
             |cfg| bootstorm::run_bootstorm(cfg, 8, 1).1,
-            "deterministic_across_threads reverify_free arc_hit_rate",
+            "deterministic_across_threads reverify_free decompress_once_per_record arc_hit_rate",
         ),
         (
             |cfg| ingest::run_ingest(cfg, 48, 1).1,

@@ -129,7 +129,22 @@ impl BootSim {
         backend: &Backend,
         workers: &squirrel_hash::par::WorkerPool,
     ) -> Vec<BootReport> {
-        let solo = workers.parallel_map(traces, |_i, t| self.boot(t, backend));
+        self.queue_on_one_disk(workers.parallel_map(traces, |_i, t| self.boot(t, backend)))
+    }
+
+    /// [`boot_concurrent_on`](Self::boot_concurrent_on) for `vms` VMs that
+    /// replay the *same* trace — a boot storm of one image on one node:
+    /// `solo` is that trace's one [`boot`](Self::boot) on the node's
+    /// backend, and every VM queues behind the device time of `vms - 1`
+    /// copies of it. Bit-identical to replaying the trace `vms` times.
+    pub fn boot_concurrent_same(&self, solo: BootReport, vms: usize) -> Vec<BootReport> {
+        self.queue_on_one_disk(vec![solo; vms])
+    }
+
+    /// The queueing adjustment over in-order solo reports. The total is
+    /// summed report by report even when they are all equal: `n × io`
+    /// rounds differently from `n` additions.
+    fn queue_on_one_disk(&self, solo: Vec<BootReport>) -> Vec<BootReport> {
         let total_io: f64 = solo.iter().map(|r| r.io_seconds).sum();
         solo.into_iter()
             .map(|mut r| {
@@ -568,6 +583,35 @@ mod tests {
                 assert_eq!(p.net_bytes, s.net_bytes);
                 assert_eq!(p.ddt_lookups, s.ddt_lookups);
                 assert_eq!(p.decompressed_bytes, s.decompressed_bytes);
+            }
+        }
+    }
+
+    #[test]
+    fn same_trace_storm_equals_replaying_the_trace_per_vm() {
+        let sim = BootSim::new();
+        let t = trace(8 << 20);
+        let workers = WorkerPool::new(2);
+        for backend in [
+            Backend::DedupVolume(params(64 * 1024)),
+            Backend::ColdCache { net_mbps: 125.0, image_bytes: 27 << 30 },
+        ] {
+            let solo = sim.boot(&t, &backend);
+            for n in 1..=64usize {
+                let oracle = sim.boot_concurrent_on(&vec![t.clone(); n], &backend, &workers);
+                let same = sim.boot_concurrent_same(solo, n);
+                let bits = |r: &BootReport| {
+                    (
+                        (r.total_seconds.to_bits(), r.io_seconds.to_bits()),
+                        (r.disk_reads, r.disk_bytes, r.net_bytes),
+                        (r.ddt_lookups, r.decompressed_bytes),
+                    )
+                };
+                assert_eq!(
+                    same.iter().map(bits).collect::<Vec<_>>(),
+                    oracle.iter().map(bits).collect::<Vec<_>>(),
+                    "n={n} {backend:?}"
+                );
             }
         }
     }

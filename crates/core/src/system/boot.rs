@@ -6,7 +6,7 @@
 use super::{BootOutcome, BootStormReport, BootVerification, SquirrelError};
 use super::{ComputeNode, ImageDisk, Squirrel};
 use crate::trace::paper_scale_trace;
-use squirrel_bootsim::{Backend, DedupVolumeParams};
+use squirrel_bootsim::{Backend, BootReport, DedupVolumeParams};
 use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
 use squirrel_qcow::{CorCache, VirtualDisk};
@@ -26,6 +26,50 @@ pub(super) enum CacheState {
     Degraded,
     /// Never delivered: the plain cold path.
     Cold,
+}
+
+/// Everything a simulated boot depends on, by value: the paper-scale
+/// working set and the image id (which fix the trace) and every field of
+/// the backend, floats by their bits. The device models in `Squirrel::sim`
+/// never change after `new`.
+pub(super) type SimKey = (u64, ImageId, [u64; 9]);
+
+/// Replays [`Squirrel::simulate`] remembers before it starts over. A key is
+/// an (image, pool state) pair and a fleet mints new ones all day, so the
+/// map needs a bound; this one is far more than a storm or a catalog on
+/// look-alike nodes uses, at ≈ 150 B an entry.
+pub(super) const SIM_MEMO_CAP: usize = 1024;
+
+/// `backend` as bits: the variant, then its fields in declaration order.
+/// Destructured without `..`, so a new field cannot be left out of the key.
+fn backend_bits(backend: &Backend) -> [u64; 9] {
+    match *backend {
+        Backend::WarmCacheXfs => [0; 9],
+        Backend::BaseImageXfs { image_bytes } => [1, image_bytes, 0, 0, 0, 0, 0, 0, 0],
+        Backend::ColdCache { net_mbps, image_bytes } => {
+            [2, net_mbps.to_bits(), image_bytes, 0, 0, 0, 0, 0, 0]
+        }
+        Backend::DedupVolume(DedupVolumeParams {
+            record_size,
+            compressed_fraction,
+            ddt_entries,
+            pool_physical_bytes,
+            shared_fraction,
+            hot_fraction,
+            decompress_ns_per_byte,
+            decompressed_cache_records,
+        }) => [
+            3,
+            record_size,
+            compressed_fraction.to_bits(),
+            ddt_entries,
+            pool_physical_bytes,
+            shared_fraction.to_bits(),
+            hot_fraction.to_bits(),
+            decompress_ns_per_byte.to_bits(),
+            decompressed_cache_records as u64,
+        ],
+    }
 }
 
 impl ComputeNode {
@@ -56,6 +100,27 @@ impl Squirrel {
         self.corpus.image(image).virtual_bytes() * self.corpus.config().scale
     }
 
+    /// The simulated boot of `image` against `backend` — the one way a
+    /// single boot, a storm and registration's first boot get their timing.
+    /// [`BootSim::boot`] of the paper-scale trace is a pure function of the
+    /// key, so each distinct key is replayed once and the trace is only
+    /// synthesised for that replay. Nothing invalidates an entry: a
+    /// register, eviction or repair that changes what a pool's backend looks
+    /// like yields a different key.
+    pub(super) fn simulate(&mut self, image: ImageId, backend: &Backend) -> BootReport {
+        let ws_bytes = self.paper_ws_bytes(image);
+        let key = (ws_bytes, image, backend_bits(backend));
+        if let Some(report) = self.sim_memo.get(&key) {
+            return *report;
+        }
+        let report = self.sim.boot(&paper_scale_trace(ws_bytes, image as u64), backend);
+        if self.sim_memo.len() >= SIM_MEMO_CAP {
+            self.sim_memo.clear();
+        }
+        self.sim_memo.insert(key, report);
+        report
+    }
+
     /// Boot `image` on compute node `node` (paper Section 3.3): warm when
     /// the ccVolume holds the cache (zero network I/O), cold otherwise
     /// (CoW over the parallel file system).
@@ -64,7 +129,6 @@ impl Squirrel {
         self.known_image(image)?;
         let state = n.cache_state(image);
         let warm = state == CacheState::Warm;
-        let trace = paper_scale_trace(self.paper_ws_bytes(image), image as u64);
         let (backend, net_bytes) = if warm {
             (self.warm_backend(&n.ccvol, &Self::cache_file_name(image)), 0)
         } else {
@@ -74,7 +138,7 @@ impl Squirrel {
             // — or from k shards — cannot boot at all.
             (self.cold_backend(image), self.shared_read(node, image)?)
         };
-        let report = self.sim.boot(&trace, &backend);
+        let report = self.simulate(image, &backend);
         // Popularity counts only boots that succeed: every fallible step is
         // behind us.
         self.note_popularity(image, 1);
@@ -297,36 +361,24 @@ impl Squirrel {
         // inflate popularity for boots that never happened.
         self.note_popularity(image, u64::from(vms));
 
-        // Timing: VMs sharing a node queue on that node's device. Backends
-        // derive serially (they read pool state), then the node groups
-        // replay concurrently on the persistent worker pool — `BootSim::boot`
-        // is pure, and the serial reduction below assigns results in node
-        // order, so `boot_seconds` is bit-identical at any thread count.
-        let paper_trace = paper_scale_trace(self.paper_ws_bytes(image), image as u64);
+        // Timing: VMs sharing a node queue on that node's device, and every
+        // VM replays the same trace — so a node costs one replay of its
+        // backend (one per *distinct* backend across the storm: nodes whose
+        // pools look alike share it) and a queueing adjustment.
         let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (vm, &node) in assignments.iter().enumerate() {
             by_node.entry(node).or_default().push(vm);
         }
-        let groups: Vec<(Vec<usize>, Backend)> = by_node
-            .iter()
-            .map(|(&node, vm_ids)| {
-                let backend = if caches.contains_key(&node) {
-                    self.warm_backend(&self.nodes[node].ccvol, &name)
-                } else {
-                    self.cold_backend(image)
-                };
-                (vm_ids.clone(), backend)
-            })
-            .collect();
-        let sim = &self.sim;
-        let workers = &self.workers;
-        let timed = workers.parallel_map(&groups, |_i, (vm_ids, backend)| {
-            let traces = vec![paper_trace.clone(); vm_ids.len()];
-            sim.boot_concurrent_on(&traces, backend, workers)
-        });
         let mut boot_seconds = vec![0.0f64; vms as usize];
-        for ((vm_ids, _), reports) in groups.iter().zip(&timed) {
-            for (&vm, report) in vm_ids.iter().zip(reports) {
+        for (&node, vm_ids) in &by_node {
+            let backend = if caches.contains_key(&node) {
+                self.warm_backend(&self.nodes[node].ccvol, &name)
+            } else {
+                self.cold_backend(image)
+            };
+            let solo = self.simulate(image, &backend);
+            let queued = self.sim.boot_concurrent_same(solo, vm_ids.len());
+            for (&vm, report) in vm_ids.iter().zip(&queued) {
                 boot_seconds[vm] = report.total_seconds;
             }
         }
@@ -476,6 +528,140 @@ impl Squirrel {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use proptest::prelude::*;
+    use squirrel_bootsim::BootSim;
+    use squirrel_hash::par::WorkerPool;
+
+    fn bits(r: &BootReport) -> [u64; 7] {
+        [
+            r.total_seconds.to_bits(),
+            r.io_seconds.to_bits(),
+            r.disk_reads,
+            r.disk_bytes,
+            r.net_bytes,
+            r.ddt_lookups,
+            r.decompressed_bytes,
+        ]
+    }
+
+    /// What a boot of `image` on `node` must report right now: the backend
+    /// derived from the node's pool as it stands, and a replay of the
+    /// paper-scale trace that remembers nothing.
+    fn fresh_replay(sq: &Squirrel, node: usize, image: ImageId, vms: usize) -> Vec<BootReport> {
+        let n = &sq.nodes[node];
+        let backend = if n.cache_state(image) == CacheState::Warm {
+            sq.warm_backend(&n.ccvol, &Squirrel::cache_file_name(image))
+        } else {
+            sq.cold_backend(image)
+        };
+        let trace = paper_scale_trace(sq.paper_ws_bytes(image), image as u64);
+        BootSim::new().boot_concurrent_on(&vec![trace; vms], &backend, &WorkerPool::new(1))
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Register(ImageId),
+        Evict(NodeId, ImageId),
+        Corrupt(NodeId, u64),
+        Repair(NodeId),
+        Offline(NodeId),
+        Rejoin(NodeId),
+        Boot(NodeId, ImageId),
+        Storm(ImageId, u32),
+    }
+
+    const NODES: u32 = 3;
+    const IMAGES: u32 = 4;
+
+    fn op() -> impl Strategy<Value = Op> {
+        let (node, image) = (0..NODES, 0..IMAGES);
+        prop_oneof![
+            2 => image.clone().prop_map(Op::Register),
+            1 => (node.clone(), image.clone()).prop_map(|(n, i)| Op::Evict(n, i)),
+            1 => (node.clone(), any::<u64>()).prop_map(|(n, nth)| Op::Corrupt(n, nth)),
+            1 => node.clone().prop_map(Op::Repair),
+            1 => node.clone().prop_map(Op::Offline),
+            1 => node.clone().prop_map(Op::Rejoin),
+            4 => (node, image.clone()).prop_map(|(n, i)| Op::Boot(n, i)),
+            2 => (image, 1u32..8).prop_map(|(i, vms)| Op::Storm(i, vms)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Whatever happened to the pools in between, every boot and every
+        /// storm VM reports exactly what an un-memoised, per-VM replay on
+        /// the backend of that moment reports.
+        #[test]
+        fn memoised_boots_match_fresh_replays(ops in proptest::collection::vec(op(), 1..24)) {
+            let mut sq = small_system(NODES);
+            for op in ops {
+                match op {
+                    Op::Register(i) => match sq.register(i) {
+                        Ok(_) | Err(SquirrelError::AlreadyRegistered(_)) => {}
+                        Err(e) => return Err(TestCaseError::fail(format!("register: {e}"))),
+                    },
+                    Op::Evict(n, i) => {
+                        let _ = sq.evict_cache(n, i);
+                    }
+                    Op::Corrupt(n, nth) => {
+                        let _ = sq.corrupt_cc_block(n, nth);
+                    }
+                    Op::Repair(n) => {
+                        let _ = sq.scrub_and_repair(n);
+                    }
+                    Op::Offline(n) => sq.node_offline(n).expect("valid node"),
+                    Op::Rejoin(n) => {
+                        sq.node_rejoin(n).expect("rejoin");
+                    }
+                    Op::Boot(n, i) => {
+                        let expected = fresh_replay(&sq, n as usize, i, 1);
+                        match sq.boot(n, i) {
+                            Ok(out) => prop_assert_eq!(bits(&out.report), bits(&expected[0])),
+                            Err(SquirrelError::NodeOffline(_)) => {}
+                            Err(e) => return Err(TestCaseError::fail(format!("boot: {e}"))),
+                        }
+                    }
+                    Op::Storm(i, vms) => {
+                        let online: Vec<usize> =
+                            (0..sq.nodes.len()).filter(|&n| sq.nodes[n].online).collect();
+                        let mut expected = vec![0u64; vms as usize];
+                        for (slot, &node) in online.iter().enumerate() {
+                            let on_node = (slot..vms as usize).step_by(online.len());
+                            let reports = fresh_replay(&sq, node, i, on_node.len());
+                            for (vm, r) in on_node.zip(&reports) {
+                                expected[vm] = r.total_seconds.to_bits();
+                            }
+                        }
+                        match sq.boot_storm(i, vms) {
+                            Ok(storm) => prop_assert_eq!(
+                                storm.boot_seconds.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                                expected
+                            ),
+                            Err(SquirrelError::NodeOffline(_)) => prop_assert!(online.is_empty()),
+                            Err(e) => return Err(TestCaseError::fail(format!("storm: {e}"))),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_replay_memo_stays_correct_and_bounded_past_its_cap() {
+        let mut sq = small_system(1);
+        let trace = paper_scale_trace(sq.paper_ws_bytes(0), 0);
+        let sim = BootSim::new();
+        for n in 0..SIM_MEMO_CAP as u64 + 3 {
+            let backend = Backend::BaseImageXfs { image_bytes: (n + 1) << 20 };
+            let expected = bits(&sim.boot(&trace, &backend));
+            assert_eq!(bits(&sq.simulate(0, &backend)), expected, "miss {n}");
+            assert_eq!(bits(&sq.simulate(0, &backend)), expected, "hit {n}");
+            // Full at the cap, then emptied and refilled from one.
+            assert_eq!(sq.sim_memo.len() as u64, n % SIM_MEMO_CAP as u64 + 1);
+        }
+    }
 
     #[test]
     fn warm_boot_has_zero_network_traffic() {

@@ -20,7 +20,7 @@ pub use reports::{
 };
 
 use crate::dist::DistributionPolicy;
-use squirrel_bootsim::BootSim;
+use squirrel_bootsim::{BootReport, BootSim};
 use squirrel_cluster::{
     EcConfig, ErasureCodedVolume, GlusterConfig, GlusterVolume, Network, NodeId,
 };
@@ -30,7 +30,7 @@ use squirrel_hash::par::WorkerPool;
 use squirrel_obs::{Metrics, MetricsRegistry};
 use squirrel_qcow::{CorCache, VirtualDisk};
 use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 struct ComputeNode {
@@ -143,6 +143,8 @@ pub struct Squirrel {
     /// when an image is deregistered and registered again.
     reg_seq: u64,
     sim: BootSim,
+    /// Every replay [`Self::simulate`] has run, by the value of its inputs.
+    sim_memo: HashMap<boot::SimKey, BootReport>,
     registry: MetricsRegistry,
     /// Unlabeled handle used by the workflow layer (`squirrel_*` series).
     obs: Metrics,
@@ -156,9 +158,9 @@ pub struct Squirrel {
     faults: Option<FaultPlan>,
     /// One persistent worker pool shared by every parallel region: the
     /// scVolume and all ccVolumes ingest through it, registration fans a
-    /// stream out to receivers on it, and boot storms serve reads and
-    /// replay boot timings on it. Workers spawn lazily on first use and
-    /// live for the system's lifetime.
+    /// stream out to receivers on it, and boot storms serve reads on it.
+    /// Workers spawn lazily on first use and live for the system's
+    /// lifetime.
     workers: WorkerPool,
 }
 
@@ -244,6 +246,7 @@ impl Squirrel {
             snapshot_days: BTreeMap::new(),
             reg_seq: 0,
             sim: BootSim::new(),
+            sim_memo: HashMap::new(),
             registry,
             obs,
             ccvol_obs,

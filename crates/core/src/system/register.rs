@@ -5,7 +5,6 @@
 use super::{DeliveryStats, Registration, Squirrel};
 use super::{GcReport, RegisterReport, SquirrelError};
 use crate::dist::{DistributionPolicy, TransferLeg, TransferPlan};
-use crate::trace::paper_scale_trace;
 #[cfg(doc)]
 use squirrel_cluster::Network;
 use squirrel_cluster::NodeId;
@@ -91,13 +90,7 @@ impl Squirrel {
 
         // First boot takes a normal boot's time (paper: ~20 s), snapshot
         // creation is cheap, multicast as computed.
-        let first_boot = self
-            .sim
-            .boot(
-                &paper_scale_trace(self.paper_ws_bytes(image), image as u64),
-                &self.cold_backend(image),
-            )
-            .total_seconds;
+        let first_boot = self.simulate(image, &self.cold_backend(image)).total_seconds;
 
         self.registered.insert(image, Registration { snapshot_tag: tag.clone(), day: self.day });
         // A delivered stream mirrors the scVolume's tip, restoring any cache

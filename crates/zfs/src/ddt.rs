@@ -10,17 +10,19 @@ use squirrel_compress::decompress;
 use squirrel_hash::ContentHash;
 #[cfg(test)]
 use squirrel_hash::FnvHashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Key type: the first 128 bits of the block's SHA-256.
 pub type BlockKey = u128;
 
 /// A shared, immutable block of *decompressed* data. Every consumer of a
-/// block's bytes — ARC cache entries, copy-on-read cache blocks, hole reads
-/// — holds a reference to the *same* buffer, so a warm read is a refcount
-/// bump, never a copy. The one copy in a payload's life is its birth (`Vec`
-/// → `Arc<[u8]>` after the single decompress that produced it), on the cold
-/// path. Stored compressed records are [`Frame`]s.
+/// block's bytes — ARC cache entries on every pool that shares the record's
+/// [`Frame`], copy-on-read cache blocks, hole reads — holds a reference to
+/// the *same* buffer, so a warm read is a refcount bump, never a copy. The
+/// one copy in a payload's life is its birth (`Vec` → `Arc<[u8]>` after the
+/// single decompress that produced it), on the cold path. Stored compressed
+/// records are [`Frame`]s.
 pub type SharedPayload = Arc<[u8]>;
 
 /// A stored compressed record: immutable bytes that remember their own
@@ -30,10 +32,16 @@ pub type SharedPayload = Arc<[u8]>;
 /// registration, normally — serves every later boot, scrub, rejoin and
 /// repair on every pool that shares it.
 ///
-/// The memo is a pure function of bytes nobody can change: there is no
-/// mutable access to them and no constructor that fills the memo, so
-/// nothing is ever invalidated. A rotted, repaired or re-decoded record is
-/// a *different* frame, born unproven and checked on first touch.
+/// The same buffer hands out its decompressed [`SharedPayload`]
+/// ([`Frame::payload`]): every pool holding the frame reads the *same*
+/// `Arc<[u8]>` for as long as anyone holds it, and the frame itself holds
+/// only a `Weak`, so once the last reader lets go the next one decompresses
+/// again.
+///
+/// Both memos are pure functions of bytes nobody can change: there is no
+/// mutable access to them and no constructor that fills a memo, so nothing
+/// is ever invalidated. A rotted, repaired or re-decoded record is a
+/// *different* frame, born unproven and undecompressed.
 #[derive(Clone, Debug)]
 pub struct Frame(Arc<FrameInner>);
 
@@ -43,15 +51,61 @@ struct FrameInner {
     /// `(lsize, content key)` of the first proof. The key depends on the
     /// length the frame is decompressed to, so the length is part of it.
     proof: OnceLock<(u32, BlockKey)>,
+    /// `(lsize, payload)` of the latest decompression, while a reader still
+    /// holds it. The lock is also the single-flight: concurrent readers of
+    /// one record wait for the first one's buffer instead of decompressing
+    /// their own.
+    payload: Mutex<Option<(u32, Weak<[u8]>)>>,
+    /// Is there a memo to look at? Written under the lock, read without it
+    /// as a hint only: a frame nobody reads shared costs `content_key` one
+    /// load, not a lock.
+    memoised: AtomicBool,
 }
 
 impl Frame {
+    /// `decompress(bytes, lsize)` as a shared buffer: the one a reader of
+    /// this frame — on any pool — already holds at that length, else a new
+    /// one. Bytes this call actually decompressed are added to
+    /// `decompressed`; a shared answer adds nothing.
+    pub fn payload(&self, lsize: u32, decompressed: &mut u64) -> SharedPayload {
+        // The memo is only ever assigned whole, so a reader that panicked
+        // under the lock left it valid.
+        let mut memo = self.0.payload.lock().unwrap_or_else(PoisonError::into_inner);
+        let held = memo.as_ref().filter(|(at, _)| *at == lsize);
+        if let Some(payload) = held.and_then(|(_, payload)| payload.upgrade()) {
+            return payload;
+        }
+        let payload: SharedPayload = decompress(&self.0.bytes, lsize as usize).into();
+        *decompressed += payload.len() as u64;
+        *memo = Some((lsize, Arc::downgrade(&payload)));
+        self.0.memoised.store(true, Ordering::Relaxed);
+        payload
+    }
+
+    /// Forget a payload nobody holds any more. A dead `Weak` no longer
+    /// reaches the bytes but still pins their allocation (an `Arc`'s backing
+    /// store is freed with its last `Weak`), so every question asked of the
+    /// frame — each boot's intact check, each scrub — drops one. Never
+    /// waits: a held lock means a reader is filling the memo right now.
+    fn reap_payload(&self) {
+        if !self.0.memoised.load(Ordering::Relaxed) {
+            return;
+        }
+        if let Ok(mut memo) = self.0.payload.try_lock() {
+            if memo.as_ref().is_some_and(|(_, held)| held.strong_count() == 0) {
+                *memo = None;
+                self.0.memoised.store(false, Ordering::Relaxed);
+            }
+        }
+    }
+
     /// `ContentHash::of(decompress(bytes, lsize)).short()`, computed at most
     /// once per buffer for the `lsize` it was first asked at (a question at
     /// another length is answered afresh, every time). Bytes this call
     /// actually decompressed and hashed are added to `hashed`; a remembered
     /// answer adds nothing.
     pub fn content_key(&self, lsize: u32, hashed: &mut u64) -> BlockKey {
+        self.reap_payload();
         let compute = |hashed: &mut u64| {
             let content = decompress(&self.0.bytes, lsize as usize);
             *hashed += content.len() as u64;
@@ -78,6 +132,8 @@ impl From<Vec<u8>> for Frame {
         Frame(Arc::new(FrameInner {
             bytes: bytes.into(),
             proof: OnceLock::new(),
+            payload: Mutex::new(None),
+            memoised: AtomicBool::new(false),
         }))
     }
 }
@@ -270,6 +326,39 @@ mod tests {
         let mut copy_hashed = 0u64;
         assert_eq!(copy.content_key(512, &mut copy_hashed), key);
         assert_eq!(copy_hashed, 512);
+    }
+
+    #[test]
+    fn a_frame_shares_its_payload_while_held_and_keeps_nothing_after() {
+        use squirrel_compress::{compress, Codec};
+        let content = vec![7u8; 512];
+        let frame = Frame::from(compress(Codec::Lzjb, &content));
+        let mut decompressed = 0u64;
+        let held = frame.payload(512, &mut decompressed);
+        assert_eq!((&*held, decompressed), (&content[..], 512));
+        // Another handle on the same buffer gets the same payload, free.
+        assert!(Arc::ptr_eq(&frame.clone().payload(512, &mut decompressed), &held));
+        assert_eq!(decompressed, 512);
+        // Another length is another buffer, and the one remembered now.
+        let short = frame.payload(256, &mut decompressed);
+        assert_eq!(*short, *decompress(&frame, 256));
+        assert_eq!(decompressed, 512 + short.len() as u64);
+        assert!(Arc::ptr_eq(&frame.payload(256, &mut decompressed), &short));
+        assert!(!Arc::ptr_eq(&frame.payload(512, &mut decompressed), &held));
+        assert_eq!(decompressed, 2 * 512 + short.len() as u64);
+        // Equal bytes in another buffer share nothing.
+        let copy = Frame::from(frame.to_vec());
+        assert!(!Arc::ptr_eq(&copy.payload(512, &mut decompressed), &held));
+        // With every holder gone the memo is dead; the next question of any
+        // kind drops it, and with it the allocation it pinned.
+        drop((held, short));
+        let holders = || {
+            let memo = frame.0.payload.lock().expect("lock");
+            memo.as_ref().map(|(_, held)| held.strong_count())
+        };
+        assert_eq!(holders(), Some(0));
+        frame.content_key(512, &mut 0);
+        assert_eq!(holders(), None);
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //! * **Zero-copy read path** ([`arc`], [`sharedarc`]) — payloads are shared
 //!   immutable buffers: stored compressed records are [`Frame`]s,
 //!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`), decompressed at
-//!   most once per cache residency; warm reads are refcount bumps, and the
+//!   most once per cache residency — and, through [`Frame::payload`], once
+//!   for all the pools that hold the record while any of them still reads
+//!   it; warm reads are refcount bumps, and the
 //!   shard-locked [`SharedArcCache`] serves any number of concurrent
 //!   boot-storm readers with bit-identical bytes and statistics.
 //! * **Proved once per buffer** ([`Frame::content_key`]) — a stored record

@@ -35,6 +35,11 @@ pub(crate) struct PoolMeters {
     /// memo ([`Frame::content_key`](crate::Frame::content_key)). Covered
     /// minus hashed is what remembering proofs saved.
     pub(crate) verify_hashed_bytes: Counter,
+    /// Bytes this pool's reads actually decompressed. A read answered with
+    /// a payload another reader of the same frame already holds — on this
+    /// pool or any other ([`Frame::payload`](crate::Frame::payload)) — adds
+    /// nothing.
+    pub(crate) read_decompressed_bytes: Counter,
     pub(crate) compressed_block_bytes: Histogram,
     /// Chunks emitted by the CDC prepare stage (zero chunks included).
     pub(crate) chunking_chunks: Counter,
@@ -65,6 +70,7 @@ impl PoolMeters {
             scrub_blocks: m.counter("zpool_scrub_blocks_total"),
             scrub_bytes: m.counter("zpool_scrub_bytes_total"),
             verify_hashed_bytes: m.counter("zpool_verify_hashed_bytes_total"),
+            read_decompressed_bytes: m.counter("zpool_read_decompressed_bytes_total"),
             compressed_block_bytes: m.histogram("zpool_compressed_block_bytes"),
             chunking_chunks: m.counter("squirrel_chunking_chunks_total"),
             chunking_chunk_bytes: m.counter("squirrel_chunking_chunk_bytes_total"),

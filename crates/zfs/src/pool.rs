@@ -9,7 +9,7 @@
 //! blocks nothing else uses.
 
 use crate::config::PoolConfig;
-use crate::ddt::{BlockKey, SharedPayload};
+use crate::ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
 use crate::meter::PoolMeters;
 use crate::sddt::ShardedDedupTable;
 use crate::stats::SpaceStats;
@@ -284,6 +284,32 @@ impl ZPool {
         }
     }
 
+    /// Resolve a record pointer to its dedup-table entry. Every pointer —
+    /// block or chunk, live or snapshotted — holds a reference, so a missing
+    /// entry is a refcounting bug.
+    pub(crate) fn entry(&self, key: &BlockKey) -> &DdtEntry {
+        self.ddt.get(key).expect("dangling record pointer")
+    }
+
+    /// Pointer → DDT entry → frame: the stored record behind a pointer and
+    /// the length it decompresses to.
+    fn record(&self, key: &BlockKey) -> (&Frame, u32) {
+        let entry = self.entry(key);
+        let frame = entry.data.as_ref().expect("read from accounting-only pool");
+        (frame, entry.lsize)
+    }
+
+    /// The decompressed record behind a pointer, as the buffer every other
+    /// reader of its frame holds (see [`Frame::payload`]); only a read that
+    /// really decompressed counts toward `zpool_read_decompressed_bytes_total`.
+    fn payload(&self, key: &BlockKey) -> SharedPayload {
+        let (frame, lsize) = self.record(key);
+        let mut decompressed = 0;
+        let payload = frame.payload(lsize, &mut decompressed);
+        self.meters.read_decompressed_bytes.add(decompressed);
+        payload
+    }
+
     /// Fill `buf` with the chunked file's bytes at logical offset `start`
     /// (zeros where no chunk covers). `chunks` is sorted by `logical_off`.
     fn read_range_chunked(&self, chunks: &[CdcChunk], start: u64, buf: &mut [u8]) {
@@ -291,9 +317,7 @@ impl ZPool {
         let mut i = chunks.partition_point(|c| c.logical_off + c.len as u64 <= start);
         while i < chunks.len() && chunks[i].logical_off < end {
             let c = &chunks[i];
-            let entry = self.ddt.get(&c.key).expect("dangling chunk pointer");
-            let frame = entry.data.as_ref().expect("read from accounting-only pool");
-            let bytes = decompress(frame, entry.lsize as usize);
+            let bytes = self.payload(&c.key);
             let lo = start.max(c.logical_off);
             let hi = end.min(c.logical_off + c.len as u64);
             buf[(lo - start) as usize..(hi - start) as usize].copy_from_slice(
@@ -309,8 +333,10 @@ impl ZPool {
         chunks.get(i).map(|c| c.logical_off >= end).unwrap_or(true)
     }
 
-    /// Read one block (zeros for holes and unwritten space). `None` if the
-    /// file does not exist. On chunked files this assembles the
+    /// Read one block (zeros for holes and unwritten space) into a buffer
+    /// of the caller's own: a fixed record is decompressed on every call,
+    /// which is what the shared read paths are tested against. `None` if
+    /// the file does not exist. On chunked files this assembles the
     /// `block_size` window from the chunks that overlap it, so logical
     /// reads are identical across chunking strategies.
     pub fn read_block(&self, name: &str, block_idx: u64) -> Option<Vec<u8>> {
@@ -324,17 +350,20 @@ impl ZPool {
         match table.ptrs.get(block_idx as usize).copied().flatten() {
             None => Some(vec![0u8; bs]),
             Some(key) => {
-                let entry = self.ddt.get(&key).expect("dangling block pointer");
-                let frame = entry.data.as_ref().expect("read from accounting-only pool");
-                Some(decompress(frame, bs))
+                let (frame, lsize) = self.record(&key);
+                let block = decompress(frame, lsize as usize);
+                self.meters.read_decompressed_bytes.add(block.len() as u64);
+                Some(block)
             }
         }
     }
 
     /// [`read_block`](Self::read_block) returning a shared payload: holes
     /// hand out the pool's one zero block (a refcount bump), data blocks
-    /// decompress once into a buffer that caches and callers then share.
-    /// This is the fill path of [`crate::SharedArcCache`].
+    /// decompress once into a buffer that caches and callers then share —
+    /// across pools too: while anyone holds a record's payload, every pool
+    /// holding the same [`Frame`] returns that buffer. This is the fill
+    /// path of [`crate::SharedArcCache`].
     pub fn read_block_shared(&self, name: &str, block_idx: u64) -> Option<SharedPayload> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;
@@ -349,17 +378,18 @@ impl ZPool {
         }
         match table.ptrs.get(block_idx as usize).copied().flatten() {
             None => Some(Arc::clone(&self.zero_block)),
-            Some(key) => {
-                let entry = self.ddt.get(&key).expect("dangling block pointer");
-                let frame = entry.data.as_ref().expect("read from accounting-only pool");
-                Some(decompress(frame, bs).into())
-            }
+            Some(key) => Some(self.payload(&key)),
         }
     }
 
     /// The pool's shared all-zero block (what hole reads return).
     pub fn zero_block_shared(&self) -> SharedPayload {
         Arc::clone(&self.zero_block)
+    }
+
+    fn block_ref_of(&self, key: BlockKey) -> BlockRef {
+        let e = self.entry(&key);
+        BlockRef { key, phys: e.phys, psize: e.psize }
     }
 
     /// Resolve one record pointer of `name`. Outer `None` = no such file;
@@ -371,15 +401,10 @@ impl ZPool {
     pub fn block_ref(&self, name: &str, block_idx: u64) -> Option<Option<BlockRef>> {
         let table = self.files.get(name)?;
         if let Some(chunks) = table.chunks.as_deref() {
-            return Some(chunks.get(block_idx as usize).map(|c| {
-                let e = self.ddt.get(&c.key).expect("dangling chunk pointer");
-                BlockRef { key: c.key, phys: e.phys, psize: e.psize }
-            }));
+            return Some(chunks.get(block_idx as usize).map(|c| self.block_ref_of(c.key)));
         }
-        Some(table.ptrs.get(block_idx as usize).copied().flatten().map(|key| {
-            let e = self.ddt.get(&key).expect("dangling block pointer");
-            BlockRef { key, phys: e.phys, psize: e.psize }
-        }))
+        let ptr = table.ptrs.get(block_idx as usize).copied().flatten();
+        Some(ptr.map(|key| self.block_ref_of(key)))
     }
 
     /// Resolved record pointers of `name` (for physical-layout analysis);
@@ -388,28 +413,9 @@ impl ZPool {
     pub fn block_refs(&self, name: &str) -> Option<Vec<Option<BlockRef>>> {
         let table = self.files.get(name)?;
         if let Some(chunks) = table.chunks.as_deref() {
-            return Some(
-                chunks
-                    .iter()
-                    .map(|c| {
-                        let e = self.ddt.get(&c.key).expect("dangling chunk pointer");
-                        Some(BlockRef { key: c.key, phys: e.phys, psize: e.psize })
-                    })
-                    .collect(),
-            );
+            return Some(chunks.iter().map(|c| Some(self.block_ref_of(c.key))).collect());
         }
-        Some(
-            table
-                .ptrs
-                .iter()
-                .map(|p| {
-                    p.map(|key| {
-                        let e = self.ddt.get(&key).expect("dangling block pointer");
-                        BlockRef { key, phys: e.phys, psize: e.psize }
-                    })
-                })
-                .collect(),
-        )
+        Some(table.ptrs.iter().map(|p| p.map(|key| self.block_ref_of(key))).collect())
     }
 
     // --- snapshots ----------------------------------------------------------
@@ -605,7 +611,7 @@ impl ZPool {
         let mut out = Vec::new();
         if let Some(chunks) = table.chunks.as_deref() {
             for c in chunks {
-                let e = self.ddt.get(&c.key).expect("dangling chunk pointer");
+                let e = self.entry(&c.key);
                 out.push(RecordLoc {
                     logical_off: c.logical_off,
                     llen: c.len,
@@ -617,7 +623,7 @@ impl ZPool {
             let bs = self.config.block_size as u64;
             for (i, p) in table.ptrs.iter().enumerate() {
                 if let Some(key) = p {
-                    let e = self.ddt.get(key).expect("dangling block pointer");
+                    let e = self.entry(key);
                     out.push(RecordLoc {
                         logical_off: i as u64 * bs,
                         llen: e.lsize,
@@ -993,6 +999,99 @@ mod tests {
         p.snapshot("s");
         let after = p.stats().bp_disk_bytes;
         assert_eq!(after, before * 2);
+    }
+
+    const READ: &str = "zpool_read_decompressed_bytes_total";
+
+    /// A sender holding file "f" (three distinct records) and `n` receivers
+    /// of its one stream, so all `n + 1` pools hold the same frames.
+    /// Receivers count their reads into `registry`.
+    fn sharing_pools(registry: &squirrel_obs::MetricsRegistry, n: usize) -> (ZPool, Vec<ZPool>) {
+        let mut src = pool(512);
+        src.import_file("f", &[block(512, 1), block(512, 2), block(512, 3)], 3 * 512);
+        src.snapshot("s1");
+        let stream = src.send_latest().expect("send");
+        let receivers = (0..n)
+            .map(|_| {
+                let mut p = pool(512);
+                p.set_metrics(&registry.handle());
+                p.recv(&stream).expect("recv");
+                p
+            })
+            .collect();
+        (src, receivers)
+    }
+
+    #[test]
+    fn pools_sharing_a_frame_share_its_payload_only_while_someone_holds_it() {
+        let registry = squirrel_obs::MetricsRegistry::new();
+        let decompressed = || registry.snapshot().counter(READ).expect("series");
+        let (src, pools) = sharing_pools(&registry, 2);
+        let held = pools[0].read_block_shared("f", 0).expect("file");
+        assert_eq!(*held, *block(512, 1));
+        assert_eq!(decompressed(), 512);
+        // While one reader holds it, every pool with that frame — the other
+        // receiver, the sender, the same pool again — hands out its buffer.
+        for p in [&pools[1], &src, &pools[0]] {
+            assert!(Arc::ptr_eq(&p.read_block_shared("f", 0).expect("file"), &held));
+        }
+        assert_eq!(decompressed(), 512, "a shared payload decompresses nothing");
+        // A buffer of the caller's own is decompressed on every call.
+        assert_eq!(pools[1].read_block("f", 0).expect("file"), block(512, 1));
+        assert_eq!(decompressed(), 2 * 512);
+        // Nothing is retained: once every holder let go, the next read
+        // decompresses again.
+        drop(held);
+        let again = pools[1].read_block_shared("f", 0).expect("file");
+        assert_eq!(*again, *block(512, 1));
+        assert_eq!(decompressed(), 3 * 512);
+    }
+
+    #[test]
+    fn a_rotted_or_repaired_record_never_serves_another_frames_payload() {
+        let registry = squirrel_obs::MetricsRegistry::new();
+        let (_src, mut pools) = sharing_pools(&registry, 2);
+        let key = pools[0].block_ref("f", 0).expect("file").expect("data").key;
+        let good = pools[0].read_block_shared("f", 0).expect("file");
+        // Rot on pool 1 is a new frame: it reads its own (wrong) bytes, and
+        // pool 0 keeps serving the buffer it holds.
+        assert!(pools[1].inject_corruption(key));
+        let rotten = pools[1].read_block_shared("f", 0).expect("file");
+        assert!(!Arc::ptr_eq(&rotten, &good));
+        assert_ne!(*rotten, *good);
+        assert!(Arc::ptr_eq(&pools[0].read_block_shared("f", 0).expect("file"), &good));
+        // The repair installs the donor's frame: the held rotten payload is
+        // never served again, and sharing with the donor resumes.
+        let (psize, frame) = pools[0].payload_of(key).expect("donor");
+        assert!(pools[1].repair_block(key, psize, &frame));
+        let healed = pools[1].read_block_shared("f", 0).expect("file");
+        assert!(!Arc::ptr_eq(&healed, &rotten));
+        assert!(Arc::ptr_eq(&healed, &good));
+        assert_eq!(
+            registry.snapshot().counter(READ),
+            Some(2 * 512),
+            "one decompression per frame: the record and its rot"
+        );
+    }
+
+    #[test]
+    fn concurrent_readers_of_shared_frames_decompress_each_record_once() {
+        for threads in [1, 2, 8] {
+            let registry = squirrel_obs::MetricsRegistry::new();
+            let (_src, pools) = sharing_pools(&registry, 2);
+            // 8 readers per pool, each reading the whole file and keeping
+            // what it read until every reader is done.
+            let held = WorkerPool::new(threads).parallel_map_indices(16, |reader| {
+                (0..3u64)
+                    .map(|b| pools[reader % 2].read_block_shared("f", b).expect("file"))
+                    .collect::<Vec<_>>()
+            });
+            for (b, fill) in [1u8, 2, 3].into_iter().enumerate() {
+                assert_eq!(*held[0][b], *block(512, fill));
+                assert!(held.iter().all(|r| Arc::ptr_eq(&r[b], &held[0][b])), "threads={threads}");
+            }
+            assert_eq!(registry.snapshot().counter(READ), Some(3 * 512), "threads={threads}");
+        }
     }
 
     fn cdc_pool(bs: usize) -> ZPool {

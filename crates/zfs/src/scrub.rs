@@ -130,7 +130,7 @@ impl ZPool {
         let table = self.files().get(name)?;
         let mut hashed = 0u64;
         let intact = table.iter_keys().all(|key| {
-            let entry = self.ddt().get(&key).expect("dangling block pointer");
+            let entry = self.entry(&key);
             entry
                 .data
                 .as_ref()

@@ -220,6 +220,61 @@ fn a_stored_record_is_hashed_once_per_buffer_not_once_per_use() {
     }
 }
 
+/// What the ccVolumes really decompressed for reads, step by step.
+fn payload_reuse_trail(threads: usize) -> (Vec<u64>, MetricsSnapshot) {
+    const BLOCK: u64 = 16 * 1024;
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        scale: 1024,
+        ..CorpusConfig::test_corpus(8, 99)
+    }));
+    let mut sq = Squirrel::new(
+        SquirrelConfig::builder()
+            .compute_nodes(4)
+            .block_size(BLOCK as usize)
+            .threads(threads)
+            .build(),
+        corpus,
+    );
+    sq.register(0).expect("r0");
+    let mut trail = Vec::new();
+    let mut last = 0u64;
+    let mut step = |sq: &Squirrel| {
+        let now = sq
+            .metrics()
+            .snapshot()
+            .counter("zpool_read_decompressed_bytes_total{pool=\"ccvol\"}")
+            .expect("series");
+        trail.push(now - last);
+        last = now;
+    };
+    step(&sq);
+    // Twelve VMs on four warm nodes read one working set: every node's ARC
+    // misses each record once, and each record is decompressed once.
+    let storm = sq.boot_storm(0, 12).expect("storm");
+    let working_set = storm.blocks_per_vm * BLOCK;
+    assert!(working_set > 0);
+    assert_eq!((storm.warm_vms, storm.arc.misses), (12, 4 * storm.blocks_per_vm));
+    step(&sq);
+    // Nothing outlives the storm's own caches: the next one starts over.
+    assert_eq!(sq.boot_storm(0, 12).expect("storm").arc, storm.arc);
+    step(&sq);
+    // A rotted record takes its node out of the warm set, not out of the
+    // sharing: the three nodes left still decompress each record once.
+    sq.corrupt_cc_block(1, 5).expect("victim");
+    assert_eq!(sq.boot_storm(0, 12).expect("storm").warm_vms, 9);
+    step(&sq);
+    assert_eq!(trail, [0, working_set, working_set, working_set]);
+    (trail, sq.metrics().snapshot())
+}
+
+#[test]
+fn a_storm_decompresses_a_record_once_not_once_per_node() {
+    let reference = payload_reuse_trail(1);
+    for threads in [2, 8] {
+        assert_eq!(payload_reuse_trail(threads), reference, "threads={threads}");
+    }
+}
+
 #[test]
 fn one_snapshot_answers_the_acceptance_questions() {
     // One `snapshot()` call after the quickstart workflow must report the

@@ -35,6 +35,9 @@ cargo run --release --quiet -p squirrel-bench --bin squirrel-experiments -- ci >
 # today, or the PR commits the new ones and says why they moved.
 git diff --exit-code -- 'results/BENCH_*.json'
 
+echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
+cargo test -q --release -p squirrel-hash -p squirrel-compress > /dev/null
+
 echo "== decode fuzz smoke (release, fixed seeds) =="
 cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 

@@ -154,6 +154,8 @@ fn main() {
         cfg.seed,
         cfg.projection()
     );
+    // Wall-clock numbers depend on it; simulated and accounting ones do not.
+    eprintln!("# host: sha256 backend {}", squirrel_hash::sha256_backend());
 
     match cmd.as_str() {
         "all" => COMMANDS.iter().for_each(|(_, command)| command(&cfg)),

@@ -63,8 +63,9 @@ impl Record {
         }
     }
 
-    /// Write `BENCH_<experiment>.json` and append the `wall` block to
-    /// `history.jsonl`, both under `cfg.out_dir` (nothing when unset).
+    /// Write `BENCH_<experiment>.json` and append the `wall` block — with
+    /// the host's SHA-256 backend, which never goes in the committed file —
+    /// to `history.jsonl`, both under `cfg.out_dir` (nothing when unset).
     pub fn persist(&self, cfg: &ExperimentConfig) -> std::io::Result<()> {
         let Some(dir) = &cfg.out_dir else { return Ok(()) };
         std::fs::create_dir_all(dir)?;
@@ -74,6 +75,9 @@ impl Record {
             "commit": head_commit(),
             "experiment": self.experiment,
             "params": self.params.clone(),
+            // Which CPU path clocked this line: lets a trend across hosts
+            // tell a code change from a machine change.
+            "sha256_backend": squirrel_hash::sha256_backend(),
             "wall": self.wall.clone(),
         };
         let mut history = std::fs::OpenOptions::new()

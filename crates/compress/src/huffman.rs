@@ -120,7 +120,7 @@ fn reverse_bits(v: u16, n: u32) -> u16 {
 }
 
 /// Entropy-code `data` (any byte stream).
-pub fn huffman_compress(data: &[u8]) -> Vec<u8> {
+pub(crate) fn huffman_compress(data: &[u8]) -> Vec<u8> {
     let mut freq = [0u64; 256];
     for &b in data {
         freq[b as usize] += 1;
@@ -140,9 +140,11 @@ pub fn huffman_compress(data: &[u8]) -> Vec<u8> {
     for &b in &rle {
         w.write(b as u64, 8);
     }
+    // One lookup per symbol: code in the low half, length in the high.
+    let packed: [u32; 256] = std::array::from_fn(|s| codes[s] as u32 | (lengths[s] as u32) << 16);
     for &b in data {
-        let s = b as usize;
-        w.write(codes[s] as u64, lengths[s] as u32);
+        let e = packed[b as usize];
+        w.write((e & 0xffff) as u64, e >> 16);
     }
     w.finish()
 }
@@ -169,68 +171,137 @@ fn rle_decode_lengths(rle: &[u8]) -> [u8; 256] {
     let mut i = 0usize;
     for &b in rle {
         let run = (b >> 4) as usize + 1;
-        let v = b & 0x0f;
-        for slot in lengths[i..].iter_mut().take(run) {
-            *slot = v;
-        }
+        assert!(i + run <= 256, "corrupt code-length table");
+        lengths[i..i + run].fill(b & 0x0f);
         i += run;
     }
     assert_eq!(i, 256, "corrupt code-length table");
     lengths
 }
 
-/// Decode a [`huffman_compress`] frame.
-pub fn huffman_decompress(frame: &[u8]) -> Vec<u8> {
-    assert!(frame.len() >= 7, "huffman frame too short: {}", frame.len());
+/// Stream bits that index the primary decode table. Codes in real token
+/// streams are almost all shorter; longer ones take the canonical walk.
+const TABLE_BITS: u32 = 11;
+
+/// Decode tables for one code-length assignment.
+struct Decoder {
+    /// Indexed by the next [`TABLE_BITS`] stream bits: `len << 8 | sym` for
+    /// the code those bits start with, or 0 when that code is longer than
+    /// the table (or no code starts that way).
+    primary: [u16; 1 << TABLE_BITS],
+    /// Canonical tables for the long codes: per length, how many codes
+    /// there are, the first (MSB-first) code value, and where its symbols
+    /// start in `sorted` — symbols in (length, symbol) order.
+    count: [u16; (MAX_CODE_LEN + 1) as usize],
+    first_code: [u32; (MAX_CODE_LEN + 1) as usize],
+    first_sym: [u16; (MAX_CODE_LEN + 1) as usize],
+    sorted: [u8; 256],
+}
+
+impl Decoder {
+    /// Build the tables, rejecting lengths that no prefix code can have
+    /// (over-subscribed: Kraft sum above one). An incomplete code is fine —
+    /// a single-symbol stream has one 1-bit code.
+    fn new(lengths: &[u8; 256]) -> Self {
+        let mut count = [0u16; (MAX_CODE_LEN + 1) as usize];
+        for &l in lengths.iter() {
+            count[l as usize] += 1;
+        }
+        count[0] = 0;
+        let kraft: u32 =
+            (1..=MAX_CODE_LEN).map(|l| (count[l as usize] as u32) << (MAX_CODE_LEN - l)).sum();
+        assert!(kraft <= 1 << MAX_CODE_LEN, "corrupt code-length table: not a prefix code");
+
+        let mut first_code = [0u32; (MAX_CODE_LEN + 1) as usize];
+        let mut first_sym = [0u16; (MAX_CODE_LEN + 1) as usize];
+        let mut code = 0u32;
+        let mut sym_base = 0u16;
+        for l in 1..=MAX_CODE_LEN as usize {
+            code = (code + count[l - 1] as u32) << 1;
+            first_code[l] = code;
+            first_sym[l] = sym_base;
+            sym_base += count[l];
+        }
+        let mut sorted = [0u8; 256];
+        let mut next_slot = first_sym;
+        for (s, &l) in lengths.iter().enumerate() {
+            if l > 0 {
+                sorted[next_slot[l as usize] as usize] = s as u8;
+                next_slot[l as usize] += 1;
+            }
+        }
+
+        // The encoder's own codes, already bit-reversed into stream order:
+        // every table index whose low `l` bits equal the code decodes to it.
+        let codes = assign_codes(lengths);
+        let mut primary = [0u16; 1 << TABLE_BITS];
+        for (s, &l) in lengths.iter().enumerate() {
+            let l = l as u32;
+            if l == 0 || l > TABLE_BITS {
+                continue;
+            }
+            let entry = (l as u16) << 8 | s as u16;
+            for slot in primary[codes[s] as usize..].iter_mut().step_by(1 << l) {
+                *slot = entry;
+            }
+        }
+        Decoder { primary, count, first_code, first_sym, sorted }
+    }
+
+    /// The symbol that `bits` (the next stream bits, LSB first, at least
+    /// [`MAX_CODE_LEN`] of them) starts with, and its code length.
+    #[inline]
+    fn decode(&self, bits: u64) -> (u8, u32) {
+        let entry = self.primary[(bits & ((1 << TABLE_BITS) - 1)) as usize];
+        if entry != 0 {
+            return (entry as u8, (entry >> 8) as u32);
+        }
+        self.decode_long(bits)
+    }
+
+    /// Canonical walk over the lengths the table does not cover: the first
+    /// `len` stream bits, read MSB first, are a code of that length iff they
+    /// fall in its `[first_code, first_code + count)` range.
+    #[cold]
+    fn decode_long(&self, bits: u64) -> (u8, u32) {
+        for len in TABLE_BITS + 1..=MAX_CODE_LEN {
+            let code = reverse_bits((bits & ((1 << len) - 1)) as u16, len) as u32;
+            let idx = code.wrapping_sub(self.first_code[len as usize]);
+            if idx < self.count[len as usize] as u32 {
+                return (self.sorted[(self.first_sym[len as usize] as u32 + idx) as usize], len);
+            }
+        }
+        panic!("corrupt huffman stream");
+    }
+}
+
+/// Decode a [`huffman_compress`] frame, at most `max_len` bytes of it.
+///
+/// The frame's own length field is not trusted beyond `max_len` (the caller
+/// knows how long a token stream for its block can be), and the body must
+/// hold every bit the decoded symbols consumed: a damaged header can
+/// neither size an allocation nor keep the loop decoding padding.
+pub(crate) fn huffman_decompress(frame: &[u8], max_len: usize) -> Vec<u8> {
+    assert!(frame.len() >= 7, "corrupt huffman frame: {} bytes", frame.len());
     let n = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+    let n = n.min(max_len);
     let rle_len = u16::from_le_bytes(frame[4..6].try_into().expect("2 bytes")) as usize;
     let body_start = 6 + rle_len;
-    let lengths = rle_decode_lengths(&frame[6..body_start]);
-
-    // Canonical decode tables: for each length, the first canonical code and
-    // the index of its first symbol in the length-sorted symbol list.
-    let mut count = [0u16; (MAX_CODE_LEN + 1) as usize];
-    for &l in lengths.iter() {
-        count[l as usize] += 1;
-    }
-    count[0] = 0;
-    let mut first_code = [0u32; (MAX_CODE_LEN + 2) as usize];
-    let mut first_sym = [0u16; (MAX_CODE_LEN + 2) as usize];
-    let mut code = 0u32;
-    let mut sym_base = 0u16;
-    for l in 1..=MAX_CODE_LEN as usize {
-        code = (code + count[l - 1] as u32) << 1;
-        first_code[l] = code;
-        first_sym[l] = sym_base;
-        sym_base += count[l];
-    }
-    // Symbols sorted by (length, symbol) — canonical order.
-    let mut sorted = Vec::with_capacity(sym_base as usize);
-    for l in 1..=MAX_CODE_LEN as usize {
-        for (s, &sl) in lengths.iter().enumerate() {
-            if sl as usize == l {
-                sorted.push(s as u8);
-            }
-        }
-    }
+    assert!(body_start <= frame.len(), "corrupt huffman frame: code-length table cut short");
+    let decoder = Decoder::new(&rle_decode_lengths(&frame[6..body_start]));
 
     let mut r = BitReader::new(&frame[body_start..]);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Accumulate MSB-first code value until it falls within a length class.
-        let mut code = 0u32;
-        let mut len = 0usize;
-        loop {
-            code = (code << 1) | r.read_bit() as u32;
-            len += 1;
-            assert!(len <= MAX_CODE_LEN as usize, "corrupt huffman stream");
-            let idx = code.wrapping_sub(first_code[len]);
-            if idx < count[len] as u32 {
-                out.push(sorted[(first_sym[len] as u32 + idx) as usize]);
-                break;
-            }
+    let mut out = vec![0u8; n];
+    for slot in out.iter_mut() {
+        if r.available() < MAX_CODE_LEN {
+            r.refill();
+            assert!(!r.overran(), "corrupt huffman stream: body cut short");
         }
+        let (sym, len) = decoder.decode(r.peek(MAX_CODE_LEN));
+        r.consume(len);
+        *slot = sym;
     }
+    assert!(!r.overran(), "corrupt huffman stream: body cut short");
     out
 }
 
@@ -240,7 +311,158 @@ mod tests {
 
     fn rt(data: &[u8]) {
         let frame = huffman_compress(data);
-        assert_eq!(huffman_decompress(&frame), data);
+        assert_eq!(huffman_decompress(&frame, data.len()), data);
+        assert_eq!(reference_decompress(&frame), data);
+    }
+
+    /// The decoder this crate shipped before the lookup table: canonical
+    /// `first_code`/`first_sym` walk, one stream bit at a time. Kept as the
+    /// reference the table decoder is compared against.
+    fn reference_decompress(frame: &[u8]) -> Vec<u8> {
+        let n = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+        let rle_len = u16::from_le_bytes(frame[4..6].try_into().expect("2 bytes")) as usize;
+        let body_start = 6 + rle_len;
+        let lengths = rle_decode_lengths(&frame[6..body_start]);
+
+        let mut count = [0u16; (MAX_CODE_LEN + 1) as usize];
+        for &l in lengths.iter() {
+            count[l as usize] += 1;
+        }
+        count[0] = 0;
+        let mut first_code = [0u32; (MAX_CODE_LEN + 2) as usize];
+        let mut first_sym = [0u16; (MAX_CODE_LEN + 2) as usize];
+        let mut code = 0u32;
+        let mut sym_base = 0u16;
+        for l in 1..=MAX_CODE_LEN as usize {
+            code = (code + count[l - 1] as u32) << 1;
+            first_code[l] = code;
+            first_sym[l] = sym_base;
+            sym_base += count[l];
+        }
+        let mut sorted = Vec::with_capacity(sym_base as usize);
+        for l in 1..=MAX_CODE_LEN as usize {
+            for (s, &sl) in lengths.iter().enumerate() {
+                if sl as usize == l {
+                    sorted.push(s as u8);
+                }
+            }
+        }
+
+        let mut r = BitReader::new(&frame[body_start..]);
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut code = 0u32;
+            let mut len = 0usize;
+            loop {
+                code = (code << 1) | r.read(1) as u32;
+                len += 1;
+                assert!(len <= MAX_CODE_LEN as usize, "corrupt huffman stream");
+                let idx = code.wrapping_sub(first_code[len]);
+                if idx < count[len] as u32 {
+                    out.push(sorted[(first_sym[len] as u32 + idx) as usize]);
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// `n` symbols drawn so that symbol `s` appears about `freq[s]` times
+    /// in every `sum(freq)`, in a scrambled order.
+    fn sample(freq: &[u64], n: usize, seed: u64) -> Vec<u8> {
+        let total: u64 = freq.iter().sum();
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let mut t = x % total;
+                freq.iter()
+                    .position(|&f| {
+                        let hit = t < f;
+                        t = t.wrapping_sub(f);
+                        hit
+                    })
+                    .expect("t < total") as u8
+            })
+            .collect()
+    }
+
+    /// The histogram of `depth_limit_respected_on_exponential_freqs`, small
+    /// enough to sample from: codes run to the 15-bit limit.
+    fn fibonacci_freqs(symbols: usize) -> Vec<u64> {
+        let (mut a, mut b) = (1u64, 2u64);
+        (0..symbols)
+            .map(|_| {
+                let f = a;
+                (a, b) = (b, a + b);
+                f
+            })
+            .collect()
+    }
+
+    #[test]
+    fn table_decode_equals_bit_walk_on_random_histograms() {
+        let mut seed = 0x2014u64;
+        for round in 0..40usize {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let symbols = [1, 2, 3, 17, 64, 200, 256][round % 7];
+            // Flat, geometric and spiky histograms.
+            let freq: Vec<u64> = (0..symbols as u64)
+                .map(|s| match round % 3 {
+                    0 => 1 + (seed >> (s % 40)) % 50,
+                    1 => 1 + ((1u64 << 40) >> (s % 41)),
+                    _ => 1 + (seed.rotate_left(s as u32) % 7).pow(6),
+                })
+                .collect();
+            let data = sample(&freq, 1 + (seed % 5000) as usize, seed);
+            let frame = huffman_compress(&data);
+            assert_eq!(huffman_decompress(&frame, data.len()), data, "round {round}");
+            assert_eq!(reference_decompress(&frame), data, "round {round}");
+        }
+    }
+
+    #[test]
+    fn long_codes_take_the_walk_and_agree() {
+        let freq = fibonacci_freqs(24);
+        let data = sample(&freq, 200_000, 7);
+        let mut hist = [0u64; 256];
+        for &b in &data {
+            hist[b as usize] += 1;
+        }
+        let lengths = build_lengths(&hist);
+        let longest = *lengths.iter().max().expect("256 lengths") as u32;
+        assert!(longest > TABLE_BITS, "longest code {longest} never leaves the table");
+        assert!(longest <= MAX_CODE_LEN);
+        rt(&data);
+    }
+
+    #[test]
+    fn decoder_rejects_oversubscribed_lengths() {
+        // Three 1-bit codes: no prefix code has them.
+        let mut lengths = [0u8; 256];
+        lengths[..3].fill(1);
+        assert!(std::panic::catch_unwind(|| Decoder::new(&lengths)).is_err());
+        // Two are a complete code, one is the single-symbol case.
+        lengths[2] = 0;
+        Decoder::new(&lengths);
+        lengths[1] = 0;
+        Decoder::new(&lengths);
+    }
+
+    #[test]
+    fn length_field_is_clamped_not_trusted() {
+        let data = b"hello world hello world";
+        let mut frame = huffman_compress(data);
+        // A caller that expects fewer bytes gets a prefix...
+        assert_eq!(huffman_decompress(&frame, 5), &data[..5]);
+        // ...and a header claiming 4 GiB allocates and decodes only what the
+        // caller allows, then fails on the body it does not have.
+        frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let r = std::panic::catch_unwind(|| huffman_decompress(&frame, data.len() * 2));
+        assert!(r.is_err());
+        assert_eq!(huffman_decompress(&frame, data.len()), data);
     }
 
     #[test]
@@ -331,6 +553,6 @@ mod tests {
         let last = frame.len() - 1;
         frame[last] ^= 0xff;
         // Either decodes to garbage of the right length or panics; must not hang.
-        let _ = std::panic::catch_unwind(|| huffman_decompress(&frame));
+        let _ = std::panic::catch_unwind(|| huffman_decompress(&frame, 23));
     }
 }

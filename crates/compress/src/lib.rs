@@ -23,8 +23,6 @@ mod lzjb;
 mod lzss;
 mod zle;
 
-pub use huffman::{huffman_compress, huffman_decompress};
-
 /// Compression routine selector, mirroring ZFS `compression=` values used in
 /// the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -192,7 +190,7 @@ pub fn decompress(frame: &[u8], expected_len: usize) -> Vec<u8> {
 /// Inverse of the LZSS + Huffman pair (DEFLATE's two stages); the forward
 /// direction lives in [`Compressor::compress`].
 fn gzip_like_decompress(body: &[u8], expected_len: usize) -> Vec<u8> {
-    let tokens = huffman::huffman_decompress(body);
+    let tokens = huffman::huffman_decompress(body, lzss::max_token_bytes(expected_len));
     lzss::decompress(&tokens, expected_len)
 }
 

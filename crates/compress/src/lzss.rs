@@ -34,18 +34,84 @@ fn hash3(data: &[u8], i: usize) -> usize {
     (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Hash-chain tables, one set per thread, reused by every [`compress`] call
+/// on it. Positions are stored as `base + position`, where each call takes
+/// a fresh `base` above everything earlier calls stored: an entry below the
+/// current base is an empty slot, so `head` is never cleared between calls
+/// (only when the 32-bit tags wrap), and `prev` is never initialised at all —
+/// a slot is read only for a position the same call inserted.
+struct Chains {
+    /// Tag of the most recent position with each hash.
+    head: Box<[u32]>,
+    /// `prev[i % WINDOW]`: what `head` held when position `i` was inserted.
+    prev: Box<[u32]>,
+    /// First tag the next call may use; at least 1, so a zeroed slot is empty.
+    next_base: u32,
+}
+
+impl Chains {
+    fn new() -> Self {
+        Chains {
+            head: vec![0; HASH_SIZE].into_boxed_slice(),
+            prev: vec![0; WINDOW].into_boxed_slice(),
+            next_base: 1,
+        }
+    }
+
+    /// Reserve tags `base..base + n` for one call and return `base`.
+    fn reserve(&mut self, n: usize) -> u32 {
+        assert!(n < u32::MAX as usize, "lzss input must be under 4 GiB");
+        let n = n as u32;
+        if self.next_base > u32::MAX - n {
+            self.head.fill(0);
+            self.next_base = 1;
+        }
+        let base = self.next_base;
+        self.next_base += n;
+        base
+    }
+
+    /// Link position `j` (tagged) in front of its hash's chain.
+    #[inline]
+    fn insert(&mut self, data: &[u8], j: usize, base: u32) {
+        let h = hash3(data, j);
+        self.prev[j % WINDOW] = self.head[h];
+        self.head[h] = base + j as u32;
+    }
+}
+
+thread_local! {
+    static CHAINS: std::cell::RefCell<Chains> = std::cell::RefCell::new(Chains::new());
+}
+
+/// Length of the common prefix of `a` and `b` (equal lengths), eight bytes
+/// at a time.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut l = 0usize;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(x.try_into().expect("8 bytes"))
+            ^ u64::from_le_bytes(y.try_into().expect("8 bytes"));
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    l + a[l..].iter().zip(&b[l..]).take_while(|(x, y)| x == y).count()
+}
+
 /// LZSS-compress `data` with up to `effort` chain probes per position.
 pub fn compress(data: &[u8], effort: usize) -> Vec<u8> {
+    CHAINS.with_borrow_mut(|chains| compress_with(chains, data, effort))
+}
+
+fn compress_with(chains: &mut Chains, data: &[u8], effort: usize) -> Vec<u8> {
     let n = data.len();
     let mut out = Vec::with_capacity(n / 2 + 16);
     if n == 0 {
         return out;
     }
-
-    // Hash chains: head[h] = most recent position with hash h; prev[i % WINDOW]
-    // links to the previous position with the same hash.
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; WINDOW];
+    let base = chains.reserve(n);
 
     let mut flag_pos = 0usize;
     // Start "full" so the first item opens a fresh flag byte before any
@@ -72,18 +138,21 @@ pub fn compress(data: &[u8], effort: usize) -> Vec<u8> {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         if i + MIN_MATCH <= n {
-            let h = hash3(data, i);
-            let mut cand = head[h];
+            let mut tag = chains.head[hash3(data, i)];
             let mut probes = effort;
             let limit = i.saturating_sub(WINDOW);
             let max_len = (n - i).min(MAX_MATCH);
-            while cand != usize::MAX && cand >= limit && probes > 0 {
+            let here = &data[i..i + max_len];
+            // A tag below `base` is an empty slot or another call's entry:
+            // the chain ends there.
+            while tag >= base && probes > 0 {
+                let cand = (tag - base) as usize;
+                if cand < limit {
+                    break; // chain left the window
+                }
                 // Quick reject: compare the byte one past the current best.
-                if best_len == 0 || data[cand + best_len] == data[i + best_len] {
-                    let mut l = 0usize;
-                    while l < max_len && data[cand + l] == data[i + l] {
-                        l += 1;
-                    }
+                if best_len == 0 || data[cand + best_len] == here[best_len] {
+                    let l = common_prefix(&data[cand..cand + max_len], here);
                     if l > best_len {
                         best_len = l;
                         best_dist = i - cand;
@@ -92,11 +161,7 @@ pub fn compress(data: &[u8], effort: usize) -> Vec<u8> {
                         }
                     }
                 }
-                let next = prev[cand % WINDOW];
-                if next >= cand {
-                    break; // chain left the window (stale entry)
-                }
-                cand = next;
+                tag = chains.prev[cand % WINDOW];
                 probes -= 1;
             }
         }
@@ -109,23 +174,26 @@ pub fn compress(data: &[u8], effort: usize) -> Vec<u8> {
             // can reference the middle of this match.
             let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
             for j in i..end {
-                let h = hash3(data, j);
-                prev[j % WINDOW] = head[h];
-                head[h] = j;
+                chains.insert(data, j, base);
             }
             i += best_len;
         } else {
             bump_flag!(false);
             out.push(data[i]);
             if i + MIN_MATCH <= n {
-                let h = hash3(data, i);
-                prev[i % WINDOW] = head[h];
-                head[h] = i;
+                chains.insert(data, i, base);
             }
             i += 1;
         }
     }
     out
+}
+
+/// The longest token stream [`compress`] can emit for `len` input bytes
+/// (all literals: one flag byte per eight), and so the most a decoder for a
+/// `len`-byte block ever reads.
+pub fn max_token_bytes(len: usize) -> usize {
+    len + len / 8 + 2
 }
 
 /// Reverse of [`compress`]. `expected_len` bounds the output and terminates
@@ -141,15 +209,22 @@ pub fn decompress(tokens: &[u8], expected_len: usize) -> Vec<u8> {
                 break 'outer;
             }
             if flags & (1 << bit) != 0 {
+                assert!(pos + 3 <= tokens.len(), "corrupt lzss stream: match cut short");
                 let len = tokens[pos] as usize + MIN_MATCH;
                 let dist =
                     u16::from_le_bytes([tokens[pos + 1], tokens[pos + 2]]) as usize + 1;
                 pos += 3;
+                assert!(dist <= out.len(), "corrupt lzss stream: match before start of block");
                 let start = out.len() - dist;
-                // Byte-by-byte copy: matches may self-overlap (RLE case).
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if dist >= len {
+                    out.extend_from_within(start..start + len);
+                } else {
+                    // Self-overlapping match (the RLE case): each copied
+                    // byte may be one this copy wrote.
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
                 }
             } else {
                 out.push(tokens[pos]);
@@ -167,6 +242,175 @@ mod tests {
     fn rt(data: &[u8], effort: usize) {
         let toks = compress(data, effort);
         assert_eq!(decompress(&toks, data.len()), data);
+    }
+
+    /// The match finder this crate shipped before the tagged per-thread
+    /// tables: fresh `usize::MAX`-filled chains per call, byte-wise match
+    /// extension. Kept as the reference [`compress`] must equal byte for byte.
+    fn reference_compress(data: &[u8], effort: usize) -> Vec<u8> {
+        let n = data.len();
+        let mut out = Vec::with_capacity(n / 2 + 16);
+        if n == 0 {
+            return out;
+        }
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; WINDOW];
+        let mut flag_pos = 0usize;
+        let mut flag_bit = 8u8;
+        macro_rules! bump_flag {
+            ($is_match:expr) => {
+                if flag_bit == 8 {
+                    flag_bit = 0;
+                    flag_pos = out.len();
+                    out.push(0);
+                }
+                if $is_match {
+                    out[flag_pos] |= 1 << flag_bit;
+                }
+                flag_bit += 1;
+            };
+        }
+        let mut i = 0usize;
+        while i < n {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + MIN_MATCH <= n {
+                let h = hash3(data, i);
+                let mut cand = head[h];
+                let mut probes = effort;
+                let limit = i.saturating_sub(WINDOW);
+                let max_len = (n - i).min(MAX_MATCH);
+                while cand != usize::MAX && cand >= limit && probes > 0 {
+                    if best_len == 0 || data[cand + best_len] == data[i + best_len] {
+                        let mut l = 0usize;
+                        while l < max_len && data[cand + l] == data[i + l] {
+                            l += 1;
+                        }
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = i - cand;
+                            if l >= max_len {
+                                break;
+                            }
+                        }
+                    }
+                    let next = prev[cand % WINDOW];
+                    if next >= cand {
+                        break;
+                    }
+                    cand = next;
+                    probes -= 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                bump_flag!(true);
+                out.push((best_len - MIN_MATCH) as u8);
+                out.extend_from_slice(&((best_dist - 1) as u16).to_le_bytes());
+                let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
+                for j in i..end {
+                    let h = hash3(data, j);
+                    prev[j % WINDOW] = head[h];
+                    head[h] = j;
+                }
+                i += best_len;
+            } else {
+                bump_flag!(false);
+                out.push(data[i]);
+                if i + MIN_MATCH <= n {
+                    let h = hash3(data, i);
+                    prev[i % WINDOW] = head[h];
+                    head[h] = i;
+                }
+                i += 1;
+            }
+        }
+        out
+    }
+
+    const EFFORTS: [usize; 3] = [4, 128, 1024];
+    /// 32 KiB + 100 crosses the window once; by 160 KiB chains have left
+    /// the window and every `prev` slot has been overwritten four times.
+    const LENGTHS: [usize; 9] = [0, 1, 2, 3, 257, 4 << 10, 64 << 10, WINDOW + 100, 160 << 10];
+
+    /// Inputs that stress different parts of the search: corpus bytes (real
+    /// block content), a four-letter alphabet (chains far longer than any
+    /// effort, ties everywhere), and shuffled 64-byte motifs (long matches
+    /// at long distances).
+    fn inputs(len: usize) -> Vec<Vec<u8>> {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        use squirrel_dataset::{Corpus, CorpusConfig};
+        let corpus = Corpus::generate(CorpusConfig::test_corpus(2, 2014));
+        let mut from_corpus = vec![0u8; len];
+        if len > 0 {
+            corpus.image(1).read_at(64 << 10, &mut from_corpus);
+        }
+        let mut rng = StdRng::seed_from_u64(len as u64);
+        let four_letters = (0..len).map(|_| rng.random_range(0..4u8)).collect();
+        let motifs: Vec<[u8; 64]> =
+            (0..48).map(|_| std::array::from_fn(|_| rng.random())).collect();
+        let mut shuffled = Vec::with_capacity(len + 64);
+        while shuffled.len() < len {
+            shuffled.extend_from_slice(&motifs[rng.random_range(0..motifs.len())]);
+        }
+        shuffled.truncate(len);
+        vec![from_corpus, four_letters, shuffled]
+    }
+
+    #[test]
+    fn tokens_equal_the_reference_match_finder() {
+        for len in LENGTHS {
+            for (which, data) in inputs(len).iter().enumerate() {
+                for effort in EFFORTS {
+                    // Long low-entropy inputs at full effort are quadratic
+                    // in the reference; the 64 KiB case already covers them.
+                    if which == 1 && effort == 1024 && len > 64 << 10 {
+                        continue;
+                    }
+                    let want = reference_compress(data, effort);
+                    let got = compress(data, effort);
+                    assert_eq!(got, want, "input {which}, len {len}, effort {effort}");
+                    assert_eq!(decompress(&want, len), *data, "input {which}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_reuse_leaks_nothing_between_calls() {
+        // Same thread, so the second call sees the first one's tables: a
+        // different block of the same length, then the first block again.
+        let a = &inputs(64 << 10)[0];
+        let b = &inputs(64 << 10)[2];
+        let (want_a, want_b) = (reference_compress(a, 128), reference_compress(b, 128));
+        for data_want in [(a, &want_a), (b, &want_b), (a, &want_a), (a, &want_a)] {
+            assert_eq!(&compress(data_want.0, 128), data_want.1);
+        }
+    }
+
+    #[test]
+    fn tags_wrap_without_resurrecting_old_entries() {
+        let a = &inputs(4 << 10)[1];
+        let b = &inputs(4 << 10)[2];
+        let mut chains = Chains::new();
+        // Leave room for one call but not two: the second must clear `head`
+        // rather than let its low tags alias the first call's high ones.
+        chains.next_base = u32::MAX - 5000;
+        assert_eq!(compress_with(&mut chains, a, 128), reference_compress(a, 128));
+        assert!(chains.next_base > u32::MAX - 5000);
+        assert_eq!(compress_with(&mut chains, b, 128), reference_compress(b, 128));
+        assert_eq!(chains.next_base, 1 + (4 << 10));
+        assert_eq!(compress_with(&mut chains, a, 128), reference_compress(a, 128));
+    }
+
+    #[test]
+    fn decompress_rejects_what_compress_never_emits() {
+        // A match reaching before the start of the block.
+        let r = std::panic::catch_unwind(|| decompress(&[0b1, 0, 5, 0], 16));
+        assert!(r.is_err());
+        // A match token cut off after its length byte.
+        let r = std::panic::catch_unwind(|| decompress(&[0b10, b'a', 0, 0], 16));
+        assert!(r.is_err());
     }
 
     #[test]

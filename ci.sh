@@ -24,16 +24,18 @@ for ex in quickstart node_churn elastic_scaling azure_fleet block_size_tuning; d
     cargo run --release --quiet --example "$ex" > /dev/null
 done
 
-echo "== bench records (release, pinned seeds) =="
-# The eight benches at their CI sizes (the table in
-# crates/bench/src/bin/experiments.rs). Each returns a typed record; a false
-# gate exits non-zero naming it. results/BENCH_<name>.json is rewritten with
-# {experiment, params, gates, deterministic}; the wall-clock block is
-# appended to results/history.jsonl.
+echo "== experiment records (release, pinned seeds) =="
+# Every command of the table in crates/bench/src/bin/experiments.rs: the
+# eight benches at their CI sizes, the sixteen paper records at the reference
+# configuration of EXPERIMENTS.md. Each returns a typed record; a false gate
+# exits non-zero naming it. results/BENCH_<name>.json and
+# results/PAPER_<name>.json are rewritten with {experiment, params, gates,
+# deterministic}; a bench's wall-clock block is appended to
+# results/history.jsonl.
 cargo run --release --quiet -p squirrel-bench --bin squirrel-experiments -- ci > /dev/null
 # Drift check: the committed simulated numbers are what the code produces
 # today, or the PR commits the new ones and says why they moved.
-git diff --exit-code -- 'results/BENCH_*.json'
+git diff --exit-code -- 'results/BENCH_*.json' 'results/PAPER_*.json'
 
 echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
 cargo test -q --release -p squirrel-hash -p squirrel-compress > /dev/null

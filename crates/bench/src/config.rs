@@ -20,7 +20,7 @@ pub struct ExperimentConfig {
     pub scale: u64,
     /// Master seed.
     pub seed: u64,
-    /// Output directory for CSVs (`results/` by default); None disables.
+    /// Output directory for records (`results/` by default); None disables.
     pub out_dir: Option<String>,
     /// Worker threads for corpus sweeps (0 = all cores).
     pub threads: usize,

@@ -151,6 +151,7 @@ pub fn run_bootstorm(
     let t1_secs = sweep.runs[0].extra;
     let record = Record {
         experiment: "bootstorm",
+        paper: false,
         params: json_obj! {cfg => [images, scale, seed], "vms": vms, "nodes": STORM_NODES},
         gates: vec![
             ("deterministic_across_threads", sweep.deterministic),

@@ -186,6 +186,7 @@ pub fn run_budget(cfg: &ExperimentConfig) -> (Sweep<BudgetSweep>, Record) {
     let paper = HoardBudget::paper();
     let record = Record {
         experiment: "budget",
+        paper: false,
         params: json_obj! {
             cfg => [seed, images, scale],
             "nodes": BUDGET_NODES,

@@ -110,6 +110,7 @@ pub fn run_chaos(cfg: &ExperimentConfig) -> Record {
     gates.push(("faults_injected", sweep.outcome.0.fault.total_injected() > 0));
     Record {
         experiment: "chaos",
+        paper: false,
         params: json_obj! {scenario => [images, scale, seed, nodes, days]},
         gates,
         deterministic: soak_block(&sweep.outcome),

@@ -16,14 +16,18 @@
 //! * **`deterministic_across_threads`** — every cell's pool state, layout
 //!   and full send-stream bytes are bit-identical at every thread count of
 //!   the sweep.
-//! * **`reverse_not_slower`** — per strategy, the reverse-mode warm boot is
-//!   no slower than forward at equal physical bytes (relocation never
-//!   changes what is stored, only where).
+//! * **`reverse_not_slower`** — per strategy, the reverse-mode warm boot
+//!   spends no more I/O time than forward at equal physical bytes
+//!   (relocation never changes what is stored, only where). It is read off
+//!   `io_seconds`: the total adds the guest's constant 14 s
+//!   (`CpuModel::os_boot_seconds`), behind which a 60 % saving is a 0.3 %
+//!   one. It speaks about pools that outgrow the disk model's 512 KiB
+//!   contiguity window; inside it scatter is free and only the head's one
+//!   move to the relocated run shows.
 //! * **`cdc_dedup_gte_fixed`** — CDC stores no more physical bytes than
 //!   fixed records on the shifted chain.
 
 use crate::config::ExperimentConfig;
-use crate::csvout::{fmt_f, Table};
 use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
 use squirrel_bootsim::{BootSim, MeasuredVolumeParams};
 use squirrel_compress::Codec;
@@ -50,6 +54,9 @@ pub struct ChunkingCell {
     pub stats: SpaceStats,
     pub scatter: FileScatter,
     pub warm_boot_seconds: f64,
+    /// The part of `warm_boot_seconds` layout can move: the rest is the
+    /// guest's constant think time (`CpuModel::os_boot_seconds`).
+    pub warm_boot_io_seconds: f64,
     /// SHA-256 (folded) of the final snapshot's full send stream.
     pub fingerprint: u128,
 }
@@ -145,6 +152,7 @@ fn run_cell(
         stats,
         scatter,
         warm_boot_seconds: report.total_seconds,
+        warm_boot_io_seconds: report.io_seconds,
         fingerprint,
     }
 }
@@ -183,33 +191,14 @@ pub fn run_chunking(
         let fwd = find(s, "forward");
         let rev = find(s, "reverse");
         rev.stats.physical_bytes == fwd.stats.physical_bytes
-            && rev.warm_boot_seconds <= fwd.warm_boot_seconds * 1.0001
+            && rev.warm_boot_io_seconds <= fwd.warm_boot_io_seconds
     });
     let cdc_dedup_gte_fixed = find("cdc", "forward").stats.physical_bytes
         <= find("fixed", "forward").stats.physical_bytes;
 
-    let mut t = Table::new(&[
-        "strategy",
-        "mode",
-        "physical_mib",
-        "extents",
-        "mean_gap_kib",
-        "warm_boot_s",
-    ]);
-    for c in cells {
-        t.push(vec![
-            c.strategy.to_string(),
-            c.mode.to_string(),
-            fmt_f(c.stats.physical_bytes as f64 / (1 << 20) as f64),
-            c.scatter.extents.to_string(),
-            fmt_f(c.scatter.mean_gap_bytes / 1024.0),
-            fmt_f(c.warm_boot_seconds),
-        ]);
-    }
-    t.print("Chunking: {fixed, cdc} x {forward, reverse} on a shifted version chain");
-
     let record = Record {
         experiment: "chunking",
+        paper: false,
         params: json_obj! {
             "seed": cfg.seed,
             "block_size": bs,
@@ -231,7 +220,7 @@ pub fn run_chunking(
                 "unique_records": c.stats.unique_blocks,
                 "extents": c.scatter.extents,
                 "mean_gap_bytes": c.scatter.mean_gap_bytes,
-                c => [warm_boot_seconds],
+                c => [warm_boot_seconds, warm_boot_io_seconds],
                 "fingerprint": format!("{:032x}", c.fingerprint),
             }),
         },
@@ -265,7 +254,7 @@ mod tests {
     #[test]
     fn chunking_sweep_enforces_all_three_gates() {
         let cfg = ExperimentConfig { out_dir: None, ..ExperimentConfig::smoke() };
-        let (sweep, record) = run_chunking(&cfg, 64, 4096, 3);
+        let (sweep, record) = run_chunking(&cfg, 64, 8192, 3);
         let cells = &sweep.outcome;
         assert_eq!(cells.len(), 4);
         assert_eq!(record.enforce(), Ok(()), "all three gates hold");

@@ -13,7 +13,6 @@
 //! bit-identical [`RegisterReport`]s and metrics.
 
 use crate::config::ExperimentConfig;
-use crate::csvout::{fmt_f, Table};
 use crate::record::{json_obj, sweep_equal, Json, Record};
 use squirrel_core::{DistributionPolicy, RegisterReport, Squirrel, SquirrelConfig};
 
@@ -118,36 +117,16 @@ fn replay_at(
         .collect()
 }
 
-/// The full sweep: every policy at every fleet size, the CSV written, the
-/// result reported as a [`Record`]. The named gates read the two largest
+/// The full sweep: every policy at every fleet size, reported as a
+/// [`Record`]. The named gates read the two largest
 /// swept fleet sizes — 1 000 and 10 000 on the default sweep.
 pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Vec<DistPoint>, Record) {
-    let mut points = Vec::new();
-    let mut t = Table::new(&[
-        "policy",
-        "nodes",
-        "storage_tx_mib",
-        "peer_tx_mib",
-        "mean_register_s",
-        "peer_hit_rate",
-    ]);
-    for &nodes in node_counts {
-        for policy in DistributionPolicy::standard_set() {
-            let p = run_point(cfg, policy, nodes);
-            let served = p.peer_hits + p.peer_misses;
-            t.push(vec![
-                p.policy.name().to_string(),
-                nodes.to_string(),
-                fmt_f(p.storage_tx_bytes as f64 / (1 << 20) as f64),
-                fmt_f(p.peer_tx_bytes as f64 / (1 << 20) as f64),
-                fmt_f(p.mean_register_secs),
-                fmt_f(if served == 0 { 0.0 } else { p.peer_hits as f64 / served as f64 }),
-            ]);
-            points.push(p);
-        }
-    }
-    t.print("Distribution: storage-tier uplink vs fleet size per policy");
-    t.write(&cfg.out_dir, "distribution").expect("csv");
+    let points: Vec<DistPoint> = node_counts
+        .iter()
+        .flat_map(|&nodes| {
+            DistributionPolicy::standard_set().into_iter().map(move |p| run_point(cfg, p, nodes))
+        })
+        .collect();
 
     let replay = sweep_equal(cfg, |threads| (replay_at(cfg, node_counts[0], threads), ()));
 
@@ -179,6 +158,7 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Vec<Dis
     }
     let record = Record {
         experiment: "distribution",
+        paper: false,
         params: json_obj! {
             "seed": cfg.seed,
             "images": cfg.images.min(DIST_IMAGES),

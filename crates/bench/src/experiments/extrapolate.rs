@@ -8,8 +8,8 @@
 //! and 17).
 
 use crate::config::ExperimentConfig;
-use crate::csvout::{fmt_f, Table};
 use crate::experiments::storage::{store_incremental, StoreSet};
+use crate::record::{json_obj, Json, Record};
 use squirrel_curvefit::{fit_hoerl, fit_linear, fit_mmf, rmse, FittedCurve};
 use squirrel_dataset::Corpus;
 
@@ -68,26 +68,20 @@ pub fn fit_and_score(xs: &[f64], ys: &[f64]) -> Vec<(FittedCurve, f64)> {
     fits.into_iter().map(|c| (rmse(&c, xs, ys), c)).map(|(r, c)| (c, r)).collect()
 }
 
+/// Block sizes fitted (the paper's Tables 3 and 4).
+const FIT_BS: [usize; 4] = [16 * 1024, 32 * 1024, 64 * 1024, 128 * 1024];
+/// Cache count the winning curve is extrapolated to.
+const EXTRAPOLATE_TO: usize = 3000;
+
 /// Run the whole study for one resource: RMSE table (Table 3/4), winner fit
-/// on all points, and extrapolation rows (Figures 14–17).
-pub fn run_extrapolation(
-    cfg: &ExperimentConfig,
-    resource: Resource,
-    block_sizes: &[usize],
-    extrapolate_to: usize,
-) -> (Vec<RmseRow>, Vec<(usize, FittedCurve)>) {
+/// on all points, and extrapolation rows (Figures 14–17). The fitted
+/// parameters stay out of the record: winners, RMSEs and predictions are
+/// what the paper compares.
+pub fn run_extrapolation(cfg: &ExperimentConfig, resource: Resource) -> Record {
     let corpus = cfg.corpus();
     let proj = cfg.projection();
     let mut rows = Vec::new();
-    let mut winners = Vec::new();
-    let (label, unit) = match resource {
-        Resource::DiskBytes => ("disk", "GiB"),
-        Resource::MemoryBytes => ("memory", "MiB"),
-    };
-
-    let mut tab = Table::new(&["block_kb", "linear", "mmf", "hoerl", "winner"]);
-    let mut extra = Table::new(&["block_kb", "curve", "at_n", &format!("pred_{unit}")]);
-    for &bs in block_sizes {
+    for &bs in &FIT_BS {
         let (xs, ys) = series(&corpus, bs, resource, proj);
         let scored = fit_and_score(&xs, &ys);
         let find = |name: &str| {
@@ -103,13 +97,6 @@ pub fn run_extrapolation(
             mmf: find("MMF"),
             hoerl: find("hoerl"),
         };
-        tab.push(vec![
-            (bs / 1024).to_string(),
-            fmt_f(row.linear),
-            fmt_f(row.mmf),
-            fmt_f(row.hoerl),
-            row.winner().to_string(),
-        ]);
 
         // Retrain the winner on all points, extrapolate. Guard: resource
         // consumption never shrinks as caches are added, so a winner whose
@@ -126,71 +113,57 @@ pub fn run_extrapolation(
             r(a).partial_cmp(&r(b)).expect("no NaN")
         });
         let last_y = *ys.last().expect("nonempty");
-        let winner = order
+        let curve = order
             .iter()
             .map(|name| match *name {
                 "linear" => fit_linear(&xs, &ys),
                 "MMF" => fit_mmf(&xs, &ys),
                 _ => fit_hoerl(&xs, &ys),
             })
-            .find(|c| c.predict(extrapolate_to as f64) >= 0.8 * last_y)
+            .find(|c| c.predict(EXTRAPOLATE_TO as f64) >= 0.8 * last_y)
             .unwrap_or_else(|| fit_linear(&xs, &ys));
-        for &n in &[xs.len(), extrapolate_to / 2, extrapolate_to] {
-            extra.push(vec![
-                (bs / 1024).to_string(),
-                winner.name().to_string(),
-                n.to_string(),
-                fmt_f(winner.predict(n as f64)),
-            ]);
-        }
-        winners.push((bs, winner));
-        rows.push(row);
+        let predictions =
+            [xs.len(), EXTRAPOLATE_TO / 2, EXTRAPOLATE_TO].map(|n| (n, curve.predict(n as f64)));
+        rows.push((row, curve.name(), predictions));
     }
-    let (t_no, f_fit, f_ex) = match resource {
-        Resource::DiskBytes => ("Table 3", "Figure 14", "Figure 15"),
-        Resource::MemoryBytes => ("Table 4", "Figure 16", "Figure 17"),
+
+    let linear_wins = rows.iter().all(|(row, ..)| row.winner() == "linear");
+    let (experiment, unit, linear_gate) = match resource {
+        Resource::DiskBytes => ("fig14", "GiB", "linear_wins_disk_every_block_size"),
+        // The paper's Table 4 has MMF winning: its measured series
+        // saturates, ours charges every DDT entry.
+        Resource::MemoryBytes => ("fig16", "MiB", "diverges_linear_wins_memory"),
     };
-    tab.print(&format!("{t_no} / {f_fit}: RMSE of curves estimating {label} consumption"));
-    extra.print(&format!("{f_ex}: extrapolation of {label} consumption"));
-    tab.write(&cfg.out_dir, &format!("{label}_rmse")).expect("csv");
-    extra.write(&cfg.out_dir, &format!("{label}_extrapolation")).expect("csv");
-    (rows, winners)
+    Record::paper(
+        experiment,
+        cfg,
+        vec![
+            (linear_gate, linear_wins),
+            (
+                "extrapolation_never_shrinks",
+                rows.iter().all(|(.., p)| p[0].1 > 0.0 && p.windows(2).all(|w| w[1].1 >= w[0].1)),
+            ),
+        ],
+        json_obj! {
+            "unit": format!("{unit}, projected"),
+            "rows": Json::arr(&rows, |(row, curve, predictions)| json_obj! {
+                row => [block_size],
+                "rmse_linear": row.linear,
+                "rmse_mmf": row.mmf,
+                "rmse_hoerl": row.hoerl,
+                "winner": row.winner(),
+                "extrapolated_with": *curve,
+                "predictions": Json::arr(predictions, |&(n, y)| {
+                    json_obj! {"caches": n, "predicted": y}
+                }),
+            }),
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disk_series_is_roughly_linear_and_fits_prefer_it() {
-        // The paper's Table 3 outcome: linear wins for disk consumption.
-        let cfg = ExperimentConfig::smoke();
-        let corpus = cfg.corpus();
-        let (xs, ys) = series(&corpus, 16384, Resource::DiskBytes, cfg.projection());
-        assert_eq!(xs.len(), corpus.len());
-        assert!(ys.windows(2).all(|w| w[1] >= w[0]), "monotone disk growth");
-        let scored = fit_and_score(&xs, &ys);
-        let linear_rmse = scored.iter().find(|(c, _)| c.name() == "linear").expect("linear").1;
-        let worst = scored.iter().map(|(_, r)| *r).fold(0.0f64, f64::max);
-        assert!(linear_rmse.is_finite());
-        assert!(linear_rmse <= worst);
-    }
-
-    #[test]
-    fn extrapolation_predictions_are_positive_and_growing() {
-        let cfg = ExperimentConfig::smoke();
-        let (_, winners) = run_extrapolation(
-            &ExperimentConfig { out_dir: None, ..cfg },
-            Resource::DiskBytes,
-            &[16384],
-            100,
-        );
-        let (_, curve) = &winners[0];
-        let p50 = curve.predict(50.0);
-        let p100 = curve.predict(100.0);
-        assert!(p50 > 0.0);
-        assert!(p100 >= p50, "disk prediction must not shrink: {p50} vs {p100}");
-    }
 
     #[test]
     fn rmse_rows_have_winner() {

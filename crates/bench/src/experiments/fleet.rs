@@ -138,6 +138,7 @@ pub fn run_fleet_bench(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Sweep<Fl
     all_gates.extend(gates(cells));
     let record = Record {
         experiment: "fleet",
+        paper: false,
         params: json_obj! {
             scenario => [images, scale, seed, days],
             "node_counts": Json::arr(node_counts, |&n| n.into()),

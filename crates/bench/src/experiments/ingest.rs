@@ -188,6 +188,7 @@ pub fn run_ingest(
 
     let record = Record {
         experiment: "ingest",
+        paper: false,
         params: json_obj! {
             "seed": cfg.seed,
             "block_size": bs,

@@ -2,7 +2,8 @@
 //! DDT-memory vs block size) and Figure 13 (incremental growth).
 
 use crate::config::{ExperimentConfig, ZFS_BS_SWEEP};
-use crate::csvout::{gib, mib, Table};
+use crate::experiments::sweeps::falls;
+use crate::record::{json_obj, Json, Record};
 use squirrel_compress::Codec;
 use squirrel_dataset::{Corpus, ImageHandle};
 use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
@@ -14,7 +15,17 @@ pub enum StoreSet {
     Caches,
 }
 
-/// Import one image (or its cache) into `pool` as file `f-<id>`.
+/// The file an image (or its cache) is stored as.
+pub fn stored_name(image: u32) -> String {
+    format!("f-{image}")
+}
+
+/// The pool every storage figure measures: gzip-6, accounting only.
+fn accounting_pool(block_size: usize) -> ZPool {
+    ZPool::new(PoolConfig::new(block_size, Codec::Gzip(6)).accounting_only())
+}
+
+/// Import one image (or its cache) into `pool` as [`stored_name`].
 fn import_image(pool: &mut ZPool, img: &ImageHandle<'_>, set: StoreSet, block_size: usize) {
     let (blocks, len): (Vec<Vec<u8>>, u64) = match set {
         StoreSet::Images => (img.blocks(block_size).collect(), img.nonzero_bytes()),
@@ -23,23 +34,23 @@ fn import_image(pool: &mut ZPool, img: &ImageHandle<'_>, set: StoreSet, block_si
             (cache.blocks(block_size).collect(), cache.bytes())
         }
     };
-    pool.import_file(&format!("f-{}", img.id()), &blocks, len);
+    pool.import_file(&stored_name(img.id()), &blocks, len);
 }
 
 /// Store the whole corpus (images or caches) into a fresh accounting-only
-/// pool at `block_size` and return its stats.
-pub fn store_corpus(corpus: &Corpus, set: StoreSet, block_size: usize) -> SpaceStats {
-    let mut pool = ZPool::new(PoolConfig::new(block_size, Codec::Gzip(6)).accounting_only());
+/// gzip-6 pool at `block_size`.
+pub fn store_corpus(corpus: &Corpus, set: StoreSet, block_size: usize) -> ZPool {
+    let mut pool = accounting_pool(block_size);
     for img in corpus.iter() {
         import_image(&mut pool, &img, set, block_size);
     }
-    pool.stats()
+    pool
 }
 
 /// Incremental growth: stats snapshot after each added image/cache
 /// (Figure 13's series).
 pub fn store_incremental(corpus: &Corpus, set: StoreSet, block_size: usize) -> Vec<SpaceStats> {
-    let mut pool = ZPool::new(PoolConfig::new(block_size, Codec::Gzip(6)).accounting_only());
+    let mut pool = accounting_pool(block_size);
     let mut out = Vec::with_capacity(corpus.len());
     for img in corpus.iter() {
         import_image(&mut pool, &img, set, block_size);
@@ -48,138 +59,101 @@ pub fn store_incremental(corpus: &Corpus, set: StoreSet, block_size: usize) -> V
     out
 }
 
-/// Figures 8, 9 and 10 share one sweep: store both sets at every block size.
-pub fn run_fig8_9_10(cfg: &ExperimentConfig) -> Vec<(usize, SpaceStats, SpaceStats)> {
-    let corpus = cfg.corpus();
-    let proj = cfg.projection();
-    let mut rows = Vec::new();
-    for &bs in &ZFS_BS_SWEEP {
-        let imgs = store_corpus(&corpus, StoreSet::Images, bs);
-        let caches = store_corpus(&corpus, StoreSet::Caches, bs);
-        rows.push((bs, imgs, caches));
+/// A pool's three footprints, measured and projected to paper volume.
+fn footprint(s: &SpaceStats, proj: f64) -> Json {
+    json_obj! {
+        "disk_bytes": s.total_disk_bytes(),
+        "disk_bytes_projected": s.total_disk_bytes() as f64 * proj,
+        s => [ddt_disk_bytes],
+        "ddt_disk_bytes_projected": s.ddt_disk_bytes as f64 * proj,
+        s => [ddt_memory_bytes],
+        "ddt_memory_bytes_projected": s.ddt_memory_bytes as f64 * proj,
     }
+}
 
-    let mut f8 = Table::new(&[
-        "block_kb",
-        "images_disk_gib_proj",
-        "caches_disk_gib_proj",
-        "images_disk_mib_meas",
-        "caches_disk_mib_meas",
-    ]);
-    let mut f9 = Table::new(&["block_kb", "images_ddt_disk_gib_proj", "caches_ddt_disk_gib_proj"]);
-    let mut f10 = Table::new(&["block_kb", "images_ddt_mem_gib_proj", "caches_ddt_mem_gib_proj"]);
-    for (bs, imgs, caches) in &rows {
-        f8.push(vec![
-            (bs / 1024).to_string(),
-            gib(imgs.total_disk_bytes() as f64 * proj),
-            gib(caches.total_disk_bytes() as f64 * proj),
-            mib(imgs.total_disk_bytes() as f64),
-            mib(caches.total_disk_bytes() as f64),
-        ]);
-        f9.push(vec![
-            (bs / 1024).to_string(),
-            gib(imgs.ddt_disk_bytes as f64 * proj),
-            gib(caches.ddt_disk_bytes as f64 * proj),
-        ]);
-        f10.push(vec![
-            (bs / 1024).to_string(),
-            gib(imgs.ddt_memory_bytes as f64 * proj),
-            gib(caches.ddt_memory_bytes as f64 * proj),
-        ]);
-    }
-    f8.print("Figure 8: disk consumption with dedup + gzip-6");
-    f9.print("Figure 9: dedup table size on disk");
-    f10.print("Figure 10: memory consumption of dedup tables");
-    f8.write(&cfg.out_dir, "fig8").expect("csv");
-    f9.write(&cfg.out_dir, "fig9").expect("csv");
-    f10.write(&cfg.out_dir, "fig10").expect("csv");
-    rows
+/// Figures 8, 9 and 10 share one sweep: store both sets at every block size.
+pub fn run_fig8_9_10(cfg: &ExperimentConfig) -> Record {
+    let corpus = cfg.corpus();
+    let rows: Vec<(usize, SpaceStats, SpaceStats)> = ZFS_BS_SWEEP
+        .iter()
+        .map(|&bs| {
+            let of = |set| store_corpus(&corpus, set, bs).stats();
+            (bs, of(StoreSet::Images), of(StoreSet::Caches))
+        })
+        .collect();
+    let caches_disk: Vec<u64> = rows.iter().map(|r| r.2.total_disk_bytes()).collect();
+    let smallest = (0..rows.len()).min_by_key(|&i| caches_disk[i]).expect("a swept block size");
+    let shrinks = |of: &dyn Fn(&(usize, SpaceStats, SpaceStats)) -> u64| {
+        falls(&rows.iter().map(|r| of(r) as f64).collect::<Vec<_>>())
+    };
+    Record::paper(
+        "fig8",
+        cfg,
+        vec![
+            // The DDT's own footprint erodes small-block CCR gains.
+            ("caches_disk_interior_minimum", (1..rows.len() - 1).contains(&smallest)),
+            (
+                "ddt_grows_as_blocks_shrink",
+                shrinks(&|r| r.1.ddt_disk_bytes)
+                    && shrinks(&|r| r.2.ddt_disk_bytes)
+                    && shrinks(&|r| r.1.ddt_memory_bytes)
+                    && shrinks(&|r| r.2.ddt_memory_bytes),
+            ),
+            (
+                "caches_below_images",
+                rows.iter().all(|(_, images, caches)| {
+                    caches.total_disk_bytes() < images.total_disk_bytes()
+                        && caches.ddt_disk_bytes < images.ddt_disk_bytes
+                        && caches.ddt_memory_bytes < images.ddt_memory_bytes
+                }),
+            ),
+        ],
+        json_obj! {
+            "rows": Json::arr(&rows, |(bs, images, caches)| json_obj! {
+                "block_size": *bs,
+                "images": footprint(images, cfg.projection()),
+                "caches": footprint(caches, cfg.projection()),
+            }),
+        },
+    )
 }
 
 /// Figure 13: iterative adds at 64 KiB for both sets.
-pub fn run_fig13(cfg: &ExperimentConfig) -> (Vec<SpaceStats>, Vec<SpaceStats>) {
+pub fn run_fig13(cfg: &ExperimentConfig) -> Record {
     let corpus = cfg.corpus();
     let bs = 64 * 1024;
     let caches = store_incremental(&corpus, StoreSet::Caches, bs);
     let images = store_incremental(&corpus, StoreSet::Images, bs);
-    let proj = cfg.projection();
-    let mut t = Table::new(&[
-        "n",
-        "caches_disk_gib_proj",
-        "images_disk_gib_proj",
-        "caches_mem_mib_proj",
-        "images_mem_mib_proj",
-    ]);
-    for (i, (c, im)) in caches.iter().zip(&images).enumerate() {
-        t.push(vec![
-            (i + 1).to_string(),
-            gib(c.total_disk_bytes() as f64 * proj),
-            gib(im.total_disk_bytes() as f64 * proj),
-            mib(c.ddt_memory_bytes as f64 * proj),
-            mib(im.ddt_memory_bytes as f64 * proj),
-        ]);
-    }
-    t.print("Figure 13: resource consumption when iteratively adding VMIs or caches (64 KiB)");
-    t.write(&cfg.out_dir, "fig13").expect("csv");
-    (caches, images)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn corpus() -> std::sync::Arc<Corpus> {
-        ExperimentConfig::smoke().corpus()
-    }
-
-    #[test]
-    fn smaller_blocks_mean_more_ddt_entries() {
-        let c = corpus();
-        let small = store_corpus(&c, StoreSet::Caches, 4096);
-        let large = store_corpus(&c, StoreSet::Caches, 65536);
-        assert!(small.unique_blocks > large.unique_blocks);
-        assert!(small.ddt_memory_bytes > large.ddt_memory_bytes);
-        assert!(small.ddt_disk_bytes > large.ddt_disk_bytes);
-    }
-
-    #[test]
-    fn images_consume_more_than_caches() {
-        let c = corpus();
-        let imgs = store_corpus(&c, StoreSet::Images, 16384);
-        let caches = store_corpus(&c, StoreSet::Caches, 16384);
-        assert!(imgs.total_disk_bytes() > caches.total_disk_bytes());
-        assert!(imgs.ddt_memory_bytes > caches.ddt_memory_bytes);
-    }
-
-    #[test]
-    fn incremental_series_is_monotone() {
-        let c = corpus();
-        let series = store_incremental(&c, StoreSet::Caches, 16384);
-        assert_eq!(series.len(), c.len());
-        for w in series.windows(2) {
-            assert!(w[1].total_disk_bytes() >= w[0].total_disk_bytes());
-            assert!(w[1].ddt_memory_bytes >= w[0].ddt_memory_bytes);
-        }
-    }
-
-    #[test]
-    fn cache_growth_slope_flattens_relative_to_images() {
-        // Figure 13's key visual: cache slopes much shallower than images.
-        let c = corpus();
-        let caches = store_incremental(&c, StoreSet::Caches, 16384);
-        let images = store_incremental(&c, StoreSet::Images, 16384);
-        let growth = |s: &[SpaceStats]| {
-            let tail = s.last().expect("nonempty").total_disk_bytes() as f64;
-            let head = s[s.len() / 2].total_disk_bytes() as f64;
-            tail - head
-        };
-        // Normalize by logical volume: caches are smaller overall, so compare
-        // marginal growth per logical byte.
-        let cache_rel = growth(&caches) / caches.last().expect("nonempty").logical_bytes as f64;
-        let image_rel = growth(&images) / images.last().expect("nonempty").logical_bytes as f64;
-        assert!(
-            cache_rel < image_rel,
-            "cache marginal growth {cache_rel} vs images {image_rel}"
-        );
-    }
+    let monotone = |series: &[SpaceStats]| {
+        series.windows(2).all(|w| {
+            w[1].total_disk_bytes() >= w[0].total_disk_bytes()
+                && w[1].ddt_memory_bytes >= w[0].ddt_memory_bytes
+        })
+    };
+    // The figure's key visual, per logical byte (caches are smaller
+    // overall): disk added by the second half of the corpus.
+    let marginal_growth = |series: &[SpaceStats]| {
+        let last = series.last().expect("a non-empty corpus");
+        (last.total_disk_bytes() - series[series.len() / 2].total_disk_bytes()) as f64
+            / last.logical_bytes as f64
+    };
+    Record::paper(
+        "fig13",
+        cfg,
+        vec![
+            ("series_monotone", monotone(&caches) && monotone(&images)),
+            (
+                "cache_marginal_growth_below_images",
+                marginal_growth(&caches) < marginal_growth(&images),
+            ),
+        ],
+        json_obj! {
+            "block_size": bs,
+            "rows": Json::arr(caches.iter().zip(&images).enumerate(), |(i, (c, im))| json_obj! {
+                "n": i + 1,
+                "caches": footprint(c, cfg.projection()),
+                "images": footprint(im, cfg.projection()),
+            }),
+        },
+    )
 }

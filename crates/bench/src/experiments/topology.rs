@@ -261,6 +261,7 @@ pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Sweep<Soak>
     gates.push(("ec_repair_bytes", snap.counter_sum("squirrel_ec_repair_bytes_total") > 0));
     let record = Record {
         experiment: "topology",
+        paper: false,
         params: json_obj! {
             soak => [images, scale, seed, days],
             "topology": json_obj! {

@@ -9,30 +9,12 @@
 //! all caches in a 64 KiB cVolume, and compares the footprints.
 
 use crate::config::ExperimentConfig;
-use crate::csvout::{mib, Table};
-use squirrel_compress::Codec;
+use crate::experiments::storage::{store_corpus, StoreSet};
+use crate::record::{json_obj, Json, Record};
 use squirrel_dataset::{ec2_census, Corpus, CorpusConfig};
-use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
-
-/// Footprints of the two catalogs.
-#[derive(Clone, Copy, Debug)]
-pub struct WindowsWhatIf {
-    pub azure: SpaceStats,
-    pub with_windows: SpaceStats,
-}
-
-fn store_caches(corpus: &Corpus, bs: usize) -> SpaceStats {
-    let mut pool = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)).accounting_only());
-    for img in corpus.iter() {
-        let cache = img.cache();
-        let blocks: Vec<Vec<u8>> = cache.blocks(bs).collect();
-        pool.import_file(&format!("c-{}", img.id()), &blocks, cache.bytes());
-    }
-    pool.stats()
-}
 
 /// Run the comparison at the paper's 64 KiB operating point.
-pub fn run_whatif_windows(cfg: &ExperimentConfig) -> WindowsWhatIf {
+pub fn run_whatif_windows(cfg: &ExperimentConfig) -> Record {
     let bs = 64 * 1024;
     let azure_corpus = cfg.corpus();
     let ec2_corpus = Corpus::generate(CorpusConfig {
@@ -42,47 +24,32 @@ pub fn run_whatif_windows(cfg: &ExperimentConfig) -> WindowsWhatIf {
         census: ec2_census(),
         ..CorpusConfig::azure(cfg.scale, cfg.seed)
     });
-    let azure = store_caches(&azure_corpus, bs);
-    let with_windows = store_caches(&ec2_corpus, bs);
-
-    let mut t = Table::new(&["catalog", "cvol_disk_mib", "ddt_mem_mib", "unique_blocks"]);
-    for (name, s) in [("Azure census (no Windows)", &azure), ("EC2 census (incl. Windows)", &with_windows)]
-    {
-        t.push(vec![
-            name.to_string(),
-            mib(s.total_disk_bytes() as f64),
-            mib(s.ddt_memory_bytes as f64),
-            s.unique_blocks.to_string(),
-        ]);
-    }
-    let factor =
-        with_windows.total_disk_bytes() as f64 / azure.total_disk_bytes().max(1) as f64;
-    t.push(vec![
-        "windows overhead factor".to_string(),
-        format!("{factor:.2}x"),
-        String::new(),
-        String::new(),
-    ]);
-    t.print("What-if: Windows images in the mix (paper Section 4.1)");
-    t.write(&cfg.out_dir, "whatif_windows").expect("csv");
-    WindowsWhatIf { azure, with_windows }
+    let azure = store_corpus(&azure_corpus, StoreSet::Caches, bs).stats();
+    let with_windows = store_corpus(&ec2_corpus, StoreSet::Caches, bs).stats();
+    let factor = with_windows.total_disk_bytes() as f64 / azure.total_disk_bytes().max(1) as f64;
+    let rows = [("Azure census (no Windows)", azure), ("EC2 census (incl. Windows)", with_windows)];
+    Record::paper(
+        "whatif_windows",
+        cfg,
+        // Windows caches dedup among themselves: the mixed catalog costs
+        // more (new distinct base content) but a constant factor, not a
+        // blowup.
+        vec![("constant_factor", (0.8..3.0).contains(&factor))],
+        json_obj! {
+            "block_size": bs,
+            "rows": Json::arr(rows, |(catalog, s)| json_obj! {
+                "catalog": catalog,
+                "disk_bytes": s.total_disk_bytes(),
+                s => [ddt_memory_bytes, unique_blocks],
+            }),
+            "windows_overhead_factor": factor,
+        },
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn windows_adds_a_constant_factor_not_a_blowup() {
-        let cfg = ExperimentConfig { out_dir: None, ..ExperimentConfig::smoke() };
-        let w = run_whatif_windows(&cfg);
-        let factor =
-            w.with_windows.total_disk_bytes() as f64 / w.azure.total_disk_bytes() as f64;
-        // Windows caches dedup among themselves: the mixed catalog costs
-        // more (new distinct base content) but stays within a small factor.
-        assert!(factor > 0.8, "factor {factor}");
-        assert!(factor < 3.0, "factor {factor} — must be a constant factor, not a blowup");
-    }
 
     #[test]
     fn windows_images_dedup_with_each_other() {
@@ -98,7 +65,7 @@ mod tests {
             }],
             ..CorpusConfig::azure(cfg.scale, cfg.seed)
         });
-        let stats = store_caches(&corpus, 16 * 1024);
+        let stats = store_corpus(&corpus, StoreSet::Caches, 16 * 1024).stats();
         let logical_blocks = corpus
             .iter()
             .map(|i| i.cache().bytes().div_ceil(16 * 1024))

@@ -1,16 +1,21 @@
-//! What a bench experiment returns, and the one place it is written and
+//! What an experiment returns, and the one place it is written and
 //! enforced.
 //!
 //! A [`Record`] separates what the code *computes* from what the host
-//! *clocks*: `results/BENCH_<experiment>.json` holds `{experiment, params,
-//! gates, deterministic}` — byte-identical on every run of the same code, so
-//! `git diff` on it is a drift check — and the `wall` block goes, one line
-//! per run, to the append-only `results/history.jsonl` keyed by commit.
+//! *clocks*: `results/BENCH_<experiment>.json` (`PAPER_<experiment>.json`
+//! for a table or figure of the paper) holds `{experiment, params, gates,
+//! deterministic}` — byte-identical on every run of the same code at any
+//! thread count, so `git diff` on it is a drift check — and the `wall` block
+//! goes, one line per run, to the append-only `results/history.jsonl` keyed
+//! by commit.
 //!
 //! Each gate is a named boolean computed once by the experiment;
-//! [`Record::enforce`] is the only place a false one becomes a failure.
-//! [`sweep_equal`] is the only thread-determinism witness: every bench's
-//! `deterministic_across_threads` gate is its verdict.
+//! [`Record::enforce`] is the only place a false one becomes a failure. A
+//! paper record's gates are the shape claims EXPERIMENTS.md makes about its
+//! figure; one named `diverges_*` pins a known divergence from the paper, so
+//! closing it is a deliberate diff. [`sweep_equal`] is the only
+//! thread-determinism witness of a bench: its `deterministic_across_threads`
+//! gate is that verdict.
 
 use crate::config::ExperimentConfig;
 use std::io::Write;
@@ -22,8 +27,11 @@ pub use squirrel_obs::json_obj;
 /// One experiment's result.
 #[derive(Clone, Debug)]
 pub struct Record {
-    /// Names the file: `BENCH_<experiment>.json`.
+    /// Names the file: `BENCH_<experiment>.json`, or `PAPER_<experiment>.json`
+    /// when `paper`.
     pub experiment: &'static str,
+    /// One of the paper's own tables and figures: it clocks nothing.
+    pub paper: bool,
     /// The inputs: corpus knobs and workload shape.
     pub params: Json,
     /// Named acceptance verdicts, each decided exactly once.
@@ -35,6 +43,23 @@ pub struct Record {
 }
 
 impl Record {
+    /// A table or figure of the paper on `cfg`'s corpus: nothing clocked.
+    pub fn paper(
+        experiment: &'static str,
+        cfg: &ExperimentConfig,
+        gates: Vec<(&'static str, bool)>,
+        deterministic: Json,
+    ) -> Record {
+        Record {
+            experiment,
+            paper: true,
+            params: json_obj! {cfg => [images, scale, seed]},
+            gates,
+            deterministic,
+            wall: json_obj! {},
+        }
+    }
+
     /// The committed part: everything but `wall`.
     pub fn to_json(&self) -> Json {
         json_obj! {
@@ -47,7 +72,7 @@ impl Record {
         }
     }
 
-    /// The text of `BENCH_<experiment>.json`.
+    /// The text of the committed file.
     pub fn render(&self) -> String {
         self.to_json().render()
     }
@@ -63,14 +88,20 @@ impl Record {
         }
     }
 
-    /// Write `BENCH_<experiment>.json` and append the `wall` block — with
-    /// the host's SHA-256 backend, which never goes in the committed file —
-    /// to `history.jsonl`, both under `cfg.out_dir` (nothing when unset).
+    /// Write the committed file and, for a bench, append the `wall` block —
+    /// with the host's SHA-256 backend, which never goes in the committed
+    /// file — to `history.jsonl`, both under `cfg.out_dir` (nothing when
+    /// unset).
     pub fn persist(&self, cfg: &ExperimentConfig) -> std::io::Result<()> {
         let Some(dir) = &cfg.out_dir else { return Ok(()) };
         std::fs::create_dir_all(dir)?;
-        let path = Path::new(dir).join(format!("BENCH_{}.json", self.experiment));
+        let family = if self.paper { "PAPER" } else { "BENCH" };
+        let path = Path::new(dir).join(format!("{family}_{}.json", self.experiment));
         std::fs::write(&path, self.render())?;
+        println!("{} record: {}", self.experiment, path.display());
+        if self.paper {
+            return Ok(());
+        }
         let line = json_obj! {
             "commit": head_commit(),
             "experiment": self.experiment,
@@ -84,9 +115,7 @@ impl Record {
             .create(true)
             .append(true)
             .open(Path::new(dir).join("history.jsonl"))?;
-        writeln!(history, "{}", line.render_line())?;
-        println!("{} record: {}", self.experiment, path.display());
-        Ok(())
+        writeln!(history, "{}", line.render_line())
     }
 }
 
@@ -172,7 +201,8 @@ pub fn sweep_equal<T: PartialEq + std::fmt::Debug, W>(
 mod tests {
     use super::*;
     use crate::experiments::{
-        bootstorm, budget, chaosbench, chunking, distribution, fleet, ingest, topology,
+        ablations, bootstorm, boottime, budget, chaosbench, chunking, distribution, extrapolate,
+        fleet, ingest, network, storage, sweeps, topology, whatif,
     };
 
     #[test]
@@ -199,6 +229,7 @@ mod tests {
     fn a_false_gate_fails_enforce_by_name() {
         let mut record = Record {
             experiment: "sample",
+            paper: false,
             params: json_obj! {},
             gates: vec![("converged", true), ("scrub_clean", false)],
             deterministic: json_obj! {},
@@ -213,10 +244,12 @@ mod tests {
 
     type Experiment = fn(&ExperimentConfig) -> Record;
 
-    /// Every bench at smoke scale, with the gate names `ci.sh` grepped for
-    /// before `squirrel-experiments ci` replaced it (the four `"*_ns"`
-    /// presence greps are the one `stage_breakdown_nonzero`).
-    const EXPERIMENTS: [(Experiment, &str); 8] = [
+    /// Every command at smoke scale with its gate names: the eight benches
+    /// (the names `ci.sh` grepped for before `squirrel-experiments ci`
+    /// replaced it; the four `"*_ns"` presence greps are the one
+    /// `stage_breakdown_nonzero`), then the sixteen paper records (the shape
+    /// claims EXPERIMENTS.md makes).
+    const EXPERIMENTS: [(Experiment, &str); 24] = [
         (
             |cfg| bootstorm::run_bootstorm(cfg, 8, 1).1,
             "deterministic_across_threads reverify_free decompress_once_per_record arc_hit_rate",
@@ -251,9 +284,54 @@ mod tests {
              peer_storage_below_unicast",
         ),
         (
-            |cfg| chunking::run_chunking(cfg, 64, 4096, 3).1,
+            // 64 x 8 KiB: the smallest chain whose pool outgrows the disk
+            // model's contiguity window (see `reverse_not_slower`).
+            |cfg| chunking::run_chunking(cfg, 64, 8192, 3).1,
             "deterministic_across_threads reverse_not_slower cdc_dedup_gte_fixed",
         ),
+        (sweeps::run_table2, "azure_rows_sum_to_607 ec2_rows_sum_to_9790"),
+        (sweeps::run_table1, "reduction_chain"),
+        (
+            sweeps::run_fig2_fig4,
+            "dedup_falls_with_block_size gzip_rises_with_block_size caches_dedup_above_images \
+             cache_ccr_interior_optimum cache_ccr_holds_to_32k image_ccr_peaks_at_or_below_4k",
+        ),
+        (
+            sweeps::run_fig3,
+            "gzip9_equals_gzip6 gzip6_beats_lzjb_and_lz4_from_8k gzip6_lz4_lzjb_order_at_64k",
+        ),
+        (
+            storage::run_fig8_9_10,
+            "caches_disk_interior_minimum ddt_grows_as_blocks_shrink caches_below_images",
+        ),
+        (
+            boottime::run_fig11,
+            "minimum_at_64k uptick_at_128k warm_zfs_8_to_14pct_under_baseline \
+             small_blocks_much_slower warm_xfs_under_baseline cold_slowest_reference",
+        ),
+        (
+            sweeps::run_fig12,
+            "caches_above_images_everywhere caches_high_and_1_5x_images_at_16k \
+             caches_2x_images_at_64k",
+        ),
+        (storage::run_fig13, "series_monotone cache_marginal_growth_below_images"),
+        (
+            |cfg| extrapolate::run_extrapolation(cfg, extrapolate::Resource::DiskBytes),
+            "linear_wins_disk_every_block_size extrapolation_never_shrinks",
+        ),
+        (
+            |cfg| extrapolate::run_extrapolation(cfg, extrapolate::Resource::MemoryBytes),
+            "diverges_linear_wins_memory extrapolation_never_shrinks",
+        ),
+        (
+            network::run_fig18,
+            "zero_bytes_with_caches linear_without_caches diverges_projected_below_paper_180gb",
+        ),
+        (ablations::run_ablation_sync, "diff_multicast_below_rsync"),
+        (ablations::run_ablation_ccr, "combined_beats_each_alone pool_agrees_within_10pct"),
+        (ablations::run_ablation_hoard, "full_hoard_zero_cold partial_hoard_goes_cold"),
+        (ablations::run_ablation_chunking, "fixed_within_10pct_of_cdc"),
+        (whatif::run_whatif_windows, "constant_factor"),
     ];
 
     /// The one gate that compares host-clock readings against each other
@@ -264,20 +342,20 @@ mod tests {
     const WALL_GATE: &str = "speedup_gate";
 
     #[test]
-    fn every_bench_record_holds_its_gates_and_nothing_timed() {
-        let cfg = ExperimentConfig::smoke();
+    fn every_record_holds_its_gates_at_any_thread_count_and_nothing_timed() {
         for (run, gate_names) in EXPERIMENTS {
-            let run_once = || {
-                let mut record = run(&cfg);
+            let run_at = |threads| {
+                let mut record = run(&ExperimentConfig { threads, ..ExperimentConfig::smoke() });
                 for gate in &mut record.gates {
                     gate.1 |= gate.0 == WALL_GATE;
                 }
                 record
             };
-            // Both runs at once: half the wall time on two cores.
+            // Two runs that must agree byte for byte, at the two ends of the
+            // thread sweep — and at once: half the wall time on two cores.
             let (record, again) = std::thread::scope(|scope| {
-                let second = scope.spawn(run_once);
-                (run_once(), second.join().expect("second run"))
+                let second = scope.spawn(|| run_at(8));
+                (run_at(1), second.join().expect("second run"))
             });
             let name = record.experiment;
             let names: Vec<&str> = record.gates.iter().map(|g| g.0).collect();
@@ -286,7 +364,7 @@ mod tests {
 
             let text = record.render();
             assert_eq!(Json::parse(&text).expect("parses back"), record.to_json(), "{name}");
-            assert_eq!(again.render(), text, "{name}: a second run differs");
+            assert_eq!(again.render(), text, "{name}: 8 threads differ from 1");
             for timed in ["_secs\":", "_ns\":", "_per_sec\":"] {
                 assert!(!text.contains(timed), "{name}: a `*{timed}` key in {text}");
             }

@@ -5,11 +5,14 @@
 //! of every image is hashed (and unique blocks compressed). Work fans out
 //! across images on a [`par::WorkerPool`], then per-worker partial maps
 //! merge into one; per the perf book, hot maps use FNV keyed by 128-bit
-//! digest prefixes.
+//! digest prefixes. Every statistic is a pure function of the corpus: which
+//! blocks are measured is decided by digest alone, and the one
+//! floating-point sum runs in ascending digest order.
 
 use crate::corpus::Corpus;
 use squirrel_compress::{compressed_len, Codec};
 use squirrel_hash::{par, ContentHash, FnvHashMap};
+use std::collections::BinaryHeap;
 
 /// Which content set to analyze: full images or their VMI caches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,8 +23,9 @@ pub enum ContentSet {
 
 /// Sampling control for the compression measurement. Dedup statistics are
 /// always exact; per-block compression is measured on up to `max_blocks`
-/// unique blocks (uniformly by digest, hence unbiased) because compressing
-/// every unique block of a large sweep would dominate runtime.
+/// unique blocks (the smallest digests of the sampled set: uniform, hence
+/// unbiased) because compressing every unique block of a large sweep would
+/// dominate runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct CompressionSampling {
     pub max_blocks: usize,
@@ -117,8 +121,9 @@ pub fn sweep(
     let n_workers = par::resolve_threads(threads).min(corpus.len().max(1));
 
     // Each worker consumes images round-robin and builds a partial map from
-    // digest prefix to (count, images, sampled compression fraction).
-    // Partials merge in worker order, so results match the serial pass.
+    // digest prefix to (count, images, sampled compression fraction). The
+    // integer statistics add up in any merge order; the compression
+    // estimate is made order-free by `merge` (see there).
     let results: Vec<WorkerResult> = par::WorkerPool::new(threads).run(n_workers, |w| {
         worker_pass(corpus, set, block_size, codec, sampling, w, n_workers)
     });
@@ -145,12 +150,15 @@ fn worker_pass(
     let mut nonzero_blocks = 0u64;
     let mut nonzero_byte_sum = 0u64;
     // Deterministic sampling: a digest-derived coin picks an unbiased subset
-    // of unique blocks for compression measurement. A per-worker floor keeps
-    // the estimate meaningful when the unique set is tiny (large blocks on
-    // scaled corpora would otherwise sample nothing).
+    // of unique blocks for compression measurement. A floor — the
+    // `SAMPLE_FLOOR` smallest digests of the whole sweep — keeps the
+    // estimate meaningful when the unique set is tiny (large blocks on
+    // scaled corpora would otherwise sample nothing). A worker cannot know
+    // the global floor, so it measures every block that is among the
+    // smallest it has met so far: a superset `merge` trims.
+    let measure = sampling.max_blocks > 0;
     let sample_all = sampling.max_blocks == usize::MAX;
-    let mut sampled = 0usize;
-    const SAMPLE_FLOOR: usize = 24;
+    let mut floor: BinaryHeap<u128> = BinaryHeap::with_capacity(SAMPLE_FLOOR + 1);
 
     for (i, img) in corpus.iter().enumerate() {
         if i % n_workers != worker {
@@ -176,13 +184,18 @@ fn worker_pass(
                 entry.last_image = image_id;
                 entry.image_count += 1;
             }
-            if entry.fraction.is_nan()
-                && entry.count == 1
-                && (sample_all || sampled < SAMPLE_FLOOR || want_sample(h))
-            {
-                entry.fraction =
-                    (compressed_len(codec, &block) as f64 / block.len() as f64) as f32;
-                sampled += 1;
+            if measure && entry.count == 1 {
+                let in_floor = floor.len() < SAMPLE_FLOOR || floor.peek().is_some_and(|&m| h < m);
+                if in_floor {
+                    floor.push(h);
+                    if floor.len() > SAMPLE_FLOOR {
+                        floor.pop();
+                    }
+                }
+                if sample_all || in_floor || want_sample(h) {
+                    entry.fraction =
+                        (compressed_len(codec, &block) as f64 / block.len() as f64) as f32;
+                }
             }
         };
         match set {
@@ -201,6 +214,9 @@ fn worker_pass(
     }
     WorkerResult { map, nonzero_blocks, nonzero_byte_sum }
 }
+
+/// Unique blocks measured whatever the coin says: the smallest digests.
+const SAMPLE_FLOOR: usize = 24;
 
 /// Digest-based coin: ~1/16 of unique blocks are pre-sampled; the merge trims
 /// to `max_blocks`. Keeps sampling deterministic and image-order-free.
@@ -238,21 +254,36 @@ fn merge(block_size: usize, results: Vec<WorkerResult>, sampling: CompressionSam
     let mut unique_byte_sum = 0u64;
     let mut cross_repetitions = 0u64;
     let mut per_image_unique_sum = 0u64;
-    let mut frac_sum = 0.0f64;
-    let mut frac_n = 0u64;
-    for info in map.values() {
+    let mut measured: Vec<(u128, f32)> = Vec::new();
+    for (&h, info) in &map {
         unique_byte_sum += info.bytes as u64;
         per_image_unique_sum += info.image_count as u64;
         if info.image_count >= 2 {
             cross_repetitions += info.image_count as u64;
         }
-        if !info.fraction.is_nan() && frac_n < sampling.max_blocks as u64 {
-            frac_sum += info.fraction as f64;
-            frac_n += 1;
+        if !info.fraction.is_nan() {
+            measured.push((h, info.fraction));
         }
     }
-    // Fallback: tiny corpora may sample nothing via the digest coin.
-    let mean_compressed_fraction = if frac_n > 0 { frac_sum / frac_n as f64 } else { 1.0 };
+    // The estimate, as a function of the corpus alone. Every worker measured
+    // the smallest digests it met, so the first `SAMPLE_FLOOR` of `measured`
+    // in digest order are the sweep's smallest; past them a block counts
+    // only if the coin picked it (what else a worker's running floor let in
+    // depends on how images were dealt). The cap keeps the smallest digests,
+    // and the sum runs in digest order, not map order.
+    measured.sort_unstable_by_key(|&(h, _)| h);
+    let sample_all = sampling.max_blocks == usize::MAX;
+    let sampled: Vec<f64> = measured
+        .iter()
+        .enumerate()
+        .filter(|&(i, &(h, _))| sample_all || i < SAMPLE_FLOOR || want_sample(h))
+        .take(sampling.max_blocks)
+        .map(|(_, &(_, fraction))| f64::from(fraction))
+        .collect();
+    let frac_n = sampled.len() as u64;
+    // Fallback: `max_blocks == 0` measures nothing.
+    let mean_compressed_fraction =
+        if frac_n > 0 { sampled.iter().sum::<f64>() / frac_n as f64 } else { 1.0 };
 
     SweepStats {
         block_size,
@@ -366,13 +397,30 @@ mod tests {
 
     #[test]
     fn sweep_parallel_equals_serial() {
+        // Every field, the floating-point estimate bit for bit, under each
+        // way of choosing what is measured: nothing, the digest sample
+        // (floor + coin + cap), everything.
         let c = corpus();
-        let par = sweep(&c, ContentSet::Caches, 4096, Codec::Off, CompressionSampling::default(), 4);
-        let ser = sweep(&c, ContentSet::Caches, 4096, Codec::Off, CompressionSampling::default(), 1);
-        assert_eq!(par.nonzero_blocks, ser.nonzero_blocks);
-        assert_eq!(par.unique_blocks, ser.unique_blocks);
-        assert_eq!(par.cross_repetitions, ser.cross_repetitions);
-        assert_eq!(par.per_image_unique_sum, ser.per_image_unique_sum);
+        let exact = CompressionSampling { max_blocks: usize::MAX };
+        for (codec, sampling) in [
+            (Codec::Off, CompressionSampling::default()),
+            (Codec::Gzip(6), CompressionSampling::default()),
+            (Codec::Gzip(6), CompressionSampling { max_blocks: 40 }),
+            (Codec::Gzip(6), exact),
+        ] {
+            let at = |threads| {
+                let s = sweep(&c, ContentSet::Caches, 4096, codec, sampling, threads);
+                (
+                    (s.nonzero_blocks, s.nonzero_byte_sum, s.unique_blocks, s.unique_byte_sum),
+                    (s.cross_repetitions, s.per_image_unique_sum),
+                    (s.mean_compressed_fraction.to_bits(), s.compression_samples),
+                )
+            };
+            let serial = at(1);
+            assert!(serial.2 .1 > SAMPLE_FLOOR as u64, "{codec:?}: the coin sampled too");
+            assert_eq!(at(2), serial, "{codec:?} {sampling:?} at 2 threads");
+            assert_eq!(at(8), serial, "{codec:?} {sampling:?} at 8 threads");
+        }
     }
 
     #[test]

@@ -1,20 +1,13 @@
-//! Cross-crate integration: the qualitative shapes of the paper's figures
-//! must hold on a small corpus. These are the claims the reproduction is
-//! judged by — who wins, by roughly what factor, where crossovers fall.
+//! Cross-crate integration: the figure shapes that are read off a running
+//! `Squirrel`'s metric snapshot (Figures 6, 13, 18). Every other shape claim
+//! — who wins, by roughly what factor, where crossovers fall — is a named
+//! gate of the figure's `PAPER_<name>.json` record, enforced at the
+//! reference configuration by `squirrel-experiments ci` and at smoke scale
+//! by `squirrel-bench`'s record table test.
 
-use squirrel_repro::compress::Codec;
 use squirrel_repro::core::{Squirrel, SquirrelConfig};
-use squirrel_repro::dataset::analysis::{sweep, CompressionSampling, ContentSet};
 use squirrel_repro::dataset::{Corpus, CorpusConfig};
 use std::sync::Arc;
-
-fn corpus() -> Corpus {
-    Corpus::generate(CorpusConfig {
-        n_images: 24,
-        scale: 4096,
-        ..CorpusConfig::azure(4096, 2014)
-    })
-}
 
 /// A small running system for the metric-snapshot figures.
 fn system(nodes: u32, images: u32) -> Squirrel {
@@ -30,73 +23,6 @@ fn system(nodes: u32, images: u32) -> Squirrel {
             .build(),
         corpus,
     )
-}
-
-fn stats(c: &Corpus, set: ContentSet, bs: usize) -> squirrel_repro::dataset::analysis::SweepStats {
-    sweep(c, set, bs, Codec::Gzip(6), CompressionSampling::default(), 0)
-}
-
-#[test]
-fn figure2_dedup_and_gzip_trends_oppose() {
-    let c = corpus();
-    let small = stats(&c, ContentSet::Caches, 2048);
-    let large = stats(&c, ContentSet::Caches, 65536);
-    // Dedup improves with smaller blocks; gzip improves with larger ones.
-    assert!(small.dedup_ratio() >= large.dedup_ratio());
-    assert!(large.compression_ratio() > small.compression_ratio());
-}
-
-#[test]
-fn figure3_codec_ordering() {
-    let c = corpus();
-    let ratio = |codec| {
-        sweep(&c, ContentSet::Caches, 32768, codec, CompressionSampling::default(), 0)
-            .compression_ratio()
-    };
-    let g6 = ratio(Codec::Gzip(6));
-    let lzjb = ratio(Codec::Lzjb);
-    let lz4 = ratio(Codec::Lz4);
-    assert!(g6 > lzjb, "gzip-6 {g6} must beat lzjb {lzjb}");
-    assert!(g6 > lz4, "gzip-6 {g6} must beat lz4 {lz4}");
-}
-
-#[test]
-fn figure4_ccr_has_interior_plateau_for_caches() {
-    // The paper's headline insight: smaller blocks do NOT always help.
-    let c = corpus();
-    let ccr = |bs| stats(&c, ContentSet::Caches, bs).ccr();
-    let at_1k = ccr(1024);
-    let at_32k = ccr(32768);
-    assert!(
-        at_32k > 0.85 * at_1k,
-        "CCR must not collapse at large blocks: 32k {at_32k} vs 1k {at_1k}"
-    );
-}
-
-#[test]
-fn figure12_caches_far_more_similar_than_images() {
-    let c = corpus();
-    let caches = stats(&c, ContentSet::Caches, 16384).cross_similarity();
-    let images = stats(&c, ContentSet::Images, 16384).cross_similarity();
-    assert!(
-        caches > 1.5 * images,
-        "caches {caches} vs images {images}"
-    );
-    assert!(caches > 0.4, "caches similarity {caches}");
-}
-
-#[test]
-fn table1_reduction_chain() {
-    let c = corpus();
-    let caches = stats(&c, ContentSet::Caches, 131072);
-    let original: u64 = c.iter().map(|i| i.virtual_bytes()).sum();
-    let nonzero: u64 = c.iter().map(|i| i.nonzero_bytes()).sum();
-    let cache_raw = caches.nonzero_bytes();
-    let cache_ccr = caches.deduped_compressed_bytes();
-    // The four-step reduction of Table 1, each step significant.
-    assert!(nonzero * 5 < original, "sparseness: {nonzero} vs {original}");
-    assert!(cache_raw * 4 < nonzero, "working sets: {cache_raw} vs {nonzero}");
-    assert!(cache_ccr * 2 < cache_raw, "CCR: {cache_ccr} vs {cache_raw}");
 }
 
 #[test]
@@ -197,18 +123,4 @@ fn figure6_registration_wire_beats_raw_cache() {
     let c_in = snap.counter("zpool_compress_in_bytes_total{pool=\"scvol\"}").expect("in");
     let c_out = snap.counter("zpool_compress_out_bytes_total{pool=\"scvol\"}").expect("out");
     assert!(c_out < c_in, "gzip-6 must shrink cache records: {c_out} vs {c_in}");
-}
-
-#[test]
-fn caches_add_fewer_unique_blocks_than_images() {
-    // Figure 13's mechanism, stated per-image.
-    let c = corpus();
-    let caches = stats(&c, ContentSet::Caches, 16384);
-    let images = stats(&c, ContentSet::Images, 16384);
-    let cache_unique_frac = caches.unique_blocks as f64 / caches.nonzero_blocks as f64;
-    let image_unique_frac = images.unique_blocks as f64 / images.nonzero_blocks as f64;
-    assert!(
-        cache_unique_frac < image_unique_frac,
-        "caches {cache_unique_frac} vs images {image_unique_frac}"
-    );
 }

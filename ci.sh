@@ -40,6 +40,11 @@ git diff --exit-code -- 'results/BENCH_*.json' 'results/PAPER_*.json'
 echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
 cargo test -q --release -p squirrel-hash -p squirrel-compress > /dev/null
 
+echo "== worker pool under repetition (release, 20 runs: where a one-in-fifty race hides) =="
+for i in $(seq 20); do
+    cargo test -q --release -p squirrel-hash par:: > /dev/null
+done
+
 echo "== decode fuzz smoke (release, fixed seeds) =="
 cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 

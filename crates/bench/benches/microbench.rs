@@ -111,6 +111,17 @@ fn bench_zfs(c: &mut Criterion) {
     g.finish();
 }
 
+/// What `par::MIN_SHARE` is sized from: how long a parked worker takes to
+/// join a job. Each share waits for the other, so a call lasts until the
+/// worker has woken and run one.
+fn bench_pool_handoff(c: &mut Criterion) {
+    let workers = squirrel_hash::par::WorkerPool::new(2);
+    let both = std::sync::Barrier::new(2);
+    c.bench_function("pool_handoff", |b| {
+        b.iter(|| workers.run(2, |_| both.wait().is_leader()))
+    });
+}
+
 /// One diff, N fresh receivers: the registration fan-out without the
 /// network. The stream's frames are proved by the first fan-out and remember
 /// it, so what is timed is the steady state: what applying metadata costs
@@ -308,6 +319,7 @@ criterion_group!(
     bench_compress,
     bench_dataset,
     bench_zfs,
+    bench_pool_handoff,
     bench_recv_fanout,
     bench_file_is_intact,
     bench_read_block_shared,

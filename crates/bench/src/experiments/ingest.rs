@@ -9,25 +9,30 @@
 //! persistent [`WorkerPool`] shared across repeats — the production shape:
 //! `Squirrel` spawns its workers once and every ingest reuses them.
 //!
-//! Everything this bench measures is host-clock, so apart from the block
-//! census its numbers live in the record's `wall` block: throughput and a
-//! per-stage breakdown (`prepare_ns` / `probe_ns` / `compress_ns` /
-//! `commit_ns`, from the journal-quiet stage timers). Three gates:
+//! Two batch shapes run: the whole file, and a *registration-shaped* one —
+//! six all-new records at sparse indices, what `materialize_cache` hands
+//! the scVolume when an image is registered. Wall numbers (throughput,
+//! speedup and a per-stage breakdown from the journal-quiet stage timers)
+//! live in the record's `wall` block; what the gates read is the census
+//! and the share plan `par::plan_shares` makes of each shape, which are
+//! the same on any host. Four gates:
 //!
 //! * **`deterministic_across_threads`** — pool space stats and the metric
 //!   snapshot are bit-identical at every thread count, and equal to the
-//!   `write_block` replay's.
+//!   `write_block` replay's, for both shapes.
 //! * **`stage_breakdown_nonzero`** — the prepare and commit timers, which
 //!   see every block, read above zero at every thread count.
-//! * **`speedup_gate`** — `speedup_vs_serial` >= 0.95 at threads 2 and 8.
-//!   Absolute speedup is hardware-dependent (a single-core container shows
-//!   ~1.0x); the gate only asserts the parallel path never loses to serial.
+//! * **`work_is_partitioned`** — on the file, the heaviest planned share of
+//!   either parallel stage is at most 1/T of the stage's work plus one
+//!   record, T = 2 and 8: T threads pulling shares finish together.
+//! * **`register_shaped_batch_is_split`** — the six-record batch plans at
+//!   least two compress shares: a registration reaches the second core.
 
 use crate::config::ExperimentConfig;
 use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
 use squirrel_compress::Codec;
 use squirrel_dataset::{Corpus, CorpusConfig};
-use squirrel_hash::par::WorkerPool;
+use squirrel_hash::par::{cost, plan_shares, WorkerPool};
 use squirrel_obs::{MetricsRegistry, MetricsSnapshot};
 use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
 
@@ -37,6 +42,8 @@ pub const INGEST_BLOCK_SIZE: usize = 64 * 1024;
 /// Percent of blocks that duplicate an earlier unique / are all-zero.
 pub const DEDUP_PCT: u32 = 25;
 pub const ZERO_PCT: u32 = 12;
+/// File block indices of the registration-shaped batch.
+const REGISTER_SHAPED: [u64; 6] = [3, 4, 9, 17, 18, 40];
 
 /// Wall-clock nanoseconds per pipeline stage, from the pool's
 /// journal-quiet stage timers.
@@ -123,19 +130,85 @@ fn phase_nanos(reg: &MetricsRegistry) -> PhaseNanos {
     p
 }
 
-/// Sweep thread counts against the serial baseline and report the import
-/// as a [`Record`].
-pub fn run_ingest(
-    cfg: &ExperimentConfig,
-    n_blocks: usize,
-    repeat: usize,
-) -> (Sweep<Fingerprint, IngestClock>, Record) {
+/// What `par::plan_shares` makes of one parallel ingest stage over `items`
+/// records costing `item_ns` each.
+struct StagePlan {
+    shares: usize,
+    heaviest_ns: u64,
+    work_ns: u64,
+    item_ns: u64,
+}
+
+impl StagePlan {
+    fn of(items: usize, item_ns: u64) -> Self {
+        let shares = plan_shares(std::iter::repeat_n(item_ns, items));
+        StagePlan {
+            shares: shares.len(),
+            heaviest_ns: shares
+                .iter()
+                .map(|s| s.len() as u64 * item_ns)
+                .max()
+                .unwrap_or(0),
+            work_ns: items as u64 * item_ns,
+            item_ns,
+        }
+    }
+
+    /// No share outweighs an even split over `threads` by more than a record.
+    fn partitions_over(&self, threads: u64) -> bool {
+        self.heaviest_ns <= self.work_ns / threads + self.item_ns
+    }
+}
+
+/// The plans of a batch of `blocks` records of which `new` are compressed,
+/// with the weights `ZPool`'s fixed-record ingest states: (prepare, compress).
+fn stage_plans(blocks: usize, new: usize, bs: usize) -> (StagePlan, StagePlan) {
+    (
+        StagePlan::of(blocks, bs as u64 * cost::HASH),
+        StagePlan::of(new, bs as u64 * cost::DEFLATE),
+    )
+}
+
+fn plans_json((prepare, compress): &(StagePlan, StagePlan)) -> Json {
+    json_obj! {
+        "planned_shares": json_obj! {"prepare": prepare.shares, "compress": compress.shares},
+        "heaviest_share_weight": json_obj! {"prepare": prepare.heaviest_ns, "compress": compress.heaviest_ns},
+        "stage_weight": json_obj! {"prepare": prepare.work_ns, "compress": compress.work_ns},
+    }
+}
+
+/// One batch shape, measured: the `write_block` replay, then the staged
+/// import at every thread count of the sweep.
+pub struct Measured {
+    pub sweep: Sweep<Fingerprint, IngestClock>,
+    /// Every thread count left the replay's pool state and snapshot.
+    pub deterministic: bool,
+    serial_secs: f64,
+    blocks: usize,
+}
+
+impl Measured {
+    fn wall(&self) -> Json {
+        let speedup = |c: &IngestClock| self.serial_secs / c.import_secs.max(1e-12);
+        json_obj! {
+            "serial_blocks_per_sec": self.blocks as f64 / self.serial_secs,
+            "runs": Json::arr(&self.sweep.runs, |r| {
+                let (clock, phases) = (&r.extra, r.extra.phases);
+                json_obj! {
+                    r => [threads, wall_secs],
+                    clock => [import_secs],
+                    "blocks_per_sec": self.blocks as f64 / clock.import_secs,
+                    "speedup_vs_serial": speedup(clock),
+                    phases => [prepare_ns, probe_ns, compress_ns, commit_ns],
+                }
+            }),
+        }
+    }
+}
+
+fn measure(cfg: &ExperimentConfig, batch: &[(u64, Vec<u8>)], repeat: usize) -> Measured {
     let bs = INGEST_BLOCK_SIZE;
     let codec = Codec::Gzip(6);
-    let (blocks, (n_unique, n_dup, n_zero)) =
-        build_workload(n_blocks, bs, DEDUP_PCT, ZERO_PCT, cfg.seed);
-    let logical = (n_blocks * bs) as u64;
-    let repeat = repeat.max(1);
 
     // Serial baseline and determinism reference: a `write_block` replay.
     let mut serial_secs = f64::INFINITY;
@@ -146,14 +219,13 @@ pub fn run_ingest(
         pool.set_metrics(&reg.handle());
         let t = std::time::Instant::now();
         pool.create_file("f");
-        for (i, block) in blocks.iter().enumerate() {
-            pool.write_block("f", i as u64, block);
+        for (i, block) in batch {
+            pool.write_block("f", *i, block);
         }
         serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
         serial_print.get_or_insert_with(|| fingerprint(&pool, &reg));
     }
     let serial_print = serial_print.expect("at least one serial repeat");
-    let serial_rate = n_blocks as f64 / serial_secs;
 
     let sweep = sweep_equal(cfg, |threads| {
         // One persistent pool per thread count, shared across repeats —
@@ -166,7 +238,7 @@ pub fn run_ingest(
             pool
         };
         let mut warm = make_pool(&workers);
-        warm.import_file("f", &blocks, logical);
+        warm.import_blocks_parallel("f", batch);
 
         let mut clock = IngestClock { import_secs: f64::INFINITY, phases: PhaseNanos::default() };
         let mut print = None;
@@ -175,7 +247,7 @@ pub fn run_ingest(
             let mut pool = make_pool(&workers);
             pool.set_metrics(&reg.handle());
             let t = std::time::Instant::now();
-            pool.import_file("f", &blocks, logical);
+            pool.import_blocks_parallel("f", batch);
             let secs = t.elapsed().as_secs_f64();
             if secs < clock.import_secs {
                 clock = IngestClock { import_secs: secs, phases: phase_nanos(&reg) };
@@ -184,7 +256,33 @@ pub fn run_ingest(
         }
         (print.expect("at least one parallel repeat"), clock)
     });
-    let speedup = |c: &IngestClock| serial_secs / c.import_secs.max(1e-12);
+    let deterministic = sweep.deterministic && sweep.outcome == serial_print;
+    Measured {
+        sweep,
+        deterministic,
+        serial_secs,
+        blocks: batch.len(),
+    }
+}
+
+/// Sweep thread counts against the serial baseline, on the file and on the
+/// registration-shaped batch, and report the imports as a [`Record`].
+/// Returns the file's measurement beside it.
+pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> (Measured, Record) {
+    let bs = INGEST_BLOCK_SIZE;
+    let (blocks, (n_unique, n_dup, n_zero)) =
+        build_workload(n_blocks, bs, DEDUP_PCT, ZERO_PCT, cfg.seed);
+    // The first six uniques, at sparse indices: nothing dedups, nothing is zero.
+    let uniques = blocks.iter().filter(|b| b.iter().any(|&x| x != 0));
+    let register_shaped: Vec<(u64, Vec<u8>)> =
+        REGISTER_SHAPED.into_iter().zip(uniques.cloned()).collect();
+    let file: Vec<(u64, Vec<u8>)> = (0..).zip(blocks).collect();
+    let repeat = repeat.max(1);
+
+    let on_file = measure(cfg, &file, repeat);
+    let on_register = measure(cfg, &register_shaped, repeat);
+    let file_plans = stage_plans(n_blocks, n_unique, bs);
+    let register_plans = stage_plans(register_shaped.len(), register_shaped.len(), bs);
 
     let record = Record {
         experiment: "ingest",
@@ -198,43 +296,44 @@ pub fn run_ingest(
         gates: vec![
             // The parallel import leaves the same pool state and metric
             // snapshot at every thread count, and the serial replay's.
-            ("deterministic_across_threads", sweep.deterministic && sweep.outcome == serial_print),
+            (
+                "deterministic_across_threads",
+                on_file.deterministic && on_register.deterministic,
+            ),
             // The two stages that touch every block. Probe and compress can
             // round to zero on a coarse clock or an all-dedup import.
             (
                 "stage_breakdown_nonzero",
-                sweep.runs.iter().all(|r| r.extra.phases.prepare_ns > 0 && r.extra.phases.commit_ns > 0),
-            ),
-            // Parallel is never slower than serial (tolerance 5%).
-            (
-                "speedup_gate",
-                sweep
+                on_file
+                    .sweep
                     .runs
                     .iter()
-                    .filter(|r| r.threads == 2 || r.threads == 8)
-                    .all(|r| speedup(&r.extra) >= 0.95),
+                    .all(|r| r.extra.phases.prepare_ns > 0 && r.extra.phases.commit_ns > 0),
+            ),
+            (
+                "work_is_partitioned",
+                [2, 8].into_iter().all(|threads| {
+                    file_plans.0.partitions_over(threads) && file_plans.1.partitions_over(threads)
+                }),
+            ),
+            (
+                "register_shaped_batch_is_split",
+                register_plans.1.shares >= 2,
             ),
         ],
         deterministic: json_obj! {
             "unique_blocks": n_unique,
             "dup_blocks": n_dup,
             "zero_blocks": n_zero,
+            "file": plans_json(&file_plans),
+            "register_shaped": plans_json(&register_plans),
         },
         wall: json_obj! {
-            "serial_blocks_per_sec": serial_rate,
-            "runs": Json::arr(&sweep.runs, |r| {
-                let (clock, phases) = (&r.extra, r.extra.phases);
-                json_obj! {
-                    r => [threads, wall_secs],
-                    clock => [import_secs],
-                    "blocks_per_sec": n_blocks as f64 / clock.import_secs,
-                    "speedup_vs_serial": speedup(clock),
-                    phases => [prepare_ns, probe_ns, compress_ns, commit_ns],
-                }
-            }),
+            "file": on_file.wall(),
+            "register_shaped": on_register.wall(),
         },
     };
-    (sweep, record)
+    (on_file, record)
 }
 
 #[cfg(test)]
@@ -259,10 +358,10 @@ mod tests {
         let cfg = ExperimentConfig::smoke();
         // Tiny workload; state/metric equality against serial at every
         // thread count is the first gate.
-        let (sweep, record) = run_ingest(&cfg, 48, 1);
-        assert_eq!(sweep.runs.len(), 3);
-        assert_eq!(record.gates[0], ("deterministic_across_threads", true));
-        for r in &sweep.runs {
+        let (on_file, record) = run_ingest(&cfg, 48, 1);
+        assert_eq!(on_file.sweep.runs.len(), 3);
+        assert_eq!(record.enforce(), Ok(()));
+        for r in &on_file.sweep.runs {
             assert!(r.extra.import_secs > 0.0);
             // The pipeline ran: every stage recorded wall time.
             assert!(r.extra.phases.prepare_ns > 0, "threads={}", r.threads);

@@ -129,7 +129,12 @@ impl BootSim {
         backend: &Backend,
         workers: &squirrel_hash::par::WorkerPool,
     ) -> Vec<BootReport> {
-        self.queue_on_one_disk(workers.parallel_map(traces, |_i, t| self.boot(t, backend)))
+        // A replay costs ≈ 65 ns per trace op (`bootsim.trace_ops_per_s`
+        // 15.4 M on the reference box).
+        let replay_cost = |t: &BootTrace| t.ops.len() as u64 * 65;
+        self.queue_on_one_disk(
+            workers.parallel_map(traces, replay_cost, |_i, t| self.boot(t, backend)),
+        )
     }
 
     /// [`boot_concurrent_on`](Self::boot_concurrent_on) for `vms` VMs that

@@ -9,6 +9,7 @@ use crate::trace::paper_scale_trace;
 use squirrel_bootsim::{Backend, BootReport, DedupVolumeParams};
 use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
+use squirrel_hash::par::cost;
 use squirrel_qcow::{CorCache, VirtualDisk};
 use squirrel_zfs::{SharedArcCache, ZPool};
 use std::collections::{BTreeMap, BTreeSet};
@@ -320,9 +321,12 @@ impl Squirrel {
         // checksum is schedule-independent.
         let nodes = &self.nodes;
         let corpus = &self.corpus;
+        // Every VM hashes its working set, record by record.
+        let read_cost = |_: &usize| blocks.len() as u64 * bs * cost::HASH;
         let raw: Vec<Result<(u64, String), SquirrelError>> =
-            self.workers.parallel_map(&assignments, |_i, &node| {
-                let mut bytes = Vec::with_capacity(blocks.len() * bs as usize);
+            self.workers.parallel_map(&assignments, read_cost, |_i, &node| {
+                let mut digest = squirrel_hash::Sha256::new();
+                let mut served = 0u64;
                 if let Some(cache) = caches.get(&node) {
                     for &b in &blocks {
                         let data = cache
@@ -331,17 +335,19 @@ impl Squirrel {
                                 node: node as NodeId,
                                 image,
                             })?;
-                        bytes.extend_from_slice(&data);
+                        digest.update(&data);
+                        served += data.len() as u64;
                     }
                 } else {
                     let handle = corpus.image(image);
                     let mut buf = vec![0u8; bs as usize];
                     for &b in &blocks {
                         handle.read_at(b * bs, &mut buf);
-                        bytes.extend_from_slice(&buf);
+                        digest.update(&buf);
+                        served += bs;
                     }
                 }
-                Ok((bytes.len() as u64, squirrel_hash::ContentHash::of(&bytes).to_hex()))
+                Ok((served, squirrel_hash::ContentHash(digest.finalize()).to_hex()))
             });
         let mut per_vm = Vec::with_capacity(raw.len());
         for r in raw {

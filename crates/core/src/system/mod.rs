@@ -325,9 +325,15 @@ impl Squirrel {
             ImageDisk { corpus: Arc::clone(&self.corpus), image },
             self.config.block_size,
         );
+        let longest = trace
+            .ops
+            .iter()
+            .map(|op| op.len as usize)
+            .max()
+            .unwrap_or(0);
+        let mut buf = vec![0u8; longest];
         for op in &trace.ops {
-            let mut buf = vec![0u8; op.len as usize];
-            cor.read_at(op.offset, &mut buf);
+            cor.read_at(op.offset, &mut buf[..op.len as usize]);
         }
         (cor.cached_bytes(), cor.into_blocks())
     }

@@ -609,6 +609,45 @@ mod tests {
         }
     }
 
+    /// The diffs registration really moves are a handful of records, the
+    /// batch shape whose split the worker pool plans by work: one new
+    /// record stays inline, two compress side by side, five or six also
+    /// split the hashing. Whatever ran where, everything a registration
+    /// leaves behind is the same.
+    #[test]
+    fn small_diffs_register_identically_at_any_thread_count() {
+        let corpus = Arc::new(Corpus::generate(CorpusConfig {
+            n_images: 16,
+            ..CorpusConfig::azure(512, 2014)
+        }));
+        let run = |threads| {
+            let mut sq = system_on(Arc::clone(&corpus), 8, |c| {
+                c.block_size = 64 * 1024;
+                c.threads = threads;
+            });
+            let registered: Vec<_> = (0..16)
+                .map(|img| {
+                    let report = sq.register(img).expect("register");
+                    let stream = sq.scvol.send_latest().expect("tip");
+                    let wire = squirrel_hash::ContentHash::of(&stream.encode()).to_hex();
+                    (stream.payload_blocks(), report, sq.scvol_stats(), wire)
+                })
+                .collect();
+            (registered, sq.metrics().snapshot())
+        };
+        let reference = run(1);
+        let diffs: Vec<usize> = reference.0.iter().map(|r| r.0).collect();
+        for shape in [1..=1, 2..=2, 5..=6] {
+            assert!(
+                diffs.iter().any(|d| shape.contains(d)),
+                "no {shape:?}-record diff in {diffs:?}"
+            );
+        }
+        for threads in [2, 8] {
+            assert_eq!(run(threads), reference, "threads={threads}");
+        }
+    }
+
     #[test]
     fn peer_planner_equals_the_scan_everything_oracle() {
         const NODES: u32 = 1000;

@@ -11,14 +11,16 @@
 //! * [`WorkerPool::run`] — a fixed number of work shares, each told its
 //!   index, results in index order (the corpus-analysis shape, where every
 //!   worker owns a round-robin slice of the input).
-//! * [`WorkerPool::parallel_map`] / [`WorkerPool::parallel_map_indices`] —
-//!   dynamic work-stealing over a slice or index range via an atomic
-//!   cursor, results returned **in input order**.
+//! * [`WorkerPool::parallel_map`] — a slice of items, each with an
+//!   estimated cost, cut by [`plan_shares`] into shares worth handing to
+//!   another thread; results returned **in input order**.
 //!
-//! Output order is independent of scheduling in both, which is what lets
-//! callers promise bit-identical results at any thread count.
+//! Output order is independent of scheduling in both, and the share plan
+//! depends on the weights alone, which is what lets callers promise
+//! bit-identical results at any thread count.
 
 use std::cell::Cell;
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -37,30 +39,53 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Batch size pulled from the shared cursor per grab; amortizes contention
-/// while keeping the tail balanced.
-const GRAB: usize = 16;
+/// Estimated work, in nanoseconds, that a share must carry before
+/// [`plan_shares`] closes it — the one rule by which every parallel stage
+/// in the workspace decides whether a second thread is worth waking.
+/// Sized from the hand-off, not from item counts: on the 2-core reference
+/// box a worker that has been parked for 10 ms — one registration — takes
+/// 25–45 µs to join a job and report back (9 µs when it has just run:
+/// `cargo bench -p squirrel-bench -- pool_handoff`), so a share breaks even
+/// at ≈ 50 µs and pays well at five times that. 250 µs is one 64 KiB
+/// record to compress, four to hash, or two 16 KiB records to compress.
+pub const MIN_SHARE: u64 = 250_000;
 
-/// Workers that `count` items can actually keep busy: one per cursor grab,
-/// capped at `max`. Tiny batches (sparse register diffs) thus run serially
-/// or on a couple of workers instead of paying wake/steal overhead for
-/// workers that would find the cursor already drained.
-fn useful_workers(count: usize, max: usize) -> usize {
-    max.min(count.div_ceil(GRAB)).max(1)
+/// Per-byte cost estimates of the workspace's byte-crunching stages, in
+/// nanoseconds per byte — what callers multiply a length by to state an
+/// item's weight. Measured on the reference box (`benchmark/ run --workload
+/// ingest --trace`, SHA-NI host): `hash.sha256_mb_per_s` 1 497 (0.67 ns/B;
+/// the Gear scan reads 1 455), `compress.decompress_mb_per_s` 212
+/// (4.7 ns/B), `compress.compress_mb_per_s` 65 at gzip-6 (15.3 ns/B). A
+/// cheaper codec is over-estimated, which costs at most one hand-off per
+/// batch.
+pub mod cost {
+    pub const HASH: u64 = 1;
+    pub const INFLATE: u64 = 5;
+    pub const DEFLATE: u64 = 15;
 }
 
-/// Scatter `(index, result)` pairs back into input order.
-fn merge_indexed<R>(count: usize, parts: Vec<Vec<(usize, R)>>) -> Vec<R> {
-    let mut slots: Vec<Option<R>> = (0..count).map(|_| None).collect();
-    for part in parts {
-        for (i, r) in part {
-            slots[i] = Some(r);
+/// Cut items with the given `weights` (nanoseconds of estimated work, in
+/// input order) into contiguous shares: a share closes as soon as it
+/// carries [`MIN_SHARE`], so every share but the last is worth a hand-off
+/// and an item heavier than `MIN_SHARE` travels alone. The plan is a
+/// function of the weights only — never of a thread count — so what runs
+/// together is the same on every machine; fewer than two shares means the
+/// batch is not worth splitting.
+pub fn plan_shares(weights: impl IntoIterator<Item = u64>) -> Vec<Range<usize>> {
+    let mut shares = Vec::new();
+    let (mut start, mut end, mut load) = (0usize, 0usize, 0u64);
+    for w in weights {
+        end += 1;
+        load = load.saturating_add(w);
+        if load >= MIN_SHARE {
+            shares.push(start..end);
+            (start, load) = (end, 0);
         }
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index visited exactly once"))
-        .collect()
+    if start < end {
+        shares.push(start..end);
+    }
+    shares
 }
 
 // --- persistent worker pool --------------------------------------------------
@@ -77,7 +102,7 @@ thread_local! {
 /// the pointer to pool threads is sound even though it borrows the caller's
 /// stack.
 #[derive(Clone, Copy)]
-struct Job(*const (dyn Fn(usize) + Sync));
+struct Job(*const (dyn Fn() + Sync));
 
 // SAFETY: the pointee is `Sync` (shared calls from many threads are fine)
 // and `WorkerPool::dispatch` blocks until every participant has finished
@@ -91,7 +116,8 @@ struct PoolState {
     /// Participants of the current job (worker indices `0..limit`; index 0
     /// is the dispatching caller itself).
     limit: usize,
-    /// Persistent participants still running the current job.
+    /// Persistent workers that joined the current job and have not
+    /// finished it.
     active: usize,
     /// Persistent workers spawned so far (they hold indices `1..=spawned`).
     spawned: usize,
@@ -156,9 +182,9 @@ impl Drop for PoolCore {
 /// concurrent even on a single-core host): extra workers beyond the core
 /// count would only timeslice, so `threads = 8` on a 2-core box
 /// dispatches 2.
-/// Determinism: `run` and the `parallel_map*` methods return results in
-/// index order however the work was scheduled, so outputs are bit-identical
-/// at any pool size.
+/// Determinism: `run` and `parallel_map` return results in index order
+/// however the work was scheduled, so outputs are bit-identical at any pool
+/// size.
 #[derive(Clone)]
 pub struct WorkerPool {
     core: Arc<PoolCore>,
@@ -221,7 +247,7 @@ impl WorkerPool {
         }
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<R>>> = (0..total).map(|_| Mutex::new(None)).collect();
-        self.dispatch(n, &|_p: usize| loop {
+        self.dispatch(n, &|| loop {
             let w = cursor.fetch_add(1, Ordering::Relaxed);
             if w >= total {
                 break;
@@ -238,50 +264,45 @@ impl WorkerPool {
             .collect()
     }
 
-    /// Apply `f` to every item of `items`, results in input order
-    /// regardless of how the work was scheduled.
-    pub fn parallel_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    /// Apply `f` to every item of `items`, results in input order however
+    /// the work was scheduled. `weight` estimates an item's cost in
+    /// nanoseconds (bytes × a [`cost`] factor); [`plan_shares`] turns the
+    /// weights into shares, fewer than two shares run inline on the
+    /// caller, and otherwise min(threads, shares) participants pull whole
+    /// shares from a cursor.
+    pub fn parallel_map<T, R, W, F>(&self, items: &[T], weight: W, f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
+        W: Fn(&T) -> u64,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.parallel_map_indices(items.len(), |i| f(i, &items[i]))
-    }
-
-    /// Apply `f` to every index in `0..count`, results in index order. The
-    /// index-space variant of [`parallel_map`](Self::parallel_map) for
-    /// callers whose work items are *generated* — e.g. the M VMs of a boot
-    /// storm — rather than stored in a slice.
-    pub fn parallel_map_indices<R, F>(&self, count: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize) -> R + Sync,
-    {
-        let n = useful_workers(count, self.core.effective);
-        if n <= 1 || IN_POOL_JOB.with(|flag| flag.get()) {
-            return (0..count).map(f).collect();
+        let inline = || items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        // Nobody to hand a share to: skip the planning too.
+        if self.core.effective <= 1 || IN_POOL_JOB.with(|flag| flag.get()) {
+            return inline();
         }
-        let cursor = AtomicUsize::new(0);
-        let parts = self.run(n, |_w| {
-            let mut local: Vec<(usize, R)> = Vec::new();
-            loop {
-                let start = cursor.fetch_add(GRAB, Ordering::Relaxed);
-                if start >= count {
-                    break;
-                }
-                for i in start..(start + GRAB).min(count) {
-                    local.push((i, f(i)));
-                }
-            }
-            local
-        });
-        merge_indexed(count, parts)
+        let shares = plan_shares(items.iter().map(weight));
+        if shares.len() < 2 {
+            return inline();
+        }
+        self.run(shares.len(), |s| {
+            shares[s]
+                .clone()
+                .map(|i| f(i, &items[i]))
+                .collect::<Vec<R>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// Post one job for `participants >= 2` workers and run share 0 on the
-    /// calling thread. Returns only after every participant is done.
-    fn dispatch(&self, participants: usize, job: &(dyn Fn(usize) + Sync)) {
+    /// Post one job for up to `participants >= 2` threads and run it on
+    /// the calling thread too. `job` must be a loop over a shared cursor:
+    /// the caller's call returning means the work has run out, so a worker
+    /// that wakes later finds the job withdrawn and is not waited for.
+    /// Returns only after every worker that did join is done.
+    fn dispatch(&self, participants: usize, job: &(dyn Fn() + Sync)) {
         debug_assert!(participants >= 2);
         let inner = &self.core.inner;
         // A panicking job unwinds through this guard and poisons the lock;
@@ -306,16 +327,17 @@ impl WorkerPool {
                 self.core.handles.lock().expect("pool handles poisoned").push(handle);
                 st.spawned += 1;
             }
-            // SAFETY: lifetime erasure only — `dispatch` does not return
-            // until every participant has finished with `job` (the
-            // `active == 0` wait below), so the erased borrow never
-            // outlives the referent.
-            let erased: &'static (dyn Fn(usize) + Sync) =
+            // SAFETY: lifetime erasure only — a worker takes the pointer
+            // and counts itself into `active` under one lock, and
+            // `dispatch` withdraws the pointer and waits for `active == 0`
+            // under the same lock before it returns, so the erased borrow
+            // never outlives the referent.
+            let erased: &'static (dyn Fn() + Sync) =
                 unsafe { std::mem::transmute(job) };
             st.job = Some(Job(erased as *const _));
             st.epoch += 1;
             st.limit = participants;
-            st.active = participants - 1;
+            debug_assert_eq!(st.active, 0, "the previous job drained");
             inner.work_cv.notify_all();
         }
         // The caller is participant 0. Catch its panic so the persistent
@@ -323,7 +345,7 @@ impl WorkerPool {
         // borrowed environment.
         let caller = catch_unwind(AssertUnwindSafe(|| {
             IN_POOL_JOB.with(|flag| flag.set(true));
-            let r = catch_unwind(AssertUnwindSafe(|| job(0)));
+            let r = catch_unwind(AssertUnwindSafe(job));
             IN_POOL_JOB.with(|flag| flag.set(false));
             if let Err(p) = r {
                 resume_unwind(p);
@@ -331,10 +353,13 @@ impl WorkerPool {
         }));
         let worker_panic = {
             let mut st = inner.state.lock().expect("pool state poisoned");
+            // The caller's share of a cursor-driven job ends when the work
+            // has run out: a worker that has not woken yet has nothing
+            // left to do, so it is not waited for — only those that joined.
+            st.job = None;
             while st.active > 0 {
                 st = inner.done_cv.wait(st).expect("pool state poisoned");
             }
-            st.job = None;
             st.panic.take()
         };
         if let Err(p) = caller {
@@ -369,17 +394,20 @@ fn worker_loop(inner: &PoolInner, w: usize) {
                 }
                 if st.epoch != seen {
                     seen = st.epoch;
-                    if w < st.limit {
-                        break st.job.expect("fresh epoch carries a job");
+                    if let (true, Some(job)) = (w < st.limit, st.job) {
+                        st.active += 1;
+                        break job;
                     }
-                    // Not a participant this round; keep waiting.
+                    // Not a participant this round, or woke after the
+                    // dispatcher had finished the job alone; keep waiting.
                 }
                 st = inner.work_cv.wait(st).expect("pool state poisoned");
             }
         };
-        // SAFETY: the dispatcher waits for `active == 0` before returning,
-        // so the job's referent outlives this call.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(w) }));
+        // SAFETY: this worker is counted in `active`, and the dispatcher
+        // waits for `active == 0` before returning, so the job's referent
+        // outlives this call.
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() }));
         let mut st = inner.state.lock().expect("pool state poisoned");
         if let Err(p) = result {
             if st.panic.is_none() {
@@ -396,6 +424,12 @@ fn worker_loop(inner: &PoolInner, w: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Items heavy enough that each is a share of its own.
+    fn heavy<T>(_: &T) -> u64 {
+        MIN_SHARE
+    }
 
     #[test]
     fn resolve_zero_means_all_cores() {
@@ -406,12 +440,53 @@ mod tests {
     }
 
     #[test]
-    fn useful_workers_clamps_to_grabs() {
-        assert_eq!(useful_workers(0, 8), 1);
-        assert_eq!(useful_workers(3, 8), 1, "one grab covers a tiny batch");
-        assert_eq!(useful_workers(GRAB + 1, 8), 2);
-        assert_eq!(useful_workers(10 * GRAB, 8), 8);
-        assert_eq!(useful_workers(10 * GRAB, 2), 2);
+    fn plan_follows_work_not_item_count() {
+        assert!(plan_shares([]).is_empty());
+        // A registration's diff: six 64 KiB records. Compressing each is a
+        // share; hashing all six is one share and a tail.
+        let kib64 = 64 * 1024u64;
+        assert_eq!(plan_shares([kib64 * cost::DEFLATE; 6]).len(), 6);
+        assert_eq!(plan_shares([kib64 * cost::HASH; 6]), vec![0..4, 4..6]);
+        // 16 KiB records compress in pairs, so a lone pair stays inline.
+        assert_eq!(plan_shares([16 * 1024 * cost::DEFLATE; 2]), vec![0..2]);
+        // A thousand trivial items are not worth a hand-off either.
+        assert_eq!(plan_shares([100; 1000]), vec![0..1000]);
+    }
+
+    proptest! {
+        /// The planner's contract on random weights (light, heavy and
+        /// zero-cost items mixed), and `parallel_map` under it.
+        #[test]
+        fn plan_is_an_ordered_partition_into_worthwhile_shares(
+            weights in proptest::collection::vec(
+                prop_oneof![Just(0u64), 1..MIN_SHARE / 8, MIN_SHARE / 2..MIN_SHARE * 3],
+                0..200,
+            )
+        ) {
+            let plan = plan_shares(weights.iter().copied());
+            // Every index exactly once, in order, contiguously.
+            let mut next = 0;
+            for share in &plan {
+                prop_assert_eq!(share.start, next);
+                prop_assert!(share.end > share.start);
+                next = share.end;
+            }
+            prop_assert_eq!(next, weights.len());
+            // Every share but the last carries MIN_SHARE, and closed as
+            // soon as it did.
+            let load = |r: &Range<usize>| weights[r.clone()].iter().sum::<u64>();
+            for share in plan.iter().rev().skip(1) {
+                prop_assert!(load(share) >= MIN_SHARE);
+                prop_assert!(load(&(share.start..share.end - 1)) < MIN_SHARE);
+            }
+            // Whatever the thread budget, the weighted map is the serial map.
+            let serial: Vec<u64> =
+                weights.iter().enumerate().map(|(i, &w)| w ^ i as u64).collect();
+            for threads in [1usize, 2, 8] {
+                let pool = WorkerPool::new(threads);
+                prop_assert_eq!(&pool.parallel_map(&weights, |&w| w, |i, &w| w ^ i as u64), &serial);
+            }
+        }
     }
 
     #[test]
@@ -419,37 +494,23 @@ mod tests {
         let pool = WorkerPool::new(4);
         assert_eq!(pool.threads(), 4);
         assert_eq!(pool.spawned_workers(), 0, "construction spawns nothing");
-        // A tiny map stays inline: still no threads.
-        assert_eq!(pool.parallel_map(&[1u8, 2], |_, &b| b * 2), vec![2, 4]);
+        // One share's worth of work stays inline: still no threads.
+        assert_eq!(
+            pool.parallel_map(&[1u8, 2], |_| MIN_SHARE / 2, |_, &b| b * 2),
+            vec![2, 4]
+        );
         assert_eq!(pool.spawned_workers(), 0);
         // A real batch spawns once...
         let items: Vec<u64> = (0..500).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x + 1).collect();
-        assert_eq!(pool.parallel_map(&items, |_, &x| x + 1), expect);
+        assert_eq!(pool.parallel_map(&items, heavy, |_, &x| x + 1), expect);
         let spawned = pool.spawned_workers();
         assert!((1..=3).contains(&spawned), "caller is worker 0, got {spawned}");
         // ...and later batches reuse the same workers.
         for _ in 0..5 {
-            assert_eq!(pool.parallel_map(&items, |_, &x| x + 1), expect);
+            assert_eq!(pool.parallel_map(&items, heavy, |_, &x| x + 1), expect);
         }
         assert_eq!(pool.spawned_workers(), spawned);
-    }
-
-    #[test]
-    fn pool_matches_iterator_map_at_any_size() {
-        let items: Vec<u64> = (0..333).collect();
-        let reference: Vec<u64> =
-            items.iter().enumerate().map(|(i, &x)| x * 3 + i as u64).collect();
-        for threads in [1usize, 2, 8] {
-            let pool = WorkerPool::new(threads);
-            assert_eq!(pool.parallel_map(&items, |i, &x| x * 3 + i as u64), reference);
-            assert_eq!(
-                pool.parallel_map_indices(items.len(), |i| items[i] * 3 + i as u64),
-                reference
-            );
-            assert!(pool.parallel_map(&[0u8; 0], |_, &b| b).is_empty());
-            assert!(pool.parallel_map_indices(0, |i| i).is_empty());
-        }
     }
 
     #[test]
@@ -484,13 +545,28 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_worker_joins_a_job_that_is_still_running() {
+        let pool = WorkerPool::new(2);
+        // Each share waits for the other: the job can only finish on two
+        // threads, however late the worker wakes.
+        let both = std::sync::Barrier::new(2);
+        for _ in 0..50 {
+            let ran_on = pool.run(2, |_| {
+                both.wait();
+                std::thread::current().id()
+            });
+            assert_ne!(ran_on[0], ran_on[1]);
+        }
+    }
+
+    #[test]
     fn pool_caps_participants_at_hardware_parallelism() {
         let pool = WorkerPool::new(64);
         assert_eq!(pool.threads(), 64, "the budget itself is as requested");
         let cap = resolve_threads(0).max(2);
         // Dispatch a big batch: spawned persistent workers never exceed
         // cap - 1 (the caller is participant 0).
-        pool.parallel_map_indices(2048, |i| i);
+        pool.parallel_map(&[0u8; 2048], heavy, |i, _| i);
         assert!(
             pool.spawned_workers() < cap,
             "spawned {} workers on a {cap}-wide machine",
@@ -506,9 +582,10 @@ mod tests {
         let pool = WorkerPool::new(2);
         let clone = pool.clone();
         let items: Vec<u32> = (0..200).collect();
-        pool.parallel_map(&items, |_, &x| x);
+        pool.parallel_map(&items, heavy, |_, &x| x);
         let spawned = pool.spawned_workers();
-        clone.parallel_map(&items, |_, &x| x);
+        assert_eq!(spawned, 1);
+        clone.parallel_map(&items, heavy, |_, &x| x);
         assert_eq!(clone.spawned_workers(), spawned, "clone reuses the same threads");
     }
 
@@ -518,8 +595,11 @@ mod tests {
         let outer: Vec<u32> = (0..64).collect();
         // Each outer item runs a nested map on the same pool; the nested
         // calls must degrade to inline execution, not deadlock.
-        let out = pool.parallel_map(&outer, |_, &x| {
-            pool.parallel_map_indices(40, |i| i as u32).iter().sum::<u32>() + x
+        let out = pool.parallel_map(&outer, heavy, |_, &x| {
+            pool.parallel_map(&outer[..40], heavy, |i, _| i as u32)
+                .iter()
+                .sum::<u32>()
+                + x
         });
         let nested_sum: u32 = (0..40).sum();
         assert_eq!(out, outer.iter().map(|&x| nested_sum + x).collect::<Vec<_>>());
@@ -527,25 +607,28 @@ mod tests {
 
     #[test]
     fn pool_propagates_worker_panics() {
-        let pool = WorkerPool::new(4);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.parallel_map_indices(400, |i| {
-                assert!(i != 237, "boom at {i}");
-                i
-            })
-        }));
-        assert!(r.is_err(), "panic must propagate to the dispatcher");
-        // The pool survives a panicked job and keeps working.
-        assert_eq!(
-            pool.parallel_map_indices(100, |i| i),
-            (0..100).collect::<Vec<_>>()
-        );
+        let items: Vec<usize> = (0..400).collect();
+        for threads in [1, 2, 8] {
+            let pool = WorkerPool::new(threads);
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_map(&items, heavy, |i, _| {
+                    assert!(i != 237, "boom at {i}");
+                    i
+                })
+            }));
+            assert!(r.is_err(), "panic must propagate to the dispatcher");
+            // The pool survives a panicked job and keeps working.
+            assert_eq!(
+                pool.parallel_map(&items[..100], heavy, |i, _| i),
+                items[..100]
+            );
+        }
     }
 
     #[test]
     fn pool_drop_joins_workers() {
         let pool = WorkerPool::new(8);
-        pool.parallel_map_indices(1000, |i| i * 2);
+        pool.parallel_map(&[0u8; 1000], heavy, |i, _| i * 2);
         drop(pool); // must not hang or leak (join happens here)
     }
 }

@@ -28,6 +28,10 @@ pub struct WallStats {
     pub count: u64,
     pub total_nanos: u64,
     pub max_nanos: u64,
+    /// Time spent inside [`Span::busy`] sections, summed over whichever
+    /// threads ran them (0 for a span that measures none): a parallel
+    /// stage's efficiency is `busy_nanos / (total_nanos × threads)`.
+    pub busy_nanos: u64,
 }
 
 /// Owner of all metric state. Create one per system, hand [`Metrics`]
@@ -280,6 +284,7 @@ impl Metrics {
             start: self.inner.is_some().then(Instant::now),
             fields: Vec::new(),
             quiet: false,
+            busy_nanos: AtomicU64::new(0),
         }
     }
 
@@ -295,6 +300,7 @@ impl Metrics {
             start: self.inner.is_some().then(Instant::now),
             fields: Vec::new(),
             quiet: true,
+            busy_nanos: AtomicU64::new(0),
         }
     }
 }
@@ -342,6 +348,7 @@ pub struct Span {
     fields: Vec<(String, FieldValue)>,
     /// Journal-quiet ([`Metrics::timer`]): record wall time only.
     quiet: bool,
+    busy_nanos: AtomicU64,
 }
 
 impl Span {
@@ -350,6 +357,21 @@ impl Span {
         if self.start.is_some() {
             self.fields.push((key.to_string(), value.into()));
         }
+    }
+
+    /// Run `work` and count its duration toward the span's busy time
+    /// ([`WallStats::busy_nanos`]). Callable from any thread: a stage that
+    /// spreads over workers wraps each unit of work, so the stage's wall
+    /// time and the work done inside it are read from the same span.
+    pub fn busy<R>(&self, work: impl FnOnce() -> R) -> R {
+        if self.start.is_none() {
+            return work();
+        }
+        let t = Instant::now();
+        let r = work();
+        self.busy_nanos
+            .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        r
     }
 }
 
@@ -364,6 +386,7 @@ impl Drop for Span {
             w.count += 1;
             w.total_nanos += nanos;
             w.max_nanos = w.max_nanos.max(nanos);
+            w.busy_nanos += *self.busy_nanos.get_mut();
         }
         if self.quiet {
             return;
@@ -469,6 +492,30 @@ mod tests {
         assert_eq!(wall.len(), 1);
         assert_eq!(wall[0].0, "ingest_commit");
         assert_eq!(wall[0].1.count, 2);
+        assert_eq!(wall[0].1.busy_nanos, 0, "nothing measured busy time");
+    }
+
+    #[test]
+    fn busy_sections_sum_across_threads_beside_the_wall_time() {
+        let reg = MetricsRegistry::new();
+        let timer = reg.handle().timer("stage");
+        let spin = || {
+            let t = Instant::now();
+            while t.elapsed().as_micros() < 200 {}
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| timer.busy(spin));
+            timer.busy(spin);
+        });
+        drop(timer);
+        let stage = reg.wall_times()[0].1;
+        assert!(
+            stage.busy_nanos >= 400_000,
+            "two 200 µs sections: {stage:?}"
+        );
+        // A disabled handle runs the work and records nothing.
+        assert_eq!(Metrics::disabled().timer("stage").busy(|| 7), 7);
+        assert_eq!(reg.snapshot(), MetricsRegistry::new().snapshot());
     }
 
     #[test]

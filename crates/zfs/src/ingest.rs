@@ -42,6 +42,7 @@ use crate::ddt::{BlockKey, Frame};
 use crate::pool::{CdcChunk, FileTable, ZPool};
 use squirrel_compress::Compressor;
 use squirrel_hash::cdc::{chunk_boundaries_with, gear_table, CdcParams};
+use squirrel_hash::par::cost;
 use squirrel_hash::{ContentHash, FnvHashSet};
 use std::sync::Arc;
 
@@ -113,12 +114,15 @@ impl ZPool {
         // the pre-batch DDT through `&self` shard lookups; `known` records
         // whether the key already had an entry before this batch.
         let keys: Vec<Option<(BlockKey, bool)>> = {
-            let _t = self.meters.metrics.timer("zpool_ingest_prepare");
+            let t = self.meters.metrics.timer("zpool_ingest_prepare");
             let ddt = self.ddt();
-            self.worker_pool().parallel_map(data, |_j, b| {
-                ContentHash::of_nonzero(b).map(|h| {
-                    let k = h.short();
-                    (k, ddt.get(&k).is_some())
+            let hash_cost = |b: &&[u8]| b.len() as u64 * cost::HASH;
+            self.worker_pool().parallel_map(data, hash_cost, |_j, b| {
+                t.busy(|| {
+                    ContentHash::of_nonzero(b).map(|h| {
+                        let k = h.short();
+                        (k, ddt.get(&k).is_some())
+                    })
                 })
             })
         };
@@ -144,13 +148,17 @@ impl ZPool {
         // `add_ref` closure performs, once per key — with codec dispatch
         // resolved once per batch instead of once per block.
         let mut prepared: Vec<(BlockKey, PreparedFrame)> = {
-            let _t = self.meters.metrics.timer("zpool_ingest_compress");
+            let t = self.meters.metrics.timer("zpool_ingest_compress");
             let compressor = Compressor::new(cfg.codec);
-            self.worker_pool().parallel_map(&new_unique, |_j, &(k, rep)| {
-                let frame = compressor.compress(data[rep]);
-                let psize = frame.len() as u32;
-                (k, (psize, cfg.retain_data.then(|| frame.into())))
-            })
+            let deflate_cost = |_: &(BlockKey, usize)| cfg.block_size as u64 * cost::DEFLATE;
+            self.worker_pool()
+                .parallel_map(&new_unique, deflate_cost, |_j, &(k, rep)| {
+                    t.busy(|| {
+                        let frame = compressor.compress(data[rep]);
+                        let psize = frame.len() as u32;
+                        (k, (psize, cfg.retain_data.then(|| frame.into())))
+                    })
+                })
         };
 
         // Stage 4 "commit" (serial, batched): apply in block order. DDT
@@ -243,25 +251,31 @@ impl ZPool {
         // once per batch), then zero-scan + hash + DDT-probe each chunk.
         let gear = gear_table(params.gear_seed);
         let scanned: Vec<(Vec<u8>, Vec<ScannedChunk>)> = {
-            let _t = self.meters.metrics.timer("zpool_ingest_prepare");
+            let t = self.meters.metrics.timer("zpool_ingest_prepare");
             let ddt = self.ddt();
-            self.worker_pool().parallel_map(&runs, |_r, run| {
-                let mut buf = Vec::with_capacity(run.len() * cfg.block_size);
-                for j in run.clone() {
-                    buf.extend_from_slice(data[j]);
-                }
-                let chunks = chunk_boundaries_with(&buf, &params, &gear)
-                    .into_iter()
-                    .map(|(s, e)| {
-                        let key = ContentHash::of_nonzero(&buf[s..e]).map(|h| {
-                            let k = h.short();
-                            (k, ddt.get(&k).is_some())
-                        });
-                        (s, e, key)
+            // Every byte is scanned for boundaries, then hashed.
+            let scan_cost =
+                |run: &std::ops::Range<usize>| (run.len() * cfg.block_size) as u64 * 2 * cost::HASH;
+            self.worker_pool()
+                .parallel_map(&runs, scan_cost, |_r, run| {
+                    t.busy(|| {
+                        let mut buf = Vec::with_capacity(run.len() * cfg.block_size);
+                        for j in run.clone() {
+                            buf.extend_from_slice(data[j]);
+                        }
+                        let chunks = chunk_boundaries_with(&buf, &params, &gear)
+                            .into_iter()
+                            .map(|(s, e)| {
+                                let key = ContentHash::of_nonzero(&buf[s..e]).map(|h| {
+                                    let k = h.short();
+                                    (k, ddt.get(&k).is_some())
+                                });
+                                (s, e, key)
+                            })
+                            .collect();
+                        (buf, chunks)
                     })
-                    .collect();
-                (buf, chunks)
-            })
+                })
         };
 
         // Stage 2 "probe" (serial): first-occurrence scan across runs in
@@ -284,13 +298,22 @@ impl ZPool {
         // Stage 3 "compress" (parallel, pure): one compression per
         // batch-new unique chunk.
         let mut prepared: Vec<(BlockKey, u32, PreparedFrame)> = {
-            let _t = self.meters.metrics.timer("zpool_ingest_compress");
+            let t = self.meters.metrics.timer("zpool_ingest_compress");
             let compressor = Compressor::new(cfg.codec);
-            self.worker_pool().parallel_map(&new_unique, |_j, &(k, r, s, e)| {
-                let frame = compressor.compress(&scanned[r].0[s..e]);
-                let psize = frame.len() as u32;
-                (k, (e - s) as u32, (psize, cfg.retain_data.then(|| frame.into())))
-            })
+            let deflate_cost =
+                |&(_, _, s, e): &(BlockKey, usize, usize, usize)| (e - s) as u64 * cost::DEFLATE;
+            self.worker_pool()
+                .parallel_map(&new_unique, deflate_cost, |_j, &(k, r, s, e)| {
+                    t.busy(|| {
+                        let frame = compressor.compress(&scanned[r].0[s..e]);
+                        let psize = frame.len() as u32;
+                        (
+                            k,
+                            (e - s) as u32,
+                            (psize, cfg.retain_data.then(|| frame.into())),
+                        )
+                    })
+                })
         };
 
         // Stage 4 "commit" (serial, batched): add_ref in first-occurrence

@@ -18,7 +18,7 @@ use squirrel_hash::par::WorkerPool;
 use squirrel_hash::ContentHash;
 use squirrel_obs::Metrics;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A resolved block pointer: where a file block lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,9 +146,11 @@ pub struct ZPool {
     files: BTreeMap<String, FileTable>,
     /// Snapshots in creation order.
     snapshots: Vec<Snapshot>,
-    /// One shared all-zero block: every hole read returns a reference to
-    /// this buffer instead of materializing fresh zeros.
-    zero_block: SharedPayload,
+    /// One shared all-zero block, made by the first hole read: every hole
+    /// read returns a reference to this buffer instead of materializing
+    /// fresh zeros, and a pool nobody reads a hole from (most replicas of a
+    /// fleet) never holds one.
+    zero_block: OnceLock<SharedPayload>,
     /// Interned observability handles; no-ops until [`ZPool::set_metrics`].
     pub(crate) meters: PoolMeters,
     /// Persistent ingest workers, sized by `config.threads` and spawned
@@ -165,7 +167,7 @@ impl ZPool {
             ddt: ShardedDedupTable::new(),
             files: BTreeMap::new(),
             snapshots: Vec::new(),
-            zero_block: vec![0u8; config.block_size].into(),
+            zero_block: OnceLock::new(),
             meters: PoolMeters::disabled(),
             workers: WorkerPool::new(config.threads),
         }
@@ -370,21 +372,21 @@ impl ZPool {
         if let Some(chunks) = table.chunks.as_deref() {
             let start = block_idx * bs as u64;
             if Self::block_is_hole_chunked(chunks, start, start + bs as u64) {
-                return Some(Arc::clone(&self.zero_block));
+                return Some(self.zero_block_shared());
             }
             let mut buf = vec![0u8; bs];
             self.read_range_chunked(chunks, start, &mut buf);
             return Some(buf.into());
         }
         match table.ptrs.get(block_idx as usize).copied().flatten() {
-            None => Some(Arc::clone(&self.zero_block)),
+            None => Some(self.zero_block_shared()),
             Some(key) => Some(self.payload(&key)),
         }
     }
 
     /// The pool's shared all-zero block (what hole reads return).
     pub fn zero_block_shared(&self) -> SharedPayload {
-        Arc::clone(&self.zero_block)
+        Arc::clone(self.zero_block.get_or_init(|| vec![0u8; self.config.block_size].into()))
     }
 
     fn block_ref_of(&self, key: BlockKey) -> BlockRef {
@@ -1081,7 +1083,7 @@ mod tests {
             let (_src, pools) = sharing_pools(&registry, 2);
             // 8 readers per pool, each reading the whole file and keeping
             // what it read until every reader is done.
-            let held = WorkerPool::new(threads).parallel_map_indices(16, |reader| {
+            let held = WorkerPool::new(threads).run(16, |reader| {
                 (0..3u64)
                     .map(|b| pools[reader % 2].read_block_shared("f", b).expect("file"))
                     .collect::<Vec<_>>()

@@ -12,7 +12,7 @@
 use crate::ddt::{BlockKey, Frame};
 use crate::meter::PoolMeters;
 use crate::pool::{CdcChunk, FileTable, Snapshot, ZPool};
-use squirrel_hash::par::WorkerPool;
+use squirrel_hash::par::{cost, WorkerPool};
 use squirrel_hash::ContentHash;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -445,9 +445,8 @@ impl SendStream {
     /// same stream — and a frame something already proved (an earlier
     /// verification, a donor's scrub) is not hashed again.
     ///
-    /// Blocks are checked in parallel over contiguous payload ranges; the
-    /// reported offender is the first **in payload order**, so the error is
-    /// the same at any thread count.
+    /// Blocks are checked in parallel; the reported offender is the first
+    /// **in payload order**, so the error is the same at any thread count.
     pub fn verify(
         &self,
         block_size: u32,
@@ -467,7 +466,7 @@ impl SendStream {
         workers: Option<&WorkerPool>,
         meters: &PoolMeters,
     ) -> Result<VerifiedStream<'_>, RecvError> {
-        // Nothing is proved until `check_blocks` has passed over every block.
+        // Nothing is proved until `check_block` has passed over every block.
         let mut verified = VerifiedStream {
             stream: self,
             block_size,
@@ -475,27 +474,20 @@ impl SendStream {
             incoming: self.payload.iter().map(|b| b.key).collect(),
             verified_bytes: 0,
         };
-        let shares = workers.map_or(1, |w| {
-            let logical: usize = self
-                .payload
-                .iter()
-                .filter(|b| b.data.is_some())
-                .map(|b| verified.lsize(b.key) as usize)
-                .sum();
-            w.threads().min(logical / VERIFY_SHARE_BYTES).max(1)
-        });
-        let n = self.payload.len();
-        let per_share = n.div_ceil(shares);
-        let share = |w: usize| {
-            verified
-                .check_blocks(&self.payload[(w * per_share).min(n)..((w + 1) * per_share).min(n)])
-        };
-        let checked = match workers {
-            Some(workers) => workers
-                .run(shares, share)
-                .into_iter()
-                .fold(Checked::default(), Checked::then),
-            None => share(0),
+        let checked = {
+            let timer = meters.metrics.timer("zpool_recv_verify");
+            let check = |_: usize, b: &StreamBlock| timer.busy(|| verified.check_block(b));
+            // Proving a block is decompressing it and hashing the result.
+            let prove_cost = |b: &StreamBlock| match b.data {
+                Some(_) => u64::from(verified.lsize(b.key)) * (cost::INFLATE + cost::HASH),
+                None => 0,
+            };
+            match workers {
+                Some(workers) => workers.parallel_map(&self.payload, prove_cost, check),
+                None => self.payload.iter().map(|b| check(0, b)).collect(),
+            }
+            .into_iter()
+            .fold(Checked::default(), Checked::then)
         };
         meters.verify_hashed_bytes.add(checked.hashed);
         if let Some(key) = checked.corrupt {
@@ -510,12 +502,12 @@ impl SendStream {
     /// registration multicast: one prepared stream, N receiver ccVolumes).
     /// The payload is verified once up front — every pool is handed the
     /// same buffers — then each pool runs its own checks and the apply.
-    /// Pools are partitioned into contiguous chunks, one per worker of
-    /// `workers`; results come back in pool order and are exactly what an
-    /// in-order loop of [`ZPool::recv`] returns.
+    /// Pools are spread over `workers` by what an apply costs each of them;
+    /// results come back in pool order and are exactly what an in-order
+    /// loop of [`ZPool::recv`] returns.
     pub fn apply_all_on(
         &self,
-        mut pools: Vec<&mut ZPool>,
+        pools: Vec<&mut ZPool>,
         workers: &WorkerPool,
     ) -> Vec<Result<(), RecvError>> {
         let Some(first) = pools.first() else {
@@ -528,30 +520,35 @@ impl SendStream {
             // reports it through its own full check, in its own order.
             Err(_) => p.recv(self),
         };
-        let n = workers.threads().min(pools.len());
-        if n <= 1 {
-            return pools.into_iter().map(recv).collect();
-        }
-        let chunk = pools.len().div_ceil(n);
-        // Each chunk sits behind its own mutex; share `w` locks chunk `w`
-        // exactly once, so locks never contend.
-        let parts: Vec<Mutex<&mut [&mut ZPool]>> =
-            pools.chunks_mut(chunk).map(Mutex::new).collect();
-        workers
-            .run(parts.len(), |w| {
-                let mut part = parts[w].lock().expect("recv chunk poisoned");
-                part.iter_mut().map(|p| recv(p)).collect::<Vec<_>>()
-            })
+        // What an apply costs a pool: a reference taken and dropped per
+        // incoming record, then the tip mirrored by walking every live
+        // pointer — the stream's and the pool's own — at ≈ 40 ns a
+        // reference (a dedup-table lookup; `register_fanout` applies a
+        // ≈ 100-record state in ≈ 4 µs).
+        const TABLE_REF_NS: u64 = 40;
+        let incoming: usize = self.payload.len()
+            + self
+                .upserts
+                .iter()
+                .map(|(_, m)| m.ptrs.len() + m.chunks.as_deref().map_or(0, Vec::len))
+                .sum::<usize>();
+        let apply_cost = |p: &ZPool| {
+            let live: u64 = p.files().values().map(FileTable::ptr_count).sum();
+            (live + 2 * incoming as u64) * TABLE_REF_NS
+        };
+        // Each pool sits behind its own mutex, locked once by whichever
+        // participant runs its share, so locks never contend.
+        let cells: Vec<(u64, Mutex<&mut ZPool>)> = pools
             .into_iter()
-            .flatten()
-            .collect()
+            .map(|p| (apply_cost(p), Mutex::new(p)))
+            .collect();
+        workers.parallel_map(
+            &cells,
+            |c| c.0,
+            |_, c| recv(&mut c.1.lock().expect("recv pool poisoned")),
+        )
     }
 }
-
-/// Logical payload bytes one verification share must carry before
-/// [`SendStream::verify`] splits the payload further: below this the
-/// decompress + hash work is cheaper than waking a worker for it.
-const VERIFY_SHARE_BYTES: usize = 64 * 1024;
 
 /// A [`SendStream`] whose payload has been proved against its keys for
 /// pools of one record size. Only [`SendStream::verify`] builds one, so a
@@ -601,18 +598,16 @@ impl VerifiedStream<'_> {
         self.lsizes.get(&key).copied().unwrap_or(self.block_size)
     }
 
-    /// Prove `blocks` in order — all of them, past an offender too, so what
-    /// a rejected stream leaves proved (and what that cost) does not depend
-    /// on how the payload was cut into shares.
-    fn check_blocks(&self, blocks: &[StreamBlock]) -> Checked {
+    /// Prove one payload block. Every block is passed over, past an
+    /// offender too, so what a rejected stream leaves proved (and what that
+    /// cost) does not depend on how the payload was cut into shares.
+    fn check_block(&self, b: &StreamBlock) -> Checked {
         let mut checked = Checked::default();
-        for b in blocks {
-            if let Some(frame) = &b.data {
-                let lsize = self.lsize(b.key);
-                checked.covered += u64::from(lsize);
-                if frame.content_key(lsize, &mut checked.hashed) != b.key {
-                    checked.corrupt.get_or_insert(b.key);
-                }
+        if let Some(frame) = &b.data {
+            let lsize = self.lsize(b.key);
+            checked.covered = u64::from(lsize);
+            if frame.content_key(lsize, &mut checked.hashed) != b.key {
+                checked.corrupt = Some(b.key);
             }
         }
         checked

@@ -291,16 +291,29 @@ fn bench_qcow(c: &mut Criterion) {
     g.finish();
 }
 
+/// What a `Squirrel::simulate` miss costs, in the fleet's shapes: the
+/// paper-scale trace synthesis, then its replay — warm at 64 KiB and at
+/// 16 KiB records (`FleetConfig`'s block size), cold, and the baseline.
+/// Rates are records replayed per second (clusters for the plain backends,
+/// ops for the synthesis).
 fn bench_bootsim(c: &mut Criterion) {
     let mut g = c.benchmark_group("bootsim");
     let trace = paper_scale_trace(132 << 20, 1);
+    g.throughput(Throughput::Elements(trace.ops.len() as u64));
+    g.bench_function("paper_scale_trace_132mb_ws", |b| {
+        b.iter(|| paper_scale_trace(132 << 20, 1))
+    });
     let sim = BootSim::new();
-    g.bench_function("boot_dedup_volume_132mb_ws", |b| {
-        b.iter(|| sim.boot(&trace, &Backend::DedupVolume(DedupVolumeParams::new(65536))))
-    });
-    g.bench_function("boot_baseline_132mb_ws", |b| {
-        b.iter(|| sim.boot(&trace, &Backend::BaseImageXfs { image_bytes: 27 << 30 }))
-    });
+    for (name, backend) in [
+        ("boot_dedup_volume_132mb_ws", Backend::DedupVolume(DedupVolumeParams::new(65536))),
+        ("boot_dedup_volume_16k_132mb_ws", Backend::DedupVolume(DedupVolumeParams::new(16384))),
+        ("boot_cold_cache_132mb_ws", Backend::ColdCache { net_mbps: 125.0, image_bytes: 27 << 30 }),
+        ("boot_baseline_132mb_ws", Backend::BaseImageXfs { image_bytes: 27 << 30 }),
+    ] {
+        let r = sim.boot(&trace, &backend);
+        g.throughput(Throughput::Elements(r.ddt_lookups.max(r.disk_reads)));
+        g.bench_function(name, |b| b.iter(|| sim.boot(&trace, &backend)));
+    }
     g.finish();
 }
 

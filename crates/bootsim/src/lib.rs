@@ -31,5 +31,5 @@
 mod model;
 mod sim;
 
-pub use model::{CpuModel, DiskModel, PageCache};
+pub use model::{CpuModel, DiskModel};
 pub use sim::{Backend, BootReport, BootSim, DedupVolumeParams, MeasuredVolumeParams};

@@ -74,38 +74,65 @@ impl CpuModel {
     }
 }
 
+/// A growable bitset over small dense indices — a replay's per-boot
+/// membership (clusters, granules, records), bounded by the boot's working
+/// set: ≈ 2 k clusters and ≈ 8 k records at paper scale.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct BitSet {
+    words: Vec<u64>,
+}
+
+impl BitSet {
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        self.words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+    }
+
+    /// Add `i`; true if it was absent.
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
+        let (word, bit) = (i / 64, 1u64 << (i % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let absent = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        absent
+    }
+
+    pub(crate) fn remove(&mut self, i: usize) {
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w &= !(1u64 << (i % 64));
+        }
+    }
+}
+
 /// A host page cache at fixed granule size: hits are free, capacity is
 /// unbounded (boot working sets are far smaller than node RAM).
 #[derive(Clone, Debug)]
-pub struct PageCache {
-    granule: u64,
-    cached: std::collections::HashSet<u64>,
+pub(crate) struct PageCache {
+    shift: u32,
+    cached: BitSet,
 }
 
 impl PageCache {
-    pub fn new(granule: u64) -> Self {
+    pub(crate) fn new(granule: u64) -> Self {
         assert!(granule.is_power_of_two());
-        PageCache { granule, cached: std::collections::HashSet::new() }
+        PageCache { shift: granule.trailing_zeros(), cached: BitSet::default() }
+    }
+
+    fn granules(&self, offset: u64, len: u64) -> std::ops::RangeInclusive<usize> {
+        (offset >> self.shift) as usize..=((offset + len.max(1) - 1) >> self.shift) as usize
     }
 
     /// True if `offset..offset+len` is fully resident.
-    pub fn contains(&self, offset: u64, len: u64) -> bool {
-        let first = offset / self.granule;
-        let last = (offset + len.max(1) - 1) / self.granule;
-        (first..=last).all(|g| self.cached.contains(&g))
+    pub(crate) fn contains(&self, offset: u64, len: u64) -> bool {
+        self.granules(offset, len).all(|g| self.cached.contains(g))
     }
 
     /// Mark `offset..offset+len` resident.
-    pub fn insert(&mut self, offset: u64, len: u64) {
-        let first = offset / self.granule;
-        let last = (offset + len.max(1) - 1) / self.granule;
-        for g in first..=last {
+    pub(crate) fn insert(&mut self, offset: u64, len: u64) {
+        for g in self.granules(offset, len) {
             self.cached.insert(g);
         }
-    }
-
-    pub fn resident_bytes(&self) -> u64 {
-        self.cached.len() as u64 * self.granule
     }
 }
 
@@ -155,8 +182,19 @@ mod tests {
         pc.insert(100, 5000);
         assert!(pc.contains(0, 4096));
         assert!(pc.contains(4096, 1024));
-        assert!(!pc.contains(12288, 1));
-        assert_eq!(pc.resident_bytes(), 2 * 4096);
+        assert!(!pc.contains(8192, 1));
+        assert!(!pc.contains(0, 8193));
+    }
+
+    #[test]
+    fn bitset_grows_and_forgets() {
+        let mut s = BitSet::default();
+        assert!(!s.contains(1 << 20));
+        assert!(s.insert(130) && !s.insert(130));
+        assert!(s.contains(130) && !s.contains(129) && !s.contains(131));
+        s.remove(130);
+        s.remove(1 << 20); // past the end: nothing to forget
+        assert!(!s.contains(130) && s.insert(130));
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! The boot simulation proper.
 
-use crate::model::{CpuModel, DiskModel, PageCache};
-use squirrel_dataset::BootTrace;
+use crate::model::{BitSet, CpuModel, DiskModel, PageCache};
+use squirrel_dataset::{BootTrace, ReadOp};
 use squirrel_zfs::{RecordLoc, ZPool};
+use std::collections::VecDeque;
+
+#[cfg(test)]
+mod reference;
 
 /// QCOW2's default cluster size: every VM read reaches the backend in
 /// cluster-granular requests (paper Section 4.2.3).
@@ -129,9 +133,10 @@ impl BootSim {
         backend: &Backend,
         workers: &squirrel_hash::par::WorkerPool,
     ) -> Vec<BootReport> {
-        // A replay costs ≈ 65 ns per trace op (`bootsim.trace_ops_per_s`
-        // 15.4 M on the reference box).
-        let replay_cost = |t: &BootTrace| t.ops.len() as u64 * 65;
+        // A replay costs ≈ 20 ns per trace op: the `bootsim` microbench
+        // rows run 9 (cold, baseline), 13 (warm, 64 KiB records) and 31
+        // (warm, 16 KiB) on the reference box.
+        let replay_cost = |t: &BootTrace| t.ops.len() as u64 * 20;
         self.queue_on_one_disk(
             workers.parallel_map(traces, replay_cost, |_i, t| self.boot(t, backend)),
         )
@@ -161,24 +166,22 @@ impl BootSim {
     }
 
     /// Replay `trace` against `backend`; returns timing and I/O accounting.
+    /// Per-boot state is dense: one bit per cluster (and per record) up to
+    /// the highest offset the trace reads.
     pub fn boot(&self, trace: &BootTrace, backend: &Backend) -> BootReport {
         let mut report = BootReport::default();
-        // Page cache over the *logical* cache address space: QCOW2 cluster
-        // over-fetch makes later reads of the same cluster free.
-        let mut page_cache = PageCache::new(QCOW2_CLUSTER);
+        // Page cache over the *logical* cache address space, by cluster:
+        // QCOW2 cluster over-fetch makes later reads of the same cluster free.
+        let mut page_cache = BitSet::default();
         let mut head = 0u64; // disk head position (local disk)
-        let mut zstate = DedupState::new(backend);
+        let mut zstate = None;
 
         for op in &trace.ops {
-            let first = op.offset / QCOW2_CLUSTER;
-            let last = (op.offset + op.len.max(1) as u64 - 1) / QCOW2_CLUSTER;
-            for cluster in first..=last {
-                let coff = cluster * QCOW2_CLUSTER;
-                if page_cache.contains(coff, QCOW2_CLUSTER) {
-                    continue;
+            for cluster in clusters(op) {
+                if page_cache.insert(cluster as usize) {
+                    let coff = cluster * QCOW2_CLUSTER;
+                    self.read_cluster(backend, coff, &mut head, &mut zstate, &mut report);
                 }
-                self.read_cluster(backend, coff, &mut head, &mut zstate, &mut report);
-                page_cache.insert(coff, QCOW2_CLUSTER);
             }
         }
 
@@ -191,7 +194,7 @@ impl BootSim {
         backend: &Backend,
         coff: u64,
         head: &mut u64,
-        zstate: &mut DedupState,
+        zstate: &mut Option<DedupState>,
         report: &mut BootReport,
     ) {
         match backend {
@@ -223,10 +226,11 @@ impl BootSim {
                 report.net_bytes += QCOW2_CLUSTER;
             }
             Backend::DedupVolume(p) => {
+                let z = zstate.get_or_insert_with(|| DedupState::new(&self.cpu, p));
                 let first = coff / p.record_size;
                 let last = (coff + QCOW2_CLUSTER - 1) / p.record_size;
                 for rec in first..=last {
-                    self.read_record(p, rec, head, zstate, report);
+                    self.read_record(p, rec, head, z, report);
                 }
             }
         }
@@ -241,13 +245,13 @@ impl BootSim {
         report: &mut BootReport,
     ) {
         report.ddt_lookups += 1;
-        report.io_seconds += self.cpu.ddt_lookup_seconds(p.ddt_entries);
+        report.io_seconds += z.ddt_lookup_seconds;
 
-        if z.decompressed_lru_touch(rec) {
+        if z.arc.contains(rec as usize) {
             return; // decompressed and resident: free
         }
 
-        let psize = (p.record_size as f64 * p.compressed_fraction).max(1.0) as u64;
+        let psize = z.psize;
         if !z.raw_resident.contains(rec * p.record_size, 1) {
             // Needs the device (or ARC). Shared records live wherever their
             // first writer put them; hot shared records are ARC-resident.
@@ -269,16 +273,10 @@ impl BootSim {
             z.raw_resident.insert(rec * p.record_size, p.record_size);
         }
 
-        // Decompress the whole record to serve any part of it. Records no
-        // larger than the cluster enter the decompressed ARC and later
-        // requests hit it; records *larger* than the QCOW2 cluster are
-        // re-decompressed per request (the DMU hands out request-sized
-        // buffers, the paper's explanation for 128 KiB losing to 64 KiB).
-        report.io_seconds += p.record_size as f64 * p.decompress_ns_per_byte / 1e9;
+        // Decompress the whole record to serve any part of it.
+        report.io_seconds += z.decompress_seconds;
         report.decompressed_bytes += p.record_size;
-        if p.record_size <= QCOW2_CLUSTER {
-            z.decompressed_lru_insert(rec);
-        }
+        z.arc.admit(rec as usize, p.record_size);
     }
 
     /// Replay `trace` against a cVolume whose physical layout was *measured*
@@ -290,24 +288,21 @@ impl BootSim {
     /// nothing.
     pub fn boot_measured(&self, trace: &BootTrace, p: &MeasuredVolumeParams) -> BootReport {
         let mut report = BootReport::default();
-        let mut page_cache = PageCache::new(QCOW2_CLUSTER);
+        let mut page_cache = BitSet::default();
         let mut head = 0u64;
         // Raw (compressed) records resident in the page cache, by index into
         // the layout — records are variable-sized, so a byte-granular
         // PageCache over physical space would alias neighbours.
-        let mut raw_resident: std::collections::HashSet<usize> = Default::default();
-        let mut lru: std::collections::VecDeque<usize> = Default::default();
-        let mut lru_set: std::collections::HashSet<usize> = Default::default();
-        let lru_cap = p.decompressed_cache_records.max(1);
+        let mut raw_resident = BitSet::default();
+        let mut arc = DecompressedArc::new(p.decompressed_cache_records);
+        let ddt_lookup_seconds = self.cpu.ddt_lookup_seconds(p.ddt_entries);
 
         for op in &trace.ops {
-            let first = op.offset / QCOW2_CLUSTER;
-            let last = (op.offset + op.len.max(1) as u64 - 1) / QCOW2_CLUSTER;
-            for cluster in first..=last {
-                let coff = cluster * QCOW2_CLUSTER;
-                if page_cache.contains(coff, QCOW2_CLUSTER) {
+            for cluster in clusters(op) {
+                if !page_cache.insert(cluster as usize) {
                     continue;
                 }
+                let coff = cluster * QCOW2_CLUSTER;
                 let cend = coff + QCOW2_CLUSTER;
                 // Records overlapping [coff, cend); layout is sorted by
                 // logical offset and records never overlap each other.
@@ -317,8 +312,8 @@ impl BootSim {
                 while i < p.layout.len() && p.layout[i].logical_off < cend {
                     let rec = &p.layout[i];
                     report.ddt_lookups += 1;
-                    report.io_seconds += self.cpu.ddt_lookup_seconds(p.ddt_entries);
-                    if !lru_set.contains(&i) {
+                    report.io_seconds += ddt_lookup_seconds;
+                    if !arc.contains(i) {
                         if raw_resident.insert(i) {
                             report.io_seconds +=
                                 self.disk.read_seconds(head, rec.phys, rec.psize as u64);
@@ -326,29 +321,25 @@ impl BootSim {
                             report.disk_reads += 1;
                             report.disk_bytes += rec.psize as u64;
                         }
-                        // Decompress the whole record to serve any part of
-                        // it; same ARC admission rule as `read_record`.
+                        // Decompress the whole record to serve any part of it.
                         report.io_seconds +=
                             rec.llen as f64 * p.decompress_ns_per_byte / 1e9;
                         report.decompressed_bytes += rec.llen as u64;
-                        if (rec.llen as u64) <= QCOW2_CLUSTER && lru_set.insert(i) {
-                            lru.push_back(i);
-                            if lru.len() > lru_cap {
-                                if let Some(old) = lru.pop_front() {
-                                    lru_set.remove(&old);
-                                }
-                            }
-                        }
+                        arc.admit(i, rec.llen as u64);
                     }
                     i += 1;
                 }
-                page_cache.insert(coff, QCOW2_CLUSTER);
             }
         }
 
         report.total_seconds = self.cpu.os_boot_seconds + report.io_seconds;
         report
     }
+}
+
+/// The QCOW2 clusters `op` touches (a zero-length read touches one).
+fn clusters(op: &ReadOp) -> std::ops::RangeInclusive<u64> {
+    op.offset / QCOW2_CLUSTER..=(op.offset + op.len.max(1) as u64 - 1) / QCOW2_CLUSTER
 }
 
 /// Spread a compact working-set offset across a large image: 128 KiB extents
@@ -378,42 +369,62 @@ fn coin(x: u64, salt: u64) -> f64 {
     (mix(x, salt) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Mutable per-boot dedup-backend state.
+/// The ARC's decompressed records, by record index — one rule for both
+/// replays. Records no larger than the cluster are admitted once
+/// decompressed and later requests hit them; records *larger* than the
+/// QCOW2 cluster are re-decompressed per request (the DMU hands out
+/// request-sized buffers, the paper's explanation for 128 KiB losing to
+/// 64 KiB). Past `cap` records the oldest admission leaves.
+struct DecompressedArc {
+    order: VecDeque<usize>,
+    resident: BitSet,
+    cap: usize,
+}
+
+impl DecompressedArc {
+    fn new(cap: usize) -> Self {
+        DecompressedArc { order: VecDeque::new(), resident: BitSet::default(), cap: cap.max(1) }
+    }
+
+    fn contains(&self, rec: usize) -> bool {
+        self.resident.contains(rec)
+    }
+
+    /// `rec`, `llen` logical bytes, was just decompressed.
+    fn admit(&mut self, rec: usize, llen: u64) {
+        if llen <= QCOW2_CLUSTER && self.resident.insert(rec) {
+            self.order.push_back(rec);
+            if self.order.len() > self.cap {
+                if let Some(old) = self.order.pop_front() {
+                    self.resident.remove(old);
+                }
+            }
+        }
+    }
+}
+
+/// Mutable per-boot dedup-backend state, and `read_record`'s per-boot
+/// constants. Each constant must stay the exact expression the reference
+/// replay (`sim/reference.rs`) evaluates per record, so that every addition
+/// to `io_seconds` is the same `f64`: `replay_matches_the_hashset_reference`
+/// compares by `to_bits`, and `* 1e-9` in place of `/ 1e9` already fails it.
 struct DedupState {
     /// Raw (compressed) records resident in the page cache.
     raw_resident: PageCache,
-    /// LRU of decompressed records in the ARC.
-    lru: std::collections::VecDeque<u64>,
-    lru_set: std::collections::HashSet<u64>,
-    lru_cap: usize,
+    arc: DecompressedArc,
+    ddt_lookup_seconds: f64,
+    psize: u64,
+    decompress_seconds: f64,
 }
 
 impl DedupState {
-    fn new(backend: &Backend) -> Self {
-        let (granule, cap) = match backend {
-            Backend::DedupVolume(p) => (p.record_size, p.decompressed_cache_records),
-            _ => (QCOW2_CLUSTER, 1),
-        };
+    fn new(cpu: &CpuModel, p: &DedupVolumeParams) -> Self {
         DedupState {
-            raw_resident: PageCache::new(granule.next_power_of_two()),
-            lru: Default::default(),
-            lru_set: Default::default(),
-            lru_cap: cap.max(1),
-        }
-    }
-
-    fn decompressed_lru_touch(&mut self, rec: u64) -> bool {
-        self.lru_set.contains(&rec)
-    }
-
-    fn decompressed_lru_insert(&mut self, rec: u64) {
-        if self.lru_set.insert(rec) {
-            self.lru.push_back(rec);
-            if self.lru.len() > self.lru_cap {
-                if let Some(old) = self.lru.pop_front() {
-                    self.lru_set.remove(&old);
-                }
-            }
+            raw_resident: PageCache::new(p.record_size.next_power_of_two()),
+            arc: DecompressedArc::new(p.decompressed_cache_records),
+            ddt_lookup_seconds: cpu.ddt_lookup_seconds(p.ddt_entries),
+            psize: (p.record_size as f64 * p.compressed_fraction).max(1.0) as u64,
+            decompress_seconds: p.record_size as f64 * p.decompress_ns_per_byte / 1e9,
         }
     }
 }
@@ -439,7 +450,6 @@ impl DedupVolumeParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use squirrel_dataset::ReadOp;
     use squirrel_hash::par::WorkerPool;
 
     /// A paper-scale boot working set: 132 MiB covered by 16 KiB reads in
@@ -725,8 +735,9 @@ mod tests {
         assert!(r2.io_seconds > 0.0);
     }
 
-    #[test]
-    fn measured_boot_is_deterministic_and_accounts_cdc_record_sizes() {
+    /// A 32-block CDC pool at 4 KiB average chunks: variable-size records,
+    /// some straddling a cluster boundary, in file "img".
+    fn cdc_pool() -> squirrel_zfs::ZPool {
         use squirrel_compress::Codec;
         use squirrel_zfs::{CdcParams, ChunkStrategy};
         let bs = 4096usize;
@@ -738,8 +749,13 @@ mod tests {
             .map(|i| (0..bs).map(|j| ((i * 131 + j * 7) % 251) as u8 | 1).collect())
             .collect();
         p.import_file("img", &blocks, 32 * bs as u64);
-        let params = MeasuredVolumeParams::from_pool(&p, "img").expect("file");
-        let t = seq_trace(32 * bs as u64);
+        p
+    }
+
+    #[test]
+    fn measured_boot_is_deterministic_and_accounts_cdc_record_sizes() {
+        let params = MeasuredVolumeParams::from_pool(&cdc_pool(), "img").expect("file");
+        let t = seq_trace(32 * 4096);
 
         let a = BootSim::new().boot_measured(&t, &params);
         let b = BootSim::new().boot_measured(&t, &params);
@@ -776,5 +792,127 @@ mod tests {
             "minimum at 32–64 KiB, got index {min_idx}: {times:?}"
         );
         assert!(times[0] > times[6], "1 KiB slowest end: {times:?}");
+    }
+
+    /// `paper_scale_trace`'s shape (`squirrel-core`): 128 KiB extents in
+    /// shuffled order, sequential 4–64 KiB reads inside each, the last
+    /// extent cut at the working set.
+    fn paper_shape_trace(ws_bytes: u64, seed: u64) -> BootTrace {
+        const EXTENT: u64 = 128 * 1024;
+        let ws = ws_bytes.max(EXTENT);
+        let mut order: Vec<u64> = (0..ws / EXTENT).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (mix(i as u64 ^ seed, 0x7ace) % (i as u64 + 1)) as usize);
+        }
+        const KIB: [u64; 10] = [4, 4, 4, 4, 16, 16, 16, 32, 32, 64];
+        let mut ops = Vec::new();
+        for e in order {
+            let (mut off, end, mut k) = (e * EXTENT, ((e + 1) * EXTENT).min(ws), 0);
+            while off < end {
+                let len = (KIB[(mix(e * 131 + k, seed) % 10) as usize] * 1024).min(end - off);
+                ops.push(ReadOp { offset: off, len: len as u32 });
+                off += len;
+                k += 1;
+            }
+        }
+        BootTrace { ops }
+    }
+
+    /// `n` reads at unaligned offsets in `span` with lengths up to 160 KiB:
+    /// they overlap each other, and every 17th is empty.
+    fn random_trace(n: u64, span: u64, seed: u64) -> BootTrace {
+        let ops = (0..n)
+            .map(|i| ReadOp {
+                offset: mix(i, seed) % span,
+                len: if i % 17 == 0 { 0 } else { (mix(i, seed ^ 0xfeed) % (160 << 10)) as u32 },
+            })
+            .collect();
+        BootTrace { ops }
+    }
+
+    fn bits(r: &BootReport) -> [u64; 7] {
+        [
+            r.total_seconds.to_bits(),
+            r.io_seconds.to_bits(),
+            r.disk_reads,
+            r.disk_bytes,
+            r.net_bytes,
+            r.ddt_lookups,
+            r.decompressed_bytes,
+        ]
+    }
+
+    #[test]
+    fn replay_matches_the_hashset_reference() {
+        let sim = BootSim::new();
+        let traces = [
+            paper_shape_trace(1000, 1),
+            paper_shape_trace(40 << 20, 2),
+            paper_shape_trace(96 << 20, 3),
+            paper_shape_trace(132 << 20, 4),
+            paper_shape_trace(300 << 20, 5),
+            seq_trace(24 << 20),
+            random_trace(3000, 48 << 20, 6),
+        ];
+        let mut backends = vec![
+            Backend::WarmCacheXfs,
+            Backend::BaseImageXfs { image_bytes: 27 << 30 },
+            Backend::ColdCache { net_mbps: 125.0, image_bytes: 27 << 30 },
+        ];
+        for kib in [4u64, 16, 24, 64, 128] {
+            for cap in [1usize, 64, 2048, 100_000] {
+                for (shared_fraction, hot_fraction) in [(0.0, 0.0), (0.65, 0.93), (1.0, 1.0)] {
+                    backends.push(Backend::DedupVolume(DedupVolumeParams {
+                        shared_fraction,
+                        hot_fraction,
+                        decompressed_cache_records: cap,
+                        ..params(kib * 1024)
+                    }));
+                }
+            }
+        }
+        for t in &traces {
+            for b in &backends {
+                assert_eq!(
+                    bits(&sim.boot(t, b)),
+                    bits(&reference::boot(&sim, t, b)),
+                    "{b:?} over {} ops",
+                    t.ops.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn measured_replay_matches_the_hashset_reference() {
+        let sim = BootSim {
+            disk: DiskModel { contiguous_bytes: 1024, ..Default::default() },
+            cpu: CpuModel::default(),
+        };
+        let mut layouts = vec![MeasuredVolumeParams::from_pool(&cdc_pool(), "img").expect("file")];
+        // 128 KiB records are larger than a cluster: never admitted.
+        for (bs, n) in [(4096usize, 64u64), (128 * 1024, 16)] {
+            let mut pool = interleaved_pool(bs, n);
+            layouts.push(MeasuredVolumeParams::from_pool(&pool, "b").expect("file"));
+            pool.reverse_dedup_pass("b").expect("file");
+            layouts.push(MeasuredVolumeParams::from_pool(&pool, "b").expect("file"));
+            layouts.push(MeasuredVolumeParams::from_pool(&pool, "a").expect("file"));
+        }
+        let span = 2 << 20;
+        let traces = [seq_trace(span), paper_shape_trace(span, 7), random_trace(400, span, 8)];
+        for layout in &layouts {
+            for cap in [1usize, 64, 2048] {
+                let p = MeasuredVolumeParams { decompressed_cache_records: cap, ..layout.clone() };
+                for t in &traces {
+                    assert_eq!(
+                        bits(&sim.boot_measured(t, &p)),
+                        bits(&reference::boot_measured(&sim, t, &p)),
+                        "cap {cap}, {} records, {} ops",
+                        p.layout.len(),
+                        t.ops.len()
+                    );
+                }
+            }
+        }
     }
 }

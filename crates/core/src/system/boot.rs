@@ -107,13 +107,15 @@ impl Squirrel {
     /// key, so each distinct key is replayed once and the trace is only
     /// synthesised for that replay. Nothing invalidates an entry: a
     /// register, eviction or repair that changes what a pool's backend looks
-    /// like yields a different key.
+    /// like yields a different key. `squirrel_boot_sim_replays_total` counts
+    /// the misses: what a fleet's boots cost follows its distinct keys.
     pub(super) fn simulate(&mut self, image: ImageId, backend: &Backend) -> BootReport {
         let ws_bytes = self.paper_ws_bytes(image);
         let key = (ws_bytes, image, backend_bits(backend));
         if let Some(report) = self.sim_memo.get(&key) {
             return *report;
         }
+        self.obs.inc("squirrel_boot_sim_replays_total");
         let report = self.sim.boot(&paper_scale_trace(ws_bytes, image as u64), backend);
         if self.sim_memo.len() >= SIM_MEMO_CAP {
             self.sim_memo.clear();
@@ -667,6 +669,8 @@ mod tests {
             // Full at the cap, then emptied and refilled from one.
             assert_eq!(sq.sim_memo.len() as u64, n % SIM_MEMO_CAP as u64 + 1);
         }
+        let replays = sq.metrics().snapshot().counter("squirrel_boot_sim_replays_total");
+        assert_eq!(replays, Some(SIM_MEMO_CAP as u64 + 3), "one replay per miss");
     }
 
     #[test]

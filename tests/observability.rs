@@ -275,6 +275,48 @@ fn a_storm_decompresses_a_record_once_not_once_per_node() {
     }
 }
 
+/// Boot replays `Squirrel::simulate` ran after registering image 0 on four
+/// nodes, then after each of two storms over it.
+fn replay_trail(threads: usize) -> (Vec<u64>, MetricsSnapshot) {
+    let corpus = Arc::new(Corpus::generate(CorpusConfig {
+        scale: 1024,
+        ..CorpusConfig::test_corpus(8, 99)
+    }));
+    let mut sq = Squirrel::new(
+        SquirrelConfig::builder()
+            .compute_nodes(4)
+            .block_size(16 * 1024)
+            .threads(threads)
+            .build(),
+        corpus,
+    );
+    let replays = |sq: &Squirrel| {
+        sq.metrics()
+            .snapshot()
+            .counter("squirrel_boot_sim_replays_total")
+            .unwrap_or(0)
+    };
+    sq.register(0).expect("r0");
+    let mut trail = vec![replays(&sq)];
+    for _ in 0..2 {
+        assert_eq!(sq.boot_storm(0, 12).expect("storm").warm_vms, 12);
+        trail.push(replays(&sq));
+    }
+    // Registration's first boot replays the cold path; four nodes holding
+    // the same hoard derive one warm backend, replayed once for the first
+    // storm's twelve VMs and remembered for the second's.
+    assert_eq!(trail, [1, 2, 2]);
+    (trail, sq.metrics().snapshot())
+}
+
+#[test]
+fn a_storm_over_equal_pools_replays_once() {
+    let reference = replay_trail(1);
+    for threads in [2, 8] {
+        assert_eq!(replay_trail(threads), reference, "threads={threads}");
+    }
+}
+
 #[test]
 fn one_snapshot_answers_the_acceptance_questions() {
     // One `snapshot()` call after the quickstart workflow must report the

@@ -33,9 +33,10 @@ echo "== experiment records (release, pinned seeds) =="
 # deterministic}; a bench's wall-clock block is appended to
 # results/history.jsonl.
 cargo run --release --quiet -p squirrel-bench --bin squirrel-experiments -- ci > /dev/null
-# Drift check: the committed simulated numbers are what the code produces
-# today, or the PR commits the new ones and says why they moved.
-git diff --exit-code -- 'results/BENCH_*.json' 'results/PAPER_*.json'
+# Drift check: the committed simulated numbers (and the quickstart's metric
+# snapshot, written by the examples above) are what the code produces today,
+# or the PR commits the new ones and says why they moved.
+git diff --exit-code -- 'results/BENCH_*.json' 'results/PAPER_*.json' results/metrics_quickstart.json
 
 echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
 cargo test -q --release -p squirrel-hash -p squirrel-compress > /dev/null

@@ -14,9 +14,9 @@
 //! Every command returns a [`Record`]: `<out>/BENCH_<name>.json` (a bench)
 //! or `<out>/PAPER_<name>.json` (a table or figure of the paper) gets its
 //! gates and deterministic block, `<out>/history.jsonl` a bench's wall
-//! block, and a false gate exits non-zero naming it. `ci` runs them at the
-//! pinned sizes of [`CI_CELLS`]; afterwards `git diff -- 'results/*.json'`
-//! is empty unless a simulated number moved.
+//! block (from a committed tree only), and a false gate exits non-zero
+//! naming it. `ci` runs them at the pinned sizes of [`CI_CELLS`]; afterwards
+//! `git diff -- 'results/*.json'` is empty unless a simulated number moved.
 
 use squirrel_bench::experiments::{
     ablations, boottime, bootstorm, budget, chaosbench, chunking, distribution, extrapolate,

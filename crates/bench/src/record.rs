@@ -7,7 +7,7 @@
 //! deterministic}` — byte-identical on every run of the same code at any
 //! thread count, so `git diff` on it is a drift check — and the `wall` block
 //! goes, one line per run, to the append-only `results/history.jsonl` keyed
-//! by commit.
+//! by commit — a run on a tree with uncommitted changes adds no line.
 //!
 //! Each gate is a named boolean computed once by the experiment;
 //! [`Record::enforce`] is the only place a false one becomes a failure. A
@@ -88,10 +88,10 @@ impl Record {
         }
     }
 
-    /// Write the committed file and, for a bench, append the `wall` block —
-    /// with the host's SHA-256 backend, which never goes in the committed
-    /// file — to `history.jsonl`, both under `cfg.out_dir` (nothing when
-    /// unset).
+    /// Write the committed file and, for a bench run on a committed tree,
+    /// append the `wall` block — with the host's SHA-256 backend, which never
+    /// goes in the committed file — to `history.jsonl`, both under
+    /// `cfg.out_dir` (nothing when unset).
     pub fn persist(&self, cfg: &ExperimentConfig) -> std::io::Result<()> {
         let Some(dir) = &cfg.out_dir else { return Ok(()) };
         std::fs::create_dir_all(dir)?;
@@ -102,20 +102,35 @@ impl Record {
         if self.paper {
             return Ok(());
         }
-        let line = json_obj! {
-            "commit": head_commit(),
-            "experiment": self.experiment,
-            "params": self.params.clone(),
-            // Which CPU path clocked this line: lets a trend across hosts
-            // tell a code change from a machine change.
-            "sha256_backend": squirrel_hash::sha256_backend(),
-            "wall": self.wall.clone(),
+        let Some(line) = self.history_line(&head_commit()) else {
+            println!(
+                "{}: history.jsonl not appended: the tree has uncommitted changes",
+                self.experiment
+            );
+            return Ok(());
         };
         let mut history = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(Path::new(dir).join("history.jsonl"))?;
         writeln!(history, "{}", line.render_line())
+    }
+
+    /// The `history.jsonl` line for a run at `commit`; `None` for a dirty
+    /// tree, whose clocks no commit can be held to.
+    fn history_line(&self, commit: &str) -> Option<Json> {
+        if commit.ends_with("+dirty") {
+            return None;
+        }
+        Some(json_obj! {
+            "commit": commit,
+            "experiment": self.experiment,
+            "params": self.params.clone(),
+            // Which CPU path clocked this line: lets a trend across hosts
+            // tell a code change from a machine change.
+            "sha256_backend": squirrel_hash::sha256_backend(),
+            "wall": self.wall.clone(),
+        })
     }
 }
 
@@ -240,6 +255,22 @@ mod tests {
         assert!(!err.contains("converged"), "{err}");
         record.gates[1].1 = true;
         assert_eq!(record.enforce(), Ok(()));
+    }
+
+    #[test]
+    fn history_skips_a_dirty_tree() {
+        let record = Record {
+            experiment: "sample",
+            paper: false,
+            params: json_obj! {},
+            gates: Vec::new(),
+            deterministic: json_obj! {},
+            wall: json_obj! {"runs": 1u32},
+        };
+        assert_eq!(record.history_line("7fb0dca+dirty"), None);
+        let line = record.history_line("7fb0dca").expect("clean tree records");
+        assert_eq!(line.get("commit"), Ok(&Json::from("7fb0dca")));
+        assert_eq!(line.get("wall"), Ok(&record.wall));
     }
 
     type Experiment = fn(&ExperimentConfig) -> Record;

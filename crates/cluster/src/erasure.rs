@@ -243,10 +243,6 @@ impl ErasureCodedVolume {
         self.objects.get(name).map(|o| o.len)
     }
 
-    pub fn object_names(&self) -> impl Iterator<Item = &str> {
-        self.objects.keys().map(|s| s.as_str())
-    }
-
     /// Drop `name` and its shards (deregistration). Returns whether the
     /// object existed.
     pub fn remove_object(&mut self, name: &str) -> bool {

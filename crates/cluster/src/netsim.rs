@@ -1,5 +1,5 @@
 //! Network model: nodes, links, and charged transfer shapes (unicast,
-//! flat/tree multicast, chain pipeline), with hierarchy-aware link costs
+//! tree multicast, chain pipeline), with hierarchy-aware link costs
 //! and whole-domain (rack / datacenter) outages when a [`Topology`] is
 //! attached.
 
@@ -88,9 +88,6 @@ pub struct TrafficLedger {
 pub enum TransferShape {
     /// Point-to-point.
     Unicast,
-    /// Flat IP multicast: one transmission, every subscribed receiver's NIC
-    /// hears it.
-    Multicast,
     /// k-ary distribution tree: receivers re-serve the payload to
     /// downstream receivers, spreading transmit load off the source.
     TreeMulticast { fanout: u32 },
@@ -104,7 +101,6 @@ impl TransferShape {
     pub fn name(&self) -> &'static str {
         match self {
             TransferShape::Unicast => "unicast",
-            TransferShape::Multicast => "multicast",
             TransferShape::TreeMulticast { .. } => "tree-multicast",
             TransferShape::Pipeline => "pipeline",
         }
@@ -126,8 +122,7 @@ pub struct TransferReport {
     pub payload_bytes: u64,
     /// Number of links charged.
     pub links: u32,
-    /// Total bytes transmitted across all links (one transmission for flat
-    /// IP multicast; `payload_bytes * links` for the relayed shapes).
+    /// Total bytes transmitted across all links (`payload_bytes * links`).
     pub tx_bytes: u64,
     /// Total bytes received across all links.
     pub rx_bytes: u64,
@@ -145,7 +140,6 @@ struct NetMeters {
     tx_bytes: Counter,
     rx_bytes: Counter,
     unicasts: Counter,
-    multicasts: Counter,
     tree_multicasts: Counter,
     pipelines: Counter,
     multicast_fanout: Histogram,
@@ -160,7 +154,6 @@ impl NetMeters {
             tx_bytes: m.counter("net_tx_bytes_total"),
             rx_bytes: m.counter("net_rx_bytes_total"),
             unicasts: m.counter("net_unicast_total"),
-            multicasts: m.counter("net_multicast_total"),
             tree_multicasts: m.counter("net_tree_multicast_total"),
             pipelines: m.counter("net_pipeline_total"),
             multicast_fanout: m.histogram("net_multicast_fanout"),
@@ -176,8 +169,8 @@ impl NetMeters {
 }
 
 /// The cluster network: a flat switch with per-node ledgers, supporting
-/// unicast, flat IP multicast, k-ary tree multicast and chain pipelining
-/// for cache propagation.
+/// unicast, k-ary tree multicast and chain pipelining for cache
+/// propagation.
 pub struct Network {
     link: LinkKind,
     roles: Vec<NodeRole>,
@@ -476,50 +469,6 @@ impl Network {
         })
     }
 
-    /// IP-multicast `bytes` from `src` to `dsts`: the sender transmits once,
-    /// every receiver's NIC receives the full payload (the mechanism the
-    /// paper assumes for snapshot-diff propagation, Section 3.2). Fails
-    /// atomically — no ledger is charged unless every receiver is valid and
-    /// reachable.
-    pub fn try_multicast(
-        &mut self,
-        src: NodeId,
-        dsts: &[NodeId],
-        bytes: u64,
-    ) -> Result<TransferReport, NetError> {
-        self.check_node(src)?;
-        for &d in dsts {
-            if d == src {
-                return Err(NetError::SelfTransfer { node: src });
-            }
-            self.check_node(d)?;
-            self.check_reachable(src, d)?;
-        }
-        // One transmission, every subscriber hears it: the source's tx is
-        // charged once, each receiver's edge carries one delivered copy.
-        self.ledgers[src as usize].tx_bytes += bytes;
-        let mut slowest = 0.0f64;
-        for &d in dsts {
-            self.ledgers[d as usize].rx_bytes += bytes;
-            let scope = self.topology.scope(src, d) as usize;
-            self.scope_bytes[scope] += bytes;
-            self.meters.scope_bytes[scope].add(bytes);
-            slowest = slowest.max(self.edge_secs(src, d, bytes));
-        }
-        self.meters.multicasts.inc();
-        self.meters.tx_bytes.add(bytes);
-        self.meters.rx_bytes.add(bytes * dsts.len() as u64);
-        self.meters.multicast_fanout.observe(dsts.len() as u64);
-        Ok(TransferReport {
-            seconds: if dsts.is_empty() { self.unit_secs(bytes) } else { slowest },
-            shape: TransferShape::Multicast,
-            payload_bytes: bytes,
-            links: dsts.len() as u32,
-            tx_bytes: bytes,
-            rx_bytes: bytes * dsts.len() as u64,
-        })
-    }
-
     /// Tree multicast: receivers (in order) form a complete `fanout`-ary
     /// tree rooted at `src` — `dsts[0..k]` are fed by `src`, and receiver
     /// `i >= k` is fed by `dsts[(i - k) / k]`. Each parent transmits one
@@ -692,19 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_sends_once_receives_everywhere() {
-        let mut net = Network::new(LinkKind::GbE, 4, 1);
-        let r = net.try_multicast(4, &[0, 1, 2, 3], 1000).unwrap();
-        assert_eq!(net.ledger(4).tx_bytes, 1000, "single transmission");
-        for n in 0..4 {
-            assert_eq!(net.ledger(n).rx_bytes, 1000);
-        }
-        assert_eq!(net.compute_rx_total(), 4000);
-        assert_eq!(r.shape, TransferShape::Multicast);
-        assert_eq!((r.links, r.tx_bytes, r.rx_bytes), (4, 1000, 4000));
-    }
-
-    #[test]
     fn tree_multicast_moves_tx_off_the_source() {
         let mut net = Network::new(LinkKind::GbE, 6, 1);
         // fanout 2, receivers 0..6: src 6 feeds {0,1}; 0 feeds {2,3};
@@ -813,7 +749,6 @@ mod tests {
     #[test]
     fn shape_names_are_stable() {
         assert_eq!(TransferShape::Unicast.name(), "unicast");
-        assert_eq!(TransferShape::Multicast.name(), "multicast");
         assert_eq!(TransferShape::TreeMulticast { fanout: 8 }.name(), "tree-multicast");
         assert_eq!(TransferShape::Pipeline.name(), "pipeline");
     }
@@ -826,7 +761,6 @@ mod tests {
             net.try_unicast(0, 9, 1),
             Err(NetError::UnknownNode { node: 9, nodes: 3 })
         );
-        assert_eq!(net.try_multicast(2, &[0, 2], 1), Err(NetError::SelfTransfer { node: 2 }));
         assert_eq!(
             net.try_pipeline(2, &[0, 0], 1),
             Err(NetError::SelfTransfer { node: 0 })
@@ -849,9 +783,9 @@ mod tests {
             net.try_unicast(3, 1, 1000),
             Err(NetError::Partitioned { src: 3, dst: 1 })
         );
-        // Multicast with one unreachable receiver fails atomically.
+        // A tree with one unreachable receiver fails atomically.
         assert_eq!(
-            net.try_multicast(3, &[0, 1, 2], 1000),
+            net.try_tree_multicast(3, &[0, 1, 2], 1000, 4),
             Err(NetError::Partitioned { src: 3, dst: 1 })
         );
         // Pipeline checks hop-by-hop links: the chain 0 -> 1 -> 3 dies on
@@ -1013,7 +947,7 @@ mod tests {
             // Same transfers after full heal, whatever the heal order.
             net.try_unicast(6, 0, 1000).unwrap();
             net.try_unicast(7, 1, 2000).unwrap();
-            net.try_multicast(8, &[0, 1, 2], 500).unwrap();
+            net.try_tree_multicast(8, &[0, 1, 2], 500, 2).unwrap();
             (0..9).map(|n| net.ledger(n)).collect::<Vec<_>>()
         };
         assert_eq!(run(true), run(false));
@@ -1025,11 +959,11 @@ mod tests {
         let mut net = Network::new(LinkKind::GbE, 4, 1);
         net.set_metrics(&reg.handle());
         net.try_unicast(4, 0, 100).unwrap();
-        net.try_multicast(4, &[0, 1, 2], 50).unwrap();
+        net.try_tree_multicast(4, &[0, 1, 2], 50, 4).unwrap();
         let snap = reg.snapshot();
-        assert_eq!(snap.counter("net_tx_bytes_total{link=\"gbe\"}"), Some(150));
+        assert_eq!(snap.counter("net_tx_bytes_total{link=\"gbe\"}"), Some(250));
         assert_eq!(snap.counter("net_rx_bytes_total{link=\"gbe\"}"), Some(250));
-        assert_eq!(snap.counter("net_multicast_total{link=\"gbe\"}"), Some(1));
+        assert_eq!(snap.counter("net_unicast_total{link=\"gbe\"}"), Some(1));
         let fanout = snap
             .histogram("net_multicast_fanout{link=\"gbe\"}")
             .expect("fan-out histogram");

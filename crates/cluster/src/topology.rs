@@ -168,10 +168,6 @@ impl Topology {
         self.domains[node as usize].datacenter
     }
 
-    pub fn region_of(&self, node: NodeId) -> u32 {
-        self.domains[node as usize].region
-    }
-
     /// Nodes homed in global rack `rack`, in id order.
     pub fn nodes_in_rack(&self, rack: u32) -> Vec<NodeId> {
         (0..self.domains.len() as u32)

@@ -62,6 +62,11 @@ const DIURNAL_SUM: u64 = diurnal_sum();
 /// Peak hourly weight — the hour the fleet must be fully scaled out for.
 const DIURNAL_MAX: u64 = 13;
 
+/// Zipf exponent of image popularity (must not be exactly 1).
+const ZIPF_EXPONENT: f64 = 1.1;
+/// Popularity decay factor of the nightly maintenance pass.
+const DECAY_FACTOR: f64 = 0.5;
+
 /// Shape of one fleet soak. Everything derives from `seed`; two configs that
 /// compare equal produce bit-identical [`FleetReport`]s at any thread count.
 #[derive(Clone, Copy, Debug)]
@@ -81,8 +86,6 @@ pub struct FleetConfig {
     /// Worker threads (`0` = all cores). Results are bit-identical at any
     /// setting.
     pub threads: usize,
-    /// Zipf exponent of image popularity (~1.1; must not be exactly 1).
-    pub zipf_exponent: f64,
     /// Individual boots per simulated day, apportioned over the diurnal
     /// curve.
     pub boots_per_day: u32,
@@ -92,14 +95,8 @@ pub struct FleetConfig {
     pub storm_vms: u32,
     /// Catalog registrations rolled out per day until it is exhausted.
     pub registrations_per_day: u32,
-    /// Popularity decay factor applied on the maintenance cadence.
-    pub decay_factor: f64,
-    /// Days between maintenance passes (decay + budget enforcement;
-    /// 0 disables).
-    pub decay_every_days: u64,
-    /// Days between GC passes (0 disables).
-    pub gc_every_days: u64,
-    /// Days between scrub/repair passes (0 disables).
+    /// Days between scrub/repair passes (0 disables). Maintenance (decay +
+    /// budget enforcement) and GC run every night.
     pub repair_every_days: u64,
     /// Per-node hoard budget the maintenance pass enforces.
     pub budget: HoardBudget,
@@ -131,14 +128,10 @@ impl Default for FleetConfig {
             min_online: 6,
             seed: 42,
             threads: 0,
-            zipf_exponent: 1.1,
             boots_per_day: 96,
             storm_every_days: 2,
             storm_vms: 12,
             registrations_per_day: 4,
-            decay_factor: 0.5,
-            decay_every_days: 1,
-            gc_every_days: 1,
             repair_every_days: 2,
             budget: HoardBudget::unlimited(),
             distribution: DistributionPolicy::Unicast,
@@ -348,7 +341,7 @@ fn drive(cfg: &FleetConfig) -> (FleetReport, Squirrel) {
     sq.set_fault_plan(FaultPlan::new(cfg.seed, cfg.faults));
     let obs = sq.obs_handle().clone();
 
-    let zipf = Zipf::new(u64::from(cfg.images), cfg.zipf_exponent);
+    let zipf = Zipf::new(u64::from(cfg.images), ZIPF_EXPONENT);
     let mut rng = SplitMix64::from_parts(&[cfg.seed, 0xf1ee7]);
 
     // Prime the horizon: hour ticks, day boundaries, the registration
@@ -368,14 +361,9 @@ fn drive(cfg: &FleetConfig) -> (FleetReport, Squirrel) {
             }
         }
         q.push(base + HOUR_MS / 2, Event::FaultTick);
-        let due = |every: u64| every > 0 && (day + 1) % every == 0;
-        if due(cfg.decay_every_days) {
-            q.push(base + 3 * HOUR_MS, Event::Maintenance);
-        }
-        if due(cfg.gc_every_days) {
-            q.push(base + 4 * HOUR_MS, Event::Gc);
-        }
-        if due(cfg.repair_every_days) {
+        q.push(base + 3 * HOUR_MS, Event::Maintenance);
+        q.push(base + 4 * HOUR_MS, Event::Gc);
+        if cfg.repair_every_days > 0 && (day + 1) % cfg.repair_every_days == 0 {
             q.push(base + 5 * HOUR_MS, Event::Repair);
         }
         q.push(base + DAY_MS - 1, Event::DayEnd);
@@ -549,7 +537,7 @@ fn drive(cfg: &FleetConfig) -> (FleetReport, Squirrel) {
                 }
             }
             Event::Maintenance => {
-                let cooled = sq.decay_popularity(cfg.decay_factor);
+                let cooled = sq.decay_popularity(DECAY_FACTOR);
                 report.popularity_decays += 1;
                 report.images_cooled += cooled;
                 feed.push_str(&format!("decay:{cooled}\n"));

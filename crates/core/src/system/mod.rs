@@ -500,10 +500,6 @@ impl Squirrel {
         })
     }
 
-    pub fn is_registered(&self, image: ImageId) -> bool {
-        self.registered.contains_key(&image)
-    }
-
     pub fn scvol_stats(&self) -> SpaceStats {
         self.scvol.stats()
     }

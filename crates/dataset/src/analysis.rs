@@ -303,18 +303,6 @@ pub fn sweep_exact(corpus: &Corpus, set: ContentSet, block_size: usize, codec: C
     sweep(corpus, set, block_size, codec, CompressionSampling { max_blocks: usize::MAX }, 0)
 }
 
-/// Helper used by several tests/experiments: run [`sweep`] over many block
-/// sizes.
-pub fn sweep_block_sizes(
-    corpus: &Corpus,
-    set: ContentSet,
-    block_sizes: &[usize],
-    codec: Codec,
-    sampling: CompressionSampling,
-) -> Vec<SweepStats> {
-    block_sizes.iter().map(|&bs| sweep(corpus, set, bs, codec, sampling, 0)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,12 +62,6 @@ impl CorpusConfig {
             census: azure_census(),
         }
     }
-
-    /// Shrink both image count and byte volume together.
-    pub fn with_images(mut self, n: u32) -> Self {
-        self.n_images = n;
-        self
-    }
 }
 
 /// One image's identity and geometry (content is derived lazily).

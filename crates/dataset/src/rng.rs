@@ -36,11 +36,6 @@ impl SplitMix64 {
         z ^ (z >> 31)
     }
 
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`; `bound` must be nonzero.
     #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {

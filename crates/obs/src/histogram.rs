@@ -15,15 +15,6 @@ pub(crate) fn bucket_index(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
-/// Inclusive upper bound of bucket `idx` (`0`, `2^idx - 1`, or `u64::MAX`).
-pub fn bucket_bound(idx: usize) -> u64 {
-    match idx {
-        0 => 0,
-        1..=63 => (1u64 << idx) - 1,
-        _ => u64::MAX,
-    }
-}
-
 /// Lock-free histogram cell shared between handles.
 pub(crate) struct AtomicHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -98,16 +89,6 @@ mod tests {
         assert_eq!(bucket_index(1023), 10);
         assert_eq!(bucket_index(1024), 11);
         assert_eq!(bucket_index(u64::MAX), 64);
-    }
-
-    #[test]
-    fn bucket_bounds_invert_the_index() {
-        for idx in 0..BUCKETS {
-            assert_eq!(bucket_index(bucket_bound(idx)), idx, "idx={idx}");
-        }
-        assert_eq!(bucket_bound(0), 0);
-        assert_eq!(bucket_bound(10), 1023);
-        assert_eq!(bucket_bound(64), u64::MAX);
     }
 
     #[test]

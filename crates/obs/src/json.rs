@@ -103,14 +103,6 @@ impl Json {
         }
     }
 
-    pub fn as_i64(&self, what: &str) -> Result<i64, ParseError> {
-        match self {
-            Json::I64(v) => Ok(*v),
-            Json::U64(v) if *v <= i64::MAX as u64 => Ok(*v as i64),
-            _ => Err(ParseError::new(&format!("{what}: expected integer"))),
-        }
-    }
-
     pub fn as_f64(&self, what: &str) -> Result<f64, ParseError> {
         match self {
             Json::F64(v) => Ok(*v),
@@ -225,7 +217,7 @@ fn json_f64(v: f64) -> String {
     format!("{v:?}")
 }
 
-pub(crate) fn parse_f64(s: &str) -> Option<f64> {
+fn parse_f64(s: &str) -> Option<f64> {
     match s {
         "NaN" => Some(f64::NAN),
         "inf" => Some(f64::INFINITY),
@@ -252,7 +244,7 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Errors from the JSON and snapshot parsers.
+/// Errors from the JSON parser and the typed accessors.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError {
     pub message: String,
@@ -262,15 +254,11 @@ impl ParseError {
     pub(crate) fn new(message: &str) -> Self {
         ParseError { message: message.to_string() }
     }
-
-    pub(crate) fn at(line: usize, message: &str) -> Self {
-        ParseError { message: format!("line {line}: {message}") }
-    }
 }
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "snapshot parse error: {}", self.message)
+        write!(f, "JSON parse error: {}", self.message)
     }
 }
 
@@ -470,5 +458,24 @@ mod tests {
         assert!(text.contains("  \"gates\": {\"holds\": true, \"fails\": false},\n"), "{text}");
         assert!(text.contains("\n    {\"cell\": 3, "), "{text}");
         assert!(text.ends_with("\n}\n"));
+    }
+
+    #[test]
+    fn parse_errors_are_reported() {
+        assert!(Json::parse("{").is_err());
+        assert!(Json::parse("not json").is_err());
+    }
+
+    /// `Json::parse` is `pub` and reads files: a bracket bomb is a
+    /// `ParseError`, not a stack overflow.
+    #[test]
+    fn parse_bounds_nesting() {
+        for open in ["[", "{\"k\": "] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper than 64"), "{err}");
+        }
+        let nested = |levels: usize| format!("{}7{}", "[".repeat(levels), "]".repeat(levels));
+        assert!(Json::parse(&nested(64)).is_ok());
+        assert!(Json::parse(&nested(65)).is_err());
     }
 }

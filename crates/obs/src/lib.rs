@@ -15,8 +15,8 @@
 //! 2. **Near-zero cost when disabled.** A disabled [`Metrics`] handle holds
 //!    no registry reference: every operation is a `None` check, and interned
 //!    [`Counter`]/[`Histogram`] handles are no-ops.
-//! 3. **Std-only.** No dependencies; export is hand-rolled Prometheus text
-//!    format and a JSON subset, both with exact round-trip parsers.
+//! 3. **Std-only.** No dependencies; export is a hand-rolled JSON subset
+//!    ([`MetricsSnapshot::to_json`]), read back by [`json::Json::parse`].
 //!
 //! Metric identity is `name{label="value",...}`; handles carry base labels
 //! (e.g. `pool="scvol"`) applied to every metric they intern.
@@ -27,7 +27,7 @@ pub mod json;
 mod registry;
 mod snapshot;
 
-pub use histogram::{bucket_bound, HistogramSnapshot};
+pub use histogram::HistogramSnapshot;
 pub use journal::{Event, FieldValue};
 pub use registry::{Counter, Histogram, Metrics, MetricsRegistry, Span, WallStats};
 pub use json::ParseError;

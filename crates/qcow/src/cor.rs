@@ -1,6 +1,6 @@
 //! The copy-on-read cache layer (the paper's VMI cache, Figure 1 middle).
 
-use crate::disk::{ReadLog, VirtualDisk};
+use crate::disk::VirtualDisk;
 use crate::ImageError;
 use squirrel_obs::{Counter, Metrics};
 use std::collections::HashMap;
@@ -16,19 +16,10 @@ use std::sync::Arc;
 /// buffer. Cached blocks are immutable `Arc<[u8]>` payloads, so draining the
 /// cache into the pool (`into_blocks`) and re-warming another cache from
 /// pool reads are refcount bumps, not copies.
-///
-/// Optional trace-driven readahead: `set_readahead(n)` makes every miss
-/// also fetch the next `n` uncached blocks. Boot traces are strongly
-/// sequential (the paper's Figure 11 traces replay in offset order within a
-/// burst), so readahead converts per-block round trips into batched
-/// transfers.
 pub struct CorCache<B: VirtualDisk> {
     block_size: usize,
     blocks: HashMap<u64, Arc<[u8]>>,
     backing: B,
-    log: Option<ReadLog>,
-    /// Blocks fetched ahead of a demand miss (0 = disabled).
-    readahead: usize,
     /// Bytes fetched from the backing layer since creation (the network
     /// traffic a cold boot causes).
     pub fetched_bytes: u64,
@@ -36,7 +27,6 @@ pub struct CorCache<B: VirtualDisk> {
     pub fetch_count: u64,
     fills: Counter,
     fill_bytes: Counter,
-    readahead_fills: Counter,
 }
 
 impl<B: VirtualDisk> CorCache<B> {
@@ -54,35 +44,18 @@ impl<B: VirtualDisk> CorCache<B> {
             block_size,
             blocks: HashMap::new(),
             backing,
-            log: None,
-            readahead: 0,
             fetched_bytes: 0,
             fetch_count: 0,
             fills: Counter::default(),
             fill_bytes: Counter::default(),
-            readahead_fills: Counter::default(),
         })
     }
 
     /// Attach observability: backing fetches record `cor_fills_total` and
-    /// `cor_fill_bytes_total` on `metrics`; fetches triggered by readahead
-    /// additionally record `cor_readahead_fills_total`.
+    /// `cor_fill_bytes_total` on `metrics`.
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         self.fills = metrics.counter("cor_fills_total");
         self.fill_bytes = metrics.counter("cor_fill_bytes_total");
-        self.readahead_fills = metrics.counter("cor_readahead_fills_total");
-    }
-
-    /// Fetch up to `blocks` additional uncached blocks after every demand
-    /// miss (0 disables readahead, the default). Readahead fetches count
-    /// into `fetched_bytes` / `fetch_count` and the read log like demand
-    /// fetches — they are real backing traffic.
-    pub fn set_readahead(&mut self, blocks: usize) {
-        self.readahead = blocks;
-    }
-
-    pub fn readahead(&self) -> usize {
-        self.readahead
     }
 
     pub fn block_size(&self) -> usize {
@@ -148,26 +121,6 @@ impl<B: VirtualDisk> CorCache<B> {
         Ok(())
     }
 
-    /// A shared reference to a cached block, if present (refcount bump).
-    pub fn shared_block(&self, block_idx: u64) -> Option<Arc<[u8]>> {
-        self.blocks.get(&block_idx).map(Arc::clone)
-    }
-
-    /// Enable logging of backing fetches.
-    pub fn log_backing_reads(&mut self) {
-        self.log = Some(Vec::new());
-    }
-
-    pub fn take_log(&mut self) -> ReadLog {
-        match self.log.take() {
-            Some(l) => {
-                self.log = Some(Vec::new());
-                l
-            }
-            None => ReadLog::default(),
-        }
-    }
-
     pub fn backing(&mut self) -> &mut B {
         &mut self.backing
     }
@@ -182,14 +135,10 @@ impl<B: VirtualDisk> CorCache<B> {
     }
 
     /// Copy-on-read one whole block from the backing layer into the cache,
-    /// charging fetch accounting and the read log.
+    /// charging fetch accounting.
     fn fetch_block(&mut self, block: u64) {
-        let bs = self.block_size as u64;
         let mut data = vec![0u8; self.block_size];
-        if let Some(log) = &mut self.log {
-            log.push((block * bs, self.block_size as u32));
-        }
-        self.backing.read_at(block * bs, &mut data);
+        self.backing.read_at(block * self.block_size as u64, &mut data);
         self.fetched_bytes += self.block_size as u64;
         self.fetch_count += 1;
         self.fills.inc();
@@ -208,17 +157,8 @@ impl<B: VirtualDisk> VirtualDisk for CorCache<B> {
             let within = (abs % bs) as usize;
             let take = (self.block_size - within).min(buf.len() - pos);
             if !self.blocks.contains_key(&block) {
-                // Miss: copy-on-read the full block, then optionally run
-                // ahead of the (sequential) trace.
+                // Miss: copy-on-read the full block.
                 self.fetch_block(block);
-                for k in 1..=self.readahead as u64 {
-                    let ahead = block + k;
-                    if self.blocks.contains_key(&ahead) || ahead * bs >= self.backing.len() {
-                        continue;
-                    }
-                    self.fetch_block(ahead);
-                    self.readahead_fills.inc();
-                }
             }
             let data = self.blocks.get(&block).expect("just inserted");
             buf[pos..pos + take].copy_from_slice(&data[within..within + take]);
@@ -287,13 +227,14 @@ mod tests {
     #[test]
     fn straddling_read_fetches_each_block_once() {
         let mut cor = CorCache::new(base(8192), 1024);
-        cor.log_backing_reads();
         let mut buf = [0u8; 2000];
         cor.read_at(600, &mut buf);
-        let log = cor.take_log();
-        assert_eq!(log, vec![(0, 1024), (1024, 1024), (2048, 1024)]);
+        assert_eq!((cor.fetch_count, cor.cached_bytes()), (3, 3 * 1024));
+        assert!(cor.covers(0, 3 * 1024) && !cor.covers(3 * 1024, 1), "blocks 0..=2, whole");
         let want: Vec<u8> = (600u32..2600).map(|i| (i % 251) as u8).collect();
         assert_eq!(buf.to_vec(), want);
+        cor.read_at(600, &mut buf);
+        assert_eq!(cor.fetch_count, 3, "a second read is warm");
     }
 
     #[test]
@@ -337,57 +278,20 @@ mod tests {
     }
 
     #[test]
-    fn readahead_prefetches_sequential_blocks() {
-        let reg = squirrel_obs::MetricsRegistry::new();
-        let mut cor = CorCache::new(base(8192), 1024);
-        cor.set_metrics(&reg.handle());
-        cor.set_readahead(2);
-        let mut buf = [0u8; 8];
-        cor.read_at(0, &mut buf); // demand block 0, readahead 1 and 2
-        assert_eq!(cor.cached_blocks(), 3);
-        assert_eq!(cor.fetch_count, 3);
-        // The readahead window makes the next sequential reads warm.
-        cor.read_at(1024, &mut buf);
-        cor.read_at(2048, &mut buf);
-        assert_eq!(cor.fetch_count, 3, "sequential reads hit prefetched blocks");
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("cor_fills_total"), Some(3));
-        assert_eq!(snap.counter("cor_readahead_fills_total"), Some(2));
-        // Readahead never runs past the end of the backing layer.
-        cor.read_at(7000, &mut buf); // demand block 6; block 7 is the last
-        assert_eq!(cor.cached_blocks(), 5);
-        // Prefetched data is correct, not just present.
-        cor.read_at(1500, &mut buf);
-        assert_eq!(buf[0], (1500 % 251) as u8);
-    }
-
-    #[test]
-    fn readahead_skips_already_cached_blocks() {
-        let mut cor = CorCache::new(base(8192), 1024);
-        cor.set_readahead(3);
-        let mut block = vec![0u8; 1024];
-        base(8192).read_at(2048, &mut block);
-        cor.prepopulate(2, &block);
-        let mut buf = [0u8; 1];
-        cor.read_at(0, &mut buf); // demand 0; readahead 1, 3 (2 cached)
-        assert_eq!(cor.cached_blocks(), 4);
-        assert_eq!(cor.fetch_count, 3, "cached block 2 not refetched");
-    }
-
-    #[test]
     fn prepopulate_shared_aliases_the_buffer() {
         let mut cor = CorCache::new(base(2048), 1024);
         let mut block0 = vec![0u8; 1024];
         base(2048).read_at(0, &mut block0);
         let payload: Arc<[u8]> = block0.into();
         cor.prepopulate_shared(0, Arc::clone(&payload));
-        let cached = cor.shared_block(0).expect("cached");
-        assert!(Arc::ptr_eq(&cached, &payload), "zero-copy install");
         let mut buf = [0u8; 4];
         cor.read_at(10, &mut buf);
         assert_eq!(cor.fetched_bytes, 0, "prepopulated block serves locally");
         assert_eq!(buf[0], 10);
         assert!(cor.try_prepopulate_shared(1, vec![0u8; 3].into()).is_err());
+        let blocks = cor.into_blocks();
+        assert_eq!(blocks.len(), 1);
+        assert!(Arc::ptr_eq(&blocks[0].1, &payload), "zero-copy install");
     }
 
     #[test]

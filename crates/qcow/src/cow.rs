@@ -1,6 +1,6 @@
 //! The copy-on-write overlay (QCOW2-style, cluster granular).
 
-use crate::disk::{ReadLog, VirtualDisk};
+use crate::disk::VirtualDisk;
 use crate::ImageError;
 use squirrel_obs::{Counter, Metrics};
 use std::collections::HashMap;
@@ -20,7 +20,6 @@ pub struct CowImage<B: VirtualDisk> {
     clusters: HashMap<u64, Box<[u8]>>,
     backing: B,
     size: u64,
-    log: Option<ReadLog>,
     chain_reads: Counter,
     chain_read_bytes: Counter,
     allocs: Counter,
@@ -48,7 +47,6 @@ impl<B: VirtualDisk> CowImage<B> {
             clusters: HashMap::new(),
             backing,
             size,
-            log: None,
             chain_reads: Counter::default(),
             chain_read_bytes: Counter::default(),
             allocs: Counter::default(),
@@ -73,31 +71,8 @@ impl<B: VirtualDisk> CowImage<B> {
         self.clusters.len()
     }
 
-    /// Enable logging of requests issued to the backing layer.
-    pub fn log_backing_reads(&mut self) {
-        self.log = Some(Vec::new());
-    }
-
-    /// Drain the backing-request log.
-    pub fn take_log(&mut self) -> ReadLog {
-        match self.log.take() {
-            Some(l) => {
-                self.log = Some(Vec::new());
-                l
-            }
-            None => ReadLog::default(),
-        }
-    }
-
     pub fn backing(&mut self) -> &mut B {
         &mut self.backing
-    }
-
-    /// Consume the overlay and return the backing layer — how the
-    /// boot-storm driver reaches the CoR cache underneath a finished boot
-    /// chain (to drain or inspect it) without copying its blocks.
-    pub fn into_backing(self) -> B {
-        self.backing
     }
 
     /// Write `data` at `offset`, allocating clusters copy-on-write.
@@ -112,9 +87,6 @@ impl<B: VirtualDisk> CowImage<B> {
             if !self.clusters.contains_key(&cluster) {
                 // Allocate: fill from backing (read-modify-write).
                 let mut buf = vec![0u8; self.cluster_size].into_boxed_slice();
-                if let Some(log) = &mut self.log {
-                    log.push((cluster * cs, self.cluster_size as u32));
-                }
                 self.backing.read_at(cluster * cs, &mut buf);
                 self.allocs.inc();
                 self.chain_reads.inc();
@@ -148,9 +120,6 @@ impl<B: VirtualDisk> VirtualDisk for CowImage<B> {
                     // cluster, copy the wanted part, discard the rest (the
                     // host page cache below will have kept it).
                     let mut cluster_buf = vec![0u8; self.cluster_size];
-                    if let Some(log) = &mut self.log {
-                        log.push((cluster * cs, self.cluster_size as u32));
-                    }
                     self.backing.read_at(cluster * cs, &mut cluster_buf);
                     self.chain_reads.inc();
                     self.chain_read_bytes.add(self.cluster_size as u64);
@@ -169,6 +138,7 @@ impl<B: VirtualDisk> VirtualDisk for CowImage<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cor::CorCache;
     use crate::disk::MemDisk;
 
     fn base(n: usize) -> MemDisk {
@@ -198,23 +168,35 @@ mod tests {
         assert_eq!(cow.allocated_clusters(), 1);
     }
 
+    /// 1 KiB clusters over a CoR layer of 512-byte blocks: what the layer
+    /// below fetched shows which ranges the overlay asked it for.
+    fn over_cor() -> CowImage<CorCache<MemDisk>> {
+        CowImage::with_cluster_size(CorCache::new(base(8192), 512), 1024)
+    }
+
     #[test]
     fn backing_sees_cluster_granular_requests() {
-        let mut cow = CowImage::with_cluster_size(base(8192), 1024);
-        cow.log_backing_reads();
+        let reg = squirrel_obs::MetricsRegistry::new();
+        let mut cow = over_cor();
+        cow.set_metrics(&reg.handle());
         let mut buf = [0u8; 10];
         cow.read_at(2500, &mut buf); // inside cluster 2
-        let log = cow.take_log();
-        assert_eq!(log, vec![(2048, 1024)], "whole-cluster over-fetch");
+        let cor = cow.backing();
+        assert!(cor.covers(2048, 1024), "whole-cluster over-fetch");
+        assert_eq!((cor.fetch_count, cor.cached_bytes()), (2, 1024));
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("cow_chain_reads_total"), Some(1));
+        assert_eq!(snap.counter("cow_chain_read_bytes_total"), Some(1024));
     }
 
     #[test]
     fn straddling_read_hits_both_clusters() {
-        let mut cow = CowImage::with_cluster_size(base(8192), 1024);
-        cow.log_backing_reads();
+        let mut cow = over_cor();
         let mut buf = [0u8; 100];
         cow.read_at(1000, &mut buf); // clusters 0 and 1
-        assert_eq!(cow.take_log(), vec![(0, 1024), (1024, 1024)]);
+        let cor = cow.backing();
+        assert!(cor.covers(0, 2048), "both clusters, whole");
+        assert_eq!((cor.fetch_count, cor.cached_bytes()), (4, 2048));
         let want: Vec<u8> = (1000..1100).map(|i| (i % 251) as u8).collect();
         assert_eq!(buf.to_vec(), want);
     }
@@ -236,12 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn into_backing_returns_the_layer_below() {
+    fn writes_never_reach_the_layer_below() {
         let mut cow = CowImage::with_cluster_size(base(4096), 1024);
         cow.write_at(0, &[1u8; 4]); // private; backing untouched
-        let mut backing = cow.into_backing();
         let mut buf = [0u8; 1];
-        backing.read_at(0, &mut buf);
+        cow.backing().read_at(0, &mut buf);
         assert_eq!(buf[0], 0, "CoW write never reached the backing");
     }
 

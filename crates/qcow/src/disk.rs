@@ -1,7 +1,4 @@
-//! The `VirtualDisk` read interface and basic backends.
-
-/// A log of downward read requests `(offset, len)` a layer issued.
-pub type ReadLog = Vec<(u64, u32)>;
+//! The `VirtualDisk` read interface and an in-memory backend.
 
 /// Anything a chain layer can read from. Reads never fail: out-of-range
 /// bytes are zero (sparse semantics, matching the dataset layer).
@@ -37,87 +34,20 @@ impl<T: VirtualDisk + ?Sized> VirtualDisk for &mut T {
     }
 }
 
-/// An all-zero disk of a given size.
-#[derive(Clone, Copy, Debug)]
-pub struct ZeroDisk {
-    pub size: u64,
-}
-
-impl VirtualDisk for ZeroDisk {
-    fn read_at(&mut self, _offset: u64, buf: &mut [u8]) {
-        buf.fill(0);
-    }
-
-    fn len(&self) -> u64 {
-        self.size
-    }
-}
-
-/// An immutable in-memory disk over a shared buffer. Cloning is a refcount
-/// bump, so M concurrently booting VMs can layer their private CoW/CoR
-/// chains over the *same* base-image bytes without M copies — the
-/// boot-storm driver's base layer.
-#[derive(Clone, Debug)]
-pub struct SharedDisk {
-    data: std::sync::Arc<[u8]>,
-}
-
-impl SharedDisk {
-    pub fn new(data: impl Into<std::sync::Arc<[u8]>>) -> Self {
-        SharedDisk { data: data.into() }
-    }
-
-    /// The shared buffer itself.
-    pub fn payload(&self) -> std::sync::Arc<[u8]> {
-        std::sync::Arc::clone(&self.data)
-    }
-}
-
-impl VirtualDisk for SharedDisk {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        buf.fill(0);
-        let n = self.data.len() as u64;
-        if offset >= n {
-            return;
-        }
-        let end = (offset + buf.len() as u64).min(n);
-        buf[..(end - offset) as usize].copy_from_slice(&self.data[offset as usize..end as usize]);
-    }
-
-    fn len(&self) -> u64 {
-        self.data.len() as u64
-    }
-}
-
-/// An in-memory disk, optionally logging the reads it receives.
+/// An in-memory disk.
 #[derive(Clone, Debug, Default)]
 pub struct MemDisk {
     pub data: Vec<u8>,
-    log: Option<ReadLog>,
 }
 
 impl MemDisk {
     pub fn new(data: Vec<u8>) -> Self {
-        MemDisk { data, log: None }
-    }
-
-    /// Enable request logging (each `read_at` appends one entry).
-    pub fn logged(mut self) -> Self {
-        self.log = Some(Vec::new());
-        self
-    }
-
-    /// Drain the request log.
-    pub fn take_log(&mut self) -> ReadLog {
-        self.log.take().unwrap_or_default()
+        MemDisk { data }
     }
 }
 
 impl VirtualDisk for MemDisk {
     fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        if let Some(log) = &mut self.log {
-            log.push((offset, buf.len() as u32));
-        }
         buf.fill(0);
         let n = self.data.len() as u64;
         if offset >= n {
@@ -137,44 +67,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zero_disk_reads_zero() {
-        let mut d = ZeroDisk { size: 100 };
-        let mut buf = vec![0xff; 8];
-        d.read_at(10, &mut buf);
-        assert_eq!(buf, vec![0; 8]);
-        assert_eq!(d.len(), 100);
-    }
-
-    #[test]
     fn mem_disk_roundtrip_and_tail_zero() {
         let mut d = MemDisk::new(vec![1, 2, 3, 4]);
         let mut buf = vec![0xff; 6];
         d.read_at(2, &mut buf);
         assert_eq!(buf, vec![3, 4, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn mem_disk_logs_requests() {
-        let mut d = MemDisk::new(vec![0; 64]).logged();
-        let mut buf = [0u8; 16];
-        d.read_at(0, &mut buf);
-        d.read_at(32, &mut buf);
-        assert_eq!(d.take_log(), vec![(0, 16), (32, 16)]);
-        assert!(d.take_log().is_empty(), "log drained");
-    }
-
-    #[test]
-    fn shared_disk_clones_share_one_buffer() {
-        let base = SharedDisk::new(vec![7u8; 64]);
-        let mut a = base.clone();
-        let mut b = base.clone();
-        assert!(std::sync::Arc::ptr_eq(&a.payload(), &b.payload()));
-        let mut buf = [0u8; 4];
-        a.read_at(0, &mut buf);
-        assert_eq!(buf, [7; 4]);
-        b.read_at(62, &mut buf);
-        assert_eq!(buf, [7, 7, 0, 0], "tail reads are zero-padded");
-        assert_eq!(base.len(), 64);
     }
 
     #[test]

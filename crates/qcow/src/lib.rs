@@ -14,8 +14,8 @@
 //!   first access (the cold-cache path of Figure 1), serving locally from
 //!   then on (warm). Squirrel stores these per-VMI caches in its cVolumes.
 //!
-//! Every layer can record the request log it *issues downward*, which the
-//! boot simulator turns into seek/transfer timings.
+//! Boot timing is not read from these layers: `squirrel-bootsim` replays
+//! the boot trace through its own model of the same chain.
 
 mod cor;
 mod cow;
@@ -23,7 +23,7 @@ mod disk;
 
 pub use cor::CorCache;
 pub use cow::CowImage;
-pub use disk::{MemDisk, ReadLog, SharedDisk, VirtualDisk, ZeroDisk};
+pub use disk::{MemDisk, VirtualDisk};
 
 /// Errors from the fallible image-layer constructors and installers
 /// ([`CorCache::try_new`], [`CorCache::try_prepopulate`],

@@ -1,4 +1,4 @@
-//! Pool configuration: block size, codec, and accounting constants.
+//! Pool configuration: record size, codec, threads, quotas and placement.
 
 use squirrel_compress::Codec;
 pub use squirrel_hash::cdc::ChunkStrategy;
@@ -22,9 +22,10 @@ pub enum DedupMode {
 
 /// Configuration of a [`crate::ZPool`].
 ///
-/// Construct via [`PoolConfig::builder`], [`PoolConfig::new`], or
-/// [`PoolConfig::paper_default`]; the struct is `#[non_exhaustive]` so new
-/// knobs can be added without breaking downstream crates.
+/// Construct via [`PoolConfig::new`] (or `Default`, the paper's 64 KiB
+/// gzip-6 pool) and the `with_*` setters; the struct is
+/// `#[non_exhaustive]` so new knobs can be added without breaking
+/// downstream crates.
 #[derive(Clone, Copy, Debug)]
 #[non_exhaustive]
 pub struct PoolConfig {
@@ -36,14 +37,6 @@ pub struct PoolConfig {
     /// sweeps that only need [`crate::SpaceStats`] turn this off to bound
     /// memory.
     pub retain_data: bool,
-    /// In-core bytes per dedup-table entry (ZFS DDT entries cost a few
-    /// hundred bytes each in ARC; the exact figure depends on the build).
-    pub ddt_mem_entry_bytes: u64,
-    /// On-disk bytes per dedup-table entry (the ZAP leaf footprint).
-    pub ddt_disk_entry_bytes: u64,
-    /// On-disk metadata bytes per file block pointer (amortized indirect
-    /// blocks; ZFS blkptr_t is 128 B but metadata is itself compressed).
-    pub bp_disk_bytes: u64,
     /// Worker threads for the staged ingestion pipeline
     /// ([`crate::ZPool::import_file`]); `0` = all available cores.
     /// Results are bit-identical at any setting.
@@ -53,9 +46,9 @@ pub struct PoolConfig {
     /// only *reports* pressure ([`crate::ZPool::quota_excess`]) — eviction
     /// policy lives with the caller.
     pub disk_quota_bytes: u64,
-    /// Hoard budget: in-core DDT bytes (`ddt_mem_entry_bytes` × unique
-    /// blocks); `0` = unlimited. Reported, not enforced, like
-    /// [`disk_quota_bytes`](Self::disk_quota_bytes).
+    /// Hoard budget: in-core DDT bytes
+    /// ([`crate::SpaceStats::ddt_memory_bytes`]); `0` = unlimited.
+    /// Reported, not enforced, like [`disk_quota_bytes`](Self::disk_quota_bytes).
     pub ddt_mem_quota_bytes: u64,
     /// How whole-file imports cut content into dedup units. `Fixed` keeps
     /// the classic `block_size` records (and is wire-identical to pools
@@ -67,34 +60,28 @@ pub struct PoolConfig {
     pub dedup_mode: DedupMode,
 }
 
+/// The paper's production choice: 64 KiB records, gzip-6, dedup on.
 impl Default for PoolConfig {
     fn default() -> Self {
-        PoolConfig::paper_default()
+        PoolConfig::new(64 * 1024, Codec::Gzip(6))
     }
 }
 
 impl PoolConfig {
-    /// The paper's production choice: 64 KiB records, gzip-6, dedup on.
-    pub fn paper_default() -> Self {
-        PoolConfig::new(64 * 1024, Codec::Gzip(6))
-    }
-
-    /// Start a builder seeded with [`PoolConfig::paper_default`].
+    /// Start a builder seeded with the [`Default`] pool.
     pub fn builder() -> PoolConfigBuilder {
-        PoolConfigBuilder { config: PoolConfig::paper_default(), chunking_set: false }
+        let d = PoolConfig::default();
+        PoolConfigBuilder { block_size: d.block_size, codec: d.codec, threads: d.threads }
     }
 
-    /// A pool with the given record size and codec and default accounting
-    /// constants.
+    /// A pool with the given record size and codec, fixed chunking at that
+    /// size, forward dedup, no quotas.
     pub fn new(block_size: usize, codec: Codec) -> Self {
         assert!(block_size >= 512 && block_size.is_power_of_two(), "record size");
         PoolConfig {
             block_size,
             codec,
             retain_data: true,
-            ddt_mem_entry_bytes: 120,
-            ddt_disk_entry_bytes: 108,
-            bp_disk_bytes: 40,
             threads: 0,
             disk_quota_bytes: 0,
             ddt_mem_quota_bytes: 0,
@@ -135,109 +122,42 @@ impl PoolConfig {
     }
 }
 
-/// Builder for [`PoolConfig`]. Setters mirror the config fields; `build`
-/// validates the record size exactly like [`PoolConfig::new`].
+/// Builder for [`PoolConfig`]'s record size, codec and threads; every
+/// other knob is set through `PoolConfig`'s `with_*` methods.
 #[derive(Clone, Debug)]
 pub struct PoolConfigBuilder {
-    config: PoolConfig,
-    /// Whether [`chunking`](Self::chunking) was called; when it wasn't,
-    /// `build` re-derives `Fixed(block_size)` so a builder that only sets
-    /// `block_size` stays consistent.
-    chunking_set: bool,
+    block_size: usize,
+    codec: Codec,
+    threads: usize,
 }
 
 impl PoolConfigBuilder {
     /// Fixed record size; must be a power of two of at least 512 bytes
     /// (checked in [`build`](Self::build)).
     pub fn block_size(mut self, block_size: usize) -> Self {
-        self.config.block_size = block_size;
+        self.block_size = block_size;
         self
     }
 
     pub fn codec(mut self, codec: Codec) -> Self {
-        self.config.codec = codec;
-        self
-    }
-
-    pub fn retain_data(mut self, retain: bool) -> Self {
-        self.config.retain_data = retain;
-        self
-    }
-
-    pub fn ddt_mem_entry_bytes(mut self, bytes: u64) -> Self {
-        self.config.ddt_mem_entry_bytes = bytes;
-        self
-    }
-
-    pub fn ddt_disk_entry_bytes(mut self, bytes: u64) -> Self {
-        self.config.ddt_disk_entry_bytes = bytes;
-        self
-    }
-
-    pub fn bp_disk_bytes(mut self, bytes: u64) -> Self {
-        self.config.bp_disk_bytes = bytes;
+        self.codec = codec;
         self
     }
 
     /// Ingestion worker threads (`0` = all available cores).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// On-disk hoard budget in bytes (`0` = unlimited).
-    pub fn disk_quota_bytes(mut self, bytes: u64) -> Self {
-        self.config.disk_quota_bytes = bytes;
-        self
-    }
-
-    /// In-core DDT hoard budget in bytes (`0` = unlimited).
-    pub fn ddt_mem_quota_bytes(mut self, bytes: u64) -> Self {
-        self.config.ddt_mem_quota_bytes = bytes;
-        self
-    }
-
-    /// Chunking strategy for whole-file imports. The builder seeds this
-    /// from the paper default's block size; setting
-    /// [`block_size`](Self::block_size) without setting a strategy keeps
-    /// fixed chunking at the new record size (resolved in
-    /// [`build`](Self::build)).
-    pub fn chunking(mut self, chunking: ChunkStrategy) -> Self {
-        self.config.chunking = chunking;
-        self.chunking_set = true;
-        self
-    }
-
-    /// Commit placement mode (forward or reverse dedup).
-    pub fn dedup_mode(mut self, mode: DedupMode) -> Self {
-        self.config.dedup_mode = mode;
+        self.threads = threads;
         self
     }
 
     pub fn build(self) -> PoolConfig {
-        let mut c = self.config;
-        assert!(c.block_size >= 512 && c.block_size.is_power_of_two(), "record size");
-        if !self.chunking_set {
-            c.chunking = ChunkStrategy::Fixed(c.block_size);
-        }
-        if let ChunkStrategy::Fixed(bs) = c.chunking {
-            assert_eq!(bs, c.block_size, "fixed chunk size must equal the record size");
-        }
-        c
+        PoolConfig::new(self.block_size, self.codec).with_threads(self.threads)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_default_is_64k_gzip6() {
-        let c = PoolConfig::paper_default();
-        assert_eq!(c.block_size, 65536);
-        assert_eq!(c.codec, Codec::Gzip(6));
-        assert!(c.retain_data);
-    }
 
     #[test]
     #[should_panic(expected = "record size")]
@@ -253,23 +173,18 @@ mod tests {
 
     #[test]
     fn accounting_only_disables_retention() {
-        assert!(!PoolConfig::paper_default().accounting_only().retain_data);
+        assert!(!PoolConfig::default().accounting_only().retain_data);
     }
 
     #[test]
     fn builder_mirrors_constructors() {
-        let built = PoolConfig::builder()
-            .block_size(4096)
-            .codec(Codec::Lz4)
-            .retain_data(false)
-            .threads(3)
-            .build();
+        let built = PoolConfig::builder().block_size(4096).codec(Codec::Lz4).threads(3).build();
         assert_eq!(built.block_size, 4096);
         assert_eq!(built.codec, Codec::Lz4);
-        assert!(!built.retain_data);
         assert_eq!(built.threads, 3);
-        // Unset knobs keep the paper defaults.
-        assert_eq!(built.ddt_mem_entry_bytes, 120);
+        // Unset knobs keep the defaults.
+        assert!(built.retain_data);
+        assert_eq!(built.disk_quota_bytes, 0);
     }
 
     #[test]
@@ -280,25 +195,20 @@ mod tests {
 
     #[test]
     fn quotas_default_unlimited_and_are_settable() {
-        let d = PoolConfig::paper_default();
+        let d = PoolConfig::default();
         assert_eq!(d.disk_quota_bytes, 0);
         assert_eq!(d.ddt_mem_quota_bytes, 0);
         let c = PoolConfig::new(4096, Codec::Lz4).with_quotas(1 << 30, 1 << 20);
         assert_eq!(c.disk_quota_bytes, 1 << 30);
         assert_eq!(c.ddt_mem_quota_bytes, 1 << 20);
-        let b = PoolConfig::builder()
-            .disk_quota_bytes(10_000)
-            .ddt_mem_quota_bytes(60)
-            .build();
-        assert_eq!(b.disk_quota_bytes, 10_000);
-        assert_eq!(b.ddt_mem_quota_bytes, 60);
     }
 
     #[test]
-    fn default_is_paper_default() {
+    fn default_is_64k_gzip6() {
         let d = PoolConfig::default();
         assert_eq!(d.block_size, 65536);
         assert_eq!(d.codec, Codec::Gzip(6));
+        assert!(d.retain_data);
     }
 
     #[test]
@@ -320,21 +230,5 @@ mod tests {
             .with_dedup_mode(DedupMode::Reverse);
         assert_eq!(c.chunking, ChunkStrategy::Cdc(p));
         assert_eq!(c.dedup_mode, DedupMode::Reverse);
-        let b = PoolConfig::builder()
-            .block_size(4096)
-            .chunking(ChunkStrategy::Cdc(p))
-            .dedup_mode(DedupMode::Reverse)
-            .build();
-        assert_eq!(b.chunking, ChunkStrategy::Cdc(p));
-        assert_eq!(b.dedup_mode, DedupMode::Reverse);
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed chunk size must equal the record size")]
-    fn builder_rejects_mismatched_fixed_chunking() {
-        let _ = PoolConfig::builder()
-            .block_size(8192)
-            .chunking(ChunkStrategy::Fixed(4096))
-            .build();
     }
 }

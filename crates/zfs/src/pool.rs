@@ -20,6 +20,15 @@ use squirrel_obs::Metrics;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
+/// In-core bytes per dedup-table entry (ZFS DDT entries cost a few hundred
+/// bytes each in ARC; the exact figure depends on the build).
+const DDT_MEM_ENTRY_BYTES: u64 = 120;
+/// On-disk bytes per dedup-table entry (the ZAP leaf footprint).
+const DDT_DISK_ENTRY_BYTES: u64 = 108;
+/// On-disk metadata bytes per file block pointer (amortized indirect
+/// blocks; ZFS blkptr_t is 128 B but metadata is itself compressed).
+const BP_DISK_BYTES: u64 = 40;
+
 /// A resolved block pointer: where a file block lives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockRef {
@@ -511,9 +520,9 @@ impl ZPool {
             logical_bytes,
             unique_blocks,
             physical_bytes: self.ddt.physical_bytes(),
-            ddt_disk_bytes: unique_blocks * self.config.ddt_disk_entry_bytes,
-            ddt_memory_bytes: unique_blocks * self.config.ddt_mem_entry_bytes,
-            bp_disk_bytes: (live_ptrs + snap_ptrs) * self.config.bp_disk_bytes,
+            ddt_disk_bytes: unique_blocks * DDT_DISK_ENTRY_BYTES,
+            ddt_memory_bytes: unique_blocks * DDT_MEM_ENTRY_BYTES,
+            bp_disk_bytes: (live_ptrs + snap_ptrs) * BP_DISK_BYTES,
         }
     }
 
@@ -538,7 +547,7 @@ impl ZPool {
     /// In-core dedup-table footprint: per-entry overhead × unique blocks —
     /// the paper's ~60 MB-per-node memory budget axis (Figure 10).
     pub fn ddt_memory_bytes(&self) -> u64 {
-        self.ddt.len() as u64 * self.config.ddt_mem_entry_bytes
+        self.ddt.len() as u64 * DDT_MEM_ENTRY_BYTES
     }
 
     /// How far this pool is over its configured hoard budget

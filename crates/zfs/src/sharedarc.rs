@@ -57,10 +57,6 @@ impl SharedArcCache {
         }
     }
 
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard(&self, key: BlockKey) -> &Mutex<ArcCache> {
         &self.shards[(key % self.shards.len() as u128) as usize]
     }

@@ -104,7 +104,7 @@ fn main() {
     );
 
     // Persist the full snapshot (JSON, includes the event journal) for the
-    // acceptance record; the same data renders as Prometheus text.
+    // acceptance record.
     let path = "results/metrics_quickstart.json";
     let _ = std::fs::create_dir_all("results");
     std::fs::write(path, snap.to_json()).expect("write metrics json");

@@ -57,7 +57,7 @@ fn ec(seed: u64) -> FleetConfig {
 
 /// Tight enough that every registration pushes nodes over. With a budget
 /// the repair stack does not reach a fixed point on every seed (ROADMAP
-/// item 4), so budgeted scenarios pin seed 7, where it does.
+/// item 1), so budgeted scenarios pin seed 7, where it does.
 const TIGHT: HoardBudget = HoardBudget { disk_bytes: 40 * 1024, ddt_mem_bytes: 0 };
 
 /// Run `cfg` at threads 1, 2 and 8, assert the whole outcome is equal, and

@@ -1,10 +1,11 @@
 //! The observability layer's determinism contract, end to end: the metric
 //! snapshot of a full workflow sequence is bit-identical at any thread
-//! count, and round-trips through both export formats.
+//! count, and its JSON export parses back.
 
 use squirrel_repro::core::{Squirrel, SquirrelConfig};
 use squirrel_repro::dataset::{Corpus, CorpusConfig};
 use squirrel_repro::faults::{FaultConfig, FaultPlan};
+use squirrel_repro::obs::json::Json;
 use squirrel_repro::obs::MetricsSnapshot;
 use std::sync::Arc;
 
@@ -335,15 +336,23 @@ fn one_snapshot_answers_the_acceptance_questions() {
 }
 
 #[test]
-fn real_system_snapshot_round_trips_through_both_formats() {
+fn real_system_snapshot_json_parses_and_lists_every_series() {
     let snap = run_workflows(0).metrics().snapshot();
-    let json = MetricsSnapshot::from_json(&snap.to_json()).expect("json parse");
-    assert_eq!(json, snap);
-    // Prometheus text carries no journal; everything else survives.
-    let prom = MetricsSnapshot::from_prometheus(&snap.to_prometheus()).expect("prom parse");
-    assert_eq!(prom.counters, snap.counters);
-    assert_eq!(prom.gauges, snap.gauges);
-    assert_eq!(prom.histograms, snap.histograms);
+    let json = Json::parse(&snap.to_json()).expect("json parse");
+    let section = |name: &str| json.get(name).and_then(|s| s.as_arr(name)).expect(name);
+    let counters: Vec<(&str, u64)> = section("counters")
+        .iter()
+        .map(|row| match row.as_arr("counter row").expect("row") {
+            [name, value] => (name.as_str("name").expect("name"), value.as_u64("value").expect("value")),
+            _ => panic!("counter row {row:?}"),
+        })
+        .collect();
+    let want: Vec<(&str, u64)> = snap.counters.iter().map(|(name, v)| (name.as_str(), *v)).collect();
+    assert!(!want.is_empty());
+    assert_eq!(counters, want);
+    assert_eq!(section("gauges").len(), snap.gauges.len());
+    assert_eq!(section("histograms").len(), snap.histograms.len());
+    assert_eq!(section("events").len(), snap.events.len());
 }
 
 #[test]

@@ -49,9 +49,6 @@ done
 echo "== decode fuzz smoke (release, fixed seeds) =="
 cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 
-echo "== ARC differential proptest (release, name-seeded) =="
-cargo test -q --release -p squirrel-zfs differential_shared_vs_serial > /dev/null
-
 echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
 cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
 

@@ -1,5 +1,5 @@
 //! Boot-storm bench: M VMs boot one image concurrently, served zero-copy
-//! from the hoarded ccVolumes through the shard-locked ARC
+//! from the hoarded ccVolumes, each warm node's working set resolved once
 //! (`Squirrel::boot_storm`).
 //!
 //! For each worker-thread count the experiment registers the image on a
@@ -7,7 +7,7 @@
 //! to scheduler noise), and records aggregate read throughput, the per-boot
 //! simulated-latency histogram (`squirrel_boot_storm_seconds_ms`), and the
 //! copies-avoided counters. Every thread count must produce the same
-//! [`StormOutcome`] — read checksum, byte count, ARC stats, latency
+//! [`StormOutcome`] — read checksum, byte count, read stats, latency
 //! histogram — or the `deterministic_across_threads` gate is false.
 //!
 //! Two more storms follow, untimed: the same storm again, then once more
@@ -26,9 +26,8 @@
 
 use crate::config::ExperimentConfig;
 use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
-use squirrel_core::{BootStormReport, Squirrel, SquirrelConfig};
+use squirrel_core::{ArcStats, BootStormReport, Squirrel, SquirrelConfig};
 use squirrel_obs::HistogramSnapshot;
-use squirrel_zfs::ArcStats;
 
 /// What one storm sweep leaves behind at any thread count.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,7 +37,7 @@ pub struct StormOutcome {
     pub blocks_per_vm: u64,
     pub bytes_served: u64,
     pub read_checksum: String,
-    /// Shared-ARC statistics; every hit is a payload copy (and a
+    /// Warm-read statistics; every hit is a payload copy (and a
     /// decompression) the shared read path avoided.
     pub arc: ArcStats,
     /// Per-boot simulated latency histogram, in milliseconds.
@@ -157,7 +156,7 @@ pub fn run_bootstorm(
             ("deterministic_across_threads", sweep.deterministic),
             ("reverify_free", o.reverify_free),
             ("decompress_once_per_record", o.decompress_once_per_record),
-            // Warm storm served from the shared ARC: hit rate strictly positive.
+            // Warm VMs share their node's buffers: hit rate strictly positive.
             ("arc_hit_rate", o.arc.hit_rate() > 0.0),
         ],
         deterministic: json_obj! {

@@ -83,30 +83,6 @@ pub struct TrafficLedger {
     pub tx_bytes: u64,
 }
 
-/// The wire shape a transfer used.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TransferShape {
-    /// Point-to-point.
-    Unicast,
-    /// k-ary distribution tree: receivers re-serve the payload to
-    /// downstream receivers, spreading transmit load off the source.
-    TreeMulticast { fanout: u32 },
-    /// LANTorrent-style chain: each receiver forwards to the next while
-    /// receiving.
-    Pipeline,
-}
-
-impl TransferShape {
-    /// Stable identifier for metric labels and JSON output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TransferShape::Unicast => "unicast",
-            TransferShape::TreeMulticast { .. } => "tree-multicast",
-            TransferShape::Pipeline => "pipeline",
-        }
-    }
-}
-
 /// What a completed transfer looked like on the wire. Returned by every
 /// transfer API so callers charge latency and per-link bytes identically
 /// regardless of shape.
@@ -115,8 +91,6 @@ impl TransferShape {
 pub struct TransferReport {
     /// Wall-clock seconds the transfer occupied.
     pub seconds: f64,
-    /// The shape that carried it.
-    pub shape: TransferShape,
     /// Payload size in bytes; every charged link carries the full payload
     /// exactly once.
     pub payload_bytes: u64,
@@ -130,8 +104,8 @@ pub struct TransferReport {
 
 impl TransferReport {
     /// A transfer that moved nothing (empty receiver set).
-    fn noop(shape: TransferShape, payload_bytes: u64) -> Self {
-        TransferReport { seconds: 0.0, shape, payload_bytes, links: 0, tx_bytes: 0, rx_bytes: 0 }
+    fn noop(payload_bytes: u64) -> Self {
+        TransferReport { seconds: 0.0, payload_bytes, links: 0, tx_bytes: 0, rx_bytes: 0 }
     }
 }
 
@@ -461,7 +435,6 @@ impl Network {
         self.meters.rx_bytes.add(bytes);
         Ok(TransferReport {
             seconds: self.edge_secs(src, dst, bytes),
-            shape: TransferShape::Unicast,
             payload_bytes: bytes,
             links: 1,
             tx_bytes: bytes,
@@ -486,9 +459,8 @@ impl Network {
         fanout: u32,
     ) -> Result<TransferReport, NetError> {
         let k = fanout.max(1) as usize;
-        let shape = TransferShape::TreeMulticast { fanout: k as u32 };
         if dsts.is_empty() {
-            return Ok(TransferReport::noop(shape, bytes));
+            return Ok(TransferReport::noop(bytes));
         }
         self.check_node(src)?;
         let parent = |i: usize| if i < k { src } else { dsts[(i - k) / k] };
@@ -527,7 +499,6 @@ impl Network {
         }
         Ok(TransferReport {
             seconds,
-            shape,
             payload_bytes: bytes,
             links: dsts.len() as u32,
             tx_bytes: total,
@@ -547,7 +518,7 @@ impl Network {
         bytes: u64,
     ) -> Result<TransferReport, NetError> {
         if dsts.is_empty() {
-            return Ok(TransferReport::noop(TransferShape::Pipeline, bytes));
+            return Ok(TransferReport::noop(bytes));
         }
         self.check_node(src)?;
         let mut prev = src;
@@ -573,7 +544,6 @@ impl Network {
         Ok(TransferReport {
             // The chain drains at the speed of its slowest hop.
             seconds: slowest_hop + HOP_LATENCY_S * dsts.len() as f64,
-            shape: TransferShape::Pipeline,
             payload_bytes: bytes,
             links: dsts.len() as u32,
             tx_bytes: total,
@@ -633,7 +603,6 @@ mod tests {
         assert_eq!(net.ledger(0).rx_bytes, 112_000_000);
         assert_eq!(net.ledger(1), TrafficLedger::default());
         assert!((r.seconds - 1.0).abs() < 1e-9, "1 GbE moves 112 MB/s: {}", r.seconds);
-        assert_eq!(r.shape, TransferShape::Unicast);
         assert_eq!((r.links, r.payload_bytes), (1, 112_000_000));
         assert_eq!((r.tx_bytes, r.rx_bytes), (112_000_000, 112_000_000));
         assert_eq!(net.storage_tx_total(), 112_000_000);
@@ -653,7 +622,6 @@ mod tests {
         for n in 0..6 {
             assert_eq!(net.ledger(n).rx_bytes, 1000, "every receiver gets one copy");
         }
-        assert_eq!(r.shape, TransferShape::TreeMulticast { fanout: 2 });
         assert_eq!((r.links, r.tx_bytes, r.rx_bytes), (6, 6000, 6000));
         // Two full levels: 2 copies + hop each.
         let t1 = 1000.0 / (LinkKind::GbE.mbps() * 1e6);
@@ -691,7 +659,7 @@ mod tests {
         assert_eq!(net.ledger(4), TrafficLedger::default());
         // fanout 0 clamps to 1 (a chain) rather than dividing by zero.
         let r = net.try_tree_multicast(4, &[1, 3], 10, 0).unwrap();
-        assert_eq!(r.shape, TransferShape::TreeMulticast { fanout: 1 });
+        assert_eq!((r.links, r.tx_bytes), (2, 20));
         assert_eq!(net.ledger(1).tx_bytes, 10, "chain relay");
         // Empty receiver set is a no-op.
         let r = net.try_tree_multicast(4, &[], 10, 4).unwrap();
@@ -717,7 +685,6 @@ mod tests {
         // Completes in about one transfer time, not n transfer times.
         let single = 1_000_000.0 / (LinkKind::GbE.mbps() * 1e6);
         assert!(r.seconds < 2.0 * single + 0.1, "{} vs {single}", r.seconds);
-        assert_eq!(r.shape, TransferShape::Pipeline);
         assert_eq!((r.links, r.tx_bytes, r.rx_bytes), (4, 4_000_000, 4_000_000));
     }
 
@@ -744,13 +711,6 @@ mod tests {
         net.try_unicast(1, 0, 5).unwrap();
         net.reset_ledgers();
         assert_eq!(net.compute_rx_total(), 0);
-    }
-
-    #[test]
-    fn shape_names_are_stable() {
-        assert_eq!(TransferShape::Unicast.name(), "unicast");
-        assert_eq!(TransferShape::TreeMulticast { fanout: 8 }.name(), "tree-multicast");
-        assert_eq!(TransferShape::Pipeline.name(), "pipeline");
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //!   catch up with an incremental stream when their last snapshot is still
 //!   within the window, or fall back to full re-replication (Section 3.5).
 //! * [`Squirrel::boot_storm`] — M concurrent boots of one image, served
-//!   zero-copy from the hoarded ccVolumes through a shard-locked ARC; the
-//!   read phase fans out over worker threads with bit-identical results at
-//!   any thread count.
+//!   zero-copy from the hoarded ccVolumes: each warm node resolves its
+//!   working set once and its VMs share those buffers; the read phase fans
+//!   out over worker threads with bit-identical results at any thread count.
 //! * [`Squirrel::set_fault_plan`] + the `scrub_and_repair` family — a
 //!   seeded, deterministic fault schedule ([`squirrel_faults`]) drives
 //!   drops, duplicates, in-flight bit flips, crashed receives, rotten
@@ -60,10 +60,10 @@ pub use dist::{DistributionPolicy, TransferLeg, TransferPlan};
 pub use squirrel_faults::{FaultConfig, FaultPlan, FaultReport};
 pub use squirrel_cluster::{EcRepairReport, EcStats, TopologyConfig};
 pub use system::{
-    BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence, EvictReport,
-    FaultTick, GcReport, HoardBudget, NodeReplication, RegisterReport, RegistrationInfo,
-    RehoardReport, RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit,
-    SharedStorage, Squirrel, SquirrelConfig, SquirrelConfigBuilder, SquirrelError,
+    ArcStats, BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence,
+    EvictReport, FaultTick, GcReport, HoardBudget, NodeReplication, RegisterReport,
+    RegistrationInfo, RehoardReport, RejoinOutcome, RepairReport, RepairSweep, ReplicationReport,
+    RotHit, SharedStorage, Squirrel, SquirrelConfig, SquirrelConfigBuilder, SquirrelError,
     SyncRepairReport,
 };
 pub use trace::paper_scale_trace;

@@ -3,7 +3,7 @@
 //! [`Squirrel::boot`], [`Squirrel::boot_storm`], [`Squirrel::verify_boot`]
 //! and registration's first boot.
 
-use super::{BootOutcome, BootStormReport, BootVerification, SquirrelError};
+use super::{ArcStats, BootOutcome, BootStormReport, BootVerification, SquirrelError};
 use super::{ComputeNode, ImageDisk, Squirrel};
 use crate::trace::paper_scale_trace;
 use squirrel_bootsim::{Backend, BootReport, DedupVolumeParams};
@@ -11,8 +11,8 @@ use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
 use squirrel_hash::par::cost;
 use squirrel_qcow::{CorCache, VirtualDisk};
-use squirrel_zfs::{SharedArcCache, ZPool};
-use std::collections::{BTreeMap, BTreeSet};
+use squirrel_zfs::{SharedPayload, ZPool};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// What a node's ccVolume can do for a boot of one image.
@@ -231,13 +231,13 @@ impl Squirrel {
     }
 
     /// Serve a boot storm: `vms` instances of `image` boot at once,
-    /// round-robined over the online compute nodes. Warm nodes serve every
-    /// working-set block zero-copy from their hoarded ccVolume through a
-    /// shard-locked [`SharedArcCache`] (a warm read is a refcount bump on
-    /// the pool's shared payload); cold nodes pull the working set over the
-    /// network first. The read phase fans out over `config.threads` workers;
-    /// read bytes, ARC statistics, and metric snapshots are bit-identical at
-    /// any thread count (see [`BootStormReport::read_checksum`]).
+    /// round-robined over the online compute nodes. Each warm node resolves
+    /// its working set once from its hoarded ccVolume, and every VM on it
+    /// reads those shared buffers (a warm read is a refcount bump); cold
+    /// nodes pull the working set over the network first. The read phase
+    /// fans out over `config.threads` workers; read bytes, read statistics,
+    /// and metric snapshots are bit-identical at any thread count (see
+    /// [`BootStormReport::read_checksum`]).
     ///
     /// Errors: [`SquirrelError::UnknownImage`] for an unknown image;
     /// [`SquirrelError::NodeOffline`] (reported against node 0) when every
@@ -263,6 +263,10 @@ impl Squirrel {
         // VM i boots on the i-th online node, round-robin.
         let assignments: Vec<usize> =
             (0..vms as usize).map(|i| online[i % online.len()]).collect();
+        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (vm, &node) in assignments.iter().enumerate() {
+            by_node.entry(node).or_default().push(vm);
+        }
 
         // The working set every VM reads: the boot trace's blocks at
         // cVolume record granularity — exactly the set registration's
@@ -280,10 +284,8 @@ impl Squirrel {
         let blocks: Vec<u64> = block_set.into_iter().collect();
 
         // Classify each participating node once.
-        let mut states: BTreeMap<usize, CacheState> = BTreeMap::new();
-        for &node in &assignments {
-            states.entry(node).or_insert_with(|| self.nodes[node].cache_state(image));
-        }
+        let states: BTreeMap<usize, CacheState> =
+            by_node.keys().map(|&node| (node, self.nodes[node].cache_state(image))).collect();
 
         // Cold nodes fetch the working set over the network up front
         // (serial: the network ledger is single-threaded state).
@@ -301,43 +303,50 @@ impl Squirrel {
         }
         let warm_vms = vms - cold_vms;
 
-        // One shard-locked ARC per warm node. The byte budget splits per
-        // shard, so oversize by the shard count: even a fully skewed key
-        // distribution must never evict — evictions are the one
-        // schedule-dependent statistic (see DESIGN.md's determinism
-        // contract).
-        let ws_bytes = (blocks.len() as u64 * bs).max(bs);
-        let mut caches: BTreeMap<usize, SharedArcCache> = BTreeMap::new();
-        for &node in &assignments {
-            if states[&node] == CacheState::Warm && !caches.contains_key(&node) {
-                let mut cache = SharedArcCache::new(ws_bytes * 16, 16);
-                cache.set_metrics(&self.ccvol_obs);
-                caches.insert(node, cache);
+        // Each warm node resolves its working set once: one hole-aware read
+        // per block, a hole served as the pool's zero block. Nodes holding
+        // the same frames share one buffer per record (`Frame::payload`)
+        // while these are held. Over a node's v VMs the reads an ARC would
+        // count are arithmetic: a miss per distinct data buffer, a hit for
+        // every other read of a data block.
+        let mut working_sets: BTreeMap<usize, Vec<SharedPayload>> = BTreeMap::new();
+        let mut arc = ArcStats::default();
+        for (&node, vm_ids) in &by_node {
+            if states[&node] != CacheState::Warm {
+                continue;
             }
+            let ccvol = &self.nodes[node].ccvol;
+            let mut buffers = HashSet::new();
+            let mut data_blocks = 0u64;
+            let mut ws = Vec::with_capacity(blocks.len());
+            for &b in &blocks {
+                let block = ccvol
+                    .read_block_or_hole(&name, b)
+                    .ok_or(SquirrelError::MissingCache { node: node as NodeId, image })?;
+                if let Some(data) = &block {
+                    data_blocks += 1;
+                    buffers.insert(Arc::as_ptr(data).cast::<u8>());
+                }
+                ws.push(block.unwrap_or_else(|| ccvol.zero_block_shared()));
+            }
+            arc.misses += buffers.len() as u64;
+            arc.hits += vm_ids.len() as u64 * data_blocks - buffers.len() as u64;
+            working_sets.insert(node, ws);
         }
 
-        // Concurrent read phase: every VM reads its whole working set. Warm
-        // VMs go through the shared ARC (a hit is a refcount bump on the
-        // one decompressed buffer); cold VMs read the image bytes the
-        // network just delivered. Results come back in VM order, so the
-        // checksum is schedule-independent.
-        let nodes = &self.nodes;
+        // Concurrent read phase: every VM hashes its whole working set —
+        // a warm VM its node's shared buffers, a cold VM the image bytes
+        // the network just delivered. Results come back in VM order, so
+        // the checksum is schedule-independent.
         let corpus = &self.corpus;
-        // Every VM hashes its working set, record by record.
         let read_cost = |_: &usize| blocks.len() as u64 * bs * cost::HASH;
-        let raw: Vec<Result<(u64, String), SquirrelError>> =
+        let per_vm: Vec<(u64, String)> =
             self.workers.parallel_map(&assignments, read_cost, |_i, &node| {
                 let mut digest = squirrel_hash::Sha256::new();
                 let mut served = 0u64;
-                if let Some(cache) = caches.get(&node) {
-                    for &b in &blocks {
-                        let data = cache
-                            .read_through(&nodes[node].ccvol, &name, b)
-                            .ok_or(SquirrelError::MissingCache {
-                                node: node as NodeId,
-                                image,
-                            })?;
-                        digest.update(&data);
+                if let Some(ws) = working_sets.get(&node) {
+                    for data in ws {
+                        digest.update(data);
                         served += data.len() as u64;
                     }
                 } else {
@@ -349,12 +358,8 @@ impl Squirrel {
                         served += bs;
                     }
                 }
-                Ok((served, squirrel_hash::ContentHash(digest.finalize()).to_hex()))
+                (served, squirrel_hash::ContentHash(digest.finalize()).to_hex())
             });
-        let mut per_vm = Vec::with_capacity(raw.len());
-        for r in raw {
-            per_vm.push(r?);
-        }
 
         let bytes_served: u64 = per_vm.iter().map(|(n, _)| n).sum();
         let mut concat = String::new();
@@ -373,13 +378,9 @@ impl Squirrel {
         // VM replays the same trace — so a node costs one replay of its
         // backend (one per *distinct* backend across the storm: nodes whose
         // pools look alike share it) and a queueing adjustment.
-        let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (vm, &node) in assignments.iter().enumerate() {
-            by_node.entry(node).or_default().push(vm);
-        }
         let mut boot_seconds = vec![0.0f64; vms as usize];
         for (&node, vm_ids) in &by_node {
-            let backend = if caches.contains_key(&node) {
+            let backend = if working_sets.contains_key(&node) {
                 self.warm_backend(&self.nodes[node].ccvol, &name)
             } else {
                 self.cold_backend(image)
@@ -389,16 +390,6 @@ impl Squirrel {
             for (&vm, report) in vm_ids.iter().zip(&queued) {
                 boot_seconds[vm] = report.total_seconds;
             }
-        }
-
-        // Aggregate ARC statistics over the warm nodes. Every hit is a
-        // decompression (and a payload copy) the shared read path avoided.
-        let mut arc = squirrel_zfs::ArcStats::default();
-        for cache in caches.values() {
-            let s = cache.stats();
-            arc.hits += s.hits;
-            arc.misses += s.misses;
-            arc.evictions += s.evictions;
         }
 
         // Serial post-phase: record the storm in deterministic VM order.
@@ -498,37 +489,6 @@ impl Squirrel {
             bytes_verified: verified,
             backing_fetches: chain.backing().fetch_count,
         })
-    }
-
-    /// Boot a sequence of images on `node`, reading every cache block
-    /// through a byte-bounded ARC, and report the cache statistics. This
-    /// *measures* the cross-VMI hot-record effect that the boot simulator's
-    /// `hot_fraction` parameter assumes: records shared between working
-    /// sets stay resident across consecutive boots of different images.
-    pub fn measure_arc_hit_rate(
-        &mut self,
-        node: NodeId,
-        images: &[ImageId],
-        arc_bytes: u64,
-    ) -> Result<squirrel_zfs::ArcStats, SquirrelError> {
-        let n = self.online_node(node)?;
-        let bs = self.config.block_size as u64;
-        // One shard is the serial LRU: same hits, misses and evictions.
-        let mut arc = SharedArcCache::new(arc_bytes, 1);
-        arc.set_metrics(&self.obs);
-        for &image in images {
-            self.known_image(image)?;
-            let name = Self::cache_file_name(image);
-            let Some(len) = n.ccvol.file_len(&name) else {
-                continue; // not hoarded: nothing to measure
-            };
-            for b in 0..len.div_ceil(bs) {
-                arc.read_through(&n.ccvol, &name, b);
-            }
-        }
-        let stats = arc.stats();
-        self.obs.set_gauge_f64("squirrel_arc_hit_rate", stats.hit_rate());
-        Ok(stats)
     }
 }
 
@@ -709,27 +669,28 @@ mod tests {
         );
     }
 
+    /// A warm storm serves a working-set block from the cache file's bytes
+    /// at that offset, whatever the chunking: CDC chunks smaller and larger
+    /// than the 16 KiB record read the same bytes as the image itself.
     #[test]
-    fn arc_hit_rate_rises_with_cross_vmi_sharing() {
-        // Booting several same-family images back to back: later boots hit
-        // the records earlier boots left resident.
-        let corpus = Arc::new(Corpus::generate(
-            CorpusConfig { scale: 1024, ..CorpusConfig::test_corpus(12, 77) },
-        ));
-        let mut sq = system_on(corpus, 1, |_| {});
-        for img in 0..6 {
-            sq.register(img).expect("register");
+    fn a_warm_storm_reads_the_bytes_a_cold_storm_reads() {
+        use squirrel_zfs::CdcParams;
+        for chunking in [
+            ChunkStrategy::Fixed(16 * 1024),
+            ChunkStrategy::Cdc(CdcParams::with_average(4 * 1024)),
+            ChunkStrategy::Cdc(CdcParams::with_average(64 * 1024)),
+        ] {
+            let mut sq = system_with(2, |c| c.chunking = chunking);
+            sq.register(0).expect("register");
+            let warm = sq.boot_storm(0, 2).expect("warm storm");
+            assert_eq!(warm.warm_vms, 2, "{chunking:?}");
+            for node in 0..2 {
+                assert!(sq.evict_cache(node, 0).expect("evict").was_cached);
+            }
+            let cold = sq.boot_storm(0, 2).expect("cold storm");
+            assert_eq!(cold.cold_vms, 2, "{chunking:?}");
+            assert_eq!(warm.read_checksum, cold.read_checksum, "{chunking:?}");
         }
-        let one = sq.measure_arc_hit_rate(0, &[0], 64 << 20).expect("one image");
-        let many = sq
-            .measure_arc_hit_rate(0, &[0, 1, 2, 3, 4, 5], 64 << 20)
-            .expect("many images");
-        assert_eq!(one.hits, 0, "first boot of a lone image cannot hit");
-        assert!(
-            many.hit_rate() > 0.2,
-            "cross-VMI sharing must produce ARC hits: {:?}",
-            many
-        );
     }
 
     #[test]
@@ -769,7 +730,6 @@ mod tests {
             assert!(storm.blocks_per_vm > 0);
             assert_eq!(storm.bytes_served, 8 * storm.blocks_per_vm * 16 * 1024);
             assert!(storm.arc.hits > 0, "storm must avoid copies: {:?}", storm.arc);
-            assert_eq!(storm.arc.evictions, 0);
             let snap = sq.metrics().snapshot();
             assert_eq!(
                 snap.counter("squirrel_boot_storm_copies_avoided_total"),

@@ -13,10 +13,10 @@ mod reports;
 
 pub use config::{HoardBudget, SharedStorage, SquirrelConfig, SquirrelConfigBuilder};
 pub use reports::{
-    BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence, EvictReport,
-    FaultTick, GcReport, NodeReplication, RegisterReport, RegistrationInfo, RehoardReport,
-    RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit, SquirrelError,
-    SyncRepairReport,
+    ArcStats, BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence,
+    EvictReport, FaultTick, GcReport, NodeReplication, RegisterReport, RegistrationInfo,
+    RehoardReport, RejoinOutcome, RepairReport, RepairSweep, ReplicationReport, RotHit,
+    SquirrelError, SyncRepairReport,
 };
 
 use crate::dist::DistributionPolicy;

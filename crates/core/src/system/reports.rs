@@ -9,8 +9,6 @@ use squirrel_bootsim::BootReport;
 use squirrel_cluster::{EcError, EcRepairReport, NetError, NodeId};
 use squirrel_dataset::ImageId;
 use squirrel_faults::{ChurnEvent, PartitionEvent};
-#[cfg(doc)]
-use squirrel_zfs::SharedArcCache;
 use squirrel_zfs::{RecvError, SendError};
 
 /// Errors surfaced by Squirrel's operations.
@@ -221,9 +219,29 @@ pub struct BootVerification {
     pub backing_fetches: u64,
 }
 
+/// A storm's warm reads, counted the way an ARC would: over each warm node,
+/// a miss is a distinct decompressed buffer the node resolved, a hit every
+/// other read of a data block by that node's VMs. Holes count as neither.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArcStats {
+    pub hits: u64,
+    pub misses: u64,
+}
+
+impl ArcStats {
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
 /// Outcome of [`Squirrel::boot_storm`]: M VMs replay one image's boot
 /// working set concurrently, served zero-copy from the nodes' hoarded
-/// ccVolumes through a shard-locked ARC ([`SharedArcCache`]).
+/// ccVolumes, each warm node's working set resolved once.
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct BootStormReport {
@@ -246,9 +264,9 @@ pub struct BootStormReport {
     pub net_bytes: u64,
     /// Simulated per-boot seconds in VM order (queueing-adjusted per node).
     pub boot_seconds: Vec<f64>,
-    /// Aggregate shared-ARC statistics over all warm nodes. Every hit is a
+    /// Read statistics summed over the warm nodes. Every hit is a
     /// decompression (and copy) avoided.
-    pub arc: squirrel_zfs::ArcStats,
+    pub arc: ArcStats,
     /// Content hash over every VM's read bytes, in VM order — the
     /// determinism witness: bit-identical at any thread count.
     pub read_checksum: String,

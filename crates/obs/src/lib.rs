@@ -1,8 +1,9 @@
 //! Unified observability for the Squirrel reproduction.
 //!
 //! Every paper figure is a *measurement* — wire bytes per registration,
-//! ccVolume hit/miss traffic, DDT growth, ARC hit rates — so the runtime
-//! crates meter themselves through this crate instead of ad-hoc getters.
+//! ccVolume hit/miss traffic, DDT growth, copies a storm avoided — so the
+//! runtime crates meter themselves through this crate instead of ad-hoc
+//! getters.
 //! The design constraints, in order:
 //!
 //! 1. **Deterministic.** A [`MetricsRegistry::snapshot`] taken after a

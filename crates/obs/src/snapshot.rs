@@ -148,7 +148,7 @@ mod tests {
         pool.add("zpool_ddt_hits_total", 7);
         m.add_with("squirrel_boot_total", &[("node", "0"), ("result", "warm")], 3);
         m.set_gauge("squirrel_scvol_ddt_entries", 42);
-        m.set_gauge_f64("squirrel_arc_hit_rate", 0.625);
+        m.set_gauge_f64("zpool_scatter", 0.625);
         let h = pool.histogram("zpool_compressed_block_bytes");
         for v in [0u64, 3, 900, 900, 70000] {
             h.observe(v);

@@ -17,12 +17,12 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 pub type BlockKey = u128;
 
 /// A shared, immutable block of *decompressed* data. Every consumer of a
-/// block's bytes — ARC cache entries on every pool that shares the record's
-/// [`Frame`], copy-on-read cache blocks, hole reads — holds a reference to
-/// the *same* buffer, so a warm read is a refcount bump, never a copy. The
-/// one copy in a payload's life is its birth (`Vec` → `Arc<[u8]>` after the
-/// single decompress that produced it), on the cold path. Stored compressed
-/// records are [`Frame`]s.
+/// block's bytes — a boot storm's working set on every pool that shares
+/// the record's [`Frame`], copy-on-read cache blocks, hole reads — holds a
+/// reference to the *same* buffer, so a warm read is a refcount bump, never
+/// a copy. The one copy in a payload's life is its birth (`Vec` →
+/// `Arc<[u8]>` after the single decompress that produced it), on the cold
+/// path. Stored compressed records are [`Frame`]s.
 pub type SharedPayload = Arc<[u8]>;
 
 /// A stored compressed record: immutable bytes that remember their own

@@ -22,14 +22,12 @@
 //!   [`WorkerPool`](squirrel_hash::par::WorkerPool) shared across calls
 //!   and pools, and a batched in-order serial commit — bit-identical to
 //!   the serial write path at any thread count.
-//! * **Zero-copy read path** ([`arc`], [`sharedarc`]) — payloads are shared
-//!   immutable buffers: stored compressed records are [`Frame`]s,
-//!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`), decompressed at
-//!   most once per cache residency — and, through [`Frame::payload`], once
-//!   for all the pools that hold the record while any of them still reads
-//!   it; warm reads are refcount bumps, and the
-//!   shard-locked [`SharedArcCache`] serves any number of concurrent
-//!   boot-storm readers with bit-identical bytes and statistics.
+//! * **Zero-copy read path** ([`ZPool::read_block_or_hole`]) — payloads are
+//!   shared immutable buffers: stored compressed records are [`Frame`]s,
+//!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`), decompressed —
+//!   through [`Frame::payload`] — once for all the pools that hold the
+//!   record while any of them still reads it; a boot storm's warm node
+//!   resolves its working set once and its VMs share those buffers.
 //! * **Proved once per buffer** ([`Frame::content_key`]) — a stored record
 //!   is checked against its key by one decompress + SHA-256, which the
 //!   frame remembers. The sender's DDT entry, the streams built from it and
@@ -43,7 +41,6 @@
 //!   up scattered; the boot simulator reads this layout to reproduce the
 //!   paper's Figure 11 seek behaviour.
 
-pub mod arc;
 pub mod config;
 pub mod ddt;
 pub mod ingest;
@@ -54,10 +51,8 @@ pub mod pool;
 pub mod scrub;
 pub mod sddt;
 pub mod send;
-pub mod sharedarc;
 pub mod stats;
 
-pub use arc::ArcStats;
 pub use config::{DedupMode, PoolConfig, PoolConfigBuilder};
 pub use ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
 pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, ZPool};
@@ -65,5 +60,4 @@ pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use scrub::ScrubReport;
 pub use sddt::ShardedDedupTable;
 pub use send::{DecodeError, RecvError, SendError, SendStream, VerifiedStream};
-pub use sharedarc::SharedArcCache;
 pub use stats::{QuotaExcess, SpaceStats};

@@ -369,28 +369,33 @@ impl ZPool {
         }
     }
 
-    /// [`read_block`](Self::read_block) returning a shared payload: holes
-    /// hand out the pool's one zero block (a refcount bump), data blocks
-    /// decompress once into a buffer that caches and callers then share —
+    /// [`read_block`](Self::read_block) as a shared payload, or `Some(None)`
+    /// for a hole (including unwritten space past the table). A fixed
+    /// record decompresses once into a buffer its readers then share —
     /// across pools too: while anyone holds a record's payload, every pool
-    /// holding the same [`Frame`] returns that buffer. This is the fill
-    /// path of [`crate::SharedArcCache`].
-    pub fn read_block_shared(&self, name: &str, block_idx: u64) -> Option<SharedPayload> {
+    /// holding the same [`Frame`] returns that buffer. A chunked file's
+    /// block is assembled into a new buffer from the chunks that overlap it.
+    pub fn read_block_or_hole(&self, name: &str, block_idx: u64) -> Option<Option<SharedPayload>> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;
         if let Some(chunks) = table.chunks.as_deref() {
             let start = block_idx * bs as u64;
             if Self::block_is_hole_chunked(chunks, start, start + bs as u64) {
-                return Some(self.zero_block_shared());
+                return Some(None);
             }
             let mut buf = vec![0u8; bs];
             self.read_range_chunked(chunks, start, &mut buf);
-            return Some(buf.into());
+            return Some(Some(buf.into()));
         }
-        match table.ptrs.get(block_idx as usize).copied().flatten() {
-            None => Some(self.zero_block_shared()),
-            Some(key) => Some(self.payload(&key)),
-        }
+        let ptr = table.ptrs.get(block_idx as usize).copied().flatten();
+        Some(ptr.map(|key| self.payload(&key)))
+    }
+
+    /// [`read_block_or_hole`](Self::read_block_or_hole) with a hole served
+    /// as the pool's one zero block (a refcount bump).
+    pub fn read_block_shared(&self, name: &str, block_idx: u64) -> Option<SharedPayload> {
+        let block = self.read_block_or_hole(name, block_idx)?;
+        Some(block.unwrap_or_else(|| self.zero_block_shared()))
     }
 
     /// The pool's shared all-zero block (what hole reads return).
@@ -401,21 +406,6 @@ impl ZPool {
     fn block_ref_of(&self, key: BlockKey) -> BlockRef {
         let e = self.entry(&key);
         BlockRef { key, phys: e.phys, psize: e.psize }
-    }
-
-    /// Resolve one record pointer of `name`. Outer `None` = no such file;
-    /// inner `None` = hole (including unwritten space past the table, which
-    /// reads as zeros). Unlike [`block_refs`](Self::block_refs), this does
-    /// not materialize the whole table — the read caches call it per block.
-    /// On chunked files the index addresses *records* (chunks in logical
-    /// order), not fixed blocks.
-    pub fn block_ref(&self, name: &str, block_idx: u64) -> Option<Option<BlockRef>> {
-        let table = self.files.get(name)?;
-        if let Some(chunks) = table.chunks.as_deref() {
-            return Some(chunks.get(block_idx as usize).map(|c| self.block_ref_of(c.key)));
-        }
-        let ptr = table.ptrs.get(block_idx as usize).copied().flatten();
-        Some(ptr.map(|key| self.block_ref_of(key)))
     }
 
     /// Resolved record pointers of `name` (for physical-layout analysis);
@@ -1062,7 +1052,7 @@ mod tests {
     fn a_rotted_or_repaired_record_never_serves_another_frames_payload() {
         let registry = squirrel_obs::MetricsRegistry::new();
         let (_src, mut pools) = sharing_pools(&registry, 2);
-        let key = pools[0].block_ref("f", 0).expect("file").expect("data").key;
+        let key = pools[0].block_refs("f").expect("file")[0].expect("data").key;
         let good = pools[0].read_block_shared("f", 0).expect("file");
         // Rot on pool 1 is a new frame: it reads its own (wrong) bytes, and
         // pool 0 keeps serving the buffer it holds.

@@ -1,7 +1,6 @@
 //! Sharded dedup table: the DDT split across fixed shards by hash prefix.
 //!
-//! The motivation mirrors [`SharedArcCache`](crate::sharedarc::SharedArcCache):
-//! content hashes are uniformly distributed, so `key % SHARDS` spreads
+//! Content hashes are uniformly distributed, so `key % SHARDS` spreads
 //! entries evenly and each shard stays small. That buys the ingest hot path
 //! three things over one monolithic map:
 //!

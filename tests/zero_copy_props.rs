@@ -1,12 +1,13 @@
 //! Property tests for the zero-copy shared-payload read path: whatever the
-//! block size, codec, cache capacity, or thread count, readers must see the
-//! exact bytes a naive decompress-every-time oracle produces.
+//! record size, codec, chunking or thread count, readers must see the exact
+//! bytes a naive decompress-every-time oracle produces.
 
 use proptest::prelude::*;
 use squirrel_repro::compress::Codec;
 use squirrel_repro::core::{Squirrel, SquirrelConfig};
 use squirrel_repro::dataset::{Corpus, CorpusConfig};
-use squirrel_repro::zfs::{PoolConfig, SharedArcCache, ZPool};
+use squirrel_repro::zfs::{CdcParams, ChunkStrategy, PoolConfig, ZPool};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 const CODECS: [Codec; 5] = [Codec::Off, Codec::Gzip(6), Codec::Lzjb, Codec::Lz4, Codec::Zle];
@@ -24,41 +25,63 @@ fn block(bs: usize, seed: u8, compressible: bool) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The cached read path — the shard-locked `SharedArcCache`; its serial
-    /// shard type is held to the same oracle in-crate, beside
-    /// `differential_shared_vs_serial` — returns bytes identical to
-    /// re-decompressing the pool record on every read, across random block
-    /// sizes, codecs, and cache capacities (including a zero-byte cache that
-    /// evicts constantly, and reads of holes and past-EOF blocks).
+    /// The shared read paths — `read_block_shared` and the hole-aware
+    /// `read_block_or_hole` a boot storm resolves its working set with —
+    /// return bytes identical to re-decompressing the pool record on every
+    /// read, across random record sizes and codecs, on fixed records and on
+    /// CDC chunks averaging 1–8 records (a zero block is a hole; reads cover
+    /// holes and past-EOF blocks).
     #[test]
     fn zero_copy_read_path_matches_decompress_oracle(
         bs_pow in 9u32..13,
         codec_idx in 0usize..CODECS.len(),
-        capacity in prop_oneof![Just(0u64), 512u64..(1 << 16)],
-        shards in 1usize..5,
+        cdc_avg_pow in prop_oneof![Just(None), (0u32..4).prop_map(Some)],
         writes in proptest::collection::vec((0u64..24, any::<u8>(), any::<bool>()), 1..24),
         reads in proptest::collection::vec(0u64..26, 1..64),
     ) {
         let bs = 1usize << bs_pow;
-        let mut pool = ZPool::new(PoolConfig::new(bs, CODECS[codec_idx]));
-        pool.create_file("f");
-        for &(idx, seed, compressible) in &writes {
-            pool.write_block("f", idx, &block(bs, seed, compressible));
-        }
-        let shared = SharedArcCache::new(capacity, shards);
+        let config = PoolConfig::new(bs, CODECS[codec_idx]);
+        let pool = match cdc_avg_pow {
+            None => {
+                let mut pool = ZPool::new(config);
+                pool.create_file("f");
+                for &(idx, seed, compressible) in &writes {
+                    pool.write_block("f", idx, &block(bs, seed, compressible));
+                }
+                pool
+            }
+            Some(pow) => {
+                let avg = (bs << pow).max(1024);
+                let mut pool = ZPool::new(
+                    config.with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(avg))),
+                );
+                // Chunked files are import-only: the last write to an index wins.
+                let blocks: BTreeMap<u64, Vec<u8>> = writes
+                    .iter()
+                    .map(|&(idx, seed, compressible)| (idx, block(bs, seed, compressible)))
+                    .collect();
+                pool.import_blocks_parallel("f", &blocks.into_iter().collect::<Vec<_>>());
+                pool
+            }
+        };
         for &idx in &reads {
             // The oracle decompresses from the pool every time.
-            let oracle = pool.read_block("f", idx);
-            let via_shared = shared.read_through(&pool, "f", idx).map(|d| d.to_vec());
-            prop_assert_eq!(&via_shared, &oracle, "SharedArcCache diverged at block {}", idx);
+            let oracle = pool.read_block("f", idx).expect("file");
+            let shared = pool.read_block_shared("f", idx).expect("file");
+            prop_assert_eq!(&shared[..], &oracle[..], "shared read diverged at block {}", idx);
+            match pool.read_block_or_hole("f", idx).expect("file") {
+                Some(data) => prop_assert_eq!(&data[..], &oracle[..], "block {}", idx),
+                None => prop_assert!(oracle.iter().all(|&b| b == 0), "hole {} reads data", idx),
+            }
         }
         // A file the pool does not know stays unknown through every path.
-        prop_assert_eq!(shared.read_through(&pool, "missing", 0), None);
+        prop_assert_eq!(pool.read_block_shared("missing", 0), None);
+        prop_assert_eq!(pool.read_block_or_hole("missing", 0), None);
     }
 }
 
 /// System-level determinism: a boot storm over a mixed warm/cold node set
-/// produces bit-identical read checksums, ARC statistics, simulated boot
+/// produces bit-identical read checksums, read statistics, simulated boot
 /// seconds, and metric snapshots at every worker-thread count.
 #[test]
 fn boot_storm_is_bit_identical_across_thread_counts() {

@@ -92,7 +92,7 @@ pub fn build_workload(
             n_zero += 1;
         } else if i % dedup_every == dedup_every - 1 && !uniques.is_empty() {
             // Repeat an earlier unique, walking the list so hits spread
-            // over the DDT shards instead of hammering one entry.
+            // over many DDT entries instead of hammering one.
             let src = uniques[n_dup % uniques.len()];
             blocks.push(blocks[src].clone());
             n_dup += 1;

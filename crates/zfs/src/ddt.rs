@@ -7,9 +7,7 @@
 //! Figures 9, 10 and 13.
 
 use squirrel_compress::decompress;
-use squirrel_hash::ContentHash;
-#[cfg(test)]
-use squirrel_hash::FnvHashMap;
+use squirrel_hash::{ContentHash, FnvHashMap};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
@@ -162,10 +160,13 @@ pub struct DdtEntry {
     pub data: Option<Frame>,
 }
 
-/// The serial dedup table: the reference `sddt`'s differential tests hold
-/// [`ShardedDedupTable`](crate::sddt::ShardedDedupTable) to, operation by
-/// operation. Pools run on the sharded table only.
-#[cfg(test)]
+/// The pool's dedup table: one map from content key to entry. Probes take
+/// `&self`, so stage-1 ingest workers and the scrub/read paths query it
+/// concurrently with no coordination; every mutation comes through
+/// `&mut self` from the serial commit path, and the physical allocator is
+/// one global cursor, so offsets follow first-occurrence order exactly.
+/// Iteration order is a hash map's (unspecified): order-sensitive callers
+/// sort.
 #[derive(Default)]
 pub(crate) struct DedupTable {
     entries: FnvHashMap<BlockKey, DdtEntry>,
@@ -176,7 +177,6 @@ pub(crate) struct DedupTable {
     physical_bytes: u64,
 }
 
-#[cfg(test)]
 impl DedupTable {
     pub fn new() -> Self {
         Self::default()
@@ -187,10 +187,6 @@ impl DedupTable {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Total compressed bytes of all entries.
     pub fn physical_bytes(&self) -> u64 {
         self.physical_bytes
@@ -198,6 +194,12 @@ impl DedupTable {
 
     pub fn get(&self, key: &BlockKey) -> Option<&DdtEntry> {
         self.entries.get(key)
+    }
+
+    /// Pre-size for `additional` incoming unique keys: one reservation per
+    /// ingest batch instead of growth under the commit loop.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve(additional);
     }
 
     /// Add one reference to `key`, inserting a fresh entry (with
@@ -245,7 +247,12 @@ impl DedupTable {
     /// physical offset are untouched. This is the primitive under both
     /// corruption injection and block repair. Returns `false` when the key
     /// is absent.
-    pub fn replace_payload(&mut self, key: BlockKey, psize: u32, data: Option<Frame>) -> bool {
+    pub(crate) fn replace_payload(
+        &mut self,
+        key: BlockKey,
+        psize: u32,
+        data: Option<Frame>,
+    ) -> bool {
         let Some(entry) = self.entries.get_mut(&key) else {
             return false;
         };
@@ -268,12 +275,6 @@ impl DedupTable {
         entry.phys = self.alloc_cursor;
         self.alloc_cursor += entry.psize as u64;
         Some((old, entry.psize))
-    }
-
-    /// Sum of all refcounts (diagnostic; equals the number of live block
-    /// pointers across files and snapshots).
-    pub fn total_refs(&self) -> u64 {
-        self.entries.values().map(|e| e.refcount).sum()
     }
 
     /// Iterate `(key, entry)` pairs.
@@ -379,7 +380,7 @@ mod tests {
         assert!(!t.release(&7));
         assert_eq!(t.physical_bytes(), 64);
         assert!(t.release(&7));
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert_eq!(t.physical_bytes(), 0);
     }
 
@@ -447,11 +448,12 @@ mod tests {
     }
 
     #[test]
-    fn total_refs_counts_multiplicity() {
+    fn reserve_is_behaviour_neutral() {
         let mut t = DedupTable::new();
-        t.add_ref(1, payload(8));
-        t.add_ref(1, payload(8));
-        t.add_ref(2, payload(8));
-        assert_eq!(t.total_refs(), 3);
+        t.reserve(1000);
+        assert_eq!(t.len(), 0);
+        t.add_ref(3, payload(9));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.get(&3).expect("e").phys, 0);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! 1. **prepare** (parallel, fused) — zero-scan + SHA-256 + DDT probe in
 //!    one pass per block. The zero probe early-exits at the first nonzero
-//!    cache line and the sharded DDT serves lock-free `&self` lookups, so
+//!    cache line and the DDT serves lock-free `&self` lookups, so
 //!    the whole per-block cost is essentially the hash.
 //! 2. **probe** (serial) — first-occurrence scan over the prepared keys,
 //!    fixing each batch-new key's representative block.
@@ -22,7 +22,7 @@
 //!    ([`squirrel_compress::Compressor`]).
 //! 4. **commit** (serial, batched) — DDT inserts in first-occurrence order
 //!    draining the prepared frames with a cursor (no per-block map
-//!    lookups), pointer table pre-sized once, shards pre-reserved, and
+//!    lookups), pointer table and DDT pre-sized once, and
 //!    meters updated with one `add(n)` per counter per batch.
 //!
 //! This is the only whole-file import ([`ZPool::import_file`],
@@ -166,7 +166,7 @@ impl ZPool {
         // physical allocator reproduces the `write_block` layout exactly — and
         // because `prepared` is *also* in first-occurrence order, commit
         // drains it with a plain cursor instead of per-block map removals.
-        // Pointer table and DDT shards are pre-sized once from the scan;
+        // Pointer table and DDT are pre-sized once from the scan;
         // meters take one batched `add` per counter.
         let _t = self.meters.metrics.timer("zpool_ingest_commit");
         let bs = cfg.block_size as u64;

@@ -6,9 +6,9 @@
 //! store, which this crate implements from scratch:
 //!
 //! * **Content addressing** — fixed-size blocks keyed by SHA-256 (like
-//!   `dedup=sha256`), with a refcounted dedup table sharded by hash prefix
-//!   for lock-free concurrent probes ([`sddt`]; the serial table in [`ddt`]
-//!   is compiled only as the differential-test reference).
+//!   `dedup=sha256`), with one refcounted dedup table ([`ddt`]) that
+//!   serves concurrent `&self` probes and takes every mutation from the
+//!   serial commit path.
 //! * **Inline compression** — every unique block is stored compressed with a
 //!   configurable codec (gzip-6 by default, like the paper's choice).
 //! * **Space accounting** ([`stats`]) — physical data, on-disk DDT, in-core
@@ -49,7 +49,6 @@ mod meter;
 mod oracle;
 pub mod pool;
 pub mod scrub;
-pub mod sddt;
 pub mod send;
 pub mod stats;
 
@@ -58,6 +57,5 @@ pub use ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
 pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, ZPool};
 pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use scrub::ScrubReport;
-pub use sddt::ShardedDedupTable;
 pub use send::{DecodeError, RecvError, SendError, SendStream, VerifiedStream};
 pub use stats::{QuotaExcess, SpaceStats};

@@ -9,9 +9,8 @@
 //! blocks nothing else uses.
 
 use crate::config::PoolConfig;
-use crate::ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
+use crate::ddt::{BlockKey, DdtEntry, DedupTable, Frame, SharedPayload};
 use crate::meter::PoolMeters;
-use crate::sddt::ShardedDedupTable;
 use crate::stats::SpaceStats;
 use squirrel_compress::{compress, decompress};
 use squirrel_hash::par::WorkerPool;
@@ -151,7 +150,7 @@ pub(crate) struct Snapshot {
 /// The deduplicating, compressing, snapshotting block store.
 pub struct ZPool {
     config: PoolConfig,
-    ddt: ShardedDedupTable,
+    ddt: DedupTable,
     files: BTreeMap<String, FileTable>,
     /// Snapshots in creation order.
     snapshots: Vec<Snapshot>,
@@ -173,7 +172,7 @@ impl ZPool {
     pub fn new(config: PoolConfig) -> Self {
         ZPool {
             config,
-            ddt: ShardedDedupTable::new(),
+            ddt: DedupTable::new(),
             files: BTreeMap::new(),
             snapshots: Vec::new(),
             zero_block: OnceLock::new(),
@@ -480,11 +479,11 @@ impl ZPool {
         &mut self.files
     }
 
-    pub(crate) fn ddt(&self) -> &ShardedDedupTable {
+    pub(crate) fn ddt(&self) -> &DedupTable {
         &self.ddt
     }
 
-    pub(crate) fn ddt_mut(&mut self) -> &mut ShardedDedupTable {
+    pub(crate) fn ddt_mut(&mut self) -> &mut DedupTable {
         &mut self.ddt
     }
 

@@ -242,6 +242,29 @@ mod tests {
         let (mut c, _) = pool_with_data();
         let n = c.ddt().len() as u64;
         assert_eq!(c.corrupt_nth_block(41 + 7 * n), Some(ka));
+        // The victim is a function of the key set, not of the DDT's
+        // insertion history: a pool that wrote the same blocks in reverse
+        // picks the same keys and scrubs to the same sorted list.
+        let reversed = || {
+            let mut p = ZPool::new(PoolConfig::new(512, Codec::Lzjb));
+            p.create_file("f");
+            for i in (0..6u8).rev() {
+                p.write_block("f", i as u64, &vec![i + 1; 512]);
+            }
+            p
+        };
+        for nth in 0..n {
+            let (mut fwd, _) = pool_with_data();
+            assert_eq!(fwd.corrupt_nth_block(nth), reversed().corrupt_nth_block(nth));
+        }
+        let (mut fwd, _) = pool_with_data();
+        let mut rev = reversed();
+        for nth in [1, 4] {
+            assert_eq!(fwd.corrupt_nth_block(nth), rev.corrupt_nth_block(nth));
+        }
+        let corrupt = fwd.scrub().corrupt;
+        assert_eq!(corrupt.len(), 2);
+        assert_eq!(corrupt, rev.scrub().corrupt);
         // Empty pool has no victim.
         let mut empty = ZPool::new(PoolConfig::new(512, Codec::Lzjb));
         assert_eq!(empty.corrupt_nth_block(0), None);

@@ -30,13 +30,19 @@ echo "== experiment records (release, pinned seeds) =="
 # configuration of EXPERIMENTS.md. Each returns a typed record; a false gate
 # exits non-zero naming it. results/BENCH_<name>.json and
 # results/PAPER_<name>.json are rewritten with {experiment, params, gates,
-# deterministic}; a bench's wall-clock block is appended to
-# results/history.jsonl.
+# deterministic}: no clock, so the same code writes the same bytes.
 cargo run --release --quiet -p squirrel-bench --bin squirrel-experiments -- ci > /dev/null
-# Drift check: the committed simulated numbers (and the quickstart's metric
-# snapshot, written by the examples above) are what the code produces today,
-# or the PR commits the new ones and says why they moved.
-git diff --exit-code -- 'results/BENCH_*.json' 'results/PAPER_*.json' results/metrics_quickstart.json
+# Drift check over all of results/ (these records and the quickstart's metric
+# snapshot, written by the examples above): what is committed is what the
+# code produces today, or the PR commits the new numbers and says why they
+# moved. A record no commit has seen yet fails too.
+git diff --exit-code -- results
+drift=$(git status --porcelain --untracked-files=all -- results)
+if [ -n "$drift" ]; then
+    echo "results/ differs from the commit (untracked or staged files):"
+    echo "$drift"
+    exit 1
+fi
 
 echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
 cargo test -q --release -p squirrel-hash -p squirrel-compress > /dev/null

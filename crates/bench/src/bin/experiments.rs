@@ -13,10 +13,10 @@
 //!
 //! Every command returns a [`Record`]: `<out>/BENCH_<name>.json` (a bench)
 //! or `<out>/PAPER_<name>.json` (a table or figure of the paper) gets its
-//! gates and deterministic block, `<out>/history.jsonl` a bench's wall
-//! block (from a committed tree only), and a false gate exits non-zero
-//! naming it. `ci` runs them at the pinned sizes of [`CI_CELLS`]; afterwards
-//! `git diff -- 'results/*.json'` is empty unless a simulated number moved.
+//! gates and deterministic block, and a false gate exits non-zero naming
+//! it. `ci` runs them at the pinned sizes of [`CI_CELLS`]; afterwards
+//! `git diff -- results` is empty unless a simulated number moved. Nothing
+//! here reads a clock: wall time is the `benchmark/` package's.
 
 use squirrel_bench::experiments::{
     ablations, boottime, bootstorm, budget, chaosbench, chunking, distribution, extrapolate,
@@ -30,12 +30,12 @@ type Command = fn(&ExperimentConfig) -> Record;
 /// Every command — its names (aliases share a row) and what it runs — in
 /// the order `all` runs them.
 const COMMANDS: &[(&str, Command)] = &[
-    ("ingest", |cfg| ingest::run_ingest(cfg, ingest::INGEST_BLOCKS, 3).1),
+    ("ingest", |cfg| ingest::run_ingest(cfg, ingest::INGEST_BLOCKS)),
     ("chunking", |cfg| {
         let (blocks, bs) = (chunking::CHUNKING_BLOCKS, chunking::CHUNKING_BLOCK_SIZE);
         chunking::run_chunking(cfg, blocks, bs, chunking::CHUNKING_VERSIONS).1
     }),
-    ("bootstorm", |cfg| bootstorm::run_bootstorm(cfg, bootstorm::STORM_VMS, 3).1),
+    ("bootstorm", |cfg| bootstorm::run_bootstorm(cfg, bootstorm::STORM_VMS).1),
     ("chaos", chaosbench::run_chaos),
     ("topology", |cfg| topology::run_topology(cfg).2),
     ("budget", |cfg| budget::run_budget(cfg).1),
@@ -93,13 +93,10 @@ const CI_CELLS: &[(&str, &[&str])] = &[
     ("whatif-windows", REFERENCE),
 ];
 
-/// Show what the record is read for — a paper record's rows, a bench's
-/// clocks (its numbers are the file it persists) — then its verdicts, and
-/// fail the process on a false gate.
+/// Show the record's deterministic block, persist it, then its verdicts,
+/// and fail the process on a false gate.
 fn finish(cfg: &ExperimentConfig, record: Record) {
-    let (label, shown) =
-        if record.paper { ("", &record.deterministic) } else { (" wall", &record.wall) };
-    print!("{}{label}: {}", record.experiment, shown.render());
+    print!("{}: {}", record.experiment, record.deterministic.render());
     record.persist(cfg).expect("write the record");
     match record.enforce() {
         Ok(()) => println!("{}: all {} gates hold", record.experiment, record.gates.len()),
@@ -120,24 +117,30 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_config<S: AsRef<str>>(args: &[S]) -> ExperimentConfig {
+/// The flags after the command; `None` for anything the usage line does not
+/// allow, a zero `--images` or `--scale` included (an empty corpus or a zero
+/// volume divisor has no figure to draw).
+fn parse_config<S: AsRef<str>>(args: &[S]) -> Option<ExperimentConfig> {
     let mut cfg = ExperimentConfig::default();
-    let mut i = 0;
-    while i < args.len() {
-        let value = |i: usize| -> &str {
-            args.get(i + 1).map(|s| s.as_ref()).unwrap_or_else(|| usage())
-        };
-        match args[i].as_ref() {
-            "--images" => cfg.images = value(i).parse().unwrap_or_else(|_| usage()),
-            "--scale" => cfg.scale = value(i).parse().unwrap_or_else(|_| usage()),
-            "--seed" => cfg.seed = value(i).parse().unwrap_or_else(|_| usage()),
-            "--out" => cfg.out_dir = Some(value(i).to_string()),
-            "--threads" => cfg.threads = value(i).parse().unwrap_or_else(|_| usage()),
-            _ => usage(),
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else { return None };
+        let value = value.as_ref();
+        match flag.as_ref() {
+            "--images" => cfg.images = number(value, 1)?,
+            "--scale" => cfg.scale = number(value, 1)?,
+            "--seed" => cfg.seed = number(value, 0)?,
+            "--out" => cfg.out_dir = Some(value.to_string()),
+            "--threads" => cfg.threads = number(value, 0)?,
+            _ => return None,
         }
-        i += 2;
     }
-    cfg
+    Some(cfg)
+}
+
+/// `text` as a number no smaller than `least`: the one parse of every
+/// numeric flag.
+fn number<T: std::str::FromStr + PartialOrd + From<u8>>(text: &str, least: u8) -> Option<T> {
+    text.parse().ok().filter(|n| *n >= T::from(least))
 }
 
 fn run(cmd: &str, cfg: &ExperimentConfig) {
@@ -151,7 +154,7 @@ fn run(cmd: &str, cfg: &ExperimentConfig) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let cfg = parse_config(&args[1..]);
+    let cfg = parse_config(&args[1..]).unwrap_or_else(|| usage());
     eprintln!(
         "# corpus: {} images, scale 1/{}, seed {} (projection x{:.0})",
         cfg.images,
@@ -159,17 +162,41 @@ fn main() {
         cfg.seed,
         cfg.projection()
     );
-    // Wall-clock numbers depend on it; simulated and accounting ones do not.
-    eprintln!("# host: sha256 backend {}", squirrel_hash::sha256_backend());
 
     match cmd.as_str() {
         "all" => COMMANDS.iter().for_each(|(_, command)| finish(&cfg, command(&cfg))),
         "ci" => {
             for (cmd, cell_args) in CI_CELLS {
                 println!("== {cmd} {}", cell_args.join(" "));
-                run(cmd, &ExperimentConfig { out_dir: cfg.out_dir.clone(), ..parse_config(cell_args) });
+                let cell = parse_config(cell_args).unwrap_or_else(|| usage());
+                run(cmd, &ExperimentConfig { out_dir: cfg.out_dir.clone(), ..cell });
             }
         }
         cmd => run(cmd, &cfg),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn zero_images_or_scale_is_a_usage_error() {
+        for flag in ["--images", "--scale"] {
+            assert!(parse_config(&[flag, "0"]).is_none(), "{flag} 0");
+            assert!(parse_config(&[flag, "1"]).is_some(), "{flag} 1");
+        }
+        // Zero is a seed, and `--threads 0` means every core.
+        let cfg = parse_config(&["--seed", "0", "--threads", "0"]).expect("zero is allowed");
+        assert_eq!((cfg.seed, cfg.threads), (0, 0));
+        let bad: [&[&str]; 4] = [
+            &["--images"],
+            &["--images", "x"],
+            &["--scale", "-1"],
+            &["-x", "1"],
+        ];
+        for args in bad {
+            assert!(parse_config(args).is_none(), "{args:?}");
+        }
     }
 }

@@ -3,30 +3,27 @@
 //! (`Squirrel::boot_storm`).
 //!
 //! For each worker-thread count the experiment registers the image on a
-//! fresh system, replays the storm `repeat` times (wall-clock floor, robust
-//! to scheduler noise), and records aggregate read throughput, the per-boot
+//! fresh system, runs one storm, and records the bytes served, the per-boot
 //! simulated-latency histogram (`squirrel_boot_storm_seconds_ms`), and the
 //! copies-avoided counters. Every thread count must produce the same
 //! [`StormOutcome`] — read checksum, byte count, read stats, latency
 //! histogram — or the `deterministic_across_threads` gate is false.
 //!
-//! Two more storms follow, untimed: the same storm again, then once more
-//! after one record of node 0's cache rotted. `verify_hashed_bytes` records
-//! what the ccVolumes decompressed + hashed to classify their nodes in the
-//! first storm, in the repeat and after the rot; the `reverify_free` gate
-//! says the repeat hashed nothing (registration's proof was remembered) and
-//! the rot cost exactly the one record that changed. `read_decompressed_bytes`
-//! records what their reads decompressed in the first storm and the repeat;
-//! the `decompress_once_per_record` gate says each was one working set — the
-//! warm nodes share one payload per record — not one per warm node.
-//!
-//! Thread speedup (in the record's `wall` block) is hardware-dependent: a
-//! single-core container shows ~1.0x while the checksum equality still
-//! proves the parallel path ran correctly.
+//! Two more storms follow, after the snapshot: the same storm again, then
+//! once more after one record of node 0's cache rotted.
+//! `verify_hashed_bytes` records what the ccVolumes decompressed + hashed
+//! to classify their nodes in the first storm, in the repeat and after the
+//! rot; the `reverify_free` gate says the repeat hashed nothing
+//! (registration's proof was remembered) and the rot cost exactly the one
+//! record that changed. `read_decompressed_bytes` records what their reads
+//! decompressed in the first storm and the repeat; the
+//! `decompress_once_per_record` gate says each was one working set — the
+//! warm nodes share one payload per record — not one per warm node. What a
+//! storm costs in wall time is `benchmark/`'s `boot_serve` workload.
 
 use crate::config::ExperimentConfig;
 use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
-use squirrel_core::{ArcStats, BootStormReport, Squirrel, SquirrelConfig};
+use squirrel_core::{ArcStats, Squirrel, SquirrelConfig};
 use squirrel_obs::HistogramSnapshot;
 
 /// What one storm sweep leaves behind at any thread count.
@@ -61,9 +58,8 @@ pub struct StormOutcome {
 pub const STORM_VMS: u32 = 16;
 pub const STORM_NODES: u32 = 4;
 
-/// Run the storm at one thread count on a fresh system. Also returns the
-/// best-of-`repeat` wall seconds for one whole storm.
-fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> (StormOutcome, f64) {
+/// Run the storm at one thread count on a fresh system.
+fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32) -> StormOutcome {
     let mut sq = Squirrel::new(
         SquirrelConfig::builder()
             .compute_nodes(STORM_NODES)
@@ -78,24 +74,9 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
     let decompressed =
         |sq: &Squirrel| counter(sq, "zpool_read_decompressed_bytes_total{pool=\"ccvol\"}");
     let (hashed_registering, read_registering) = (hashed(&sq), decompressed(&sq));
-    let mut first = None;
-
-    let mut wall = f64::INFINITY;
-    let mut report: Option<BootStormReport> = None;
-    for _ in 0..repeat.max(1) {
-        let t = std::time::Instant::now();
-        let r = sq.boot_storm(0, vms).expect("boot storm");
-        wall = wall.min(t.elapsed().as_secs_f64());
-        first.get_or_insert((
-            hashed(&sq) - hashed_registering,
-            decompressed(&sq) - read_registering,
-        ));
-        if let Some(prev) = &report {
-            assert_eq!(prev.read_checksum, r.read_checksum, "storm repeat diverged");
-        }
-        report = Some(r);
-    }
-    let report = report.expect("at least one repeat");
+    let report = sq.boot_storm(0, vms).expect("boot storm");
+    let first = hashed(&sq) - hashed_registering;
+    let read_first = decompressed(&sq) - read_registering;
 
     let snap = sq.metrics().snapshot();
     let latency = snap
@@ -103,8 +84,8 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         .cloned()
         .unwrap_or_default();
 
-    // Untimed, after the snapshot the report is built from: the storm
-    // again, and once more with one rotted record on node 0.
+    // After the snapshot the report is built from: the storm again, and
+    // once more with one rotted record on node 0.
     let before = hashed(&sq);
     let read_before = decompressed(&sq);
     let rerun = sq.boot_storm(0, vms).expect("repeat storm");
@@ -119,8 +100,7 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
     assert!(sick.degraded_vms > 0, "the rotted node must serve degraded");
     let after_rot = hashed(&sq) - before - again;
     let record = sq.config().block_size as u64;
-    let (first, read_first) = first.expect("at least one repeat");
-    let outcome = StormOutcome {
+    StormOutcome {
         warm_vms: report.warm_vms,
         cold_vms: report.cold_vms,
         blocks_per_vm: report.blocks_per_vm,
@@ -132,22 +112,13 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32, repeat: usize) -> 
         reverify_free: again == 0 && after_rot == record,
         read_decompressed_bytes: [read_first, read_again],
         decompress_once_per_record: [read_first, read_again] == [report.blocks_per_vm * record; 2],
-    };
-    (outcome, wall)
+    }
 }
 
 /// Sweep the thread counts and report the storm as a [`Record`].
-pub fn run_bootstorm(
-    cfg: &ExperimentConfig,
-    vms: u32,
-    repeat: usize,
-) -> (Sweep<StormOutcome, f64>, Record) {
-    let sweep = sweep_equal(cfg, |threads| storm_at(cfg, threads, vms, repeat));
+pub fn run_bootstorm(cfg: &ExperimentConfig, vms: u32) -> (Sweep<StormOutcome>, Record) {
+    let sweep = sweep_equal(cfg, |threads| storm_at(cfg, threads, vms));
     let o = &sweep.outcome;
-    let mb_per_sec = |storm_secs: f64| o.bytes_served as f64 / storm_secs.max(1e-9) / 1e6;
-
-    // The sweep always starts at one thread.
-    let t1_secs = sweep.runs[0].extra;
     let record = Record {
         experiment: "bootstorm",
         paper: false,
@@ -183,14 +154,6 @@ pub fn run_bootstorm(
                 }),
             },
         },
-        wall: json_obj! {
-            "runs": Json::arr(&sweep.runs, |r| json_obj! {
-                r => [threads, wall_secs],
-                "storm_secs": r.extra,
-                "mb_per_sec": mb_per_sec(r.extra),
-                "speedup_vs_t1": t1_secs / r.extra.max(1e-9),
-            }),
-        },
     };
     (sweep, record)
 }
@@ -202,8 +165,7 @@ mod tests {
     #[test]
     fn storm_sweep_is_deterministic_and_zero_copy() {
         let cfg = ExperimentConfig::smoke();
-        let (sweep, _) = run_bootstorm(&cfg, 8, 1);
-        assert_eq!(sweep.runs.len(), 3);
+        let (sweep, _) = run_bootstorm(&cfg, 8);
         assert!(sweep.deterministic);
         let o = &sweep.outcome;
         assert!(o.arc.hits > 0);

@@ -49,7 +49,7 @@ pub fn chaos_scenario(cfg: &ExperimentConfig, days: u64, nodes: u32, images: u32
 
 /// Soak `scenario` at every thread count of the sweep.
 pub fn sweep_soak(cfg: &ExperimentConfig, scenario: FleetConfig) -> Sweep<Soak> {
-    sweep_equal(cfg, |threads| (soak_fleet(&FleetConfig { threads, ..scenario }), ()))
+    sweep_equal(cfg, |threads| soak_fleet(&FleetConfig { threads, ..scenario }))
 }
 
 /// The gates every soak carries: it ended consistent and scrub-clean, and
@@ -114,6 +114,5 @@ pub fn run_chaos(cfg: &ExperimentConfig) -> Record {
         params: json_obj! {scenario => [images, scale, seed, nodes, days]},
         gates,
         deterministic: soak_block(&sweep.outcome),
-        wall: sweep.wall(),
     }
 }

@@ -173,11 +173,10 @@ pub fn run_chunking(
     let modes = [("forward", DedupMode::Forward), ("reverse", DedupMode::Reverse)];
 
     let sweep = sweep_equal(cfg, |threads| {
-        let cells = strategies
+        strategies
             .iter()
             .flat_map(|&strategy| modes.map(|mode| run_cell(strategy, mode, &chain, bs, threads)))
-            .collect::<Vec<_>>();
-        (cells, ())
+            .collect::<Vec<_>>()
     });
     let cells = &sweep.outcome;
 
@@ -224,7 +223,6 @@ pub fn run_chunking(
                 "fingerprint": format!("{:032x}", c.fingerprint),
             }),
         },
-        wall: sweep.wall(),
     };
     (sweep, record)
 }

@@ -48,7 +48,6 @@ pub struct DistPoint {
     /// Logical bytes the ccVolumes decompressed + hashed verifying those
     /// diffs — the per-registration work that must not scale with `nodes`.
     pub verified_bytes: u64,
-    pub wall_secs: f64,
 }
 
 fn point_system(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32) -> Squirrel {
@@ -67,7 +66,6 @@ fn point_system(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32) 
 
 /// Register the catalog on a fresh fleet and read the ledgers.
 pub fn run_point(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32) -> DistPoint {
-    let t = std::time::Instant::now();
     let mut sq = point_system(cfg, policy, nodes);
     let images = cfg.images.min(DIST_IMAGES);
     let mut wire = 0u64;
@@ -95,7 +93,6 @@ pub fn run_point(cfg: &ExperimentConfig, policy: DistributionPolicy, nodes: u32)
         verified_bytes: snap
             .counter("zpool_recv_verified_bytes_total{pool=\"ccvol\"}")
             .unwrap_or(0),
-        wall_secs: t.elapsed().as_secs_f64(),
     }
 }
 
@@ -128,7 +125,7 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Vec<Dis
         })
         .collect();
 
-    let replay = sweep_equal(cfg, |threads| (replay_at(cfg, node_counts[0], threads), ()));
+    let replay = sweep_equal(cfg, |threads| replay_at(cfg, node_counts[0], threads));
 
     let tx = |nodes: u32, policy: DistributionPolicy| {
         points
@@ -189,12 +186,6 @@ pub fn run_distribution(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Vec<Dis
                 "mean_register_seconds": p.mean_register_secs,
                 p => [payload_logical_bytes, verified_bytes],
             }),
-        },
-        wall: json_obj! {
-            "points": Json::arr(&points, |p| {
-                json_obj! {"policy": p.policy.name(), p => [nodes, wall_secs]}
-            }),
-            "replay": replay.wall(),
         },
     };
     (points, record)

@@ -3,25 +3,19 @@
 //! worker-thread counts.
 //!
 //! The workload is a deterministic mix of unique, duplicate, and zero
-//! blocks cut from a generated corpus image, sized well past the old
-//! micro-bench (default 512 x 64 KiB) so the pipeline's fixed costs
-//! amortize the way a real cache ingest does. Each thread count runs on a
-//! persistent [`WorkerPool`] shared across repeats — the production shape:
-//! `Squirrel` spawns its workers once and every ingest reuses them.
+//! blocks cut from a generated corpus image (default 512 x 64 KiB), so the
+//! pipeline's fixed costs amortize the way a real cache ingest does.
 //!
 //! Two batch shapes run: the whole file, and a *registration-shaped* one —
 //! six all-new records at sparse indices, what `materialize_cache` hands
-//! the scVolume when an image is registered. Wall numbers (throughput,
-//! speedup and a per-stage breakdown from the journal-quiet stage timers)
-//! live in the record's `wall` block; what the gates read is the census
-//! and the share plan `par::plan_shares` makes of each shape, which are
-//! the same on any host. Four gates:
+//! the scVolume when an image is registered. What the gates read is the
+//! census and the share plan `par::plan_shares` makes of each shape, which
+//! are the same on any host; what the import costs in wall time, stage by
+//! stage, is `benchmark/`'s `ingest` workload. Three gates:
 //!
 //! * **`deterministic_across_threads`** — pool space stats and the metric
 //!   snapshot are bit-identical at every thread count, and equal to the
 //!   `write_block` replay's, for both shapes.
-//! * **`stage_breakdown_nonzero`** — the prepare and commit timers, which
-//!   see every block, read above zero at every thread count.
 //! * **`work_is_partitioned`** — on the file, the heaviest planned share of
 //!   either parallel stage is at most 1/T of the stage's work plus one
 //!   record, T = 2 and 8: T threads pulling shares finish together.
@@ -29,49 +23,30 @@
 //!   least two compress shares: a registration reaches the second core.
 
 use crate::config::ExperimentConfig;
-use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
+use crate::record::{json_obj, sweep_equal, Json, Record};
 use squirrel_compress::Codec;
 use squirrel_dataset::{Corpus, CorpusConfig};
-use squirrel_hash::par::{cost, plan_shares, WorkerPool};
+use squirrel_hash::par::{cost, plan_shares};
 use squirrel_obs::{MetricsRegistry, MetricsSnapshot};
 use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
 
 /// Default workload shape: 512 blocks of 64 KiB (32 MiB logical).
 pub const INGEST_BLOCKS: usize = 512;
-pub const INGEST_BLOCK_SIZE: usize = 64 * 1024;
+const INGEST_BLOCK_SIZE: usize = 64 * 1024;
 /// Percent of blocks that duplicate an earlier unique / are all-zero.
-pub const DEDUP_PCT: u32 = 25;
-pub const ZERO_PCT: u32 = 12;
+const DEDUP_PCT: u32 = 25;
+const ZERO_PCT: u32 = 12;
 /// File block indices of the registration-shaped batch.
 const REGISTER_SHAPED: [u64; 6] = [3, 4, 9, 17, 18, 40];
 
-/// Wall-clock nanoseconds per pipeline stage, from the pool's
-/// journal-quiet stage timers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseNanos {
-    pub prepare_ns: u64,
-    pub probe_ns: u64,
-    pub compress_ns: u64,
-    pub commit_ns: u64,
-}
-
-/// One thread count's clocks.
-#[derive(Clone, Copy, Debug)]
-pub struct IngestClock {
-    /// Best-of-`repeat` wall seconds for one whole import.
-    pub import_secs: f64,
-    /// Stage breakdown of the best repeat.
-    pub phases: PhaseNanos,
-}
-
 /// What an import leaves behind: everything the determinism contract pins.
-pub type Fingerprint = (SpaceStats, MetricsSnapshot);
+type Fingerprint = (SpaceStats, MetricsSnapshot);
 
 /// The deterministic block mix: uniques from the corpus image, every
 /// `100/dedup_pct`-th block a repeat of an earlier unique, every
 /// `100/zero_pct`-th all zeros. Returns the blocks plus the
 /// (unique, duplicate, zero) census.
-pub fn build_workload(
+fn build_workload(
     n_blocks: usize,
     bs: usize,
     dedup_pct: u32,
@@ -114,20 +89,6 @@ pub fn build_workload(
 
 fn fingerprint(pool: &ZPool, reg: &MetricsRegistry) -> Fingerprint {
     (pool.stats(), reg.snapshot())
-}
-
-fn phase_nanos(reg: &MetricsRegistry) -> PhaseNanos {
-    let mut p = PhaseNanos::default();
-    for (name, stats) in reg.wall_times() {
-        match name.as_str() {
-            "zpool_ingest_prepare" => p.prepare_ns = stats.total_nanos,
-            "zpool_ingest_probe" => p.probe_ns = stats.total_nanos,
-            "zpool_ingest_compress" => p.compress_ns = stats.total_nanos,
-            "zpool_ingest_commit" => p.commit_ns = stats.total_nanos,
-            _ => {}
-        }
-    }
-    p
 }
 
 /// What `par::plan_shares` makes of one parallel ingest stage over `items`
@@ -177,98 +138,33 @@ fn plans_json((prepare, compress): &(StagePlan, StagePlan)) -> Json {
     }
 }
 
-/// One batch shape, measured: the `write_block` replay, then the staged
-/// import at every thread count of the sweep.
-pub struct Measured {
-    pub sweep: Sweep<Fingerprint, IngestClock>,
-    /// Every thread count left the replay's pool state and snapshot.
-    pub deterministic: bool,
-    serial_secs: f64,
-    blocks: usize,
-}
-
-impl Measured {
-    fn wall(&self) -> Json {
-        let speedup = |c: &IngestClock| self.serial_secs / c.import_secs.max(1e-12);
-        json_obj! {
-            "serial_blocks_per_sec": self.blocks as f64 / self.serial_secs,
-            "runs": Json::arr(&self.sweep.runs, |r| {
-                let (clock, phases) = (&r.extra, r.extra.phases);
-                json_obj! {
-                    r => [threads, wall_secs],
-                    clock => [import_secs],
-                    "blocks_per_sec": self.blocks as f64 / clock.import_secs,
-                    "speedup_vs_serial": speedup(clock),
-                    phases => [prepare_ns, probe_ns, compress_ns, commit_ns],
-                }
-            }),
-        }
-    }
-}
-
-fn measure(cfg: &ExperimentConfig, batch: &[(u64, Vec<u8>)], repeat: usize) -> Measured {
-    let bs = INGEST_BLOCK_SIZE;
-    let codec = Codec::Gzip(6);
-
-    // Serial baseline and determinism reference: a `write_block` replay.
-    let mut serial_secs = f64::INFINITY;
-    let mut serial_print = None;
-    for _ in 0..repeat {
+/// Whether the staged import of `batch` leaves the `write_block` replay's
+/// pool state and metric snapshot at every thread count of the sweep.
+fn matches_replay(cfg: &ExperimentConfig, batch: &[(u64, Vec<u8>)]) -> bool {
+    let config = PoolConfig::new(INGEST_BLOCK_SIZE, Codec::Gzip(6));
+    let replay = {
         let reg = MetricsRegistry::new();
-        let mut pool = ZPool::new(PoolConfig::new(bs, codec));
+        let mut pool = ZPool::new(config);
         pool.set_metrics(&reg.handle());
-        let t = std::time::Instant::now();
         pool.create_file("f");
         for (i, block) in batch {
             pool.write_block("f", *i, block);
         }
-        serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
-        serial_print.get_or_insert_with(|| fingerprint(&pool, &reg));
-    }
-    let serial_print = serial_print.expect("at least one serial repeat");
-
+        fingerprint(&pool, &reg)
+    };
     let sweep = sweep_equal(cfg, |threads| {
-        // One persistent pool per thread count, shared across repeats —
-        // workers spawn on the warm-up import and are reused after, the
-        // way a long-lived system ingests.
-        let workers = WorkerPool::new(threads);
-        let make_pool = |w: &WorkerPool| {
-            let mut pool = ZPool::new(PoolConfig::new(bs, codec).with_threads(threads));
-            pool.set_worker_pool(w.clone());
-            pool
-        };
-        let mut warm = make_pool(&workers);
-        warm.import_blocks_parallel("f", batch);
-
-        let mut clock = IngestClock { import_secs: f64::INFINITY, phases: PhaseNanos::default() };
-        let mut print = None;
-        for _ in 0..repeat {
-            let reg = MetricsRegistry::new();
-            let mut pool = make_pool(&workers);
-            pool.set_metrics(&reg.handle());
-            let t = std::time::Instant::now();
-            pool.import_blocks_parallel("f", batch);
-            let secs = t.elapsed().as_secs_f64();
-            if secs < clock.import_secs {
-                clock = IngestClock { import_secs: secs, phases: phase_nanos(&reg) };
-            }
-            print.get_or_insert_with(|| fingerprint(&pool, &reg));
-        }
-        (print.expect("at least one parallel repeat"), clock)
+        let reg = MetricsRegistry::new();
+        let mut pool = ZPool::new(config.with_threads(threads));
+        pool.set_metrics(&reg.handle());
+        pool.import_blocks_parallel("f", batch);
+        fingerprint(&pool, &reg)
     });
-    let deterministic = sweep.deterministic && sweep.outcome == serial_print;
-    Measured {
-        sweep,
-        deterministic,
-        serial_secs,
-        blocks: batch.len(),
-    }
+    sweep.deterministic && sweep.outcome == replay
 }
 
-/// Sweep thread counts against the serial baseline, on the file and on the
-/// registration-shaped batch, and report the imports as a [`Record`].
-/// Returns the file's measurement beside it.
-pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> (Measured, Record) {
+/// Sweep thread counts against the `write_block` replay, on the file and on
+/// the registration-shaped batch, and report the imports as a [`Record`].
+pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize) -> Record {
     let bs = INGEST_BLOCK_SIZE;
     let (blocks, (n_unique, n_dup, n_zero)) =
         build_workload(n_blocks, bs, DEDUP_PCT, ZERO_PCT, cfg.seed);
@@ -277,14 +173,12 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> (Me
     let register_shaped: Vec<(u64, Vec<u8>)> =
         REGISTER_SHAPED.into_iter().zip(uniques.cloned()).collect();
     let file: Vec<(u64, Vec<u8>)> = (0..).zip(blocks).collect();
-    let repeat = repeat.max(1);
 
-    let on_file = measure(cfg, &file, repeat);
-    let on_register = measure(cfg, &register_shaped, repeat);
+    let deterministic = matches_replay(cfg, &file) && matches_replay(cfg, &register_shaped);
     let file_plans = stage_plans(n_blocks, n_unique, bs);
     let register_plans = stage_plans(register_shaped.len(), register_shaped.len(), bs);
 
-    let record = Record {
+    Record {
         experiment: "ingest",
         paper: false,
         params: json_obj! {
@@ -296,20 +190,7 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> (Me
         gates: vec![
             // The parallel import leaves the same pool state and metric
             // snapshot at every thread count, and the serial replay's.
-            (
-                "deterministic_across_threads",
-                on_file.deterministic && on_register.deterministic,
-            ),
-            // The two stages that touch every block. Probe and compress can
-            // round to zero on a coarse clock or an all-dedup import.
-            (
-                "stage_breakdown_nonzero",
-                on_file
-                    .sweep
-                    .runs
-                    .iter()
-                    .all(|r| r.extra.phases.prepare_ns > 0 && r.extra.phases.commit_ns > 0),
-            ),
+            ("deterministic_across_threads", deterministic),
             (
                 "work_is_partitioned",
                 [2, 8].into_iter().all(|threads| {
@@ -328,12 +209,7 @@ pub fn run_ingest(cfg: &ExperimentConfig, n_blocks: usize, repeat: usize) -> (Me
             "file": plans_json(&file_plans),
             "register_shaped": plans_json(&register_plans),
         },
-        wall: json_obj! {
-            "file": on_file.wall(),
-            "register_shaped": on_register.wall(),
-        },
-    };
-    (on_file, record)
+    }
 }
 
 #[cfg(test)]
@@ -354,18 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn ingest_sweep_is_deterministic_with_phase_breakdown() {
-        let cfg = ExperimentConfig::smoke();
-        // Tiny workload; state/metric equality against serial at every
-        // thread count is the first gate.
-        let (on_file, record) = run_ingest(&cfg, 48, 1);
-        assert_eq!(on_file.sweep.runs.len(), 3);
+    fn ingest_sweep_matches_the_replay_at_every_thread_count() {
+        // Tiny workload; state/metric equality against the serial replay at
+        // every thread count is the first gate.
+        let record = run_ingest(&ExperimentConfig::smoke(), 48);
         assert_eq!(record.enforce(), Ok(()));
-        for r in &on_file.sweep.runs {
-            assert!(r.extra.import_secs > 0.0);
-            // The pipeline ran: every stage recorded wall time.
-            assert!(r.extra.phases.prepare_ns > 0, "threads={}", r.threads);
-            assert!(r.extra.phases.commit_ns > 0, "threads={}", r.threads);
-        }
     }
 }

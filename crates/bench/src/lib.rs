@@ -2,10 +2,10 @@
 //! evaluation (Section 4), plus the ablations DESIGN.md calls out.
 //!
 //! Each experiment is a library function returning a [`record::Record`] —
-//! the series the paper plots as its deterministic block, the shape claims
-//! the reproduction is judged by as named gates, and (benches only) a wall
-//! block — that the `squirrel-experiments` binary prints, persists under
-//! `results/` and enforces.
+//! the series the paper plots as its deterministic block and the shape
+//! claims the reproduction is judged by as named gates, never a clock —
+//! that the `squirrel-experiments` binary prints, persists under `results/`
+//! and enforces.
 //!
 //! Scaling convention: corpora run at a byte-volume divisor
 //! (`ExperimentConfig::scale`); every byte quantity is recorded both as

@@ -1,13 +1,12 @@
 //! What an experiment returns, and the one place it is written and
 //! enforced.
 //!
-//! A [`Record`] separates what the code *computes* from what the host
+//! A [`Record`] holds what the code *computes*, never what the host
 //! *clocks*: `results/BENCH_<experiment>.json` (`PAPER_<experiment>.json`
 //! for a table or figure of the paper) holds `{experiment, params, gates,
 //! deterministic}` — byte-identical on every run of the same code at any
-//! thread count, so `git diff` on it is a drift check — and the `wall` block
-//! goes, one line per run, to the append-only `results/history.jsonl` keyed
-//! by commit — a run on a tree with uncommitted changes adds no line.
+//! thread count, so `git diff` on it is a drift check. What the code costs
+//! in wall time is the `benchmark/` package's to measure.
 //!
 //! Each gate is a named boolean computed once by the experiment;
 //! [`Record::enforce`] is the only place a false one becomes a failure. A
@@ -18,7 +17,6 @@
 //! gate is that verdict.
 
 use crate::config::ExperimentConfig;
-use std::io::Write;
 use std::path::Path;
 
 pub use squirrel_obs::json::Json;
@@ -30,7 +28,7 @@ pub struct Record {
     /// Names the file: `BENCH_<experiment>.json`, or `PAPER_<experiment>.json`
     /// when `paper`.
     pub experiment: &'static str,
-    /// One of the paper's own tables and figures: it clocks nothing.
+    /// One of the paper's own tables and figures.
     pub paper: bool,
     /// The inputs: corpus knobs and workload shape.
     pub params: Json,
@@ -38,12 +36,10 @@ pub struct Record {
     pub gates: Vec<(&'static str, bool)>,
     /// Simulated and accounting results: equal on every host and run.
     pub deterministic: Json,
-    /// Host-clock measurements; never committed next to the above.
-    pub wall: Json,
 }
 
 impl Record {
-    /// A table or figure of the paper on `cfg`'s corpus: nothing clocked.
+    /// A table or figure of the paper on `cfg`'s corpus.
     pub fn paper(
         experiment: &'static str,
         cfg: &ExperimentConfig,
@@ -56,11 +52,10 @@ impl Record {
             params: json_obj! {cfg => [images, scale, seed]},
             gates,
             deterministic,
-            wall: json_obj! {},
         }
     }
 
-    /// The committed part: everything but `wall`.
+    /// The committed file's content.
     pub fn to_json(&self) -> Json {
         json_obj! {
             "experiment": self.experiment,
@@ -88,10 +83,7 @@ impl Record {
         }
     }
 
-    /// Write the committed file and, for a bench run on a committed tree,
-    /// append the `wall` block — with the host's SHA-256 backend, which never
-    /// goes in the committed file — to `history.jsonl`, both under
-    /// `cfg.out_dir` (nothing when unset).
+    /// Write the committed file under `cfg.out_dir` (nothing when unset).
     pub fn persist(&self, cfg: &ExperimentConfig) -> std::io::Result<()> {
         let Some(dir) = &cfg.out_dir else { return Ok(()) };
         std::fs::create_dir_all(dir)?;
@@ -99,52 +91,8 @@ impl Record {
         let path = Path::new(dir).join(format!("{family}_{}.json", self.experiment));
         std::fs::write(&path, self.render())?;
         println!("{} record: {}", self.experiment, path.display());
-        if self.paper {
-            return Ok(());
-        }
-        let Some(line) = self.history_line(&head_commit()) else {
-            println!(
-                "{}: history.jsonl not appended: the tree has uncommitted changes",
-                self.experiment
-            );
-            return Ok(());
-        };
-        let mut history = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(Path::new(dir).join("history.jsonl"))?;
-        writeln!(history, "{}", line.render_line())
+        Ok(())
     }
-
-    /// The `history.jsonl` line for a run at `commit`; `None` for a dirty
-    /// tree, whose clocks no commit can be held to.
-    fn history_line(&self, commit: &str) -> Option<Json> {
-        if commit.ends_with("+dirty") {
-            return None;
-        }
-        Some(json_obj! {
-            "commit": commit,
-            "experiment": self.experiment,
-            "params": self.params.clone(),
-            // Which CPU path clocked this line: lets a trend across hosts
-            // tell a code change from a machine change.
-            "sha256_backend": squirrel_hash::sha256_backend(),
-            "wall": self.wall.clone(),
-        })
-    }
-}
-
-/// `git rev-parse --short HEAD`, with `+dirty` appended when tracked files
-/// outside `results/` differ from it, or `"unknown"` outside a checkout.
-fn head_commit() -> String {
-    let git = |args: &[&str]| match std::process::Command::new("git").args(args).output() {
-        Ok(out) if out.status.success() => Some(String::from_utf8_lossy(&out.stdout).into_owned()),
-        _ => None,
-    };
-    let Some(head) = git(&["rev-parse", "--short", "HEAD"]) else { return "unknown".to_string() };
-    let dirty = git(&["status", "--porcelain", "-uno", "--", ":(top)", ":(top,exclude)results"])
-        .is_some_and(|s| !s.is_empty());
-    format!("{}{}", head.trim(), if dirty { "+dirty" } else { "" })
 }
 
 /// Thread counts to sweep: always 1/2/8, plus the `--threads` override when
@@ -157,46 +105,25 @@ fn thread_sweep(cfg: &ExperimentConfig) -> Vec<usize> {
     sweep
 }
 
-/// One thread count's clocks: the whole `at` call, plus whatever finer
-/// timing the experiment took itself.
+/// A [`sweep_equal`] result: the first thread count's outcome, and whether
+/// every other count reproduced it.
 #[derive(Clone, Debug)]
-pub struct SweepRun<W> {
-    pub threads: usize,
-    pub wall_secs: f64,
-    pub extra: W,
-}
-
-/// A [`sweep_equal`] result: the first thread count's outcome, whether every
-/// other count reproduced it, and each count's clocks.
-#[derive(Clone, Debug)]
-pub struct Sweep<T, W = ()> {
+pub struct Sweep<T> {
     pub outcome: T,
     pub deterministic: bool,
-    pub runs: Vec<SweepRun<W>>,
 }
 
-impl<T> Sweep<T> {
-    /// The `wall` block of a sweep that took no finer timing of its own.
-    pub fn wall(&self) -> Json {
-        json_obj! {"runs": Json::arr(&self.runs, |r| json_obj! {r => [threads, wall_secs]})}
-    }
-}
-
-/// Run `at(threads)` on fresh state at every thread count of the sweep,
-/// timing each, and report whether every outcome equals the first — the
-/// verdict behind a bench's `deterministic_across_threads` gate. `at`
-/// returns the outcome to compare and any wall-clock extras to keep.
-pub fn sweep_equal<T: PartialEq + std::fmt::Debug, W>(
+/// Run `at(threads)` on fresh state at every thread count of the sweep and
+/// report whether every outcome equals the first — the verdict behind a
+/// bench's `deterministic_across_threads` gate.
+pub fn sweep_equal<T: PartialEq + std::fmt::Debug>(
     cfg: &ExperimentConfig,
-    mut at: impl FnMut(usize) -> (T, W),
-) -> Sweep<T, W> {
+    mut at: impl FnMut(usize) -> T,
+) -> Sweep<T> {
     let mut reference: Option<(usize, T)> = None;
     let mut deterministic = true;
-    let mut runs = Vec::new();
     for threads in thread_sweep(cfg) {
-        let t = std::time::Instant::now();
-        let (outcome, extra) = at(threads);
-        runs.push(SweepRun { threads, wall_secs: t.elapsed().as_secs_f64(), extra });
+        let outcome = at(threads);
         match &reference {
             None => reference = Some((threads, outcome)),
             Some((first, expected)) if outcome != *expected => {
@@ -209,7 +136,7 @@ pub fn sweep_equal<T: PartialEq + std::fmt::Debug, W>(
         }
     }
     let (_, outcome) = reference.expect("the sweep is never empty");
-    Sweep { outcome, deterministic, runs }
+    Sweep { outcome, deterministic }
 }
 
 #[cfg(test)]
@@ -231,13 +158,17 @@ mod tests {
     #[test]
     fn sweep_equal_reports_divergence_instead_of_asserting() {
         let cfg = ExperimentConfig::smoke();
-        let same = sweep_equal(&cfg, |_| (7u32, ()));
+        let mut asked = Vec::new();
+        let same = sweep_equal(&cfg, |threads| {
+            asked.push(threads);
+            7u32
+        });
         assert!(same.deterministic);
-        assert_eq!((same.outcome, same.runs.len()), (7, 3));
-        let differs = sweep_equal(&cfg, |threads| (threads.min(2), threads));
+        assert_eq!(same.outcome, 7);
+        assert_eq!(asked, vec![1, 2, 8]);
+        let differs = sweep_equal(&cfg, |threads| threads.min(2));
         assert!(!differs.deterministic);
         assert_eq!(differs.outcome, 1, "the first thread count is the reference");
-        assert_eq!(differs.runs.iter().map(|r| r.extra).collect::<Vec<_>>(), vec![1, 2, 8]);
     }
 
     #[test]
@@ -248,7 +179,6 @@ mod tests {
             params: json_obj! {},
             gates: vec![("converged", true), ("scrub_clean", false)],
             deterministic: json_obj! {},
-            wall: json_obj! {},
         };
         let err = record.enforce().unwrap_err();
         assert!(err.contains("sample") && err.contains("scrub_clean"), "{err}");
@@ -257,38 +187,20 @@ mod tests {
         assert_eq!(record.enforce(), Ok(()));
     }
 
-    #[test]
-    fn history_skips_a_dirty_tree() {
-        let record = Record {
-            experiment: "sample",
-            paper: false,
-            params: json_obj! {},
-            gates: Vec::new(),
-            deterministic: json_obj! {},
-            wall: json_obj! {"runs": 1u32},
-        };
-        assert_eq!(record.history_line("7fb0dca+dirty"), None);
-        let line = record.history_line("7fb0dca").expect("clean tree records");
-        assert_eq!(line.get("commit"), Ok(&Json::from("7fb0dca")));
-        assert_eq!(line.get("wall"), Ok(&record.wall));
-    }
-
     type Experiment = fn(&ExperimentConfig) -> Record;
 
     /// Every command at smoke scale with its gate names: the eight benches
     /// (the names `ci.sh` grepped for before `squirrel-experiments ci`
-    /// replaced it; the four `"*_ns"` presence greps are the one
-    /// `stage_breakdown_nonzero`), then the sixteen paper records (the shape
-    /// claims EXPERIMENTS.md makes).
+    /// replaced it), then the sixteen paper records (the shape claims
+    /// EXPERIMENTS.md makes).
     const EXPERIMENTS: [(Experiment, &str); 24] = [
         (
-            |cfg| bootstorm::run_bootstorm(cfg, 8, 1).1,
+            |cfg| bootstorm::run_bootstorm(cfg, 8).1,
             "deterministic_across_threads reverify_free decompress_once_per_record arc_hit_rate",
         ),
         (
-            |cfg| ingest::run_ingest(cfg, 48, 1).1,
-            "deterministic_across_threads stage_breakdown_nonzero work_is_partitioned \
-             register_shaped_batch_is_split",
+            |cfg| ingest::run_ingest(cfg, 48),
+            "deterministic_across_threads work_is_partitioned register_shaped_batch_is_split",
         ),
         (
             chaosbench::run_chaos,

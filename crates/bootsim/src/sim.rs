@@ -133,9 +133,9 @@ impl BootSim {
         backend: &Backend,
         workers: &squirrel_hash::par::WorkerPool,
     ) -> Vec<BootReport> {
-        // A replay costs ≈ 20 ns per trace op: the `bootsim` microbench
-        // rows run 9 (cold, baseline), 13 (warm, 64 KiB records) and 31
-        // (warm, 16 KiB) on the reference box.
+        // A replay costs ≈ 20 ns per trace op: measured 9 (cold, baseline),
+        // 13 (warm, 64 KiB records) and 31 (warm, 16 KiB) on the reference
+        // box. `benchmark/`'s `bootsim.trace_ops_per_s` tracks it.
         let replay_cost = |t: &BootTrace| t.ops.len() as u64 * 20;
         self.queue_on_one_disk(
             workers.parallel_map(traces, replay_cost, |_i, t| self.boot(t, backend)),

@@ -1,15 +1,27 @@
 //! Distribution policies: how hoard bytes travel from the scVolume — or a
 //! warm peer — to the compute nodes.
 //!
-//! Every delivery site ([`register`](crate::Squirrel::register),
-//! [`rehoard_cache`](crate::Squirrel::rehoard_cache),
-//! [`node_rejoin`](crate::Squirrel::node_rejoin)) resolves the configured
-//! [`DistributionPolicy`] into a [`TransferPlan`] — a deterministic schedule
-//! of per-link legs and/or one group transfer — and then charges the network
-//! ledger, the fault machinery and the `squirrel_dist_*` counters through
-//! the same executor regardless of shape. Planning runs in serial
-//! orchestration code only, so one configuration yields one plan at any
-//! thread count.
+//! The delivery sites do not share one executor:
+//! - [`register`](crate::Squirrel::register) with no
+//!   [`FaultPlan`](crate::FaultPlan) armed resolves the configured
+//!   [`DistributionPolicy`] into a [`TransferPlan`] — a deterministic
+//!   schedule of per-link legs and/or one group transfer — and charges the
+//!   network ledger by that plan's shape.
+//! - `register` with a fault plan armed never plans. It serves the
+//!   receivers one by one, point to point, from the storage tier or (under
+//!   [`PeerAssisted`](DistributionPolicy::PeerAssisted)) the nearest
+//!   reachable receiver already served, drawing faults per attempt. Under
+//!   faults, `Multicast` and `Pipeline` therefore deliver as serial unicast
+//!   legs.
+//! - [`rehoard_cache`](crate::Squirrel::rehoard_cache) and
+//!   [`node_rejoin`](crate::Squirrel::node_rejoin) move bytes to one
+//!   receiver from the source `pick_source` chooses: the nearest qualifying
+//!   peer under `PeerAssisted`, the storage tier otherwise.
+//!
+//! All of them record the same `squirrel_dist_*` counters. Folding the
+//! register paths into one executor that walks the plan, faults included,
+//! is ROADMAP item 2. Planning runs in serial orchestration code only, so
+//! one configuration yields one plan at any thread count.
 
 use squirrel_cluster::NodeId;
 

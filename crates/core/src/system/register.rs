@@ -284,11 +284,11 @@ impl Squirrel {
         }
     }
 
-    /// The one fan-out executor behind [`Self::register`]: resolve the
-    /// configured policy into a [`TransferPlan`], charge the network per
-    /// shape (or run the lossy per-node path when a fault plan is armed),
-    /// apply the stream to every receiver that got a copy, and record the
-    /// `squirrel_dist_*` counters — identically for every shape.
+    /// The fan-out behind [`Self::register`]: with no fault plan armed,
+    /// [`Self::deliver_clean`] walks the policy's [`TransferPlan`]; with one
+    /// armed, [`Self::deliver_with_faults`] serves the receivers one by one
+    /// and never plans. Either way the `squirrel_dist_*` counters are
+    /// recorded from the ledgers.
     fn deliver_stream(
         &mut self,
         stream: &SendStream,

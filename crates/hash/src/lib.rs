@@ -13,7 +13,7 @@ pub mod par;
 mod sha256;
 
 pub use fast::{mix64, FnvBuildHasher, FnvHashMap, FnvHashSet, Fnv1a64};
-pub use sha256::{sha256, sha256_backend, Sha256};
+pub use sha256::{sha256, Sha256};
 
 /// Word-wise all-zero test, the fast path of ZFS-style zero-block elision.
 ///

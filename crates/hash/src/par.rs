@@ -44,10 +44,11 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// in the workspace decides whether a second thread is worth waking.
 /// Sized from the hand-off, not from item counts: on the 2-core reference
 /// box a worker that has been parked for 10 ms — one registration — takes
-/// 25–45 µs to join a job and report back (9 µs when it has just run:
-/// `cargo bench -p squirrel-bench -- pool_handoff`), so a share breaks even
-/// at ≈ 50 µs and pays well at five times that. 250 µs is one 64 KiB
-/// record to compress, four to hash, or two 16 KiB records to compress.
+/// 25–45 µs to join a job and report back (9 µs when it has just run;
+/// measured as a two-share `run` whose shares wait for each other), so a
+/// share breaks even at ≈ 50 µs and pays well at five times that. 250 µs
+/// is one 64 KiB record to compress, four to hash, or two 16 KiB records to
+/// compress.
 pub const MIN_SHARE: u64 = 250_000;
 
 /// Per-byte cost estimates of the workspace's byte-crunching stages, in

@@ -115,17 +115,6 @@ fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
     compress_blocks_scalar(state, blocks);
 }
 
-/// Which routine [`sha256`] runs on this machine: `"sha-ni"` or `"scalar"`.
-/// Recorded beside wall-clock results so a trend across hosts can tell a
-/// code change from a CPU change; digests are the same either way.
-pub fn sha256_backend() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if x86::ShaNi::detect().is_some() {
-        return "sha-ni";
-    }
-    "scalar"
-}
-
 /// Portable FIPS 180-4 block function: the only path on CPUs without SHA
 /// extensions, and the reference the SHA-NI routine is tested against.
 fn compress_blocks_scalar(state: &mut [u32; 8], blocks: &[u8]) {
@@ -316,12 +305,6 @@ mod tests {
                 assert_eq!(digest_with(routine, &data, split), want, "split at {split}");
             }
         }
-    }
-
-    #[test]
-    fn backend_names_the_routine_in_use() {
-        let want = if sha_ni_routine().is_some() { "sha-ni" } else { "scalar" };
-        assert_eq!(sha256_backend(), want);
     }
 
     const SPLIT_POINTS: [usize; 11] = [0, 1, 55, 56, 63, 64, 65, 128, 200, 299, 300];

@@ -441,6 +441,35 @@ mod tests {
         }
     }
 
+    /// `benchmark/`'s per-stage ingest rungs read these four timers by name,
+    /// and a missing one reads as zero seconds, not as an error.
+    #[test]
+    fn every_import_times_its_four_stages() {
+        use crate::config::ChunkStrategy;
+        use squirrel_hash::cdc::CdcParams;
+        let bs = 1024;
+        let blocks = test_blocks(bs, 64);
+        let cdc = ChunkStrategy::Cdc(CdcParams::with_average(2048));
+        for chunking in [ChunkStrategy::Fixed(bs), cdc] {
+            let reg = squirrel_obs::MetricsRegistry::new();
+            let config = PoolConfig::new(bs, Codec::Gzip(6)).with_chunking(chunking);
+            let mut p = ZPool::new(config.with_threads(2));
+            p.set_metrics(&reg.handle());
+            p.import_file("f", &blocks, 64 * bs as u64);
+            let times = reg.wall_times();
+            let names: Vec<&str> = times.iter().map(|(name, _)| name.as_str()).collect();
+            let stages = ["commit", "compress", "prepare", "probe"];
+            let want = stages.map(|s| format!("zpool_ingest_{s}"));
+            assert_eq!(names, want, "{chunking:?}: sorted by name");
+            for (name, stats) in &times {
+                assert_eq!(stats.count, 1, "{chunking:?} {name}");
+                if name.ends_with("prepare") || name.ends_with("compress") {
+                    assert!(stats.busy_nanos > 0, "{chunking:?} {name}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn parallel_import_reads_back_exactly() {
         let bs = 512;

@@ -58,6 +58,9 @@ cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
 cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
 
+echo "== lossy delivery: decode-once vs per-copy reference (release, 16 fault seeds) =="
+cargo test -q --release -p squirrel-core decoding_each_distinct_copy_once_matches_the_per_copy_reference > /dev/null
+
 echo "== benchmark package smoke (out-of-workspace, release) =="
 # The benchmark links the crates' public API from outside the workspace: a
 # removed or renamed item it uses must fail here, not at the next run.

@@ -11,6 +11,7 @@ use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
 use squirrel_faults::{FaultPlan, TransferFault};
 use squirrel_zfs::{RecvError, SendStream, ZPool};
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How one receiver's `recv` outcome is treated — shared by the faulty and
@@ -287,7 +288,8 @@ impl Squirrel {
     /// The fan-out behind [`Self::register`]: with no fault plan armed,
     /// [`Self::deliver_clean`] walks the policy's [`TransferPlan`]; with one
     /// armed, [`Self::deliver_with_faults`] serves the receivers one by one
-    /// and never plans. Either way the `squirrel_dist_*` counters are
+    /// and never plans. Both prove the payload once and apply it with one
+    /// `recv_verified` per receiver; the `squirrel_dist_*` counters are
     /// recorded from the ledgers.
     fn deliver_stream(
         &mut self,
@@ -421,17 +423,25 @@ impl Squirrel {
     /// stream earlier in this call donates to later receivers (nearest
     /// reachable donor; the storage tier is the fallback). Nodes whose
     /// delivery is abandoned stay lagging; the repair workflow
-    /// ([`Self::repair_replication`]) catches them up.
+    /// ([`Self::repair_replication`]) catches them up. Every copy that
+    /// arrives unflipped is the frame sent, so the first attempt to get that
+    /// far decodes and proves it for all receivers, which share its buffers.
     fn deliver_with_faults(
         &mut self,
         plan: &mut FaultPlan,
         stream: &SendStream,
         online: &[NodeId],
     ) -> DeliveryStats {
+        #[cfg(test)]
+        if tests::PER_COPY_REFERENCE.with(std::cell::Cell::get) {
+            return self.deliver_with_faults_per_copy(plan, stream, online);
+        }
         let storage_src = self.config.storage_root();
         let peer_policy = self.config.distribution == DistributionPolicy::PeerAssisted;
         let framed = stream.encode_framed();
         let wire = stream.wire_bytes();
+        let decoded = OnceCell::new();
+        let mut proof = None;
         let mut updated = 0u32;
         let mut secs = 0.0f64;
         let mut peer_hits = 0u64;
@@ -480,10 +490,128 @@ impl Squirrel {
                     }
                     self.obs.inc("squirrel_fault_net_duplicates_total");
                 }
-                // In-flight corruption: flip one bit of this node's copy.
-                // The frame checksum catches it before anything is applied.
+                // In-flight corruption: flip one bit of this node's copy. The
+                // frame's magic and digest cover every bit, so it is refused.
+                if let Some(bit) = plan.stream_corruption(framed.len()) {
+                    self.obs.inc("squirrel_fault_stream_corruptions_total");
+                    let mut bytes = framed.clone();
+                    bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+                    let rejected = SendStream::decode_framed(&bytes).is_err();
+                    debug_assert!(rejected, "a flipped frame decoded");
+                    continue;
+                }
+                let Ok(copy) = decoded.get_or_init(|| SendStream::decode_framed(&framed)) else {
+                    continue;
+                };
+                let ccvol = &mut self.nodes[node as usize].ccvol;
+                let verified = proof.get_or_insert_with(|| ccvol.verify(copy));
+                if plan.crash_mid_recv() {
+                    // Validate, then die before the apply phase: the pool is
+                    // untouched and the retry starts clean.
+                    self.obs.inc("squirrel_fault_recv_crashes_total");
+                    if let Ok(v) = verified {
+                        let _ = ccvol.recv_crashed(v);
+                    }
+                    continue;
+                }
+                // A refused proof (a rotted scVolume record) is reported by
+                // each node's own full check, position errors first.
+                let result = match verified {
+                    Ok(v) => ccvol.recv_verified(v),
+                    Err(_) => ccvol.recv(copy),
+                };
+                match classify_recv(result) {
+                    RecvDisposition::Delivered => {
+                        delivered = true;
+                        updated += 1;
+                        break;
+                    }
+                    RecvDisposition::Lagging => break,
+                    // Corrupt source payload or unresolvable pointer:
+                    // bounded retries, then give up.
+                    RecvDisposition::Retryable(_) => continue,
+                }
+            }
+            if delivered {
+                if peer_policy {
+                    if src == storage_src {
+                        peer_misses += 1;
+                    } else {
+                        peer_hits += 1;
+                    }
+                }
+                donors.insert(node);
+            } else {
+                plan.note_giveup();
+                self.obs.inc("squirrel_fault_giveups_total");
+            }
+        }
+        DeliveryStats {
+            updated,
+            lagging: online.len() as u32 - updated,
+            seconds: secs,
+            peer_hits,
+            peer_misses,
+            ..DeliveryStats::default()
+        }
+    }
+
+    /// [`Self::deliver_with_faults`] as first written — every attempt
+    /// clones, decodes and proves its own copy of the frame — kept as the
+    /// reference the decode-once executor must equal in everything but what
+    /// the proofs count.
+    #[cfg(test)]
+    fn deliver_with_faults_per_copy(
+        &mut self,
+        plan: &mut FaultPlan,
+        stream: &SendStream,
+        online: &[NodeId],
+    ) -> DeliveryStats {
+        let storage_src = self.config.storage_root();
+        let peer_policy = self.config.distribution == DistributionPolicy::PeerAssisted;
+        let framed = stream.encode_framed();
+        let wire = stream.wire_bytes();
+        let (mut updated, mut secs, mut peer_hits, mut peer_misses) = (0u32, 0.0f64, 0u64, 0u64);
+        let mut donors: BTreeSet<NodeId> = BTreeSet::new();
+        for &node in online {
+            let src = if peer_policy {
+                self.nearest_reachable(&donors, node).unwrap_or(storage_src)
+            } else {
+                storage_src
+            };
+            let mut delivered = false;
+            for attempt in 0..=plan.max_retries() {
+                if attempt > 0 {
+                    plan.note_retry();
+                    self.obs.inc("squirrel_fault_retries_total");
+                    secs += plan.backoff_secs(attempt - 1);
+                }
+                let fault = plan.transfer_fault();
+                if fault == TransferFault::Transient {
+                    self.obs.inc("squirrel_fault_net_transients_total");
+                    continue;
+                }
+                let t = match self.net.try_unicast(src, node, wire) {
+                    Ok(r) => r.seconds,
+                    Err(_) => {
+                        self.obs.inc("squirrel_fault_partitioned_total");
+                        continue;
+                    }
+                };
+                secs += t;
+                if fault == TransferFault::Drop {
+                    self.obs.inc("squirrel_fault_net_drops_total");
+                    continue;
+                }
+                if fault == TransferFault::Duplicate {
+                    if let Ok(r) = self.net.try_unicast(src, node, wire) {
+                        secs += r.seconds;
+                    }
+                    self.obs.inc("squirrel_fault_net_duplicates_total");
+                }
                 let mut bytes = framed.clone();
-                if plan.corrupt_stream(&mut bytes) {
+                if let Some(bit) = plan.stream_corruption(bytes.len()) {
+                    bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
                     self.obs.inc("squirrel_fault_stream_corruptions_total");
                 }
                 let decoded = match SendStream::decode_framed(&bytes) {
@@ -492,10 +620,8 @@ impl Squirrel {
                 };
                 let ccvol = &mut self.nodes[node as usize].ccvol;
                 if plan.crash_mid_recv() {
-                    // Validate, then die before the apply phase: the pool is
-                    // untouched and the retry starts clean.
                     self.obs.inc("squirrel_fault_recv_crashes_total");
-                    let _ = ccvol.recv_crashed(&decoded);
+                    let _ = ccvol.verify(&decoded).and_then(|v| ccvol.recv_crashed(&v));
                     continue;
                 }
                 match classify_recv(ccvol.recv(&decoded)) {
@@ -505,8 +631,6 @@ impl Squirrel {
                         break;
                     }
                     RecvDisposition::Lagging => break,
-                    // Corrupt source payload or unresolvable pointer:
-                    // bounded retries, then give up.
                     RecvDisposition::Retryable(_) => continue,
                 }
             }
@@ -595,6 +719,70 @@ impl Squirrel {
 mod tests {
     use super::super::testkit::*;
     use super::*;
+    use squirrel_faults::FaultConfig;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Send this thread's lossy deliveries through
+        /// [`Squirrel::deliver_with_faults_per_copy`].
+        pub(super) static PER_COPY_REFERENCE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Under `seed`'s chaos plan, register images 0–2 on eight nodes, rot
+    /// every scVolume record, register 3 with node 7 cut off (so it lags),
+    /// then image 0 again, whose payload is now the rotten records:
+    /// everything the registrations leave behind but the two series that
+    /// count proofs, after the plan's tally.
+    fn lossy_registrations(
+        corpus: &Arc<Corpus>,
+        seed: u64,
+        policy: DistributionPolicy,
+        per_copy: bool,
+    ) -> (FaultReport, impl PartialEq + std::fmt::Debug) {
+        PER_COPY_REFERENCE.with(|c| c.set(per_copy));
+        let mut sq = system_on(Arc::clone(corpus), 8, |c| c.distribution = policy);
+        sq.set_fault_plan(FaultPlan::new(seed, FaultConfig::chaos()));
+        let mut reports: Vec<_> = (0..3).map(|img| sq.register(img).expect("register")).collect();
+        for nth in 0..sq.scvol_stats().unique_blocks {
+            sq.corrupt_sc_block(nth);
+        }
+        sq.deregister(0).expect("deregister");
+        for other in (0..7).chain([sq.config().storage_root()]) {
+            sq.network_mut().partition(7, other);
+        }
+        reports.push(sq.register(3).expect("register"));
+        sq.network_mut().heal_all();
+        reports.push(sq.register(0).expect("register again"));
+        PER_COPY_REFERENCE.with(|c| c.set(false));
+        assert!(reports[3].nodes_lagging >= 1, "node 7 misses image 3");
+        assert_eq!(reports[4].nodes_updated, 0, "a rotten payload is refused");
+        let mut snap = sq.metrics().snapshot();
+        snap.counters.retain(|(name, _)| {
+            !name.starts_with("zpool_recv_verified_bytes_total")
+                && !name.starts_with("zpool_verify_hashed_bytes_total")
+        });
+        let net = (sq.network().storage_tx_total(), sq.network().compute_tx_total());
+        let ccvols: Vec<_> = (0..8).map(|n| sq.ccvol_stats(n)).collect();
+        let fault = sq.fault_report().expect("armed");
+        (fault, (reports, net, sq.check_replication(), ccvols, snap))
+    }
+
+    #[test]
+    fn decoding_each_distinct_copy_once_matches_the_per_copy_reference() {
+        let corpus = corpus();
+        let (mut flips, mut crashes) = (0, 0);
+        for seed in 1..=16 {
+            for policy in [DistributionPolicy::Unicast, DistributionPolicy::PeerAssisted] {
+                let once = lossy_registrations(&corpus, seed, policy, false);
+                let per_copy = lossy_registrations(&corpus, seed, policy, true);
+                assert_eq!(once, per_copy, "seed {seed}, {policy:?}");
+                flips += once.0.stream_corruptions;
+                crashes += once.0.recv_crashes;
+            }
+        }
+        // The sweep reaches the flipped-copy and crashed-recv branches.
+        assert!(flips > 0 && crashes > 0, "{flips} flips, {crashes} crashes");
+    }
 
     #[test]
     fn register_propagates_to_all_nodes() {

@@ -325,16 +325,15 @@ impl FaultPlan {
         TransferFault::Delivered
     }
 
-    /// Maybe flip one bit of an encoded stream in flight. Returns `true`
-    /// when a bit was flipped (and counted).
-    pub fn corrupt_stream(&mut self, bytes: &mut [u8]) -> bool {
-        if bytes.is_empty() || !self.rng.chance(self.config.stream_corrupt_prob) {
-            return false;
+    /// Maybe flip one bit of a `len`-byte encoded stream in flight: the
+    /// index of the bit to flip (counted), or `None`. An empty stream has
+    /// nothing to flip and draws nothing.
+    pub fn stream_corruption(&mut self, len: usize) -> Option<u64> {
+        if len == 0 || !self.rng.chance(self.config.stream_corrupt_prob) {
+            return None;
         }
-        let bit = self.rng.below(bytes.len() as u64 * 8);
-        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
         self.report.stream_corruptions += 1;
-        true
+        Some(self.rng.below(len as u64 * 8))
     }
 
     /// Does this `recv` crash mid-apply?
@@ -517,27 +516,24 @@ mod tests {
     #[test]
     fn quiet_plan_injects_nothing() {
         let mut p = FaultPlan::quiet(7);
-        let mut bytes = vec![0xaau8; 64];
         for _ in 0..100 {
             assert_eq!(p.transfer_fault(), TransferFault::Delivered);
             assert!(!p.crash_mid_recv());
-            assert!(!p.corrupt_stream(&mut bytes));
+            assert_eq!(p.stream_corruption(64), None);
             assert_eq!(p.block_corruption(4), None);
             assert_eq!(p.churn_event(4, |_| true), None);
             assert_eq!(p.partition_event(4, 4, |_| false), None);
         }
         assert_eq!(p.report(), FaultReport::default());
-        assert_eq!(bytes, vec![0xaau8; 64]);
     }
 
     #[test]
     fn chaos_plan_fires_every_class() {
         let mut p = FaultPlan::new(2014, FaultConfig::chaos());
-        let mut bytes = vec![0u8; 256];
         for _ in 0..600 {
             let _ = p.transfer_fault();
             let _ = p.crash_mid_recv();
-            let _ = p.corrupt_stream(&mut bytes);
+            let _ = p.stream_corruption(256);
             let _ = p.block_corruption(8);
             let _ = p.churn_event(8, |n| n % 3 != 0);
             let _ = p.partition_event(8, 8, |n| n % 4 == 0);
@@ -555,23 +551,19 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_stream_flips_exactly_one_bit() {
+    fn stream_corruption_picks_one_bit_of_the_stream() {
         let mut p = FaultPlan::new(
             9,
             FaultConfig { stream_corrupt_prob: 1.0, ..FaultConfig::default() },
         );
-        let clean = vec![0x5cu8; 128];
-        let mut bytes = clean.clone();
-        assert!(p.corrupt_stream(&mut bytes));
-        let flipped: u32 = clean
-            .iter()
-            .zip(&bytes)
-            .map(|(a, b)| (a ^ b).count_ones())
-            .sum();
-        assert_eq!(flipped, 1);
-        // Empty input: nothing to flip, nothing counted.
-        assert!(!p.corrupt_stream(&mut []));
-        assert_eq!(p.report().stream_corruptions, 1);
+        let bits: Vec<u64> = (0..64).map(|_| p.stream_corruption(128).expect("certain")).collect();
+        assert!(bits.iter().all(|&b| b < 128 * 8), "{bits:?}");
+        assert!(bits.iter().any(|&b| b != bits[0]), "the bit is drawn, not fixed");
+        // Empty input: nothing to flip, nothing drawn, nothing counted.
+        let next = p.clone().stream_corruption(128);
+        assert_eq!(p.stream_corruption(0), None);
+        assert_eq!(p.stream_corruption(128), next);
+        assert_eq!(p.report().stream_corruptions, 65);
     }
 
     #[test]

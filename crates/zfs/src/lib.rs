@@ -32,7 +32,7 @@
 //!   is checked against its key by one decompress + SHA-256, which the
 //!   frame remembers. The sender's DDT entry, the streams built from it and
 //!   every receiver's DDT entry share the frame, so the proof a
-//!   registration's [`SendStream::verify`] made serves every later `recv`,
+//!   registration's one [`ZPool::verify`] made serves every later `recv`,
 //!   [`ZPool::scrub`], [`ZPool::file_is_intact`] and repair on every pool.
 //!   Nothing pre-fills the memo and nothing can mutate the bytes: a rotted,
 //!   repaired or wire-decoded record is a different frame, born unproven.

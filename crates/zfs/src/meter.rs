@@ -23,9 +23,9 @@ pub(crate) struct PoolMeters {
     pub(crate) recv_streams: Counter,
     pub(crate) recv_wire_bytes: Counter,
     /// Logical payload bytes covered by a successful stream verification,
-    /// recorded once per [`SendStream::verify`](crate::SendStream::verify)
-    /// by whoever ran it — not once per pool the verified stream was
-    /// applied to.
+    /// recorded once per verification ([`ZPool::verify`](crate::ZPool::verify),
+    /// or the one inside `recv` and `apply_all_on`) by whoever ran it — not
+    /// once per pool the verified stream was applied to.
     pub(crate) recv_verified_bytes: Counter,
     pub(crate) scrub_blocks: Counter,
     /// Logical bytes of the records scrub walks covered.

@@ -93,21 +93,15 @@ fn check_verdicts(pools: &[ZPool], step: usize) -> Result<(), TestCaseError> {
                     // comes out short and must fail.
                     for bs in [BS as u32, 2 * BS as u32, BS as u32 / 2] {
                         let expected = oracle_rejects(&full, bs).map(RecvError::CorruptPayload);
-                        prop_assert_eq!(
-                            full.verify(bs, &workers).err(),
-                            expected.clone(),
-                            "verify at {}, pool {}",
-                            bs,
-                            i
-                        );
                         let mut fresh = ZPool::new(PoolConfig {
                             block_size: bs as usize,
                             ..*p.config()
                         });
+                        fresh.set_worker_pool(workers.clone());
                         prop_assert_eq!(
-                            fresh.recv_crashed(&full),
+                            fresh.verify(&full).and_then(|v| fresh.recv_crashed(&v)),
                             Err(expected.unwrap_or(RecvError::Interrupted)),
-                            "recv at {}, pool {}",
+                            "verify + crashed recv at {}, pool {}",
                             bs,
                             i
                         );

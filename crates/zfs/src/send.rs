@@ -217,19 +217,25 @@ impl SendStream {
     /// multicast). `decode` inverts it exactly.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.wire_bytes() as usize);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the [`encode`](Self::encode) image to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(STREAM_MAGIC);
         match &self.base {
             Some(b) => {
                 out.push(1);
-                put_string(&mut out, b);
+                put_string(out, b);
             }
             None => out.push(0),
         }
-        put_string(&mut out, &self.tip);
+        put_string(out, &self.tip);
 
         out.extend_from_slice(&(self.upserts.len() as u32).to_le_bytes());
         for (name, meta) in &self.upserts {
-            put_string(&mut out, name);
+            put_string(out, name);
             out.extend_from_slice(&meta.len.to_le_bytes());
             match &meta.chunks {
                 Some(chunks) => {
@@ -258,7 +264,7 @@ impl SendStream {
 
         out.extend_from_slice(&(self.deletes.len() as u32).to_le_bytes());
         for name in &self.deletes {
-            put_string(&mut out, name);
+            put_string(out, name);
         }
 
         out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
@@ -274,7 +280,6 @@ impl SendStream {
                 None => out.push(0),
             }
         }
-        out
     }
 
     /// Parse a stream produced by [`encode`](Self::encode).
@@ -360,11 +365,11 @@ impl SendStream {
     /// with [`DecodeError::BadChecksum`] instead of applying garbage. The
     /// unframed `encode` format is unchanged (it is pinned by golden tests).
     pub fn encode_framed(&self) -> Vec<u8> {
-        let inner = self.encode();
-        let mut out = Vec::with_capacity(inner.len() + FRAME_OVERHEAD);
+        let mut out = Vec::with_capacity(self.wire_bytes() as usize + FRAME_OVERHEAD);
         out.extend_from_slice(FRAME_MAGIC);
-        out.extend_from_slice(&inner);
-        out.extend_from_slice(&ContentHash::of(&inner).short().to_le_bytes());
+        self.encode_into(&mut out);
+        let digest = ContentHash::of(&out[FRAME_MAGIC.len()..]).short();
+        out.extend_from_slice(&digest.to_le_bytes());
         out
     }
 
@@ -445,21 +450,12 @@ impl SendStream {
     /// same stream — and a frame something already proved (an earlier
     /// verification, a donor's scrub) is not hashed again.
     ///
-    /// Blocks are checked in parallel; the reported offender is the first
-    /// **in payload order**, so the error is the same at any thread count.
-    pub fn verify(
-        &self,
-        block_size: u32,
-        workers: &WorkerPool,
-    ) -> Result<VerifiedStream<'_>, RecvError> {
-        self.verify_on(block_size, Some(workers), &PoolMeters::disabled())
-    }
-
-    /// [`verify`](Self::verify), on `workers` or — for a single receiver:
-    /// one stream's payload is a few blocks, and a hand-off to a second
-    /// thread per stream buys less than its wake-up jitter costs — on the
-    /// calling thread alone. `meters` are those of the pool the work is
-    /// accounted to.
+    /// Blocks are checked on `workers` or — for a single receiver: one
+    /// stream's payload is a few blocks, and a hand-off to a second thread
+    /// per stream buys less than its wake-up jitter costs — on the calling
+    /// thread alone. The reported offender is the first **in payload
+    /// order**, so the error is the same at any thread count. `meters` are
+    /// those of the pool the work is accounted to.
     fn verify_on(
         &self,
         block_size: u32,
@@ -467,12 +463,11 @@ impl SendStream {
         meters: &PoolMeters,
     ) -> Result<VerifiedStream<'_>, RecvError> {
         // Nothing is proved until `check_block` has passed over every block.
-        let mut verified = VerifiedStream {
+        let verified = VerifiedStream {
             stream: self,
             block_size,
             lsizes: self.referenced_lsizes(block_size),
             incoming: self.payload.iter().map(|b| b.key).collect(),
-            verified_bytes: 0,
         };
         let checked = {
             let timer = meters.metrics.timer("zpool_recv_verify");
@@ -494,7 +489,6 @@ impl SendStream {
             return Err(RecvError::CorruptPayload(key));
         }
         meters.recv_verified_bytes.add(checked.covered);
-        verified.verified_bytes = checked.covered;
         Ok(verified)
     }
 
@@ -551,8 +545,9 @@ impl SendStream {
 }
 
 /// A [`SendStream`] whose payload has been proved against its keys for
-/// pools of one record size. Only [`SendStream::verify`] builds one, so a
-/// stream cannot reach [`ZPool::recv_verified`] unverified.
+/// pools of one record size. Only a verification ([`ZPool::verify`], or
+/// the one inside `recv` and `apply_all_on`) builds one, so a stream cannot
+/// reach [`ZPool::recv_verified`] unverified.
 pub struct VerifiedStream<'a> {
     stream: &'a SendStream,
     /// Record size the block-pointer lsizes (and so the proof) assume.
@@ -560,7 +555,6 @@ pub struct VerifiedStream<'a> {
     lsizes: BTreeMap<BlockKey, u32>,
     /// Keys the payload carries.
     incoming: BTreeSet<BlockKey>,
-    verified_bytes: u64,
 }
 
 /// What one pass over a run of payload blocks found.
@@ -586,12 +580,6 @@ impl Checked {
 }
 
 impl VerifiedStream<'_> {
-    /// Logical payload bytes the verification covers (proved by it or, for
-    /// frames that remembered an earlier proof, before it).
-    pub fn verified_bytes(&self) -> u64 {
-        self.verified_bytes
-    }
-
     /// Logical size of payload block `key`; a block no upsert references
     /// is a whole record.
     fn lsize(&self, key: BlockKey) -> u32 {
@@ -704,11 +692,19 @@ impl ZPool {
     /// never half-applies. On success the receiver's live files match the
     /// sender's tip and a snapshot with the tip tag is created locally.
     ///
-    /// This is [`SendStream::verify`] for this pool's record size followed
-    /// by [`recv_verified`](Self::recv_verified).
+    /// This is [`verify`](Self::verify) followed by
+    /// [`recv_verified`](Self::recv_verified).
     pub fn recv(&mut self, stream: &SendStream) -> Result<(), RecvError> {
         let verified = self.verify_for_recv(stream)?;
         self.recv_verified(&verified)
+    }
+
+    /// Prove `stream`'s payload for this pool's record size, on its workers
+    /// and counted on its meters: one proof for every pool of that size the
+    /// stream is then handed to ([`recv_verified`](Self::recv_verified),
+    /// [`recv_crashed`](Self::recv_crashed)).
+    pub fn verify<'s>(&self, stream: &'s SendStream) -> Result<VerifiedStream<'s>, RecvError> {
+        stream.verify_on(self.block_size() as u32, Some(self.worker_pool()), &self.meters)
     }
 
     /// The pool-dependent half of [`recv`](Self::recv): the tip and base
@@ -725,13 +721,16 @@ impl ZPool {
         Ok(())
     }
 
-    /// Fault hook: run the same validation `recv` runs, then "crash" before
-    /// the apply phase. The pool is untouched (that is the transactional
-    /// guarantee under test) and the caller sees [`RecvError::Interrupted`]
-    /// — or the stream's own validation error if it had one.
-    pub fn recv_crashed(&mut self, stream: &SendStream) -> Result<(), RecvError> {
-        let verified = self.verify_for_recv(stream)?;
-        self.check_pointers(&verified)?;
+    /// Fault hook: run the same checks [`recv_verified`](Self::recv_verified)
+    /// runs, then "crash" before the apply phase. The pool is untouched
+    /// (that is the transactional guarantee under test) and the caller sees
+    /// [`RecvError::Interrupted`] — or the stream's own error if it had one.
+    pub fn recv_crashed(&mut self, verified: &VerifiedStream<'_>) -> Result<(), RecvError> {
+        if verified.block_size != self.block_size() as u32 {
+            return self.recv_crashed(&self.verify_for_recv(verified.stream)?);
+        }
+        self.check_position(verified.stream)?;
+        self.check_pointers(verified)?;
         Err(RecvError::Interrupted)
     }
 
@@ -1199,6 +1198,11 @@ mod tests {
         assert!(dst.check_refcounts());
     }
 
+    /// Prove `stream` for `p`, then crash `p`'s recv of it.
+    fn crash(p: &mut ZPool, stream: &SendStream) -> Result<(), RecvError> {
+        p.verify(stream).and_then(|v| p.recv_crashed(&v))
+    }
+
     #[test]
     fn crashed_recv_rolls_back_and_retry_succeeds() {
         let mut src = pool();
@@ -1207,7 +1211,7 @@ mod tests {
         let stream = src.send_between(None, "s1").expect("send");
 
         let mut dst = pool();
-        assert_eq!(dst.recv_crashed(&stream), Err(RecvError::Interrupted));
+        assert_eq!(crash(&mut dst, &stream), Err(RecvError::Interrupted));
         assert_eq!(dst.file_count(), 0, "crash rolled back");
         assert_eq!(dst.latest_snapshot(), None);
         // The retry of the very same stream applies cleanly.
@@ -1217,7 +1221,7 @@ mod tests {
         // A crash on a stream that would not validate reports the
         // validation error, not Interrupted.
         assert_eq!(
-            dst.recv_crashed(&stream),
+            crash(&mut dst, &stream),
             Err(RecvError::DuplicateTip("s1".to_string()))
         );
     }
@@ -1542,12 +1546,18 @@ mod tests {
         let late = corrupt(&mut diff, 50);
         let early = corrupt(&mut diff, 10);
         assert_ne!(early, late);
+        let registry = squirrel_obs::MetricsRegistry::new();
+        let on = |workers: &WorkerPool| {
+            let mut p = sized(BS);
+            p.set_worker_pool(workers.clone());
+            p.set_metrics(&registry.handle());
+            p
+        };
         for threads in [1, 2, 8] {
             let workers = WorkerPool::new(threads);
-            let verdict = diff.verify(BS as u32, &workers).map(|v| v.verified_bytes());
             assert_eq!(
-                verdict,
-                Err(RecvError::CorruptPayload(early)),
+                on(&workers).verify(&diff).err(),
+                Some(RecvError::CorruptPayload(early)),
                 "threads={threads}"
             );
             // 240 KiB of logical payload really is split across workers.
@@ -1559,12 +1569,13 @@ mod tests {
         }
         // A clean stream's verified bytes are its logical payload, however
         // the ranges were cut.
+        let covered = || registry.snapshot().counter("zpool_recv_verified_bytes_total");
+        assert_eq!(covered(), Some(0), "a rejected stream covers nothing");
         let (_, clean) = history();
         for threads in [1, 2, 8] {
-            let v = clean
-                .verify(BS as u32, &WorkerPool::new(threads))
-                .expect("clean");
-            assert_eq!(v.verified_bytes(), 60 * BS as u64, "threads={threads}");
+            let before = covered().expect("series");
+            assert!(on(&WorkerPool::new(threads)).verify(&clean).is_ok());
+            assert_eq!(covered(), Some(before + 60 * BS as u64), "threads={threads}");
         }
     }
 
@@ -1624,21 +1635,32 @@ mod tests {
         let mut bad = diff.clone();
         let victim = corrupt(&mut bad, 0);
         assert_eq!(
-            pools[0].recv_crashed(&bad),
+            crash(&mut pools[0], &bad),
             Err(RecvError::CorruptPayload(victim))
         );
-        assert_eq!(pools[0].recv_crashed(&diff), Err(RecvError::Interrupted));
+        assert_eq!(crash(&mut pools[0], &diff), Err(RecvError::Interrupted));
+        // One proof serves every receiver; each reports its own position
+        // and pointer errors.
+        let proof = pools[0].verify(&diff).expect("clean diff");
         assert_eq!(
-            pools[1].recv_crashed(&diff),
+            pools[1].recv_crashed(&proof),
             Err(RecvError::MissingBase("s1".to_string()))
         );
         assert_eq!(
-            pools[2].recv_crashed(&diff),
+            pools[2].recv_crashed(&proof),
             Err(RecvError::DuplicateTip("s2".to_string()))
         );
         assert!(matches!(
-            pools[3].recv_crashed(&diff),
+            pools[3].recv_crashed(&proof),
             Err(RecvError::MissingBlock(_))
+        ));
+        // A proof for another record size is not trusted: the crashed recv
+        // proves the stream again for its own, as `recv_verified` does.
+        assert_eq!(pools[4].recv_crashed(&proof), Err(RecvError::Interrupted));
+        let proof = pools[0].verify(&full).expect("clean full stream");
+        assert!(matches!(
+            sized(BS / 2).recv_crashed(&proof),
+            Err(RecvError::CorruptPayload(_))
         ));
         // Whatever it reported, a crashed recv changed nothing.
         assert_eq!(pools.iter().map(state).collect::<Vec<_>>(), before);

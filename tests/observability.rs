@@ -54,8 +54,9 @@ fn snapshots_are_bit_identical_across_thread_counts() {
 }
 
 /// Register image 0 on a fresh `nodes`-node cluster, over the lossy
-/// per-node path when a fault plan is given.
-fn register_once(nodes: u32, threads: usize, plan: Option<FaultPlan>) -> MetricsSnapshot {
+/// per-node path when a fault plan is given: the nodes updated and the
+/// metrics.
+fn register_once(nodes: u32, threads: usize, plan: Option<FaultPlan>) -> (u32, MetricsSnapshot) {
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         scale: 1024,
         ..CorpusConfig::test_corpus(8, 99)
@@ -71,53 +72,49 @@ fn register_once(nodes: u32, threads: usize, plan: Option<FaultPlan>) -> Metrics
     if let Some(plan) = plan {
         sq.set_fault_plan(plan);
     }
-    assert_eq!(sq.register(0).expect("register").nodes_updated, nodes);
-    sq.metrics().snapshot()
+    let updated = sq.register(0).expect("register").nodes_updated;
+    (updated, sq.metrics().snapshot())
 }
 
 #[test]
 fn a_registration_verifies_its_payload_once_per_distinct_copy() {
-    const VERIFIED: &str = "zpool_recv_verified_bytes_total{pool=\"ccvol\"}";
-    let verified = |snap: &MetricsSnapshot| snap.counter(VERIFIED).expect("series");
+    type Run = (u32, MetricsSnapshot);
+    let count = |run: &Run, series| run.1.counter(series).unwrap_or(0);
+    let verified = |run: &Run| count(run, "zpool_recv_verified_bytes_total{pool=\"ccvol\"}");
+    let plan = |config| Some(FaultPlan::new(7, config));
     // The first diff's payload is every block the import missed in the
     // scVolume's DDT, so what the sender compressed is what a receiver
     // must decompress and hash.
     let clean = register_once(8, 1, None);
-    let payload = clean
-        .counter("zpool_compress_in_bytes_total{pool=\"scvol\"}")
-        .expect("scvol");
+    let payload = count(&clean, "zpool_compress_in_bytes_total{pool=\"scvol\"}");
     assert!(payload > 0);
     // Clean path: eight nodes share one set of buffers, proved once.
-    assert_eq!(verified(&clean), payload);
+    assert_eq!((clean.0, verified(&clean)), (8, payload));
     assert_eq!(verified(&register_once(1, 1, None)), payload);
-    // Lossy path: every node decodes its own copy off the wire, and every
-    // copy is proved — including the ones a crashing receiver throws away.
-    assert_eq!(
-        verified(&register_once(8, 1, Some(FaultPlan::quiet(7)))),
-        8 * payload
-    );
-    let crashy = || {
-        FaultPlan::new(
-            7,
-            FaultConfig {
-                crash_recv_prob: 0.3,
-                ..FaultConfig::default()
-            },
-        )
+    // Lossy path: every copy that arrives intact is the same bytes, decoded
+    // and proved once — however many nodes take it, and however many
+    // crashing receivers throw theirs away.
+    let quiet = register_once(8, 1, Some(FaultPlan::quiet(7)));
+    assert_eq!((quiet.0, verified(&quiet)), (8, payload));
+    let crashy = || plan(FaultConfig { crash_recv_prob: 0.3, ..FaultConfig::default() });
+    let lossy = register_once(8, 1, crashy());
+    assert!(count(&lossy, "squirrel_fault_recv_crashes_total") > 0);
+    assert_eq!((lossy.0, verified(&lossy)), (8, payload));
+    // A flipped copy is refused by its frame digest before any proof.
+    let flipped = |p, max_retries| {
+        let config = FaultConfig { stream_corrupt_prob: p, max_retries, ..FaultConfig::default() };
+        register_once(8, 1, plan(config))
     };
-    let lossy = register_once(8, 1, Some(crashy()));
-    let crashes = lossy
-        .counter("squirrel_fault_recv_crashes_total")
-        .expect("crashes");
-    assert!(crashes > 0);
-    assert_eq!(verified(&lossy), (8 + crashes) * payload);
+    let some = flipped(0.3, 4);
+    assert!(count(&some, "squirrel_fault_stream_corruptions_total") > 0);
+    assert_eq!((some.0, verified(&some)), (8, payload));
+    let all = flipped(1.0, 1);
+    assert_eq!(all.0, 0);
+    assert_eq!(count(&all, "squirrel_fault_giveups_total"), 8);
+    assert_eq!(verified(&all), 0);
     for threads in [2, 8] {
         assert_eq!(register_once(8, threads, None), clean, "threads={threads}");
-        assert_eq!(
-            register_once(8, threads, Some(crashy())),
-            lossy,
-            "threads={threads}"
-        );
+        assert_eq!(register_once(8, threads, crashy()), lossy, "threads={threads}");
     }
 }
 
@@ -187,8 +184,8 @@ fn proof_reuse_trail(threads: usize) -> (Vec<(&'static str, u64)>, MetricsSnapsh
     sq.node_rejoin(3).expect("rejoin");
     assert!(covered(&sq) > before, "the catch-up stream was verified");
     step(&sq, "rejoin");
-    // Over the lossy path every node decodes its own copy off the wire,
-    // and a copy is proved by hashing it.
+    // Over the lossy path the copy off the wire is new buffers, decoded
+    // once for every receiver and proved by hashing it once.
     sq.set_fault_plan(FaultPlan::quiet(7));
     assert_eq!(sq.register(2).expect("r2").nodes_updated, 4);
     let payload2 = compressed(&sq) - payload0 - payload1;
@@ -205,7 +202,7 @@ fn proof_reuse_trail(threads: usize) -> (Vec<(&'static str, u64)>, MetricsSnapsh
             ("scrub, repair, warm boot", 0),
             ("register while one node is away", payload1),
             ("rejoin", 0),
-            ("register over the lossy path", 4 * payload2),
+            ("register over the lossy path", payload2),
         ]
     );
     (trail, sq.metrics().snapshot())
@@ -219,8 +216,9 @@ fn a_stored_record_is_hashed_once_per_buffer_not_once_per_use() {
     }
 }
 
-/// What the ccVolumes really decompressed for reads, step by step.
-fn payload_reuse_trail(threads: usize) -> (Vec<u64>, MetricsSnapshot) {
+/// What the ccVolumes really decompressed for reads, step by step, after
+/// registering over the clean path or, with `plan`, the lossy one.
+fn payload_reuse_trail(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, MetricsSnapshot) {
     const BLOCK: u64 = 16 * 1024;
     let corpus = Arc::new(Corpus::generate(CorpusConfig {
         scale: 1024,
@@ -234,7 +232,10 @@ fn payload_reuse_trail(threads: usize) -> (Vec<u64>, MetricsSnapshot) {
             .build(),
         corpus,
     );
-    sq.register(0).expect("r0");
+    if let Some(plan) = plan {
+        sq.set_fault_plan(plan);
+    }
+    assert_eq!(sq.register(0).expect("r0").nodes_updated, 4);
     let mut trail = Vec::new();
     let mut last = 0u64;
     let mut step = |sq: &Squirrel| {
@@ -268,9 +269,21 @@ fn payload_reuse_trail(threads: usize) -> (Vec<u64>, MetricsSnapshot) {
 
 #[test]
 fn a_storm_decompresses_a_record_once_not_once_per_node() {
-    let reference = payload_reuse_trail(1);
+    let reference = payload_reuse_trail(1, None);
     for threads in [2, 8] {
-        assert_eq!(payload_reuse_trail(threads), reference, "threads={threads}");
+        assert_eq!(payload_reuse_trail(threads, None), reference, "threads={threads}");
+    }
+}
+
+/// The copy a lossy registration decodes off the wire is one set of frames
+/// in every receiver's DDT, so a storm over them decompresses a record once
+/// fleet-wide, as after a clean registration.
+#[test]
+fn receivers_of_a_lossy_registration_share_frames() {
+    let reference = payload_reuse_trail(1, Some(FaultPlan::quiet(7)));
+    for threads in [2, 8] {
+        let trail = payload_reuse_trail(threads, Some(FaultPlan::quiet(7)));
+        assert_eq!(trail, reference, "threads={threads}");
     }
 }
 

@@ -52,6 +52,13 @@ for i in $(seq 20); do
     cargo test -q --release -p squirrel-hash par:: > /dev/null
 done
 
+echo "== boot storm under repetition (release, 20 runs: records resolve concurrently) =="
+for i in $(seq 20); do
+    cargo test -q --release -p squirrel-core --lib -- \
+        a_storm_digests_each_distinct_working_set_once \
+        boot_storm_serves_warm_vms_zero_copy_and_deterministically > /dev/null
+done
+
 echo "== decode fuzz smoke (release, fixed seeds) =="
 cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 

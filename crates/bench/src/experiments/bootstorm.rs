@@ -18,8 +18,11 @@
 //! record that changed. `read_decompressed_bytes` records what their reads
 //! decompressed in the first storm and the repeat; the
 //! `decompress_once_per_record` gate says each was one working set — the
-//! warm nodes share one payload per record — not one per warm node. What a
-//! storm costs in wall time is `benchmark/`'s `boot_serve` workload.
+//! warm nodes share one payload per record — not one per warm node; and
+//! `digested_bytes` what the read phase hashed in the first storm and after
+//! the rot (`digest_once_per_working_set`: one working set, the four nodes
+//! holding the same buffers, then two). What a storm costs in wall time is
+//! `benchmark/`'s `boot_serve` workload.
 
 use crate::config::ExperimentConfig;
 use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
@@ -52,6 +55,11 @@ pub struct StormOutcome {
     /// Each of the two was `blocks_per_vm` records: once per record, not
     /// once per warm node.
     pub decompress_once_per_record: bool,
+    /// Bytes the read phase hashed (`squirrel_boot_storm_digested_bytes_total`)
+    /// in the first storm and in the storm after the rot.
+    pub digested_bytes: [u64; 2],
+    /// One working set, then two: once per distinct source, not per VM.
+    pub digest_once_per_working_set: bool,
 }
 
 /// Default storm shape: 16 VMs over 4 compute nodes.
@@ -73,10 +81,12 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32) -> StormOutcome {
     let hashed = |sq: &Squirrel| counter(sq, "zpool_verify_hashed_bytes_total{pool=\"ccvol\"}");
     let decompressed =
         |sq: &Squirrel| counter(sq, "zpool_read_decompressed_bytes_total{pool=\"ccvol\"}");
+    let digested = |sq: &Squirrel| counter(sq, "squirrel_boot_storm_digested_bytes_total");
     let (hashed_registering, read_registering) = (hashed(&sq), decompressed(&sq));
     let report = sq.boot_storm(0, vms).expect("boot storm");
     let first = hashed(&sq) - hashed_registering;
     let read_first = decompressed(&sq) - read_registering;
+    let digested_first = digested(&sq);
 
     let snap = sq.metrics().snapshot();
     let latency = snap
@@ -96,10 +106,13 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32) -> StormOutcome {
     let again = hashed(&sq) - before;
     let read_again = decompressed(&sq) - read_before;
     sq.corrupt_cc_block(0, 0).expect("a record to rot");
+    let digested_before_rot = digested(&sq);
     let sick = sq.boot_storm(0, vms).expect("storm after rot");
     assert!(sick.degraded_vms > 0, "the rotted node must serve degraded");
     let after_rot = hashed(&sq) - before - again;
+    let digested_after_rot = digested(&sq) - digested_before_rot;
     let record = sq.config().block_size as u64;
+    let working_set = report.blocks_per_vm * record;
     StormOutcome {
         warm_vms: report.warm_vms,
         cold_vms: report.cold_vms,
@@ -111,7 +124,10 @@ fn storm_at(cfg: &ExperimentConfig, threads: usize, vms: u32) -> StormOutcome {
         verify_hashed_bytes: [first, again, after_rot],
         reverify_free: again == 0 && after_rot == record,
         read_decompressed_bytes: [read_first, read_again],
-        decompress_once_per_record: [read_first, read_again] == [report.blocks_per_vm * record; 2],
+        decompress_once_per_record: [read_first, read_again] == [working_set; 2],
+        digested_bytes: [digested_first, digested_after_rot],
+        digest_once_per_working_set: [digested_first, digested_after_rot]
+            == [working_set, 2 * working_set],
     }
 }
 
@@ -127,6 +143,7 @@ pub fn run_bootstorm(cfg: &ExperimentConfig, vms: u32) -> (Sweep<StormOutcome>, 
             ("deterministic_across_threads", sweep.deterministic),
             ("reverify_free", o.reverify_free),
             ("decompress_once_per_record", o.decompress_once_per_record),
+            ("digest_once_per_working_set", o.digest_once_per_working_set),
             // Warm VMs share their node's buffers: hit rate strictly positive.
             ("arc_hit_rate", o.arc.hit_rate() > 0.0),
         ],
@@ -144,6 +161,10 @@ pub fn run_bootstorm(cfg: &ExperimentConfig, vms: u32) -> (Sweep<StormOutcome>, 
             "read_decompressed_bytes": json_obj! {
                 "first": o.read_decompressed_bytes[0],
                 "again": o.read_decompressed_bytes[1],
+            },
+            "digested_bytes": json_obj! {
+                "first": o.digested_bytes[0],
+                "after_rot": o.digested_bytes[1],
             },
             "latency_ms_histogram": json_obj! {
                 "count": o.latency_ms.count,
@@ -181,5 +202,9 @@ mod tests {
         // Four warm nodes, one decompression per record per storm.
         assert!(o.decompress_once_per_record);
         assert_eq!(o.read_decompressed_bytes, [o.blocks_per_vm * record; 2]);
+        // One digest per working set: the four nodes' shared buffers, then
+        // those and the rotted node's image bytes.
+        assert!(o.digest_once_per_working_set);
+        assert_eq!(o.digested_bytes, [o.blocks_per_vm * record, 2 * o.blocks_per_vm * record]);
     }
 }

@@ -196,7 +196,8 @@ mod tests {
     const EXPERIMENTS: [(Experiment, &str); 24] = [
         (
             |cfg| bootstorm::run_bootstorm(cfg, 8).1,
-            "deterministic_across_threads reverify_free decompress_once_per_record arc_hit_rate",
+            "deterministic_across_threads reverify_free decompress_once_per_record \
+             digest_once_per_working_set arc_hit_rate",
         ),
         (
             |cfg| ingest::run_ingest(cfg, 48),

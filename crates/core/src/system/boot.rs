@@ -12,7 +12,7 @@ use squirrel_dataset::ImageId;
 use squirrel_hash::par::cost;
 use squirrel_qcow::{CorCache, VirtualDisk};
 use squirrel_zfs::{SharedPayload, ZPool};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// What a node's ccVolume can do for a boot of one image.
@@ -230,13 +230,27 @@ impl Squirrel {
         );
     }
 
+    /// The blocks every VM of a storm of `image` reads: the boot trace's
+    /// blocks at cVolume record granularity — exactly the set
+    /// registration's copy-on-read boot captured into the cache file.
+    fn working_set_blocks(&self, image: ImageId) -> Vec<u64> {
+        let bs = self.config.block_size as u64;
+        let mut blocks = BTreeSet::new();
+        for op in self.corpus.image(image).cache().boot_trace().ops.iter().filter(|op| op.len > 0) {
+            blocks.extend(op.offset / bs..=(op.offset + op.len as u64 - 1) / bs);
+        }
+        blocks.into_iter().collect()
+    }
+
     /// Serve a boot storm: `vms` instances of `image` boot at once,
-    /// round-robined over the online compute nodes. Each warm node resolves
-    /// its working set once from its hoarded ccVolume, and every VM on it
-    /// reads those shared buffers (a warm read is a refcount bump); cold
-    /// nodes pull the working set over the network first. The read phase
-    /// fans out over `config.threads` workers; read bytes, read statistics,
-    /// and metric snapshots are bit-identical at any thread count (see
+    /// round-robined over the online compute nodes; cold nodes pull the
+    /// working set over the network first. Host work follows distinct data,
+    /// not VMs: the warm nodes resolve their working sets once, on the
+    /// `config.threads` workers (a record their pools share decompresses
+    /// once), and each distinct working set — warm nodes holding the same
+    /// buffers, or the image bytes every cold VM reads — is hashed once for
+    /// all the VMs that read it. Read bytes, read statistics and metric
+    /// snapshots are bit-identical at any thread count (see
     /// [`BootStormReport::read_checksum`]).
     ///
     /// Errors: [`SquirrelError::UnknownImage`] for an unknown image;
@@ -253,7 +267,6 @@ impl Squirrel {
         if online.is_empty() {
             return Err(SquirrelError::NodeOffline(0));
         }
-        let threads = self.config.threads;
         let bs = self.config.block_size as u64;
         let name = Self::cache_file_name(image);
         let mut span = self.obs.span("boot_storm");
@@ -268,20 +281,7 @@ impl Squirrel {
             by_node.entry(node).or_default().push(vm);
         }
 
-        // The working set every VM reads: the boot trace's blocks at
-        // cVolume record granularity — exactly the set registration's
-        // copy-on-read boot captured into the cache file.
-        let trace = self.corpus.image(image).cache().boot_trace();
-        let mut block_set = BTreeSet::new();
-        for op in &trace.ops {
-            if op.len == 0 {
-                continue;
-            }
-            let first = op.offset / bs;
-            let last = (op.offset + op.len as u64 - 1) / bs;
-            block_set.extend(first..=last);
-        }
-        let blocks: Vec<u64> = block_set.into_iter().collect();
+        let blocks = self.working_set_blocks(image);
 
         // Classify each participating node once.
         let states: BTreeMap<usize, CacheState> =
@@ -303,67 +303,85 @@ impl Squirrel {
         }
         let warm_vms = vms - cold_vms;
 
-        // Each warm node resolves its working set once: one hole-aware read
-        // per block, a hole served as the pool's zero block. Nodes holding
-        // the same frames share one buffer per record (`Frame::payload`)
-        // while these are held. Over a node's v VMs the reads an ARC would
-        // count are arithmetic: a miss per distinct data buffer, a hit for
-        // every other read of a data block.
-        let mut working_sets: BTreeMap<usize, Vec<SharedPayload>> = BTreeMap::new();
+        // The warm nodes resolve their working sets on the workers: one
+        // hole-aware read per (node, block). Nodes holding the same frames
+        // get one buffer per record while these are held, and
+        // `Frame::payload`'s lock decompresses it once at any thread count.
+        let warm_nodes: Vec<usize> =
+            by_node.keys().copied().filter(|node| states[node] == CacheState::Warm).collect();
+        let reads: Vec<(usize, u64)> =
+            warm_nodes.iter().flat_map(|&node| blocks.iter().map(move |&b| (node, b))).collect();
+        let nodes = &self.nodes;
+        let resolved = self.workers.parallel_map(&reads, |_| bs * cost::INFLATE, |_, &(node, b)| {
+            nodes[node].ccvol.read_block_or_hole(&name, b)
+        });
+
+        // Serially, in node order: a hole is `None` (it is always the
+        // all-zero record). Over a node's v VMs the reads an ARC would count
+        // are arithmetic: a miss per distinct data buffer, a hit for every
+        // other read of a data block.
+        let mut working_sets: BTreeMap<usize, Vec<Option<SharedPayload>>> = BTreeMap::new();
         let mut arc = ArcStats::default();
-        for (&node, vm_ids) in &by_node {
-            if states[&node] != CacheState::Warm {
-                continue;
-            }
-            let ccvol = &self.nodes[node].ccvol;
-            let mut buffers = HashSet::new();
-            let mut data_blocks = 0u64;
-            let mut ws = Vec::with_capacity(blocks.len());
-            for &b in &blocks {
-                let block = ccvol
-                    .read_block_or_hole(&name, b)
-                    .ok_or(SquirrelError::MissingCache { node: node as NodeId, image })?;
-                if let Some(data) = &block {
-                    data_blocks += 1;
-                    buffers.insert(Arc::as_ptr(data).cast::<u8>());
-                }
-                ws.push(block.unwrap_or_else(|| ccvol.zero_block_shared()));
-            }
+        let mut resolved = resolved.into_iter();
+        for node in warm_nodes {
+            let ws: Vec<Option<SharedPayload>> = resolved
+                .by_ref()
+                .take(blocks.len())
+                .collect::<Option<_>>()
+                .ok_or(SquirrelError::MissingCache { node: node as NodeId, image })?;
+            let data_blocks = ws.iter().flatten().count() as u64;
+            let buffers: HashSet<*const [u8]> = ws.iter().flatten().map(Arc::as_ptr).collect();
             arc.misses += buffers.len() as u64;
-            arc.hits += vm_ids.len() as u64 * data_blocks - buffers.len() as u64;
+            arc.hits += by_node[&node].len() as u64 * data_blocks - buffers.len() as u64;
             working_sets.insert(node, ws);
         }
 
-        // Concurrent read phase: every VM hashes its whole working set —
-        // a warm VM its node's shared buffers, a cold VM the image bytes
-        // the network just delivered. Results come back in VM order, so
-        // the checksum is schedule-independent.
-        let corpus = &self.corpus;
-        let read_cost = |_: &usize| blocks.len() as u64 * bs * cost::HASH;
-        let per_vm: Vec<(u64, String)> =
-            self.workers.parallel_map(&assignments, read_cost, |_i, &node| {
-                let mut digest = squirrel_hash::Sha256::new();
-                let mut served = 0u64;
-                if let Some(ws) = working_sets.get(&node) {
-                    for data in ws {
-                        digest.update(data);
-                        served += data.len() as u64;
-                    }
-                } else {
-                    let handle = corpus.image(image);
-                    let mut buf = vec![0u8; bs as usize];
-                    for &b in &blocks {
-                        handle.read_at(b * bs, &mut buf);
-                        digest.update(&buf);
-                        served += bs;
-                    }
-                }
-                (served, squirrel_hash::ContentHash(digest.finalize()).to_hex())
+        // One digest per distinct working set: warm nodes holding the same
+        // buffers share a key (held immutable buffers at one address are one
+        // set of bytes), and every cold VM reads the same image bytes (`None`).
+        let mut keys = HashMap::new();
+        let mut sources = Vec::new();
+        let mut source_of = BTreeMap::new();
+        for &node in by_node.keys() {
+            let ws = working_sets.get(&node).map(Vec::as_slice);
+            let key: Option<Vec<_>> =
+                ws.map(|ws| ws.iter().map(|d| d.as_ref().map(Arc::as_ptr)).collect());
+            let source = *keys.entry(key).or_insert_with(|| {
+                sources.push(ws);
+                sources.len() - 1
             });
+            source_of.insert(node, source);
+        }
+        let corpus = &self.corpus;
+        let zeros = vec![0u8; bs as usize];
+        let ws_bytes = blocks.len() as u64 * bs;
+        let digest_cost = |_: &_| ws_bytes * cost::HASH;
+        let digests: Vec<(u64, String)> = self.workers.parallel_map(&sources, digest_cost, |_, ws| {
+            let handle = corpus.image(image);
+            let mut buf = vec![0u8; bs as usize];
+            let mut digest = squirrel_hash::Sha256::new();
+            let mut served = 0u64;
+            for (i, &b) in blocks.iter().enumerate() {
+                let data: &[u8] = match ws {
+                    Some(ws) => ws[i].as_deref().unwrap_or(&zeros),
+                    None => {
+                        handle.read_at(b * bs, &mut buf);
+                        &buf
+                    }
+                };
+                digest.update(data);
+                served += data.len() as u64;
+            }
+            (served, squirrel_hash::ContentHash(digest.finalize()).to_hex())
+        });
 
-        let bytes_served: u64 = per_vm.iter().map(|(n, _)| n).sum();
-        let mut concat = String::new();
-        for (_, hex) in &per_vm {
+        // Every VM gets its source's digest in VM order, so the checksum is
+        // schedule-independent.
+        let digested_bytes: u64 = digests.iter().map(|(n, _)| n).sum();
+        let (mut bytes_served, mut concat) = (0u64, String::new());
+        for node in &assignments {
+            let (served, hex) = &digests[source_of[node]];
+            bytes_served += served;
             concat.push_str(hex);
         }
         let read_checksum = squirrel_hash::ContentHash::of(concat.as_bytes()).to_hex();
@@ -399,6 +417,7 @@ impl Squirrel {
         }
         self.obs.add("squirrel_boot_storm_boots_total", u64::from(vms));
         self.obs.add("squirrel_boot_storm_bytes_total", bytes_served);
+        self.obs.add("squirrel_boot_storm_digested_bytes_total", digested_bytes);
         self.obs.add("squirrel_boot_storm_copies_avoided_total", arc.hits);
         self.obs.add("squirrel_boot_storm_net_bytes_total", net_bytes);
         if degraded_vms > 0 {
@@ -412,7 +431,6 @@ impl Squirrel {
         Ok(BootStormReport {
             image,
             vms,
-            threads,
             warm_vms,
             cold_vms,
             degraded_vms,
@@ -526,6 +544,34 @@ mod tests {
         BootSim::new().boot_concurrent_on(&vec![trace; vms], &backend, &WorkerPool::new(1))
     }
 
+    /// What a storm of `vms` VMs of `image` must read right now, VM by VM
+    /// and sharing nothing: a warm VM its node's working set through the
+    /// `ZPool::read_block` oracle, a cold VM the image's bytes. Returns
+    /// `(read_checksum, bytes_served)`.
+    fn storm_reads(sq: &Squirrel, image: ImageId, vms: u32) -> (String, u64) {
+        let online: Vec<&ComputeNode> = sq.nodes.iter().filter(|n| n.online).collect();
+        let (bs, name) = (sq.config.block_size as u64, Squirrel::cache_file_name(image));
+        let (mut concat, mut served) = (String::new(), 0);
+        for vm in 0..vms as usize {
+            let node = online[vm % online.len()];
+            let warm = node.cache_state(image) == CacheState::Warm;
+            let mut digest = squirrel_hash::Sha256::new();
+            for b in sq.working_set_blocks(image) {
+                let data = if warm {
+                    node.ccvol.read_block(&name, b).expect("a warm node holds the cache")
+                } else {
+                    let mut buf = vec![0u8; bs as usize];
+                    sq.corpus.image(image).read_at(b * bs, &mut buf);
+                    buf
+                };
+                digest.update(&data);
+                served += data.len() as u64;
+            }
+            concat.push_str(&squirrel_hash::ContentHash(digest.finalize()).to_hex());
+        }
+        (squirrel_hash::ContentHash::of(concat.as_bytes()).to_hex(), served)
+    }
+
     #[derive(Debug, Clone)]
     enum Op {
         Register(ImageId),
@@ -560,7 +606,8 @@ mod tests {
 
         /// Whatever happened to the pools in between, every boot and every
         /// storm VM reports exactly what an un-memoised, per-VM replay on
-        /// the backend of that moment reports.
+        /// the backend of that moment reports, and every storm reads what
+        /// per-VM reads of that moment read.
         #[test]
         fn memoised_boots_match_fresh_replays(ops in proptest::collection::vec(op(), 1..24)) {
             let mut sq = small_system(NODES);
@@ -602,11 +649,15 @@ mod tests {
                                 expected[vm] = r.total_seconds.to_bits();
                             }
                         }
+                        let reads = (!online.is_empty()).then(|| storm_reads(&sq, i, vms));
                         match sq.boot_storm(i, vms) {
-                            Ok(storm) => prop_assert_eq!(
-                                storm.boot_seconds.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-                                expected
-                            ),
+                            Ok(storm) => {
+                                let bits: Vec<u64> =
+                                    storm.boot_seconds.iter().map(|s| s.to_bits()).collect();
+                                prop_assert_eq!(bits, expected);
+                                let read = (storm.read_checksum, storm.bytes_served);
+                                prop_assert_eq!(Some(read), reads);
+                            }
                             Err(SquirrelError::NodeOffline(_)) => prop_assert!(online.is_empty()),
                             Err(e) => return Err(TestCaseError::fail(format!("storm: {e}"))),
                         }
@@ -741,6 +792,62 @@ mod tests {
         let reference = run(1);
         for threads in [2, 8] {
             assert_eq!(run(threads), reference, "threads={threads}");
+        }
+    }
+
+    /// Three kinds of source on four nodes: nodes 0 and 1 hold the
+    /// registered records, node 2 was evicted (cold), and node 3 holds other
+    /// intact bytes under the cache's name (warm, but not the same working
+    /// set). A working-set block is a hole on every warm node. Each distinct
+    /// working set is hashed once — fixed records: 0 and 1 share their
+    /// frames, so three; CDC blocks are assembled per node, so one per warm
+    /// node plus the cold one — and every VM reads what the per-VM
+    /// reference reads.
+    #[test]
+    fn a_storm_digests_each_distinct_working_set_once() {
+        use squirrel_zfs::CdcParams;
+        let bs = 16 * 1024;
+        for (chunking, working_sets) in [
+            (ChunkStrategy::Fixed(bs), 3),
+            (ChunkStrategy::Cdc(CdcParams::with_average(4 * 1024)), 4),
+        ] {
+            for threads in [1, 2, 8] {
+                let mut sq = system_with(4, |c| {
+                    c.chunking = chunking;
+                    c.threads = threads;
+                });
+                sq.register(0).expect("register");
+                assert!(sq.evict_cache(2, 0).expect("evict").was_cached);
+                let (name, blocks) = (Squirrel::cache_file_name(0), sq.working_set_blocks(0));
+                let hole = vec![0u8; bs];
+                if chunking == ChunkStrategy::Fixed(bs) {
+                    for node in [0, 1] {
+                        sq.nodes[node].ccvol.write_block(&name, blocks[0], &hole);
+                    }
+                }
+                let other: Vec<(u64, Vec<u8>)> = blocks
+                    .iter()
+                    .map(|&b| {
+                        let mut data = sq.nodes[3].ccvol.read_block(&name, b).expect("cached");
+                        data.iter_mut().for_each(|x| *x ^= 0x5a);
+                        (b, if b == blocks[0] { hole.clone() } else { data })
+                    })
+                    .collect();
+                sq.nodes[3].ccvol.import_blocks_parallel(&name, &other);
+                let states: Vec<CacheState> = sq.nodes.iter().map(|n| n.cache_state(0)).collect();
+                use CacheState::{Degraded, Warm};
+                assert_eq!(states, [Warm, Warm, Degraded, Warm], "{chunking:?}");
+
+                let reads = storm_reads(&sq, 0, 8);
+                let storm = sq.boot_storm(0, 8).expect("storm");
+                assert_eq!((storm.warm_vms, storm.cold_vms), (6, 2));
+                let read = (storm.read_checksum, storm.bytes_served);
+                assert_eq!(read, reads, "{chunking:?} threads={threads}");
+                let digested =
+                    sq.metrics().snapshot().counter("squirrel_boot_storm_digested_bytes_total");
+                let per_set = storm.blocks_per_vm * bs as u64;
+                assert_eq!(digested, Some(working_sets * per_set), "{chunking:?} {threads}");
+            }
         }
     }
 

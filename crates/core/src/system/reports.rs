@@ -241,14 +241,13 @@ impl ArcStats {
 
 /// Outcome of [`Squirrel::boot_storm`]: M VMs replay one image's boot
 /// working set concurrently, served zero-copy from the nodes' hoarded
-/// ccVolumes, each warm node's working set resolved once.
+/// ccVolumes, each warm node's working set resolved once and each distinct
+/// working set hashed once.
 #[derive(Clone, Debug)]
 #[must_use]
 pub struct BootStormReport {
     pub image: ImageId,
     pub vms: u32,
-    /// Worker threads the concurrent read phase used (`0` = all cores).
-    pub threads: usize,
     /// VMs served from a warm (hoarded) ccVolume.
     pub warm_vms: u32,
     /// VMs that pulled the working set over the network instead.
@@ -267,8 +266,9 @@ pub struct BootStormReport {
     /// Read statistics summed over the warm nodes. Every hit is a
     /// decompression (and copy) avoided.
     pub arc: ArcStats,
-    /// Content hash over every VM's read bytes, in VM order — the
-    /// determinism witness: bit-identical at any thread count.
+    /// Content hash over every VM's read-bytes digest, in VM order — the
+    /// determinism witness: bit-identical at any thread count. VMs reading
+    /// one working set share its one digest.
     pub read_checksum: String,
 }
 

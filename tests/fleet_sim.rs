@@ -97,16 +97,18 @@ fn fleet_soak_is_bit_identical_at_any_thread_count() {
     // The snapshot hash skips counters that never fired, so it pins what
     // the run did, not the inventory of series. The series added since the
     // pin was recorded are left out of the hash and checked on their own.
-    const ADDED: [&str; 6] = [
+    const ADDED: [&str; 7] = [
         "zpool_recv_verified_bytes_total{pool=\"ccvol\"}",
         "zpool_verify_hashed_bytes_total{pool=\"ccvol\"}",
         "squirrel_boot_sim_replays_total",
+        // The one storm is all cold: one working set, hashed once.
+        "squirrel_boot_storm_digested_bytes_total",
         "zpool_verify_hashed_bytes_total{pool=\"scvol\"}",
         // Zero here: this scenario's one storm finds every cache evicted.
         "zpool_read_decompressed_bytes_total{pool=\"ccvol\"}",
         "zpool_read_decompressed_bytes_total{pool=\"scvol\"}",
     ];
-    for series in &ADDED[..3] {
+    for series in &ADDED[..4] {
         assert!(
             ref_snap.counter(series).is_some_and(|bytes| bytes > 0),
             "{series}"

@@ -23,6 +23,13 @@
 //! every seek is the actual head move between allocator-assigned extents,
 //! which is how forward- vs reverse-dedup placement is priced.
 //!
+//! Both entry points drive one cluster loop (page cache by cluster, disk
+//! head, total). A plain file is one device read per cluster; a cVolume
+//! runs one per-record routine — DDT lookup, ARC check, fetch, decompress,
+//! admit — over one of two record sources: *statistical* (fixed records
+//! placed by coin flips, for [`Backend::DedupVolume`]) or *measured* (the
+//! pool's layout). The two differ only in where records sit.
+//!
 //! Mechanisms reproduced (paper Section 4.2.3): QCOW2's 64 KiB cluster
 //! over-fetch acting as free prefetch; dedup-induced scattering punishing
 //! small records; whole-record decompression punishing records larger than

@@ -169,114 +169,30 @@ impl BootSim {
     /// Per-boot state is dense: one bit per cluster (and per record) up to
     /// the highest offset the trace reads.
     pub fn boot(&self, trace: &BootTrace, backend: &Backend) -> BootReport {
-        let mut report = BootReport::default();
-        // Page cache over the *logical* cache address space, by cluster:
-        // QCOW2 cluster over-fetch makes later reads of the same cluster free.
-        let mut page_cache = BitSet::default();
-        let mut head = 0u64; // disk head position (local disk)
-        let mut zstate = None;
-
-        for op in &trace.ops {
-            for cluster in clusters(op) {
-                if page_cache.insert(cluster as usize) {
-                    let coff = cluster * QCOW2_CLUSTER;
-                    self.read_cluster(backend, coff, &mut head, &mut zstate, &mut report);
-                }
+        let (image_bytes, net_mbps) = match *backend {
+            Backend::WarmCacheXfs => (None, None),
+            Backend::BaseImageXfs { image_bytes } => (Some(image_bytes), None),
+            Backend::ColdCache { net_mbps, image_bytes } => (Some(image_bytes), Some(net_mbps)),
+            Backend::DedupVolume(ref p) => {
+                let (ddt, cap) = (p.ddt_entries, p.decompressed_cache_records);
+                return self.replay_records(trace, ddt, cap, StatisticalRecords::new(p));
             }
-        }
-
-        report.total_seconds = self.cpu.os_boot_seconds + report.io_seconds;
-        report
-    }
-
-    fn read_cluster(
-        &self,
-        backend: &Backend,
-        coff: u64,
-        head: &mut u64,
-        zstate: &mut Option<DedupState>,
-        report: &mut BootReport,
-    ) {
-        match backend {
-            Backend::WarmCacheXfs => {
-                // Compact file: physical offset == logical offset.
-                report.io_seconds += self.disk.read_seconds(*head, coff, QCOW2_CLUSTER);
-                *head = coff + QCOW2_CLUSTER;
-                report.disk_reads += 1;
-                report.disk_bytes += QCOW2_CLUSTER;
-            }
-            Backend::BaseImageXfs { image_bytes } => {
-                let phys = spread_offset(coff, *image_bytes);
-                report.io_seconds += self.disk.read_seconds(*head, phys, QCOW2_CLUSTER);
-                *head = phys + QCOW2_CLUSTER;
-                report.disk_reads += 1;
-                report.disk_bytes += QCOW2_CLUSTER;
-            }
-            Backend::ColdCache { net_mbps, image_bytes } => {
-                // Storage-node disk read (its own head; approximate with the
-                // same model), plus network transfer, plus local write-back
-                // (sequential, overlapped with the next fetch: half cost).
-                let phys = spread_offset(coff, *image_bytes);
-                report.io_seconds += self.disk.read_seconds(*head, phys, QCOW2_CLUSTER);
-                *head = phys + QCOW2_CLUSTER;
+        };
+        self.replay(trace, |coff, head, report| {
+            // A compact file reads at its logical offset; a full image
+            // scatters the working set across itself.
+            let phys = image_bytes.map_or(coff, |b| spread_offset(coff, b));
+            self.device_read(head, phys, QCOW2_CLUSTER, report);
+            if let Some(net_mbps) = net_mbps {
+                // Cold cache: the read above is the storage node's (its own
+                // head; approximated with the same model), plus network
+                // transfer, plus local write-back (sequential, overlapped with
+                // the next fetch: half cost).
                 report.io_seconds += QCOW2_CLUSTER as f64 / (net_mbps * 1e6);
                 report.io_seconds += 0.5 * QCOW2_CLUSTER as f64 / (self.disk.seq_mbps * 1e6);
-                report.disk_reads += 1;
-                report.disk_bytes += QCOW2_CLUSTER;
                 report.net_bytes += QCOW2_CLUSTER;
             }
-            Backend::DedupVolume(p) => {
-                let z = zstate.get_or_insert_with(|| DedupState::new(&self.cpu, p));
-                let first = coff / p.record_size;
-                let last = (coff + QCOW2_CLUSTER - 1) / p.record_size;
-                for rec in first..=last {
-                    self.read_record(p, rec, head, z, report);
-                }
-            }
-        }
-    }
-
-    fn read_record(
-        &self,
-        p: &DedupVolumeParams,
-        rec: u64,
-        head: &mut u64,
-        z: &mut DedupState,
-        report: &mut BootReport,
-    ) {
-        report.ddt_lookups += 1;
-        report.io_seconds += z.ddt_lookup_seconds;
-
-        if z.arc.contains(rec as usize) {
-            return; // decompressed and resident: free
-        }
-
-        let psize = z.psize;
-        if !z.raw_resident.contains(rec * p.record_size, 1) {
-            // Needs the device (or ARC). Shared records live wherever their
-            // first writer put them; hot shared records are ARC-resident.
-            let shared = coin(rec, 0x5a5a) < p.shared_fraction;
-            let hot = coin(rec, 0xa0a0) < p.hot_fraction;
-            if !(shared && hot) {
-                let phys = if shared {
-                    // Scattered: anywhere in the pool.
-                    mix(rec, 0x11) % p.pool_physical_bytes.max(1)
-                } else {
-                    // Written at registration in one run: compact region.
-                    rec * psize
-                };
-                report.io_seconds += self.disk.read_seconds(*head, phys, psize);
-                *head = phys + psize;
-                report.disk_reads += 1;
-                report.disk_bytes += psize;
-            }
-            z.raw_resident.insert(rec * p.record_size, p.record_size);
-        }
-
-        // Decompress the whole record to serve any part of it.
-        report.io_seconds += z.decompress_seconds;
-        report.decompressed_bytes += p.record_size;
-        z.arc.admit(rec as usize, p.record_size);
+        })
     }
 
     /// Replay `trace` against a cVolume whose physical layout was *measured*
@@ -287,53 +203,70 @@ impl BootSim {
     /// shorter seeks. Clusters with no overlapping record are holes and cost
     /// nothing.
     pub fn boot_measured(&self, trace: &BootTrace, p: &MeasuredVolumeParams) -> BootReport {
+        let records = MeasuredRecords { p, raw_resident: BitSet::default() };
+        self.replay_records(trace, p.ddt_entries, p.decompressed_cache_records, records)
+    }
+
+    /// The one cluster loop: the page cache over the *logical* address
+    /// space, by cluster (QCOW2 cluster over-fetch makes later reads of the
+    /// same cluster free), hands each first touch to `read_cluster` with the
+    /// disk head and the report.
+    fn replay(
+        &self,
+        trace: &BootTrace,
+        mut read_cluster: impl FnMut(u64, &mut u64, &mut BootReport),
+    ) -> BootReport {
         let mut report = BootReport::default();
         let mut page_cache = BitSet::default();
         let mut head = 0u64;
-        // Raw (compressed) records resident in the page cache, by index into
-        // the layout — records are variable-sized, so a byte-granular
-        // PageCache over physical space would alias neighbours.
-        let mut raw_resident = BitSet::default();
-        let mut arc = DecompressedArc::new(p.decompressed_cache_records);
-        let ddt_lookup_seconds = self.cpu.ddt_lookup_seconds(p.ddt_entries);
-
         for op in &trace.ops {
             for cluster in clusters(op) {
-                if !page_cache.insert(cluster as usize) {
-                    continue;
-                }
-                let coff = cluster * QCOW2_CLUSTER;
-                let cend = coff + QCOW2_CLUSTER;
-                // Records overlapping [coff, cend); layout is sorted by
-                // logical offset and records never overlap each other.
-                let mut i = p
-                    .layout
-                    .partition_point(|r| r.logical_off + r.llen as u64 <= coff);
-                while i < p.layout.len() && p.layout[i].logical_off < cend {
-                    let rec = &p.layout[i];
-                    report.ddt_lookups += 1;
-                    report.io_seconds += ddt_lookup_seconds;
-                    if !arc.contains(i) {
-                        if raw_resident.insert(i) {
-                            report.io_seconds +=
-                                self.disk.read_seconds(head, rec.phys, rec.psize as u64);
-                            head = rec.phys + rec.psize as u64;
-                            report.disk_reads += 1;
-                            report.disk_bytes += rec.psize as u64;
-                        }
-                        // Decompress the whole record to serve any part of it.
-                        report.io_seconds +=
-                            rec.llen as f64 * p.decompress_ns_per_byte / 1e9;
-                        report.decompressed_bytes += rec.llen as u64;
-                        arc.admit(i, rec.llen as u64);
-                    }
-                    i += 1;
+                if page_cache.insert(cluster as usize) {
+                    read_cluster(cluster * QCOW2_CLUSTER, &mut head, &mut report);
                 }
             }
         }
-
         report.total_seconds = self.cpu.os_boot_seconds + report.io_seconds;
         report
+    }
+
+    /// A cVolume cluster read: every record the cluster overlaps pays a DDT
+    /// lookup, and unless the ARC holds it decompressed, a device read the
+    /// first time its raw bytes are needed and a whole-record decompression.
+    fn replay_records(
+        &self,
+        trace: &BootTrace,
+        ddt_entries: u64,
+        arc_records: usize,
+        mut records: impl RecordSource,
+    ) -> BootReport {
+        let ddt_lookup_seconds = self.cpu.ddt_lookup_seconds(ddt_entries);
+        let mut arc = DecompressedArc::new(arc_records);
+        self.replay(trace, |coff, head, report| {
+            for rec in records.overlapping(coff) {
+                report.ddt_lookups += 1;
+                report.io_seconds += ddt_lookup_seconds;
+                if arc.contains(rec) {
+                    continue; // decompressed and resident: free
+                }
+                if let Some((phys, psize)) = records.fetch(rec) {
+                    self.device_read(head, phys, psize, report);
+                }
+                // Decompress the whole record to serve any part of it.
+                let (seconds, llen) = records.decompress(rec);
+                report.io_seconds += seconds;
+                report.decompressed_bytes += llen;
+                arc.admit(rec, llen);
+            }
+        })
+    }
+
+    /// One device read of `len` bytes at `phys`, from the head's position.
+    fn device_read(&self, head: &mut u64, phys: u64, len: u64, report: &mut BootReport) {
+        report.io_seconds += self.disk.read_seconds(*head, phys, len);
+        *head = phys + len;
+        report.disk_reads += 1;
+        report.disk_bytes += len;
     }
 }
 
@@ -403,29 +336,96 @@ impl DecompressedArc {
     }
 }
 
-/// Mutable per-boot dedup-backend state, and `read_record`'s per-boot
-/// constants. Each constant must stay the exact expression the reference
+/// Where a cVolume's records sit, by record index: the one thing the
+/// statistical and the measured volume disagree on.
+trait RecordSource {
+    /// The records overlapping the cluster at logical offset `coff`.
+    fn overlapping(&self, coff: u64) -> std::ops::Range<usize>;
+    /// Record `rec`'s raw bytes are needed: mark them page-cache resident
+    /// and return the `(phys, psize)` extent the device must read, if any.
+    fn fetch(&mut self, rec: usize) -> Option<(u64, u64)>;
+    /// Seconds to decompress `rec`, and its logical bytes.
+    fn decompress(&self, rec: usize) -> (f64, u64);
+}
+
+/// [`DedupVolumeParams`]' records: fixed-size, shared and hot by coin flip.
+/// The per-boot constants must stay the exact expressions the reference
 /// replay (`sim/reference.rs`) evaluates per record, so that every addition
 /// to `io_seconds` is the same `f64`: `replay_matches_the_hashset_reference`
 /// compares by `to_bits`, and `* 1e-9` in place of `/ 1e9` already fails it.
-struct DedupState {
-    /// Raw (compressed) records resident in the page cache.
+struct StatisticalRecords<'a> {
+    p: &'a DedupVolumeParams,
+    /// Raw (compressed) records resident in the page cache, at the record
+    /// size rounded up to a power of two (neighbours may alias).
     raw_resident: PageCache,
-    arc: DecompressedArc,
-    ddt_lookup_seconds: f64,
     psize: u64,
     decompress_seconds: f64,
 }
 
-impl DedupState {
-    fn new(cpu: &CpuModel, p: &DedupVolumeParams) -> Self {
-        DedupState {
+impl<'a> StatisticalRecords<'a> {
+    fn new(p: &'a DedupVolumeParams) -> Self {
+        StatisticalRecords {
+            p,
             raw_resident: PageCache::new(p.record_size.next_power_of_two()),
-            arc: DecompressedArc::new(p.decompressed_cache_records),
-            ddt_lookup_seconds: cpu.ddt_lookup_seconds(p.ddt_entries),
             psize: (p.record_size as f64 * p.compressed_fraction).max(1.0) as u64,
             decompress_seconds: p.record_size as f64 * p.decompress_ns_per_byte / 1e9,
         }
+    }
+}
+
+impl RecordSource for StatisticalRecords<'_> {
+    fn overlapping(&self, coff: u64) -> std::ops::Range<usize> {
+        let rs = self.p.record_size;
+        (coff / rs) as usize..((coff + QCOW2_CLUSTER - 1) / rs + 1) as usize
+    }
+
+    fn fetch(&mut self, rec: usize) -> Option<(u64, u64)> {
+        let (p, rec) = (self.p, rec as u64);
+        if self.raw_resident.contains(rec * p.record_size, 1) {
+            return None;
+        }
+        self.raw_resident.insert(rec * p.record_size, p.record_size);
+        // Shared records live wherever their first writer put them (anywhere
+        // in the pool); hot shared records are ARC-resident. The rest were
+        // written at registration in one run: a compact region.
+        let shared = coin(rec, 0x5a5a) < p.shared_fraction;
+        let hot = coin(rec, 0xa0a0) < p.hot_fraction;
+        match (shared, hot) {
+            (true, true) => None,
+            (true, false) => Some((mix(rec, 0x11) % p.pool_physical_bytes.max(1), self.psize)),
+            (false, _) => Some((rec * self.psize, self.psize)),
+        }
+    }
+
+    fn decompress(&self, _rec: usize) -> (f64, u64) {
+        (self.decompress_seconds, self.p.record_size)
+    }
+}
+
+/// [`MeasuredVolumeParams`]' records: the layout's, by index. Records are
+/// variable-sized, so raw residency is one bit per record (a byte-granular
+/// page cache over physical space would alias neighbours).
+struct MeasuredRecords<'a> {
+    p: &'a MeasuredVolumeParams,
+    raw_resident: BitSet,
+}
+
+impl RecordSource for MeasuredRecords<'_> {
+    fn overlapping(&self, coff: u64) -> std::ops::Range<usize> {
+        // The layout is sorted by logical offset and records never overlap.
+        let layout = &self.p.layout;
+        let first = layout.partition_point(|r| r.logical_off + r.llen as u64 <= coff);
+        first..first + layout[first..].partition_point(|r| r.logical_off < coff + QCOW2_CLUSTER)
+    }
+
+    fn fetch(&mut self, rec: usize) -> Option<(u64, u64)> {
+        let r = &self.p.layout[rec];
+        self.raw_resident.insert(rec).then_some((r.phys, r.psize as u64))
+    }
+
+    fn decompress(&self, rec: usize) -> (f64, u64) {
+        let llen = self.p.layout[rec].llen;
+        (llen as f64 * self.p.decompress_ns_per_byte / 1e9, llen as u64)
     }
 }
 
@@ -909,6 +909,51 @@ mod tests {
                         bits(&reference::boot_measured(&sim, t, &p)),
                         "cap {cap}, {} records, {} ops",
                         p.layout.len(),
+                        t.ops.len()
+                    );
+                }
+            }
+        }
+    }
+
+    /// With nothing shared, the statistical volume writes its records in
+    /// one compact run: a measured layout of the same fixed records at
+    /// `phys = r × psize` must replay identically, because the two record
+    /// sources differ only in where records sit.
+    #[test]
+    fn compact_layout_replays_like_the_statistical_volume() {
+        let sim = BootSim::new();
+        let span = 8 << 20;
+        let traces = [seq_trace(span), paper_shape_trace(span, 9)];
+        for kib in [4u64, 16, 64, 128] {
+            for cap in [1usize, 64, 2048] {
+                let stat = DedupVolumeParams {
+                    shared_fraction: 0.0,
+                    hot_fraction: 0.0,
+                    decompressed_cache_records: cap,
+                    ..params(kib * 1024)
+                };
+                let rs = stat.record_size;
+                let psize = (rs as f64 * stat.compressed_fraction).max(1.0) as u64;
+                let layout = (0..span / rs)
+                    .map(|r| RecordLoc {
+                        logical_off: r * rs,
+                        llen: rs as u32,
+                        phys: r * psize,
+                        psize: psize as u32,
+                    })
+                    .collect();
+                let measured = MeasuredVolumeParams {
+                    layout,
+                    ddt_entries: stat.ddt_entries,
+                    decompress_ns_per_byte: stat.decompress_ns_per_byte,
+                    decompressed_cache_records: cap,
+                };
+                for t in &traces {
+                    assert_eq!(
+                        bits(&sim.boot_measured(t, &measured)),
+                        bits(&sim.boot(t, &Backend::DedupVolume(stat))),
+                        "{kib} KiB records, cap {cap}, {} ops",
                         t.ops.len()
                     );
                 }

@@ -414,16 +414,6 @@ impl ErasureCodedVolume {
             .all(|o| o.stripes.iter().all(|s| s.iter().all(Shard::is_healthy)))
     }
 
-    /// Lost or corrupt shards across all objects.
-    pub fn unhealthy_shards(&self) -> u64 {
-        self.objects
-            .values()
-            .flat_map(|o| &o.stripes)
-            .flat_map(|s| s.iter())
-            .filter(|sh| !sh.is_healthy())
-            .count() as u64
-    }
-
     /// Fault hook: flip one byte of the `nth` stored shard (mod the shard
     /// population, objects in name order). Returns the victim's
     /// `(object, stripe, shard)` or `None` while the volume is empty or
@@ -705,7 +695,6 @@ mod tests {
         assert!(vol.is_clean());
         let victim = vol.corrupt_nth_shard(3).expect("shards exist");
         assert!(!vol.is_clean());
-        assert_eq!(vol.unhealthy_shards(), 1);
         let rep = vol.scrub_and_repair(&mut net, 4);
         assert_eq!(rep.shards_rematerialized, 1, "{victim:?}: {rep:?}");
         assert!(rep.repair_bytes > 0);

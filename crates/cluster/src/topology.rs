@@ -45,11 +45,6 @@ impl TopologyConfig {
     pub fn total_datacenters(&self) -> u32 {
         self.regions.max(1) * self.dcs_per_region.max(1)
     }
-
-    /// Does this topology have more than one failure domain at any level?
-    pub fn is_flat(&self) -> bool {
-        self.total_racks() == 1
-    }
 }
 
 impl Default for TopologyConfig {
@@ -244,7 +239,6 @@ mod tests {
     #[test]
     fn flat_topology_is_one_rack() {
         let t = Topology::new(TopologyConfig::flat(), 8);
-        assert!(t.config().is_flat());
         for n in 0..8 {
             assert_eq!(t.domain(n), Domain { region: 0, datacenter: 0, rack: 0 });
         }

@@ -83,11 +83,6 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Fire time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time_ms)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
@@ -138,18 +133,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().event, "late-1");
         assert_eq!(q.pop().unwrap().event, "late-2");
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-        q.push(7, ());
-        q.push(3, ());
-        assert_eq!(q.peek_time(), Some(3));
-        let s = q.pop().unwrap();
-        assert_eq!(s.time_ms, 3);
-        assert_eq!(q.peek_time(), Some(7));
     }
 
     #[test]

@@ -387,23 +387,6 @@ impl FaultPlan {
         None
     }
 
-    /// A whole offline/rejoin/flap script: `steps` draws over `nodes` nodes,
-    /// tracking the up/down state the draws themselves imply.
-    pub fn churn_script(&mut self, nodes: NodeId, steps: usize) -> Vec<ChurnEvent> {
-        let mut up = vec![true; nodes as usize];
-        let mut script = Vec::new();
-        for _ in 0..steps {
-            if let Some(ev) = self.churn_event(nodes, |n| up[n as usize]) {
-                match ev {
-                    ChurnEvent::Offline(n) => up[n as usize] = false,
-                    ChurnEvent::Rejoin(n) | ChurnEvent::Flap(n) => up[n as usize] = true,
-                }
-                script.push(ev);
-            }
-        }
-        script
-    }
-
     /// Draw one partition event on the link between `storage` and a compute
     /// node in `[0, nodes)`. `cut` reports whether that link is currently
     /// partitioned, steering cuts at healthy links and heals at cut ones.
@@ -574,29 +557,6 @@ mod tests {
         assert!((p.backoff_secs(3) - 0.40).abs() < 1e-12);
         // Clamped exponent: no overflow for absurd attempt counts.
         assert!(p.backoff_secs(40).is_finite());
-    }
-
-    #[test]
-    fn churn_script_is_state_consistent() {
-        let mut p = FaultPlan::new(77, FaultConfig::chaos());
-        let script = p.churn_script(6, 200);
-        assert!(!script.is_empty());
-        // Replay: offlines only hit nodes that are up, rejoins only nodes
-        // that are down.
-        let mut up = [true; 6];
-        for ev in script {
-            match ev {
-                ChurnEvent::Offline(n) => {
-                    assert!(up[n as usize], "offline of a down node");
-                    up[n as usize] = false;
-                }
-                ChurnEvent::Rejoin(n) => {
-                    assert!(!up[n as usize], "rejoin of an up node");
-                    up[n as usize] = true;
-                }
-                ChurnEvent::Flap(n) => up[n as usize] = true,
-            }
-        }
     }
 
     #[test]

@@ -58,17 +58,6 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// All counter series `(full name, value)` sharing a base name.
-    pub fn counter_series<'a>(
-        &'a self,
-        base: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u64)> + 'a {
-        self.counters
-            .iter()
-            .filter(move |(k, _)| matches_base(k, base))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     pub fn gauge(&self, name: &str) -> Option<&GaugeValue> {
         self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| v)
     }
@@ -175,7 +164,6 @@ mod tests {
         m.add("boot_totals", 100); // different base: must not match
         let snap = reg.snapshot();
         assert_eq!(snap.counter_sum("boot_total"), 5);
-        assert_eq!(snap.counter_series("boot_total").count(), 2);
         assert_eq!(snap.counter("boot_total{node=\"1\"}"), Some(3));
     }
 

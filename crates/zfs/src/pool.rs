@@ -398,7 +398,7 @@ impl ZPool {
     }
 
     /// The pool's shared all-zero block (what hole reads return).
-    pub fn zero_block_shared(&self) -> SharedPayload {
+    fn zero_block_shared(&self) -> SharedPayload {
         Arc::clone(self.zero_block.get_or_init(|| vec![0u8; self.config.block_size].into()))
     }
 
@@ -564,18 +564,6 @@ impl ZPool {
         self.quota_excess().is_zero()
     }
 
-    /// Publish the pool's space accounting as gauges. Gauges are
-    /// last-write-wins, so call this only from serial workflow code (the
-    /// pool's counters stay deterministic under fan-out; these gauges are a
-    /// snapshot, not an accumulator).
-    pub fn publish_space_gauges(&self, metrics: &Metrics) {
-        let s = self.stats();
-        metrics.set_gauge("zpool_disk_bytes", s.total_disk_bytes());
-        metrics.set_gauge("zpool_ddt_entries", s.unique_blocks);
-        metrics.set_gauge("zpool_ddt_mem_bytes", s.ddt_memory_bytes);
-        metrics.set_gauge_f64("zpool_scatter", self.mean_file_extents());
-    }
-
     /// Purge `name` everywhere: the live dataset *and* every snapshot drop
     /// the file, releasing all of its block references. Unlike
     /// [`delete_file`](Self::delete_file) — where snapshots keep pinning the
@@ -672,8 +660,8 @@ impl ZPool {
         Some(s)
     }
 
-    /// Mean extent count over all live files with data (the
-    /// `zpool_scatter` gauge): `1.0` means every file reads sequentially.
+    /// Mean extent count over all live files with data: `1.0` means every
+    /// file reads sequentially.
     pub fn mean_file_extents(&self) -> f64 {
         let mut files = 0u64;
         let mut extents = 0u64;
@@ -919,21 +907,6 @@ mod tests {
         // Back under budget once the file is purged.
         assert!(starved.purge_file("a"));
         assert!(starved.within_quota());
-    }
-
-    #[test]
-    fn space_gauges_publish_current_footprint() {
-        let registry = squirrel_obs::MetricsRegistry::new();
-        let mut p = pool(512);
-        p.set_metrics(&registry.handle());
-        p.create_file("a");
-        p.write_block("a", 0, &block(512, 3));
-        p.publish_space_gauges(&registry.handle());
-        let snap = registry.snapshot();
-        let s = p.stats();
-        assert_eq!(snap.gauge_u64("zpool_disk_bytes"), Some(s.total_disk_bytes()));
-        assert_eq!(snap.gauge_u64("zpool_ddt_entries"), Some(1));
-        assert_eq!(snap.gauge_u64("zpool_ddt_mem_bytes"), Some(120));
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl SpaceStats {
     pub fn total_disk_bytes(&self) -> u64 {
         self.physical_bytes + self.ddt_disk_bytes + self.bp_disk_bytes
     }
-
-    /// Effective combined ratio achieved by the pool (logical over total).
-    pub fn effective_ratio(&self) -> f64 {
-        self.logical_bytes as f64 / self.total_disk_bytes().max(1) as f64
-    }
 }
 
 /// How far a pool is over its hoard budget, per axis. Zero on both axes
@@ -47,22 +42,6 @@ impl QuotaExcess {
     /// True when the pool is within budget on both axes.
     pub fn is_zero(&self) -> bool {
         self.disk_bytes == 0 && self.ddt_mem_bytes == 0
-    }
-}
-
-/// Pretty byte counts for experiment output.
-pub fn human_bytes(b: u64) -> String {
-    const UNITS: [&str; 6] = ["B", "KiB", "MiB", "GiB", "TiB", "PiB"];
-    let mut v = b as f64;
-    let mut u = 0;
-    while v >= 1024.0 && u < UNITS.len() - 1 {
-        v /= 1024.0;
-        u += 1;
-    }
-    if u == 0 {
-        format!("{b} B")
-    } else {
-        format!("{v:.2} {}", UNITS[u])
     }
 }
 
@@ -85,19 +64,5 @@ mod tests {
     #[test]
     fn total_disk_sums_components() {
         assert_eq!(stats().total_disk_bytes(), 300_000 + 1_080 + 640);
-    }
-
-    #[test]
-    fn effective_ratio_is_logical_over_disk() {
-        let s = stats();
-        let want = 1_000_000.0 / (301_720.0);
-        assert!((s.effective_ratio() - want).abs() < 1e-9);
-    }
-
-    #[test]
-    fn human_bytes_formats() {
-        assert_eq!(human_bytes(512), "512 B");
-        assert_eq!(human_bytes(2048), "2.00 KiB");
-        assert_eq!(human_bytes(10 * 1024 * 1024 * 1024), "10.00 GiB");
     }
 }

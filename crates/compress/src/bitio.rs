@@ -87,7 +87,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Valid bits in the window.
-    #[inline]
+    #[cfg(test)]
     pub fn available(&self) -> u32 {
         self.nbits
     }

@@ -275,12 +275,68 @@ impl Decoder {
     }
 }
 
-/// Decode a [`huffman_compress`] frame, at most `max_len` bytes of it.
+/// The symbols of a [`huffman_compress`] frame, decoded one at a time
+/// straight from its bitstream: [`refill`](Self::refill), then at most
+/// three [`next`](Self::next) calls while [`left`](Self::left) allows.
 ///
-/// The frame's own length field is not trusted beyond `max_len` (the caller
-/// knows how long a token stream for its block can be), and the body must
-/// hold every bit the decoded symbols consumed: a damaged header can
-/// neither size an allocation nor keep the loop decoding padding.
+/// The frame's own length field is not trusted beyond the caller's
+/// `max_len` (the caller knows how long a token stream for its block can
+/// be), and [`finish`](Self::finish) checks that the body held every bit
+/// the decoded symbols consumed: a damaged header can neither size an
+/// allocation nor keep a decoder reading padding.
+pub(crate) struct Symbols<'a> {
+    decoder: Decoder,
+    bits: BitReader<'a>,
+    left: usize,
+}
+
+impl<'a> Symbols<'a> {
+    #[inline]
+    pub(crate) fn open(frame: &'a [u8], max_len: usize) -> Self {
+        assert!(frame.len() >= 7, "corrupt huffman frame: {} bytes", frame.len());
+        let n = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;
+        let rle_len = u16::from_le_bytes(frame[4..6].try_into().expect("2 bytes")) as usize;
+        let body_start = 6 + rle_len;
+        assert!(body_start <= frame.len(), "corrupt huffman frame: code-length table cut short");
+        Symbols {
+            decoder: Decoder::new(&rle_decode_lengths(&frame[6..body_start])),
+            bits: BitReader::new(&frame[body_start..]),
+            left: n.min(max_len),
+        }
+    }
+
+    /// Symbols still to come.
+    #[inline]
+    pub(crate) fn left(&self) -> usize {
+        self.left
+    }
+
+    /// Make room for three more symbols (56 window bits ≥ 3 × 15).
+    #[inline]
+    pub(crate) fn refill(&mut self) {
+        self.bits.refill();
+    }
+
+    /// The next symbol; the caller has checked `left() > 0`.
+    #[inline]
+    pub(crate) fn next(&mut self) -> u8 {
+        let (sym, len) = self.decoder.decode(self.bits.peek(MAX_CODE_LEN));
+        self.bits.consume(len);
+        self.left -= 1;
+        sym
+    }
+
+    /// Panic if the symbols read so far ran past the end of the body.
+    #[inline]
+    pub(crate) fn finish(self) {
+        assert!(!self.bits.overran(), "corrupt huffman stream: body cut short");
+    }
+}
+
+/// The first stage of the two-stage decoder this crate shipped before
+/// [`Symbols`]: every symbol of the frame, at most `max_len`, into a token
+/// buffer. Kept as the reference the one-pass inflate is compared against.
+#[cfg(test)]
 pub(crate) fn huffman_decompress(frame: &[u8], max_len: usize) -> Vec<u8> {
     assert!(frame.len() >= 7, "corrupt huffman frame: {} bytes", frame.len());
     let n = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")) as usize;

@@ -16,6 +16,8 @@
 //! so that incompressible blocks are stored raw instead of expanding, exactly
 //! like ZFS falls back to uncompressed records.
 
+#![forbid(unsafe_code)]
+
 mod bitio;
 mod huffman;
 mod lz4;
@@ -173,25 +175,20 @@ impl Compressor {
 }
 
 /// Decompress a frame produced by [`compress`]. `expected_len` is the
-/// original block length (callers always know it — blocks are fixed size).
+/// original block length, which callers keep beside every frame (records
+/// and CDC chunks alike); a gzip frame never decodes to more than it.
 pub fn decompress(frame: &[u8], expected_len: usize) -> Vec<u8> {
     let (&tag, body) = frame.split_first().expect("empty frame");
     match tag {
         TAG_RAW => body.to_vec(),
         TAG_ZERO => vec![0; expected_len],
-        TAG_GZIP => gzip_like_decompress(body, expected_len),
+        // LZSS + Huffman (DEFLATE's two stages) undone in one pass.
+        TAG_GZIP => lzss::inflate(body, expected_len),
         TAG_LZJB => lzjb::decompress(body, expected_len),
         TAG_LZ4 => lz4::decompress(body, expected_len),
         TAG_ZLE => zle::decompress(body, expected_len),
         other => panic!("unknown compression tag {other}"),
     }
-}
-
-/// Inverse of the LZSS + Huffman pair (DEFLATE's two stages); the forward
-/// direction lives in [`Compressor::compress`].
-fn gzip_like_decompress(body: &[u8], expected_len: usize) -> Vec<u8> {
-    let tokens = huffman::huffman_decompress(body, lzss::max_token_bytes(expected_len));
-    lzss::decompress(&tokens, expected_len)
 }
 
 /// Compressed size of `data` under `codec` (frame included).

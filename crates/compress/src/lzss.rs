@@ -9,6 +9,8 @@
 //! the paper's Figure 2 come out: blocks smaller than the window cannot
 //! exploit long-range redundancy.
 
+use crate::huffman::Symbols;
+
 const WINDOW: usize = 32 * 1024;
 const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 258;
@@ -196,8 +198,61 @@ pub fn max_token_bytes(len: usize) -> usize {
     len + len / 8 + 2
 }
 
-/// Reverse of [`compress`]. `expected_len` bounds the output and terminates
-/// decoding (the token stream carries no explicit end marker).
+/// Reverse of [`compress`] and of the Huffman stage in one pass: each item
+/// is decoded from the Huffman `frame` straight into an `expected_len`-byte
+/// block. The block bounds the output and ends decoding (the token stream
+/// carries no explicit end marker); a match that runs past it is cut there.
+pub fn inflate(frame: &[u8], expected_len: usize) -> Vec<u8> {
+    let mut tokens = Symbols::open(frame, max_token_bytes(expected_len));
+    let mut out = vec![0u8; expected_len];
+    let mut written = 0usize;
+    'outer: while written < expected_len && tokens.left() > 0 {
+        tokens.refill();
+        let flags = tokens.next();
+        for bit in 0..8 {
+            if written >= expected_len || tokens.left() == 0 {
+                break 'outer;
+            }
+            tokens.refill();
+            if flags & (1 << bit) == 0 {
+                out[written] = tokens.next();
+                written += 1;
+                continue;
+            }
+            assert!(tokens.left() >= 3, "corrupt lzss stream: match cut short");
+            let len = tokens.next() as usize + MIN_MATCH;
+            let dist = u16::from_le_bytes([tokens.next(), tokens.next()]) as usize + 1;
+            assert!(dist <= written, "corrupt lzss stream: match before start of block");
+            let (from, to) = (written - dist, written);
+            if dist >= 16 && to + len + 16 <= expected_len {
+                // Whole 16-byte chunks, each read wholly behind the write;
+                // the last may spill up to 15 bytes past the match, which
+                // later items overwrite or the final truncate drops.
+                for k in (0..len).step_by(16) {
+                    let chunk: [u8; 16] = out[from + k..from + k + 16].try_into().expect("16");
+                    out[to + k..to + k + 16].copy_from_slice(&chunk);
+                }
+                written += len;
+            } else {
+                // Self-overlapping (each copied byte may be one this copy
+                // wrote) or at the end of the block.
+                written = expected_len.min(to + len);
+                for i in to..written {
+                    out[i] = out[i - dist];
+                }
+            }
+        }
+    }
+    tokens.finish();
+    out.truncate(written);
+    out
+}
+
+/// Second stage of the two-stage decoder this crate shipped before
+/// [`inflate`]: a token buffer back into bytes, the last match whole even
+/// past `expected_len`. Kept as the reference [`inflate`] is compared
+/// against.
+#[cfg(test)]
 pub fn decompress(tokens: &[u8], expected_len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(expected_len);
     let mut pos = 0usize;
@@ -238,10 +293,22 @@ pub fn decompress(tokens: &[u8], expected_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::huffman::{huffman_compress, huffman_decompress};
 
     fn rt(data: &[u8], effort: usize) {
         let toks = compress(data, effort);
+        assert_eq!(inflate_tokens(&toks, data.len()), data);
         assert_eq!(decompress(&toks, data.len()), data);
+    }
+
+    /// The two-stage reference on a Huffman `frame`: token buffer, then
+    /// bytes.
+    fn two_stage(frame: &[u8], expected_len: usize) -> Vec<u8> {
+        decompress(&huffman_decompress(frame, max_token_bytes(expected_len)), expected_len)
+    }
+
+    fn inflate_tokens(tokens: &[u8], expected_len: usize) -> Vec<u8> {
+        inflate(&huffman_compress(tokens), expected_len)
     }
 
     /// The match finder this crate shipped before the tagged per-thread
@@ -405,12 +472,49 @@ mod tests {
 
     #[test]
     fn decompress_rejects_what_compress_never_emits() {
-        // A match reaching before the start of the block.
-        let r = std::panic::catch_unwind(|| decompress(&[0b1, 0, 5, 0], 16));
-        assert!(r.is_err());
-        // A match token cut off after its length byte.
-        let r = std::panic::catch_unwind(|| decompress(&[0b10, b'a', 0, 0], 16));
-        assert!(r.is_err());
+        // A match reaching before the start of the block, and a match
+        // token cut off after its length byte.
+        for tokens in [&[0b1, 0, 5, 0][..], &[0b10, b'a', 0, 0]] {
+            assert!(std::panic::catch_unwind(|| decompress(tokens, 16)).is_err());
+            assert!(std::panic::catch_unwind(|| inflate_tokens(tokens, 16)).is_err());
+        }
+    }
+
+    #[test]
+    fn inflate_equals_the_two_stage_reference() {
+        use squirrel_dataset::{Corpus, CorpusConfig};
+        let corpus = Corpus::generate(CorpusConfig::test_corpus(2, 2014));
+        let mut blocks: Vec<Vec<u8>> = [4 << 10, 16 << 10, 64 << 10, 128 << 10]
+            .into_iter()
+            .flat_map(|bs| [corpus.image(0).block(bs, 1), corpus.image(1).block(bs, 3)])
+            .collect();
+        for len in [4 << 10, 64 << 10] {
+            blocks.extend(inputs(len).into_iter().skip(1));
+        }
+        blocks.push(vec![b'x'; 1000]);
+        blocks.push(vec![7u8; MAX_MATCH * 3 + 5]);
+        blocks.push((0..WINDOW + 100).map(|i| (i % 251) as u8).collect());
+        for (which, data) in blocks.iter().enumerate() {
+            let n = data.len();
+            assert!(data.iter().any(|&b| b != 0), "block {which} holds data");
+            for level in [1, 6, 9] {
+                let frame = huffman_compress(&compress(data, effort_for_level(level)));
+                let at = |len: usize| (inflate(&frame, len), two_stage(&frame, len));
+                // At its own length both give back the block, byte for byte.
+                assert_eq!(at(n), (data.clone(), data.clone()), "block {which} gzip-{level}");
+                // At double, both stop where the token stream ends.
+                assert_eq!(at(2 * n), (data.clone(), data.clone()), "block {which} gzip-{level}");
+                // At half, the reference finishes its last match past the
+                // block; the one pass stops at it. Either way the result is
+                // short and wrong, which is what an oracle that decodes at
+                // a mis-stated length relies on.
+                let (got, mut want) = at(n / 2);
+                assert!(want.len() >= n / 2);
+                want.truncate(n / 2);
+                assert_eq!(got, want, "block {which} gzip-{level} at half length");
+                assert_ne!(got, *data);
+            }
+        }
     }
 
     #[test]

@@ -56,9 +56,10 @@ pub const MIN_SHARE: u64 = 250_000;
 /// item's weight. Measured on the reference box (`benchmark/ run --workload
 /// ingest --trace`, SHA-NI host): `hash.sha256_mb_per_s` 1 497 (0.67 ns/B;
 /// the Gear scan reads 1 455), `compress.decompress_mb_per_s` 212
-/// (4.7 ns/B), `compress.compress_mb_per_s` 65 at gzip-6 (15.3 ns/B). A
-/// cheaper codec is over-estimated, which costs at most one hand-off per
-/// batch.
+/// (4.7 ns/B; the one-pass inflate reads 335 on traced `boot_serve`, 3.0
+/// ns/B — `INFLATE` still plans as 5), `compress.compress_mb_per_s` 65 at
+/// gzip-6 (15.3 ns/B). A cheaper codec is over-estimated, which costs at
+/// most one hand-off per batch.
 pub mod cost {
     pub const HASH: u64 = 1;
     pub const INFLATE: u64 = 5;

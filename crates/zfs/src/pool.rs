@@ -660,25 +660,6 @@ impl ZPool {
         Some(s)
     }
 
-    /// Mean extent count over all live files with data: `1.0` means every
-    /// file reads sequentially.
-    pub fn mean_file_extents(&self) -> f64 {
-        let mut files = 0u64;
-        let mut extents = 0u64;
-        for name in self.files.keys() {
-            let s = self.file_scatter(name).expect("live file");
-            if s.records > 0 {
-                files += 1;
-                extents += s.extents;
-            }
-        }
-        if files == 0 {
-            0.0
-        } else {
-            extents as f64 / files as f64
-        }
-    }
-
     /// RevDedup-style reverse pass: relocate every distinct block of
     /// `name`, in logical read order, onto fresh sequential extents at the
     /// allocation cursor. Older snapshots' pointers chase the moves for
@@ -1162,7 +1143,6 @@ mod tests {
         assert!(s.mean_gap_bytes > 0.0);
         assert!(s.span_bytes > s.data_bytes, "gap stretches the span");
         assert!(p.file_scatter("nope").is_none());
-        assert!((p.mean_file_extents() - 1.5).abs() < 1e-9, "(2 + 1) / 2 files");
     }
 
     #[test]

@@ -65,11 +65,12 @@ cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
 cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
 
-echo "== boot replay: one loop, two record sources, against the references (release) =="
+echo "== boot replay: one loop, two record sources, extent reads, against the references (release) =="
 cargo test -q --release -p squirrel-bootsim -- \
     replay_matches_the_hashset_reference \
     measured_replay_matches_the_hashset_reference \
     compact_layout_replays_like_the_statistical_volume > /dev/null
+cargo test -q --release -p squirrel-core extent_reads_replay_like_the_read_sequence > /dev/null
 
 echo "== lossy delivery: decode-once vs per-copy reference (release, 16 fault seeds) =="
 cargo test -q --release -p squirrel-core decoding_each_distinct_copy_once_matches_the_per_copy_reference > /dev/null

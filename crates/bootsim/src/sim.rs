@@ -133,10 +133,11 @@ impl BootSim {
         backend: &Backend,
         workers: &squirrel_hash::par::WorkerPool,
     ) -> Vec<BootReport> {
-        // A replay costs ≈ 20 ns per trace op: measured 9 (cold, baseline),
-        // 13 (warm, 64 KiB records) and 31 (warm, 16 KiB) on the reference
-        // box. `benchmark/`'s `bootsim.trace_ops_per_s` tracks it.
-        let replay_cost = |t: &BootTrace| t.ops.len() as u64 * 20;
+        // A replay's cost follows the clusters it reads, not the reads that
+        // touch them: ≈ 60 ns per 64 KiB of trace, measured 28 (cold,
+        // baseline), 42 (warm, 64 KiB records) and 143 (warm, 16 KiB) on the
+        // reference box (2-core Xeon VM, 132 MiB paper-scale trace).
+        let replay_cost = |t: &BootTrace| t.total_bytes() / QCOW2_CLUSTER * 60;
         self.queue_on_one_disk(
             workers.parallel_map(traces, replay_cost, |_i, t| self.boot(t, backend)),
         )
@@ -794,9 +795,11 @@ mod tests {
         assert!(times[0] > times[6], "1 KiB slowest end: {times:?}");
     }
 
-    /// `paper_scale_trace`'s shape (`squirrel-core`): 128 KiB extents in
-    /// shuffled order, sequential 4–64 KiB reads inside each, the last
-    /// extent cut at the working set.
+    /// A fine-grained boot read sequence for the reference tests: 128 KiB
+    /// extents in shuffled order, each read sequentially in 4–64 KiB pieces
+    /// (⌊ws / 128 KiB⌋ whole extents, at least one). `paper_scale_trace`
+    /// (`squirrel-core`) reads each extent whole; these sub-cluster reads
+    /// exercise the page cache's repeat touches.
     fn paper_shape_trace(ws_bytes: u64, seed: u64) -> BootTrace {
         const EXTENT: u64 = 128 * 1024;
         let ws = ws_bytes.max(EXTENT);

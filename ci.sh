@@ -79,5 +79,7 @@ echo "== benchmark package smoke (out-of-workspace, release) =="
 # The benchmark links the crates' public API from outside the workspace: a
 # removed or renamed item it uses must fail here, not at the next run.
 benchmark/check.sh
+# A new dependency edge between crates would silently rewrite this lockfile.
+git diff --exit-code -- benchmark/Cargo.lock
 
 echo "ci.sh: all checks passed"

@@ -28,6 +28,7 @@ use squirrel_cluster::{
     TopologyConfig,
 };
 use squirrel_core::{FaultConfig, FleetConfig, SharedStorage};
+use squirrel_hash::rng::SplitMix64;
 
 /// Compute nodes of the scenario cluster.
 pub const TOPO_COMPUTE: u32 = 4;
@@ -57,11 +58,10 @@ fn storage_ids() -> Vec<NodeId> {
 /// two EC stripes so padding and multi-stripe paths are both exercised).
 fn object_bytes(seed: u64, i: usize) -> Vec<u8> {
     let len = 160 * 1024 + i * 40 * 1024 + i * 13;
-    let mut state = seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut rng = SplitMix64::from_parts(&[seed, i as u64]);
     let mut out = Vec::with_capacity(len);
     while out.len() < len {
-        state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
-        out.extend_from_slice(&state.to_le_bytes());
+        out.extend_from_slice(&rng.next_u64().to_le_bytes());
     }
     out.truncate(len);
     out

@@ -2,6 +2,7 @@
 
 use crate::model::{BitSet, CpuModel, DiskModel, PageCache};
 use squirrel_dataset::{BootTrace, ReadOp};
+use squirrel_hash::rng::{fmix64, GOLDEN};
 use squirrel_zfs::{RecordLoc, ZPool};
 use std::collections::VecDeque;
 
@@ -289,12 +290,7 @@ fn spread_offset(coff: u64, image_bytes: u64) -> u64 {
 
 #[inline]
 fn mix(x: u64, salt: u64) -> u64 {
-    let mut v = x.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt.rotate_left(31);
-    v ^= v >> 30;
-    v = v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    v ^= v >> 27;
-    v = v.wrapping_mul(0x94d0_49bb_1331_11eb);
-    v ^ (v >> 31)
+    fmix64(x.wrapping_mul(GOLDEN) ^ salt.rotate_left(31))
 }
 
 /// Uniform [0,1) coin per (value, salt).

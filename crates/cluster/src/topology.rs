@@ -109,8 +109,10 @@ impl LinkScope {
     ];
 }
 
-/// SplitMix64 finalizer — the placement hash. Mirrors the generator the
-/// dataset and faults crates use, duplicated to keep this crate a leaf.
+/// The placement hash, a leaf copy of `squirrel_hash::rng::mix64`: the
+/// committed `benchmark/Cargo.lock` freezes the crate graph, so this crate
+/// gains no dependency edge. Placements are pinned by `results/` and the
+/// fleet pins, not by equality to the canonical copy.
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -404,21 +404,19 @@ mod tests {
     /// effort, ties everywhere), and shuffled 64-byte motifs (long matches
     /// at long distances).
     fn inputs(len: usize) -> Vec<Vec<u8>> {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
         use squirrel_dataset::{Corpus, CorpusConfig};
         let corpus = Corpus::generate(CorpusConfig::test_corpus(2, 2014));
         let mut from_corpus = vec![0u8; len];
         if len > 0 {
             corpus.image(1).read_at(64 << 10, &mut from_corpus);
         }
-        let mut rng = StdRng::seed_from_u64(len as u64);
-        let four_letters = (0..len).map(|_| rng.random_range(0..4u8)).collect();
+        let mut rng = crate::test_rng(len as u64);
+        let four_letters = (0..len).map(|_| (rng.next_u64() % 4) as u8).collect();
         let motifs: Vec<[u8; 64]> =
-            (0..48).map(|_| std::array::from_fn(|_| rng.random())).collect();
+            (0..48).map(|_| std::array::from_fn(|_| rng.next_u64() as u8)).collect();
         let mut shuffled = Vec::with_capacity(len + 64);
         while shuffled.len() < len {
-            shuffled.extend_from_slice(&motifs[rng.random_range(0..motifs.len())]);
+            shuffled.extend_from_slice(&motifs[(rng.next_u64() % motifs.len() as u64) as usize]);
         }
         shuffled.truncate(len);
         vec![from_corpus, four_letters, shuffled]

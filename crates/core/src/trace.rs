@@ -16,19 +16,15 @@
 //! reads (`extent_reads_replay_like_the_read_sequence` checks it).
 
 use squirrel_dataset::{BootTrace, ReadOp};
+use squirrel_hash::rng::{fmix64, GOLDEN};
 
 /// The unit a boot visits in shuffled order: one file-system extent.
 const EXTENT: u64 = 128 * 1024;
 
-/// Deterministic mixer (same family as the dataset's SplitMix64).
+/// Deterministic salted mixer over the SplitMix64 finalizer.
 #[inline]
 fn mix(x: u64, salt: u64) -> u64 {
-    let mut v = x.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt.rotate_left(29);
-    v ^= v >> 30;
-    v = v.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    v ^= v >> 27;
-    v = v.wrapping_mul(0x94d0_49bb_1331_11eb);
-    v ^ (v >> 31)
+    fmix64(x.wrapping_mul(GOLDEN) ^ salt.rotate_left(29))
 }
 
 /// Synthesize a boot trace over a working set of `ws_bytes`, seeded by

@@ -23,8 +23,10 @@
 /// Node identifier; mirrors `squirrel_cluster::NodeId` without the dep.
 pub type NodeId = u32;
 
-/// SplitMix64 — the same tiny full-period generator the dataset crate uses
-/// for content synthesis (duplicated here to keep this crate a leaf).
+/// SplitMix64, a leaf copy of `squirrel_hash::rng::SplitMix64`: the committed
+/// `benchmark/Cargo.lock` freezes the crate graph, so this crate gains no
+/// dependency edge. Its draws are pinned by `results/` and the fleet pins,
+/// not by equality to the canonical copy.
 #[derive(Clone, Debug)]
 struct FaultRng {
     state: u64,

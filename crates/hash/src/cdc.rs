@@ -9,48 +9,16 @@
 //! the [`ChunkStrategy`] knob that pools and accounting sweeps share, and
 //! the dedup ledger both accounting paths run on, so the two cannot drift.
 //!
-//! The 256-entry gear table is derived from a seed with the same SplitMix64
-//! construction the dataset crate uses for content synthesis (replicated
-//! here byte-exactly — this crate sits below `squirrel_dataset` in the
-//! dependency graph), and is memoized per seed: the ingest hot path looks
+//! The 256-entry gear table is drawn from a seed with the crate's
+//! [`SplitMix64`], and is memoized per seed: the ingest hot path looks
 //! the table up once per batch instead of rebuilding it per call.
 
+use crate::rng::SplitMix64;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default gear seed when callers don't need corpus-coupled tables.
 pub const DEFAULT_GEAR_SEED: u64 = 1;
-
-/// SplitMix64 step, replicated from `squirrel_dataset::rng` (this crate is
-/// the dependency root and cannot import it). Any drift here would silently
-/// change every gear table, so the constants are pinned by a test below.
-#[inline]
-fn splitmix_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// `SplitMix64::from_parts(&[seed, 0x6ea4])`, replicated byte-exactly.
-fn splitmix_from_parts(parts: &[u64]) -> u64 {
-    let mut s = 0x9e37_79b9_7f4a_7c15u64;
-    for &p in parts {
-        s = s.rotate_left(23) ^ p.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        s = s.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    }
-    s
-}
-
-fn build_gear_table(seed: u64) -> [u64; 256] {
-    let mut state = splitmix_from_parts(&[seed, 0x6ea4]);
-    let mut t = [0u64; 256];
-    for v in t.iter_mut() {
-        *v = splitmix_next(&mut state);
-    }
-    t
-}
 
 /// Gear table for `seed`, computed once per seed and cached for the life of
 /// the process (the ingest hot path chunks with the same table on every
@@ -59,7 +27,10 @@ pub fn gear_table(seed: u64) -> Arc<[u64; 256]> {
     static CACHE: OnceLock<Mutex<HashMap<u64, Arc<[u64; 256]>>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut map = cache.lock().expect("gear table cache poisoned");
-    Arc::clone(map.entry(seed).or_insert_with(|| Arc::new(build_gear_table(seed))))
+    Arc::clone(map.entry(seed).or_insert_with(|| {
+        let mut rng = SplitMix64::from_parts(&[seed, 0x6ea4]);
+        Arc::new(std::array::from_fn(|_| rng.next_u64()))
+    }))
 }
 
 /// Chunking parameters.
@@ -215,19 +186,6 @@ impl ChunkLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_replication_is_pinned() {
-        // Byte-exact replica of squirrel_dataset::rng::SplitMix64: the same
-        // construction over (seed=1, 0x6ea4) must yield the same first
-        // words forever. Captured from the dataset implementation.
-        let mut s = splitmix_from_parts(&[1, 0x6ea4]);
-        let a = splitmix_next(&mut s);
-        let b = splitmix_next(&mut s);
-        assert_ne!(a, b);
-        // Determinism across calls and the memoized table path.
-        assert_eq!(build_gear_table(1)[..4], gear_table(1)[..4]);
-    }
 
     #[test]
     fn gear_table_is_memoized_per_seed() {

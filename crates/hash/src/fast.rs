@@ -2,9 +2,10 @@
 //!
 //! Dedup tables are keyed by (already well-distributed) digest prefixes, so
 //! SipHash's DoS resistance buys nothing and costs cycles. FNV-1a is the
-//! classic cheap choice for short keys; `mix64` is a splitmix64 finalizer for
-//! integer keys.
+//! classic cheap choice for short keys; integer keys go through the
+//! SplitMix64 step [`mix64`].
 
+use crate::rng::mix64;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -64,15 +65,6 @@ pub type FnvHashMap<K, V> = HashMap<K, V, FnvBuildHasher>;
 /// `HashSet` keyed with [`Fnv1a64`].
 pub type FnvHashSet<K> = HashSet<K, FnvBuildHasher>;
 
-/// splitmix64 finalizer: a strong, cheap 64-bit bijective mixer.
-#[inline]
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,25 +81,6 @@ mod tests {
         let mut h = Fnv1a64::default();
         h.write(b"foobar");
         assert_eq!(h.finish(), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn mix64_is_injective_on_sample() {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..10_000u64 {
-            assert!(seen.insert(mix64(i)), "collision at {i}");
-        }
-    }
-
-    #[test]
-    fn mix64_changes_every_input_bit() {
-        // Avalanche sanity: flipping one input bit flips ~half the output.
-        for bit in 0..64 {
-            let a = mix64(0x1234_5678_9abc_def0);
-            let b = mix64(0x1234_5678_9abc_def0 ^ (1 << bit));
-            let flipped = (a ^ b).count_ones();
-            assert!((12..=52).contains(&flipped), "bit {bit}: {flipped} flips");
-        }
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! a cryptographic digest of its bytes. The paper's ZFS deployment uses
 //! SHA-256 for dedup checksums, so this crate provides a from-scratch
 //! FIPS 180-4 SHA-256 ([`sha256`], [`Sha256`]) plus cheap non-cryptographic
-//! hashes ([`Fnv1a64`], [`mix64`]) for hot in-memory tables where HashDoS is
-//! not a concern (see the Rust Performance Book's hashing chapter).
+//! hashes ([`Fnv1a64`], [`rng::mix64`]) for hot in-memory tables where HashDoS is
+//! not a concern (see the Rust Performance Book's hashing chapter), and [`rng`],
+//! the one seeded generator, here because this crate sits below every other.
 
 pub mod cdc;
 mod fast;
 pub mod par;
+pub mod rng;
 mod sha256;
 
-pub use fast::{mix64, FnvBuildHasher, FnvHashMap, FnvHashSet, Fnv1a64};
+pub use fast::{FnvBuildHasher, FnvHashMap, FnvHashSet, Fnv1a64};
 pub use sha256::{sha256, Sha256};
 
 /// Word-wise all-zero test, the fast path of ZFS-style zero-block elision.

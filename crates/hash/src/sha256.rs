@@ -248,7 +248,7 @@ mod tests {
 
     fn pseudo_random(len: usize, seed: u64) -> Vec<u8> {
         (0..len as u64)
-            .map(|i| crate::mix64(seed ^ (i / 8)).to_le_bytes()[(i % 8) as usize])
+            .map(|i| crate::rng::mix64(seed ^ (i / 8)).to_le_bytes()[(i % 8) as usize])
             .collect()
     }
 
@@ -283,7 +283,7 @@ mod tests {
             // The block function itself, from an arbitrary chaining value
             // (a trailing partial block is ignored by both).
             let start: [u32; 8] =
-                std::array::from_fn(|i| crate::mix64(len as u64 + i as u64) as u32);
+                std::array::from_fn(|i| crate::rng::mix64(len as u64 + i as u64) as u32);
             let (mut a, mut b) = (start, start);
             compress_blocks_scalar(&mut a, &data);
             sha_ni(&mut b, &data);

@@ -31,54 +31,38 @@ pub fn effort_for_level(level: u8) -> usize {
 }
 
 #[inline]
-fn hash3(data: &[u8], i: usize) -> usize {
-    let v = (data[i] as u32) | ((data[i + 1] as u32) << 8) | ((data[i + 2] as u32) << 16);
-    (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+fn load3(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes([data[i], data[i + 1], data[i + 2], 0])
 }
 
-/// Hash-chain tables, one set per thread, reused by every [`compress`] call
-/// on it. Positions are stored as `base + position`, where each call takes
-/// a fresh `base` above everything earlier calls stored: an entry below the
-/// current base is an empty slot, so `head` is never cleared between calls
-/// (only when the 32-bit tags wrap), and `prev` is never initialised at all —
-/// a slot is read only for a position the same call inserted.
-struct Chains {
-    /// Tag of the most recent position with each hash.
-    head: Box<[u32]>,
-    /// `prev[i % WINDOW]`: what `head` held when position `i` was inserted.
-    prev: Box<[u32]>,
-    /// First tag the next call may use; at least 1, so a zeroed slot is empty.
-    next_base: u32,
+#[inline]
+fn load4(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + 4].try_into().expect("4 bytes"))
 }
+
+#[inline]
+fn hash3(data: &[u8], i: usize) -> usize {
+    (load3(data, i).wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+}
+
+/// Match-finder scratch, one set per thread, reused by every [`compress`]
+/// call on it.
+struct Chains {
+    /// `p + 1` for the latest position `p` linked with each hash, 0 = none.
+    /// Read only by the link pass; cleared at the start of every call.
+    head: Box<[u32]>,
+    /// `link[p]`: `q + 1` for the nearest `q < p` with `p`'s hash, 0 =
+    /// none — the whole hash chain of every position, built before the parse.
+    link: Vec<u32>,
+}
+
+/// Link entries kept between calls: one 64 KiB record's worth. A larger
+/// block borrows more and gives it back.
+const LINK_KEEP: usize = 64 << 10;
 
 impl Chains {
     fn new() -> Self {
-        Chains {
-            head: vec![0; HASH_SIZE].into_boxed_slice(),
-            prev: vec![0; WINDOW].into_boxed_slice(),
-            next_base: 1,
-        }
-    }
-
-    /// Reserve tags `base..base + n` for one call and return `base`.
-    fn reserve(&mut self, n: usize) -> u32 {
-        assert!(n < u32::MAX as usize, "lzss input must be under 4 GiB");
-        let n = n as u32;
-        if self.next_base > u32::MAX - n {
-            self.head.fill(0);
-            self.next_base = 1;
-        }
-        let base = self.next_base;
-        self.next_base += n;
-        base
-    }
-
-    /// Link position `j` (tagged) in front of its hash's chain.
-    #[inline]
-    fn insert(&mut self, data: &[u8], j: usize, base: u32) {
-        let h = hash3(data, j);
-        self.prev[j % WINDOW] = self.head[h];
-        self.head[h] = base + j as u32;
+        Chains { head: vec![0; HASH_SIZE].into_boxed_slice(), link: Vec::new() }
     }
 }
 
@@ -102,92 +86,135 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     l + a[l..].iter().zip(&b[l..]).take_while(|(x, y)| x == y).count()
 }
 
-/// LZSS-compress `data` with up to `effort` chain probes per position.
+/// LZSS-compress `data` with up to `effort` (at least 1) chain probes per
+/// position.
 pub fn compress(data: &[u8], effort: usize) -> Vec<u8> {
     CHAINS.with_borrow_mut(|chains| compress_with(chains, data, effort))
 }
 
+/// Two passes. The link pass threads every position that has three bytes
+/// onto its hash's chain, in order. The parse then walks those chains and
+/// inserts nothing: a greedy parse inserts each such position exactly once
+/// and in order whatever it emits (a literal inserts `i`, a match
+/// `i..i + len`), so the chain a search at `i` walks — earlier positions
+/// with `i`'s hash, newest first — depends on `data` and `i` alone, and
+/// linking it ahead of time changes no candidate and no probe.
 fn compress_with(chains: &mut Chains, data: &[u8], effort: usize) -> Vec<u8> {
-    let n = data.len();
-    let mut out = Vec::with_capacity(n / 2 + 16);
-    if n == 0 {
-        return out;
+    assert!(data.len() < u32::MAX as usize, "lzss input must be under 4 GiB");
+    assert!(effort > 0, "a search makes at least one probe");
+    let Chains { head, link } = chains;
+    head.fill(0);
+    link.clear();
+    // Every position with the three bytes a hash (and a match) needs.
+    link.extend(data.windows(MIN_MATCH).enumerate().map(|(p, w)| {
+        let h = hash3(w, 0);
+        let q = head[h];
+        head[h] = p as u32 + 1;
+        q
+    }));
+    let out = parse(data, link, effort);
+    if link.capacity() > LINK_KEEP {
+        link.clear();
+        link.shrink_to(LINK_KEEP);
     }
-    let base = chains.reserve(n);
+    out
+}
 
-    let mut flag_pos = 0usize;
-    // Start "full" so the first item opens a fresh flag byte before any
-    // payload is emitted; rollover must happen before payload bytes, or the
-    // next group's flag byte would land in the middle of this item's payload.
-    let mut flag_bit = 8u8;
-
-    macro_rules! bump_flag {
+/// The greedy parse over the chains in `link` (see [`compress_with`]).
+fn parse(data: &[u8], link: &[u32], effort: usize) -> Vec<u8> {
+    let n = data.len();
+    // Written by index: no item can outgrow the all-literal bound.
+    let mut out = vec![0u8; max_token_bytes(n)];
+    let mut o = 0usize;
+    // The open group's flag byte is kept here and stored at `flag_pos`
+    // when the next group opens. Start "full" so the first item opens a
+    // group before any payload is written.
+    let (mut flag_pos, mut flags, mut flag_bit) = (0usize, 0u8, 8u8);
+    macro_rules! item {
         ($is_match:expr) => {
             if flag_bit == 8 {
-                flag_bit = 0;
-                flag_pos = out.len();
-                out.push(0);
+                out[flag_pos] = flags;
+                (flag_pos, flags, flag_bit) = (o, 0, 0);
+                o += 1;
             }
-            if $is_match {
-                out[flag_pos] |= 1 << flag_bit;
-            }
+            flags |= ($is_match as u8) << flag_bit;
             flag_bit += 1;
         };
     }
 
     let mut i = 0usize;
-    while i < n {
+    while i < link.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= n {
-            let mut tag = chains.head[hash3(data, i)];
-            let mut probes = effort;
-            let limit = i.saturating_sub(WINDOW);
+        // `c = cand + 1`, so `c > limit` says "linked and in the window".
+        let limit = i.saturating_sub(WINDOW) as u32;
+        let c = link[i];
+        'search: {
+            if c <= limit {
+                break 'search;
+            }
             let max_len = (n - i).min(MAX_MATCH);
             let here = &data[i..i + max_len];
-            // A tag below `base` is an empty slot or another call's entry:
-            // the chain ends there.
-            while tag >= base && probes > 0 {
-                let cand = (tag - base) as usize;
-                if cand < limit {
-                    break; // chain left the window
+            let key = load3(here, 0);
+            let mut probes = effort;
+            let mut cand = c as usize - 1;
+            // The first candidate whose first three bytes are `i`'s. One
+            // that differs (a hash collision) cannot start a match, but it
+            // still spends its probe. (`cand + 4 <= i + 3 <= n`.)
+            loop {
+                probes -= 1;
+                if load4(data, cand) & 0xff_ffff == key {
+                    break;
                 }
-                // Quick reject: compare the byte one past the current best.
-                if best_len == 0 || data[cand + best_len] == here[best_len] {
+                let c = link[cand];
+                if c <= limit || probes == 0 {
+                    break 'search;
+                }
+                cand = c as usize - 1;
+            }
+            best_len = common_prefix(&data[cand..cand + max_len], here);
+            best_dist = i - cand;
+            // Then a longer match, which must also agree on the four bytes
+            // ending at `best_len`; the nearest of equal length wins.
+            while best_len < max_len && probes > 0 {
+                let c = link[cand];
+                if c <= limit {
+                    break;
+                }
+                cand = c as usize - 1;
+                probes -= 1;
+                if load4(data, cand + best_len - 3) == load4(here, best_len - 3) {
                     let l = common_prefix(&data[cand..cand + max_len], here);
                     if l > best_len {
                         best_len = l;
                         best_dist = i - cand;
-                        if l >= max_len {
-                            break;
-                        }
                     }
                 }
-                tag = chains.prev[cand % WINDOW];
-                probes -= 1;
             }
         }
-
         if best_len >= MIN_MATCH {
-            bump_flag!(true);
-            out.push((best_len - MIN_MATCH) as u8);
-            out.extend_from_slice(&((best_dist - 1) as u16).to_le_bytes());
-            // Insert every covered position into the chains so later matches
-            // can reference the middle of this match.
-            let end = (i + best_len).min(n.saturating_sub(MIN_MATCH - 1));
-            for j in i..end {
-                chains.insert(data, j, base);
-            }
+            item!(true);
+            out[o] = (best_len - MIN_MATCH) as u8;
+            out[o + 1..o + 3].copy_from_slice(&((best_dist - 1) as u16).to_le_bytes());
+            o += 3;
             i += best_len;
         } else {
-            bump_flag!(false);
-            out.push(data[i]);
-            if i + MIN_MATCH <= n {
-                chains.insert(data, i, base);
-            }
+            item!(false);
+            out[o] = data[i];
+            o += 1;
             i += 1;
         }
     }
+    // The last two bytes (or fewer) cannot start a match.
+    for &b in &data[i..] {
+        item!(false);
+        out[o] = b;
+        o += 1;
+    }
+    if o > 0 {
+        out[flag_pos] = flags;
+    }
+    out.truncate(o);
     out
 }
 
@@ -394,22 +421,56 @@ mod tests {
         out
     }
 
-    const EFFORTS: [usize; 3] = [4, 128, 1024];
-    /// 32 KiB + 100 crosses the window once; by 160 KiB chains have left
-    /// the window and every `prev` slot has been overwritten four times.
+    const EFFORTS: [usize; 5] = [1, 2, 4, 128, 1024];
+    /// 32 KiB + 100 crosses the window once; at 160 KiB the window, not
+    /// the chain's end, stops most searches.
     const LENGTHS: [usize; 9] = [0, 1, 2, 3, 257, 4 << 10, 64 << 10, WINDOW + 100, 160 << 10];
+
+    /// `len` bytes of real block content: image 1 of a test corpus from
+    /// 64 KiB on, then image 0 (together ≈ 1.5 MB).
+    fn corpus_bytes(len: usize) -> Vec<u8> {
+        use squirrel_dataset::{Corpus, CorpusConfig};
+        let corpus = Corpus::generate(CorpusConfig::test_corpus(2, 2014));
+        let mut bytes = vec![0u8; len];
+        let mut at = 0;
+        for (image, from) in [(1, 64 << 10), (0, 0)] {
+            if at == len {
+                break;
+            }
+            let image = corpus.image(image);
+            let part = (image.nonzero_bytes() - from).min((len - at) as u64) as usize;
+            image.read_at(from, &mut bytes[at..at + part]);
+            at += part;
+        }
+        assert_eq!(at, len, "the test corpus holds under {len} bytes");
+        bytes
+    }
+
+    /// Distinct 3-byte keys that all share `hash3`'s bucket of `[0, 0, 0]`
+    /// (one in 2^15 of all keys), found by a scan.
+    fn colliding_keys() -> &'static [[u8; 3]] {
+        static KEYS: std::sync::OnceLock<Vec<[u8; 3]>> = std::sync::OnceLock::new();
+        KEYS.get_or_init(|| {
+            let bucket = hash3(&[0; 3], 0);
+            (0u32..1 << 24)
+                .map(|v| {
+                    let [a, b, c, _] = v.to_le_bytes();
+                    [a, b, c]
+                })
+                .filter(|key| hash3(key, 0) == bucket)
+                .take(160)
+                .collect()
+        })
+    }
 
     /// Inputs that stress different parts of the search: corpus bytes (real
     /// block content), a four-letter alphabet (chains far longer than any
-    /// effort, ties everywhere), and shuffled 64-byte motifs (long matches
-    /// at long distances).
+    /// effort, ties everywhere), shuffled 64-byte motifs (long matches at
+    /// long distances), and keys from one hash bucket: all 160 in turn,
+    /// then drawn at random, so a key's last occurrence sits behind 160
+    /// hash collisions on average, which must use up probes (gzip-1's 4,
+    /// often gzip-6's 128) before it is reached.
     fn inputs(len: usize) -> Vec<Vec<u8>> {
-        use squirrel_dataset::{Corpus, CorpusConfig};
-        let corpus = Corpus::generate(CorpusConfig::test_corpus(2, 2014));
-        let mut from_corpus = vec![0u8; len];
-        if len > 0 {
-            corpus.image(1).read_at(64 << 10, &mut from_corpus);
-        }
         let mut rng = crate::test_rng(len as u64);
         let four_letters = (0..len).map(|_| (rng.next_u64() % 4) as u8).collect();
         let motifs: Vec<[u8; 64]> =
@@ -419,7 +480,13 @@ mod tests {
             shuffled.extend_from_slice(&motifs[(rng.next_u64() % motifs.len() as u64) as usize]);
         }
         shuffled.truncate(len);
-        vec![from_corpus, four_letters, shuffled]
+        let keys = colliding_keys();
+        let mut collisions: Vec<u8> = keys.concat();
+        while collisions.len() < len {
+            collisions.extend_from_slice(&keys[(rng.next_u64() % keys.len() as u64) as usize]);
+        }
+        collisions.truncate(len);
+        vec![corpus_bytes(len), four_letters, shuffled, collisions]
     }
 
     #[test]
@@ -428,8 +495,12 @@ mod tests {
             for (which, data) in inputs(len).iter().enumerate() {
                 for effort in EFFORTS {
                     // Long low-entropy inputs at full effort are quadratic
-                    // in the reference; the 64 KiB case already covers them.
-                    if which == 1 && effort == 1024 && len > 64 << 10 {
+                    // in the reference; the 64 KiB case already covers
+                    // them (the 4 KiB case the one-bucket input, whose
+                    // every search at full effort walks 1024 probes).
+                    if which == 1 && effort == 1024 && len > 64 << 10
+                        || which == 3 && effort == 1024 && len > 4 << 10
+                    {
                         continue;
                     }
                     let want = reference_compress(data, effort);
@@ -443,7 +514,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_leaks_nothing_between_calls() {
-        // Same thread, so the second call sees the first one's tables: a
+        // Same thread, so each call sees the previous one's scratch: a
         // different block of the same length, then the first block again.
         let a = &inputs(64 << 10)[0];
         let b = &inputs(64 << 10)[2];
@@ -451,21 +522,44 @@ mod tests {
         for data_want in [(a, &want_a), (b, &want_b), (a, &want_a), (a, &want_a)] {
             assert_eq!(&compress(data_want.0, 128), data_want.1);
         }
+        // Then lengths up and down: a `head` entry left from a longer call,
+        // or a link array not reset, would point past a shorter block; a
+        // borrowed link array is given back after the block that needed it.
+        for len in [160 << 10, 4 << 10, 1 << 20, 64 << 10, 4 << 10] {
+            let data = corpus_bytes(len);
+            assert_eq!(compress(&data, 128), reference_compress(&data, 128), "{len} bytes");
+            let kept = CHAINS.with_borrow(|c| c.link.capacity());
+            assert!(kept <= LINK_KEEP, "{kept} link entries kept after {len} bytes");
+        }
     }
 
-    #[test]
-    fn tags_wrap_without_resurrecting_old_entries() {
-        let a = &inputs(4 << 10)[1];
-        let b = &inputs(4 << 10)[2];
-        let mut chains = Chains::new();
-        // Leave room for one call but not two: the second must clear `head`
-        // rather than let its low tags alias the first call's high ones.
-        chains.next_base = u32::MAX - 5000;
-        assert_eq!(compress_with(&mut chains, a, 128), reference_compress(a, 128));
-        assert!(chains.next_base > u32::MAX - 5000);
-        assert_eq!(compress_with(&mut chains, b, 128), reference_compress(b, 128));
-        assert_eq!(chains.next_base, 1 + (4 << 10));
-        assert_eq!(compress_with(&mut chains, a, 128), reference_compress(a, 128));
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Up to 2 KiB over 2, 4 or 256 letters, or (`letters == 0`) over
+        /// the one-bucket keys, at efforts from gzip-1's 4 down to 1 and
+        /// up to 8.
+        #[test]
+        fn tokens_equal_the_reference_on_any_input(
+            letters in proptest::prop_oneof![
+                proptest::prelude::Just(0u16),
+                proptest::prelude::Just(2),
+                proptest::prelude::Just(4),
+                proptest::prelude::Just(256),
+            ],
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2049),
+            effort in 1usize..9,
+        ) {
+            let data: Vec<u8> = if letters == 0 {
+                let keys = colliding_keys();
+                let mut data: Vec<u8> = raw.iter().flat_map(|&b| keys[b as usize % keys.len()]).collect();
+                data.truncate(raw.len());
+                data
+            } else {
+                raw.iter().map(|&b| (b as u16 % letters) as u8).collect()
+            };
+            proptest::prop_assert_eq!(compress(&data, effort), reference_compress(&data, effort));
+        }
     }
 
     #[test]

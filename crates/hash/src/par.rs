@@ -47,8 +47,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// 25–45 µs to join a job and report back (9 µs when it has just run;
 /// measured as a two-share `run` whose shares wait for each other), so a
 /// share breaks even at ≈ 50 µs and pays well at five times that. 250 µs
-/// is one 64 KiB record to compress, four to hash, or two 16 KiB records to
-/// compress.
+/// is reached by one 64 KiB record to compress (≈ 790 µs), four to hash,
+/// or two 16 KiB records to compress (≈ 200 µs each).
 pub const MIN_SHARE: u64 = 250_000;
 
 /// Per-byte cost estimates of the workspace's byte-crunching stages, in
@@ -57,13 +57,15 @@ pub const MIN_SHARE: u64 = 250_000;
 /// ingest --trace`, SHA-NI host): `hash.sha256_mb_per_s` 1 497 (0.67 ns/B;
 /// the Gear scan reads 1 455), `compress.decompress_mb_per_s` 212
 /// (4.7 ns/B; the one-pass inflate reads 335 on traced `boot_serve`, 3.0
-/// ns/B — `INFLATE` still plans as 5), `compress.compress_mb_per_s` 65 at
-/// gzip-6 (15.3 ns/B). A cheaper codec is over-estimated, which costs at
-/// most one hand-off per batch.
+/// ns/B — `INFLATE` still plans as 5), `compress.compress_mb_per_s` 81 at
+/// gzip-6 (12.3 ns/B; 65 before the match finder linked its hash chains
+/// ahead of the parse). Any `DEFLATE` in 8..=15 plans the same shares: two
+/// 16 KiB records or one 64 KiB record each. A cheaper codec is
+/// over-estimated, which costs at most one hand-off per batch.
 pub mod cost {
     pub const HASH: u64 = 1;
     pub const INFLATE: u64 = 5;
-    pub const DEFLATE: u64 = 15;
+    pub const DEFLATE: u64 = 12;
 }
 
 /// Cut items with the given `weights` (nanoseconds of estimated work, in

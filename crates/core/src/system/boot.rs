@@ -184,7 +184,7 @@ impl Squirrel {
     fn warm_backend(&self, ccvol: &ZPool, name: &str) -> Backend {
         let stats = ccvol.stats();
         let scale = self.corpus.config().scale;
-        let threshold = 1 + ccvol.snapshot_tags().len() as u64;
+        let threshold = 1 + ccvol.snapshot_count() as u64;
         let shared = ccvol.file_shared_fraction(name, threshold).unwrap_or(0.6);
         Backend::DedupVolume(DedupVolumeParams {
             record_size: self.config.block_size as u64,

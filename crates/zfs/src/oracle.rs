@@ -2,7 +2,9 @@
 //! a sender and two receivers that share frames are driven through random
 //! histories, and after **every** step each pool's `scrub`, `file_is_intact`
 //! and `recv` verdicts must equal a memo-free oracle that decompresses and
-//! hashes the stored bytes again, every time.
+//! hashes the stored bytes again, every time. The history reaches every
+//! change to a snapshot's file set (snapshot, recv, destroy, purge), so the
+//! same steps hold `stats()` to a walk of every snapshot.
 
 use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, Frame};
@@ -13,7 +15,7 @@ use squirrel_compress::{decompress, Codec};
 use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 use squirrel_hash::par::WorkerPool;
 use squirrel_hash::ContentHash;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const BS: usize = 1024;
 const FILE_BLOCKS: usize = 6;
@@ -61,6 +63,19 @@ fn oracle_rejects(stream: &SendStream, block_size: u32) -> Option<BlockKey> {
         let lsize = lsizes.get(&b.key).copied().unwrap_or(block_size);
         (key_of(b.data.as_ref()?, lsize) != b.key).then_some(b.key)
     })
+}
+
+/// The pointer a purged receiver `p` must refuse `stream` for: the first,
+/// in upsert order, that neither the payload nor `p` holds. The sender's
+/// diff assumes the purged file's blocks are still there; a receiver that
+/// was never purged holds them all and must take the stream.
+fn oracle_missing(stream: &SendStream, p: &ZPool) -> Option<BlockKey> {
+    let sent: BTreeSet<BlockKey> = stream.payload.iter().map(|b| b.key).collect();
+    stream
+        .upserts
+        .iter()
+        .flat_map(|(_, meta)| meta.iter_keys())
+        .find(|key| !sent.contains(key) && p.ddt().get(key).is_none())
 }
 
 /// Every verdict of every pool against the oracle. `step` rotates which
@@ -141,6 +156,11 @@ enum Op {
     DestroyOldestSnapshot {
         pool: usize,
     },
+    /// Drop file `file` from `pool`'s live set and every snapshot.
+    Purge {
+        pool: usize,
+        file: u8,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -152,6 +172,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0usize..3, 0usize..3, any::<u64>())
             .prop_map(|(victim, donor, nth)| Op::Repair { victim, donor, nth }),
         1 => (0usize..3).prop_map(|pool| Op::DestroyOldestSnapshot { pool }),
+        1 => (0usize..3, 0u8..3).prop_map(|(pool, file)| Op::Purge { pool, file }),
     ]
 }
 
@@ -184,6 +205,9 @@ proptest! {
         // Pool 0 sends; pools 1 and 2 receive.
         let mut pools: Vec<ZPool> = (0..3).map(|_| ZPool::new(cfg)).collect();
         let mut next_tag = 0u32;
+        // Receivers that purged a file: only they may lack a block the
+        // sender's diff assumes.
+        let mut purged = [false; 3];
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Import { file, version } => {
@@ -212,6 +236,8 @@ proptest! {
                         }
                         let expected = match oracle_rejects(&stream, BS as u32) {
                             Some(key) => Err(RecvError::CorruptPayload(key)),
+                            None if purged[to] => oracle_missing(&stream, &pools[to])
+                                .map_or(Ok(()), |key| Err(RecvError::MissingBlock(key))),
                             None => Ok(()),
                         };
                         prop_assert_eq!(pools[to].recv(&stream), expected, "step {}", step);
@@ -261,10 +287,15 @@ proptest! {
                         pools[pool].destroy_snapshot(&oldest);
                     }
                 }
+                Op::Purge { pool, file } => {
+                    pools[pool].purge_file(&format!("f{file}"));
+                    purged[pool] = true;
+                }
             }
             check_verdicts(&pools, step)?;
-            for p in &pools {
+            for (i, p) in pools.iter().enumerate() {
                 prop_assert!(p.check_refcounts());
+                prop_assert_eq!(p.stats(), p.stats_by_walk(), "stats(), pool {}, step {}", i, step);
             }
         }
     }

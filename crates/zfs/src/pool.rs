@@ -154,6 +154,9 @@ pub struct ZPool {
     files: BTreeMap<String, FileTable>,
     /// Snapshots in creation order.
     snapshots: Vec<Snapshot>,
+    /// Pointer records ([`FileTable::ptr_count`]) all snapshots hold, kept
+    /// as snapshots come and go so [`ZPool::stats`] never walks history.
+    snap_ptrs: u64,
     /// One shared all-zero block, made by the first hole read: every hole
     /// read returns a reference to this buffer instead of materializing
     /// fresh zeros, and a pool nobody reads a hole from (most replicas of a
@@ -175,6 +178,7 @@ impl ZPool {
             ddt: DedupTable::new(),
             files: BTreeMap::new(),
             snapshots: Vec::new(),
+            snap_ptrs: 0,
             zero_block: OnceLock::new(),
             meters: PoolMeters::disabled(),
             workers: WorkerPool::new(config.threads),
@@ -427,6 +431,7 @@ impl ZPool {
             "duplicate snapshot tag {tag}"
         );
         for table in self.files.values() {
+            self.snap_ptrs += table.ptr_count();
             for key in table.iter_keys() {
                 self.ddt.add_ref(key, || unreachable!("snapshot references live block"));
             }
@@ -441,11 +446,18 @@ impl ZPool {
         };
         let snap = self.snapshots.remove(i);
         for table in snap.files.values() {
+            self.snap_ptrs -= table.ptr_count();
             for key in table.iter_keys() {
                 self.ddt.release(&key);
             }
         }
         true
+    }
+
+    /// Number of snapshots ([`snapshot_tags`](Self::snapshot_tags) without
+    /// the allocation).
+    pub fn snapshot_count(&self) -> usize {
+        self.snapshots.len()
     }
 
     /// Snapshot tags, oldest first.
@@ -487,22 +499,13 @@ impl ZPool {
         &mut self.ddt
     }
 
-    pub(crate) fn push_snapshot(&mut self, snap: Snapshot) {
-        self.snapshots.push(snap);
-    }
-
     // --- accounting ----------------------------------------------------------
 
-    /// Current space accounting.
+    /// Current space accounting. Walks the live file tables only: the
+    /// snapshots' pointer total is kept as they come and go.
     pub fn stats(&self) -> SpaceStats {
         let logical_bytes: u64 = self.files.values().map(|f| f.len).sum();
         let live_ptrs: u64 = self.files.values().map(|f| f.ptr_count()).sum();
-        let snap_ptrs: u64 = self
-            .snapshots
-            .iter()
-            .flat_map(|s| s.files.values())
-            .map(|f| f.ptr_count())
-            .sum();
         let unique_blocks = self.ddt.len() as u64;
         SpaceStats {
             block_size: self.config.block_size as u64,
@@ -511,7 +514,24 @@ impl ZPool {
             physical_bytes: self.ddt.physical_bytes(),
             ddt_disk_bytes: unique_blocks * DDT_DISK_ENTRY_BYTES,
             ddt_memory_bytes: unique_blocks * DDT_MEM_ENTRY_BYTES,
-            bp_disk_bytes: (live_ptrs + snap_ptrs) * BP_DISK_BYTES,
+            bp_disk_bytes: (live_ptrs + self.snap_ptrs) * BP_DISK_BYTES,
+        }
+    }
+
+    /// The snapshots' pointer records counted by walking every snapshot's
+    /// file tables: what `snap_ptrs` must equal.
+    fn walk_snap_ptrs(&self) -> u64 {
+        self.snapshots.iter().flat_map(|s| s.files.values()).map(FileTable::ptr_count).sum()
+    }
+
+    /// [`stats`](Self::stats) with the snapshots' pointers counted by
+    /// walking them: the reference the tests hold `stats()` to.
+    #[cfg(test)]
+    pub(crate) fn stats_by_walk(&self) -> SpaceStats {
+        let live_ptrs: u64 = self.files.values().map(FileTable::ptr_count).sum();
+        SpaceStats {
+            bp_disk_bytes: (live_ptrs + self.walk_snap_ptrs()) * BP_DISK_BYTES,
+            ..self.stats()
         }
     }
 
@@ -577,6 +597,7 @@ impl ZPool {
         }
         for snap in &mut self.snapshots {
             if let Some(t) = snap.files.remove(name) {
+                self.snap_ptrs -= t.ptr_count();
                 removed.push(t);
             }
         }
@@ -690,9 +711,14 @@ impl ZPool {
         Some(report)
     }
 
-    /// Invariant check used by tests: every refcount equals the number of
-    /// live + snapshot pointers to that block.
+    /// Invariant check used by tests and the benchmark's ingest deep check:
+    /// every refcount equals the number of live + snapshot pointers to that
+    /// block, and the kept snapshot pointer total equals a walk of every
+    /// snapshot's file tables (what [`stats`](Self::stats) reads).
     pub fn check_refcounts(&self) -> bool {
+        if self.walk_snap_ptrs() != self.snap_ptrs {
+            return false;
+        }
         let mut counts: std::collections::HashMap<BlockKey, u64> = std::collections::HashMap::new();
         for table in self.files.values() {
             for key in table.iter_keys() {

@@ -11,7 +11,7 @@
 
 use crate::ddt::{BlockKey, Frame};
 use crate::meter::PoolMeters;
-use crate::pool::{CdcChunk, FileTable, Snapshot, ZPool};
+use crate::pool::{CdcChunk, FileTable, ZPool};
 use squirrel_hash::par::{cost, WorkerPool};
 use squirrel_hash::ContentHash;
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,7 +60,7 @@ pub struct FileMeta {
 impl FileMeta {
     /// Every referenced block key, with multiplicity (mirrors
     /// `FileTable::iter_keys`).
-    fn iter_keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
+    pub(crate) fn iter_keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
         self.ptrs.iter().copied().flatten().chain(
             self.chunks
                 .as_deref()
@@ -807,13 +807,7 @@ impl ZPool {
         }
 
         // Mirror the sender's tip snapshot.
-        let snap = Snapshot { tag: stream.tip.clone(), files: self.files().clone() };
-        for table in snap.files.values() {
-            for key in table.iter_keys() {
-                self.ddt_mut().add_ref(key, || unreachable!("live block"));
-            }
-        }
-        self.push_snapshot(snap);
+        self.snapshot(&stream.tip);
     }
 }
 

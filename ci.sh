@@ -62,6 +62,11 @@ done
 echo "== decode fuzz smoke (release, fixed seeds) =="
 cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
 
+echo "== import pipeline (release: fixed records and CDC, threads 1/2/8, golden pins, write_block replay) =="
+# The pipeline's drain-order checks are debug_assert!s, so only a release
+# build runs the import as it ships.
+cargo test -q --release -p squirrel-zfs ingest:: > /dev/null
+
 echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
 cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
 

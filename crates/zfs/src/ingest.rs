@@ -2,48 +2,56 @@
 //!
 //! [`ZPool::write_block`] interleaves three very different costs: a zero
 //! scan, a SHA-256 digest, and (for new blocks) a compression pass — all
-//! CPU-bound and independent per block — with dedup-table and file-table
+//! CPU-bound and independent per record — with dedup-table and file-table
 //! updates that must stay serial. This module splits the two: a *prepare*
-//! phase fans the pure per-block work out over the pool's persistent
+//! phase fans the pure per-record work out over the pool's persistent
 //! workers ([`squirrel_hash::par::WorkerPool`]), and a *commit* phase
-//! applies the prepared plan in block order on the caller's thread.
+//! applies the prepared plan in logical order on the caller's thread.
 //!
 //! Hot-path structure (each stage wall-timed under a journal-quiet
 //! `zpool_ingest_*` timer):
 //!
-//! 1. **prepare** (parallel, fused) — zero-scan + SHA-256 + DDT probe in
-//!    one pass per block. The zero probe early-exits at the first nonzero
-//!    cache line and the DDT serves lock-free `&self` lookups, so
-//!    the whole per-block cost is essentially the hash.
+//! 1. **prepare** (parallel, fused) — cut each segment into records by the
+//!    pool's [`ChunkStrategy`] — a fixed record is its block; under CDC the
+//!    Gear scan cuts each run of consecutive blocks into chunks — then
+//!    zero-scan + SHA-256 + DDT probe each record. The zero probe
+//!    early-exits at the first nonzero cache line and the DDT serves
+//!    lock-free `&self` lookups, so a fixed record costs essentially its
+//!    hash.
 //! 2. **probe** (serial) — first-occurrence scan over the prepared keys,
-//!    fixing each batch-new key's representative block.
+//!    fixing each batch-new key's representative record.
 //! 3. **compress** (parallel) — one compression per new unique key, with
 //!    codec dispatch hoisted out of the loop
 //!    ([`squirrel_compress::Compressor`]).
 //! 4. **commit** (serial, batched) — DDT inserts in first-occurrence order
-//!    draining the prepared frames with a cursor (no per-block map
-//!    lookups), pointer table and DDT pre-sized once, and
-//!    meters updated with one `add(n)` per counter per batch.
+//!    draining the prepared frames with a cursor (no per-record map
+//!    lookups), the DDT pre-sized once, each key written to the file's
+//!    records (a block pointer or a chunk), and meters updated with one
+//!    `add(n)` per counter per batch.
 //!
 //! This is the only whole-file import ([`ZPool::import_file`],
 //! [`ZPool::import_blocks_parallel`]) and the one place a
 //! [`DedupMode::Reverse`] import runs [`ZPool::reverse_dedup_pass`].
 //!
 //! Determinism contract: for any `threads` setting the resulting pool state
-//! is bit-identical to a `create_file` + [`ZPool::write_block`] replay (the
-//! tests' reference) — same DDT entries, same physical allocation order
-//! (the append-only allocator assigns offsets in first-occurrence order,
-//! which commit preserves), same file tables, same send-stream bytes.
-//! Compression runs exactly once per batch-new unique key, mirroring
-//! `write_block`'s lazy `add_ref` closure.
+//! is bit-identical — for fixed records, to a `create_file` +
+//! [`ZPool::write_block`] replay (the tests' reference): same DDT entries,
+//! same physical allocation order (the append-only allocator assigns
+//! offsets in first-occurrence order, which commit preserves), same file
+//! tables, same send-stream bytes. Chunk boundaries, key order and
+//! allocation depend only on content, so CDC pools are too; golden stream
+//! pins hold both. Compression runs exactly once per batch-new unique key,
+//! mirroring `write_block`'s lazy `add_ref` closure.
 
 use crate::config::{ChunkStrategy, DedupMode};
 use crate::ddt::{BlockKey, Frame};
-use crate::pool::{CdcChunk, FileTable, ZPool};
+use crate::pool::{CdcChunk, FileTable, Records, ZPool};
 use squirrel_compress::Compressor;
-use squirrel_hash::cdc::{chunk_boundaries_with, gear_table, CdcParams};
+use squirrel_hash::cdc::{chunk_boundaries_with, gear_table};
 use squirrel_hash::par::cost;
 use squirrel_hash::{ContentHash, FnvHashSet};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A prepared DDT payload: compressed size plus the frame itself (absent in
@@ -52,10 +60,9 @@ use std::sync::Arc;
 /// gives the content back, so its first verification does the work.
 type PreparedFrame = (u32, Option<Frame>);
 
-/// One content-defined chunk out of the parallel boundary scan: its byte
-/// range within the run buffer, and `None` for all-zero chunks (elided as
-/// holes) or `(key, already-in-DDT)` otherwise.
-type ScannedChunk = (usize, usize, Option<(BlockKey, bool)>);
+/// One record cut in stage 1: its byte range within its segment, and `None`
+/// for an all-zero record (elided as a hole) or `(key, already-in-DDT)`.
+type CutRecord = (usize, usize, Option<(BlockKey, bool)>);
 
 impl ZPool {
     /// Import `blocks` as file `name` (replacing any existing file), using
@@ -84,23 +91,11 @@ impl ZPool {
         self.ingest(name, &idxs, &data, None);
     }
 
-    /// The shared staged pipeline. `idxs[j]` is the file block index of
-    /// `data[j]`; both are in ascending block order. Dispatches on the
-    /// pool's [`ChunkStrategy`], and finishes with a
-    /// [`ZPool::reverse_dedup_pass`] under [`DedupMode::Reverse`].
+    /// The staged pipeline. `idxs[j]` is the file block index of `data[j]`;
+    /// both are in ascending block order. Only stage 1 and the table commit
+    /// writes depend on the pool's [`ChunkStrategy`]; a [`DedupMode::Reverse`]
+    /// import ends with a [`ZPool::reverse_dedup_pass`].
     fn ingest(&mut self, name: &str, idxs: &[u64], data: &[&[u8]], logical_len: Option<u64>) {
-        match self.config().chunking {
-            ChunkStrategy::Fixed(_) => self.ingest_fixed(name, idxs, data, logical_len),
-            ChunkStrategy::Cdc(params) => self.ingest_cdc(name, idxs, data, logical_len, params),
-        }
-        if self.config().dedup_mode == DedupMode::Reverse {
-            self.reverse_dedup_pass(name);
-        }
-    }
-
-    /// The fixed-record four-stage pipeline (bit-identical to a
-    /// [`ZPool::write_block`] replay at any thread count).
-    fn ingest_fixed(&mut self, name: &str, idxs: &[u64], data: &[&[u8]], logical_len: Option<u64>) {
         let cfg = *self.config();
         for b in data {
             assert_eq!(b.len(), cfg.block_size, "unaligned write");
@@ -108,36 +103,76 @@ impl ZPool {
         // Replace the file first so any releases from the old incarnation
         // land before the fused prepare stage probes the DDT.
         self.create_file(name);
+        let bs = cfg.block_size as u64;
+        let cdc = match cfg.chunking {
+            ChunkStrategy::Fixed(_) => None,
+            ChunkStrategy::Cdc(params) => Some((params, gear_table(params.gear_seed))),
+        };
 
-        // Stage 1 "prepare" (parallel, fused): zero-scan + hash + DDT probe
-        // in one pass per block on the persistent workers. The probe reads
-        // the pre-batch DDT through `&self` shard lookups; `known` records
-        // whether the key already had an entry before this batch.
-        let keys: Vec<Option<(BlockKey, bool)>> = {
+        // Segments, in block order: each block on its own under fixed
+        // records; under CDC each run of consecutive block indices, an
+        // unbroken logical byte range (a gap in a sparse import is a hole,
+        // and a chunk never spans one).
+        let mut segments: Vec<Range<usize>> = Vec::new();
+        for j in 0..idxs.len() {
+            match segments.last_mut() {
+                Some(r) if cdc.is_some() && idxs[j] == idxs[r.end - 1] + 1 => r.end = j + 1,
+                _ => segments.push(j..j + 1),
+            }
+        }
+
+        // Stage 1 "prepare" (parallel, fused): cut each segment into records
+        // — the block itself, or the Gear scan's chunks of the run — then
+        // zero-scan + hash + DDT-probe each record. A one-block segment is
+        // hashed in place; only a longer run is concatenated. The probe
+        // reads the pre-batch DDT through `&self`; `known` records whether
+        // the key already had an entry before this batch.
+        let scanned: Vec<(Cow<[u8]>, Vec<CutRecord>)> = {
             let t = self.meters.metrics.timer("zpool_ingest_prepare");
             let ddt = self.ddt();
-            let hash_cost = |b: &&[u8]| b.len() as u64 * cost::HASH;
-            self.worker_pool().parallel_map(data, hash_cost, |_j, b| {
+            // Every byte is hashed; under CDC it is first scanned for
+            // boundaries too.
+            let passes = if cdc.is_some() { 2 } else { 1 };
+            let prepare_cost =
+                |seg: &Range<usize>| (seg.len() * cfg.block_size) as u64 * passes * cost::HASH;
+            self.worker_pool().parallel_map(&segments, prepare_cost, |_, seg| {
                 t.busy(|| {
-                    ContentHash::of_nonzero(b).map(|h| {
-                        let k = h.short();
-                        (k, ddt.get(&k).is_some())
-                    })
+                    let bytes = match seg.len() {
+                        1 => Cow::Borrowed(data[seg.start]),
+                        _ => Cow::Owned(data[seg.clone()].concat()),
+                    };
+                    let record = |(s, e): (usize, usize)| {
+                        let key = ContentHash::of_nonzero(&bytes[s..e]).map(|h| {
+                            let k = h.short();
+                            (k, ddt.get(&k).is_some())
+                        });
+                        (s, e, key)
+                    };
+                    let records = match &cdc {
+                        None => vec![record((0, bytes.len()))],
+                        Some((params, gear)) => chunk_boundaries_with(&bytes, params, gear)
+                            .into_iter()
+                            .map(record)
+                            .collect(),
+                    };
+                    (bytes, records)
                 })
             })
         };
 
         // Stage 2 "probe" (serial): first-occurrence scan for keys new to
-        // the DDT. Scanning in block order fixes each new key's
-        // representative block and, later, its physical allocation slot.
-        let mut new_unique: Vec<(BlockKey, usize)> = Vec::new();
+        // the DDT, in logical order. It fixes each new key's representative
+        // record and, later, its physical allocation slot.
+        let mut new_unique: Vec<(BlockKey, usize, usize, usize)> = Vec::new();
         {
             let _t = self.meters.metrics.timer("zpool_ingest_probe");
             let mut seen: FnvHashSet<BlockKey> = FnvHashSet::default();
-            for (j, key) in keys.iter().enumerate() {
-                if let Some((k, known)) = *key {
-                    if !known && seen.insert(k) {
-                        new_unique.push((k, j));
+            for (g, (_, records)) in scanned.iter().enumerate() {
+                for &(s, e, key) in records {
+                    if let Some((k, false)) = key {
+                        if seen.insert(k) {
+                            new_unique.push((k, g, s, e));
+                        }
                     }
                 }
             }
@@ -146,194 +181,46 @@ impl ZPool {
         // Stage 3 "compress" (parallel, pure): compress one representative
         // per new unique key — exactly the work `write_block`'s lazy
         // `add_ref` closure performs, once per key — with codec dispatch
-        // resolved once per batch instead of once per block.
-        let mut prepared: Vec<(BlockKey, PreparedFrame)> = {
-            let t = self.meters.metrics.timer("zpool_ingest_compress");
-            let compressor = Compressor::new(cfg.codec);
-            let deflate_cost = |_: &(BlockKey, usize)| cfg.block_size as u64 * cost::DEFLATE;
-            self.worker_pool()
-                .parallel_map(&new_unique, deflate_cost, |_j, &(k, rep)| {
-                    t.busy(|| {
-                        let frame = compressor.compress(data[rep]);
-                        let psize = frame.len() as u32;
-                        (k, (psize, cfg.retain_data.then(|| frame.into())))
-                    })
-                })
-        };
-
-        // Stage 4 "commit" (serial, batched): apply in block order. DDT
-        // entries appear in first-occurrence order, so the append-only
-        // physical allocator reproduces the `write_block` layout exactly — and
-        // because `prepared` is *also* in first-occurrence order, commit
-        // drains it with a plain cursor instead of per-block map removals.
-        // Pointer table and DDT are pre-sized once from the scan;
-        // meters take one batched `add` per counter.
-        let _t = self.meters.metrics.timer("zpool_ingest_commit");
-        let bs = cfg.block_size as u64;
-        self.ddt_mut().reserve(prepared.len());
-        let mut ptrs: Vec<Option<BlockKey>> =
-            vec![None; idxs.last().map(|&i| i as usize + 1).unwrap_or(0)];
-        let mut next = 0usize;
-        let mut zeros = 0u64;
-        let mut misses = 0u64;
-        let mut compress_out = 0u64;
-        for (j, key) in keys.iter().enumerate() {
-            if let Some((k, _)) = *key {
-                let was_new = self.ddt_mut().add_ref(k, || {
-                    let (pk, (psize, payload)) = &mut prepared[next];
-                    debug_assert_eq!(*pk, k, "prepared drains in first-occurrence order");
-                    next += 1;
-                    (*psize, cfg.block_size as u32, payload.take())
-                });
-                if was_new {
-                    misses += 1;
-                    let psize = prepared[next - 1].1 .0 as u64;
-                    compress_out += psize;
-                    self.meters.compressed_block_bytes.observe(psize);
-                }
-                ptrs[idxs[j] as usize] = Some(k);
-            } else {
-                zeros += 1;
-            }
-        }
-        debug_assert_eq!(next, prepared.len(), "every prepared frame committed");
-        let n = data.len() as u64;
-        self.meters.ingest_blocks.add(n);
-        self.meters.ingest_bytes.add(n * bs);
-        self.meters.zero_blocks.add(zeros);
-        self.meters.ddt_hits.add(n - zeros - misses);
-        self.meters.ddt_misses.add(misses);
-        self.meters.compress_in_bytes.add(misses * bs);
-        self.meters.compress_out_bytes.add(compress_out);
-        let mut len = idxs.last().map(|&i| (i + 1) * bs).unwrap_or(0);
-        if let Some(l) = logical_len {
-            len = l;
-        }
-        self.files_mut()
-            .insert(name.to_string(), FileTable { ptrs: Arc::new(ptrs), chunks: None, len });
-    }
-
-    /// The CDC pipeline: same staged shape as
-    /// [`ingest_fixed`](Self::ingest_fixed), but stage 1 also runs the Gear
-    /// boundary scan on the workers, cutting each physically contiguous run
-    /// of input blocks into content-defined chunks that then flow through
-    /// the identical probe → compress → commit path. Chunk boundaries, key
-    /// order, and physical allocation depend only on content, so the result
-    /// is bit-identical at any thread count.
-    fn ingest_cdc(
-        &mut self,
-        name: &str,
-        idxs: &[u64],
-        data: &[&[u8]],
-        logical_len: Option<u64>,
-        params: CdcParams,
-    ) {
-        let cfg = *self.config();
-        for b in data {
-            assert_eq!(b.len(), cfg.block_size, "unaligned write");
-        }
-        self.create_file(name);
-        let bs = cfg.block_size as u64;
-
-        // Contiguous runs of block indices: CDC must scan unbroken logical
-        // byte ranges (a gap in a sparse import is a hole, and a chunk never
-        // spans one).
-        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
-        for j in 0..idxs.len() {
-            match runs.last_mut() {
-                Some(r) if idxs[j] == idxs[r.end - 1] + 1 => r.end = j + 1,
-                _ => runs.push(j..j + 1),
-            }
-        }
-
-        // Stage 1 "prepare" (parallel, fused): per run, concatenate the
-        // blocks, Gear-scan the boundaries (memoized gear table, resolved
-        // once per batch), then zero-scan + hash + DDT-probe each chunk.
-        let gear = gear_table(params.gear_seed);
-        let scanned: Vec<(Vec<u8>, Vec<ScannedChunk>)> = {
-            let t = self.meters.metrics.timer("zpool_ingest_prepare");
-            let ddt = self.ddt();
-            // Every byte is scanned for boundaries, then hashed.
-            let scan_cost =
-                |run: &std::ops::Range<usize>| (run.len() * cfg.block_size) as u64 * 2 * cost::HASH;
-            self.worker_pool()
-                .parallel_map(&runs, scan_cost, |_r, run| {
-                    t.busy(|| {
-                        let mut buf = Vec::with_capacity(run.len() * cfg.block_size);
-                        for j in run.clone() {
-                            buf.extend_from_slice(data[j]);
-                        }
-                        let chunks = chunk_boundaries_with(&buf, &params, &gear)
-                            .into_iter()
-                            .map(|(s, e)| {
-                                let key = ContentHash::of_nonzero(&buf[s..e]).map(|h| {
-                                    let k = h.short();
-                                    (k, ddt.get(&k).is_some())
-                                });
-                                (s, e, key)
-                            })
-                            .collect();
-                        (buf, chunks)
-                    })
-                })
-        };
-
-        // Stage 2 "probe" (serial): first-occurrence scan across runs in
-        // logical order, fixing each batch-new key's representative chunk.
-        let mut new_unique: Vec<(BlockKey, usize, usize, usize)> = Vec::new();
-        {
-            let _t = self.meters.metrics.timer("zpool_ingest_probe");
-            let mut seen: FnvHashSet<BlockKey> = FnvHashSet::default();
-            for (r, (_, chunks)) in scanned.iter().enumerate() {
-                for &(s, e, key) in chunks {
-                    if let Some((k, known)) = key {
-                        if !known && seen.insert(k) {
-                            new_unique.push((k, r, s, e));
-                        }
-                    }
-                }
-            }
-        }
-
-        // Stage 3 "compress" (parallel, pure): one compression per
-        // batch-new unique chunk.
+        // resolved once per batch instead of once per record.
         let mut prepared: Vec<(BlockKey, u32, PreparedFrame)> = {
             let t = self.meters.metrics.timer("zpool_ingest_compress");
             let compressor = Compressor::new(cfg.codec);
             let deflate_cost =
                 |&(_, _, s, e): &(BlockKey, usize, usize, usize)| (e - s) as u64 * cost::DEFLATE;
             self.worker_pool()
-                .parallel_map(&new_unique, deflate_cost, |_j, &(k, r, s, e)| {
+                .parallel_map(&new_unique, deflate_cost, |_, &(k, g, s, e)| {
                     t.busy(|| {
-                        let frame = compressor.compress(&scanned[r].0[s..e]);
+                        let frame = compressor.compress(&scanned[g].0[s..e]);
                         let psize = frame.len() as u32;
-                        (
-                            k,
-                            (e - s) as u32,
-                            (psize, cfg.retain_data.then(|| frame.into())),
-                        )
+                        (k, (e - s) as u32, (psize, cfg.retain_data.then(|| frame.into())))
                     })
                 })
         };
 
-        // Stage 4 "commit" (serial, batched): add_ref in first-occurrence
-        // order (cursor drain, like the fixed path) while building the
-        // chunk table in logical order; zero chunks become gaps.
+        // Stage 4 "commit" (serial, batched): apply in logical order. DDT
+        // entries appear in first-occurrence order, so the append-only
+        // physical allocator reproduces the `write_block` layout exactly — and
+        // because `prepared` is *also* in first-occurrence order, commit
+        // drains it with a plain cursor instead of per-record map removals.
+        // The DDT is pre-sized once from the scan; meters take one batched
+        // `add` per counter. Zero records become holes.
         let _t = self.meters.metrics.timer("zpool_ingest_commit");
         self.ddt_mut().reserve(prepared.len());
-        let mut chunk_table: Vec<CdcChunk> = Vec::new();
+        let mut ptrs: Vec<Option<BlockKey>> = Vec::new();
+        if cdc.is_none() {
+            ptrs.resize(idxs.last().map_or(0, |&i| i as usize + 1), None);
+        }
+        let mut chunks: Vec<CdcChunk> = Vec::new();
         let mut next = 0usize;
-        let mut chunk_count = 0u64;
-        let mut chunk_bytes = 0u64;
+        let mut n_records = 0u64;
         let mut zeros = 0u64;
         let mut misses = 0u64;
         let mut compress_in = 0u64;
         let mut compress_out = 0u64;
-        for (r, (_, chunks)) in scanned.iter().enumerate() {
-            let run_off = idxs[runs[r].start] * bs;
-            for &(s, e, key) in chunks {
-                chunk_count += 1;
-                chunk_bytes += (e - s) as u64;
+        for (g, (_, records)) in scanned.iter().enumerate() {
+            let seg_off = idxs[segments[g].start] * bs;
+            for &(s, e, key) in records {
+                n_records += 1;
                 let Some((k, _)) = key else {
                     zeros += 1;
                     continue;
@@ -351,11 +238,11 @@ impl ZPool {
                     compress_out += psize as u64;
                     self.meters.compressed_block_bytes.observe(psize as u64);
                 }
-                chunk_table.push(CdcChunk {
-                    key: k,
-                    logical_off: run_off + s as u64,
-                    len: (e - s) as u32,
-                });
+                let logical_off = seg_off + s as u64;
+                match cdc {
+                    None => ptrs[(logical_off / bs) as usize] = Some(k),
+                    Some(_) => chunks.push(CdcChunk { key: k, logical_off, len: (e - s) as u32 }),
+                }
             }
         }
         debug_assert_eq!(next, prepared.len(), "every prepared frame committed");
@@ -363,24 +250,24 @@ impl ZPool {
         self.meters.ingest_blocks.add(n);
         self.meters.ingest_bytes.add(n * bs);
         self.meters.zero_blocks.add(zeros);
-        self.meters.ddt_hits.add(chunk_count - zeros - misses);
+        self.meters.ddt_hits.add(n_records - zeros - misses);
         self.meters.ddt_misses.add(misses);
         self.meters.compress_in_bytes.add(compress_in);
         self.meters.compress_out_bytes.add(compress_out);
-        self.meters.chunking_chunks.add(chunk_count);
-        self.meters.chunking_chunk_bytes.add(chunk_bytes);
-        let mut len = idxs.last().map(|&i| (i + 1) * bs).unwrap_or(0);
-        if let Some(l) = logical_len {
-            len = l;
+        let records = match cdc {
+            None => Records::Blocks(Arc::new(ptrs)),
+            Some(_) => {
+                // The chunks cover every imported byte.
+                self.meters.chunking_chunks.add(n_records);
+                self.meters.chunking_chunk_bytes.add(n * bs);
+                Records::Chunks(Arc::new(chunks))
+            }
+        };
+        let len = logical_len.unwrap_or_else(|| idxs.last().map_or(0, |&i| (i + 1) * bs));
+        self.files_mut().insert(name.to_string(), FileTable { records, len });
+        if cfg.dedup_mode == DedupMode::Reverse {
+            self.reverse_dedup_pass(name);
         }
-        self.files_mut().insert(
-            name.to_string(),
-            FileTable {
-                ptrs: Arc::new(Vec::new()),
-                chunks: Some(Arc::new(chunk_table)),
-                len,
-            },
-        );
     }
 }
 
@@ -577,6 +464,95 @@ mod tests {
             assert_eq!(
                 p.send_latest().expect("snapshot").encode(),
                 ref_wire,
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// `encode()` length and SHA-256 of a stream: what the golden pins hold.
+    fn pin(stream: &crate::SendStream) -> String {
+        let wire = stream.encode();
+        format!("{} {}", wire.len(), squirrel_hash::ContentHash::of(&wire).to_hex())
+    }
+
+    /// Golden pins of pipeline-imported pools' streams, at threads 1, 2 and
+    /// 8: fixed records full and incremental. Captured from the separate
+    /// fixed and CDC imports the one staged pipeline replaced; a pool built
+    /// by `import_file` / `import_blocks_parallel` must send these bytes.
+    #[test]
+    fn fixed_import_streams_match_golden() {
+        let bs = 1024;
+        for threads in [1, 2, 8] {
+            let mut p = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)).with_threads(threads));
+            p.import_file("a", &test_blocks(bs, 24), 24 * bs as u64 - 100);
+            p.snapshot("s1");
+            let sparse: Vec<(u64, Vec<u8>)> = (0..).step_by(3).zip(test_blocks(bs, 12)).collect();
+            p.import_blocks_parallel("b", &sparse);
+            let mut a2 = test_blocks(bs, 24);
+            a2.rotate_left(3);
+            p.import_file("a", &a2, 24 * bs as u64);
+            p.snapshot("s2");
+            let full = p.send_between(None, "s1").expect("full");
+            let inc = p.send_between(Some("s1"), "s2").expect("inc");
+            assert_eq!(
+                [&full, &inc].map(pin),
+                [
+                    "2390 86cf245f63f8fa69f5ba07a43038ab6fdeb0e38eb132aeac74cb7cc7622e1d3f",
+                    "573 f14aeee11548b94778c255245cc6b0293e09bac6dd32065610daae5e16d8e392",
+                ],
+                "threads={threads}"
+            );
+        }
+    }
+
+    /// Golden pins of CDC pools' streams, at threads 1, 2 and 8: a full
+    /// stream, an incremental after a shifted-prefix re-import, and an
+    /// incremental carrying a sparse import whose holes split the scan
+    /// into several runs (one with a zero block inside it).
+    #[test]
+    fn cdc_import_streams_match_golden() {
+        use crate::config::ChunkStrategy;
+        use squirrel_hash::cdc::CdcParams;
+        let bs = 512;
+        let n = 48usize;
+        let base: Vec<u8> = (0..(n * bs) as u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let mut shifted = vec![0x77u8; 64];
+        shifted.extend_from_slice(&base[..n * bs - 64]);
+        let to_blocks = |data: &[u8]| data.chunks(bs).map(<[u8]>::to_vec).collect::<Vec<_>>();
+        let sparse: Vec<(u64, Vec<u8>)> = [0u64, 1, 2, 5, 6, 7, 8, 11, 15, 16, 17]
+            .iter()
+            .map(|&i| {
+                let block = match i {
+                    7 => vec![0u8; bs],
+                    _ => base[i as usize * bs..(i as usize + 1) * bs].to_vec(),
+                };
+                (i, block)
+            })
+            .collect();
+        for threads in [1, 2, 8] {
+            let mut p = ZPool::new(
+                PoolConfig::new(bs, Codec::Lz4)
+                    .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)))
+                    .with_threads(threads),
+            );
+            p.import_file("img", &to_blocks(&base), (n * bs) as u64);
+            p.snapshot("s1");
+            p.import_file("img", &to_blocks(&shifted), (n * bs) as u64);
+            p.snapshot("s2");
+            p.import_blocks_parallel("sparse", &sparse);
+            p.snapshot("s3");
+            let full = p.send_between(None, "s1").expect("full");
+            let shifted = p.send_between(Some("s1"), "s2").expect("shifted");
+            let runs = p.send_between(Some("s2"), "s3").expect("sparse");
+            assert_eq!(
+                [&full, &shifted, &runs].map(pin),
+                [
+                    "20237 b37dc7c40c59b59dd754ba5855506f3b4dcabe01bcd6ec7a1a4191baadc566fe",
+                    "2085 740c864fc6af8435dc1a7ab53fce8ab710878cd1e095cf95e1554f252b82c2d2",
+                    "4618 861147997330e90c7a19da62e4785dc915522b9c71ba1d5fc3fb50116c6f97ec",
+                ],
                 "threads={threads}"
             );
         }

@@ -5,10 +5,12 @@
 //! evaluation measures is an accounting property of a dedup+compress block
 //! store, which this crate implements from scratch:
 //!
-//! * **Content addressing** — fixed-size blocks keyed by SHA-256 (like
-//!   `dedup=sha256`), with one refcounted dedup table ([`ddt`]) that
-//!   serves concurrent `&self` probes and takes every mutation from the
-//!   serial commit path.
+//! * **Content addressing** — records keyed by SHA-256 (like
+//!   `dedup=sha256`): fixed-size blocks, or content-defined chunks cut by a
+//!   Gear scan; a file's table ([`pool::FileTable`]) holds one kind or the
+//!   other, never both. One refcounted dedup table ([`ddt`]) serves
+//!   concurrent `&self` probes and takes every mutation from the serial
+//!   commit path.
 //! * **Inline compression** — every unique block is stored compressed with a
 //!   configurable codec (gzip-6 by default, like the paper's choice).
 //! * **Space accounting** ([`stats`]) — physical data, on-disk DDT, in-core
@@ -17,11 +19,11 @@
 //!   of the whole pool's file set and `zfs send -i`-style diff streams, the
 //!   propagation mechanism of Squirrel's registration workflow (Section 3).
 //! * **Staged parallel ingestion** ([`ingest`]) — whole-file imports split
-//!   into pure prepare stages (fused zero-scan + hash + DDT probe, then
-//!   compression) that fan out over a persistent
-//!   [`WorkerPool`](squirrel_hash::par::WorkerPool) shared across calls
-//!   and pools, and a batched in-order serial commit — bit-identical to
-//!   the serial write path at any thread count.
+//!   into pure prepare stages (records cut by chunking strategy, fused
+//!   zero-scan + hash + DDT probe, then compression) that fan out over a
+//!   persistent [`WorkerPool`](squirrel_hash::par::WorkerPool) shared
+//!   across calls and pools, and a batched in-order serial commit —
+//!   bit-identical to the serial write path at any thread count.
 //! * **Zero-copy read path** ([`ZPool::read_block_or_hole`]) — payloads are
 //!   shared immutable buffers: stored compressed records are [`Frame`]s,
 //!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`), decompressed —

@@ -8,7 +8,7 @@
 
 use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, Frame};
-use crate::pool::ZPool;
+use crate::pool::{Records, ZPool};
 use crate::send::{RecvError, SendStream};
 use proptest::prelude::*;
 use squirrel_compress::{decompress, Codec};
@@ -53,10 +53,12 @@ fn oracle_intact(p: &ZPool, name: &str) -> Option<bool> {
 /// for: the first, in payload order, whose bytes are not its key's.
 fn oracle_rejects(stream: &SendStream, block_size: u32) -> Option<BlockKey> {
     let mut lsizes = BTreeMap::new();
-    for (_, meta) in &stream.upserts {
-        match meta.chunks.as_deref() {
-            Some(chunks) => lsizes.extend(chunks.iter().map(|c| (c.key, c.len))),
-            None => lsizes.extend(meta.ptrs.iter().flatten().map(|key| (*key, block_size))),
+    for (_, table) in &stream.upserts {
+        match &table.records {
+            Records::Blocks(ptrs) => {
+                lsizes.extend(ptrs.iter().flatten().map(|key| (*key, block_size)))
+            }
+            Records::Chunks(chunks) => lsizes.extend(chunks.iter().map(|c| (c.key, c.len))),
         }
     }
     stream.payload.iter().find_map(|b| {
@@ -74,7 +76,7 @@ fn oracle_missing(stream: &SendStream, p: &ZPool) -> Option<BlockKey> {
     stream
         .upserts
         .iter()
-        .flat_map(|(_, meta)| meta.iter_keys())
+        .flat_map(|(_, table)| table.iter_keys())
         .find(|key| !sent.contains(key) && p.ddt().get(key).is_none())
 }
 

@@ -1,9 +1,10 @@
-//! The pool: files of fixed-size deduplicated, compressed blocks, plus
-//! whole-pool snapshots.
+//! The pool: files of deduplicated, compressed records, plus whole-pool
+//! snapshots.
 //!
 //! Model notes versus real ZFS: a pool holds one dataset whose files are the
 //! VMI caches; snapshots capture the entire file set (Squirrel snapshots the
-//! whole cVolume); blocks are fixed `recordsize` units; zero blocks become
+//! whole cVolume); a file's records (`Records`) are fixed `recordsize`
+//! blocks or, for CDC imports, content-defined chunks; zero records become
 //! holes. Reference counting is exact: one reference per live file pointer
 //! plus one per snapshot pointer, so destroying snapshots frees exactly the
 //! blocks nothing else uses.
@@ -97,22 +98,32 @@ pub struct CdcChunk {
     pub len: u32,
 }
 
-/// Per-file block-pointer table. The pointer vector sits behind an `Arc` so
-/// snapshots and send-stream metadata share it: cloning a table (every
-/// snapshot clones the whole file map) is a refcount bump, and the
-/// copy-on-write `Arc::make_mut` in [`ZPool::write_block`] only materializes
-/// a private vector when a shared table is actually modified.
-///
-/// A file is *either* block-addressed (`ptrs`, fixed chunking) *or*
-/// chunk-addressed (`chunks`, CDC) — never both. Chunked files are
-/// import-only: [`ZPool::write_block`] rejects them.
+/// A file's records: fixed-size block pointers or content-defined chunks,
+/// never both. The vector sits behind an `Arc` so snapshots and send
+/// streams share it: cloning a table (every snapshot clones the whole file
+/// map) is a refcount bump, and the copy-on-write `Arc::make_mut` in
+/// [`ZPool::write_block`] only materializes a private vector when a shared
+/// table is actually modified.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Records {
+    /// One pointer per `block_size` record; `None` = hole (zero block).
+    Blocks(Arc<Vec<Option<BlockKey>>>),
+    /// Content-defined chunks, sorted by `logical_off`. Chunked files are
+    /// import-only: [`ZPool::write_block`] rejects them.
+    Chunks(Arc<Vec<CdcChunk>>),
+}
+
+impl Default for Records {
+    fn default() -> Self {
+        Records::Blocks(Arc::default())
+    }
+}
+
+/// One file's table: its records and logical length. The same type serves
+/// live files, snapshots and a [`SendStream`](crate::SendStream)'s upserts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub(crate) struct FileTable {
-    /// `None` = hole (zero block).
-    pub(crate) ptrs: Arc<Vec<Option<BlockKey>>>,
-    /// Content-defined chunks, sorted by `logical_off`; `None` for
-    /// block-addressed files.
-    pub(crate) chunks: Option<Arc<Vec<CdcChunk>>>,
+pub struct FileTable {
+    pub(crate) records: Records,
     /// Logical file length in bytes.
     pub(crate) len: u64,
 }
@@ -120,23 +131,22 @@ pub(crate) struct FileTable {
 impl FileTable {
     /// Every referenced block key, with multiplicity — one per live block
     /// pointer or chunk. This is the iteration all refcount bookkeeping
-    /// (snapshot, delete, purge, invariant checks) runs on, so the two
-    /// addressing shapes can't diverge.
+    /// (snapshot, delete, purge, recv, invariant checks) runs on.
     pub(crate) fn iter_keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
-        self.ptrs.iter().copied().flatten().chain(
-            self.chunks
-                .as_deref()
-                .into_iter()
-                .flatten()
-                .map(|c| c.key),
-        )
+        let (ptrs, chunks): (&[Option<BlockKey>], &[CdcChunk]) = match &self.records {
+            Records::Blocks(ptrs) => (ptrs, &[]),
+            Records::Chunks(chunks) => (&[], chunks),
+        };
+        ptrs.iter().copied().flatten().chain(chunks.iter().map(|c| c.key))
     }
 
     /// Number of on-disk pointer records this table costs (block pointers
     /// including holes, or chunk records).
     pub(crate) fn ptr_count(&self) -> u64 {
-        self.ptrs.len() as u64
-            + self.chunks.as_deref().map(|c| c.len() as u64).unwrap_or(0)
+        match &self.records {
+            Records::Blocks(ptrs) => ptrs.len() as u64,
+            Records::Chunks(chunks) => chunks.len() as u64,
+        }
     }
 }
 
@@ -253,10 +263,10 @@ impl ZPool {
     /// punches a hole.
     pub fn write_block(&mut self, name: &str, block_idx: u64, data: &[u8]) {
         assert_eq!(data.len(), self.config.block_size, "unaligned write");
-        assert!(
-            self.files.get(name).and_then(|t| t.chunks.as_ref()).is_none(),
-            "write_block on a CDC-chunked file (chunked files are import-only)"
-        );
+        let table = self.files.get_mut(name).expect("write to unknown file");
+        let Records::Blocks(ptrs) = &mut table.records else {
+            panic!("write_block on a CDC-chunked file (chunked files are import-only)");
+        };
         self.meters.ingest_blocks.inc();
         self.meters.ingest_bytes.add(data.len() as u64);
         let new_key = if squirrel_hash::is_zero_block(data) {
@@ -283,11 +293,10 @@ impl ZPool {
             }
             Some(key)
         };
-        let table = self.files.get_mut(name).expect("write to unknown file");
         // Copy-on-write: snapshots share the pointer vector; the first write
         // after a snapshot materializes a private copy, later writes mutate
         // it in place.
-        let ptrs = Arc::make_mut(&mut table.ptrs);
+        let ptrs = Arc::make_mut(ptrs);
         if ptrs.len() <= block_idx as usize {
             ptrs.resize(block_idx as usize + 1, None);
         }
@@ -333,10 +342,14 @@ impl ZPool {
             let c = &chunks[i];
             let bytes = self.payload(&c.key);
             let lo = start.max(c.logical_off);
-            let hi = end.min(c.logical_off + c.len as u64);
-            buf[(lo - start) as usize..(hi - start) as usize].copy_from_slice(
-                &bytes[(lo - c.logical_off) as usize..(hi - c.logical_off) as usize],
-            );
+            // A received frame may inflate short of its chunk (the proof
+            // hashes what comes out); the rest of the chunk reads as zeros.
+            let hi = end.min(c.logical_off + u64::from(c.len).min(bytes.len() as u64));
+            if lo < hi {
+                buf[(lo - start) as usize..(hi - start) as usize].copy_from_slice(
+                    &bytes[(lo - c.logical_off) as usize..(hi - c.logical_off) as usize],
+                );
+            }
             i += 1;
         }
     }
@@ -356,12 +369,15 @@ impl ZPool {
     pub fn read_block(&self, name: &str, block_idx: u64) -> Option<Vec<u8>> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;
-        if let Some(chunks) = table.chunks.as_deref() {
-            let mut buf = vec![0u8; bs];
-            self.read_range_chunked(chunks, block_idx * bs as u64, &mut buf);
-            return Some(buf);
-        }
-        match table.ptrs.get(block_idx as usize).copied().flatten() {
+        let ptr = match &table.records {
+            Records::Blocks(ptrs) => ptrs.get(block_idx as usize).copied().flatten(),
+            Records::Chunks(chunks) => {
+                let mut buf = vec![0u8; bs];
+                self.read_range_chunked(chunks, block_idx * bs as u64, &mut buf);
+                return Some(buf);
+            }
+        };
+        match ptr {
             None => Some(vec![0u8; bs]),
             Some(key) => {
                 let (frame, lsize) = self.record(&key);
@@ -381,17 +397,21 @@ impl ZPool {
     pub fn read_block_or_hole(&self, name: &str, block_idx: u64) -> Option<Option<SharedPayload>> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;
-        if let Some(chunks) = table.chunks.as_deref() {
-            let start = block_idx * bs as u64;
-            if Self::block_is_hole_chunked(chunks, start, start + bs as u64) {
-                return Some(None);
+        match &table.records {
+            Records::Blocks(ptrs) => {
+                let ptr = ptrs.get(block_idx as usize).copied().flatten();
+                Some(ptr.map(|key| self.payload(&key)))
             }
-            let mut buf = vec![0u8; bs];
-            self.read_range_chunked(chunks, start, &mut buf);
-            return Some(Some(buf.into()));
+            Records::Chunks(chunks) => {
+                let start = block_idx * bs as u64;
+                if Self::block_is_hole_chunked(chunks, start, start + bs as u64) {
+                    return Some(None);
+                }
+                let mut buf = vec![0u8; bs];
+                self.read_range_chunked(chunks, start, &mut buf);
+                Some(Some(buf.into()))
+            }
         }
-        let ptr = table.ptrs.get(block_idx as usize).copied().flatten();
-        Some(ptr.map(|key| self.payload(&key)))
     }
 
     /// [`read_block_or_hole`](Self::read_block_or_hole) with a hole served
@@ -415,11 +435,11 @@ impl ZPool {
     /// `None` entries are holes. One entry per block pointer (fixed) or per
     /// chunk in logical order (CDC).
     pub fn block_refs(&self, name: &str) -> Option<Vec<Option<BlockRef>>> {
-        let table = self.files.get(name)?;
-        if let Some(chunks) = table.chunks.as_deref() {
-            return Some(chunks.iter().map(|c| Some(self.block_ref_of(c.key))).collect());
-        }
-        Some(table.ptrs.iter().map(|p| p.map(|key| self.block_ref_of(key))).collect())
+        let block_ref = |key: BlockKey| self.block_ref_of(key);
+        Some(match &self.files.get(name)?.records {
+            Records::Blocks(ptrs) => ptrs.iter().map(|p| p.map(block_ref)).collect(),
+            Records::Chunks(chunks) => chunks.iter().map(|c| Some(block_ref(c.key))).collect(),
+        })
     }
 
     // --- snapshots ----------------------------------------------------------
@@ -616,33 +636,22 @@ impl ZPool {
     /// excluded): fixed files yield one record per nonzero block pointer,
     /// chunked files one per chunk. `None` if the file does not exist.
     pub fn file_layout(&self, name: &str) -> Option<Vec<RecordLoc>> {
-        let table = self.files.get(name)?;
-        let mut out = Vec::new();
-        if let Some(chunks) = table.chunks.as_deref() {
-            for c in chunks {
-                let e = self.entry(&c.key);
-                out.push(RecordLoc {
-                    logical_off: c.logical_off,
-                    llen: c.len,
-                    phys: e.phys,
-                    psize: e.psize,
-                });
+        let bs = self.config.block_size as u64;
+        // A record's logical length is its entry's: a chunk's `len` is the
+        // lsize its key was stored (or received, checked) with.
+        let record = |logical_off: u64, key: &BlockKey| {
+            let e = self.entry(key);
+            RecordLoc { logical_off, llen: e.lsize, phys: e.phys, psize: e.psize }
+        };
+        Some(match &self.files.get(name)?.records {
+            Records::Blocks(ptrs) => (0..)
+                .zip(ptrs.iter())
+                .filter_map(|(i, p)| p.as_ref().map(|key| record(i * bs, key)))
+                .collect(),
+            Records::Chunks(chunks) => {
+                chunks.iter().map(|c| record(c.logical_off, &c.key)).collect()
             }
-        } else {
-            let bs = self.config.block_size as u64;
-            for (i, p) in table.ptrs.iter().enumerate() {
-                if let Some(key) = p {
-                    let e = self.entry(key);
-                    out.push(RecordLoc {
-                        logical_off: i as u64 * bs,
-                        llen: e.lsize,
-                        phys: e.phys,
-                        psize: e.psize,
-                    });
-                }
-            }
-        }
-        Some(out)
+        })
     }
 
     /// Measure `name`'s on-disk scatter: extents and physical gaps along

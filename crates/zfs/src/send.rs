@@ -11,7 +11,7 @@
 
 use crate::ddt::{BlockKey, Frame};
 use crate::meter::PoolMeters;
-use crate::pool::{CdcChunk, FileTable, ZPool};
+use crate::pool::{CdcChunk, FileTable, Records, ZPool};
 use squirrel_hash::par::{cost, WorkerPool};
 use squirrel_hash::ContentHash;
 use std::collections::{BTreeMap, BTreeSet};
@@ -36,39 +36,13 @@ pub struct SendStream {
     pub base: Option<String>,
     /// Tip snapshot tag; `recv` recreates this snapshot on the receiver.
     pub tip: String,
-    /// Files added or modified between base and tip (full new tables).
-    pub upserts: Vec<(String, FileMeta)>,
+    /// Files added or modified between base and tip (full new tables,
+    /// sharing the sender's record vectors).
+    pub upserts: Vec<(String, FileTable)>,
     /// Files deleted between base and tip.
     pub deletes: Vec<String>,
     /// Blocks the receiver cannot already have.
     pub payload: Vec<StreamBlock>,
-}
-
-/// File metadata carried on the wire. The pointer table is shared with the
-/// sender's snapshot (and, after `recv`, with the receiver's live table) —
-/// sending N files clones N refcounts, not N pointer vectors.
-#[derive(Clone, Debug)]
-pub struct FileMeta {
-    pub ptrs: Arc<Vec<Option<BlockKey>>>,
-    /// Content-defined chunk table for CDC-imported files; `None` for
-    /// block-addressed files. Shared with the sender's snapshot, like
-    /// `ptrs`.
-    pub chunks: Option<Arc<Vec<CdcChunk>>>,
-    pub len: u64,
-}
-
-impl FileMeta {
-    /// Every referenced block key, with multiplicity (mirrors
-    /// `FileTable::iter_keys`).
-    pub(crate) fn iter_keys(&self) -> impl Iterator<Item = BlockKey> + '_ {
-        self.ptrs.iter().copied().flatten().chain(
-            self.chunks
-                .as_deref()
-                .into_iter()
-                .flatten()
-                .map(|c| c.key),
-        )
-    }
 }
 
 /// Errors from [`ZPool::send_between`].
@@ -89,8 +63,13 @@ pub enum RecvError {
     /// built from (or became) corrupt data. Nothing was applied.
     CorruptPayload(BlockKey),
     /// An upsert references a block that is neither in the stream payload
-    /// nor already on the receiver. Nothing was applied.
+    /// nor already on the receiver, or a data-retaining receiver is sent a
+    /// new block without its bytes. Nothing was applied.
     MissingBlock(BlockKey),
+    /// A chunk's length differs from that of the record its key names —
+    /// the one the receiver holds, else the payload's. Reading it would
+    /// copy past the record's bytes. Nothing was applied.
+    ChunkLength(BlockKey),
     /// The receiver crashed mid-apply; the transactional recv rolled back
     /// and the pool is unchanged. Retrying the same stream is safe.
     Interrupted,
@@ -111,6 +90,7 @@ impl std::fmt::Display for RecvError {
             RecvError::DuplicateTip(t) => write!(f, "tip snapshot {t} already present"),
             RecvError::CorruptPayload(k) => write!(f, "corrupt payload block {k:032x}"),
             RecvError::MissingBlock(k) => write!(f, "stream missing payload block {k:032x}"),
+            RecvError::ChunkLength(k) => write!(f, "chunk length differs from record {k:032x}"),
             RecvError::Interrupted => write!(f, "recv interrupted; rolled back"),
         }
     }
@@ -142,6 +122,9 @@ pub enum DecodeError {
     /// The framed stream's trailing content digest does not match its body
     /// (bit rot or in-flight corruption). See [`SendStream::decode_framed`].
     BadChecksum,
+    /// A chunk table is out of `logical_off` order, has overlapping chunks,
+    /// or has a chunk starting at or past its file's length.
+    BadChunkTable,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -151,6 +134,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "bad stream magic"),
             DecodeError::BadString => write!(f, "invalid utf-8 in stream"),
             DecodeError::BadChecksum => write!(f, "stream checksum mismatch"),
+            DecodeError::BadChunkTable => write!(f, "chunk table out of order or past its file"),
         }
     }
 }
@@ -234,22 +218,13 @@ impl SendStream {
         put_string(out, &self.tip);
 
         out.extend_from_slice(&(self.upserts.len() as u32).to_le_bytes());
-        for (name, meta) in &self.upserts {
+        for (name, table) in &self.upserts {
             put_string(out, name);
-            out.extend_from_slice(&meta.len.to_le_bytes());
-            match &meta.chunks {
-                Some(chunks) => {
-                    out.extend_from_slice(&CHUNKED_SENTINEL.to_le_bytes());
-                    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-                    for c in chunks.iter() {
-                        out.extend_from_slice(&c.key.to_le_bytes());
-                        out.extend_from_slice(&c.logical_off.to_le_bytes());
-                        out.extend_from_slice(&c.len.to_le_bytes());
-                    }
-                }
-                None => {
-                    out.extend_from_slice(&(meta.ptrs.len() as u32).to_le_bytes());
-                    for p in meta.ptrs.iter() {
+            out.extend_from_slice(&table.len.to_le_bytes());
+            match &table.records {
+                Records::Blocks(ptrs) => {
+                    out.extend_from_slice(&(ptrs.len() as u32).to_le_bytes());
+                    for p in ptrs.iter() {
                         match p {
                             Some(key) => {
                                 out.push(1);
@@ -257,6 +232,15 @@ impl SendStream {
                             }
                             None => out.push(0),
                         }
+                    }
+                }
+                Records::Chunks(chunks) => {
+                    out.extend_from_slice(&CHUNKED_SENTINEL.to_le_bytes());
+                    out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+                    for c in chunks.iter() {
+                        out.extend_from_slice(&c.key.to_le_bytes());
+                        out.extend_from_slice(&c.logical_off.to_le_bytes());
+                        out.extend_from_slice(&c.len.to_le_bytes());
                     }
                 }
             }
@@ -303,23 +287,27 @@ impl SendStream {
             let name = r.string()?;
             let len = r.u64()?;
             let n_ptrs = r.u32()?;
-            if n_ptrs == CHUNKED_SENTINEL {
+            let records = if n_ptrs == CHUNKED_SENTINEL {
                 let n_chunks = r.u32()? as usize;
                 let mut chunks = Vec::with_capacity(n_chunks.min(r.remaining()));
+                // Reads find a block's chunks by binary search and copy
+                // them into place, so the table must be sorted, disjoint
+                // and start inside the file. A chunk may run past `len`:
+                // the last block of an import is zero-padded.
+                let mut end = 0u64;
                 for _ in 0..n_chunks {
                     let key = r.u128()?;
                     let logical_off = r.u64()?;
                     let clen = r.u32()?;
+                    match logical_off.checked_add(clen.into()) {
+                        Some(chunk_end) if logical_off >= end && logical_off < len => {
+                            end = chunk_end;
+                        }
+                        _ => return Err(DecodeError::BadChunkTable),
+                    }
                     chunks.push(CdcChunk { key, logical_off, len: clen });
                 }
-                upserts.push((
-                    name,
-                    FileMeta {
-                        ptrs: Arc::new(Vec::new()),
-                        chunks: Some(Arc::new(chunks)),
-                        len,
-                    },
-                ));
+                Records::Chunks(Arc::new(chunks))
             } else {
                 let n_ptrs = n_ptrs as usize;
                 let mut ptrs = Vec::with_capacity(n_ptrs.min(r.remaining()));
@@ -329,8 +317,9 @@ impl SendStream {
                         _ => Some(r.u128()?),
                     });
                 }
-                upserts.push((name, FileMeta { ptrs: Arc::new(ptrs), chunks: None, len }));
-            }
+                Records::Blocks(Arc::new(ptrs))
+            };
+            upserts.push((name, FileTable { records, len }));
         }
 
         let n_deletes = r.u32()? as usize;
@@ -402,11 +391,12 @@ impl SendStream {
         let tables: u64 = self
             .upserts
             .iter()
-            .map(|(name, meta)| {
-                let records = meta.ptrs.len() as u64 * WIRE_PTR_BYTES
-                    + meta.chunks.as_deref().map(|c| c.len() as u64).unwrap_or(0)
-                        * WIRE_CHUNK_BYTES;
-                name.len() as u64 + WIRE_FILE_OVERHEAD + records
+            .map(|(name, table)| {
+                let record_bytes = match table.records {
+                    Records::Blocks(_) => WIRE_PTR_BYTES,
+                    Records::Chunks(_) => WIRE_CHUNK_BYTES,
+                };
+                name.len() as u64 + WIRE_FILE_OVERHEAD + table.ptr_count() * record_bytes
             })
             .sum();
         let deletes: u64 = self.deletes.iter().map(|n| n.len() as u64 + 8).sum();
@@ -424,18 +414,12 @@ impl SendStream {
     /// because CDC frames decompress to variable lengths.
     fn referenced_lsizes(&self, block_size: u32) -> BTreeMap<BlockKey, u32> {
         let mut sizes = BTreeMap::new();
-        for (_, meta) in &self.upserts {
-            match meta.chunks.as_deref() {
-                Some(chunks) => {
-                    for c in chunks {
-                        sizes.insert(c.key, c.len);
-                    }
+        for (_, table) in &self.upserts {
+            match &table.records {
+                Records::Blocks(ptrs) => {
+                    sizes.extend(ptrs.iter().flatten().map(|&key| (key, block_size)));
                 }
-                None => {
-                    for key in meta.ptrs.iter().copied().flatten() {
-                        sizes.insert(key, block_size);
-                    }
-                }
+                Records::Chunks(chunks) => sizes.extend(chunks.iter().map(|c| (c.key, c.len))),
             }
         }
         sizes
@@ -520,15 +504,11 @@ impl SendStream {
         // reference (a dedup-table lookup; `register_fanout` applies a
         // ≈ 100-record state in ≈ 4 µs).
         const TABLE_REF_NS: u64 = 40;
-        let incoming: usize = self.payload.len()
-            + self
-                .upserts
-                .iter()
-                .map(|(_, m)| m.ptrs.len() + m.chunks.as_deref().map_or(0, Vec::len))
-                .sum::<usize>();
+        let incoming: u64 = self.payload.len() as u64
+            + self.upserts.iter().map(|(_, t)| t.ptr_count()).sum::<u64>();
         let apply_cost = |p: &ZPool| {
             let live: u64 = p.files().values().map(FileTable::ptr_count).sum();
-            (live + 2 * incoming as u64) * TABLE_REF_NS
+            (live + 2 * incoming) * TABLE_REF_NS
         };
         // Each pool sits behind its own mutex, locked once by whichever
         // participant runs its share, so locks never contend.
@@ -633,15 +613,8 @@ impl ZPool {
             if unchanged {
                 continue;
             }
-            // Shares the snapshot's pointer/chunk vectors (refcount bumps).
-            upserts.push((
-                name.clone(),
-                FileMeta {
-                    ptrs: Arc::clone(&table.ptrs),
-                    chunks: table.chunks.clone(),
-                    len: table.len,
-                },
-            ));
+            // Shares the snapshot's record vector (a refcount bump).
+            upserts.push((name.clone(), table.clone()));
             for key in table.iter_keys() {
                 if !base_keys.contains(&key) {
                     payload_keys.insert(key);
@@ -686,7 +659,8 @@ impl ZPool {
     /// Apply a stream **transactionally**. The receiver's latest snapshot
     /// must equal the stream's base (or the stream must be full); every
     /// payload block must hash to its key; every upsert pointer must resolve
-    /// to either a payload block or a block already present. All of that is
+    /// to either a payload block or a block already present, and every
+    /// chunk must be as long as the record it names. All of that is
     /// checked *before* the first mutation, in that order, so any `Err`
     /// leaves the pool exactly as it was — a corrupt or impossible stream
     /// never half-applies. On success the receiver's live files match the
@@ -758,12 +732,38 @@ impl ZPool {
     }
 
     /// Every upsert pointer resolves to a payload block or a block this
-    /// pool already holds.
+    /// pool already holds, and every chunk is as long as the record its key
+    /// names: the one this pool holds, else the payload's.
     fn check_pointers(&self, verified: &VerifiedStream<'_>) -> Result<(), RecvError> {
-        for (_, meta) in &verified.stream.upserts {
-            for key in meta.iter_keys() {
-                if !verified.incoming.contains(&key) && self.ddt().get(&key).is_none() {
-                    return Err(RecvError::MissingBlock(key));
+        // A pool that serves reads needs the bytes of every record it does
+        // not hold yet; an accounting-only sender's blocks carry none.
+        if self.config().retain_data {
+            for b in verified.stream.payload.iter().filter(|b| b.data.is_none()) {
+                if self.ddt().get(&b.key).is_none() {
+                    return Err(RecvError::MissingBlock(b.key));
+                }
+            }
+        }
+        for (_, table) in &verified.stream.upserts {
+            match &table.records {
+                Records::Blocks(ptrs) => {
+                    for &key in ptrs.iter().flatten() {
+                        if !verified.incoming.contains(&key) && self.ddt().get(&key).is_none() {
+                            return Err(RecvError::MissingBlock(key));
+                        }
+                    }
+                }
+                Records::Chunks(chunks) => {
+                    for c in chunks.iter() {
+                        let lsize = match self.ddt().get(&c.key) {
+                            Some(entry) => entry.lsize,
+                            None if verified.incoming.contains(&c.key) => verified.lsize(c.key),
+                            None => return Err(RecvError::MissingBlock(c.key)),
+                        };
+                        if lsize != c.len {
+                            return Err(RecvError::ChunkLength(c.key));
+                        }
+                    }
                 }
             }
         }
@@ -789,16 +789,13 @@ impl ZPool {
         for name in &stream.deletes {
             self.delete_file(name);
         }
-        for (name, meta) in &stream.upserts {
+        for (name, table) in &stream.upserts {
             self.delete_file(name);
-            for key in meta.iter_keys() {
+            for key in table.iter_keys() {
                 self.ddt_mut()
                     .add_ref(key, || unreachable!("validated stream resolves every block"));
             }
-            self.files_mut().insert(
-                name.clone(),
-                FileTable { ptrs: meta.ptrs.clone(), chunks: meta.chunks.clone(), len: meta.len },
-            );
+            self.files_mut().insert(name.clone(), table.clone());
         }
 
         // Drop staging references.
@@ -813,14 +810,32 @@ impl ZPool {
 
 #[cfg(test)]
 mod proptests {
-    use super::SendStream;
-    use crate::config::PoolConfig;
+    use super::{SendStream, StreamBlock};
+    use crate::config::{ChunkStrategy, PoolConfig};
     use crate::pool::ZPool;
     use proptest::prelude::*;
     use squirrel_compress::Codec;
+    use squirrel_hash::cdc::CdcParams;
 
-    /// A representative wire image with upserts, deletes, and payload.
-    fn golden_wire_bytes() -> Vec<u8> {
+    /// A sender's history `s1 → s2`: the full stream of `s1` (a receiver's
+    /// base), the wire image of the diff, and the pool config of both ends.
+    struct Golden {
+        cfg: PoolConfig,
+        base: SendStream,
+        diff: Vec<u8>,
+    }
+
+    impl Golden {
+        fn new(src: &ZPool) -> Golden {
+            let base = src.send_between(None, "s1").expect("full");
+            let diff = src.send_between(Some("s1"), "s2").expect("diff").encode();
+            Golden { cfg: *src.config(), base, diff }
+        }
+    }
+
+    /// A representative fixed-record history with upserts, deletes, and
+    /// payload.
+    fn fixed_golden() -> Golden {
         let mut src = ZPool::new(PoolConfig::new(512, Codec::Lzjb));
         src.create_file("cache-a");
         for i in 0..3u8 {
@@ -831,7 +846,85 @@ mod proptests {
         src.write_block("cache-b", 0, &vec![9u8; 512]);
         src.delete_file("cache-a");
         src.snapshot("s2");
-        src.send_between(Some("s1"), "s2").expect("send").encode()
+        Golden::new(&src)
+    }
+
+    /// A CDC history: 16 blocks of content cut into ~1 KiB chunks, then
+    /// re-imported behind a 64-byte prefix, so the diff's chunk table names
+    /// chunks the receiver holds and chunks its payload carries.
+    fn cdc_golden() -> Golden {
+        let chunking = ChunkStrategy::Cdc(CdcParams::with_average(1024));
+        let mut src = ZPool::new(PoolConfig::new(512, Codec::Lzjb).with_chunking(chunking));
+        let base: Vec<u8> = (0..16 * 512u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        let mut shifted = vec![0x77u8; 64];
+        shifted.extend_from_slice(&base[..16 * 512 - 64]);
+        let blocks = |data: &[u8]| data.chunks(512).map(<[u8]>::to_vec).collect::<Vec<_>>();
+        src.import_file("img", &blocks(&base), 16 * 512);
+        src.snapshot("s1");
+        src.import_file("img", &blocks(&shifted), 16 * 512);
+        src.snapshot("s2");
+        Golden::new(&src)
+    }
+
+    /// Bytes of `wire` before its payload: header, tables and deletes.
+    fn tables_end(wire: &[u8]) -> usize {
+        let mut stream = SendStream::decode(wire).expect("clean wire");
+        stream.payload.clear();
+        stream.encode().len() - 4
+    }
+
+    /// Decode `bytes`; if that succeeds, receive the stream into a fresh
+    /// pool (first brought to `golden`'s base when the stream names one)
+    /// and read back every block of every file. Nothing may panic; what
+    /// `recv` answers is not checked. A payload frame the wire damaged is
+    /// the framed digest's to catch — `decompress` may panic on one (see
+    /// squirrel-compress's `corrupt_input.rs`) — so a stream carrying one
+    /// is decoded only.
+    fn decode_recv_and_read(golden: &Golden, bytes: &[u8]) {
+        let _ = SendStream::decode_framed(bytes);
+        let Ok(stream) = SendStream::decode(bytes) else {
+            return;
+        };
+        let diff = SendStream::decode(&golden.diff).expect("clean");
+        let clean = [&golden.base.payload, &diff.payload];
+        let intact = |b: &StreamBlock| {
+            let same = |c: &StreamBlock| c.data.as_deref() == b.data.as_deref();
+            b.data.is_none() || clean.iter().any(|payload| payload.iter().any(same))
+        };
+        if !stream.payload.iter().all(intact) {
+            return;
+        }
+        let mut p = ZPool::new(golden.cfg);
+        if stream.base.is_some() {
+            p.recv(&golden.base).expect("clean base");
+        }
+        let _ = p.recv(&stream);
+        let bs = golden.cfg.block_size as u64;
+        for name in p.file_names() {
+            // A damaged length can name exabytes: read the first blocks and
+            // the first and last block of every record.
+            let first = 0..p.file_len(name).unwrap_or(0).div_ceil(bs).min(64);
+            let records = p.file_layout(name).expect("file");
+            let ends = records.iter().flat_map(|r| {
+                [r.logical_off, r.logical_off + u64::from(r.llen).max(1) - 1].map(|off| off / bs)
+            });
+            for b in first.chain(ends) {
+                let _ = p.read_block(name, b);
+                let _ = p.read_block_shared(name, b);
+            }
+        }
+    }
+
+    /// Flip `flips`' bits of `bytes`, each at its position modulo `within`.
+    fn flip(bytes: &mut [u8], within: usize, flips: &[(u16, u8)]) {
+        for &(pos, bit) in flips {
+            if within == 0 {
+                break;
+            }
+            bytes[pos as usize % within] ^= 1 << bit;
+        }
     }
 
     #[derive(Debug, Clone)]
@@ -845,6 +938,33 @@ mod proptests {
             4 => (0u8..4, 0u8..6, any::<u8>()).prop_map(|(file, idx, fill)| Op::Write { file, idx, fill }),
             1 => (0u8..4).prop_map(|file| Op::Delete { file }),
         ]
+    }
+
+    /// Every field of every chunk record — key, offset, length — nudged
+    /// by each of a few steps, in a full stream (its chunks all in the
+    /// payload) and in the diff (most of them held by the receiver).
+    #[test]
+    fn decode_survives_every_cdc_chunk_record_nudge() {
+        let golden = cdc_golden();
+        for clean in [golden.base.encode(), golden.diff.clone()] {
+            // The one chunk table follows its sentinel and its count.
+            let sentinel = clean.windows(4).position(|w| w == [0xff; 4]).expect("chunk table");
+            let count = clean[sentinel + 4..sentinel + 8].try_into().map(u32::from_le_bytes);
+            let count = count.expect("chunk count");
+            for record in (0..count as usize).map(|i| sentinel + 8 + 28 * i) {
+                for (at, width) in [(0, 8), (16, 8), (24, 4)] {
+                    for step in [1, -1, 511, -512, 2048, 1 << 31, i64::MAX, -1 << 40] {
+                        let mut bytes = clean.clone();
+                        let field = &mut bytes[record + at..record + at + width];
+                        let mut value = [0u8; 8];
+                        value[..width].copy_from_slice(field);
+                        let moved = u64::from_le_bytes(value).wrapping_add(step as u64);
+                        field.copy_from_slice(&moved.to_le_bytes()[..width]);
+                        decode_recv_and_read(&golden, &bytes);
+                    }
+                }
+            }
+        }
     }
 
     proptest! {
@@ -903,18 +1023,12 @@ mod proptests {
             truncate_to in 0usize..400,
             flips in proptest::collection::vec((any::<u16>(), 0u8..8), 0..6)
         ) {
-            let clean = golden_wire_bytes();
-            let mut bytes = clean.clone();
+            let golden = fixed_golden();
+            let mut bytes = golden.diff.clone();
             bytes.truncate(truncate_to.min(bytes.len()));
-            for (pos, bit) in flips {
-                if bytes.is_empty() {
-                    break;
-                }
-                let i = pos as usize % bytes.len();
-                bytes[i] ^= 1 << bit;
-            }
-            let _ = SendStream::decode(&bytes);
-            let _ = SendStream::decode_framed(&bytes);
+            let within = bytes.len();
+            flip(&mut bytes, within, &flips);
+            decode_recv_and_read(&golden, &bytes);
         }
 
         /// Completely random byte soup never panics either path.
@@ -932,10 +1046,44 @@ mod proptests {
             offset in any::<u16>(),
             value in prop_oneof![Just(u32::MAX), Just(1 << 31), any::<u32>()]
         ) {
-            let mut bytes = golden_wire_bytes();
+            let golden = fixed_golden();
+            let mut bytes = golden.diff.clone();
             let i = offset as usize % (bytes.len() - 4);
             bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
-            let _ = SendStream::decode(&bytes);
+            decode_recv_and_read(&golden, &bytes);
+        }
+
+        /// A CDC stream — chunk-table sentinel, chunk records, the payload
+        /// chunks — bit-flipped anywhere, or only in its tables, decodes
+        /// cleanly or not at all, and what it applies reads back.
+        #[test]
+        fn decode_survives_cdc_bitflips(
+            full in any::<bool>(),
+            in_tables in any::<bool>(),
+            flips in proptest::collection::vec((any::<u16>(), 0u8..8), 1..6)
+        ) {
+            let golden = cdc_golden();
+            let mut bytes = if full { golden.base.encode() } else { golden.diff.clone() };
+            let within = if in_tables { tables_end(&bytes) } else { bytes.len() };
+            flip(&mut bytes, within, &flips);
+            decode_recv_and_read(&golden, &bytes);
+        }
+
+        /// A CDC stream cut short anywhere, or with any u32 of its tables
+        /// (counts, chunk lengths, offset halves) clobbered.
+        #[test]
+        fn decode_survives_cdc_truncation_and_field_corruption(
+            cut in any::<u16>(),
+            offset in any::<u16>(),
+            value in prop_oneof![Just(u32::MAX), Just(1 << 31), any::<u32>(), 0u32..8192]
+        ) {
+            let golden = cdc_golden();
+            let mut bytes = golden.diff.clone();
+            let i = offset as usize % (tables_end(&bytes) - 4);
+            bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
+            decode_recv_and_read(&golden, &bytes);
+            bytes.truncate(cut as usize % bytes.len());
+            decode_recv_and_read(&golden, &bytes);
         }
     }
 }
@@ -1192,6 +1340,24 @@ mod tests {
         assert!(dst.check_refcounts());
     }
 
+    #[test]
+    fn recv_refuses_a_frameless_block_into_a_data_retaining_pool() {
+        let mut src = pool();
+        fill(&mut src, "cache-a", &[1, 2]);
+        src.snapshot("s1");
+        let mut stream = src.send_between(None, "s1").expect("send");
+        stream.payload[0].data = None;
+        let victim = stream.payload[0].key;
+        let mut dst = pool();
+        assert_eq!(dst.recv(&stream), Err(RecvError::MissingBlock(victim)));
+        assert_eq!(dst.file_count(), 0);
+        assert_eq!(dst.stats().unique_blocks, 0);
+        // A pool that keeps no bytes takes it.
+        let mut accounting = ZPool::new(PoolConfig::new(512, Codec::Lzjb).accounting_only());
+        accounting.recv(&stream).expect("accounting-only recv");
+        assert!(accounting.check_refcounts());
+    }
+
     /// Prove `stream` for `p`, then crash `p`'s recv of it.
     fn crash(p: &mut ZPool, stream: &SendStream) -> Result<(), RecvError> {
         p.verify(stream).and_then(|v| p.recv_crashed(&v))
@@ -1316,13 +1482,11 @@ mod tests {
         src.import_file("img", &blocks, 16 * bs as u64);
         src.snapshot("s1");
         let stream = src.send_between(None, "s1").expect("send");
-        assert!(stream.upserts[0].1.chunks.is_some(), "chunk table on the wire");
+        let on_wire = &stream.upserts[0].1;
+        assert!(matches!(on_wire.records, Records::Chunks(_)), "chunk table on the wire");
         // The chunk table survives the binary wire format exactly.
         let decoded = SendStream::decode(&stream.encode()).expect("decode");
-        assert_eq!(
-            decoded.upserts[0].1.chunks.as_deref(),
-            stream.upserts[0].1.chunks.as_deref()
-        );
+        assert_eq!(&decoded.upserts[0].1, on_wire);
         let mut dst = ZPool::new(cfg());
         dst.recv(&decoded).expect("recv");
         for i in 0..16u64 {
@@ -1522,7 +1686,7 @@ mod tests {
         src.import_file("img", &blocks, (48 * BS) as u64);
         src.snapshot("s1");
         let full = src.send_between(None, "s1").expect("send");
-        assert!(full.upserts[0].1.chunks.is_some());
+        assert!(matches!(full.upserts[0].1.records, Records::Chunks(_)));
         // Chunk records carry their own lengths, so the record size of the
         // receiver does not enter the proof.
         let results = fanout_matches_serial(&full, &|| vec![cdc(BS), cdc(BS / 2), cdc(BS)]);
@@ -1658,6 +1822,96 @@ mod tests {
         ));
         // Whatever it reported, a crashed recv changed nothing.
         assert_eq!(pools.iter().map(state).collect::<Vec<_>>(), before);
+    }
+
+    // --- chunk tables off the wire ------------------------------------------
+
+    /// A hand-built incremental `s1 → s2` that upserts file `evil` of length
+    /// `len` with the `(key, logical_off, len)` chunk table `chunks` and
+    /// carries no payload, encoded as the wire format lays it out.
+    fn chunked_diff(len: u64, chunks: &[(BlockKey, u64, u32)]) -> Vec<u8> {
+        let mut out = STREAM_MAGIC.to_vec();
+        out.push(1);
+        put_string(&mut out, "s1");
+        put_string(&mut out, "s2");
+        out.extend_from_slice(&1u32.to_le_bytes());
+        put_string(&mut out, "evil");
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&CHUNKED_SENTINEL.to_le_bytes());
+        out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
+        for &(key, off, clen) in chunks {
+            out.extend_from_slice(&key.to_le_bytes());
+            out.extend_from_slice(&off.to_le_bytes());
+            out.extend_from_slice(&clen.to_le_bytes());
+        }
+        out.extend_from_slice(&0u32.to_le_bytes()); // deletes
+        out.extend_from_slice(&0u32.to_le_bytes()); // payload
+        out
+    }
+
+    /// A CDC receiver holding a sender's full stream of file `img` (16
+    /// blocks of 512 B), and `img`'s chunks as `(key, logical_off, len)`.
+    fn cdc_receiver() -> (ZPool, Vec<(BlockKey, u64, u32)>) {
+        use crate::config::ChunkStrategy;
+        use squirrel_hash::cdc::CdcParams;
+        let cfg = PoolConfig::new(512, Codec::Lzjb)
+            .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)));
+        let mut src = ZPool::new(cfg);
+        let blocks: Vec<Vec<u8>> = (0..16)
+            .map(|i| (0..512).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
+            .collect();
+        src.import_file("img", &blocks, 16 * 512);
+        src.snapshot("s1");
+        let mut dst = ZPool::new(cfg);
+        dst.recv(&src.send_between(None, "s1").expect("send")).expect("recv");
+        let Records::Chunks(chunks) = &dst.files()["img"].records else {
+            panic!("a CDC import is chunked");
+        };
+        let chunks = chunks.iter().map(|c| (c.key, c.logical_off, c.len)).collect();
+        (dst, chunks)
+    }
+
+    #[test]
+    fn recv_refuses_a_chunk_longer_than_the_record_it_names() {
+        let (mut dst, chunks) = cdc_receiver();
+        assert!(chunks.len() >= 2, "{chunks:?}");
+        let (key, _, len) = chunks[0];
+        let before = state(&dst);
+        let long = SendStream::decode(&chunked_diff(16 * 512, &[(key, 0, len + 2048)]))
+            .expect("a sorted table decodes");
+        assert_eq!(dst.recv(&long), Err(RecvError::ChunkLength(key)));
+        assert_eq!(state(&dst), before, "nothing applied");
+        // The same chunk at its own length is taken and reads as `img` does.
+        let right = SendStream::decode(&chunked_diff(16 * 512, &[(key, 0, len)])).expect("decode");
+        dst.recv(&right).expect("recv");
+        for b in 0..16 {
+            let covered = b * 512 < u64::from(len);
+            let want = if covered { dst.read_block("img", b) } else { Some(vec![0; 512]) };
+            assert_eq!(dst.read_block("evil", b), want, "block {b}");
+        }
+    }
+
+    #[test]
+    fn decode_refuses_an_unsorted_overlapping_or_outlying_chunk_table() {
+        let (mut dst, chunks) = cdc_receiver();
+        assert!(chunks.len() >= 2, "{chunks:?}");
+        let ((k0, off0, len0), (k1, off1, len1)) = (chunks[0], chunks[1]);
+        let file = 16 * 512;
+        for (len, bad) in [
+            (file, vec![chunks[1], chunks[0]]),
+            (file, vec![(k0, off0, len0 + 1), (k1, off1, len1)]),
+            (file, vec![(k0, file, len0)]),
+            (u64::MAX, vec![(k0, u64::MAX - 1, len0)]),
+        ] {
+            let wire = chunked_diff(len, &bad);
+            let refused = SendStream::decode(&wire).err();
+            assert_eq!(refused, Some(DecodeError::BadChunkTable), "{bad:?}");
+        }
+        // In order, the same two chunks read back where they belong.
+        let sorted = SendStream::decode(&chunked_diff(16 * 512, &chunks[..2])).expect("decode");
+        dst.recv(&sorted).expect("recv");
+        assert_eq!(dst.read_block("evil", 0), dst.read_block("img", 0));
+        assert_ne!(dst.read_block("evil", 0), Some(vec![0; 512]));
     }
 
     #[test]

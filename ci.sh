@@ -45,7 +45,9 @@ if [ -n "$drift" ]; then
 fi
 
 echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
-cargo test -q --release -p squirrel-hash -p squirrel-compress > /dev/null
+# squirrel-dataset rides along: its golden corpus pins and the fixed-width
+# atom writer's differential test run in the build that ships.
+cargo test -q --release -p squirrel-hash -p squirrel-compress -p squirrel-dataset > /dev/null
 
 echo "== worker pool under repetition (release, 20 runs: where a one-in-fifty race hides) =="
 for i in $(seq 20); do

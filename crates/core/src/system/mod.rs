@@ -26,9 +26,11 @@ use squirrel_cluster::{
 };
 use squirrel_dataset::{Corpus, ImageId};
 use squirrel_faults::{FaultPlan, FaultReport};
-use squirrel_hash::par::WorkerPool;
+use squirrel_hash::par::{cost, WorkerPool};
 use squirrel_obs::{Metrics, MetricsRegistry};
-use squirrel_qcow::{CorCache, VirtualDisk};
+#[cfg(test)]
+use squirrel_qcow::CorCache;
+use squirrel_qcow::VirtualDisk;
 use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -314,12 +316,38 @@ impl Squirrel {
         format!("cache-{image:06}")
     }
 
-    /// Replay the registration's copy-on-read boot to materialize `image`'s
-    /// cache: the boot trace drives reads through a CoR cache, capturing
-    /// exactly the working set. Deterministic — the same image yields the
-    /// same bytes — so the EC repair path can rebuild an authoritative copy
-    /// long after registration.
+    /// Materialize `image`'s cache as the registration's copy-on-read boot
+    /// captures it: a CoR cache holds a block exactly when some read of the
+    /// boot trace touches it, so the cache is the trace's touched blocks,
+    /// each read whole from the image. An image's bytes are a pure function
+    /// of (corpus seed, atom identity), so the blocks are synthesised on the
+    /// workers in any order and come back in block order. Deterministic —
+    /// the same image yields the same bytes — so the EC repair path can
+    /// rebuild an authoritative copy long after registration.
     fn materialize_cache(&self, image: ImageId) -> (u64, CacheBlocks) {
+        let handle = self.corpus.image(image);
+        let bs = self.config.block_size;
+        let bs64 = bs as u64;
+        let mut touched: Vec<u64> = Vec::new();
+        for op in handle.cache().boot_trace().ops.iter().filter(|op| op.len > 0) {
+            touched.extend(op.offset / bs64..=(op.offset + u64::from(op.len) - 1) / bs64);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let blocks: CacheBlocks =
+            self.workers.parallel_map(&touched, |_| bs64 * cost::SYNTH, |_, &block| {
+                let mut data = vec![0u8; bs];
+                handle.read_at(block * bs64, &mut data);
+                (block, data.into())
+            });
+        ((blocks.len() * bs) as u64, blocks)
+    }
+
+    /// [`Self::materialize_cache`] as the serial copy-on-read replay it
+    /// stands for: the boot trace driven through a [`CorCache`]. Its
+    /// reference.
+    #[cfg(test)]
+    fn materialize_cache_by_cor_replay(&self, image: ImageId) -> (u64, CacheBlocks) {
         let trace = self.corpus.image(image).cache().boot_trace();
         let mut cor = CorCache::new(
             ImageDisk { corpus: Arc::clone(&self.corpus), image },
@@ -607,6 +635,34 @@ mod testkit {
 #[cfg(test)]
 mod tests {
     use super::testkit::*;
+
+    #[test]
+    fn materialize_equals_the_cor_replay() {
+        // Caches large enough that synthesis splits into several shares.
+        let corpus =
+            Arc::new(Corpus::generate(CorpusConfig { scale: 256, ..CorpusConfig::test_corpus(8, 77) }));
+        for block_size in [4 << 10, 16 << 10, 64 << 10] {
+            let reference = system_on(Arc::clone(&corpus), 1, |c| c.block_size = block_size);
+            let want: Vec<_> = (0..corpus.len() as ImageId)
+                .map(|i| reference.materialize_cache_by_cor_replay(i))
+                .collect();
+            for threads in [1, 2, 8] {
+                let sq = system_on(Arc::clone(&corpus), 1, |c| {
+                    c.block_size = block_size;
+                    c.threads = threads;
+                });
+                for (image, (want_bytes, want_blocks)) in want.iter().enumerate() {
+                    assert!(want_bytes * cost::SYNTH >= 2 * squirrel_hash::par::MIN_SHARE);
+                    let (bytes, blocks) = sq.materialize_cache(image as ImageId);
+                    let at = format!("image {image}, {block_size} B blocks, {threads} threads");
+                    let indices = |b: &CacheBlocks| b.iter().map(|&(i, _)| i).collect::<Vec<_>>();
+                    assert_eq!(bytes, *want_bytes, "{at}: cache bytes");
+                    assert_eq!(indices(&blocks), indices(want_blocks), "{at}: captured blocks");
+                    assert!(blocks == *want_blocks, "{at}: block bytes");
+                }
+            }
+        }
+    }
 
     #[test]
     fn errors_on_unknown_entities() {

@@ -18,7 +18,7 @@
 //!   artifacts, mutated segments).
 
 use crate::census::OsFamily;
-use crate::dict::{Dictionary, WORD_PROB};
+use crate::dict::{Dictionary, WORD_PROB, WORD_READ};
 use crate::rng::SplitMix64;
 
 /// Content-identity unit, in bytes.
@@ -117,12 +117,83 @@ pub fn resolve_atom(group: AtomGroup, idx: u64) -> (AtomGroup, u64) {
 /// matches even inside 1 KiB blocks.
 const LOCAL_REPEAT: f64 = 0.6;
 
+/// `rng.chance(p)` without the float: [`SplitMix64::unit_f64`] is exactly
+/// `m · 2⁻⁵³` for the draw's top 53 bits `m`, so `m · 2⁻⁵³ < p` iff
+/// `m < ⌈p · 2⁵³⌉`. The same draw, decided by one integer comparison.
+const fn chance_threshold(p: f64) -> u64 {
+    assert!(0.0 <= p && p <= 1.0);
+    let scaled = p * (1u64 << 53) as f64;
+    let floor = scaled as u64;
+    if (floor as f64) < scaled {
+        floor + 1
+    } else {
+        floor
+    }
+}
+
+const WORD_THRESHOLD: u64 = chance_threshold(WORD_PROB);
+const LOCAL_REPEAT_THRESHOLD: u64 = chance_threshold(LOCAL_REPEAT);
+
+#[inline]
+fn draw_below(rng: &mut SplitMix64, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
+}
+
 /// Synthesize atom bytes into `out` (must be `ATOM_SIZE` long).
 ///
 /// Texture: dictionary words (corpus-wide, compressible) interleaved with
 /// random filler, with heavy *local* word repetition, all driven by a
-/// SplitMix64 seeded from the atom identity.
+/// SplitMix64 seeded from the atom identity — a counter-based draw, so any
+/// thread can synthesise any atom in any order and get the same bytes.
+///
+/// Every token is one fixed-width copy into a padded scratch buffer: a word
+/// writes its whole [`WORD_READ`]-byte window, a filler token its whole
+/// 8-byte draw, and the cursor advances by the token's own length, so the
+/// next token overwrites the overhang. The atom is the first `ATOM_SIZE`
+/// bytes; the draws, decided as integer comparisons, are those of a
+/// per-token variable-length copy.
 pub fn fill_atom(dict: &Dictionary, corpus_seed: u64, group: AtomGroup, idx: u64, out: &mut [u8]) {
+    let (group, idx) = resolve_atom(group, idx);
+    let mut rng = SplitMix64::from_parts(&[corpus_seed, group.seed_word(), idx]);
+    let mut recent = [0usize; 8];
+    let mut n_recent = 0usize;
+    let mut cursor = 0usize;
+    let mut pos = 0usize;
+    let mut padded = [0u8; ATOM_SIZE + WORD_READ];
+    while pos < ATOM_SIZE {
+        if draw_below(&mut rng, WORD_THRESHOLD) {
+            let widx = if n_recent > 0 && draw_below(&mut rng, LOCAL_REPEAT_THRESHOLD) {
+                recent[rng.below(n_recent as u64) as usize]
+            } else {
+                let i = dict.skewed_index(&mut rng);
+                recent[cursor] = i;
+                cursor = (cursor + 1) % recent.len();
+                n_recent = (n_recent + 1).min(recent.len());
+                i
+            };
+            let (window, len) = dict.word_window(widx);
+            padded[pos..pos + WORD_READ].copy_from_slice(window);
+            pos += len;
+        } else {
+            // 4–8 bytes of incompressible filler.
+            let n = rng.range(4, 9) as usize;
+            padded[pos..pos + 8].copy_from_slice(&rng.next_u64().to_le_bytes());
+            pos += n;
+        }
+    }
+    out.copy_from_slice(&padded[..ATOM_SIZE]);
+}
+
+/// The per-token variable-length copy [`fill_atom`] replaced: the reference
+/// its output is held to.
+#[cfg(test)]
+fn reference_fill_atom(
+    dict: &Dictionary,
+    corpus_seed: u64,
+    group: AtomGroup,
+    idx: u64,
+    out: &mut [u8],
+) {
     debug_assert_eq!(out.len(), ATOM_SIZE);
     let (group, idx) = resolve_atom(group, idx);
     let mut rng = SplitMix64::from_parts(&[corpus_seed, group.seed_word(), idx]);
@@ -159,12 +230,85 @@ pub fn fill_atom(dict: &Dictionary, corpus_seed: u64, group: AtomGroup, idx: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn atom(group: AtomGroup, idx: u64) -> Vec<u8> {
         let dict = Dictionary::new(77);
         let mut buf = vec![0u8; ATOM_SIZE];
         fill_atom(&dict, 77, group, idx, &mut buf);
         buf
+    }
+
+    /// Every variant of [`AtomGroup`], chosen and parameterised by draws.
+    fn any_group(kind: u8, a: u32, b: u32, c: u32) -> AtomGroup {
+        let family = OsFamily::ALL[a as usize % OsFamily::ALL.len()];
+        match kind {
+            0 => AtomGroup::Base { family, release: b % 12 },
+            1 => AtomGroup::Common,
+            2 => AtomGroup::Lib { family },
+            3 => AtomGroup::Pkg,
+            4 => AtomGroup::Variant { family, release: b % 12, variant: c % 64 },
+            _ => AtomGroup::Unique { image: b % 4096, stream: c % 4096 },
+        }
+    }
+
+    fn both_fills(dict: &Dictionary, seed: u64, group: AtomGroup, idx: u64) -> [Vec<u8>; 2] {
+        let mut fast = vec![0u8; ATOM_SIZE];
+        let mut reference = vec![0u8; ATOM_SIZE];
+        fill_atom(dict, seed, group, idx, &mut fast);
+        reference_fill_atom(dict, seed, group, idx, &mut reference);
+        [fast, reference]
+    }
+
+    proptest! {
+        /// The fixed-width writer lays down the reference's bytes for any
+        /// atom of any group under any corpus seed.
+        #[test]
+        fn fill_equals_the_reference_copy(
+            seed in any::<u64>(),
+            kind in 0u8..6,
+            params in (any::<u32>(), any::<u32>(), any::<u32>()),
+            idx in any::<u64>(),
+        ) {
+            let dict = Dictionary::new(seed);
+            let group = any_group(kind, params.0, params.1, params.2);
+            let [fast, reference] = both_fills(&dict, seed, group, idx);
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    #[test]
+    fn fill_equals_the_reference_copy_at_the_pinned_seeds() {
+        for seed in [2014, 7] {
+            let dict = Dictionary::new(seed);
+            for kind in 0..6 {
+                for idx in 0..200 {
+                    let group = any_group(kind, idx as u32, 3 * idx as u32, idx as u32 / 5);
+                    let [fast, reference] = both_fills(&dict, seed, group, idx);
+                    assert_eq!(fast, reference, "seed {seed}, {group:?}, atom {idx}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_decide_as_chance_does() {
+        // The boundary, exactly: the largest 53-bit draw below the
+        // threshold passes `unit_f64() < p`, the threshold itself fails.
+        let unit = |m: u64| m as f64 / (1u64 << 53) as f64;
+        for (p, threshold) in [(WORD_PROB, WORD_THRESHOLD), (LOCAL_REPEAT, LOCAL_REPEAT_THRESHOLD)] {
+            assert!(unit(threshold - 1) < p && unit(threshold) >= p, "p = {p}");
+        }
+        assert_eq!(chance_threshold(0.0), 0);
+        assert_eq!(chance_threshold(0.5), 1 << 52);
+        assert_eq!(chance_threshold(1.0), 1 << 53);
+        // And on a stream of draws.
+        let mut rng = SplitMix64::new(40);
+        for _ in 0..10_000 {
+            for (p, threshold) in [(WORD_PROB, WORD_THRESHOLD), (LOCAL_REPEAT, LOCAL_REPEAT_THRESHOLD)] {
+                assert_eq!(draw_below(&mut rng.clone(), threshold), rng.chance(p));
+            }
+        }
     }
 
     #[test]

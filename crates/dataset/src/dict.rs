@@ -19,10 +19,16 @@ const WORD_MAX: usize = 12;
 /// random filler. Calibrated for gzip-6 ≈ 2.5x on 128 KiB blocks.
 pub const WORD_PROB: f64 = 0.85;
 
+/// Bytes every word can be read as: the longest word, rounded up to one
+/// 16-byte copy.
+pub const WORD_READ: usize = 16;
+const _: () = assert!(WORD_MAX <= WORD_READ);
+
 /// The corpus-wide word dictionary, generated once per corpus seed.
 pub struct Dictionary {
     /// Flat word bytes plus offsets, to keep the whole thing in two
-    /// allocations.
+    /// allocations. [`WORD_READ`] zero bytes follow the last word, so any
+    /// word can be read as one fixed-width window ([`word_window`](Self::word_window)).
     bytes: Vec<u8>,
     offsets: Vec<u32>,
 }
@@ -49,6 +55,7 @@ impl Dictionary {
             }
             offsets.push(bytes.len() as u32);
         }
+        bytes.resize(bytes.len() + WORD_READ, 0);
         Dictionary { bytes, offsets }
     }
 
@@ -58,6 +65,18 @@ impl Dictionary {
         let start = self.offsets[idx] as usize;
         let end = self.offsets[idx + 1] as usize;
         &self.bytes[start..end]
+    }
+
+    /// Word `idx` as the [`WORD_READ`] bytes starting at it, and its
+    /// length: the word, then whatever follows it. A writer that copies the
+    /// whole window and advances by the length lays words down with one
+    /// fixed-width copy each.
+    #[inline]
+    pub fn word_window(&self, idx: usize) -> (&[u8; WORD_READ], usize) {
+        let start = self.offsets[idx] as usize;
+        let len = self.offsets[idx + 1] as usize - start;
+        let window = self.bytes[start..start + WORD_READ].try_into().expect("padded tail");
+        (window, len)
     }
 
     pub fn len(&self) -> usize {
@@ -115,6 +134,19 @@ mod tests {
         }
         // sqrt(0.1) ≈ 0.316 of samples land in the first decile.
         assert!((2500..4000).contains(&head), "head {head}");
+    }
+
+    #[test]
+    fn every_window_starts_with_its_word() {
+        let d = Dictionary::new(4);
+        for i in 0..d.len() {
+            let (window, len) = d.word_window(i);
+            assert_eq!(&window[..len], d.word(i), "word {i}");
+        }
+        // The last word's window runs into the zero padding.
+        let last = d.len() - 1;
+        let (window, len) = d.word_window(last);
+        assert!(window[len..].iter().all(|&b| b == 0));
     }
 
     #[test]

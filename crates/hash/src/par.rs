@@ -61,9 +61,13 @@ pub const MIN_SHARE: u64 = 250_000;
 /// gzip-6 (12.3 ns/B; 65 before the match finder linked its hash chains
 /// ahead of the parse). Any `DEFLATE` in 8..=15 plans the same shares: two
 /// 16 KiB records or one 64 KiB record each. A cheaper codec is
-/// over-estimated, which costs at most one hand-off per batch.
+/// over-estimated, which costs at most one hand-off per batch. `SYNTH` is
+/// `squirrel-dataset`'s corpus synthesis (`fill_atom`): 0.9–1.1 µs per
+/// 512-byte atom single-threaded (1.8–2.2 ns/B), 460–670 MB/s over whole
+/// 64 KiB cache blocks (1.5–2.2 ns/B); two 64 KiB blocks make a share.
 pub mod cost {
     pub const HASH: u64 = 1;
+    pub const SYNTH: u64 = 2;
     pub const INFLATE: u64 = 5;
     pub const DEFLATE: u64 = 12;
 }

@@ -47,8 +47,9 @@ pub struct Frame(Arc<FrameInner>);
 struct FrameInner {
     bytes: Box<[u8]>,
     /// `(lsize, content key)` of the first proof. The key depends on the
-    /// length the frame is decompressed to, so the length is part of it.
-    proof: OnceLock<(u32, BlockKey)>,
+    /// length the frame is decompressed to, so the length is part of it;
+    /// `None` when the frame inflates to any other length than `lsize`.
+    proof: OnceLock<(u32, Option<BlockKey>)>,
     /// `(lsize, payload)` of the latest decompression, while a reader still
     /// holds it. The lock is also the single-flight: concurrent readers of
     /// one record wait for the first one's buffer instead of decompressing
@@ -97,17 +98,21 @@ impl Frame {
         }
     }
 
-    /// `ContentHash::of(decompress(bytes, lsize)).short()`, computed at most
-    /// once per buffer for the `lsize` it was first asked at (a question at
-    /// another length is answered afresh, every time). Bytes this call
-    /// actually decompressed and hashed are added to `hashed`; a remembered
-    /// answer adds nothing.
-    pub fn content_key(&self, lsize: u32, hashed: &mut u64) -> BlockKey {
+    /// `ContentHash::of(decompress(bytes, lsize)).short()` when the frame
+    /// inflates to exactly `lsize` bytes; `None` when it inflates to any
+    /// other length, which no key proves (a record read past a short frame
+    /// would be zero-filled). Computed at most once per buffer for the
+    /// `lsize` it was first asked at (a question at another length is
+    /// answered afresh, every time). Bytes this call actually decompressed
+    /// and hashed are added to `hashed`; a remembered answer adds nothing.
+    pub fn content_key(&self, lsize: u32, hashed: &mut u64) -> Option<BlockKey> {
         self.reap_payload();
         let compute = |hashed: &mut u64| {
             let content = decompress(&self.0.bytes, lsize as usize);
-            *hashed += content.len() as u64;
-            ContentHash::of(&content).short()
+            (content.len() == lsize as usize).then(|| {
+                *hashed += content.len() as u64;
+                ContentHash::of(&content).short()
+            })
         };
         let &(proved_at, key) = self.0.proof.get_or_init(|| (lsize, compute(hashed)));
         if proved_at == lsize {
@@ -296,9 +301,11 @@ mod tests {
         use squirrel_compress::{compress, Codec};
         let content = vec![7u8; 512];
         let key = ContentHash::of(&content).short();
-        let frame = Frame::from(compress(Codec::Lzjb, &content));
+        // Gzip decodes to at most the length asked for, so a shorter
+        // question has an answer of its own.
+        let frame = Frame::from(compress(Codec::Gzip(6), &content));
         let mut hashed = 0u64;
-        assert_eq!(frame.content_key(512, &mut hashed), key);
+        assert_eq!(frame.content_key(512, &mut hashed), Some(key));
         assert_eq!(
             hashed, 512,
             "born unproven: the first question does the work"
@@ -306,7 +313,7 @@ mod tests {
         // The same buffer through another handle remembers.
         let shared = frame.clone();
         assert!(Frame::ptr_eq(&frame, &shared));
-        assert_eq!(shared.content_key(512, &mut hashed), key);
+        assert_eq!(shared.content_key(512, &mut hashed), Some(key));
         assert_eq!(hashed, 512);
         // Another length is another question, answered afresh every time
         // (and never overwriting the first answer).
@@ -315,18 +322,37 @@ mod tests {
         for asked in 1..=2u64 {
             assert_eq!(
                 frame.content_key(256, &mut hashed),
-                ContentHash::of(&short).short()
+                Some(ContentHash::of(&short).short())
             );
             assert_eq!(hashed, 512 + asked * short.len() as u64);
         }
-        assert_eq!(frame.content_key(512, &mut hashed), key);
+        assert_eq!(frame.content_key(512, &mut hashed), Some(key));
         assert_eq!(hashed, 512 + 2 * short.len() as u64);
         // Equal bytes in another buffer prove nothing about each other.
         let copy = Frame::from(frame.to_vec());
         assert!(!Frame::ptr_eq(&frame, &copy));
         let mut copy_hashed = 0u64;
-        assert_eq!(copy.content_key(512, &mut copy_hashed), key);
+        assert_eq!(copy.content_key(512, &mut copy_hashed), Some(key));
         assert_eq!(copy_hashed, 512);
+    }
+
+    #[test]
+    fn a_frame_that_inflates_short_of_its_record_proves_no_key() {
+        use squirrel_compress::{compress, Codec};
+        let content: Vec<u8> = b"squirrel".iter().copied().cycle().take(256).collect();
+        for codec in [Codec::Off, Codec::Gzip(6), Codec::Lzjb] {
+            let frame = Frame::from(compress(codec, &content));
+            assert_eq!(frame.len() <= content.len(), codec != Codec::Off, "{codec:?}");
+            let mut hashed = 0u64;
+            // As a 512-byte record it comes out short, every time: no key.
+            for _ in 0..2 {
+                assert_eq!(frame.content_key(512, &mut hashed), None, "{codec:?}");
+            }
+            assert_eq!(hashed, 0, "{codec:?}: nothing hashed");
+            // At its own length the same buffer proves its key.
+            let key = ContentHash::of(&content).short();
+            assert_eq!(frame.content_key(256, &mut hashed), Some(key), "{codec:?}");
+        }
     }
 
     #[test]

@@ -20,15 +20,17 @@ use std::collections::{BTreeMap, BTreeSet};
 const BS: usize = 1024;
 const FILE_BLOCKS: usize = 6;
 
-/// The truth about a frame, recomputed from its bytes.
-fn key_of(frame: &Frame, lsize: u32) -> BlockKey {
-    ContentHash::of(&decompress(frame, lsize as usize)).short()
+/// The truth about a frame, recomputed from its bytes: the key of what it
+/// inflates to, if that is a whole `lsize`-byte record.
+fn key_of(frame: &Frame, lsize: u32) -> Option<BlockKey> {
+    let content = decompress(frame, lsize as usize);
+    (content.len() == lsize as usize).then(|| ContentHash::of(&content).short())
 }
 
 fn is_rotten(p: &ZPool, key: BlockKey) -> bool {
     let entry = p.ddt().get(&key).expect("dangling block pointer");
     let frame = entry.data.as_ref().expect("data-retaining pool");
-    key_of(frame, entry.lsize) != key
+    key_of(frame, entry.lsize) != Some(key)
 }
 
 /// What `scrub().corrupt` must say.
@@ -63,7 +65,7 @@ fn oracle_rejects(stream: &SendStream, block_size: u32) -> Option<BlockKey> {
     }
     stream.payload.iter().find_map(|b| {
         let lsize = lsizes.get(&b.key).copied().unwrap_or(block_size);
-        (key_of(b.data.as_ref()?, lsize) != b.key).then_some(b.key)
+        (key_of(b.data.as_ref()?, lsize) != Some(b.key)).then_some(b.key)
     })
 }
 
@@ -106,8 +108,8 @@ fn check_verdicts(pools: &[ZPool], step: usize) -> Result<(), TestCaseError> {
                     let full = p.send_between(None, tip).expect("own snapshot");
                     // Another record size asks every fixed-size frame at
                     // another length than it was proved for: at twice the
-                    // length an intact frame still passes, at half it
-                    // comes out short and must fail.
+                    // length an intact frame inflates short of the record,
+                    // at half it inflates to other bytes; both must fail.
                     for bs in [BS as u32, 2 * BS as u32, BS as u32 / 2] {
                         let expected = oracle_rejects(&full, bs).map(RecvError::CorruptPayload);
                         let mut fresh = ZPool::new(PoolConfig {
@@ -273,7 +275,7 @@ proptest! {
                             let heals = pools[victim]
                                 .ddt()
                                 .get(&key)
-                                .is_some_and(|e| key_of(&frame, e.lsize) == key);
+                                .is_some_and(|e| key_of(&frame, e.lsize) == Some(key));
                             prop_assert_eq!(
                                 pools[victim].repair_block(key, psize, &frame),
                                 heals,

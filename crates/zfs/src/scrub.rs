@@ -49,7 +49,7 @@ impl ZPool {
             };
             report.blocks_checked += 1;
             report.bytes_verified += entry.lsize as u64;
-            if frame.content_key(entry.lsize, &mut hashed) != *key {
+            if frame.content_key(entry.lsize, &mut hashed) != Some(*key) {
                 report.corrupt.push(*key);
             }
         }
@@ -113,7 +113,7 @@ impl ZPool {
             return false;
         };
         let mut hashed = 0u64;
-        let intact = frame.content_key(entry.lsize, &mut hashed) == key;
+        let intact = frame.content_key(entry.lsize, &mut hashed) == Some(key);
         self.meters.verify_hashed_bytes.add(hashed);
         intact
             && self
@@ -134,7 +134,7 @@ impl ZPool {
             entry
                 .data
                 .as_ref()
-                .is_some_and(|frame| frame.content_key(entry.lsize, &mut hashed) == key)
+                .is_some_and(|frame| frame.content_key(entry.lsize, &mut hashed) == Some(key))
         });
         self.meters.verify_hashed_bytes.add(hashed);
         Some(intact)

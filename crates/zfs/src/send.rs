@@ -574,7 +574,7 @@ impl VerifiedStream<'_> {
         if let Some(frame) = &b.data {
             let lsize = self.lsize(b.key);
             checked.covered = u64::from(lsize);
-            if frame.content_key(lsize, &mut checked.hashed) != b.key {
+            if frame.content_key(lsize, &mut checked.hashed) != Some(b.key) {
                 checked.corrupt = Some(b.key);
             }
         }
@@ -1601,18 +1601,21 @@ mod tests {
 
     /// Receivers of the diff: in sync, never seeded, already at the tip, in
     /// sync but with the base file purged (the diff's shared blocks are
-    /// gone), and in sync at twice the record size.
+    /// gone), and at twice the record size with a base snapshot of its own
+    /// (every payload frame inflates short of its records there).
     fn mixed_receivers(full: &SendStream, diff: &SendStream) -> Vec<ZPool> {
-        let seeded = |bs: usize| {
-            let mut p = sized(bs);
+        let seeded = || {
+            let mut p = sized(BS);
             p.recv(full).expect("seed");
             p
         };
-        let mut at_tip = seeded(BS);
+        let mut at_tip = seeded();
         at_tip.recv(diff).expect("tip");
-        let mut purged = seeded(BS);
+        let mut purged = seeded();
         assert!(purged.purge_file("a"));
-        vec![seeded(BS), sized(BS), at_tip, purged, seeded(2 * BS)]
+        let mut wide = sized(2 * BS);
+        wide.snapshot("s1");
+        vec![seeded(), sized(BS), at_tip, purged, wide]
     }
 
     #[test]
@@ -1627,7 +1630,8 @@ mod tests {
             "{:?}",
             results[3]
         );
-        assert_eq!(results[4], Ok(()));
+        let first = diff.payload[0].key;
+        assert_eq!(results[4], Err(RecvError::CorruptPayload(first)));
 
         // One corrupt payload block: whoever gets as far as the payload
         // reports it — after tip and base, before pointer resolution.
@@ -1642,16 +1646,17 @@ mod tests {
             Err(RecvError::CorruptPayload(victim)),
             "payload before pointers"
         );
-        assert_eq!(results[4], Err(RecvError::CorruptPayload(victim)));
+        assert_eq!(results[4], Err(RecvError::CorruptPayload(first)));
     }
 
     #[test]
     fn a_verdict_for_one_record_size_is_not_trusted_at_another() {
         let (full, _) = history();
-        // An lzjb frame decoded for half the record size comes out short and
-        // fails its hash; for the sender's size or twice it, it passes. So
-        // which pool leads the fan-out (the stream is verified for *its*
-        // size) must not leak into any other pool's result.
+        // An lzjb frame decoded for half the record size fails its hash,
+        // and for twice it comes out short of the record; only the sender's
+        // size passes. So which pool leads the fan-out (the stream is
+        // verified for *its* size) must not leak into any other pool's
+        // result.
         for sizes in [
             [BS, BS / 2, 2 * BS],
             [BS / 2, BS, 2 * BS],
@@ -1660,7 +1665,7 @@ mod tests {
             let results =
                 fanout_matches_serial(&full, &|| sizes.iter().map(|&bs| sized(bs)).collect());
             for (bs, r) in sizes.iter().zip(&results) {
-                assert_eq!(r.is_ok(), *bs != BS / 2, "record size {bs}: {r:?}");
+                assert_eq!(r.is_ok(), *bs == BS, "record size {bs}: {r:?}");
             }
         }
     }
@@ -1813,8 +1818,12 @@ mod tests {
             Err(RecvError::MissingBlock(_))
         ));
         // A proof for another record size is not trusted: the crashed recv
-        // proves the stream again for its own, as `recv_verified` does.
-        assert_eq!(pools[4].recv_crashed(&proof), Err(RecvError::Interrupted));
+        // proves the stream again for its own, as `recv_verified` does, and
+        // at twice the record size every frame inflates short.
+        assert_eq!(
+            pools[4].recv_crashed(&proof),
+            Err(RecvError::CorruptPayload(diff.payload[0].key))
+        );
         let proof = pools[0].verify(&full).expect("clean full stream");
         assert!(matches!(
             sized(BS / 2).recv_crashed(&proof),
@@ -1888,6 +1897,56 @@ mod tests {
             let covered = b * 512 < u64::from(len);
             let want = if covered { dst.read_block("img", b) } else { Some(vec![0; 512]) };
             assert_eq!(dst.read_block("evil", b), want, "block {b}");
+        }
+    }
+
+    /// Swap payload block `i` of `stream` for the first half of its own
+    /// content, stored raw under that half's key, and point every record
+    /// that named the block at the new key. The frame proves against its
+    /// key but inflates short of the record. Returns the new key.
+    fn shorten_payload_block(stream: &mut SendStream, block_size: u32, i: usize) -> BlockKey {
+        let old = stream.payload[i].key;
+        let lsize = stream.referenced_lsizes(block_size)[&old] as usize;
+        let frame = stream.payload[i].data.as_ref().expect("data-retaining sender");
+        let half = &squirrel_compress::decompress(frame, lsize)[..lsize / 2];
+        let key = ContentHash::of(half).short();
+        let raw = squirrel_compress::compress(Codec::Off, half);
+        stream.payload[i] = StreamBlock { key, psize: raw.len() as u32, data: Some(raw.into()) };
+        for (_, table) in &mut stream.upserts {
+            let rename = |k: &mut BlockKey| {
+                if *k == old {
+                    *k = key;
+                }
+            };
+            match &mut table.records {
+                Records::Blocks(ptrs) => Arc::make_mut(ptrs).iter_mut().flatten().for_each(rename),
+                Records::Chunks(chunks) => {
+                    Arc::make_mut(chunks).iter_mut().for_each(|c| rename(&mut c.key))
+                }
+            }
+        }
+        key
+    }
+
+    #[test]
+    fn recv_refuses_a_frame_that_inflates_short_of_its_record() {
+        use crate::config::ChunkStrategy;
+        use squirrel_hash::cdc::CdcParams;
+        let fixed = PoolConfig::new(512, Codec::Lzjb);
+        let cdc = fixed.with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)));
+        for cfg in [fixed, cdc] {
+            let mut src = ZPool::new(cfg);
+            let blocks: Vec<Vec<u8>> = (0..8)
+                .map(|i| (0..512).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
+                .collect();
+            src.import_file("img", &blocks, 8 * 512);
+            src.snapshot("s1");
+            let mut stream = src.send_between(None, "s1").expect("send");
+            let short = shorten_payload_block(&mut stream, 512, 0);
+            let mut dst = ZPool::new(cfg);
+            let before = state(&dst);
+            assert_eq!(dst.recv(&stream), Err(RecvError::CorruptPayload(short)), "{cfg:?}");
+            assert_eq!(state(&dst), before, "nothing applied");
         }
     }
 

@@ -444,14 +444,13 @@ impl Squirrel {
     }
 
     /// Replay `image`'s boot trace on `node` through the *real* data path —
-    /// a QCOW2-style CoW overlay chained onto a copy-on-read layer that is
-    /// pre-populated from the node's ccVolume (decompressing actual pool
-    /// records) and backed by the image over the parallel FS — verifying
-    /// every byte against the image's ground-truth content.
+    /// a copy-on-read cache pre-populated from the node's ccVolume
+    /// (decompressing actual pool records) over the image on the parallel
+    /// FS — verifying every byte against the image's ground-truth content.
     ///
-    /// A warm cache must give zero backing fetches for reads inside the
-    /// working set; see [`BootVerification`]. Like [`Self::boot`], only a
-    /// cache that passes the integrity check is trusted: a rotted or
+    /// A warm cache holds the whole captured working set, so it gives zero
+    /// backing fetches; see [`BootVerification`]. Like [`Self::boot`], only
+    /// a cache that passes the integrity check is trusted: a rotted or
     /// evicted one reads through the backing image instead. Bytes that
     /// still differ from the image are
     /// [`SquirrelError::BootDataMismatch`].
@@ -464,27 +463,23 @@ impl Squirrel {
         self.known_image(image)?;
 
         let bs = self.config.block_size;
-        let mut chain = squirrel_qcow::CowImage::new(CorCache::new(
-            ImageDisk { corpus: Arc::clone(&self.corpus), image },
-            bs,
-        ));
+        let mut chain = CorCache::new(ImageDisk { corpus: Arc::clone(&self.corpus), image }, bs);
         chain.set_metrics(&self.obs);
-        chain.backing().set_metrics(&self.obs);
-        // Warm the CoR layer from the ccVolume's cache file, exercising the
+        // Warm the CoR cache from the ccVolume's cache file, exercising the
         // full decompress path of the pool.
         let name = Self::cache_file_name(image);
         let trusted = n.cache_state(image) == CacheState::Warm;
         if let Some(len) = n.ccvol.file_len(&name).filter(|_| trusted) {
             let blocks = len.div_ceil(bs as u64);
             for b in 0..blocks {
-                // The decompressed buffer moves into the CoR layer as a
+                // The decompressed buffer moves into the CoR cache as a
                 // shared payload: one decompression, zero copies. Holes (or
                 // a cache mutated underneath us) simply aren't prewarmed —
-                // the CoR layer fetches them from the backing image.
+                // the cache fetches them from the backing image.
                 let Some(data) = n.ccvol.read_block_shared(&name, b) else {
                     continue;
                 };
-                chain.backing().prepopulate_shared(b, data);
+                chain.prepopulate_shared(b, data);
             }
         }
 
@@ -505,7 +500,7 @@ impl Squirrel {
         }
         Ok(BootVerification {
             bytes_verified: verified,
-            backing_fetches: chain.backing().fetch_count,
+            backing_fetches: chain.fetch_count,
         })
     }
 }
@@ -756,7 +751,7 @@ mod tests {
         // Warm boots are served byte-exact from the chunked hoarded cache.
         let v = sq.verify_boot(1, 0).expect("verify");
         assert!(v.bytes_verified > 0);
-        assert!(v.backing_fetches <= 2, "warm boot fetched {}", v.backing_fetches);
+        assert_eq!(v.backing_fetches, 0);
         // Chunked pools scrub clean end to end (scVolume and ccVolume).
         assert!(sq.scrub_scvol().is_clean());
         assert!(sq.scrub_node(0).expect("node").is_clean());
@@ -767,7 +762,24 @@ mod tests {
         assert!(re.blocks > 0);
         let v2 = sq.verify_boot(1, 0).expect("verify rehoarded");
         assert!(v2.bytes_verified > 0);
-        assert!(v2.backing_fetches <= 2);
+        assert_eq!(v2.backing_fetches, 0);
+    }
+
+    /// A warm replay reads only the captured working set, so it fetches
+    /// nothing; a cold one fetches exactly the blocks registration captured.
+    #[test]
+    fn verify_boot_reads_exactly_the_captured_working_set() {
+        for bs in [4 * 1024, 16 * 1024, 64 * 1024] {
+            let mut sq = system_with(2, |c| c.block_size = bs);
+            sq.register(0).expect("register");
+            let warm = sq.verify_boot(1, 0).expect("warm verify");
+            assert_eq!(warm.backing_fetches, 0, "bs={bs}: {warm:?}");
+            assert!(sq.evict_cache(1, 0).expect("evict").was_cached);
+            let cold = sq.verify_boot(1, 0).expect("cold verify");
+            let captured = sq.materialize_cache(0).1.len() as u64;
+            assert_eq!(cold.backing_fetches, captured, "bs={bs}: {cold:?}");
+            assert_eq!(cold.bytes_verified, warm.bytes_verified, "bs={bs}");
+        }
     }
 
     #[test]
@@ -1008,9 +1020,7 @@ mod tests {
                 assert_eq!((boot.warm, storm.warm_vms), (warm, u32::from(warm)), "image {image}");
                 assert_eq!(boot.net_bytes == 0, warm, "image {image}: {boot:?}");
                 assert_eq!(storm.net_bytes == 0, warm, "image {image}: {storm:?}");
-                // Inside the working set a trusted cache fetches nothing;
-                // the QCOW2 cluster over-fetch may cross its tail.
-                assert_eq!(verify.backing_fetches <= 2, warm, "image {image}: {verify:?}");
+                assert_eq!(verify.backing_fetches == 0, warm, "image {image}: {verify:?}");
                 assert!(verify.bytes_verified > 0);
                 let degraded = state == Degraded;
                 assert_eq!(

@@ -166,8 +166,8 @@ pub struct Squirrel {
     workers: WorkerPool,
 }
 
-/// Adapter: expose a corpus image as a [`VirtualDisk`] for the registration
-/// boot chain.
+/// Adapter: expose a corpus image as a [`VirtualDisk`], the backing of a
+/// boot's copy-on-read cache.
 struct ImageDisk {
     corpus: Arc<Corpus>,
     image: ImageId,

@@ -209,13 +209,13 @@ pub struct RegistrationInfo {
 }
 
 /// Outcome of [`Squirrel::verify_boot`]: a boot-trace replay through the
-/// real CoW → CoR → ccVolume data path, byte-checked against ground truth.
+/// real CoR → ccVolume data path, byte-checked against ground truth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BootVerification {
     /// Bytes read and verified against the image content.
     pub bytes_verified: u64,
-    /// Blocks the CoR layer had to fetch from the backing image (a warm
-    /// cache keeps this at ~zero inside the working set).
+    /// Blocks the CoR cache had to fetch from the backing image (zero for
+    /// a trusted cache).
     pub backing_fetches: u64,
 }
 

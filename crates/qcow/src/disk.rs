@@ -1,6 +1,6 @@
 //! The `VirtualDisk` read interface and an in-memory backend.
 
-/// Anything a chain layer can read from. Reads never fail: out-of-range
+/// Anything a cache can read from. Reads never fail: out-of-range
 /// bytes are zero (sparse semantics, matching the dataset layer).
 pub trait VirtualDisk {
     /// Fill `buf` with bytes at `offset`.
@@ -11,26 +11,6 @@ pub trait VirtualDisk {
 
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl<T: VirtualDisk + ?Sized> VirtualDisk for Box<T> {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        (**self).read_at(offset, buf)
-    }
-
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
-}
-
-impl<T: VirtualDisk + ?Sized> VirtualDisk for &mut T {
-    fn read_at(&mut self, offset: u64, buf: &mut [u8]) {
-        (**self).read_at(offset, buf)
-    }
-
-    fn len(&self) -> u64 {
-        (**self).len()
     }
 }
 
@@ -72,13 +52,5 @@ mod tests {
         let mut buf = vec![0xff; 6];
         d.read_at(2, &mut buf);
         assert_eq!(buf, vec![3, 4, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn boxed_dyn_disk_works() {
-        let mut d: Box<dyn VirtualDisk> = Box::new(MemDisk::new(vec![9; 4]));
-        let mut buf = [0u8; 2];
-        d.read_at(1, &mut buf);
-        assert_eq!(buf, [9, 9]);
     }
 }

@@ -9,10 +9,10 @@ use crate::trace::paper_scale_trace;
 use squirrel_bootsim::{Backend, BootReport, DedupVolumeParams};
 use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
-use squirrel_hash::par::cost;
+use squirrel_hash::{par::cost, FnvHashMap};
 use squirrel_qcow::{CorCache, VirtualDisk};
 use squirrel_zfs::{SharedPayload, ZPool};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// What a node's ccVolume can do for a boot of one image.
@@ -230,23 +230,11 @@ impl Squirrel {
         );
     }
 
-    /// The blocks every VM of a storm of `image` reads: the boot trace's
-    /// blocks at cVolume record granularity — exactly the set
-    /// registration's copy-on-read boot captured into the cache file.
-    fn working_set_blocks(&self, image: ImageId) -> Vec<u64> {
-        let bs = self.config.block_size as u64;
-        let mut blocks = BTreeSet::new();
-        for op in self.corpus.image(image).cache().boot_trace().ops.iter().filter(|op| op.len > 0) {
-            blocks.extend(op.offset / bs..=(op.offset + op.len as u64 - 1) / bs);
-        }
-        blocks.into_iter().collect()
-    }
-
     /// Serve a boot storm: `vms` instances of `image` boot at once,
     /// round-robined over the online compute nodes; cold nodes pull the
     /// working set over the network first. Host work follows distinct data,
     /// not VMs: the warm nodes resolve their working sets once, on the
-    /// `config.threads` workers (a record their pools share decompresses
+    /// `config.threads` workers (a stored frame their pools share is read
     /// once), and each distinct working set — warm nodes holding the same
     /// buffers, or the image bytes every cold VM reads — is hashed once for
     /// all the VMs that read it. Read bytes, read statistics and metric
@@ -304,14 +292,28 @@ impl Squirrel {
         let warm_vms = vms - cold_vms;
 
         // The warm nodes resolve their working sets on the workers: one
-        // hole-aware read per (node, block). Nodes holding the same frames
-        // get one buffer per record while these are held, and
-        // `Frame::payload`'s lock decompresses it once at any thread count.
+        // hole-aware read per distinct stored frame, the first (node, block)
+        // that holds it, so nodes holding the same frames share one buffer
+        // per record. Holes and chunked files' blocks are read per (node,
+        // block).
         let warm_nodes: Vec<usize> =
             by_node.keys().copied().filter(|node| states[node] == CacheState::Warm).collect();
-        let reads: Vec<(usize, u64)> =
-            warm_nodes.iter().flat_map(|&node| blocks.iter().map(move |&b| (node, b))).collect();
         let nodes = &self.nodes;
+        let mut reads: Vec<(usize, u64)> = Vec::new();
+        let mut frame_slots: FnvHashMap<*const u8, usize> = FnvHashMap::default();
+        let mut slot_of = Vec::with_capacity(warm_nodes.len() * blocks.len());
+        for &node in &warm_nodes {
+            for &b in &blocks {
+                let mut read = || {
+                    reads.push((node, b));
+                    reads.len() - 1
+                };
+                slot_of.push(match nodes[node].ccvol.block_frame(&name, b) {
+                    Some(Some(frame)) => *frame_slots.entry(frame.as_ptr()).or_insert_with(read),
+                    _ => read(),
+                });
+            }
+        }
         let resolved = self.workers.parallel_map(&reads, |_| bs * cost::INFLATE, |_, &(node, b)| {
             nodes[node].ccvol.read_block_or_hole(&name, b)
         });
@@ -322,11 +324,10 @@ impl Squirrel {
         // other read of a data block.
         let mut working_sets: BTreeMap<usize, Vec<Option<SharedPayload>>> = BTreeMap::new();
         let mut arc = ArcStats::default();
-        let mut resolved = resolved.into_iter();
-        for node in warm_nodes {
-            let ws: Vec<Option<SharedPayload>> = resolved
-                .by_ref()
-                .take(blocks.len())
+        for (i, node) in warm_nodes.into_iter().enumerate() {
+            let ws: Vec<Option<SharedPayload>> = slot_of[i * blocks.len()..(i + 1) * blocks.len()]
+                .iter()
+                .map(|&slot| resolved[slot].clone())
                 .collect::<Option<_>>()
                 .ok_or(SquirrelError::MissingCache { node: node as NodeId, image })?;
             let data_blocks = ws.iter().flatten().count() as u64;
@@ -859,6 +860,37 @@ mod tests {
                     sq.metrics().snapshot().counter("squirrel_boot_storm_digested_bytes_total");
                 let per_set = storm.blocks_per_vm * bs as u64;
                 assert_eq!(digested, Some(working_sets * per_set), "{chunking:?} {threads}");
+            }
+        }
+    }
+
+    /// A storm assembles a CDC-chunked cache's blocks from their chunks on
+    /// every warm node, so what it decompresses follows the working set, not
+    /// how the workers interleave: four storms over eight nodes count the
+    /// same bytes at every thread count, on every run.
+    #[test]
+    fn a_cdc_storms_decompressed_bytes_do_not_depend_on_the_thread_count() {
+        use squirrel_zfs::CdcParams;
+        let run = |threads: usize| {
+            let mut sq = system_with(8, |c| {
+                c.chunking = ChunkStrategy::Cdc(CdcParams::with_average(4 * 1024));
+                c.threads = threads;
+            });
+            sq.register(0).expect("register");
+            let mut after_each = Vec::new();
+            for _ in 0..4 {
+                assert_eq!(sq.boot_storm(0, 16).expect("storm").warm_vms, 16);
+                let snap = sq.metrics().snapshot();
+                after_each.push(snap.counter("zpool_read_decompressed_bytes_total{pool=\"ccvol\"}"));
+            }
+            after_each
+        };
+        let reference = run(1);
+        assert!(reference[0] > Some(0));
+        // A schedule-dependent count shows in a few runs out of ten.
+        for threads in [2, 8] {
+            for repeat in 0..10 {
+                assert_eq!(run(threads), reference, "threads={threads} repeat={repeat}");
             }
         }
     }

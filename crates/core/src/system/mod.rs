@@ -316,24 +316,34 @@ impl Squirrel {
         format!("cache-{image:06}")
     }
 
+    /// The blocks `image`'s boot trace touches, at cVolume record
+    /// granularity, ascending: what registration's copy-on-read boot
+    /// captures into the cache file, and what every VM of a storm reads.
+    fn working_set_blocks(&self, image: ImageId) -> Vec<u64> {
+        let bs = self.config.block_size as u64;
+        let mut touched = Vec::new();
+        for op in self.corpus.image(image).cache().boot_trace().ops.iter().filter(|op| op.len > 0) {
+            touched.extend(op.offset / bs..=(op.offset + u64::from(op.len) - 1) / bs);
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        touched
+    }
+
     /// Materialize `image`'s cache as the registration's copy-on-read boot
     /// captures it: a CoR cache holds a block exactly when some read of the
-    /// boot trace touches it, so the cache is the trace's touched blocks,
-    /// each read whole from the image. An image's bytes are a pure function
-    /// of (corpus seed, atom identity), so the blocks are synthesised on the
-    /// workers in any order and come back in block order. Deterministic —
-    /// the same image yields the same bytes — so the EC repair path can
-    /// rebuild an authoritative copy long after registration.
+    /// boot trace touches it, so the cache is the
+    /// [working set](Self::working_set_blocks), each block read whole from
+    /// the image. An image's bytes are a pure function of (corpus seed, atom
+    /// identity), so the blocks are synthesised on the workers in any order
+    /// and come back in block order. Deterministic — the same image yields
+    /// the same bytes — so the EC repair path can rebuild an authoritative
+    /// copy long after registration.
     fn materialize_cache(&self, image: ImageId) -> (u64, CacheBlocks) {
         let handle = self.corpus.image(image);
         let bs = self.config.block_size;
         let bs64 = bs as u64;
-        let mut touched: Vec<u64> = Vec::new();
-        for op in handle.cache().boot_trace().ops.iter().filter(|op| op.len > 0) {
-            touched.extend(op.offset / bs64..=(op.offset + u64::from(op.len) - 1) / bs64);
-        }
-        touched.sort_unstable();
-        touched.dedup();
+        let touched = self.working_set_blocks(image);
         let blocks: CacheBlocks =
             self.workers.parallel_map(&touched, |_| bs64 * cost::SYNTH, |_, &block| {
                 let mut data = vec![0u8; bs];

@@ -8,8 +8,7 @@
 
 use squirrel_compress::decompress;
 use squirrel_hash::{ContentHash, FnvHashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
+use std::sync::{Arc, OnceLock};
 
 /// Key type: the first 128 bits of the block's SHA-256.
 pub type BlockKey = u128;
@@ -30,16 +29,10 @@ pub type SharedPayload = Arc<[u8]>;
 /// registration, normally — serves every later boot, scrub, rejoin and
 /// repair on every pool that shares it.
 ///
-/// The same buffer hands out its decompressed [`SharedPayload`]
-/// ([`Frame::payload`]): every pool holding the frame reads the *same*
-/// `Arc<[u8]>` for as long as anyone holds it, and the frame itself holds
-/// only a `Weak`, so once the last reader lets go the next one decompresses
-/// again.
-///
-/// Both memos are pure functions of bytes nobody can change: there is no
-/// mutable access to them and no constructor that fills a memo, so nothing
-/// is ever invalidated. A rotted, repaired or re-decoded record is a
-/// *different* frame, born unproven and undecompressed.
+/// The proof is a pure function of bytes nobody can change: there is no
+/// mutable access to them and no constructor that fills the memo, so
+/// nothing is ever invalidated. A rotted, repaired or re-decoded record is
+/// a *different* frame, born unproven.
 #[derive(Clone, Debug)]
 pub struct Frame(Arc<FrameInner>);
 
@@ -50,54 +43,9 @@ struct FrameInner {
     /// length the frame is decompressed to, so the length is part of it;
     /// `None` when the frame inflates to any other length than `lsize`.
     proof: OnceLock<(u32, Option<BlockKey>)>,
-    /// `(lsize, payload)` of the latest decompression, while a reader still
-    /// holds it. The lock is also the single-flight: concurrent readers of
-    /// one record wait for the first one's buffer instead of decompressing
-    /// their own.
-    payload: Mutex<Option<(u32, Weak<[u8]>)>>,
-    /// Is there a memo to look at? Written under the lock, read without it
-    /// as a hint only: a frame nobody reads shared costs `content_key` one
-    /// load, not a lock.
-    memoised: AtomicBool,
 }
 
 impl Frame {
-    /// `decompress(bytes, lsize)` as a shared buffer: the one a reader of
-    /// this frame — on any pool — already holds at that length, else a new
-    /// one. Bytes this call actually decompressed are added to
-    /// `decompressed`; a shared answer adds nothing.
-    pub fn payload(&self, lsize: u32, decompressed: &mut u64) -> SharedPayload {
-        // The memo is only ever assigned whole, so a reader that panicked
-        // under the lock left it valid.
-        let mut memo = self.0.payload.lock().unwrap_or_else(PoisonError::into_inner);
-        let held = memo.as_ref().filter(|(at, _)| *at == lsize);
-        if let Some(payload) = held.and_then(|(_, payload)| payload.upgrade()) {
-            return payload;
-        }
-        let payload: SharedPayload = decompress(&self.0.bytes, lsize as usize).into();
-        *decompressed += payload.len() as u64;
-        *memo = Some((lsize, Arc::downgrade(&payload)));
-        self.0.memoised.store(true, Ordering::Relaxed);
-        payload
-    }
-
-    /// Forget a payload nobody holds any more. A dead `Weak` no longer
-    /// reaches the bytes but still pins their allocation (an `Arc`'s backing
-    /// store is freed with its last `Weak`), so every question asked of the
-    /// frame — each boot's intact check, each scrub — drops one. Never
-    /// waits: a held lock means a reader is filling the memo right now.
-    fn reap_payload(&self) {
-        if !self.0.memoised.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Ok(mut memo) = self.0.payload.try_lock() {
-            if memo.as_ref().is_some_and(|(_, held)| held.strong_count() == 0) {
-                *memo = None;
-                self.0.memoised.store(false, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// `ContentHash::of(decompress(bytes, lsize)).short()` when the frame
     /// inflates to exactly `lsize` bytes; `None` when it inflates to any
     /// other length, which no key proves (a record read past a short frame
@@ -106,7 +54,6 @@ impl Frame {
     /// answered afresh, every time). Bytes this call actually decompressed
     /// and hashed are added to `hashed`; a remembered answer adds nothing.
     pub fn content_key(&self, lsize: u32, hashed: &mut u64) -> Option<BlockKey> {
-        self.reap_payload();
         let compute = |hashed: &mut u64| {
             let content = decompress(&self.0.bytes, lsize as usize);
             (content.len() == lsize as usize).then(|| {
@@ -135,8 +82,6 @@ impl From<Vec<u8>> for Frame {
         Frame(Arc::new(FrameInner {
             bytes: bytes.into(),
             proof: OnceLock::new(),
-            payload: Mutex::new(None),
-            memoised: AtomicBool::new(false),
         }))
     }
 }
@@ -353,39 +298,6 @@ mod tests {
             let key = ContentHash::of(&content).short();
             assert_eq!(frame.content_key(256, &mut hashed), Some(key), "{codec:?}");
         }
-    }
-
-    #[test]
-    fn a_frame_shares_its_payload_while_held_and_keeps_nothing_after() {
-        use squirrel_compress::{compress, Codec};
-        let content = vec![7u8; 512];
-        let frame = Frame::from(compress(Codec::Lzjb, &content));
-        let mut decompressed = 0u64;
-        let held = frame.payload(512, &mut decompressed);
-        assert_eq!((&*held, decompressed), (&content[..], 512));
-        // Another handle on the same buffer gets the same payload, free.
-        assert!(Arc::ptr_eq(&frame.clone().payload(512, &mut decompressed), &held));
-        assert_eq!(decompressed, 512);
-        // Another length is another buffer, and the one remembered now.
-        let short = frame.payload(256, &mut decompressed);
-        assert_eq!(*short, *decompress(&frame, 256));
-        assert_eq!(decompressed, 512 + short.len() as u64);
-        assert!(Arc::ptr_eq(&frame.payload(256, &mut decompressed), &short));
-        assert!(!Arc::ptr_eq(&frame.payload(512, &mut decompressed), &held));
-        assert_eq!(decompressed, 2 * 512 + short.len() as u64);
-        // Equal bytes in another buffer share nothing.
-        let copy = Frame::from(frame.to_vec());
-        assert!(!Arc::ptr_eq(&copy.payload(512, &mut decompressed), &held));
-        // With every holder gone the memo is dead; the next question of any
-        // kind drops it, and with it the allocation it pinned.
-        drop((held, short));
-        let holders = || {
-            let memo = frame.0.payload.lock().expect("lock");
-            memo.as_ref().map(|(_, held)| held.strong_count())
-        };
-        assert_eq!(holders(), Some(0));
-        frame.content_key(512, &mut 0);
-        assert_eq!(holders(), None);
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //!   bit-identical to the serial write path at any thread count.
 //! * **Zero-copy read path** ([`ZPool::read_block_or_hole`]) — payloads are
 //!   shared immutable buffers: stored compressed records are [`Frame`]s,
-//!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`), decompressed —
-//!   through [`Frame::payload`] — once for all the pools that hold the
-//!   record while any of them still reads it; a boot storm's warm node
-//!   resolves its working set once and its VMs share those buffers.
+//!   decompressed data is [`SharedPayload`] (`Arc<[u8]>`). A read
+//!   decompresses on every call and remembers nothing; a caller serving
+//!   many readers shares the buffer itself — a boot storm reads each
+//!   distinct frame ([`ZPool::block_frame`]) once across its warm nodes,
+//!   and their VMs share those buffers.
 //! * **Proved once per buffer** ([`Frame::content_key`]) — a stored record
 //!   is checked against its key by one decompress + SHA-256, which the
 //!   frame remembers. The sender's DDT entry, the streams built from it and

@@ -35,10 +35,8 @@ pub(crate) struct PoolMeters {
     /// memo ([`Frame::content_key`](crate::Frame::content_key)). Covered
     /// minus hashed is what remembering proofs saved.
     pub(crate) verify_hashed_bytes: Counter,
-    /// Bytes this pool's reads actually decompressed. A read answered with
-    /// a payload another reader of the same frame already holds — on this
-    /// pool or any other ([`Frame::payload`](crate::Frame::payload)) — adds
-    /// nothing.
+    /// Bytes this pool's reads decompressed: every read of a record counts
+    /// it, so callers that share a buffer (a boot storm) read it once.
     pub(crate) read_decompressed_bytes: Counter,
     pub(crate) compressed_block_bytes: Histogram,
     /// Chunks emitted by the CDC prepare stage (zero chunks included).

@@ -322,15 +322,14 @@ impl ZPool {
         (frame, entry.lsize)
     }
 
-    /// The decompressed record behind a pointer, as the buffer every other
-    /// reader of its frame holds (see [`Frame::payload`]); only a read that
-    /// really decompressed counts toward `zpool_read_decompressed_bytes_total`.
-    fn payload(&self, key: &BlockKey) -> SharedPayload {
+    /// The decompressed record behind a pointer, in a buffer of the
+    /// caller's own: every read decompresses, and counts toward
+    /// `zpool_read_decompressed_bytes_total`.
+    fn decompress_record(&self, key: &BlockKey) -> Vec<u8> {
         let (frame, lsize) = self.record(key);
-        let mut decompressed = 0;
-        let payload = frame.payload(lsize, &mut decompressed);
-        self.meters.read_decompressed_bytes.add(decompressed);
-        payload
+        let block = decompress(frame, lsize as usize);
+        self.meters.read_decompressed_bytes.add(block.len() as u64);
+        block
     }
 
     /// Fill `buf` with the chunked file's bytes at logical offset `start`
@@ -340,7 +339,7 @@ impl ZPool {
         let mut i = chunks.partition_point(|c| c.logical_off + c.len as u64 <= start);
         while i < chunks.len() && chunks[i].logical_off < end {
             let c = &chunks[i];
-            let bytes = self.payload(&c.key);
+            let bytes = self.decompress_record(&c.key);
             let lo = start.max(c.logical_off);
             // A received frame may inflate short of its chunk (the proof
             // hashes what comes out); the rest of the chunk reads as zeros.
@@ -361,11 +360,10 @@ impl ZPool {
     }
 
     /// Read one block (zeros for holes and unwritten space) into a buffer
-    /// of the caller's own: a fixed record is decompressed on every call,
-    /// which is what the shared read paths are tested against. `None` if
-    /// the file does not exist. On chunked files this assembles the
-    /// `block_size` window from the chunks that overlap it, so logical
-    /// reads are identical across chunking strategies.
+    /// of the caller's own. `None` if the file does not exist. On chunked
+    /// files this assembles the `block_size` window from the chunks that
+    /// overlap it, so logical reads are identical across chunking
+    /// strategies.
     pub fn read_block(&self, name: &str, block_idx: u64) -> Option<Vec<u8>> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;
@@ -377,30 +375,21 @@ impl ZPool {
                 return Some(buf);
             }
         };
-        match ptr {
-            None => Some(vec![0u8; bs]),
-            Some(key) => {
-                let (frame, lsize) = self.record(&key);
-                let block = decompress(frame, lsize as usize);
-                self.meters.read_decompressed_bytes.add(block.len() as u64);
-                Some(block)
-            }
-        }
+        Some(ptr.map_or_else(|| vec![0u8; bs], |key| self.decompress_record(&key)))
     }
 
     /// [`read_block`](Self::read_block) as a shared payload, or `Some(None)`
-    /// for a hole (including unwritten space past the table). A fixed
-    /// record decompresses once into a buffer its readers then share —
-    /// across pools too: while anyone holds a record's payload, every pool
-    /// holding the same [`Frame`] returns that buffer. A chunked file's
-    /// block is assembled into a new buffer from the chunks that overlap it.
+    /// for a hole (including unwritten space past the table). Every call
+    /// decompresses into a new buffer; a caller that reads one record for
+    /// many consumers (a boot storm, via [`block_frame`](Self::block_frame))
+    /// reads it once and hands out clones.
     pub fn read_block_or_hole(&self, name: &str, block_idx: u64) -> Option<Option<SharedPayload>> {
         let table = self.files.get(name)?;
         let bs = self.config.block_size;
         match &table.records {
             Records::Blocks(ptrs) => {
                 let ptr = ptrs.get(block_idx as usize).copied().flatten();
-                Some(ptr.map(|key| self.payload(&key)))
+                Some(ptr.map(|key| self.decompress_record(&key).into()))
             }
             Records::Chunks(chunks) => {
                 let start = block_idx * bs as u64;
@@ -424,6 +413,17 @@ impl ZPool {
     /// The pool's shared all-zero block (what hole reads return).
     fn zero_block_shared(&self) -> SharedPayload {
         Arc::clone(self.zero_block.get_or_init(|| vec![0u8; self.config.block_size].into()))
+    }
+
+    /// The stored frame behind fixed block `block_idx` of `name`, or
+    /// `Some(None)` for a hole: pools holding one frame read equal bytes
+    /// there. `None` for a chunked or missing file.
+    pub fn block_frame(&self, name: &str, block_idx: u64) -> Option<Option<&Frame>> {
+        let Records::Blocks(ptrs) = &self.files.get(name)?.records else {
+            return None;
+        };
+        let ptr = ptrs.get(block_idx as usize).copied().flatten();
+        Some(ptr.map(|key| self.record(&key).0))
     }
 
     fn block_ref_of(&self, key: BlockKey) -> BlockRef {
@@ -1011,76 +1011,56 @@ mod tests {
         (src, receivers)
     }
 
+    /// The frame behind block `b` of "f" on `p`, as a handle of its own.
+    fn frame_of(p: &ZPool, b: u64) -> Frame {
+        p.block_frame("f", b).expect("fixed file").expect("data").clone()
+    }
+
     #[test]
-    fn pools_sharing_a_frame_share_its_payload_only_while_someone_holds_it() {
+    fn receivers_hold_the_senders_frames_and_every_read_decompresses() {
         let registry = squirrel_obs::MetricsRegistry::new();
         let decompressed = || registry.snapshot().counter(READ).expect("series");
         let (src, pools) = sharing_pools(&registry, 2);
-        let held = pools[0].read_block_shared("f", 0).expect("file");
-        assert_eq!(*held, *block(512, 1));
-        assert_eq!(decompressed(), 512);
-        // While one reader holds it, every pool with that frame — the other
-        // receiver, the sender, the same pool again — hands out its buffer.
-        for p in [&pools[1], &src, &pools[0]] {
-            assert!(Arc::ptr_eq(&p.read_block_shared("f", 0).expect("file"), &held));
+        for b in 0..3 {
+            assert!(pools.iter().all(|p| Frame::ptr_eq(&frame_of(p, b), &frame_of(&src, b))));
         }
-        assert_eq!(decompressed(), 512, "a shared payload decompresses nothing");
-        // A buffer of the caller's own is decompressed on every call.
+        // A shared frame is not a shared payload: each read decompresses
+        // into a buffer of its own.
+        let first = pools[0].read_block_shared("f", 0).expect("file");
+        let again = pools[0].read_block_shared("f", 0).expect("file");
+        assert_eq!((&*first, &*again), (&block(512, 1)[..], &block(512, 1)[..]));
+        assert!(!Arc::ptr_eq(&first, &again));
         assert_eq!(pools[1].read_block("f", 0).expect("file"), block(512, 1));
-        assert_eq!(decompressed(), 2 * 512);
-        // Nothing is retained: once every holder let go, the next read
-        // decompresses again.
-        drop(held);
-        let again = pools[1].read_block_shared("f", 0).expect("file");
-        assert_eq!(*again, *block(512, 1));
         assert_eq!(decompressed(), 3 * 512);
+        // Past the table is a hole; a missing or chunked file has no frames.
+        assert!(matches!(src.block_frame("f", 3), Some(None)));
+        assert!(src.block_frame("g", 0).is_none());
+        let mut cdc = cdc_pool(512);
+        cdc.import_file("f", &[block(512, 1)], 512);
+        assert!(cdc.block_frame("f", 0).is_none());
     }
 
     #[test]
-    fn a_rotted_or_repaired_record_never_serves_another_frames_payload() {
+    fn rot_makes_a_new_frame_on_its_pool_and_repair_installs_the_donors() {
         let registry = squirrel_obs::MetricsRegistry::new();
-        let (_src, mut pools) = sharing_pools(&registry, 2);
+        let (src, mut pools) = sharing_pools(&registry, 2);
         let key = pools[0].block_refs("f").expect("file")[0].expect("data").key;
-        let good = pools[0].read_block_shared("f", 0).expect("file");
-        // Rot on pool 1 is a new frame: it reads its own (wrong) bytes, and
-        // pool 0 keeps serving the buffer it holds.
+        // Rot on pool 1 is a new frame there only: it reads its own (wrong)
+        // bytes, and the sender and pool 0 keep the shared frame.
         assert!(pools[1].inject_corruption(key));
-        let rotten = pools[1].read_block_shared("f", 0).expect("file");
-        assert!(!Arc::ptr_eq(&rotten, &good));
-        assert_ne!(*rotten, *good);
-        assert!(Arc::ptr_eq(&pools[0].read_block_shared("f", 0).expect("file"), &good));
-        // The repair installs the donor's frame: the held rotten payload is
-        // never served again, and sharing with the donor resumes.
-        let (psize, frame) = pools[0].payload_of(key).expect("donor");
-        assert!(pools[1].repair_block(key, psize, &frame));
-        let healed = pools[1].read_block_shared("f", 0).expect("file");
-        assert!(!Arc::ptr_eq(&healed, &rotten));
-        assert!(Arc::ptr_eq(&healed, &good));
-        assert_eq!(
-            registry.snapshot().counter(READ),
-            Some(2 * 512),
-            "one decompression per frame: the record and its rot"
-        );
-    }
-
-    #[test]
-    fn concurrent_readers_of_shared_frames_decompress_each_record_once() {
-        for threads in [1, 2, 8] {
-            let registry = squirrel_obs::MetricsRegistry::new();
-            let (_src, pools) = sharing_pools(&registry, 2);
-            // 8 readers per pool, each reading the whole file and keeping
-            // what it read until every reader is done.
-            let held = WorkerPool::new(threads).run(16, |reader| {
-                (0..3u64)
-                    .map(|b| pools[reader % 2].read_block_shared("f", b).expect("file"))
-                    .collect::<Vec<_>>()
-            });
-            for (b, fill) in [1u8, 2, 3].into_iter().enumerate() {
-                assert_eq!(*held[0][b], *block(512, fill));
-                assert!(held.iter().all(|r| Arc::ptr_eq(&r[b], &held[0][b])), "threads={threads}");
-            }
-            assert_eq!(registry.snapshot().counter(READ), Some(3 * 512), "threads={threads}");
-        }
+        let rotten = frame_of(&pools[1], 0);
+        assert!(!Frame::ptr_eq(&rotten, &frame_of(&src, 0)));
+        assert!(Frame::ptr_eq(&frame_of(&pools[0], 0), &frame_of(&src, 0)));
+        assert_ne!(pools[1].read_block("f", 0).expect("file"), block(512, 1));
+        assert_eq!(pools[0].read_block("f", 0).expect("file"), block(512, 1));
+        // The repair installs the donor's frame: sharing resumes, and the
+        // rotten one is gone from the pool.
+        let (psize, donor) = pools[0].payload_of(key).expect("donor");
+        assert!(pools[1].repair_block(key, psize, &donor));
+        assert!(Frame::ptr_eq(&frame_of(&pools[1], 0), &frame_of(&src, 0)));
+        assert!(!Frame::ptr_eq(&frame_of(&pools[1], 0), &rotten));
+        assert_eq!(pools[1].read_block("f", 0).expect("file"), block(512, 1));
+        assert_eq!(registry.snapshot().counter(READ), Some(3 * 512), "one per read");
     }
 
     fn cdc_pool(bs: usize) -> ZPool {

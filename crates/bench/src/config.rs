@@ -8,8 +8,7 @@ pub const FULL_BS_SWEEP: [usize; 11] = [
     1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072, 262144, 524288, 1048576,
 ];
 pub const ZFS_BS_SWEEP: [usize; 6] = [4096, 8192, 16384, 32768, 65536, 131072];
-pub const BOOT_BS_SWEEP: [usize; 8] =
-    [1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072];
+pub const BOOT_BS_SWEEP: [usize; 8] = [1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072];
 
 /// Knobs shared by all experiments.
 #[derive(Clone, Debug)]
@@ -81,9 +80,17 @@ mod tests {
 
     #[test]
     fn projection_scales_with_both_knobs() {
-        let full = ExperimentConfig { images: 607, scale: 1, ..Default::default() };
+        let full = ExperimentConfig {
+            images: 607,
+            scale: 1,
+            ..Default::default()
+        };
         assert!((full.projection() - 1.0).abs() < 1e-9);
-        let half = ExperimentConfig { images: 607, scale: 2, ..Default::default() };
+        let half = ExperimentConfig {
+            images: 607,
+            scale: 2,
+            ..Default::default()
+        };
         assert!((half.projection() - 2.0).abs() < 1e-9);
     }
 

@@ -205,6 +205,9 @@ mod tests {
         // One digest per working set: the four nodes' shared buffers, then
         // those and the rotted node's image bytes.
         assert!(o.digest_once_per_working_set);
-        assert_eq!(o.digested_bytes, [o.blocks_per_vm * record, 2 * o.blocks_per_vm * record]);
+        assert_eq!(
+            o.digested_bytes,
+            [o.blocks_per_vm * record, 2 * o.blocks_per_vm * record]
+        );
     }
 }

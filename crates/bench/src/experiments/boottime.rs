@@ -40,13 +40,9 @@ pub fn measure_cvol(corpus: &Corpus, bs: usize) -> CvolMeasurement {
             .clamp(0.02, 1.0),
         // Entry count scales with corpus bytes; project to the 607-image,
         // full-volume catalog.
-        ddt_entries_projected: (stats.unique_blocks as f64
-            * scale as f64
-            * 607.0
+        ddt_entries_projected: (stats.unique_blocks as f64 * scale as f64 * 607.0
             / corpus.len().max(1) as f64) as u64,
-        pool_physical_projected: (stats.physical_bytes as f64
-            * scale as f64
-            * 607.0
+        pool_physical_projected: (stats.physical_bytes as f64 * scale as f64 * 607.0
             / corpus.len().max(1) as f64) as u64,
         mean_shared_fraction: shared,
     }
@@ -65,7 +61,10 @@ pub fn run_fig11(cfg: &ExperimentConfig) -> Record {
         .step_by((corpus.len() / BOOT_SAMPLE).max(1))
         .map(|id| {
             let img = corpus.image(id);
-            (paper_scale_trace(img.cache().bytes() * scale, id as u64), img.virtual_bytes() * scale)
+            (
+                paper_scale_trace(img.cache().bytes() * scale, id as u64),
+                img.virtual_bytes() * scale,
+            )
         })
         .collect();
     let mean_boot = |backend: &dyn Fn(u64) -> Backend| {
@@ -78,7 +77,10 @@ pub fn run_fig11(cfg: &ExperimentConfig) -> Record {
 
     // The three flat reference lines are block-size independent.
     let qcow2_xfs = mean_boot(&|image_bytes| Backend::BaseImageXfs { image_bytes });
-    let cold_xfs = mean_boot(&|image_bytes| Backend::ColdCache { net_mbps: 112.0, image_bytes });
+    let cold_xfs = mean_boot(&|image_bytes| Backend::ColdCache {
+        net_mbps: 112.0,
+        image_bytes,
+    });
     let warm_xfs = mean_boot(&|_| Backend::WarmCacheXfs);
     let warm_zfs: Vec<(usize, f64)> = BOOT_BS_SWEEP
         .iter()
@@ -96,9 +98,17 @@ pub fn run_fig11(cfg: &ExperimentConfig) -> Record {
         })
         .collect();
 
-    let at = |bs: usize| warm_zfs.iter().find(|p| p.0 == bs).map_or(f64::NAN, |p| p.1);
+    let at = |bs: usize| {
+        warm_zfs
+            .iter()
+            .find(|p| p.0 == bs)
+            .map_or(f64::NAN, |p| p.1)
+    };
     let (at_1k, at_64k, at_128k) = (at(1024), at(64 * 1024), at(128 * 1024));
-    let fastest = warm_zfs.iter().min_by(|a, b| a.1.total_cmp(&b.1)).expect("a swept block size");
+    let fastest = warm_zfs
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a swept block size");
     Record::paper(
         "fig11",
         cfg,
@@ -139,6 +149,9 @@ mod tests {
         let small = measure_cvol(&corpus, 4096);
         let large = measure_cvol(&corpus, 65536);
         assert!(small.ddt_entries_projected > large.ddt_entries_projected);
-        assert!(small.compressed_fraction > large.compressed_fraction, "small blocks compress worse");
+        assert!(
+            small.compressed_fraction > large.compressed_fraction,
+            "small blocks compress worse"
+        );
     }
 }

@@ -49,7 +49,12 @@ pub fn chaos_scenario(cfg: &ExperimentConfig, days: u64, nodes: u32, images: u32
 
 /// Soak `scenario` at every thread count of the sweep.
 pub fn sweep_soak(cfg: &ExperimentConfig, scenario: FleetConfig) -> Sweep<Soak> {
-    sweep_equal(cfg, |threads| soak_fleet(&FleetConfig { threads, ..scenario }))
+    sweep_equal(cfg, |threads| {
+        soak_fleet(&FleetConfig {
+            threads,
+            ..scenario
+        })
+    })
 }
 
 /// The gates every soak carries: it ended consistent and scrub-clean, and
@@ -107,7 +112,10 @@ pub fn run_chaos(cfg: &ExperimentConfig) -> Record {
     let sweep = sweep_soak(cfg, scenario);
     let mut gates = soak_gates(&sweep);
     // Chaos actually happened: the plan injected a nonzero number of faults.
-    gates.push(("faults_injected", sweep.outcome.0.fault.total_injected() > 0));
+    gates.push((
+        "faults_injected",
+        sweep.outcome.0.fault.total_injected() > 0,
+    ));
     Record {
         experiment: "chaos",
         paper: false,

@@ -80,9 +80,8 @@ pub fn version_chain(
     let base: Vec<u8> = (0..a_len).map(|_| rng.next_u64() as u8).collect();
 
     let fresh_block = |v: usize, j: usize| -> Vec<u8> {
-        let mut r = SplitMix64::new(
-            (seed ^ (v as u64).wrapping_mul(0x9e37_79b9) ^ ((j as u64) << 32)) | 1,
-        );
+        let mut r =
+            SplitMix64::new((seed ^ (v as u64).wrapping_mul(0x9e37_79b9) ^ ((j as u64) << 32)) | 1);
         (0..bs).map(|_| r.next_u64() as u8).collect()
     };
 
@@ -105,8 +104,7 @@ pub fn version_chain(
         let mut pr = SplitMix64::new((seed ^ 0xface ^ v as u64) | 1);
         let mut stream: Vec<u8> = (0..ins).map(|_| pr.next_u64() as u8).collect();
         stream.extend_from_slice(&base[..a_len - ins]);
-        let mut blocks: Vec<Vec<u8>> =
-            stream.chunks(bs).map(|c| c.to_vec()).collect();
+        let mut blocks: Vec<Vec<u8>> = stream.chunks(bs).map(|c| c.to_vec()).collect();
         blocks.extend(aligned.iter().cloned());
         assert_eq!(blocks.len(), n_blocks);
         out.push(blocks);
@@ -142,7 +140,10 @@ fn run_cell(
 
     let params = MeasuredVolumeParams::from_pool(&pool, "cache").expect("cache file");
     let ops = (0..logical / (64 * 1024))
-        .map(|c| ReadOp { offset: c * 64 * 1024, len: 64 * 1024 })
+        .map(|c| ReadOp {
+            offset: c * 64 * 1024,
+            len: 64 * 1024,
+        })
         .collect();
     let report = BootSim::new().boot_measured(&BootTrace { ops }, &params);
 
@@ -170,7 +171,10 @@ pub fn run_chunking(
         ("fixed", ChunkStrategy::Fixed(bs)),
         ("cdc", ChunkStrategy::Cdc(CdcParams::with_average(bs))),
     ];
-    let modes = [("forward", DedupMode::Forward), ("reverse", DedupMode::Reverse)];
+    let modes = [
+        ("forward", DedupMode::Forward),
+        ("reverse", DedupMode::Reverse),
+    ];
 
     let sweep = sweep_equal(cfg, |threads| {
         strategies
@@ -251,15 +255,22 @@ mod tests {
 
     #[test]
     fn chunking_sweep_enforces_all_three_gates() {
-        let cfg = ExperimentConfig { out_dir: None, ..ExperimentConfig::smoke() };
+        let cfg = ExperimentConfig {
+            out_dir: None,
+            ..ExperimentConfig::smoke()
+        };
         let (sweep, record) = run_chunking(&cfg, 64, 8192, 3);
         let cells = &sweep.outcome;
         assert_eq!(cells.len(), 4);
         assert_eq!(record.enforce(), Ok(()), "all three gates hold");
         // Reverse really defragments the latest version.
         for s in ["fixed", "cdc"] {
-            let fwd = cells.iter().find(|c| c.strategy == s && c.mode == "forward");
-            let rev = cells.iter().find(|c| c.strategy == s && c.mode == "reverse");
+            let fwd = cells
+                .iter()
+                .find(|c| c.strategy == s && c.mode == "forward");
+            let rev = cells
+                .iter()
+                .find(|c| c.strategy == s && c.mode == "reverse");
             assert!(
                 rev.expect("rev").scatter.extents <= fwd.expect("fwd").scatter.extents,
                 "strategy {s}"

@@ -65,7 +65,10 @@ pub fn fit_and_score(xs: &[f64], ys: &[f64]) -> Vec<(FittedCurve, f64)> {
         fits.push(fit_mmf(txs, tys));
         fits.push(fit_hoerl(txs, tys));
     }
-    fits.into_iter().map(|c| (rmse(&c, xs, ys), c)).map(|(r, c)| (c, r)).collect()
+    fits.into_iter()
+        .map(|c| (rmse(&c, xs, ys), c))
+        .map(|(r, c)| (c, r))
+        .collect()
 }
 
 /// Block sizes fitted (the paper's Tables 3 and 4).
@@ -141,7 +144,8 @@ pub fn run_extrapolation(cfg: &ExperimentConfig, resource: Resource) -> Record {
             (linear_gate, linear_wins),
             (
                 "extrapolation_never_shrinks",
-                rows.iter().all(|(.., p)| p[0].1 > 0.0 && p.windows(2).all(|w| w[1].1 >= w[0].1)),
+                rows.iter()
+                    .all(|(.., p)| p[0].1 > 0.0 && p.windows(2).all(|w| w[1].1 >= w[0].1)),
             ),
         ],
         json_obj! {
@@ -167,9 +171,19 @@ mod tests {
 
     #[test]
     fn rmse_rows_have_winner() {
-        let row = RmseRow { block_size: 65536, linear: 0.1, mmf: 0.2, hoerl: 0.3 };
+        let row = RmseRow {
+            block_size: 65536,
+            linear: 0.1,
+            mmf: 0.2,
+            hoerl: 0.3,
+        };
         assert_eq!(row.winner(), "linear");
-        let row = RmseRow { block_size: 65536, linear: 0.5, mmf: 0.2, hoerl: 0.3 };
+        let row = RmseRow {
+            block_size: 65536,
+            linear: 0.5,
+            mmf: 0.2,
+            hoerl: 0.3,
+        };
         assert_eq!(row.winner(), "MMF");
     }
 }

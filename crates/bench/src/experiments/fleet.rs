@@ -21,8 +21,10 @@ pub const FLEET_NODE_COUNTS: [u32; 2] = [100, 1000];
 /// Simulated days per soak.
 pub const FLEET_DAYS: u64 = 3;
 /// The policies compared: the naive baseline and the paper-favoured one.
-pub const FLEET_POLICIES: [DistributionPolicy; 2] =
-    [DistributionPolicy::Unicast, DistributionPolicy::PeerAssisted];
+pub const FLEET_POLICIES: [DistributionPolicy; 2] = [
+    DistributionPolicy::Unicast,
+    DistributionPolicy::PeerAssisted,
+];
 
 /// One (fleet size, policy) soak. Equality across thread counts is the
 /// determinism witness.
@@ -66,7 +68,11 @@ fn sweep_once(scenario: &FleetConfig, node_counts: &[u32], threads: usize) -> Fl
                 ..*scenario
             };
             let (report, snap) = run_fleet_with_metrics(&fc);
-            cells.push(FleetCell { nodes, policy, report });
+            cells.push(FleetCell {
+                nodes,
+                policy,
+                report,
+            });
             snaps.push(snap);
         }
     }
@@ -96,8 +102,7 @@ fn gates(cells: &[FleetCell]) -> Vec<(&'static str, bool)> {
             continue;
         };
         degraded_rates_equal &= uni.degraded_per_10k == peer.degraded_per_10k;
-        peer_storage_below_unicast &=
-            peer.storage_bytes_per_day() < uni.storage_bytes_per_day();
+        peer_storage_below_unicast &= peer.storage_bytes_per_day() < uni.storage_bytes_per_day();
     }
     vec![
         (
@@ -106,7 +111,10 @@ fn gates(cells: &[FleetCell]) -> Vec<(&'static str, bool)> {
                 .iter()
                 .all(|c| c.report.p99_boot_ms > 0 && c.report.p99_boot_ms < 3_600_000),
         ),
-        ("degraded_rate_bounded", cells.iter().all(|c| c.report.degraded_per_10k <= 500)),
+        (
+            "degraded_rate_bounded",
+            cells.iter().all(|c| c.report.degraded_per_10k <= 500),
+        ),
         ("degraded_rates_equal", degraded_rates_equal),
         ("peer_storage_below_unicast", peer_storage_below_unicast),
     ]
@@ -114,9 +122,11 @@ fn gates(cells: &[FleetCell]) -> Vec<(&'static str, bool)> {
 
 fn cell_json(c: &FleetCell) -> Json {
     let r = &c.report;
-    let day = |d: &squirrel_core::FleetDay| json_obj! {
-        d => [day, boots, warm_boots, degraded_boots, failed_boots, p50_boot_ms, p99_boot_ms,
-              storage_tier_bytes, peer_bytes, joins, leaves],
+    let day = |d: &squirrel_core::FleetDay| {
+        json_obj! {
+            d => [day, boots, warm_boots, degraded_boots, failed_boots, p50_boot_ms, p99_boot_ms,
+                  storage_tier_bytes, peer_bytes, joins, leaves],
+        }
     };
     json_obj! {
         "policy": c.policy.name(),
@@ -164,9 +174,13 @@ mod tests {
         let cells = &sweep.outcome.0;
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|c| c.report.boots > 0));
-        assert!(cells.iter().all(|c| c.report.days.len() == FLEET_DAYS as usize));
+        assert!(cells
+            .iter()
+            .all(|c| c.report.days.len() == FLEET_DAYS as usize));
         // Elastic autoscaling actually cycled nodes.
-        assert!(cells.iter().all(|c| c.report.joins > 0 && c.report.leaves > 0));
+        assert!(cells
+            .iter()
+            .all(|c| c.report.joins > 0 && c.report.leaves > 0));
         // The nightly maintenance pass ran popularity decay.
         assert!(cells.iter().all(|c| c.report.popularity_decays > 0));
     }

@@ -82,7 +82,9 @@ pub fn run_fig8_9_10(cfg: &ExperimentConfig) -> Record {
         })
         .collect();
     let caches_disk: Vec<u64> = rows.iter().map(|r| r.2.total_disk_bytes()).collect();
-    let smallest = (0..rows.len()).min_by_key(|&i| caches_disk[i]).expect("a swept block size");
+    let smallest = (0..rows.len())
+        .min_by_key(|&i| caches_disk[i])
+        .expect("a swept block size");
     let shrinks = |of: &dyn Fn(&(usize, SpaceStats, SpaceStats)) -> u64| {
         falls(&rows.iter().map(|r| of(r) as f64).collect::<Vec<_>>())
     };
@@ -91,7 +93,10 @@ pub fn run_fig8_9_10(cfg: &ExperimentConfig) -> Record {
         cfg,
         vec![
             // The DDT's own footprint erodes small-block CCR gains.
-            ("caches_disk_interior_minimum", (1..rows.len() - 1).contains(&smallest)),
+            (
+                "caches_disk_interior_minimum",
+                (1..rows.len() - 1).contains(&smallest),
+            ),
             (
                 "ddt_grows_as_blocks_shrink",
                 shrinks(&|r| r.1.ddt_disk_bytes)

@@ -29,7 +29,9 @@ pub fn falls(series: &[f64]) -> bool {
 
 /// Index of the largest value.
 fn argmax(series: &[f64]) -> usize {
-    (0..series.len()).max_by(|&a, &b| series[a].total_cmp(&series[b])).unwrap_or(0)
+    (0..series.len())
+        .max_by(|&a, &b| series[a].total_cmp(&series[b]))
+        .unwrap_or(0)
 }
 
 /// Figure 2 (dedup + gzip-6 ratios) and Figure 4 (CCR) are one sweep.
@@ -49,7 +51,12 @@ pub fn run_fig2_fig4(cfg: &ExperimentConfig) -> Record {
     // and no step falls by more than the estimate's own noise (1 %).
     let rises = |s: Vec<f64>| s[s.len() - 1] > s[0] && s.windows(2).all(|w| w[1] > 0.99 * w[0]);
     let cache_ccr = column(&|p| p.1.ccr());
-    let cache_ccr_at = |bs| points.iter().find(|p| p.0 == bs).map_or(f64::NAN, |p| p.1.ccr());
+    let cache_ccr_at = |bs| {
+        points
+            .iter()
+            .find(|p| p.0 == bs)
+            .map_or(f64::NAN, |p| p.1.ccr())
+    };
     let best_image_ccr = argmax(&column(&|p| p.2.ccr()));
     Record::paper(
         "fig2",
@@ -66,14 +73,25 @@ pub fn run_fig2_fig4(cfg: &ExperimentConfig) -> Record {
             ),
             (
                 "caches_dedup_above_images",
-                points.iter().all(|(_, c, i)| c.dedup_ratio() > i.dedup_ratio()),
+                points
+                    .iter()
+                    .all(|(_, c, i)| c.dedup_ratio() > i.dedup_ratio()),
             ),
             // The paper's headline: smaller blocks do not always win.
-            ("cache_ccr_interior_optimum", (1..points.len() - 1).contains(&argmax(&cache_ccr))),
+            (
+                "cache_ccr_interior_optimum",
+                (1..points.len() - 1).contains(&argmax(&cache_ccr)),
+            ),
             // ... and the plateau holds out to 32 KiB instead of collapsing
             // from its 1 KiB value.
-            ("cache_ccr_holds_to_32k", cache_ccr_at(32 * 1024) > 0.85 * cache_ccr_at(1024)),
-            ("image_ccr_peaks_at_or_below_4k", points[best_image_ccr].0 <= 4096),
+            (
+                "cache_ccr_holds_to_32k",
+                cache_ccr_at(32 * 1024) > 0.85 * cache_ccr_at(1024),
+            ),
+            (
+                "image_ccr_peaks_at_or_below_4k",
+                points[best_image_ccr].0 <= 4096,
+            ),
         ],
         json_obj! {
             "codec": "gzip-6",
@@ -111,7 +129,8 @@ pub fn run_fig3(cfg: &ExperimentConfig) -> Record {
             // More CPU, same ratio: within half a percent everywhere.
             (
                 "gzip9_equals_gzip6",
-                rows.iter().all(|(_, _, [g6, g9, ..])| (g9 - g6).abs() <= 0.005 * g6),
+                rows.iter()
+                    .all(|(_, _, [g6, g9, ..])| (g9 - g6).abs() <= 0.005 * g6),
             ),
             (
                 "gzip6_beats_lzjb_and_lz4_from_8k",
@@ -121,9 +140,8 @@ pub fn run_fig3(cfg: &ExperimentConfig) -> Record {
             ),
             (
                 "gzip6_lz4_lzjb_order_at_64k",
-                rows.iter().any(|&(bs, _, [g6, _, lzjb, lz4])| {
-                    bs == 64 * 1024 && g6 > lz4 && lz4 > lzjb
-                }),
+                rows.iter()
+                    .any(|&(bs, _, [g6, _, lzjb, lz4])| bs == 64 * 1024 && g6 > lz4 && lz4 > lzjb),
             ),
         ],
         json_obj! {
@@ -153,14 +171,19 @@ pub fn run_fig12(cfg: &ExperimentConfig) -> Record {
         "fig12",
         cfg,
         vec![
-            ("caches_above_images_everywhere", rows.iter().all(|&(_, c, i)| c > i)),
+            (
+                "caches_above_images_everywhere",
+                rows.iter().all(|&(_, c, i)| c > i),
+            ),
             (
                 "caches_high_and_1_5x_images_at_16k",
-                rows.iter().any(|&(bs, c, i)| bs == 16 * 1024 && c > 0.4 && c > 1.5 * i),
+                rows.iter()
+                    .any(|&(bs, c, i)| bs == 16 * 1024 && c > 0.4 && c > 1.5 * i),
             ),
             (
                 "caches_2x_images_at_64k",
-                rows.iter().any(|&(bs, c, i)| bs == 64 * 1024 && c >= 2.0 * i),
+                rows.iter()
+                    .any(|&(bs, c, i)| bs == 64 * 1024 && c >= 2.0 * i),
             ),
         ],
         json_obj! {
@@ -180,8 +203,11 @@ pub fn run_table1(cfg: &ExperimentConfig) -> Record {
     let images = stats(cfg, &corpus, ContentSet::Images, bs, Codec::Gzip(6));
     let caches = stats(cfg, &corpus, ContentSet::Caches, bs, Codec::Gzip(6));
     let original: u64 = corpus.iter().map(|i| i.virtual_bytes()).sum();
-    let (nonzero, cache_raw, cache_ccr) =
-        (images.nonzero_bytes(), caches.nonzero_bytes(), caches.deduped_compressed_bytes());
+    let (nonzero, cache_raw, cache_ccr) = (
+        images.nonzero_bytes(),
+        caches.nonzero_bytes(),
+        caches.deduped_compressed_bytes(),
+    );
     let rows = [
         ("Original", original, "16.4 TB"),
         ("Nonzero", nonzero, "1.4 TB"),

@@ -21,7 +21,7 @@
 //!    bytes moved.
 
 use crate::config::ExperimentConfig;
-use crate::experiments::chaosbench::{chaos_scenario, soak_gates, soak_block, sweep_soak, Soak};
+use crate::experiments::chaosbench::{chaos_scenario, soak_block, soak_gates, sweep_soak, Soak};
 use crate::record::{json_obj, Json, Record, Sweep};
 use squirrel_cluster::{
     EcConfig, ErasureCodedVolume, GlusterConfig, GlusterVolume, LinkKind, Network, NodeId,
@@ -43,7 +43,11 @@ const OBJECTS: usize = 6;
 pub const TOPO_SOAK_DAYS: u64 = 14;
 
 fn topo() -> TopologyConfig {
-    TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 }
+    TopologyConfig {
+        regions: 1,
+        dcs_per_region: 2,
+        racks_per_dc: 2,
+    }
 }
 
 fn fresh_net() -> Network {
@@ -140,14 +144,15 @@ impl ScenarioResult {
 /// the objects, cut the domain, read everything back with replica failover.
 fn run_replicated(seed: u64, loss: Loss) -> ScenarioResult {
     let mut net = fresh_net();
-    let gluster =
-        GlusterVolume::new(GlusterConfig::default(), storage_ids()[..4].to_vec());
+    let gluster = GlusterVolume::new(GlusterConfig::default(), storage_ids()[..4].to_vec());
     let client: NodeId = 0;
     let mut offsets = Vec::with_capacity(OBJECTS);
     let mut pos = 0u64;
     for i in 0..OBJECTS {
         let len = object_bytes(seed, i).len() as u64;
-        gluster.try_write(&mut net, client, pos, len).expect("healthy write");
+        gluster
+            .try_write(&mut net, client, pos, len)
+            .expect("healthy write");
         offsets.push((pos, len));
         pos += len;
     }
@@ -174,14 +179,19 @@ fn run_replicated(seed: u64, loss: Loss) -> ScenarioResult {
 fn run_erasure(seed: u64, loss: Loss) -> ScenarioResult {
     let mut net = fresh_net();
     let mut vol = ErasureCodedVolume::new(
-        EcConfig { k: EC_K, m: EC_M, ..EcConfig::default() },
+        EcConfig {
+            k: EC_K,
+            m: EC_M,
+            ..EcConfig::default()
+        },
         storage_ids(),
     );
     let root: NodeId = TOPO_COMPUTE; // first storage node: rack 0, DC 0
     let client: NodeId = 0;
     let payloads: Vec<Vec<u8>> = (0..OBJECTS).map(|i| object_bytes(seed, i)).collect();
     for (i, data) in payloads.iter().enumerate() {
-        vol.write(&mut net, root, &format!("img-{i:03}"), data).expect("healthy write");
+        vol.write(&mut net, root, &format!("img-{i:03}"), data)
+            .expect("healthy write");
     }
     loss.apply(&mut net);
     let mut available = 0;
@@ -238,11 +248,22 @@ pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Sweep<Soak>
     // placement caps any rack at m shards per stripe) *and* scrubs back to
     // clean by re-homing the lost shards across racks.
     let cell = |mode: &str, loss: Loss| {
-        scenarios.iter().find(|s| s.mode == mode && s.loss == loss).expect("swept cell")
+        scenarios
+            .iter()
+            .find(|s| s.mode == mode && s.loss == loss)
+            .expect("swept cell")
     };
     for mode in ["replicated", "erasure"] {
-        assert_eq!(cell(mode, Loss::None).availability(), 1.0, "{mode}: healthy reads failed");
-        assert_eq!(cell(mode, Loss::Node).availability(), 1.0, "{mode}: node loss not survived");
+        assert_eq!(
+            cell(mode, Loss::None).availability(),
+            1.0,
+            "{mode}: healthy reads failed"
+        );
+        assert_eq!(
+            cell(mode, Loss::Node).availability(),
+            1.0,
+            "{mode}: node loss not survived"
+        );
     }
     let ec_rack = cell("erasure", Loss::Rack);
     let ec_survives_rack_loss = ec_rack.availability() == 1.0
@@ -258,7 +279,10 @@ pub fn run_topology(cfg: &ExperimentConfig) -> (Vec<ScenarioResult>, Sweep<Soak>
     gates.extend(soak_gates(&sweep));
     // At least one correlated domain outage hit the soak, and EC repair ran.
     gates.push(("rack_outages", r.fault.rack_downs > 0));
-    gates.push(("ec_repair_bytes", snap.counter_sum("squirrel_ec_repair_bytes_total") > 0));
+    gates.push((
+        "ec_repair_bytes",
+        snap.counter_sum("squirrel_ec_repair_bytes_total") > 0,
+    ));
     let record = Record {
         experiment: "topology",
         paper: false,
@@ -303,7 +327,9 @@ mod tests {
         let (scenarios, sweep, mut record) = run_topology(&cfg);
         assert_eq!(scenarios.len(), 8);
         // These two speak about the CI cell's fault schedule, not the smoke seed's.
-        record.gates.retain(|(name, _)| !["rack_outages", "ec_repair_bytes"].contains(name));
+        record
+            .gates
+            .retain(|(name, _)| !["rack_outages", "ec_repair_bytes"].contains(name));
         assert_eq!(record.gates.len(), 4);
         assert_eq!(record.enforce(), Ok(()));
         // Rack and DC outages fired in the soak for the smoke seed.

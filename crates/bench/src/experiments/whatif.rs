@@ -27,7 +27,10 @@ pub fn run_whatif_windows(cfg: &ExperimentConfig) -> Record {
     let azure = store_corpus(&azure_corpus, StoreSet::Caches, bs).stats();
     let with_windows = store_corpus(&ec2_corpus, StoreSet::Caches, bs).stats();
     let factor = with_windows.total_disk_bytes() as f64 / azure.total_disk_bytes().max(1) as f64;
-    let rows = [("Azure census (no Windows)", azure), ("EC2 census (incl. Windows)", with_windows)];
+    let rows = [
+        ("Azure census (no Windows)", azure),
+        ("EC2 census (incl. Windows)", with_windows),
+    ];
     Record::paper(
         "whatif_windows",
         cfg,

@@ -16,9 +16,10 @@ echo "== cargo clippy =="
 cargo clippy --all-targets --workspace -- -D warnings
 
 echo "== cargo fmt (crates formatted so far) =="
-# A ratchet: each crate listed here is rustfmt-clean and must stay so. The
-# whole-workspace check lands with the one formatting commit.
-cargo fmt --check -p squirrel-qcow
+# A ratchet: each crate listed here (squirrel-qcow, squirrel-bench) is
+# rustfmt-clean and must stay so. The whole-workspace check lands with the
+# one formatting commit.
+cargo fmt --check -p squirrel-qcow -p squirrel-bench
 
 echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -30,7 +31,8 @@ for ex in quickstart node_churn elastic_scaling azure_fleet block_size_tuning; d
 done
 
 echo "== experiment records (release, pinned seeds) =="
-# Every command of the table in crates/bench/src/bin/experiments.rs: the
+# Every row of the one experiment table, COMMANDS in
+# crates/bench/src/experiments/mod.rs, at its own CI flags: the
 # eight benches at their CI sizes, the sixteen paper records at the reference
 # configuration of EXPERIMENTS.md. Each returns a typed record; a false gate
 # exits non-zero naming it. results/BENCH_<name>.json and

@@ -84,7 +84,9 @@ pub(crate) struct BitSet {
 
 impl BitSet {
     pub(crate) fn contains(&self, i: usize) -> bool {
-        self.words.get(i / 64).is_some_and(|w| (w >> (i % 64)) & 1 == 1)
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| (w >> (i % 64)) & 1 == 1)
     }
 
     /// Add `i`; true if it was absent.
@@ -116,7 +118,10 @@ pub(crate) struct PageCache {
 impl PageCache {
     pub(crate) fn new(granule: u64) -> Self {
         assert!(granule.is_power_of_two());
-        PageCache { shift: granule.trailing_zeros(), cached: BitSet::default() }
+        PageCache {
+            shift: granule.trailing_zeros(),
+            cached: BitSet::default(),
+        }
     }
 
     fn granules(&self, offset: u64, len: u64) -> std::ops::RangeInclusive<usize> {

@@ -17,7 +17,10 @@ struct PageCache {
 impl PageCache {
     fn new(granule: u64) -> Self {
         assert!(granule.is_power_of_two());
-        PageCache { granule, cached: HashSet::new() }
+        PageCache {
+            granule,
+            cached: HashSet::new(),
+        }
     }
 
     fn contains(&self, offset: u64, len: u64) -> bool {
@@ -111,7 +114,10 @@ fn read_cluster(
             report.disk_reads += 1;
             report.disk_bytes += QCOW2_CLUSTER;
         }
-        Backend::ColdCache { net_mbps, image_bytes } => {
+        Backend::ColdCache {
+            net_mbps,
+            image_bytes,
+        } => {
             let phys = spread_offset(coff, *image_bytes);
             report.io_seconds += sim.disk.read_seconds(*head, phys, QCOW2_CLUSTER);
             *head = phys + QCOW2_CLUSTER;
@@ -189,7 +195,9 @@ pub(super) fn boot_measured(
                 continue;
             }
             let cend = coff + QCOW2_CLUSTER;
-            let mut i = p.layout.partition_point(|r| r.logical_off + r.llen as u64 <= coff);
+            let mut i = p
+                .layout
+                .partition_point(|r| r.logical_off + r.llen as u64 <= coff);
             while i < p.layout.len() && p.layout[i].logical_off < cend {
                 let rec = &p.layout[i];
                 report.ddt_lookups += 1;

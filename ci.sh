@@ -16,10 +16,10 @@ echo "== cargo clippy =="
 cargo clippy --all-targets --workspace -- -D warnings
 
 echo "== cargo fmt (crates formatted so far) =="
-# A ratchet: each crate listed here (squirrel-qcow, squirrel-bench) is
-# rustfmt-clean and must stay so. The whole-workspace check lands with the
-# one formatting commit.
-cargo fmt --check -p squirrel-qcow -p squirrel-bench
+# A ratchet: each crate listed here (squirrel-qcow, squirrel-bench,
+# squirrel-bootsim) is rustfmt-clean and must stay so. The whole-workspace
+# check lands with the one formatting commit.
+cargo fmt --check -p squirrel-qcow -p squirrel-bench -p squirrel-bootsim
 
 echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -80,7 +80,7 @@ cargo test -q --release -p squirrel-zfs ingest:: > /dev/null
 echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
 cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
 
-echo "== boot replay: one loop, two record sources, extent reads, against the references (release) =="
+echo "== boot replay: one walk, one price, two record sources, extent reads, against the references (release) =="
 cargo test -q --release -p squirrel-bootsim -- \
     replay_matches_the_hashset_reference \
     measured_replay_matches_the_hashset_reference \

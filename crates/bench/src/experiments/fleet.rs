@@ -17,7 +17,7 @@ use crate::record::{json_obj, sweep_equal, Json, Record, Sweep};
 use squirrel_core::{run_fleet_with_metrics, DistributionPolicy, FleetConfig, FleetReport};
 
 /// Fleet sizes swept (compute-node slots).
-pub const FLEET_NODE_COUNTS: [u32; 2] = [100, 1000];
+pub const FLEET_NODE_COUNTS: [u32; 3] = [100, 1000, 10_000];
 /// Simulated days per soak.
 pub const FLEET_DAYS: u64 = 3;
 /// The policies compared: the naive baseline and the paper-favoured one.
@@ -68,6 +68,12 @@ fn sweep_once(scenario: &FleetConfig, node_counts: &[u32], threads: usize) -> Fl
                 ..*scenario
             };
             let (report, snap) = run_fleet_with_metrics(&fc);
+            // Every cell booted, ran every day, cycled nodes through
+            // autoscaling and ran the nightly popularity decay.
+            assert!(report.boots > 0, "{report:?}");
+            assert_eq!(report.days.len(), FLEET_DAYS as usize, "{report:?}");
+            assert!(report.joins > 0 && report.leaves > 0, "{report:?}");
+            assert!(report.popularity_decays > 0, "{report:?}");
             cells.push(FleetCell {
                 nodes,
                 policy,
@@ -157,31 +163,4 @@ pub fn run_fleet_bench(cfg: &ExperimentConfig, node_counts: &[u32]) -> (Sweep<Fl
         deterministic: json_obj! {"cells": Json::arr(cells, cell_json)},
     };
     (sweep, record)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A fleet small enough for debug-mode CI.
-    const SMOKE_NODES: [u32; 1] = [8];
-
-    #[test]
-    fn fleet_sweep_is_deterministic_and_gates_hold() {
-        let cfg = ExperimentConfig::smoke();
-        let (sweep, record) = run_fleet_bench(&cfg, &SMOKE_NODES);
-        assert_eq!(record.enforce(), Ok(()));
-        let cells = &sweep.outcome.0;
-        assert_eq!(cells.len(), 2);
-        assert!(cells.iter().all(|c| c.report.boots > 0));
-        assert!(cells
-            .iter()
-            .all(|c| c.report.days.len() == FLEET_DAYS as usize));
-        // Elastic autoscaling actually cycled nodes.
-        assert!(cells
-            .iter()
-            .all(|c| c.report.joins > 0 && c.report.leaves > 0));
-        // The nightly maintenance pass ran popularity decay.
-        assert!(cells.iter().all(|c| c.report.popularity_decays > 0));
-    }
 }

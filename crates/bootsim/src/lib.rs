@@ -24,11 +24,17 @@
 //! which is how forward- vs reverse-dedup placement is priced.
 //!
 //! Both entry points drive one cluster loop (page cache by cluster, disk
-//! head, total). A plain file is one device read per cluster; a cVolume
-//! runs one per-record routine — DDT lookup, ARC check, fetch, decompress,
-//! admit — over one of two record sources: *statistical* (fixed records
-//! placed by coin flips, for [`Backend::DedupVolume`]) or *measured* (the
-//! pool's layout). The two differ only in where records sit.
+//! head, total). A plain file is one device read per cluster. A cVolume is
+//! replayed in two steps: [`BootSim::plan`] *walks* the trace once for a
+//! record geometry and an ARC capacity — the records each first-touched
+//! cluster overlaps, each touch an ARC hit, a raw-resident record or a
+//! first fetch — and [`BootSim::price`] runs one per-record routine over the
+//! plan: DDT lookup, device read, decompress. The walk depends on nothing
+//! the price reads, so one [`BootPlan`] prices every backend of its
+//! geometry. Records come from one of two sources: *statistical* (fixed
+//! records placed by coin flips, for [`Backend::DedupVolume`]) or
+//! *measured* (the pool's layout). The two differ only in where records
+//! sit.
 //!
 //! Mechanisms reproduced (paper Section 4.2.3): QCOW2's 64 KiB cluster
 //! over-fetch acting as free prefetch; dedup-induced scattering punishing
@@ -39,4 +45,4 @@ mod model;
 mod sim;
 
 pub use model::{CpuModel, DiskModel};
-pub use sim::{Backend, BootReport, BootSim, DedupVolumeParams, MeasuredVolumeParams};
+pub use sim::{Backend, BootPlan, BootReport, BootSim, DedupVolumeParams, MeasuredVolumeParams};

@@ -35,10 +35,18 @@ pub(super) enum CacheState {
 /// never change after `new`.
 pub(super) type SimKey = (u64, ImageId, [u64; 9]);
 
-/// Replays [`Squirrel::simulate`] remembers before it starts over. A key is
-/// an (image, pool state) pair and a fleet mints new ones all day, so the
-/// map needs a bound; this one is far more than a storm or a catalog on
-/// look-alike nodes uses, at ≈ 150 B an entry.
+/// What a [`BootPlan`](squirrel_bootsim::BootPlan) depends on: the
+/// paper-scale working set and the image id (the trace), the record size
+/// and the ARC capacity.
+pub(super) type PlanKey = (u64, ImageId, u64, usize);
+
+/// Replays (and plans) [`Squirrel::simulate`] remembers before it starts
+/// over. A key is an (image, pool state) pair and a fleet mints new ones all
+/// day, so the map needs a bound; this one is far more than a storm or a
+/// catalog on look-alike nodes uses, at ≈ 150 B a replay. A plan key is an
+/// (image, geometry) pair: one per image in a fleet of one record size, at
+/// 8 B per run of records touched alike (≈ 170 KB for 24 paper-scale
+/// images).
 pub(super) const SIM_MEMO_CAP: usize = 1024;
 
 /// `backend` as bits: the variant, then its fields in declaration order.
@@ -104,11 +112,14 @@ impl Squirrel {
     /// The simulated boot of `image` against `backend` — the one way a
     /// single boot, a storm and registration's first boot get their timing.
     /// [`BootSim::boot`] of the paper-scale trace is a pure function of the
-    /// key, so each distinct key is replayed once and the trace is only
-    /// synthesised for that replay. Nothing invalidates an entry: a
-    /// register, eviction or repair that changes what a pool's backend looks
-    /// like yields a different key. `squirrel_boot_sim_replays_total` counts
-    /// the misses: what a fleet's boots cost follows its distinct keys.
+    /// key, so each distinct key is replayed once. A cVolume replay prices
+    /// the trace's [`BootPlan`](squirrel_bootsim::BootPlan), which depends
+    /// only on the trace, the record size and the ARC capacity: the trace is
+    /// synthesised and walked once per plan key, however many pool states
+    /// price it. Nothing invalidates an entry: a register, eviction or
+    /// repair that changes what a pool's backend looks like yields a
+    /// different key. `squirrel_boot_sim_replays_total` counts the replay
+    /// misses: what a fleet's boots cost follows its distinct keys.
     pub(super) fn simulate(&mut self, image: ImageId, backend: &Backend) -> BootReport {
         let ws_bytes = self.paper_ws_bytes(image);
         let key = (ws_bytes, image, backend_bits(backend));
@@ -116,7 +127,22 @@ impl Squirrel {
             return *report;
         }
         self.obs.inc("squirrel_boot_sim_replays_total");
-        let report = self.sim.boot(&paper_scale_trace(ws_bytes, image as u64), backend);
+        let sim = self.sim;
+        let trace = || paper_scale_trace(ws_bytes, image as u64);
+        let report = match backend {
+            Backend::DedupVolume(p) => {
+                let plan_key = (ws_bytes, image, p.record_size, p.decompressed_cache_records);
+                if self.plan_memo.len() >= SIM_MEMO_CAP && !self.plan_memo.contains_key(&plan_key)
+                {
+                    self.plan_memo.clear();
+                }
+                let plan = self.plan_memo.entry(plan_key).or_insert_with(|| {
+                    sim.plan(&trace(), p.record_size, p.decompressed_cache_records)
+                });
+                sim.price(plan, p)
+            }
+            _ => sim.boot(&trace(), backend),
+        };
         if self.sim_memo.len() >= SIM_MEMO_CAP {
             self.sim_memo.clear();
         }
@@ -669,15 +695,46 @@ mod tests {
         let trace = paper_scale_trace(sq.paper_ws_bytes(0), 0);
         let sim = BootSim::new();
         for n in 0..SIM_MEMO_CAP as u64 + 3 {
-            let backend = Backend::BaseImageXfs { image_bytes: (n + 1) << 20 };
+            // Every ARC capacity is a plan key of its own too.
+            let backend = Backend::DedupVolume(DedupVolumeParams {
+                decompressed_cache_records: n as usize + 1,
+                ..DedupVolumeParams::new(64 << 10)
+            });
             let expected = bits(&sim.boot(&trace, &backend));
             assert_eq!(bits(&sq.simulate(0, &backend)), expected, "miss {n}");
             assert_eq!(bits(&sq.simulate(0, &backend)), expected, "hit {n}");
             // Full at the cap, then emptied and refilled from one.
             assert_eq!(sq.sim_memo.len() as u64, n % SIM_MEMO_CAP as u64 + 1);
+            assert_eq!(sq.plan_memo.len(), sq.sim_memo.len());
         }
         let replays = sq.metrics().snapshot().counter("squirrel_boot_sim_replays_total");
         assert_eq!(replays, Some(SIM_MEMO_CAP as u64 + 3), "one replay per miss");
+    }
+
+    #[test]
+    fn warm_replays_of_one_geometry_walk_the_trace_once() {
+        let mut sq = small_system(1);
+        let trace = paper_scale_trace(sq.paper_ws_bytes(0), 0);
+        let sim = BootSim::new();
+        let volume = |n: u64, cap: usize| {
+            Backend::DedupVolume(DedupVolumeParams {
+                ddt_entries: 1000 << n,
+                shared_fraction: 0.2 * n as f64,
+                decompressed_cache_records: cap,
+                ..DedupVolumeParams::new(64 << 10)
+            })
+        };
+        for n in 0..4 {
+            let backend = volume(n, 2048);
+            assert_eq!(bits(&sq.simulate(0, &backend)), bits(&sim.boot(&trace, &backend)));
+        }
+        assert_eq!(sq.plan_memo.len(), 1, "four pool states, one walk");
+        // Another ARC capacity is another walk.
+        let backend = volume(0, 16);
+        assert_eq!(bits(&sq.simulate(0, &backend)), bits(&sim.boot(&trace, &backend)));
+        assert_eq!(sq.plan_memo.len(), 2);
+        let replays = sq.metrics().snapshot().counter("squirrel_boot_sim_replays_total");
+        assert_eq!(replays, Some(5), "one replay per distinct backend");
     }
 
     #[test]

@@ -3,13 +3,28 @@
 //! that makes partial hoarding a fallback rather than a failure.
 
 use super::{BudgetReport, EvictReport, RehoardReport, SquirrelError};
-use super::{Source, Squirrel};
+use super::{ComputeNode, Source, Squirrel};
 #[cfg(doc)]
 use super::SquirrelConfig;
 #[cfg(doc)]
 use crate::dist::DistributionPolicy;
 use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
+
+impl ComputeNode {
+    /// Drop the eviction marks of caches a stream delivery restored: once
+    /// the file is present again the node is simply hoarding it, and
+    /// replication checks hold it to the full reference.
+    pub(super) fn reconcile_evictions(&mut self) {
+        let ccvol = &self.ccvol;
+        self.evicted.retain(|&img| !ccvol.has_file(&Squirrel::cache_file_name(img)));
+    }
+
+    /// Would [`Self::reconcile_evictions`] drop a mark?
+    pub(super) fn has_stale_marks(&self) -> bool {
+        self.evicted.iter().any(|&img| self.ccvol.has_file(&Squirrel::cache_file_name(img)))
+    }
+}
 
 impl Squirrel {
     /// Count boots of `image` — the popularity signal
@@ -102,13 +117,11 @@ impl Squirrel {
         })
     }
 
-    /// Drop eviction marks for caches a stream delivery restored: once the
-    /// file is present again the node is simply hoarding it, and replication
-    /// checks hold it to the full reference.
+    /// Drop eviction marks for caches a stream delivery restored, on every
+    /// node: see [`ComputeNode::reconcile_evictions`].
     pub(super) fn reconcile_evictions(&mut self) {
         for node in &mut self.nodes {
-            let ccvol = &node.ccvol;
-            node.evicted.retain(|&img| !ccvol.has_file(&Self::cache_file_name(img)));
+            node.reconcile_evictions();
         }
     }
 

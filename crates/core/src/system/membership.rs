@@ -4,7 +4,7 @@
 //! the replication check that says who is lagging.
 
 use super::{NodeReplication, RejoinOutcome, ReplicationReport, SquirrelError};
-use super::{Source, Squirrel};
+use super::{ComputeNode, Source, Squirrel};
 #[cfg(doc)]
 use crate::dist::DistributionPolicy;
 use squirrel_cluster::NodeId;
@@ -73,8 +73,16 @@ impl Squirrel {
                 match self.nodes[idx].ccvol.recv(&stream) {
                     Ok(()) => {
                         // The stream mirrors the scVolume's tip, restoring
-                        // any budget-evicted cache it could resolve.
-                        self.reconcile_evictions();
+                        // any budget-evicted cache it could resolve — on
+                        // this node only. Every other node's marks were
+                        // reconciled by whatever last restored a file on
+                        // it (a registration's delivery, a re-hoard, its own
+                        // rejoin), so an all-node pass would change nothing.
+                        self.nodes[idx].reconcile_evictions();
+                        debug_assert!(
+                            !self.nodes.iter().any(ComputeNode::has_stale_marks),
+                            "a node held the mark of a cache it hoards"
+                        );
                         self.obs.add_with(
                             "squirrel_rejoin_total",
                             &[("outcome", "incremental")],

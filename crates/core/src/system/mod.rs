@@ -20,7 +20,7 @@ pub use reports::{
 };
 
 use crate::dist::DistributionPolicy;
-use squirrel_bootsim::{BootReport, BootSim};
+use squirrel_bootsim::{BootPlan, BootReport, BootSim};
 use squirrel_cluster::{
     EcConfig, ErasureCodedVolume, GlusterConfig, GlusterVolume, Network, NodeId,
 };
@@ -147,6 +147,8 @@ pub struct Squirrel {
     sim: BootSim,
     /// Every replay [`Self::simulate`] has run, by the value of its inputs.
     sim_memo: HashMap<boot::SimKey, BootReport>,
+    /// Every cVolume trace walk [`Self::simulate`] has run, by its inputs.
+    plan_memo: HashMap<boot::PlanKey, BootPlan>,
     registry: MetricsRegistry,
     /// Unlabeled handle used by the workflow layer (`squirrel_*` series).
     obs: Metrics,
@@ -249,6 +251,7 @@ impl Squirrel {
             reg_seq: 0,
             sim: BootSim::new(),
             sim_memo: HashMap::new(),
+            plan_memo: HashMap::new(),
             registry,
             obs,
             ccvol_obs,

@@ -29,6 +29,24 @@ enum RecvDisposition {
     Retryable(RecvError),
 }
 
+/// `copy`, decoded off the wire, with each payload block whose key and
+/// bytes equal `sent`'s block at the same position holding `sent`'s frame
+/// instead of its own: one buffer, so one proof, for the sender and every
+/// receiver. A block that differs keeps its own frame and is proved on its
+/// own.
+fn sent_frames(mut copy: SendStream, sent: &SendStream) -> SendStream {
+    for (got, sent) in copy.payload.iter_mut().zip(&sent.payload) {
+        let same = match (&got.data, &sent.data) {
+            (Some(a), Some(b)) => got.key == sent.key && a[..] == b[..],
+            _ => false,
+        };
+        if same {
+            got.data.clone_from(&sent.data);
+        }
+    }
+    copy
+}
+
 fn classify_recv(result: Result<(), RecvError>) -> RecvDisposition {
     match result {
         Ok(()) | Err(RecvError::DuplicateTip(_)) => RecvDisposition::Delivered,
@@ -425,7 +443,10 @@ impl Squirrel {
     /// delivery is abandoned stay lagging; the repair workflow
     /// ([`Self::repair_replication`]) catches them up. Every copy that
     /// arrives unflipped is the frame sent, so the first attempt to get that
-    /// far decodes and proves it for all receivers, which share its buffers.
+    /// far decodes it for all receivers, and each payload block whose key
+    /// and bytes equal the sent block's takes the sender's own frame: the
+    /// one proof lands on the scVolume's frames, which every receiver, every
+    /// later full-replication rejoin and every storm then share.
     fn deliver_with_faults(
         &mut self,
         plan: &mut FaultPlan,
@@ -500,7 +521,8 @@ impl Squirrel {
                     debug_assert!(rejected, "a flipped frame decoded");
                     continue;
                 }
-                let Ok(copy) = decoded.get_or_init(|| SendStream::decode_framed(&framed)) else {
+                let decode = || SendStream::decode_framed(&framed).map(|c| sent_frames(c, stream));
+                let Ok(copy) = decoded.get_or_init(decode) else {
                     continue;
                 };
                 let ccvol = &mut self.nodes[node as usize].ccvol;
@@ -782,6 +804,56 @@ mod tests {
         }
         // The sweep reaches the flipped-copy and crashed-recv branches.
         assert!(flips > 0 && crashes > 0, "{flips} flips, {crashes} crashes");
+    }
+
+    /// Under a chaos plan, three registrations reach nodes 0–2 while node 3
+    /// sleeps past the GC window, then node 3 rejoins by full replication
+    /// and a storm boots every image on all four. The receivers' copies took
+    /// the scVolume's frames, so each unique block is proved once across
+    /// both pools, the rejoined node holds the scVolume's own frames, and
+    /// the storms decompress each record once, not once per set of frames.
+    #[test]
+    fn a_lossy_registration_proves_each_block_once_for_every_later_reader() {
+        let mut sq = small_system(4);
+        sq.set_fault_plan(FaultPlan::new(2014, FaultConfig::chaos()));
+        sq.node_offline(3).expect("offline");
+        for img in 0..3 {
+            sq.advance_days(sq.config().gc_window_days + 1);
+            sq.register(img).expect("register");
+            let _ = sq.gc(); // ages node 3's base snapshot out
+        }
+        let rejoin = sq.node_rejoin(3).expect("rejoin");
+        assert!(matches!(rejoin, RejoinOutcome::FullReplication { .. }), "{rejoin:?}");
+        let counter = |sq: &Squirrel, series: &str, pool: &str| {
+            let name = format!("{series}{{pool=\"{pool}\"}}");
+            sq.metrics().snapshot().counter(&name).unwrap_or(0)
+        };
+        let hashed = |sq: &Squirrel| {
+            let series = "zpool_verify_hashed_bytes_total";
+            counter(sq, series, "ccvol") + counter(sq, series, "scvol")
+        };
+        let bs = sq.config().block_size as u64;
+        assert_eq!(hashed(&sq), sq.scvol_stats().unique_blocks * bs, "one proof per block");
+
+        for img in 0..3 {
+            let name = Squirrel::cache_file_name(img);
+            let mut records = 0;
+            for b in sq.working_set_blocks(img) {
+                let Some(Some(sc)) = sq.scvol.block_frame(&name, b) else {
+                    continue; // a hole
+                };
+                records += 1;
+                for n in &sq.nodes {
+                    let frame = n.ccvol.block_frame(&name, b).flatten().expect("hoarded");
+                    assert_eq!(frame.as_ptr(), sc.as_ptr(), "image {img}, block {b}");
+                }
+            }
+            let decompressed = |sq: &Squirrel| counter(sq, "zpool_read_decompressed_bytes_total", "ccvol");
+            let before = decompressed(&sq);
+            assert_eq!(sq.boot_storm(img, 8).expect("storm").warm_vms, 8);
+            assert_eq!(decompressed(&sq) - before, records * bs, "image {img}");
+        }
+        assert_eq!(hashed(&sq), sq.scvol_stats().unique_blocks * bs, "storms prove nothing");
     }
 
     #[test]

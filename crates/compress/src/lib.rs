@@ -133,7 +133,9 @@ impl Compressor {
     pub fn new(codec: Codec) -> Self {
         let plan = match codec {
             Codec::Off => Plan::Off,
-            Codec::Gzip(level) => Plan::Gzip { effort: lzss::effort_for_level(level) },
+            Codec::Gzip(level) => Plan::Gzip {
+                effort: lzss::effort_for_level(level),
+            },
             Codec::Lzjb => Plan::Lzjb,
             Codec::Lz4 => Plan::Lz4,
             Codec::Zle => Plan::Zle,
@@ -281,8 +283,8 @@ mod tests {
         // than a trivial cycle where every codec degenerates to one match.
         let mut rng = test_rng(42);
         let vocab = [
-            "kernel", "initrd", "libc", "systemd", "daemon", "config", "mount",
-            "device", "driver", "module", "service", "socket", "target",
+            "kernel", "initrd", "libc", "systemd", "daemon", "config", "mount", "device", "driver",
+            "module", "service", "socket", "target",
         ];
         let mut text = Vec::new();
         while text.len() < 32768 {

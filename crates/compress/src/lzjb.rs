@@ -55,8 +55,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
                     }
                     if l >= MATCH_MIN {
                         out[ctrl_pos] |= 1 << ctrl_bit;
-                        let token = (((l - MATCH_MIN) as u16) << (16 - MATCH_BITS))
-                            | ((offset - 1) as u16);
+                        let token =
+                            (((l - MATCH_MIN) as u16) << (16 - MATCH_BITS)) | ((offset - 1) as u16);
                         out.extend_from_slice(&token.to_be_bytes());
                         i += l;
                         emitted_match = true;

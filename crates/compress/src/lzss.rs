@@ -62,7 +62,10 @@ const LINK_KEEP: usize = 64 << 10;
 
 impl Chains {
     fn new() -> Self {
-        Chains { head: vec![0; HASH_SIZE].into_boxed_slice(), link: Vec::new() }
+        Chains {
+            head: vec![0; HASH_SIZE].into_boxed_slice(),
+            link: Vec::new(),
+        }
     }
 }
 
@@ -83,7 +86,11 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
         }
         l += 8;
     }
-    l + a[l..].iter().zip(&b[l..]).take_while(|(x, y)| x == y).count()
+    l + a[l..]
+        .iter()
+        .zip(&b[l..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// LZSS-compress `data` with up to `effort` (at least 1) chain probes per
@@ -100,7 +107,10 @@ pub fn compress(data: &[u8], effort: usize) -> Vec<u8> {
 /// with `i`'s hash, newest first — depends on `data` and `i` alone, and
 /// linking it ahead of time changes no candidate and no probe.
 fn compress_with(chains: &mut Chains, data: &[u8], effort: usize) -> Vec<u8> {
-    assert!(data.len() < u32::MAX as usize, "lzss input must be under 4 GiB");
+    assert!(
+        data.len() < u32::MAX as usize,
+        "lzss input must be under 4 GiB"
+    );
     assert!(effort > 0, "a search makes at least one probe");
     let Chains { head, link } = chains;
     head.fill(0);
@@ -249,7 +259,10 @@ pub fn inflate(frame: &[u8], expected_len: usize) -> Vec<u8> {
             assert!(tokens.left() >= 3, "corrupt lzss stream: match cut short");
             let len = tokens.next() as usize + MIN_MATCH;
             let dist = u16::from_le_bytes([tokens.next(), tokens.next()]) as usize + 1;
-            assert!(dist <= written, "corrupt lzss stream: match before start of block");
+            assert!(
+                dist <= written,
+                "corrupt lzss stream: match before start of block"
+            );
             let (from, to) = (written - dist, written);
             if dist >= 16 && to + len + 16 <= expected_len {
                 // Whole 16-byte chunks, each read wholly behind the write;
@@ -291,12 +304,17 @@ pub fn decompress(tokens: &[u8], expected_len: usize) -> Vec<u8> {
                 break 'outer;
             }
             if flags & (1 << bit) != 0 {
-                assert!(pos + 3 <= tokens.len(), "corrupt lzss stream: match cut short");
+                assert!(
+                    pos + 3 <= tokens.len(),
+                    "corrupt lzss stream: match cut short"
+                );
                 let len = tokens[pos] as usize + MIN_MATCH;
-                let dist =
-                    u16::from_le_bytes([tokens[pos + 1], tokens[pos + 2]]) as usize + 1;
+                let dist = u16::from_le_bytes([tokens[pos + 1], tokens[pos + 2]]) as usize + 1;
                 pos += 3;
-                assert!(dist <= out.len(), "corrupt lzss stream: match before start of block");
+                assert!(
+                    dist <= out.len(),
+                    "corrupt lzss stream: match before start of block"
+                );
                 let start = out.len() - dist;
                 if dist >= len {
                     out.extend_from_within(start..start + len);
@@ -331,7 +349,10 @@ mod tests {
     /// The two-stage reference on a Huffman `frame`: token buffer, then
     /// bytes.
     fn two_stage(frame: &[u8], expected_len: usize) -> Vec<u8> {
-        decompress(&huffman_decompress(frame, max_token_bytes(expected_len)), expected_len)
+        decompress(
+            &huffman_decompress(frame, max_token_bytes(expected_len)),
+            expected_len,
+        )
     }
 
     fn inflate_tokens(tokens: &[u8], expected_len: usize) -> Vec<u8> {
@@ -473,8 +494,9 @@ mod tests {
     fn inputs(len: usize) -> Vec<Vec<u8>> {
         let mut rng = crate::test_rng(len as u64);
         let four_letters = (0..len).map(|_| (rng.next_u64() % 4) as u8).collect();
-        let motifs: Vec<[u8; 64]> =
-            (0..48).map(|_| std::array::from_fn(|_| rng.next_u64() as u8)).collect();
+        let motifs: Vec<[u8; 64]> = (0..48)
+            .map(|_| std::array::from_fn(|_| rng.next_u64() as u8))
+            .collect();
         let mut shuffled = Vec::with_capacity(len + 64);
         while shuffled.len() < len {
             shuffled.extend_from_slice(&motifs[(rng.next_u64() % motifs.len() as u64) as usize]);
@@ -527,9 +549,16 @@ mod tests {
         // borrowed link array is given back after the block that needed it.
         for len in [160 << 10, 4 << 10, 1 << 20, 64 << 10, 4 << 10] {
             let data = corpus_bytes(len);
-            assert_eq!(compress(&data, 128), reference_compress(&data, 128), "{len} bytes");
+            assert_eq!(
+                compress(&data, 128),
+                reference_compress(&data, 128),
+                "{len} bytes"
+            );
             let kept = CHAINS.with_borrow(|c| c.link.capacity());
-            assert!(kept <= LINK_KEEP, "{kept} link entries kept after {len} bytes");
+            assert!(
+                kept <= LINK_KEEP,
+                "{kept} link entries kept after {len} bytes"
+            );
         }
     }
 
@@ -593,9 +622,17 @@ mod tests {
                 let frame = huffman_compress(&compress(data, effort_for_level(level)));
                 let at = |len: usize| (inflate(&frame, len), two_stage(&frame, len));
                 // At its own length both give back the block, byte for byte.
-                assert_eq!(at(n), (data.clone(), data.clone()), "block {which} gzip-{level}");
+                assert_eq!(
+                    at(n),
+                    (data.clone(), data.clone()),
+                    "block {which} gzip-{level}"
+                );
                 // At double, both stop where the token stream ends.
-                assert_eq!(at(2 * n), (data.clone(), data.clone()), "block {which} gzip-{level}");
+                assert_eq!(
+                    at(2 * n),
+                    (data.clone(), data.clone()),
+                    "block {which} gzip-{level}"
+                );
                 // At half, the reference finishes its last match past the
                 // block; the one pass stops at it. Either way the result is
                 // short and wrong, which is what an oracle that decodes at
@@ -639,9 +676,19 @@ mod tests {
 
     #[test]
     fn long_repeats_shrink_a_lot() {
-        let data: Vec<u8> = b"0123456789abcdef".iter().copied().cycle().take(4096).collect();
+        let data: Vec<u8> = b"0123456789abcdef"
+            .iter()
+            .copied()
+            .cycle()
+            .take(4096)
+            .collect();
         let toks = compress(&data, 128);
-        assert!(toks.len() < data.len() / 4, "{} vs {}", toks.len(), data.len());
+        assert!(
+            toks.len() < data.len() / 4,
+            "{} vs {}",
+            toks.len(),
+            data.len()
+        );
     }
 
     #[test]

@@ -27,10 +27,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
         let start = i;
         let mut len = 0usize;
         while i + len < data.len() && len < 128 {
-            if data[i + len] == 0
-                && i + len + 1 < data.len()
-                && data[i + len + 1] == 0
-            {
+            if data[i + len] == 0 && i + len + 1 < data.len() && data[i + len + 1] == 0 {
                 break;
             }
             len += 1;
@@ -82,7 +79,9 @@ mod tests {
 
     #[test]
     fn roundtrip_alternating() {
-        let data: Vec<u8> = (0..500).map(|i| if i % 3 == 0 { 0 } else { i as u8 }).collect();
+        let data: Vec<u8> = (0..500)
+            .map(|i| if i % 3 == 0 { 0 } else { i as u8 })
+            .collect();
         rt(&data);
     }
 

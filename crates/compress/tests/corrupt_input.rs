@@ -76,7 +76,11 @@ fn survives(frame: &[u8], expected_len: usize, limit: usize, what: &str) {
         "{what}: allocated {largest} bytes at once, limit {alloc_limit}"
     );
     if let Ok(out) = result {
-        assert!(out.len() <= out_limit, "{what}: returned {} bytes, limit {out_limit}", out.len());
+        assert!(
+            out.len() <= out_limit,
+            "{what}: returned {} bytes, limit {out_limit}",
+            out.len()
+        );
     }
 }
 
@@ -118,7 +122,12 @@ fn damaged_gzip_headers_neither_balloon_nor_spin() {
         for bit in 0..8 {
             let mut damaged = frame.clone();
             damaged[byte] ^= 1 << bit;
-            survives(&damaged, BLOCK, BLOCK, &format!("byte {byte} bit {bit} flipped"));
+            survives(
+                &damaged,
+                BLOCK,
+                BLOCK,
+                &format!("byte {byte} bit {bit} flipped"),
+            );
         }
     }
     // The decoded-length field set to the extremes outright.
@@ -128,7 +137,12 @@ fn damaged_gzip_headers_neither_balloon_nor_spin() {
         survives(&damaged, BLOCK, BLOCK, &format!("length field {claim}"));
     }
     for keep in 1..64 {
-        survives(&frame[..keep], BLOCK, BLOCK, &format!("truncated to {keep}"));
+        survives(
+            &frame[..keep],
+            BLOCK,
+            BLOCK,
+            &format!("truncated to {keep}"),
+        );
     }
 }
 
@@ -136,13 +150,25 @@ fn damaged_gzip_headers_neither_balloon_nor_spin() {
 /// zle), so every tag's decoder is reached.
 fn valid_frames() -> Vec<Vec<u8>> {
     let data: Vec<u8> = (0..4096u32)
-        .map(|i| if i % 256 < 96 { 0 } else { (i % 61 * (i / 512 + 1)) as u8 })
+        .map(|i| {
+            if i % 256 < 96 {
+                0
+            } else {
+                (i % 61 * (i / 512 + 1)) as u8
+            }
+        })
         .collect();
-    let frames: Vec<Vec<u8>> = [Codec::Off, Codec::Gzip(6), Codec::Lzjb, Codec::Lz4, Codec::Zle]
-        .iter()
-        .map(|&codec| compress(codec, &data))
-        .chain([compress(Codec::Gzip(6), &[0u8; 4096])])
-        .collect();
+    let frames: Vec<Vec<u8>> = [
+        Codec::Off,
+        Codec::Gzip(6),
+        Codec::Lzjb,
+        Codec::Lz4,
+        Codec::Zle,
+    ]
+    .iter()
+    .map(|&codec| compress(codec, &data))
+    .chain([compress(Codec::Gzip(6), &[0u8; 4096])])
+    .collect();
     let tags: Vec<u8> = frames.iter().map(|f| f[0]).collect();
     assert_eq!(tags, [0, 2, 3, 4, 5, 1], "one frame per tag");
     frames

@@ -71,13 +71,20 @@ impl PoolConfig {
     /// Start a builder seeded with the [`Default`] pool.
     pub fn builder() -> PoolConfigBuilder {
         let d = PoolConfig::default();
-        PoolConfigBuilder { block_size: d.block_size, codec: d.codec, threads: d.threads }
+        PoolConfigBuilder {
+            block_size: d.block_size,
+            codec: d.codec,
+            threads: d.threads,
+        }
     }
 
     /// A pool with the given record size and codec, fixed chunking at that
     /// size, forward dedup, no quotas.
     pub fn new(block_size: usize, codec: Codec) -> Self {
-        assert!(block_size >= 512 && block_size.is_power_of_two(), "record size");
+        assert!(
+            block_size >= 512 && block_size.is_power_of_two(),
+            "record size"
+        );
         PoolConfig {
             block_size,
             codec,
@@ -178,7 +185,11 @@ mod tests {
 
     #[test]
     fn builder_mirrors_constructors() {
-        let built = PoolConfig::builder().block_size(4096).codec(Codec::Lz4).threads(3).build();
+        let built = PoolConfig::builder()
+            .block_size(4096)
+            .codec(Codec::Lz4)
+            .threads(3)
+            .build();
         assert_eq!(built.block_size, 4096);
         assert_eq!(built.codec, Codec::Lz4);
         assert_eq!(built.threads, 3);

@@ -135,29 +135,30 @@ impl ZPool {
             let passes = if cdc.is_some() { 2 } else { 1 };
             let prepare_cost =
                 |seg: &Range<usize>| (seg.len() * cfg.block_size) as u64 * passes * cost::HASH;
-            self.worker_pool().parallel_map(&segments, prepare_cost, |_, seg| {
-                t.busy(|| {
-                    let bytes = match seg.len() {
-                        1 => Cow::Borrowed(data[seg.start]),
-                        _ => Cow::Owned(data[seg.clone()].concat()),
-                    };
-                    let record = |(s, e): (usize, usize)| {
-                        let key = ContentHash::of_nonzero(&bytes[s..e]).map(|h| {
-                            let k = h.short();
-                            (k, ddt.get(&k).is_some())
-                        });
-                        (s, e, key)
-                    };
-                    let records = match &cdc {
-                        None => vec![record((0, bytes.len()))],
-                        Some((params, gear)) => chunk_boundaries_with(&bytes, params, gear)
-                            .into_iter()
-                            .map(record)
-                            .collect(),
-                    };
-                    (bytes, records)
+            self.worker_pool()
+                .parallel_map(&segments, prepare_cost, |_, seg| {
+                    t.busy(|| {
+                        let bytes = match seg.len() {
+                            1 => Cow::Borrowed(data[seg.start]),
+                            _ => Cow::Owned(data[seg.clone()].concat()),
+                        };
+                        let record = |(s, e): (usize, usize)| {
+                            let key = ContentHash::of_nonzero(&bytes[s..e]).map(|h| {
+                                let k = h.short();
+                                (k, ddt.get(&k).is_some())
+                            });
+                            (s, e, key)
+                        };
+                        let records = match &cdc {
+                            None => vec![record((0, bytes.len()))],
+                            Some((params, gear)) => chunk_boundaries_with(&bytes, params, gear)
+                                .into_iter()
+                                .map(record)
+                                .collect(),
+                        };
+                        (bytes, records)
+                    })
                 })
-            })
         };
 
         // Stage 2 "probe" (serial): first-occurrence scan for keys new to
@@ -192,7 +193,11 @@ impl ZPool {
                     t.busy(|| {
                         let frame = compressor.compress(&scanned[g].0[s..e]);
                         let psize = frame.len() as u32;
-                        (k, (e - s) as u32, (psize, cfg.retain_data.then(|| frame.into())))
+                        (
+                            k,
+                            (e - s) as u32,
+                            (psize, cfg.retain_data.then(|| frame.into())),
+                        )
                     })
                 })
         };
@@ -241,7 +246,11 @@ impl ZPool {
                 let logical_off = seg_off + s as u64;
                 match cdc {
                     None => ptrs[(logical_off / bs) as usize] = Some(k),
-                    Some(_) => chunks.push(CdcChunk { key: k, logical_off, len: (e - s) as u32 }),
+                    Some(_) => chunks.push(CdcChunk {
+                        key: k,
+                        logical_off,
+                        len: (e - s) as u32,
+                    }),
                 }
             }
         }
@@ -264,7 +273,8 @@ impl ZPool {
             }
         };
         let len = logical_len.unwrap_or_else(|| idxs.last().map_or(0, |&i| (i + 1) * bs));
-        self.files_mut().insert(name.to_string(), FileTable { records, len });
+        self.files_mut()
+            .insert(name.to_string(), FileTable { records, len });
         if cfg.dedup_mode == DedupMode::Reverse {
             self.reverse_dedup_pass(name);
         }
@@ -281,11 +291,11 @@ mod tests {
     fn test_blocks(bs: usize, n: usize) -> Vec<Vec<u8>> {
         (0..n)
             .map(|i| match i % 5 {
-                0 => vec![0u8; bs],                                   // hole
-                1 => (0..bs).map(|j| (j % 13) as u8).collect(),       // repeated
+                0 => vec![0u8; bs],                             // hole
+                1 => (0..bs).map(|j| (j % 13) as u8).collect(), // repeated
                 2 => (0..bs).map(|j| ((i * 31 + j) % 251) as u8).collect(),
-                3 => vec![(i % 7) as u8; bs],                         // runs
-                _ => (0..bs).map(|j| (j % 13) as u8).collect(),       // dup of 1
+                3 => vec![(i % 7) as u8; bs],                   // runs
+                _ => (0..bs).map(|j| (j % 13) as u8).collect(), // dup of 1
             })
             .collect()
     }
@@ -316,7 +326,11 @@ mod tests {
             assert_eq!(p.stats(), serial_stats, "threads={threads}");
             assert!(p.check_refcounts());
             // Physical layout (allocation order) must match exactly.
-            assert_eq!(p.block_refs("f"), serial.block_refs("f"), "threads={threads}");
+            assert_eq!(
+                p.block_refs("f"),
+                serial.block_refs("f"),
+                "threads={threads}"
+            );
             // The wire bytes of a full send are a digest of the entire pool
             // state: tables, lengths, payload frames, and their order.
             p.snapshot("s");
@@ -420,8 +434,11 @@ mod tests {
     fn accounting_only_pool_imports_without_payloads() {
         let bs = 512;
         let blocks = test_blocks(bs, 20);
-        let mut p =
-            ZPool::new(PoolConfig::new(bs, Codec::Lzjb).accounting_only().with_threads(2));
+        let mut p = ZPool::new(
+            PoolConfig::new(bs, Codec::Lzjb)
+                .accounting_only()
+                .with_threads(2),
+        );
         p.import_file("f", &blocks, 20 * bs as u64);
         let serial =
             write_block_replay(PoolConfig::new(bs, Codec::Lzjb).accounting_only(), &blocks);
@@ -458,7 +475,11 @@ mod tests {
             let mut p = ZPool::new(mk(threads));
             p.import_file("f", &blocks, len);
             assert_eq!(p.stats(), ref_stats, "threads={threads}");
-            assert_eq!(p.block_refs("f"), reference.block_refs("f"), "threads={threads}");
+            assert_eq!(
+                p.block_refs("f"),
+                reference.block_refs("f"),
+                "threads={threads}"
+            );
             assert!(p.check_refcounts());
             p.snapshot("s");
             assert_eq!(
@@ -472,7 +493,11 @@ mod tests {
     /// `encode()` length and SHA-256 of a stream: what the golden pins hold.
     fn pin(stream: &crate::SendStream) -> String {
         let wire = stream.encode();
-        format!("{} {}", wire.len(), squirrel_hash::ContentHash::of(&wire).to_hex())
+        format!(
+            "{} {}",
+            wire.len(),
+            squirrel_hash::ContentHash::of(&wire).to_hex()
+        )
     }
 
     /// Golden pins of pipeline-imported pools' streams, at threads 1, 2 and

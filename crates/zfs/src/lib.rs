@@ -58,7 +58,7 @@ pub mod stats;
 pub use config::{DedupMode, PoolConfig, PoolConfigBuilder};
 pub use ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
 pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, ZPool};
-pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use scrub::ScrubReport;
 pub use send::{DecodeError, RecvError, SendError, SendStream, VerifiedStream};
+pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
 pub use stats::{QuotaExcess, SpaceStats};

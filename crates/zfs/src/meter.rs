@@ -72,7 +72,8 @@ impl PoolMeters {
             compressed_block_bytes: m.histogram("zpool_compressed_block_bytes"),
             chunking_chunks: m.counter("squirrel_chunking_chunks_total"),
             chunking_chunk_bytes: m.counter("squirrel_chunking_chunk_bytes_total"),
-            reverse_extents_rewritten: m.counter("squirrel_chunking_reverse_extents_rewritten_total"),
+            reverse_extents_rewritten: m
+                .counter("squirrel_chunking_reverse_extents_rewritten_total"),
             reverse_bytes_freed: m.counter("squirrel_chunking_reverse_bytes_freed_total"),
         }
     }

@@ -137,7 +137,10 @@ impl FileTable {
             Records::Blocks(ptrs) => (ptrs, &[]),
             Records::Chunks(chunks) => (&[], chunks),
         };
-        ptrs.iter().copied().flatten().chain(chunks.iter().map(|c| c.key))
+        ptrs.iter()
+            .copied()
+            .flatten()
+            .chain(chunks.iter().map(|c| c.key))
     }
 
     /// Number of on-disk pointer records this table costs (block pointers
@@ -301,7 +304,9 @@ impl ZPool {
             ptrs.resize(block_idx as usize + 1, None);
         }
         let old = std::mem::replace(&mut ptrs[block_idx as usize], new_key);
-        table.len = table.len.max((block_idx + 1) * self.config.block_size as u64);
+        table.len = table
+            .len
+            .max((block_idx + 1) * self.config.block_size as u64);
         if let Some(old_key) = old {
             self.ddt.release(&old_key);
         }
@@ -412,7 +417,10 @@ impl ZPool {
 
     /// The pool's shared all-zero block (what hole reads return).
     fn zero_block_shared(&self) -> SharedPayload {
-        Arc::clone(self.zero_block.get_or_init(|| vec![0u8; self.config.block_size].into()))
+        Arc::clone(
+            self.zero_block
+                .get_or_init(|| vec![0u8; self.config.block_size].into()),
+        )
     }
 
     /// The stored frame behind fixed block `block_idx` of `name`, or
@@ -428,7 +436,11 @@ impl ZPool {
 
     fn block_ref_of(&self, key: BlockKey) -> BlockRef {
         let e = self.entry(&key);
-        BlockRef { key, phys: e.phys, psize: e.psize }
+        BlockRef {
+            key,
+            phys: e.phys,
+            psize: e.psize,
+        }
     }
 
     /// Resolved record pointers of `name` (for physical-layout analysis);
@@ -453,10 +465,14 @@ impl ZPool {
         for table in self.files.values() {
             self.snap_ptrs += table.ptr_count();
             for key in table.iter_keys() {
-                self.ddt.add_ref(key, || unreachable!("snapshot references live block"));
+                self.ddt
+                    .add_ref(key, || unreachable!("snapshot references live block"));
             }
         }
-        self.snapshots.push(Snapshot { tag: tag.to_string(), files: self.files.clone() });
+        self.snapshots.push(Snapshot {
+            tag: tag.to_string(),
+            files: self.files.clone(),
+        });
     }
 
     /// Destroy a snapshot, freeing blocks nothing else references.
@@ -541,7 +557,11 @@ impl ZPool {
     /// The snapshots' pointer records counted by walking every snapshot's
     /// file tables: what `snap_ptrs` must equal.
     fn walk_snap_ptrs(&self) -> u64 {
-        self.snapshots.iter().flat_map(|s| s.files.values()).map(FileTable::ptr_count).sum()
+        self.snapshots
+            .iter()
+            .flat_map(|s| s.files.values())
+            .map(FileTable::ptr_count)
+            .sum()
     }
 
     /// [`stats`](Self::stats) with the snapshots' pointers counted by
@@ -570,7 +590,11 @@ impl ZPool {
                 shared += 1;
             }
         }
-        Some(if total == 0 { 0.0 } else { shared as f64 / total as f64 })
+        Some(if total == 0 {
+            0.0
+        } else {
+            shared as f64 / total as f64
+        })
     }
 
     /// In-core dedup-table footprint: per-entry overhead × unique blocks —
@@ -641,16 +665,22 @@ impl ZPool {
         // lsize its key was stored (or received, checked) with.
         let record = |logical_off: u64, key: &BlockKey| {
             let e = self.entry(key);
-            RecordLoc { logical_off, llen: e.lsize, phys: e.phys, psize: e.psize }
+            RecordLoc {
+                logical_off,
+                llen: e.lsize,
+                phys: e.phys,
+                psize: e.psize,
+            }
         };
         Some(match &self.files.get(name)?.records {
             Records::Blocks(ptrs) => (0..)
                 .zip(ptrs.iter())
                 .filter_map(|(i, p)| p.as_ref().map(|key| record(i * bs, key)))
                 .collect(),
-            Records::Chunks(chunks) => {
-                chunks.iter().map(|c| record(c.logical_off, &c.key)).collect()
-            }
+            Records::Chunks(chunks) => chunks
+                .iter()
+                .map(|c| record(c.logical_off, &c.key))
+                .collect(),
         })
     }
 
@@ -715,7 +745,9 @@ impl ZPool {
             report.bytes_freed += psize as u64;
         }
         report.extents_after = self.file_scatter(name).expect("still live").extents;
-        self.meters.reverse_extents_rewritten.add(report.keys_rewritten);
+        self.meters
+            .reverse_extents_rewritten
+            .add(report.keys_rewritten);
         self.meters.reverse_bytes_freed.add(report.bytes_freed);
         Some(report)
     }
@@ -744,7 +776,9 @@ impl ZPool {
         if counts.len() != self.ddt.len() {
             return false;
         }
-        counts.iter().all(|(k, &c)| self.ddt.get(k).map(|e| e.refcount) == Some(c))
+        counts
+            .iter()
+            .all(|(k, &c)| self.ddt.get(k).map(|e| e.refcount) == Some(c))
     }
 }
 
@@ -899,14 +933,16 @@ mod tests {
         assert!(p.quota_excess().is_zero());
         // Budget exactly equal to the footprint: still within.
         let mut exact = ZPool::new(
-            PoolConfig::new(512, Codec::Lzjb)
-                .with_quotas(s.total_disk_bytes(), s.ddt_memory_bytes),
+            PoolConfig::new(512, Codec::Lzjb).with_quotas(s.total_disk_bytes(), s.ddt_memory_bytes),
         );
         exact.create_file("a");
         for i in 0..4u64 {
             exact.write_block("a", i, &block(512, i as u8 + 1));
         }
-        assert!(exact.within_quota(), "quota == footprint is not over-budget");
+        assert!(
+            exact.within_quota(),
+            "quota == footprint is not over-budget"
+        );
         // Starved on both axes: excess is the shortfall, per axis.
         let mut starved = ZPool::new(
             PoolConfig::new(512, Codec::Lzjb)
@@ -946,7 +982,10 @@ mod tests {
         assert!(refs[0].is_some());
         assert!(refs[1].is_none());
         let (r0, r2) = (refs[0].expect("ref"), refs[2].expect("ref"));
-        assert!(r2.phys >= r0.phys + r0.psize as u64, "arrival-order allocation");
+        assert!(
+            r2.phys >= r0.phys + r0.psize as u64,
+            "arrival-order allocation"
+        );
     }
 
     #[test]
@@ -1013,7 +1052,10 @@ mod tests {
 
     /// The frame behind block `b` of "f" on `p`, as a handle of its own.
     fn frame_of(p: &ZPool, b: u64) -> Frame {
-        p.block_frame("f", b).expect("fixed file").expect("data").clone()
+        p.block_frame("f", b)
+            .expect("fixed file")
+            .expect("data")
+            .clone()
     }
 
     #[test]
@@ -1022,7 +1064,9 @@ mod tests {
         let decompressed = || registry.snapshot().counter(READ).expect("series");
         let (src, pools) = sharing_pools(&registry, 2);
         for b in 0..3 {
-            assert!(pools.iter().all(|p| Frame::ptr_eq(&frame_of(p, b), &frame_of(&src, b))));
+            assert!(pools
+                .iter()
+                .all(|p| Frame::ptr_eq(&frame_of(p, b), &frame_of(&src, b))));
         }
         // A shared frame is not a shared payload: each read decompresses
         // into a buffer of its own.
@@ -1044,7 +1088,9 @@ mod tests {
     fn rot_makes_a_new_frame_on_its_pool_and_repair_installs_the_donors() {
         let registry = squirrel_obs::MetricsRegistry::new();
         let (src, mut pools) = sharing_pools(&registry, 2);
-        let key = pools[0].block_refs("f").expect("file")[0].expect("data").key;
+        let key = pools[0].block_refs("f").expect("file")[0]
+            .expect("data")
+            .key;
         // Rot on pool 1 is a new frame there only: it reads its own (wrong)
         // bytes, and the sender and pool 0 keep the shared frame.
         assert!(pools[1].inject_corruption(key));
@@ -1060,7 +1106,11 @@ mod tests {
         assert!(Frame::ptr_eq(&frame_of(&pools[1], 0), &frame_of(&src, 0)));
         assert!(!Frame::ptr_eq(&frame_of(&pools[1], 0), &rotten));
         assert_eq!(pools[1].read_block("f", 0).expect("file"), block(512, 1));
-        assert_eq!(registry.snapshot().counter(READ), Some(3 * 512), "one per read");
+        assert_eq!(
+            registry.snapshot().counter(READ),
+            Some(3 * 512),
+            "one per read"
+        );
     }
 
     fn cdc_pool(bs: usize) -> ZPool {
@@ -1097,7 +1147,11 @@ mod tests {
         let mut cdc = cdc_pool(bs);
         cdc.import_file("img", &blocks, len);
         for i in 0..n as u64 {
-            assert_eq!(cdc.read_block("img", i), fixed.read_block("img", i), "block {i}");
+            assert_eq!(
+                cdc.read_block("img", i),
+                fixed.read_block("img", i),
+                "block {i}"
+            );
             assert_eq!(
                 cdc.read_block_shared("img", i).as_deref(),
                 fixed.read_block_shared("img", i).as_deref(),
@@ -1123,7 +1177,10 @@ mod tests {
         let mut cdc = cdc_pool(bs);
         cdc.import_blocks_parallel("img", &[(0u64, vec![7u8; bs]), (4, vec![9u8; bs])]);
         let hole = cdc.read_block_shared("img", 2).expect("file");
-        assert!(Arc::ptr_eq(&hole, &cdc.zero_block_shared()), "holes share one buffer");
+        assert!(
+            Arc::ptr_eq(&hole, &cdc.zero_block_shared()),
+            "holes share one buffer"
+        );
         assert_eq!(cdc.read_block("img", 0).expect("file"), vec![7u8; bs]);
         assert_eq!(cdc.read_block("img", 2).expect("file"), vec![0u8; bs]);
         assert_eq!(cdc.read_block("img", 4).expect("file"), vec![9u8; bs]);
@@ -1169,20 +1226,31 @@ mod tests {
             p.write_block("a", i, &block(512, 10 + i as u8));
             p.write_block("b", i, &block(512, 20 + i as u8));
         }
-        assert!(p.file_scatter("b").expect("file").extents > 1, "interleaved");
+        assert!(
+            p.file_scatter("b").expect("file").extents > 1,
+            "interleaved"
+        );
         p.snapshot("s1");
-        let before: Vec<Vec<u8>> =
-            (0..4).map(|i| p.read_block("b", i).expect("file")).collect();
+        let before: Vec<Vec<u8>> = (0..4)
+            .map(|i| p.read_block("b", i).expect("file"))
+            .collect();
         let phys_before = p.stats().physical_bytes;
 
         let report = p.reverse_dedup_pass("b").expect("file");
         assert!(report.extents_after < report.extents_before);
         assert_eq!(report.keys_rewritten, 4);
-        assert_eq!(p.file_scatter("b").expect("file").extents, 1, "fully sequential");
+        assert_eq!(
+            p.file_scatter("b").expect("file").extents,
+            1,
+            "fully sequential"
+        );
         // Content, refcounts, and physical accounting are untouched.
         for i in 0..4u64 {
             assert_eq!(p.read_block("b", i).expect("file"), before[i as usize]);
-            assert_eq!(p.read_block("a", i).expect("file"), block(512, 10 + i as u8));
+            assert_eq!(
+                p.read_block("a", i).expect("file"),
+                block(512, 10 + i as u8)
+            );
         }
         assert_eq!(p.stats().physical_bytes, phys_before, "holes, not growth");
         assert!(p.check_refcounts());
@@ -1192,9 +1260,8 @@ mod tests {
     #[test]
     fn reverse_mode_import_lands_sequential() {
         use crate::config::DedupMode;
-        let mut p = ZPool::new(
-            PoolConfig::new(512, Codec::Lzjb).with_dedup_mode(DedupMode::Reverse),
-        );
+        let mut p =
+            ZPool::new(PoolConfig::new(512, Codec::Lzjb).with_dedup_mode(DedupMode::Reverse));
         let v1: Vec<Vec<u8>> = (0..6).map(|i| block(512, 1 + i as u8)).collect();
         p.import_file("v1", &v1, 6 * 512);
         p.snapshot("s1");
@@ -1234,7 +1301,11 @@ mod proptests {
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0u8..3, 0u8..8, any::<u8>()).prop_map(|(file, idx, fill)| Op::Write { file, idx, fill }),
+            (0u8..3, 0u8..8, any::<u8>()).prop_map(|(file, idx, fill)| Op::Write {
+                file,
+                idx,
+                fill
+            }),
             (0u8..3).prop_map(|file| Op::Delete { file }),
             Just(Op::Snapshot),
             Just(Op::DestroyOldestSnapshot),

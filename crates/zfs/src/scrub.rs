@@ -255,7 +255,10 @@ mod tests {
         };
         for nth in 0..n {
             let (mut fwd, _) = pool_with_data();
-            assert_eq!(fwd.corrupt_nth_block(nth), reversed().corrupt_nth_block(nth));
+            assert_eq!(
+                fwd.corrupt_nth_block(nth),
+                reversed().corrupt_nth_block(nth)
+            );
         }
         let (mut fwd, _) = pool_with_data();
         let mut rev = reversed();
@@ -357,7 +360,10 @@ mod tests {
             .map(|i| (0..bs).map(|j| ((i * 29 + j * 7) % 249) as u8).collect())
             .collect();
         p.import_file("img", &blocks, 12 * bs as u64);
-        assert!(p.scrub().is_clean(), "variable-size records verify at their lsize");
+        assert!(
+            p.scrub().is_clean(),
+            "variable-size records verify at their lsize"
+        );
         assert_eq!(p.file_is_intact("img"), Some(true));
 
         let key = p.corrupt_nth_block(5).expect("victim chunk");
@@ -387,7 +393,8 @@ mod tests {
         let (mut src, keys) = pool_with_data();
         src.snapshot("s1");
         let mut dst = ZPool::new(PoolConfig::new(512, Codec::Lzjb));
-        dst.recv(&src.send_between(None, "s1").expect("send")).expect("recv");
+        dst.recv(&src.send_between(None, "s1").expect("send"))
+            .expect("recv");
         assert!(dst.scrub().is_clean());
         dst.inject_corruption(keys[0]);
         assert_eq!(dst.scrub().corrupt, vec![keys[0]]);

@@ -17,9 +17,11 @@ cargo clippy --all-targets --workspace -- -D warnings
 
 echo "== cargo fmt (crates formatted so far) =="
 # A ratchet: each crate listed here (squirrel-qcow, squirrel-bench,
-# squirrel-bootsim) is rustfmt-clean and must stay so. The whole-workspace
-# check lands with the one formatting commit.
-cargo fmt --check -p squirrel-qcow -p squirrel-bench -p squirrel-bootsim
+# squirrel-bootsim, squirrel-compress, squirrel-zfs) is rustfmt-clean and
+# must stay so. The whole-workspace check lands with the one formatting
+# commit.
+cargo fmt --check -p squirrel-qcow -p squirrel-bench -p squirrel-bootsim \
+    -p squirrel-compress -p squirrel-zfs
 
 echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
@@ -57,8 +59,13 @@ echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_asser
 cargo test -q --release -p squirrel-hash -p squirrel-compress -p squirrel-dataset > /dev/null
 
 echo "== worker pool under repetition (release, 20 runs: where a one-in-fifty race hides) =="
+# The two receive tests split one stream's proof over the pool's workers:
+# the first offender in payload order must win at every thread count.
 for i in $(seq 20); do
     cargo test -q --release -p squirrel-hash par:: > /dev/null
+    cargo test -q --release -p squirrel-zfs --lib -- \
+        first_corrupt_block_in_payload_order_wins_at_any_thread_count \
+        a_lone_recv_splits_its_proof_over_unproved_frames_only > /dev/null
 done
 
 echo "== boot storm under repetition (release, 20 runs: records resolve concurrently) =="

@@ -54,13 +54,14 @@ pub const MIN_SHARE: u64 = 250_000;
 /// Per-byte cost estimates of the workspace's byte-crunching stages, in
 /// nanoseconds per byte — what callers multiply a length by to state an
 /// item's weight. Measured on the reference box (`benchmark/ run --workload
-/// ingest --trace`, SHA-NI host): `hash.sha256_mb_per_s` 1 497 (0.67 ns/B;
-/// the Gear scan reads 1 455), `compress.decompress_mb_per_s` 212
-/// (4.7 ns/B; the one-pass inflate reads 335 on traced `boot_serve`, 3.0
-/// ns/B — `INFLATE` still plans as 5), `compress.compress_mb_per_s` 81 at
-/// gzip-6 (12.3 ns/B; 65 before the match finder linked its hash chains
-/// ahead of the parse). Any `DEFLATE` in 8..=15 plans the same shares: two
-/// 16 KiB records or one 64 KiB record each. A cheaper codec is
+/// ingest --trace`, SHA-NI host, median of three runs): `hash.sha256_mb_per_s`
+/// 1 696 (0.59 ns/B; the Gear scan reads 1 281),
+/// `compress.decompress_mb_per_s` 268 (3.7 ns/B; `INFLATE` still plans as
+/// 5, so one 64 KiB record to prove, ≈ 0.39 ms, is a share of its own),
+/// `compress.compress_mb_per_s` 84 at gzip-6 (11.8 ns/B; 65 before the
+/// match finder linked its hash chains ahead of the parse, 76 before the
+/// Huffman stage packed whole words). Any `DEFLATE` in 8..=15 plans the
+/// same shares: two 16 KiB records or one 64 KiB record each. A cheaper codec is
 /// over-estimated, which costs at most one hand-off per batch. `SYNTH` is
 /// `squirrel-dataset`'s corpus synthesis (`fill_atom`): 0.9–1.1 µs per
 /// 512-byte atom single-threaded (1.8–2.2 ns/B), 460–670 MB/s over whole

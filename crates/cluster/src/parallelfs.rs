@@ -19,7 +19,11 @@ pub struct GlusterConfig {
 
 impl Default for GlusterConfig {
     fn default() -> Self {
-        GlusterConfig { stripe: 2, replicas: 2, stripe_unit: 128 * 1024 }
+        GlusterConfig {
+            stripe: 2,
+            replicas: 2,
+            stripe_unit: 128 * 1024,
+        }
     }
 }
 
@@ -83,11 +87,17 @@ impl GlusterVolume {
             if b == 0 {
                 continue;
             }
-            let primary = self.stripe_bricks(s as u32).next().expect("stripe has bricks");
+            let primary = self
+                .stripe_bricks(s as u32)
+                .next()
+                .expect("stripe has bricks");
             let brick = self
                 .stripe_bricks(s as u32)
                 .find(|&br| net.is_reachable(br, client))
-                .ok_or(NetError::Partitioned { src: primary, dst: client })?;
+                .ok_or(NetError::Partitioned {
+                    src: primary,
+                    dst: client,
+                })?;
             serving.push((brick, b));
         }
         let mut slowest = 0.0f64;
@@ -127,13 +137,19 @@ impl GlusterVolume {
             if b == 0 {
                 continue;
             }
-            let primary = self.stripe_bricks(s as u32).next().expect("stripe has bricks");
+            let primary = self
+                .stripe_bricks(s as u32)
+                .next()
+                .expect("stripe has bricks");
             let reachable: Vec<NodeId> = self
                 .stripe_bricks(s as u32)
                 .filter(|&br| net.is_reachable(client, br))
                 .collect();
             if reachable.is_empty() {
-                return Err(NetError::Partitioned { src: client, dst: primary });
+                return Err(NetError::Partitioned {
+                    src: client,
+                    dst: primary,
+                });
             }
             serving.push((reachable, b));
         }
@@ -201,7 +217,11 @@ mod tests {
         net.partition(1, 2);
         vol.try_write(&mut net, 1, 0, 128 * 1024).unwrap();
         assert_eq!(net.ledger(2).rx_bytes, 0, "partitioned replica skipped");
-        assert_eq!(net.ledger(4).rx_bytes, 128 * 1024, "surviving replica written");
+        assert_eq!(
+            net.ledger(4).rx_bytes,
+            128 * 1024,
+            "surviving replica written"
+        );
         net.heal(1, 2);
     }
 

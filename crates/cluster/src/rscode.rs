@@ -32,7 +32,10 @@ impl std::fmt::Display for RsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RsError::BadGeometry { k, m } => {
-                write!(f, "bad erasure geometry k={k} m={m} (need 1<=k, 1<=m, k+m<=255)")
+                write!(
+                    f,
+                    "bad erasure geometry k={k} m={m} (need 1<=k, 1<=m, k+m<=255)"
+                )
             }
             RsError::ShardSizeMismatch => write!(f, "shard lengths differ"),
             RsError::NotEnoughShards { available, needed } => {
@@ -168,27 +171,30 @@ fn invert(mut a: Vec<Vec<u8>>) -> Option<Vec<Vec<u8>>> {
 /// Reconstruct every missing shard in place. `shards` holds the k+m shards
 /// in index order, `None` marking erasures; on success every slot is
 /// `Some` and data slots hold the original bytes exactly.
-pub fn rs_reconstruct(
-    k: usize,
-    m: usize,
-    shards: &mut [Option<Vec<u8>>],
-) -> Result<(), RsError> {
+pub fn rs_reconstruct(k: usize, m: usize, shards: &mut [Option<Vec<u8>>]) -> Result<(), RsError> {
     check_geometry(k, m)?;
     if shards.len() != k + m {
         return Err(RsError::ShardSizeMismatch);
     }
     let available: Vec<usize> = (0..k + m).filter(|&i| shards[i].is_some()).collect();
     if available.len() < k {
-        return Err(RsError::NotEnoughShards { available: available.len(), needed: k });
+        return Err(RsError::NotEnoughShards {
+            available: available.len(),
+            needed: k,
+        });
     }
     let len = shards[available[0]].as_ref().expect("available").len();
-    if available.iter().any(|&i| shards[i].as_ref().expect("available").len() != len) {
+    if available
+        .iter()
+        .any(|&i| shards[i].as_ref().expect("available").len() != len)
+    {
         return Err(RsError::ShardSizeMismatch);
     }
     if (0..k).all(|i| shards[i].is_some()) {
         // Fast path: all data shards survive; recompute lost parity only.
-        let data: Vec<Vec<u8>> =
-            (0..k).map(|i| shards[i].as_ref().expect("data").clone()).collect();
+        let data: Vec<Vec<u8>> = (0..k)
+            .map(|i| shards[i].as_ref().expect("data").clone())
+            .collect();
         let parity = rs_encode(k, m, &data)?;
         for (i, p) in parity.into_iter().enumerate() {
             if shards[k + i].is_none() {
@@ -200,7 +206,10 @@ pub fn rs_reconstruct(
     // General path: decode the data from the first k surviving shards.
     let rows: Vec<usize> = available.iter().copied().take(k).collect();
     let sub: Vec<Vec<u8>> = rows.iter().map(|&r| matrix_row(k, m, r)).collect();
-    let inv = invert(sub).ok_or(RsError::NotEnoughShards { available: rows.len(), needed: k })?;
+    let inv = invert(sub).ok_or(RsError::NotEnoughShards {
+        available: rows.len(),
+        needed: k,
+    })?;
     let mut data = vec![vec![0u8; len]; k];
     for (out_row, d) in inv.iter().zip(data.iter_mut()) {
         for (&c, &r) in out_row.iter().zip(&rows) {
@@ -269,7 +278,11 @@ mod tests {
                 shards[b] = None;
                 rs_reconstruct(k, m, &mut shards).unwrap();
                 for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_deref(), Some(full[i].as_slice()), "lost ({a},{b}) slot {i}");
+                    assert_eq!(
+                        s.as_deref(),
+                        Some(full[i].as_slice()),
+                        "lost ({a},{b}) slot {i}"
+                    );
                 }
             }
         }
@@ -287,13 +300,19 @@ mod tests {
         shards[4] = None;
         assert_eq!(
             rs_reconstruct(k, m, &mut shards),
-            Err(RsError::NotEnoughShards { available: 2, needed: 3 })
+            Err(RsError::NotEnoughShards {
+                available: 2,
+                needed: 3
+            })
         );
     }
 
     #[test]
     fn bad_geometry_and_mismatched_shards_are_rejected() {
-        assert_eq!(rs_encode(0, 2, &[]), Err(RsError::BadGeometry { k: 0, m: 2 }));
+        assert_eq!(
+            rs_encode(0, 2, &[]),
+            Err(RsError::BadGeometry { k: 0, m: 2 })
+        );
         assert_eq!(
             rs_encode(200, 56, &vec![vec![0u8; 4]; 200]),
             Err(RsError::BadGeometry { k: 200, m: 56 })
@@ -303,9 +322,14 @@ mod tests {
             Err(RsError::ShardSizeMismatch)
         );
         let mut uneven = vec![Some(vec![0u8; 4]), Some(vec![0u8; 5]), None];
-        assert_eq!(rs_reconstruct(2, 1, &mut uneven), Err(RsError::ShardSizeMismatch));
-        let e: Box<dyn std::error::Error> =
-            Box::new(RsError::NotEnoughShards { available: 1, needed: 4 });
+        assert_eq!(
+            rs_reconstruct(2, 1, &mut uneven),
+            Err(RsError::ShardSizeMismatch)
+        );
+        let e: Box<dyn std::error::Error> = Box::new(RsError::NotEnoughShards {
+            available: 1,
+            needed: 4,
+        });
         assert_eq!(e.to_string(), "only 1 shards survive, 4 needed");
     }
 }

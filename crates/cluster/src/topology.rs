@@ -33,7 +33,11 @@ pub struct TopologyConfig {
 impl TopologyConfig {
     /// The degenerate single-rack topology of the original flat model.
     pub fn flat() -> Self {
-        TopologyConfig { regions: 1, dcs_per_region: 1, racks_per_dc: 1 }
+        TopologyConfig {
+            regions: 1,
+            dcs_per_region: 1,
+            racks_per_dc: 1,
+        }
     }
 
     /// Total racks across the whole hierarchy.
@@ -138,7 +142,11 @@ impl Topology {
                 let rack = i % racks;
                 let datacenter = rack / config.racks_per_dc.max(1);
                 let region = datacenter / config.dcs_per_region.max(1);
-                Domain { region, datacenter, rack }
+                Domain {
+                    region,
+                    datacenter,
+                    rack,
+                }
             })
             .collect();
         Topology { config, domains }
@@ -208,7 +216,12 @@ impl Topology {
     pub fn place(&self, key: u64, candidates: &[NodeId], count: usize) -> Vec<NodeId> {
         let mut scored: Vec<(u64, NodeId)> = candidates
             .iter()
-            .map(|&n| (mix64(key ^ (u64::from(n)).wrapping_mul(0x2545_f491_4f6c_dd1d)), n))
+            .map(|&n| {
+                (
+                    mix64(key ^ (u64::from(n)).wrapping_mul(0x2545_f491_4f6c_dd1d)),
+                    n,
+                )
+            })
             .collect();
         // Descending score; node id breaks (astronomically unlikely) ties.
         scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -242,7 +255,14 @@ mod tests {
     fn flat_topology_is_one_rack() {
         let t = Topology::new(TopologyConfig::flat(), 8);
         for n in 0..8 {
-            assert_eq!(t.domain(n), Domain { region: 0, datacenter: 0, rack: 0 });
+            assert_eq!(
+                t.domain(n),
+                Domain {
+                    region: 0,
+                    datacenter: 0,
+                    rack: 0
+                }
+            );
         }
         assert_eq!(t.scope(0, 7), LinkScope::IntraRack);
         assert_eq!(t.nodes_in_rack(0).len(), 8);
@@ -250,7 +270,11 @@ mod tests {
 
     #[test]
     fn nodes_round_robin_across_racks() {
-        let cfg = TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 };
+        let cfg = TopologyConfig {
+            regions: 1,
+            dcs_per_region: 2,
+            racks_per_dc: 2,
+        };
         let t = Topology::new(cfg, 12);
         assert_eq!(cfg.total_racks(), 4);
         assert_eq!(cfg.total_datacenters(), 2);
@@ -265,7 +289,11 @@ mod tests {
 
     #[test]
     fn scope_orders_by_boundary() {
-        let cfg = TopologyConfig { regions: 2, dcs_per_region: 2, racks_per_dc: 2 };
+        let cfg = TopologyConfig {
+            regions: 2,
+            dcs_per_region: 2,
+            racks_per_dc: 2,
+        };
         let t = Topology::new(cfg, 16);
         // Node i in rack i%8: racks 0..4 = region 0, racks 4..8 = region 1.
         assert_eq!(t.scope(0, 8), LinkScope::IntraRack);
@@ -282,7 +310,11 @@ mod tests {
 
     #[test]
     fn placement_prefers_distinct_racks() {
-        let cfg = TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 };
+        let cfg = TopologyConfig {
+            regions: 1,
+            dcs_per_region: 2,
+            racks_per_dc: 2,
+        };
         let t = Topology::new(cfg, 12);
         let candidates: Vec<NodeId> = (4..12).collect(); // two per rack
         for key in 0..32u64 {
@@ -296,7 +328,11 @@ mod tests {
 
     #[test]
     fn placement_relaxes_to_distinct_nodes_when_racks_run_out() {
-        let cfg = TopologyConfig { regions: 1, dcs_per_region: 1, racks_per_dc: 2 };
+        let cfg = TopologyConfig {
+            regions: 1,
+            dcs_per_region: 1,
+            racks_per_dc: 2,
+        };
         let t = Topology::new(cfg, 8);
         let candidates: Vec<NodeId> = (0..8).collect();
         let placed = t.place(7, &candidates, 6);
@@ -307,7 +343,11 @@ mod tests {
 
     #[test]
     fn placement_is_deterministic_and_key_sensitive() {
-        let cfg = TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 };
+        let cfg = TopologyConfig {
+            regions: 1,
+            dcs_per_region: 2,
+            racks_per_dc: 2,
+        };
         let t = Topology::new(cfg, 16);
         let candidates: Vec<NodeId> = (8..16).collect();
         assert_eq!(t.place(42, &candidates, 4), t.place(42, &candidates, 4));

@@ -125,7 +125,11 @@ pub(crate) struct EventJournal {
 
 impl EventJournal {
     pub(crate) fn new(capacity: usize) -> Self {
-        EventJournal { capacity, buf: VecDeque::new(), dropped: 0 }
+        EventJournal {
+            capacity,
+            buf: VecDeque::new(),
+            dropped: 0,
+        }
     }
 
     pub(crate) fn push(&mut self, event: Event) {
@@ -151,7 +155,11 @@ mod tests {
     use super::*;
 
     fn ev(seq: u64) -> Event {
-        Event { seq, name: format!("e{seq}"), fields: vec![] }
+        Event {
+            seq,
+            name: format!("e{seq}"),
+            fields: vec![],
+        }
     }
 
     #[test]

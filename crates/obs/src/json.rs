@@ -99,7 +99,9 @@ impl Json {
     pub fn as_u64(&self, what: &str) -> Result<u64, ParseError> {
         match self {
             Json::U64(v) => Ok(*v),
-            _ => Err(ParseError::new(&format!("{what}: expected unsigned integer"))),
+            _ => Err(ParseError::new(&format!(
+                "{what}: expected unsigned integer"
+            ))),
         }
     }
 
@@ -192,7 +194,11 @@ impl Json {
             out.push_str(&line);
             return;
         }
-        let (open, close) = if matches!(self, Json::Obj(_)) { ('{', '}') } else { ('[', ']') };
+        let (open, close) = if matches!(self, Json::Obj(_)) {
+            ('{', '}')
+        } else {
+            ('[', ']')
+        };
         out.push(open);
         for (i, (key, value)) in children.into_iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -252,7 +258,9 @@ pub struct ParseError {
 
 impl ParseError {
     pub(crate) fn new(message: &str) -> Self {
-        ParseError { message: message.to_string() }
+        ParseError {
+            message: message.to_string(),
+        }
     }
 }
 
@@ -307,7 +315,12 @@ fn parse_members<T>(
                 *pos += 1;
                 return Ok(members);
             }
-            _ => return Err(ParseError::new(&format!("expected ',' or '{}'", close as char))),
+            _ => {
+                return Err(ParseError::new(&format!(
+                    "expected ',' or '{}'",
+                    close as char
+                )))
+            }
         }
     }
 }
@@ -316,17 +329,18 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ParseErr
     skip_ws(b, pos);
     match b.get(*pos) {
         // `depth` containers are open already.
-        Some(b'{' | b'[') if depth >= MAX_DEPTH => {
-            Err(ParseError::new(&format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos)))
-        }
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(ParseError::new(&format!(
+            "nesting deeper than {MAX_DEPTH} at byte {}",
+            *pos
+        ))),
         Some(b'{') => Ok(Json::Obj(parse_members(b, pos, b'}', |b, pos| {
             let key = parse_string(b, pos)?;
             expect(b, pos, b':')?;
             Ok((key, parse_value(b, pos, depth + 1)?))
         })?)),
-        Some(b'[') => {
-            Ok(Json::Arr(parse_members(b, pos, b']', |b, pos| parse_value(b, pos, depth + 1))?))
-        }
+        Some(b'[') => Ok(Json::Arr(parse_members(b, pos, b']', |b, pos| {
+            parse_value(b, pos, depth + 1)
+        })?)),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(_) => parse_number(b, pos),
         None => Err(ParseError::new("unexpected end of input")),
@@ -402,9 +416,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
             return Ok(Json::F64(parse_f64(token).expect("known token")));
         }
     }
-    while *pos < b.len()
-        && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
+    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
     let s = std::str::from_utf8(&b[start..*pos]).expect("ascii number");
@@ -412,11 +424,17 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
         return Err(ParseError::new("expected number"));
     }
     if s.contains(['.', 'e', 'E']) {
-        s.parse().map(Json::F64).map_err(|_| ParseError::new("bad float"))
+        s.parse()
+            .map(Json::F64)
+            .map_err(|_| ParseError::new("bad float"))
     } else if s.starts_with('-') {
-        s.parse().map(Json::I64).map_err(|_| ParseError::new("bad integer"))
+        s.parse()
+            .map(Json::I64)
+            .map_err(|_| ParseError::new("bad integer"))
     } else {
-        s.parse().map(Json::U64).map_err(|_| ParseError::new("bad integer"))
+        s.parse()
+            .map(Json::U64)
+            .map_err(|_| ParseError::new("bad integer"))
     }
 }
 
@@ -455,7 +473,10 @@ mod tests {
     fn pretty_breaks_only_what_does_not_fit() {
         let text = sample().render();
         assert!(text.lines().all(|l| l.len() <= LINE_WIDTH + 1), "{text}");
-        assert!(text.contains("  \"gates\": {\"holds\": true, \"fails\": false},\n"), "{text}");
+        assert!(
+            text.contains("  \"gates\": {\"holds\": true, \"fails\": false},\n"),
+            "{text}"
+        );
         assert!(text.contains("\n    {\"cell\": 3, "), "{text}");
         assert!(text.ends_with("\n}\n"));
     }

@@ -14,7 +14,11 @@ pub struct NelderMeadOptions {
 
 impl Default for NelderMeadOptions {
     fn default() -> Self {
-        NelderMeadOptions { max_iters: 2000, tolerance: 1e-10, initial_step: 0.25 }
+        NelderMeadOptions {
+            max_iters: 2000,
+            tolerance: 1e-10,
+            initial_step: 0.25,
+        }
     }
 }
 
@@ -36,7 +40,11 @@ pub fn nelder_mead(
     simplex.push(start.to_vec());
     for i in 0..n {
         let mut p = start.to_vec();
-        let step = if p[i].abs() > 1e-9 { p[i] * opts.initial_step } else { opts.initial_step };
+        let step = if p[i].abs() > 1e-9 {
+            p[i] * opts.initial_step
+        } else {
+            opts.initial_step
+        };
         p[i] += step;
         simplex.push(p);
     }
@@ -159,7 +167,10 @@ mod tests {
         let (p, v) = nelder_mead(
             f,
             &[-1.2, 1.0],
-            NelderMeadOptions { max_iters: 20_000, ..Default::default() },
+            NelderMeadOptions {
+                max_iters: 20_000,
+                ..Default::default()
+            },
         );
         assert!(v < 1e-6, "value {v} at {p:?}");
     }
@@ -174,7 +185,11 @@ mod tests {
     #[test]
     fn respects_iteration_budget() {
         let f = |p: &[f64]| p[0].powi(2);
-        let opts = NelderMeadOptions { max_iters: 1, tolerance: 0.0, initial_step: 0.25 };
+        let opts = NelderMeadOptions {
+            max_iters: 1,
+            tolerance: 0.0,
+            initial_step: 0.25,
+        };
         let (_, v) = nelder_mead(f, &[100.0], opts);
         assert!(v > 0.0, "cannot converge in one iteration");
     }

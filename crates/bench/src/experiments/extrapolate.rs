@@ -186,4 +186,32 @@ mod tests {
         };
         assert_eq!(row.winner(), "MMF");
     }
+
+    /// The curve `fit_and_score` ranks first, by name.
+    fn best(xs: &[f64], ys: &[f64]) -> &'static str {
+        let scored = fit_and_score(xs, ys);
+        let (curve, _) = scored
+            .iter()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"))
+            .expect("linear is always fitted");
+        curve.name()
+    }
+
+    #[test]
+    fn fit_and_score_prefers_linear_on_linear_data() {
+        let xs: Vec<f64> = (1..=30).map(|i| i as f64).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| 5.0 + 0.25 * x).collect();
+        assert_eq!(best(&xs, &ys), "linear");
+    }
+
+    #[test]
+    fn fit_and_score_prefers_mmf_on_saturating_data() {
+        // Memory consumption in the paper saturates; MMF should win there.
+        let xs: Vec<f64> = (1..=40).map(|i| i as f64 * 15.0).collect();
+        let ys: Vec<f64> = xs
+            .iter()
+            .map(|&x| (2.0 * 300.0 + 90.0 * x.powf(1.2)) / (300.0 + x.powf(1.2)))
+            .collect();
+        assert_eq!(best(&xs, &ys), "MMF");
+    }
 }

@@ -23,7 +23,6 @@ mod huffman;
 mod lz4;
 mod lzjb;
 mod lzss;
-mod zle;
 
 /// Compression routine selector, mirroring ZFS `compression=` values used in
 /// the paper.
@@ -37,8 +36,6 @@ pub enum Codec {
     Lzjb,
     /// Fast byte-oriented LZ in the style of LZ4.
     Lz4,
-    /// Zero-length encoding: compresses only zero runs (ZFS `zle`).
-    Zle,
 }
 
 impl Codec {
@@ -49,7 +46,6 @@ impl Codec {
             Codec::Gzip(l) => format!("gzip-{l}"),
             Codec::Lzjb => "lzjb".to_string(),
             Codec::Lz4 => "lz4".to_string(),
-            Codec::Zle => "zle".to_string(),
         }
     }
 
@@ -63,7 +59,6 @@ impl Codec {
             Codec::Gzip(_) => 12.0,
             Codec::Lzjb => 0.8,
             Codec::Lz4 => 0.5,
-            Codec::Zle => 0.2,
         }
     }
 }
@@ -91,7 +86,6 @@ const TAG_ZERO: u8 = 1;
 const TAG_GZIP: u8 = 2;
 const TAG_LZJB: u8 = 3;
 const TAG_LZ4: u8 = 4;
-const TAG_ZLE: u8 = 5;
 
 /// Compress `data` with `codec`, producing a self-describing frame.
 ///
@@ -125,7 +119,6 @@ enum Plan {
     Gzip { effort: usize },
     Lzjb,
     Lz4,
-    Zle,
 }
 
 impl Compressor {
@@ -138,7 +131,6 @@ impl Compressor {
             },
             Codec::Lzjb => Plan::Lzjb,
             Codec::Lz4 => Plan::Lz4,
-            Codec::Zle => Plan::Zle,
         };
         Compressor { plan }
     }
@@ -157,7 +149,6 @@ impl Compressor {
             )),
             Plan::Lzjb => Some((TAG_LZJB, lzjb::compress(data))),
             Plan::Lz4 => Some((TAG_LZ4, lz4::compress(data))),
-            Plan::Zle => Some((TAG_ZLE, zle::compress(data))),
         };
         match body {
             Some((tag, body)) if body.len() < data.len() => {
@@ -188,7 +179,6 @@ pub fn decompress(frame: &[u8], expected_len: usize) -> Vec<u8> {
         TAG_GZIP => lzss::inflate(body, expected_len),
         TAG_LZJB => lzjb::decompress(body, expected_len),
         TAG_LZ4 => lz4::decompress(body, expected_len),
-        TAG_ZLE => zle::decompress(body, expected_len),
         other => panic!("unknown compression tag {other}"),
     }
 }
@@ -216,7 +206,6 @@ mod tests {
             Codec::Gzip(9),
             Codec::Lzjb,
             Codec::Lz4,
-            Codec::Zle,
         ]
     }
 

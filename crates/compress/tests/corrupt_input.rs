@@ -146,8 +146,7 @@ fn damaged_gzip_headers_neither_balloon_nor_spin() {
     }
 }
 
-/// One block every codec shrinks (repeats for the LZ family, zero runs for
-/// zle), so every tag's decoder is reached.
+/// One block every codec shrinks, so every tag's decoder is reached.
 fn valid_frames() -> Vec<Vec<u8>> {
     let data: Vec<u8> = (0..4096u32)
         .map(|i| {
@@ -158,19 +157,13 @@ fn valid_frames() -> Vec<Vec<u8>> {
             }
         })
         .collect();
-    let frames: Vec<Vec<u8>> = [
-        Codec::Off,
-        Codec::Gzip(6),
-        Codec::Lzjb,
-        Codec::Lz4,
-        Codec::Zle,
-    ]
-    .iter()
-    .map(|&codec| compress(codec, &data))
-    .chain([compress(Codec::Gzip(6), &[0u8; 4096])])
-    .collect();
+    let frames: Vec<Vec<u8>> = [Codec::Off, Codec::Gzip(6), Codec::Lzjb, Codec::Lz4]
+        .iter()
+        .map(|&codec| compress(codec, &data))
+        .chain([compress(Codec::Gzip(6), &[0u8; 4096])])
+        .collect();
     let tags: Vec<u8> = frames.iter().map(|f| f[0]).collect();
-    assert_eq!(tags, [0, 2, 3, 4, 5, 1], "one frame per tag");
+    assert_eq!(tags, [0, 2, 3, 4, 1], "one frame per tag");
     frames
 }
 
@@ -195,7 +188,7 @@ proptest! {
     /// Real frames of every tag, cut short and bit-flipped.
     #[test]
     fn decode_survives_truncation_and_bitflips(
-        which in 0usize..6,
+        which in 0usize..5,
         truncate_to in 1usize..4200,
         flips in proptest::collection::vec((any::<u16>(), 0u8..8), 0..6)
     ) {

@@ -528,12 +528,9 @@ impl Squirrel {
                 let ccvol = &mut self.nodes[node as usize].ccvol;
                 let verified = proof.get_or_insert_with(|| ccvol.verify(copy));
                 if plan.crash_mid_recv() {
-                    // Validate, then die before the apply phase: the pool is
-                    // untouched and the retry starts clean.
+                    // Die before the apply phase: the pool is untouched and
+                    // the retry starts clean.
                     self.obs.inc("squirrel_fault_recv_crashes_total");
-                    if let Ok(v) = verified {
-                        let _ = ccvol.recv_crashed(v);
-                    }
                     continue;
                 }
                 // A refused proof (a rotted scVolume record) is reported by
@@ -643,7 +640,8 @@ impl Squirrel {
                 let ccvol = &mut self.nodes[node as usize].ccvol;
                 if plan.crash_mid_recv() {
                     self.obs.inc("squirrel_fault_recv_crashes_total");
-                    let _ = ccvol.verify(&decoded).and_then(|v| ccvol.recv_crashed(&v));
+                    // The crashed copy was still proved: its meters count.
+                    let _ = ccvol.verify(&decoded);
                     continue;
                 }
                 match classify_recv(ccvol.recv(&decoded)) {

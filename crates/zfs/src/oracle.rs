@@ -118,9 +118,9 @@ fn check_verdicts(pools: &[ZPool], step: usize) -> Result<(), TestCaseError> {
                         });
                         fresh.set_worker_pool(workers.clone());
                         prop_assert_eq!(
-                            fresh.verify(&full).and_then(|v| fresh.recv_crashed(&v)),
-                            Err(expected.unwrap_or(RecvError::Interrupted)),
-                            "verify + crashed recv at {}, pool {}",
+                            fresh.verify(&full).err(),
+                            expected,
+                            "verify at {}, pool {}",
                             bs,
                             i
                         );

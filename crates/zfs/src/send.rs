@@ -70,9 +70,6 @@ pub enum RecvError {
     /// the one the receiver holds, else the payload's. Reading it would
     /// copy past the record's bytes. Nothing was applied.
     ChunkLength(BlockKey),
-    /// The receiver crashed mid-apply; the transactional recv rolled back
-    /// and the pool is unchanged. Retrying the same stream is safe.
-    Interrupted,
 }
 
 impl std::fmt::Display for SendError {
@@ -91,7 +88,6 @@ impl std::fmt::Display for RecvError {
             RecvError::CorruptPayload(k) => write!(f, "corrupt payload block {k:032x}"),
             RecvError::MissingBlock(k) => write!(f, "stream missing payload block {k:032x}"),
             RecvError::ChunkLength(k) => write!(f, "chunk length differs from record {k:032x}"),
-            RecvError::Interrupted => write!(f, "recv interrupted; rolled back"),
         }
     }
 }
@@ -699,8 +695,7 @@ impl ZPool {
 
     /// Prove `stream`'s payload for this pool's record size, on its workers
     /// and counted on its meters: one proof for every pool of that size the
-    /// stream is then handed to ([`recv_verified`](Self::recv_verified),
-    /// [`recv_crashed`](Self::recv_crashed)).
+    /// stream is then handed to ([`recv_verified`](Self::recv_verified)).
     pub fn verify<'s>(&self, stream: &'s SendStream) -> Result<VerifiedStream<'s>, RecvError> {
         stream.verify_on(self.block_size() as u32, self.worker_pool(), &self.meters)
     }
@@ -717,19 +712,6 @@ impl ZPool {
         self.check_pointers(verified)?;
         self.apply_stream(verified);
         Ok(())
-    }
-
-    /// Fault hook: run the same checks [`recv_verified`](Self::recv_verified)
-    /// runs, then "crash" before the apply phase. The pool is untouched
-    /// (that is the transactional guarantee under test) and the caller sees
-    /// [`RecvError::Interrupted`] — or the stream's own error if it had one.
-    pub fn recv_crashed(&mut self, verified: &VerifiedStream<'_>) -> Result<(), RecvError> {
-        if verified.block_size != self.block_size() as u32 {
-            return self.recv_crashed(&self.verify_for_recv(verified.stream)?);
-        }
-        self.check_position(verified.stream)?;
-        self.check_pointers(verified)?;
-        Err(RecvError::Interrupted)
     }
 
     /// Single-receiver verification: the position checks come first, so a
@@ -1405,34 +1387,6 @@ mod tests {
         assert!(accounting.check_refcounts());
     }
 
-    /// Prove `stream` for `p`, then crash `p`'s recv of it.
-    fn crash(p: &mut ZPool, stream: &SendStream) -> Result<(), RecvError> {
-        p.verify(stream).and_then(|v| p.recv_crashed(&v))
-    }
-
-    #[test]
-    fn crashed_recv_rolls_back_and_retry_succeeds() {
-        let mut src = pool();
-        fill(&mut src, "cache-a", &[1, 2, 3]);
-        src.snapshot("s1");
-        let stream = src.send_between(None, "s1").expect("send");
-
-        let mut dst = pool();
-        assert_eq!(crash(&mut dst, &stream), Err(RecvError::Interrupted));
-        assert_eq!(dst.file_count(), 0, "crash rolled back");
-        assert_eq!(dst.latest_snapshot(), None);
-        // The retry of the very same stream applies cleanly.
-        dst.recv(&stream).expect("retry");
-        assert_eq!(dst.read_block("cache-a", 2).expect("file"), vec![3u8; 512]);
-        assert!(dst.check_refcounts());
-        // A crash on a stream that would not validate reports the
-        // validation error, not Interrupted.
-        assert_eq!(
-            crash(&mut dst, &stream),
-            Err(RecvError::DuplicateTip("s1".to_string()))
-        );
-    }
-
     #[test]
     fn adversarial_length_fields_fail_cleanly() {
         let mut src = pool();
@@ -1939,49 +1893,6 @@ mod tests {
                 "threads={threads}"
             );
         }
-    }
-
-    #[test]
-    fn crashed_recv_reports_the_streams_own_error_first() {
-        let (full, diff) = history();
-        let mut pools = mixed_receivers(&full, &diff);
-        let before: Vec<_> = pools.iter().map(state).collect();
-        let mut bad = diff.clone();
-        let victim = corrupt(&mut bad, 0);
-        assert_eq!(
-            crash(&mut pools[0], &bad),
-            Err(RecvError::CorruptPayload(victim))
-        );
-        assert_eq!(crash(&mut pools[0], &diff), Err(RecvError::Interrupted));
-        // One proof serves every receiver; each reports its own position
-        // and pointer errors.
-        let proof = pools[0].verify(&diff).expect("clean diff");
-        assert_eq!(
-            pools[1].recv_crashed(&proof),
-            Err(RecvError::MissingBase("s1".to_string()))
-        );
-        assert_eq!(
-            pools[2].recv_crashed(&proof),
-            Err(RecvError::DuplicateTip("s2".to_string()))
-        );
-        assert!(matches!(
-            pools[3].recv_crashed(&proof),
-            Err(RecvError::MissingBlock(_))
-        ));
-        // A proof for another record size is not trusted: the crashed recv
-        // proves the stream again for its own, as `recv_verified` does, and
-        // at twice the record size every frame inflates short.
-        assert_eq!(
-            pools[4].recv_crashed(&proof),
-            Err(RecvError::CorruptPayload(diff.payload[0].key))
-        );
-        let proof = pools[0].verify(&full).expect("clean full stream");
-        assert!(matches!(
-            sized(BS / 2).recv_crashed(&proof),
-            Err(RecvError::CorruptPayload(_))
-        ));
-        // Whatever it reported, a crashed recv changed nothing.
-        assert_eq!(pools.iter().map(state).collect::<Vec<_>>(), before);
     }
 
     // --- chunk tables off the wire ------------------------------------------

@@ -10,7 +10,7 @@ use squirrel_repro::zfs::{CdcParams, ChunkStrategy, PoolConfig, ZPool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-const CODECS: [Codec; 5] = [Codec::Off, Codec::Gzip(6), Codec::Lzjb, Codec::Lz4, Codec::Zle];
+const CODECS: [Codec; 4] = [Codec::Off, Codec::Gzip(6), Codec::Lzjb, Codec::Lz4];
 
 fn block(bs: usize, seed: u8, compressible: bool) -> Vec<u8> {
     if compressible {

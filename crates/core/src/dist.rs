@@ -144,7 +144,10 @@ mod tests {
     #[test]
     fn policy_names_are_stable() {
         assert_eq!(DistributionPolicy::Unicast.name(), "unicast");
-        assert_eq!(DistributionPolicy::Multicast { fanout: 4 }.name(), "multicast");
+        assert_eq!(
+            DistributionPolicy::Multicast { fanout: 4 }.name(),
+            "multicast"
+        );
         assert_eq!(DistributionPolicy::Pipeline.name(), "pipeline");
         assert_eq!(DistributionPolicy::PeerAssisted.name(), "peer-assisted");
         assert_eq!(DistributionPolicy::default(), DistributionPolicy::Unicast);

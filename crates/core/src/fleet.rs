@@ -226,7 +226,10 @@ enum Event {
     /// Roll one catalog image out to the fleet.
     Register(ImageId),
     /// One VM boot: preferred node slot and image drawn at schedule time.
-    Boot { slot: u32, image: ImageId },
+    Boot {
+        slot: u32,
+        image: ImageId,
+    },
     /// A correlated boot storm (image drawn at fire time).
     Storm,
     /// Daily seeded churn/partition/rot draws from the armed plan.
@@ -309,7 +312,10 @@ pub fn soak_fleet(cfg: &FleetConfig) -> (FleetReport, Convergence, MetricsSnapsh
 /// The event loop: build the system, arm the plan, run the horizon, and
 /// hand back the finished report with the system as the last event left it.
 fn drive(cfg: &FleetConfig) -> (FleetReport, Squirrel) {
-    assert!(cfg.days > 0 && cfg.nodes > 0 && cfg.images > 0, "empty fleet config");
+    assert!(
+        cfg.days > 0 && cfg.nodes > 0 && cfg.images > 0,
+        "empty fleet config"
+    );
     let corpus_cfg = CorpusConfig {
         n_images: cfg.images,
         ..CorpusConfig::azure(cfg.scale, cfg.seed)
@@ -369,7 +375,10 @@ fn drive(cfg: &FleetConfig) -> (FleetReport, Squirrel) {
         q.push(base + DAY_MS - 1, Event::DayEnd);
     }
 
-    let mut report = FleetReport { nodes: cfg.nodes, ..FleetReport::default() };
+    let mut report = FleetReport {
+        nodes: cfg.nodes,
+        ..FleetReport::default()
+    };
     let mut feed = String::new();
     let mut acc = DayAcc::default();
     let mut all_ms: Vec<u64> = Vec::new();
@@ -697,7 +706,11 @@ mod tests {
 
     #[test]
     fn autoscale_targets_follow_the_curve() {
-        let cfg = FleetConfig { nodes: 100, min_online: 10, ..FleetConfig::default() };
+        let cfg = FleetConfig {
+            nodes: 100,
+            min_online: 10,
+            ..FleetConfig::default()
+        };
         let trough = target_online(&cfg, 1);
         let peak = target_online(&cfg, 19);
         assert_eq!(peak, 100, "peak hour scales fully out");

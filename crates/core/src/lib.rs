@@ -52,13 +52,13 @@ pub mod sched;
 mod system;
 mod trace;
 
+pub use dist::{DistributionPolicy, TransferLeg, TransferPlan};
 pub use fleet::{
     run_fleet, run_fleet_with_metrics, soak_fleet, FleetConfig, FleetDay, FleetReport,
 };
 pub use sched::{EventQueue, Scheduled};
-pub use dist::{DistributionPolicy, TransferLeg, TransferPlan};
-pub use squirrel_faults::{FaultConfig, FaultPlan, FaultReport};
 pub use squirrel_cluster::{EcRepairReport, EcStats, TopologyConfig};
+pub use squirrel_faults::{FaultConfig, FaultPlan, FaultReport};
 pub use system::{
     ArcStats, BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence,
     EvictReport, FaultTick, GcReport, HoardBudget, NodeReplication, RegisterReport,

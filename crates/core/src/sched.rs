@@ -62,7 +62,10 @@ pub struct EventQueue<E> {
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        EventQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
     }
 
     /// Schedule `event` at simulated `time_ms`. Returns the sequence number
@@ -70,7 +73,11 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time_ms: u64, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry { time_ms, seq, event }));
+        self.heap.push(Reverse(Entry {
+            time_ms,
+            seq,
+            event,
+        }));
         seq
     }
 

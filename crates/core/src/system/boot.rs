@@ -55,9 +55,10 @@ fn backend_bits(backend: &Backend) -> [u64; 9] {
     match *backend {
         Backend::WarmCacheXfs => [0; 9],
         Backend::BaseImageXfs { image_bytes } => [1, image_bytes, 0, 0, 0, 0, 0, 0, 0],
-        Backend::ColdCache { net_mbps, image_bytes } => {
-            [2, net_mbps.to_bits(), image_bytes, 0, 0, 0, 0, 0, 0]
-        }
+        Backend::ColdCache {
+            net_mbps,
+            image_bytes,
+        } => [2, net_mbps.to_bits(), image_bytes, 0, 0, 0, 0, 0, 0],
         Backend::DedupVolume(DedupVolumeParams {
             record_size,
             compressed_fraction,
@@ -132,8 +133,7 @@ impl Squirrel {
         let report = match backend {
             Backend::DedupVolume(p) => {
                 let plan_key = (ws_bytes, image, p.record_size, p.decompressed_cache_records);
-                if self.plan_memo.len() >= SIM_MEMO_CAP && !self.plan_memo.contains_key(&plan_key)
-                {
+                if self.plan_memo.len() >= SIM_MEMO_CAP && !self.plan_memo.contains_key(&plan_key) {
                     self.plan_memo.clear();
                 }
                 let plan = self.plan_memo.entry(plan_key).or_insert_with(|| {
@@ -159,7 +159,10 @@ impl Squirrel {
         let state = n.cache_state(image);
         let warm = state == CacheState::Warm;
         let (backend, net_bytes) = if warm {
-            (self.warm_backend(&n.ccvol, &Self::cache_file_name(image)), 0)
+            (
+                self.warm_backend(&n.ccvol, &Self::cache_file_name(image)),
+                0,
+            )
         } else {
             // Cold path: the boot working set crosses the network from the
             // shared tier (charged at corpus scale in the ledger, simulated
@@ -176,7 +179,14 @@ impl Squirrel {
         if degraded {
             self.obs.inc("squirrel_boot_degraded_total");
         }
-        Ok(BootOutcome { image, node, warm, degraded, net_bytes, report })
+        Ok(BootOutcome {
+            image,
+            node,
+            warm,
+            degraded,
+            net_bytes,
+            report,
+        })
     }
 
     /// Serve a cold boot's working set from the shared tier, charging the
@@ -190,10 +200,13 @@ impl Squirrel {
         if let Some(ec) = self.ec.as_mut() {
             let name = Self::cache_file_name(image);
             if ec.has_object(&name) {
-                let r = ec.try_read(&mut self.net, node, &name).map_err(SquirrelError::Ec)?;
+                let r = ec
+                    .try_read(&mut self.net, node, &name)
+                    .map_err(SquirrelError::Ec)?;
                 if r.degraded {
                     self.obs.inc("squirrel_ec_degraded_reads_total");
-                    self.obs.add("squirrel_ec_shards_reconstructed_total", r.reconstructed);
+                    self.obs
+                        .add("squirrel_ec_shards_reconstructed_total", r.reconstructed);
                 }
                 return Ok(r.net_bytes);
             }
@@ -276,8 +289,9 @@ impl Squirrel {
         vms: u32,
     ) -> Result<BootStormReport, SquirrelError> {
         self.known_image(image)?;
-        let online: Vec<usize> =
-            (0..self.nodes.len()).filter(|&i| self.nodes[i].online).collect();
+        let online: Vec<usize> = (0..self.nodes.len())
+            .filter(|&i| self.nodes[i].online)
+            .collect();
         if online.is_empty() {
             return Err(SquirrelError::NodeOffline(0));
         }
@@ -288,8 +302,9 @@ impl Squirrel {
         span.field("vms", u64::from(vms));
 
         // VM i boots on the i-th online node, round-robin.
-        let assignments: Vec<usize> =
-            (0..vms as usize).map(|i| online[i % online.len()]).collect();
+        let assignments: Vec<usize> = (0..vms as usize)
+            .map(|i| online[i % online.len()])
+            .collect();
         let mut by_node: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (vm, &node) in assignments.iter().enumerate() {
             by_node.entry(node).or_default().push(vm);
@@ -298,8 +313,10 @@ impl Squirrel {
         let blocks = self.working_set_blocks(image);
 
         // Classify each participating node once.
-        let states: BTreeMap<usize, CacheState> =
-            by_node.keys().map(|&node| (node, self.nodes[node].cache_state(image))).collect();
+        let states: BTreeMap<usize, CacheState> = by_node
+            .keys()
+            .map(|&node| (node, self.nodes[node].cache_state(image)))
+            .collect();
 
         // Cold nodes fetch the working set over the network up front
         // (serial: the network ledger is single-threaded state).
@@ -322,8 +339,11 @@ impl Squirrel {
         // that holds it, so nodes holding the same frames share one buffer
         // per record. Holes and chunked files' blocks are read per (node,
         // block).
-        let warm_nodes: Vec<usize> =
-            by_node.keys().copied().filter(|node| states[node] == CacheState::Warm).collect();
+        let warm_nodes: Vec<usize> = by_node
+            .keys()
+            .copied()
+            .filter(|node| states[node] == CacheState::Warm)
+            .collect();
         let nodes = &self.nodes;
         let mut reads: Vec<(usize, u64)> = Vec::new();
         let mut frame_slots: FnvHashMap<*const u8, usize> = FnvHashMap::default();
@@ -340,9 +360,11 @@ impl Squirrel {
                 });
             }
         }
-        let resolved = self.workers.parallel_map(&reads, |_| bs * cost::INFLATE, |_, &(node, b)| {
-            nodes[node].ccvol.read_block_or_hole(&name, b)
-        });
+        let resolved = self.workers.parallel_map(
+            &reads,
+            |_| bs * cost::INFLATE,
+            |_, &(node, b)| nodes[node].ccvol.read_block_or_hole(&name, b),
+        );
 
         // Serially, in node order: a hole is `None` (it is always the
         // all-zero record). Over a node's v VMs the reads an ARC would count
@@ -355,7 +377,10 @@ impl Squirrel {
                 .iter()
                 .map(|&slot| resolved[slot].clone())
                 .collect::<Option<_>>()
-                .ok_or(SquirrelError::MissingCache { node: node as NodeId, image })?;
+                .ok_or(SquirrelError::MissingCache {
+                    node: node as NodeId,
+                    image,
+                })?;
             let data_blocks = ws.iter().flatten().count() as u64;
             let buffers: HashSet<*const [u8]> = ws.iter().flatten().map(Arc::as_ptr).collect();
             arc.misses += buffers.len() as u64;
@@ -383,24 +408,28 @@ impl Squirrel {
         let zeros = vec![0u8; bs as usize];
         let ws_bytes = blocks.len() as u64 * bs;
         let digest_cost = |_: &_| ws_bytes * cost::HASH;
-        let digests: Vec<(u64, String)> = self.workers.parallel_map(&sources, digest_cost, |_, ws| {
-            let handle = corpus.image(image);
-            let mut buf = vec![0u8; bs as usize];
-            let mut digest = squirrel_hash::Sha256::new();
-            let mut served = 0u64;
-            for (i, &b) in blocks.iter().enumerate() {
-                let data: &[u8] = match ws {
-                    Some(ws) => ws[i].as_deref().unwrap_or(&zeros),
-                    None => {
-                        handle.read_at(b * bs, &mut buf);
-                        &buf
-                    }
-                };
-                digest.update(data);
-                served += data.len() as u64;
-            }
-            (served, squirrel_hash::ContentHash(digest.finalize()).to_hex())
-        });
+        let digests: Vec<(u64, String)> =
+            self.workers.parallel_map(&sources, digest_cost, |_, ws| {
+                let handle = corpus.image(image);
+                let mut buf = vec![0u8; bs as usize];
+                let mut digest = squirrel_hash::Sha256::new();
+                let mut served = 0u64;
+                for (i, &b) in blocks.iter().enumerate() {
+                    let data: &[u8] = match ws {
+                        Some(ws) => ws[i].as_deref().unwrap_or(&zeros),
+                        None => {
+                            handle.read_at(b * bs, &mut buf);
+                            &buf
+                        }
+                    };
+                    digest.update(data);
+                    served += data.len() as u64;
+                }
+                (
+                    served,
+                    squirrel_hash::ContentHash(digest.finalize()).to_hex(),
+                )
+            });
 
         // Every VM gets its source's digest in VM order, so the checksum is
         // schedule-independent.
@@ -439,16 +468,24 @@ impl Squirrel {
 
         // Serial post-phase: record the storm in deterministic VM order.
         for &s in &boot_seconds {
-            self.obs
-                .observe("squirrel_boot_storm_seconds_ms", (s * 1000.0).round() as u64);
+            self.obs.observe(
+                "squirrel_boot_storm_seconds_ms",
+                (s * 1000.0).round() as u64,
+            );
         }
-        self.obs.add("squirrel_boot_storm_boots_total", u64::from(vms));
-        self.obs.add("squirrel_boot_storm_bytes_total", bytes_served);
-        self.obs.add("squirrel_boot_storm_digested_bytes_total", digested_bytes);
-        self.obs.add("squirrel_boot_storm_copies_avoided_total", arc.hits);
-        self.obs.add("squirrel_boot_storm_net_bytes_total", net_bytes);
+        self.obs
+            .add("squirrel_boot_storm_boots_total", u64::from(vms));
+        self.obs
+            .add("squirrel_boot_storm_bytes_total", bytes_served);
+        self.obs
+            .add("squirrel_boot_storm_digested_bytes_total", digested_bytes);
+        self.obs
+            .add("squirrel_boot_storm_copies_avoided_total", arc.hits);
+        self.obs
+            .add("squirrel_boot_storm_net_bytes_total", net_bytes);
         if degraded_vms > 0 {
-            self.obs.add("squirrel_boot_degraded_total", u64::from(degraded_vms));
+            self.obs
+                .add("squirrel_boot_degraded_total", u64::from(degraded_vms));
         }
         span.field("warm_vms", u64::from(warm_vms));
         span.field("cold_vms", u64::from(cold_vms));
@@ -490,7 +527,13 @@ impl Squirrel {
         self.known_image(image)?;
 
         let bs = self.config.block_size;
-        let mut chain = CorCache::new(ImageDisk { corpus: Arc::clone(&self.corpus), image }, bs);
+        let mut chain = CorCache::new(
+            ImageDisk {
+                corpus: Arc::clone(&self.corpus),
+                image,
+            },
+            bs,
+        );
         chain.set_metrics(&self.obs);
         // Warm the CoR cache from the ccVolume's cache file, exercising the
         // full decompress path of the pool.
@@ -521,7 +564,11 @@ impl Squirrel {
             handle.read_at(op.offset, &mut expect);
             chain.read_at(op.offset, &mut got);
             if expect != got {
-                return Err(SquirrelError::BootDataMismatch { node, image, offset: op.offset });
+                return Err(SquirrelError::BootDataMismatch {
+                    node,
+                    image,
+                    offset: op.offset,
+                });
             }
             verified += op.len as u64;
         }
@@ -572,7 +619,10 @@ mod tests {
     /// `(read_checksum, bytes_served)`.
     fn storm_reads(sq: &Squirrel, image: ImageId, vms: u32) -> (String, u64) {
         let online: Vec<&ComputeNode> = sq.nodes.iter().filter(|n| n.online).collect();
-        let (bs, name) = (sq.config.block_size as u64, Squirrel::cache_file_name(image));
+        let (bs, name) = (
+            sq.config.block_size as u64,
+            Squirrel::cache_file_name(image),
+        );
         let (mut concat, mut served) = (String::new(), 0);
         for vm in 0..vms as usize {
             let node = online[vm % online.len()];
@@ -580,7 +630,9 @@ mod tests {
             let mut digest = squirrel_hash::Sha256::new();
             for b in sq.working_set_blocks(image) {
                 let data = if warm {
-                    node.ccvol.read_block(&name, b).expect("a warm node holds the cache")
+                    node.ccvol
+                        .read_block(&name, b)
+                        .expect("a warm node holds the cache")
                 } else {
                     let mut buf = vec![0u8; bs as usize];
                     sq.corpus.image(image).read_at(b * bs, &mut buf);
@@ -591,7 +643,10 @@ mod tests {
             }
             concat.push_str(&squirrel_hash::ContentHash(digest.finalize()).to_hex());
         }
-        (squirrel_hash::ContentHash::of(concat.as_bytes()).to_hex(), served)
+        (
+            squirrel_hash::ContentHash::of(concat.as_bytes()).to_hex(),
+            served,
+        )
     }
 
     #[derive(Debug, Clone)]
@@ -707,8 +762,15 @@ mod tests {
             assert_eq!(sq.sim_memo.len() as u64, n % SIM_MEMO_CAP as u64 + 1);
             assert_eq!(sq.plan_memo.len(), sq.sim_memo.len());
         }
-        let replays = sq.metrics().snapshot().counter("squirrel_boot_sim_replays_total");
-        assert_eq!(replays, Some(SIM_MEMO_CAP as u64 + 3), "one replay per miss");
+        let replays = sq
+            .metrics()
+            .snapshot()
+            .counter("squirrel_boot_sim_replays_total");
+        assert_eq!(
+            replays,
+            Some(SIM_MEMO_CAP as u64 + 3),
+            "one replay per miss"
+        );
     }
 
     #[test]
@@ -726,14 +788,23 @@ mod tests {
         };
         for n in 0..4 {
             let backend = volume(n, 2048);
-            assert_eq!(bits(&sq.simulate(0, &backend)), bits(&sim.boot(&trace, &backend)));
+            assert_eq!(
+                bits(&sq.simulate(0, &backend)),
+                bits(&sim.boot(&trace, &backend))
+            );
         }
         assert_eq!(sq.plan_memo.len(), 1, "four pool states, one walk");
         // Another ARC capacity is another walk.
         let backend = volume(0, 16);
-        assert_eq!(bits(&sq.simulate(0, &backend)), bits(&sim.boot(&trace, &backend)));
+        assert_eq!(
+            bits(&sq.simulate(0, &backend)),
+            bits(&sim.boot(&trace, &backend))
+        );
         assert_eq!(sq.plan_memo.len(), 2);
-        let replays = sq.metrics().snapshot().counter("squirrel_boot_sim_replays_total");
+        let replays = sq
+            .metrics()
+            .snapshot()
+            .counter("squirrel_boot_sim_replays_total");
         assert_eq!(replays, Some(5), "one replay per distinct backend");
     }
 
@@ -850,14 +921,24 @@ mod tests {
             assert_eq!(storm.net_bytes, 0, "warm storm moves nothing");
             assert!(storm.blocks_per_vm > 0);
             assert_eq!(storm.bytes_served, 8 * storm.blocks_per_vm * 16 * 1024);
-            assert!(storm.arc.hits > 0, "storm must avoid copies: {:?}", storm.arc);
+            assert!(
+                storm.arc.hits > 0,
+                "storm must avoid copies: {:?}",
+                storm.arc
+            );
             let snap = sq.metrics().snapshot();
             assert_eq!(
                 snap.counter("squirrel_boot_storm_copies_avoided_total"),
                 Some(storm.arc.hits)
             );
             let bits: Vec<u64> = storm.boot_seconds.iter().map(|s| s.to_bits()).collect();
-            (storm.read_checksum, storm.bytes_served, storm.arc, bits, snap)
+            (
+                storm.read_checksum,
+                storm.bytes_served,
+                storm.arc,
+                bits,
+                snap,
+            )
         };
         let reference = run(1);
         for threads in [2, 8] {
@@ -913,10 +994,16 @@ mod tests {
                 assert_eq!((storm.warm_vms, storm.cold_vms), (6, 2));
                 let read = (storm.read_checksum, storm.bytes_served);
                 assert_eq!(read, reads, "{chunking:?} threads={threads}");
-                let digested =
-                    sq.metrics().snapshot().counter("squirrel_boot_storm_digested_bytes_total");
+                let digested = sq
+                    .metrics()
+                    .snapshot()
+                    .counter("squirrel_boot_storm_digested_bytes_total");
                 let per_set = storm.blocks_per_vm * bs as u64;
-                assert_eq!(digested, Some(working_sets * per_set), "{chunking:?} {threads}");
+                assert_eq!(
+                    digested,
+                    Some(working_sets * per_set),
+                    "{chunking:?} {threads}"
+                );
             }
         }
     }
@@ -938,7 +1025,8 @@ mod tests {
             for _ in 0..4 {
                 assert_eq!(sq.boot_storm(0, 16).expect("storm").warm_vms, 16);
                 let snap = sq.metrics().snapshot();
-                after_each.push(snap.counter("zpool_read_decompressed_bytes_total{pool=\"ccvol\"}"));
+                after_each
+                    .push(snap.counter("zpool_read_decompressed_bytes_total{pool=\"ccvol\"}"));
             }
             after_each
         };
@@ -1003,12 +1091,20 @@ mod tests {
         assert_eq!(snap.counter("squirrel_boot_degraded_total"), Some(1));
         // The byte-checked replay distrusts the rotted cache the same way:
         // it reads through the backing image instead of serving rot.
-        let rotted = sq.verify_boot(1, 0).expect("a rotted cache degrades, it does not panic");
+        let rotted = sq
+            .verify_boot(1, 0)
+            .expect("a rotted cache degrades, it does not panic");
         assert_eq!(rotted.bytes_verified, intact.bytes_verified);
-        assert!(rotted.backing_fetches > intact.backing_fetches, "{rotted:?} vs {intact:?}");
+        assert!(
+            rotted.backing_fetches > intact.backing_fetches,
+            "{rotted:?} vs {intact:?}"
+        );
 
         let repair = sq.scrub_and_repair(1).expect("repair");
-        assert_eq!((repair.corrupt_found, repair.repaired, repair.unrepaired), (1, 1, 0));
+        assert_eq!(
+            (repair.corrupt_found, repair.repaired, repair.unrepaired),
+            (1, 1, 0)
+        );
         assert!(repair.is_healed());
         assert!(repair.refetch_bytes > 0, "repair is charged to the network");
         assert!(sq.scrub_node(1).expect("node").is_clean());
@@ -1025,7 +1121,10 @@ mod tests {
         sq.register(0).expect("register");
         sq.corrupt_cc_block(1, 3).expect("corrupt");
         let storm = sq.boot_storm(0, 4).expect("storm");
-        assert_eq!((storm.warm_vms, storm.cold_vms, storm.degraded_vms), (2, 2, 2));
+        assert_eq!(
+            (storm.warm_vms, storm.cold_vms, storm.degraded_vms),
+            (2, 2, 2)
+        );
         assert!(storm.net_bytes > 0);
     }
 
@@ -1058,13 +1157,19 @@ mod tests {
         sq.register(0).expect("register");
 
         // Unknown image: rejected up front.
-        assert!(matches!(sq.boot_storm(99, 4), Err(SquirrelError::UnknownImage(99))));
+        assert!(matches!(
+            sq.boot_storm(99, 4),
+            Err(SquirrelError::UnknownImage(99))
+        ));
         assert_eq!(sq.image_popularity(99), 0);
 
         // Whole fleet offline: rejected before any VM boots.
         sq.node_offline(0).expect("offline");
         sq.node_offline(1).expect("offline");
-        assert!(matches!(sq.boot_storm(0, 4), Err(SquirrelError::NodeOffline(0))));
+        assert!(matches!(
+            sq.boot_storm(0, 4),
+            Err(SquirrelError::NodeOffline(0))
+        ));
         assert_eq!(sq.image_popularity(0), 0, "failed storm must not count");
 
         // A storm that goes through counts every VM.
@@ -1088,8 +1193,9 @@ mod tests {
             let blocks = sq.ccvol_stats(0).expect("node").unique_blocks;
             let private_to_1 = (0..blocks).find(|&nth| {
                 sq.corrupt_cc_block(0, nth).expect("victim block");
-                let hit: Vec<ImageId> =
-                    (0..3).filter(|&i| sq.nodes[0].cache_state(i) == Degraded).collect();
+                let hit: Vec<ImageId> = (0..3)
+                    .filter(|&i| sq.nodes[0].cache_state(i) == Degraded)
+                    .collect();
                 if hit != [1] {
                     assert!(sq.scrub_and_repair(0).expect("repair").is_healed());
                 }
@@ -1106,10 +1212,18 @@ mod tests {
                 let storm = sq.boot_storm(image, 1).expect("storm");
                 let verify = sq.verify_boot(0, image).expect("verify");
                 let warm = state == Warm;
-                assert_eq!((boot.warm, storm.warm_vms), (warm, u32::from(warm)), "image {image}");
+                assert_eq!(
+                    (boot.warm, storm.warm_vms),
+                    (warm, u32::from(warm)),
+                    "image {image}"
+                );
                 assert_eq!(boot.net_bytes == 0, warm, "image {image}: {boot:?}");
                 assert_eq!(storm.net_bytes == 0, warm, "image {image}: {storm:?}");
-                assert_eq!(verify.backing_fetches == 0, warm, "image {image}: {verify:?}");
+                assert_eq!(
+                    verify.backing_fetches == 0,
+                    warm,
+                    "image {image}: {verify:?}"
+                );
                 assert!(verify.bytes_verified > 0);
                 let degraded = state == Degraded;
                 assert_eq!(
@@ -1117,7 +1231,10 @@ mod tests {
                     (degraded, u32::from(degraded)),
                     "image {image}"
                 );
-                assert_eq!(storm.net_bytes, boot.net_bytes, "image {image}: same shared read");
+                assert_eq!(
+                    storm.net_bytes, boot.net_bytes,
+                    "image {image}: same shared read"
+                );
                 // Credited per boot that happened: one boot, one 1-VM storm;
                 // the replay credits nothing.
                 assert_eq!(sq.image_popularity(image), before + 2, "image {image}");

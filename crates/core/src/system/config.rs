@@ -36,7 +36,10 @@ impl HoardBudget {
 
     /// The paper's per-node numbers: 10 GiB of disk, 60 MiB of DDT memory.
     pub fn paper() -> Self {
-        HoardBudget { disk_bytes: 10 << 30, ddt_mem_bytes: 60 << 20 }
+        HoardBudget {
+            disk_bytes: 10 << 30,
+            ddt_mem_bytes: 60 << 20,
+        }
     }
 
     /// Both axes unlimited: enforcement is a no-op.
@@ -58,10 +61,7 @@ pub enum SharedStorage {
     /// a whole rack, when shards spread over at least `m`+1 racks — at
     /// `(k+m)/k`× storage overhead. Cold-path reads reconstruct from
     /// parity when shards are unreachable (degraded but byte-identical).
-    ErasureCoded {
-        k: u32,
-        m: u32,
-    },
+    ErasureCoded { k: u32, m: u32 },
 }
 
 /// System configuration; defaults match the paper's deployment.
@@ -140,7 +140,9 @@ impl Default for SquirrelConfig {
 impl SquirrelConfig {
     /// Builder seeded with the paper's deployment defaults.
     pub fn builder() -> SquirrelConfigBuilder {
-        SquirrelConfigBuilder { config: SquirrelConfig::default() }
+        SquirrelConfigBuilder {
+            config: SquirrelConfig::default(),
+        }
     }
 
     /// The chunking strategy as handed to pools: a `Fixed` strategy always
@@ -259,9 +261,15 @@ impl SquirrelConfigBuilder {
             self.config.block_size >= 512 && self.config.block_size.is_power_of_two(),
             "record size must be a power of two >= 512"
         );
-        assert!(self.config.storage_nodes >= 4, "gluster 2x2 needs four bricks");
+        assert!(
+            self.config.storage_nodes >= 4,
+            "gluster 2x2 needs four bricks"
+        );
         if let SharedStorage::ErasureCoded { k, m } = self.config.shared_storage {
-            assert!(k > 0 && m > 0 && k + m <= 255, "bad erasure geometry k={k} m={m}");
+            assert!(
+                k > 0 && m > 0 && k + m <= 255,
+                "bad erasure geometry k={k} m={m}"
+            );
             assert!(
                 self.config.storage_nodes >= k + m,
                 "erasure coding needs at least k+m={} storage nodes",
@@ -287,7 +295,9 @@ mod tests {
             .storage_nodes(4)
             .threads(2)
             .metrics(false)
-            .chunking(ChunkStrategy::Cdc(squirrel_zfs::CdcParams::with_average(4096)))
+            .chunking(ChunkStrategy::Cdc(squirrel_zfs::CdcParams::with_average(
+                4096,
+            )))
             .dedup_mode(DedupMode::Reverse)
             .build();
         assert_eq!(built.block_size, 16 * 1024);

@@ -194,7 +194,11 @@ impl Squirrel {
     pub fn new(config: SquirrelConfig, corpus: Arc<Corpus>) -> Self {
         assert!(config.storage_nodes >= 4, "gluster 2x2 needs four bricks");
         let registry = MetricsRegistry::new();
-        let obs = if config.metrics { registry.handle() } else { Metrics::disabled() };
+        let obs = if config.metrics {
+            registry.handle()
+        } else {
+            Metrics::disabled()
+        };
         let ccvol_obs = obs.with_label("pool", "ccvol");
         let mut net = Network::with_topology(
             config.link,
@@ -211,7 +215,11 @@ impl Squirrel {
             SharedStorage::ErasureCoded { k, m } => {
                 let candidates: Vec<NodeId> = (root..root + config.storage_nodes).collect();
                 Some(ErasureCodedVolume::new(
-                    EcConfig { k, m, shard_unit: 64 * 1024 },
+                    EcConfig {
+                        k,
+                        m,
+                        shard_unit: 64 * 1024,
+                    },
                     candidates,
                 ))
             }
@@ -223,7 +231,11 @@ impl Squirrel {
                 let mut ccvol = ZPool::new(ccvol_cfg);
                 ccvol.set_metrics(&ccvol_obs);
                 ccvol.set_worker_pool(workers.clone());
-                ComputeNode { ccvol, online: true, evicted: BTreeSet::new() }
+                ComputeNode {
+                    ccvol,
+                    online: true,
+                    evicted: BTreeSet::new(),
+                }
             })
             .collect();
         // The scVolume is the shared catalog: the hoard budget is a
@@ -312,7 +324,10 @@ impl Squirrel {
             .with_threads(config.threads)
             .with_chunking(config.pool_chunking())
             .with_dedup_mode(config.dedup_mode)
-            .with_quotas(config.hoard_budget.disk_bytes, config.hoard_budget.ddt_mem_bytes)
+            .with_quotas(
+                config.hoard_budget.disk_bytes,
+                config.hoard_budget.ddt_mem_bytes,
+            )
     }
 
     fn cache_file_name(image: ImageId) -> String {
@@ -325,7 +340,15 @@ impl Squirrel {
     fn working_set_blocks(&self, image: ImageId) -> Vec<u64> {
         let bs = self.config.block_size as u64;
         let mut touched = Vec::new();
-        for op in self.corpus.image(image).cache().boot_trace().ops.iter().filter(|op| op.len > 0) {
+        for op in self
+            .corpus
+            .image(image)
+            .cache()
+            .boot_trace()
+            .ops
+            .iter()
+            .filter(|op| op.len > 0)
+        {
             touched.extend(op.offset / bs..=(op.offset + u64::from(op.len) - 1) / bs);
         }
         touched.sort_unstable();
@@ -347,12 +370,15 @@ impl Squirrel {
         let bs = self.config.block_size;
         let bs64 = bs as u64;
         let touched = self.working_set_blocks(image);
-        let blocks: CacheBlocks =
-            self.workers.parallel_map(&touched, |_| bs64 * cost::SYNTH, |_, &block| {
+        let blocks: CacheBlocks = self.workers.parallel_map(
+            &touched,
+            |_| bs64 * cost::SYNTH,
+            |_, &block| {
                 let mut data = vec![0u8; bs];
                 handle.read_at(block * bs64, &mut data);
                 (block, data.into())
-            });
+            },
+        );
         ((blocks.len() * bs) as u64, blocks)
     }
 
@@ -363,7 +389,10 @@ impl Squirrel {
     fn materialize_cache_by_cor_replay(&self, image: ImageId) -> (u64, CacheBlocks) {
         let trace = self.corpus.image(image).cache().boot_trace();
         let mut cor = CorCache::new(
-            ImageDisk { corpus: Arc::clone(&self.corpus), image },
+            ImageDisk {
+                corpus: Arc::clone(&self.corpus),
+                image,
+            },
             self.config.block_size,
         );
         let longest = trace
@@ -399,7 +428,9 @@ impl Squirrel {
     }
 
     fn node(&self, id: NodeId) -> Result<&ComputeNode, SquirrelError> {
-        self.nodes.get(id as usize).ok_or(SquirrelError::NoSuchNode(id))
+        self.nodes
+            .get(id as usize)
+            .ok_or(SquirrelError::NoSuchNode(id))
     }
 
     fn node_mut(&mut self, id: NodeId) -> Result<&mut ComputeNode, SquirrelError> {
@@ -429,8 +460,12 @@ impl Squirrel {
     /// Probes outward from `t`'s id in both directions, so with healthy
     /// links the first candidate wins.
     fn nearest_reachable(&self, donors: &BTreeSet<NodeId>, t: NodeId) -> Option<NodeId> {
-        nearest_first(t, donors.range(..t).rev().copied(), donors.range(t..).copied())
-            .find(|&d| self.net.is_reachable(d, t))
+        nearest_first(
+            t,
+            donors.range(..t).rev().copied(),
+            donors.range(t..).copied(),
+        )
+        .find(|&d| self.net.is_reachable(d, t))
     }
 
     fn wants_peers(&self) -> bool {
@@ -511,12 +546,18 @@ impl Squirrel {
             &[("policy", self.config.distribution.name())],
             1,
         );
-        self.obs.add("squirrel_dist_storage_bytes_total", stats.storage_bytes);
-        self.obs.add("squirrel_dist_peer_bytes_total", stats.peer_bytes);
-        self.obs.add("squirrel_dist_peer_hits_total", stats.peer_hits);
-        self.obs.add("squirrel_dist_peer_misses_total", stats.peer_misses);
         self.obs
-            .observe("squirrel_dist_transfer_seconds_ms", (stats.seconds * 1000.0).round() as u64);
+            .add("squirrel_dist_storage_bytes_total", stats.storage_bytes);
+        self.obs
+            .add("squirrel_dist_peer_bytes_total", stats.peer_bytes);
+        self.obs
+            .add("squirrel_dist_peer_hits_total", stats.peer_hits);
+        self.obs
+            .add("squirrel_dist_peer_misses_total", stats.peer_misses);
+        self.obs.observe(
+            "squirrel_dist_transfer_seconds_ms",
+            (stats.seconds * 1000.0).round() as u64,
+        );
     }
 
     /// Unlabeled workflow metrics handle, for sibling orchestration modules
@@ -586,8 +627,11 @@ mod testkit {
         nodes: u32,
         tune: impl FnOnce(&mut SquirrelConfig),
     ) -> Squirrel {
-        let mut config =
-            SquirrelConfig { compute_nodes: nodes, block_size: 16 * 1024, ..Default::default() };
+        let mut config = SquirrelConfig {
+            compute_nodes: nodes,
+            block_size: 16 * 1024,
+            ..Default::default()
+        };
         tune(&mut config);
         Squirrel::new(config, corpus)
     }
@@ -607,7 +651,10 @@ mod testkit {
         let net = sq.network_mut();
         net.heal_all();
         for _ in 0..3000 {
-            let (a, b) = (rng.below(nodes.into()) as NodeId, rng.below(nodes.into()) as NodeId);
+            let (a, b) = (
+                rng.below(nodes.into()) as NodeId,
+                rng.below(nodes.into()) as NodeId,
+            );
             net.partition(a, b);
         }
         let hermit = rng.below(nodes.into()) as NodeId;
@@ -639,7 +686,11 @@ mod testkit {
     pub fn ec_system() -> Squirrel {
         system_with(4, |c| {
             c.storage_nodes = 8;
-            c.topology = TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 };
+            c.topology = TopologyConfig {
+                regions: 1,
+                dcs_per_region: 2,
+                racks_per_dc: 2,
+            };
             c.shared_storage = SharedStorage::ErasureCoded { k: 4, m: 2 };
         })
     }
@@ -652,8 +703,10 @@ mod tests {
     #[test]
     fn materialize_equals_the_cor_replay() {
         // Caches large enough that synthesis splits into several shares.
-        let corpus =
-            Arc::new(Corpus::generate(CorpusConfig { scale: 256, ..CorpusConfig::test_corpus(8, 77) }));
+        let corpus = Arc::new(Corpus::generate(CorpusConfig {
+            scale: 256,
+            ..CorpusConfig::test_corpus(8, 77)
+        }));
         for block_size in [4 << 10, 16 << 10, 64 << 10] {
             let reference = system_on(Arc::clone(&corpus), 1, |c| c.block_size = block_size);
             let want: Vec<_> = (0..corpus.len() as ImageId)
@@ -670,7 +723,11 @@ mod tests {
                     let at = format!("image {image}, {block_size} B blocks, {threads} threads");
                     let indices = |b: &CacheBlocks| b.iter().map(|&(i, _)| i).collect::<Vec<_>>();
                     assert_eq!(bytes, *want_bytes, "{at}: cache bytes");
-                    assert_eq!(indices(&blocks), indices(want_blocks), "{at}: captured blocks");
+                    assert_eq!(
+                        indices(&blocks),
+                        indices(want_blocks),
+                        "{at}: captured blocks"
+                    );
                     assert!(blocks == *want_blocks, "{at}: block bytes");
                 }
             }
@@ -680,12 +737,24 @@ mod tests {
     #[test]
     fn errors_on_unknown_entities() {
         let mut sq = small_system(1);
-        assert!(matches!(sq.register(999), Err(SquirrelError::UnknownImage(999))));
+        assert!(matches!(
+            sq.register(999),
+            Err(SquirrelError::UnknownImage(999))
+        ));
         sq.register(1).expect("first");
-        assert!(matches!(sq.register(1), Err(SquirrelError::AlreadyRegistered(1))));
-        assert!(matches!(sq.deregister(0), Err(SquirrelError::NotRegistered(0))));
+        assert!(matches!(
+            sq.register(1),
+            Err(SquirrelError::AlreadyRegistered(1))
+        ));
+        assert!(matches!(
+            sq.deregister(0),
+            Err(SquirrelError::NotRegistered(0))
+        ));
         assert!(matches!(sq.boot(9, 0), Err(SquirrelError::NoSuchNode(9))));
-        assert!(matches!(sq.node_offline(9), Err(SquirrelError::NoSuchNode(9))));
+        assert!(matches!(
+            sq.node_offline(9),
+            Err(SquirrelError::NoSuchNode(9))
+        ));
     }
 
     #[test]
@@ -712,8 +781,16 @@ mod tests {
         assert_eq!(snap.counter("squirrel_gc_runs_total"), Some(1));
         assert!(snap.gauge_u64("squirrel_scvol_ddt_entries").unwrap() > 0);
         // The pool layers reported through the same registry.
-        assert!(snap.counter("zpool_ingest_blocks_total{pool=\"scvol\"}").unwrap() > 0);
-        assert!(snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}").unwrap() >= 2);
+        assert!(
+            snap.counter("zpool_ingest_blocks_total{pool=\"scvol\"}")
+                .unwrap()
+                > 0
+        );
+        assert!(
+            snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}")
+                .unwrap()
+                >= 2
+        );
         assert!(snap.counter_sum("net_tx_bytes_total") > 0);
         // Workflow events are journaled in order.
         let names: Vec<&str> = snap.events.iter().map(|e| e.name.as_str()).collect();
@@ -731,7 +808,8 @@ mod tests {
             // Sleepers miss this round's registration. Half stay offline;
             // half are switched back on without a catch-up, so they are
             // online but behind the tip.
-            let sleepers: Vec<NodeId> = (0..60).map(|_| rng.below(NODES.into()) as NodeId).collect();
+            let sleepers: Vec<NodeId> =
+                (0..60).map(|_| rng.below(NODES.into()) as NodeId).collect();
             for &n in &sleepers {
                 sq.node_offline(n).expect("offline");
             }
@@ -748,8 +826,10 @@ mod tests {
                 sq.corrupt_cc_block(any(), u64::from(any()));
             }
 
-            let probes: Vec<NodeId> =
-                (0..30).map(|_| any()).chain([hermit, centre - 5, centre, centre + 4]).collect();
+            let probes: Vec<NodeId> = (0..30)
+                .map(|_| any())
+                .chain([hermit, centre - 5, centre, centre + 4])
+                .collect();
             for &t in &probes {
                 for (what, pick, oracle) in [
                     (
@@ -781,6 +861,9 @@ mod tests {
                 }
             }
         }
-        assert!(far_picks > 0 && storage_picks > 0, "{far_picks} far, {storage_picks} storage");
+        assert!(
+            far_picks > 0 && storage_picks > 0,
+            "{far_picks} far, {storage_picks} storage"
+        );
     }
 }

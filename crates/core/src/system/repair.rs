@@ -11,9 +11,9 @@ use super::{
 use super::{Source, Squirrel};
 use squirrel_cluster::{EcRepairReport, EcStats, ErasureCodedVolume, NodeId};
 use squirrel_faults::{ChurnEvent, PartitionEvent};
-use squirrel_zfs::{BlockKey, ScrubReport};
 #[cfg(doc)]
 use squirrel_zfs::ZPool;
+use squirrel_zfs::{BlockKey, ScrubReport};
 
 impl Squirrel {
     /// Fault hook: rot the `nth` unique block (mod the pool's block count)
@@ -102,11 +102,18 @@ impl Squirrel {
                     continue;
                 };
                 let bytes = u64::from(psize) + 24;
-                if self.net.try_unicast(self.source_id(donor), dst, bytes).is_err() {
+                if self
+                    .net
+                    .try_unicast(self.source_id(donor), dst, bytes)
+                    .is_err()
+                {
                     continue;
                 }
                 report.refetch_bytes += bytes;
-                if self.source_pool_mut(target).repair_block(*key, psize, &frame) {
+                if self
+                    .source_pool_mut(target)
+                    .repair_block(*key, psize, &frame)
+                {
                     fixed = true;
                     break;
                 }
@@ -141,7 +148,8 @@ impl Squirrel {
                 .is_some_and(|img| {
                     let (_, blocks) = self.materialize_cache(img);
                     let payload = Self::ec_payload(&blocks);
-                    ec.rewrite_object(&mut self.net, coordinator, &name, &payload).is_ok()
+                    ec.rewrite_object(&mut self.net, coordinator, &name, &payload)
+                        .is_ok()
                 });
             if !rewritten {
                 report.unrepaired_objects.push(name);
@@ -151,7 +159,8 @@ impl Squirrel {
             "squirrel_ec_shards_rematerialized_total",
             report.shards_rematerialized + report.shards_relocated,
         );
-        self.obs.add("squirrel_ec_repair_bytes_total", report.repair_bytes);
+        self.obs
+            .add("squirrel_ec_repair_bytes_total", report.repair_bytes);
         self.obs.add(
             "squirrel_ec_cross_domain_repair_bytes_total",
             report.cross_domain_repair_bytes,
@@ -225,9 +234,12 @@ impl Squirrel {
 
     fn record_repair(&self, report: &RepairReport) {
         self.obs.inc("squirrel_repair_runs_total");
-        self.obs.add("squirrel_repair_blocks_total", report.repaired);
-        self.obs.add("squirrel_repair_unrepaired_total", report.unrepaired);
-        self.obs.add("squirrel_repair_bytes_total", report.refetch_bytes);
+        self.obs
+            .add("squirrel_repair_blocks_total", report.repaired);
+        self.obs
+            .add("squirrel_repair_unrepaired_total", report.unrepaired);
+        self.obs
+            .add("squirrel_repair_bytes_total", report.refetch_bytes);
     }
 
     /// Pull every lagging *online* node back in sync through the rejoin
@@ -254,7 +266,10 @@ impl Squirrel {
             }
         }
         self.obs.inc("squirrel_repair_sync_runs_total");
-        self.obs.add("squirrel_repair_sync_nodes_total", u64::from(report.repaired));
+        self.obs.add(
+            "squirrel_repair_sync_nodes_total",
+            u64::from(report.repaired),
+        );
         report
     }
 
@@ -375,10 +390,23 @@ impl Squirrel {
             // Rot aimed at the shared tier also rots one erasure shard when
             // the tier is erasure-coded — same draw, so replicated runs are
             // untouched.
-            let ec_shard = if victim.is_none() { self.corrupt_ec_shard(nth) } else { None };
-            RotHit { victim, block_hit: key.is_some(), ec_shard }
+            let ec_shard = if victim.is_none() {
+                self.corrupt_ec_shard(nth)
+            } else {
+                None
+            };
+            RotHit {
+                victim,
+                block_hit: key.is_some(),
+                ec_shard,
+            }
         });
-        Some(FaultTick { churn, rejoined, domain, rot })
+        Some(FaultTick {
+            churn,
+            rejoined,
+            domain,
+            rot,
+        })
     }
 }
 
@@ -420,7 +448,10 @@ mod tests {
         sq.corrupt_sc_block(1).expect("corrupt");
         assert!(!sq.scrub_scvol().is_clean());
         let repair = sq.scrub_and_repair_scvol();
-        assert_eq!((repair.node, repair.repaired, repair.unrepaired), (None, 1, 0));
+        assert_eq!(
+            (repair.node, repair.repaired, repair.unrepaired),
+            (None, 1, 0)
+        );
         assert!(sq.scrub_scvol().is_clean());
     }
 
@@ -436,7 +467,10 @@ mod tests {
         assert!(sq.corrupt_sc_block(1).is_some());
 
         let c = sq.converge();
-        assert!(!c.consistent_before, "node 0 missed a registration behind the cut");
+        assert!(
+            !c.consistent_before,
+            "node 0 missed a registration behind the cut"
+        );
         assert_eq!(c.rejoin_failures, 0);
         assert!(c.converged && c.scrub_clean && c.within_budget, "{c:?}");
         assert_eq!(c.repair.blocks.repaired, 2, "{c:?}");
@@ -445,13 +479,19 @@ mod tests {
         let again = sq.converge();
         assert!(again.consistent_before && again.converged && again.scrub_clean);
         assert_eq!(again.repair.blocks.repaired, 0);
-        assert_eq!(again.repair.blocks.refetch_bytes + again.repair.sync.wire_bytes, 0);
+        assert_eq!(
+            again.repair.blocks.refetch_bytes + again.repair.sync.wire_bytes,
+            0
+        );
     }
 
     #[test]
     fn repair_errors_on_unknown_node_and_empty_pools() {
         let mut sq = small_system(2);
-        assert!(matches!(sq.scrub_and_repair(9), Err(SquirrelError::NoSuchNode(9))));
+        assert!(matches!(
+            sq.scrub_and_repair(9),
+            Err(SquirrelError::NoSuchNode(9))
+        ));
         assert_eq!(sq.corrupt_cc_block(9, 0), None);
         assert_eq!(sq.corrupt_cc_block(0, 0), None, "empty pool has no victim");
         assert_eq!(sq.corrupt_sc_block(0), None);

@@ -35,10 +35,17 @@ pub enum SquirrelError {
     Ec(EcError),
     /// A node's hoarded cache disappeared between the warm-path check and
     /// the read that needed it.
-    MissingCache { node: NodeId, image: ImageId },
+    MissingCache {
+        node: NodeId,
+        image: ImageId,
+    },
     /// A boot-trace replay through the real data path read bytes that
     /// differ from the image's ground truth ([`Squirrel::verify_boot`]).
-    BootDataMismatch { node: NodeId, image: ImageId, offset: u64 },
+    BootDataMismatch {
+        node: NodeId,
+        image: ImageId,
+        offset: u64,
+    },
 }
 
 impl std::fmt::Display for SquirrelError {
@@ -56,8 +63,15 @@ impl std::fmt::Display for SquirrelError {
             SquirrelError::MissingCache { node, image } => {
                 write!(f, "node {node} lost the hoarded cache of image {image}")
             }
-            SquirrelError::BootDataMismatch { node, image, offset } => {
-                write!(f, "boot data corruption: image {image} node {node} at offset {offset}")
+            SquirrelError::BootDataMismatch {
+                node,
+                image,
+                offset,
+            } => {
+                write!(
+                    f,
+                    "boot data corruption: image {image} node {node} at offset {offset}"
+                )
             }
         }
     }
@@ -455,8 +469,15 @@ mod tests {
         let err = SquirrelError::Net(NetError::SelfTransfer { node: 3 });
         assert!(err.source().is_some());
         assert!(err.to_string().contains("transfer failed"));
-        let err = SquirrelError::BootDataMismatch { node: 1, image: 2, offset: 4096 };
-        assert_eq!(err.to_string(), "boot data corruption: image 2 node 1 at offset 4096");
+        let err = SquirrelError::BootDataMismatch {
+            node: 1,
+            image: 2,
+            offset: 4096,
+        };
+        assert_eq!(
+            err.to_string(),
+            "boot data corruption: image 2 node 1 at offset 4096"
+        );
         assert!(err.source().is_none());
     }
 }

@@ -38,7 +38,10 @@ pub fn paper_scale_trace(ws_bytes: u64, image_seed: u64) -> BootTrace {
         let j = (mix(i as u64 ^ image_seed, 0x7ace) % (i as u64 + 1)) as usize;
         order.swap(i, j);
     }
-    let ops = order.iter().map(|&e| ReadOp { offset: e * EXTENT, len: EXTENT as u32 });
+    let ops = order.iter().map(|&e| ReadOp {
+        offset: e * EXTENT,
+        len: EXTENT as u32,
+    });
     BootTrace { ops: ops.collect() }
 }
 
@@ -112,8 +115,13 @@ mod tests {
     fn extent_reads_replay_like_the_read_sequence() {
         let mut backends = vec![
             Backend::WarmCacheXfs,
-            Backend::BaseImageXfs { image_bytes: 27 << 30 },
-            Backend::ColdCache { net_mbps: 125.0, image_bytes: 27 << 30 },
+            Backend::BaseImageXfs {
+                image_bytes: 27 << 30,
+            },
+            Backend::ColdCache {
+                net_mbps: 125.0,
+                image_bytes: 27 << 30,
+            },
         ];
         for kib in [4u64, 16, 24, 64, 128] {
             for cap in [1usize, 64, 2048] {
@@ -128,12 +136,23 @@ mod tests {
             }
         }
         let sim = BootSim::new();
-        let sizes = [1000u64, 4 << 20, 40 << 20, 132 << 20, 300 << 20, (10 << 20) + (100 << 10)];
+        let sizes = [
+            1000u64,
+            4 << 20,
+            40 << 20,
+            132 << 20,
+            300 << 20,
+            (10 << 20) + (100 << 10),
+        ];
         for ws in sizes {
             for seed in [0u64, 1, 7, 2014] {
                 let coarse = paper_scale_trace(ws, seed);
                 let fine = read_sequence_trace(ws, seed);
-                assert_eq!(coarse.total_bytes(), fine.total_bytes(), "{ws} B, seed {seed}");
+                assert_eq!(
+                    coarse.total_bytes(),
+                    fine.total_bytes(),
+                    "{ws} B, seed {seed}"
+                );
                 assert_eq!(
                     first_touched_clusters(&coarse),
                     first_touched_clusters(&fine),

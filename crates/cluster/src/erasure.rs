@@ -20,6 +20,7 @@
 
 use crate::netsim::{NetError, Network, NodeId};
 use crate::rscode::{rs_encode, rs_reconstruct, RsError};
+use crate::topology::LinkScope;
 use std::collections::BTreeMap;
 
 /// FNV-1a 64-bit — the shard/object integrity hash (std-only, this crate
@@ -175,7 +176,8 @@ pub struct EcReadReport {
     pub data: Vec<u8>,
     /// Payload bytes that crossed the network to serve this read.
     pub net_bytes: u64,
-    /// Seconds of the slowest shard transfer (shards stream in parallel).
+    /// Some stripe could not be served by its k data shards alone, so the
+    /// read decoded it from parity (see `reconstructed`).
     pub degraded: bool,
     /// Data shards reconstructed from parity.
     pub reconstructed: u64,
@@ -323,7 +325,7 @@ impl ErasureCodedVolume {
             for (i, bytes) in shards_data.iter().chain(parity.iter()).enumerate() {
                 let home = homes[i];
                 let checksum = fnv1a(bytes);
-                if home == client || net.is_reachable(client, home) {
+                if net.is_reachable(client, home) {
                     if home != client {
                         net.try_unicast(client, home, bytes.len() as u64)?;
                         report.net_bytes += bytes.len() as u64;
@@ -386,7 +388,7 @@ impl ErasureCodedVolume {
             let usable: Vec<usize> = (0..k + m)
                 .filter(|&i| {
                     let sh = &stripe[i];
-                    sh.is_healthy() && (sh.home == client || net.is_reachable(sh.home, client))
+                    sh.is_healthy() && net.is_reachable(sh.home, client)
                 })
                 .collect();
             if usable.len() < k {
@@ -489,22 +491,24 @@ impl ErasureCodedVolume {
     /// corrupt shards from any `k` healthy donors reachable from
     /// `coordinator`, and relocate shards stranded on unreachable nodes
     /// onto replacement hosts in reachable domains. Donor gathers and
-    /// replacement placements are charged to the ledger; the cross-domain
-    /// share is tallied separately. Stripes with fewer than `k` reachable
+    /// replacement placements are charged to the ledger, and the report's
+    /// `repair_bytes` and `cross_domain_repair_bytes` are read off its
+    /// per-scope tallies. Stripes with fewer than `k` reachable
     /// donors are left unrepaired (see
     /// [`EcRepairReport::unrepaired_objects`]).
     pub fn scrub_and_repair(&mut self, net: &mut Network, coordinator: NodeId) -> EcRepairReport {
         let k = self.config.k as usize;
         let m = self.config.m as usize;
         let mut report = EcRepairReport::default();
+        let intra_before = net.scope_bytes(LinkScope::IntraRack);
+        let cross_before = net.cross_domain_bytes();
         let names: Vec<String> = self.objects.keys().cloned().collect();
         for name in names {
             let mut object_unrepaired = false;
             let stripe_count = self.objects[&name].stripes.len();
             for s in 0..stripe_count {
                 report.stripes_scanned += 1;
-                let reachable =
-                    |n: NodeId, net: &Network| n == coordinator || net.is_reachable(coordinator, n);
+                let reachable = |n: NodeId, net: &Network| net.is_reachable(coordinator, n);
                 // Victims: lost/corrupt shards anywhere, plus healthy
                 // shards stranded behind a domain cut (relocated out).
                 let (donors, victims): (Vec<usize>, Vec<usize>) = {
@@ -534,22 +538,13 @@ impl ErasureCodedVolume {
                         let sh = &self.objects[&name].stripes[s][i];
                         (sh.home, sh.data.clone().expect("healthy donor"))
                     };
-                    if home != coordinator {
-                        let len = data.len() as u64;
-                        match net.try_unicast(home, coordinator, len) {
-                            Ok(_) => {
-                                report.repair_bytes += len;
-                                if net.scope(home, coordinator)
-                                    != crate::topology::LinkScope::IntraRack
-                                {
-                                    report.cross_domain_repair_bytes += len;
-                                }
-                            }
-                            Err(_) => {
-                                gather_err = true;
-                                break;
-                            }
-                        }
+                    if home != coordinator
+                        && net
+                            .try_unicast(home, coordinator, data.len() as u64)
+                            .is_err()
+                    {
+                        gather_err = true;
+                        break;
                     }
                     shards[i] = Some(data);
                 }
@@ -595,16 +590,13 @@ impl ErasureCodedVolume {
                         }
                     };
                     let data = shards[i].clone().expect("reconstructed");
-                    if home != coordinator {
-                        let len = data.len() as u64;
-                        if net.try_unicast(coordinator, home, len).is_err() {
-                            stranded = true;
-                            continue;
-                        }
-                        report.repair_bytes += len;
-                        if net.scope(coordinator, home) != crate::topology::LinkScope::IntraRack {
-                            report.cross_domain_repair_bytes += len;
-                        }
+                    if home != coordinator
+                        && net
+                            .try_unicast(coordinator, home, data.len() as u64)
+                            .is_err()
+                    {
+                        stranded = true;
+                        continue;
                     }
                     let checksum = fnv1a(&data);
                     let sh = &mut self.objects.get_mut(&name).expect("present").stripes[s][i];
@@ -626,6 +618,9 @@ impl ErasureCodedVolume {
                 report.unrepaired_objects.push(name);
             }
         }
+        report.cross_domain_repair_bytes = net.cross_domain_bytes() - cross_before;
+        report.repair_bytes =
+            net.scope_bytes(LinkScope::IntraRack) - intra_before + report.cross_domain_repair_bytes;
         self.stats.shards_rematerialized += report.shards_rematerialized;
         self.stats.shards_relocated += report.shards_relocated;
         self.stats.repair_bytes += report.repair_bytes;

@@ -24,7 +24,7 @@ mod topology;
 pub use erasure::{
     EcConfig, EcError, EcReadReport, EcRepairReport, EcStats, EcWriteReport, ErasureCodedVolume,
 };
-pub use netsim::{LinkKind, NetError, Network, NodeId, NodeRole, TrafficLedger, TransferReport};
+pub use netsim::{LinkKind, NetError, Network, NodeId, NodeRole, TrafficLedger};
 pub use parallelfs::{GlusterConfig, GlusterVolume};
 pub use rscode::{rs_encode, rs_reconstruct, RsError};
 pub use topology::{Domain, LinkScope, Topology, TopologyConfig};

@@ -83,38 +83,6 @@ pub struct TrafficLedger {
     pub tx_bytes: u64,
 }
 
-/// What a completed transfer looked like on the wire. Returned by every
-/// transfer API so callers charge latency and per-link bytes identically
-/// regardless of shape.
-#[derive(Clone, Copy, Debug, PartialEq)]
-#[non_exhaustive]
-pub struct TransferReport {
-    /// Wall-clock seconds the transfer occupied.
-    pub seconds: f64,
-    /// Payload size in bytes; every charged link carries the full payload
-    /// exactly once.
-    pub payload_bytes: u64,
-    /// Number of links charged.
-    pub links: u32,
-    /// Total bytes transmitted across all links (`payload_bytes * links`).
-    pub tx_bytes: u64,
-    /// Total bytes received across all links.
-    pub rx_bytes: u64,
-}
-
-impl TransferReport {
-    /// A transfer that moved nothing (empty receiver set).
-    fn noop(payload_bytes: u64) -> Self {
-        TransferReport {
-            seconds: 0.0,
-            payload_bytes,
-            links: 0,
-            tx_bytes: 0,
-            rx_bytes: 0,
-        }
-    }
-}
-
 /// Interned metric handles for the transfer paths.
 struct NetMeters {
     tx_bytes: Counter,
@@ -371,61 +339,51 @@ impl Network {
         self.downed_dcs.contains(&dc)
     }
 
-    fn check_reachable(&self, src: NodeId, dst: NodeId) -> Result<(), NetError> {
-        if self.is_reachable(src, dst) {
-            Ok(())
-        } else {
-            Err(NetError::Partitioned { src, dst })
-        }
-    }
-
-    /// Seconds one full-payload copy occupies an intra-rack link.
-    fn unit_secs(&self, bytes: u64) -> f64 {
-        bytes as f64 / (self.link.mbps() * 1e6)
-    }
-
-    /// Seconds one full-payload copy occupies the `src -> dst` edge, scaled
-    /// by the highest failure-domain boundary it crosses (intra-rack <
-    /// cross-rack < cross-DC < cross-region). With a flat topology every
-    /// edge is intra-rack and this equals [`Self::unit_secs`].
-    fn edge_secs(&self, src: NodeId, dst: NodeId, bytes: u64) -> f64 {
-        self.unit_secs(bytes) * self.topology.scope(src, dst).cost_multiplier()
-    }
-
-    /// Charge one delivered payload copy on the `src -> dst` edge: both
-    /// ledgers plus the per-scope byte tallies.
-    fn charge_edge(&mut self, src: NodeId, dst: NodeId, bytes: u64) {
-        self.ledgers[src as usize].tx_bytes += bytes;
-        self.ledgers[dst as usize].rx_bytes += bytes;
-        let scope = self.topology.scope(src, dst) as usize;
-        self.scope_bytes[scope] += bytes;
-        self.meters.scope_bytes[scope].add(bytes);
-    }
-
-    /// Transfer `bytes` point-to-point from `src` to `dst`.
-    pub fn try_unicast(
+    /// Validate every `(from, to)` edge of a transfer out of `src`, then
+    /// charge each one full payload copy: both ledgers, the per-scope byte
+    /// tallies and the byte counters. Fails before any byte is charged on
+    /// the first edge that is a self-transfer or leads back into `src`,
+    /// names an unknown node, or crosses a cut link. Returns the slowest
+    /// edge's seconds: one payload copy over that edge, scaled by the
+    /// highest failure-domain boundary it crosses (intra-rack < cross-rack
+    /// < cross-DC < cross-region).
+    fn charge(
         &mut self,
         src: NodeId,
-        dst: NodeId,
+        edges: impl Iterator<Item = (NodeId, NodeId)> + Clone,
         bytes: u64,
-    ) -> Result<TransferReport, NetError> {
-        if src == dst {
-            return Err(NetError::SelfTransfer { node: src });
+    ) -> Result<f64, NetError> {
+        for (from, to) in edges.clone() {
+            if to == from || to == src {
+                return Err(NetError::SelfTransfer { node: to });
+            }
+            self.check_node(from)?;
+            self.check_node(to)?;
+            if !self.is_reachable(from, to) {
+                return Err(NetError::Partitioned { src: from, dst: to });
+            }
         }
-        self.check_node(src)?;
-        self.check_node(dst)?;
-        self.check_reachable(src, dst)?;
-        self.charge_edge(src, dst, bytes);
+        let unit_secs = bytes as f64 / (self.link.mbps() * 1e6);
+        let mut slowest = 0.0f64;
+        for (from, to) in edges {
+            let scope = self.topology.scope(from, to);
+            slowest = slowest.max(unit_secs * scope.cost_multiplier());
+            self.ledgers[from as usize].tx_bytes += bytes;
+            self.ledgers[to as usize].rx_bytes += bytes;
+            self.scope_bytes[scope as usize] += bytes;
+            self.meters.scope_bytes[scope as usize].add(bytes);
+            self.meters.tx_bytes.add(bytes);
+            self.meters.rx_bytes.add(bytes);
+        }
+        Ok(slowest)
+    }
+
+    /// Transfer `bytes` point-to-point from `src` to `dst`; returns the
+    /// seconds it occupies the link.
+    pub fn try_unicast(&mut self, src: NodeId, dst: NodeId, bytes: u64) -> Result<f64, NetError> {
+        let seconds = self.charge(src, std::iter::once((src, dst)), bytes)?;
         self.meters.unicasts.inc();
-        self.meters.tx_bytes.add(bytes);
-        self.meters.rx_bytes.add(bytes);
-        Ok(TransferReport {
-            seconds: self.edge_secs(src, dst, bytes),
-            payload_bytes: bytes,
-            links: 1,
-            tx_bytes: bytes,
-            rx_bytes: bytes,
-        })
+        Ok(seconds)
     }
 
     /// Tree multicast: receivers (in order) form a complete `fanout`-ary
@@ -434,46 +392,28 @@ impl Network {
     /// full copy per child, so transmit load moves off the source after the
     /// first level; levels serialize (a node forwards only after it holds
     /// the payload) and within a level each parent serves its children
-    /// back-to-back. Fails atomically: every parent→child edge is validated
-    /// (unknown node, self-transfer, partition) before any ledger is
-    /// charged.
+    /// back-to-back. Fails atomically (see [`NetError`]); an empty receiver
+    /// set moves and counts nothing.
     pub fn try_tree_multicast(
         &mut self,
         src: NodeId,
         dsts: &[NodeId],
         bytes: u64,
         fanout: u32,
-    ) -> Result<TransferReport, NetError> {
-        let k = fanout.max(1) as usize;
+    ) -> Result<f64, NetError> {
         if dsts.is_empty() {
-            return Ok(TransferReport::noop(bytes));
+            return Ok(0.0);
         }
-        self.check_node(src)?;
+        let k = fanout.max(1) as usize;
         let parent = |i: usize| if i < k { src } else { dsts[(i - k) / k] };
-        for (i, &d) in dsts.iter().enumerate() {
-            if d == src || d == parent(i) {
-                return Err(NetError::SelfTransfer { node: d });
-            }
-            self.check_node(d)?;
-            self.check_reachable(parent(i), d)?;
-        }
-        for (i, &d) in dsts.iter().enumerate() {
-            self.charge_edge(parent(i), d, bytes);
-        }
-        let total = bytes * dsts.len() as u64;
+        let edges = dsts.iter().enumerate().map(|(i, &d)| (parent(i), d));
+        // The payload time is the tree's slowest edge — levels serialize,
+        // so one cross-domain edge gates the whole fan-out.
+        let t1 = self.charge(src, edges, bytes)?;
         self.meters.tree_multicasts.inc();
-        self.meters.tx_bytes.add(total);
-        self.meters.rx_bytes.add(total);
         self.meters.multicast_fanout.observe(dsts.len() as u64);
         // Level l holds at most k^l receivers; its duration is one payload
-        // time per child of the busiest parent, plus a hop latency. The
-        // payload time is the tree's slowest edge — levels serialize, so
-        // one cross-domain edge gates the whole fan-out.
-        let t1 = dsts
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| self.edge_secs(parent(i), d, bytes))
-            .fold(0.0f64, f64::max);
+        // time per child of the busiest parent, plus a hop latency.
         let mut seconds = 0.0;
         let mut remaining = dsts.len();
         let mut level_cap = k;
@@ -483,58 +423,31 @@ impl Network {
             remaining -= level;
             level_cap = level * k;
         }
-        Ok(TransferReport {
-            seconds,
-            payload_bytes: bytes,
-            links: dsts.len() as u32,
-            tx_bytes: total,
-            rx_bytes: total,
-        })
+        Ok(seconds)
     }
 
     /// LANTorrent-style pipelined transfer: the source sends once to the
     /// first receiver, each receiver forwards to the next while receiving.
     /// Every node transmits and receives at most one copy, and on a single
     /// switch the pipeline completes in roughly one transfer time plus a
-    /// per-hop latency. Fails atomically if any hop link is down.
+    /// per-hop latency. Fails atomically if any hop is malformed or down;
+    /// an empty receiver set moves and counts nothing.
     pub fn try_pipeline(
         &mut self,
         src: NodeId,
         dsts: &[NodeId],
         bytes: u64,
-    ) -> Result<TransferReport, NetError> {
+    ) -> Result<f64, NetError> {
         if dsts.is_empty() {
-            return Ok(TransferReport::noop(bytes));
+            return Ok(0.0);
         }
-        self.check_node(src)?;
-        let mut prev = src;
-        for &d in dsts {
-            if d == prev {
-                return Err(NetError::SelfTransfer { node: d });
-            }
-            self.check_node(d)?;
-            self.check_reachable(prev, d)?;
-            prev = d;
-        }
-        let mut prev = src;
-        let mut slowest_hop = 0.0f64;
-        for &d in dsts {
-            slowest_hop = slowest_hop.max(self.edge_secs(prev, d, bytes));
-            self.charge_edge(prev, d, bytes);
-            prev = d;
-        }
-        let total = bytes * dsts.len() as u64;
+        let hops = std::iter::once(src)
+            .chain(dsts.iter().copied())
+            .zip(dsts.iter().copied());
+        let slowest_hop = self.charge(src, hops, bytes)?;
         self.meters.pipelines.inc();
-        self.meters.tx_bytes.add(total);
-        self.meters.rx_bytes.add(total);
-        Ok(TransferReport {
-            // The chain drains at the speed of its slowest hop.
-            seconds: slowest_hop + HOP_LATENCY_S * dsts.len() as f64,
-            payload_bytes: bytes,
-            links: dsts.len() as u32,
-            tx_bytes: total,
-            rx_bytes: total,
-        })
+        // The chain drains at the speed of its slowest hop.
+        Ok(slowest_hop + HOP_LATENCY_S * dsts.len() as f64)
     }
 
     pub fn ledger(&self, node: NodeId) -> TrafficLedger {
@@ -571,6 +484,17 @@ impl Network {
 mod tests {
     use super::*;
 
+    /// Σ tx over every ledger, Σ rx over every ledger, Σ delivered bytes
+    /// over every link scope.
+    fn wire_totals(net: &Network) -> (u64, u64, u64) {
+        let n = net.node_count() as NodeId;
+        (
+            (0..n).map(|i| net.ledger(i).tx_bytes).sum(),
+            (0..n).map(|i| net.ledger(i).rx_bytes).sum(),
+            LinkScope::ALL.iter().map(|&s| net.scope_bytes(s)).sum(),
+        )
+    }
+
     #[test]
     fn roles_assigned_in_order() {
         let net = Network::new(LinkKind::GbE, 3, 2);
@@ -584,17 +508,12 @@ mod tests {
     #[test]
     fn unicast_charges_both_ends() {
         let mut net = Network::new(LinkKind::GbE, 2, 1);
-        let r = net.try_unicast(2, 0, 112_000_000).unwrap();
+        let secs = net.try_unicast(2, 0, 112_000_000).unwrap();
         assert_eq!(net.ledger(2).tx_bytes, 112_000_000);
         assert_eq!(net.ledger(0).rx_bytes, 112_000_000);
         assert_eq!(net.ledger(1), TrafficLedger::default());
-        assert!(
-            (r.seconds - 1.0).abs() < 1e-9,
-            "1 GbE moves 112 MB/s: {}",
-            r.seconds
-        );
-        assert_eq!((r.links, r.payload_bytes), (1, 112_000_000));
-        assert_eq!((r.tx_bytes, r.rx_bytes), (112_000_000, 112_000_000));
+        assert!((secs - 1.0).abs() < 1e-9, "1 GbE moves 112 MB/s: {secs}");
+        assert_eq!(wire_totals(&net), (112_000_000, 112_000_000, 112_000_000));
         assert_eq!(net.storage_tx_total(), 112_000_000);
         assert_eq!(net.compute_tx_total(), 0);
     }
@@ -604,7 +523,7 @@ mod tests {
         let mut net = Network::new(LinkKind::GbE, 6, 1);
         // fanout 2, receivers 0..6: src 6 feeds {0,1}; 0 feeds {2,3};
         // 1 feeds {4,5}.
-        let r = net
+        let secs = net
             .try_tree_multicast(6, &[0, 1, 2, 3, 4, 5], 1000, 2)
             .unwrap();
         assert_eq!(
@@ -618,10 +537,10 @@ mod tests {
         for n in 0..6 {
             assert_eq!(net.ledger(n).rx_bytes, 1000, "every receiver gets one copy");
         }
-        assert_eq!((r.links, r.tx_bytes, r.rx_bytes), (6, 6000, 6000));
+        assert_eq!(wire_totals(&net), (6000, 6000, 6000), "six links charged");
         // Two full levels: 2 copies + hop each.
         let t1 = 1000.0 / (LinkKind::GbE.mbps() * 1e6);
-        assert!((r.seconds - (4.0 * t1 + 2.0 * HOP_LATENCY_S)).abs() < 1e-12);
+        assert!((secs - (4.0 * t1 + 2.0 * HOP_LATENCY_S)).abs() < 1e-12);
         assert_eq!(net.storage_tx_total(), 2000);
         assert_eq!(net.compute_tx_total(), 4000);
     }
@@ -632,16 +551,15 @@ mod tests {
         let n = 100u32;
         let mut tree = Network::new(LinkKind::GbE, n, 1);
         let dsts: Vec<NodeId> = (0..n).collect();
-        let rt = tree.try_tree_multicast(n, &dsts, bytes, 8).unwrap();
+        let tree_secs = tree.try_tree_multicast(n, &dsts, bytes, 8).unwrap();
         let mut uni = Network::new(LinkKind::GbE, n, 1);
         let serial: f64 = dsts
             .iter()
-            .map(|&d| uni.try_unicast(n, d, bytes).unwrap().seconds)
+            .map(|&d| uni.try_unicast(n, d, bytes).unwrap())
             .sum();
         assert!(
-            rt.seconds < serial / 2.0,
-            "tree {} vs serial {serial}",
-            rt.seconds
+            tree_secs < serial / 2.0,
+            "tree {tree_secs} vs serial {serial}"
         );
         // Identical receiver-side bytes, radically lower source load.
         assert_eq!(tree.compute_rx_total(), uni.compute_rx_total());
@@ -661,12 +579,12 @@ mod tests {
         assert_eq!(net.compute_rx_total(), 0, "atomic failure charges nothing");
         assert_eq!(net.ledger(4), TrafficLedger::default());
         // fanout 0 clamps to 1 (a chain) rather than dividing by zero.
-        let r = net.try_tree_multicast(4, &[1, 3], 10, 0).unwrap();
-        assert_eq!((r.links, r.tx_bytes), (2, 20));
+        net.try_tree_multicast(4, &[1, 3], 10, 0).unwrap();
+        assert_eq!(wire_totals(&net), (20, 20, 20), "two links charged");
         assert_eq!(net.ledger(1).tx_bytes, 10, "chain relay");
         // Empty receiver set is a no-op.
-        let r = net.try_tree_multicast(4, &[], 10, 4).unwrap();
-        assert_eq!((r.links, r.seconds), (0, 0.0));
+        assert_eq!(net.try_tree_multicast(4, &[], 10, 4), Ok(0.0));
+        assert_eq!(wire_totals(&net), (20, 20, 20));
         // A receiver equal to the source is malformed.
         assert_eq!(
             net.try_tree_multicast(4, &[0, 4], 10, 4),
@@ -677,7 +595,7 @@ mod tests {
     #[test]
     fn pipeline_spreads_tx_load() {
         let mut net = Network::new(LinkKind::GbE, 4, 1);
-        let r = net.try_pipeline(4, &[0, 1, 2, 3], 1_000_000).unwrap();
+        let secs = net.try_pipeline(4, &[0, 1, 2, 3], 1_000_000).unwrap();
         // Source transmits once; each intermediate node relays once.
         assert_eq!(net.ledger(4).tx_bytes, 1_000_000);
         assert_eq!(net.ledger(0).tx_bytes, 1_000_000);
@@ -687,24 +605,23 @@ mod tests {
         }
         // Completes in about one transfer time, not n transfer times.
         let single = 1_000_000.0 / (LinkKind::GbE.mbps() * 1e6);
-        assert!(r.seconds < 2.0 * single + 0.1, "{} vs {single}", r.seconds);
-        assert_eq!((r.links, r.tx_bytes, r.rx_bytes), (4, 4_000_000, 4_000_000));
+        assert!(secs < 2.0 * single + 0.1, "{secs} vs {single}");
+        assert_eq!(wire_totals(&net), (4_000_000, 4_000_000, 4_000_000));
     }
 
     #[test]
     fn pipeline_empty_is_noop() {
         let mut net = Network::new(LinkKind::GbE, 1, 1);
-        let r = net.try_pipeline(1, &[], 100).unwrap();
-        assert_eq!((r.seconds, r.links), (0.0, 0));
-        assert_eq!(net.compute_rx_total(), 0);
+        assert_eq!(net.try_pipeline(1, &[], 100), Ok(0.0));
+        assert_eq!(wire_totals(&net), (0, 0, 0));
     }
 
     #[test]
     fn infiniband_is_faster() {
         let mut gbe = Network::new(LinkKind::GbE, 1, 1);
         let mut ib = Network::new(LinkKind::QdrInfiniband, 1, 1);
-        let fast = ib.try_unicast(1, 0, 1 << 30).unwrap().seconds;
-        let slow = gbe.try_unicast(1, 0, 1 << 30).unwrap().seconds;
+        let fast = ib.try_unicast(1, 0, 1 << 30).unwrap();
+        let slow = gbe.try_unicast(1, 0, 1 << 30).unwrap();
         assert!(fast < slow);
     }
 
@@ -732,8 +649,17 @@ mod tests {
             Err(NetError::SelfTransfer { node: 0 })
         );
         // Failed transfers must not touch the ledgers.
+        assert_eq!(wire_totals(&net), (0, 0, 0));
         assert_eq!(net.compute_rx_total(), 0);
         assert_eq!(net.ledger(2), TrafficLedger::default());
+        // A chain leading back into its source is refused like a tree
+        // receiver equal to the source, and charges nothing.
+        let mut four = Network::new(LinkKind::GbE, 4, 1);
+        assert_eq!(
+            four.try_pipeline(4, &[0, 4], 10),
+            Err(NetError::SelfTransfer { node: 4 })
+        );
+        assert_eq!(wire_totals(&four), (0, 0, 0));
         // Errors render through Display and implement Error.
         let e: Box<dyn std::error::Error> = Box::new(NetError::SelfTransfer { node: 7 });
         assert_eq!(e.to_string(), "node 7 transfer to itself");
@@ -809,8 +735,8 @@ mod tests {
         // 2 racks over 4 nodes: rack 0 = {0, 2}, rack 1 = {1, 3}.
         let mut net = racked(2, 2, 2);
         let bytes = 112_000_000u64;
-        let intra = net.try_unicast(2, 0, bytes).unwrap().seconds;
-        let cross = net.try_unicast(2, 1, bytes).unwrap().seconds;
+        let intra = net.try_unicast(2, 0, bytes).unwrap();
+        let cross = net.try_unicast(2, 1, bytes).unwrap();
         assert!(
             (intra - 1.0).abs() < 1e-9,
             "intra-rack keeps the flat cost: {intra}"
@@ -991,6 +917,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::parallelfs::{GlusterConfig, GlusterVolume};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -1131,6 +1058,139 @@ mod proptests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// One step of the byte-conservation test: a transfer of some shape, or
+    /// a reachability change.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Unicast(NodeId, NodeId, u64),
+        Tree(NodeId, Vec<NodeId>, u64, u32),
+        Pipeline(NodeId, Vec<NodeId>, u64),
+        GlusterRead(NodeId, u64, u64),
+        GlusterWrite(NodeId, u64, u64),
+        Reach(Op),
+    }
+
+    /// The racked network of [`bytes_are_conserved_on_the_ledger`]: 8
+    /// compute + 4 storage nodes, ids 12 and 13 name no node.
+    const IDS: NodeId = 14;
+
+    fn step() -> impl Strategy<Value = Step> {
+        let ids = || proptest::collection::vec(0..IDS, 0..6);
+        prop_oneof![
+            3 => (0..IDS, 0..IDS, 1u64..1 << 20).prop_map(|(s, d, b)| Step::Unicast(s, d, b)),
+            2 => (0..IDS, ids(), 1u64..1 << 20, 0u32..4)
+                .prop_map(|(s, d, b, k)| Step::Tree(s, d, b, k)),
+            2 => (0..IDS, ids(), 1u64..1 << 20).prop_map(|(s, d, b)| Step::Pipeline(s, d, b)),
+            2 => (0..IDS, 0u64..1 << 20, 0u64..1 << 20)
+                .prop_map(|(c, o, b)| Step::GlusterRead(c, o, b)),
+            2 => (0..IDS, 0u64..1 << 20, 0u64..1 << 20)
+                .prop_map(|(c, o, b)| Step::GlusterWrite(c, o, b)),
+            4 => op().prop_map(Step::Reach),
+        ]
+    }
+
+    /// Bytes a gluster write of `[offset, offset + bytes)` puts on the wire:
+    /// each stripe unit once per replica reachable from `client`. Bricks
+    /// 8..12 in order, 2 stripes of 128 KiB: stripe `s` lives on `8 + s`
+    /// and `10 + s`.
+    fn write_copies(net: &Network, client: NodeId, offset: u64, bytes: u64) -> u64 {
+        let unit = 128 * 1024;
+        let (mut pos, end, mut copies) = (offset, offset + bytes, 0);
+        while pos < end {
+            let take = ((pos / unit + 1) * unit).min(end) - pos;
+            let s = (pos / unit % 2) as NodeId;
+            let reachable = [8 + s, 10 + s]
+                .iter()
+                .filter(|&&b| net.is_reachable(client, b))
+                .count();
+            copies += take * reachable as u64;
+            pos += take;
+        }
+        copies
+    }
+
+    /// Every ledger and every scope tally.
+    fn wire_state(net: &Network) -> (Vec<TrafficLedger>, [u64; 4]) {
+        let ledgers = (0..net.node_count() as NodeId)
+            .map(|n| net.ledger(n))
+            .collect();
+        (ledgers, LinkScope::ALL.map(|s| net.scope_bytes(s)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever mix of transfer shapes, gluster reads and writes,
+        /// partitions and domain outages runs, Σ tx over the ledgers, Σ rx,
+        /// Σ bytes over the link scopes and Σ bytes the successful steps
+        /// moved stay equal after every step, and a failed step leaves
+        /// every ledger and scope tally as it found them.
+        #[test]
+        fn bytes_are_conserved_on_the_ledger(
+            steps in proptest::collection::vec(step(), 1..60),
+        ) {
+            let topology = TopologyConfig {
+                regions: 1,
+                dcs_per_region: 2,
+                racks_per_dc: 2,
+            };
+            let mut net = Network::with_topology(LinkKind::GbE, 8, 4, topology);
+            let gluster = GlusterVolume::new(GlusterConfig::default(), vec![8, 9, 10, 11]);
+            let mut moved = 0u64;
+            for (i, step) in steps.iter().enumerate() {
+                let before = wire_state(&net);
+                let result = match step {
+                    Step::Unicast(s, d, b) => net.try_unicast(*s, *d, *b).map(|_| *b),
+                    Step::Tree(s, d, b, k) => net
+                        .try_tree_multicast(*s, d, *b, *k)
+                        .map(|_| b * d.len() as u64),
+                    Step::Pipeline(s, d, b) => {
+                        net.try_pipeline(*s, d, *b).map(|_| b * d.len() as u64)
+                    }
+                    Step::GlusterRead(c, o, b) => gluster.try_read(&mut net, *c, *o, *b).map(|_| *b),
+                    Step::GlusterWrite(c, o, b) => {
+                        let copies = write_copies(&net, *c, *o, *b);
+                        gluster.try_write(&mut net, *c, *o, *b).map(|_| copies)
+                    }
+                    Step::Reach(op) => {
+                        match *op {
+                            Op::RackDown(r) => drop(net.rack_down(r)),
+                            Op::RackUp(r) => net.rack_up(r),
+                            Op::DatacenterDown(d) => drop(net.datacenter_down(d)),
+                            Op::DatacenterUp(d) => net.datacenter_up(d),
+                            Op::Partition(a, b) => net.partition(a % IDS, b % IDS),
+                            Op::Heal(a, b) => net.heal(a % IDS, b % IDS),
+                            Op::HealAll => net.heal_all(),
+                        }
+                        Ok(0)
+                    }
+                };
+                match result {
+                    Ok(bytes) => moved += bytes,
+                    Err(e) => prop_assert_eq!(
+                        wire_state(&net),
+                        before,
+                        "step {} ({:?}) failed with {} but charged",
+                        i,
+                        step,
+                        e
+                    ),
+                }
+                let (ledgers, scopes) = wire_state(&net);
+                let tx: u64 = ledgers.iter().map(|l| l.tx_bytes).sum();
+                let rx: u64 = ledgers.iter().map(|l| l.rx_bytes).sum();
+                let scoped: u64 = scopes.iter().sum();
+                prop_assert_eq!(
+                    (tx, rx, scoped),
+                    (moved, moved, moved),
+                    "after step {} ({:?})",
+                    i,
+                    step
+                );
             }
         }
     }

@@ -44,15 +44,48 @@ impl GlusterVolume {
         GlusterVolume { config, bricks }
     }
 
-    /// Bricks serving stripe `s` (one per replica).
-    fn stripe_bricks(&self, s: u32) -> impl Iterator<Item = NodeId> + '_ {
-        let stripe = self.config.stripe;
-        self.bricks
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(move |(i, _)| (*i as u32) % stripe == s)
-            .map(|(_, n)| n)
+    /// Split `[offset, offset + bytes)` over the stripes and pick, for each
+    /// stripe that holds some of it, its replicas reachable from `client`
+    /// (primary first) with the stripe's share of the bytes. Everything a
+    /// transfer could fail on is settled here, so the caller errors before
+    /// charging a byte: a client that is itself a brick is a
+    /// [`NetError::SelfTransfer`], and a stripe with no reachable replica
+    /// is `dead_stripe(primary)`.
+    fn serving(
+        &self,
+        net: &Network,
+        client: NodeId,
+        offset: u64,
+        bytes: u64,
+        dead_stripe: impl Fn(NodeId) -> NetError,
+    ) -> Result<Vec<(Vec<NodeId>, u64)>, NetError> {
+        if self.bricks.contains(&client) {
+            return Err(NetError::SelfTransfer { node: client });
+        }
+        let stripe = self.config.stripe as usize;
+        let unit = self.config.stripe_unit;
+        let mut per_stripe = vec![0u64; stripe];
+        let mut pos = offset;
+        let end = offset + bytes;
+        while pos < end {
+            let take = ((pos / unit + 1) * unit).min(end) - pos;
+            per_stripe[((pos / unit) % stripe as u64) as usize] += take;
+            pos += take;
+        }
+        let mut serving = Vec::new();
+        for (s, &b) in per_stripe.iter().enumerate().filter(|(_, &b)| b > 0) {
+            let reachable: Vec<NodeId> = self.bricks[s..]
+                .iter()
+                .step_by(stripe)
+                .copied()
+                .filter(|&br| net.is_reachable(br, client))
+                .collect();
+            if reachable.is_empty() {
+                return Err(dead_stripe(self.bricks[s]));
+            }
+            serving.push((reachable, b));
+        }
+        Ok(serving)
     }
 
     /// Serve a client read of `bytes` at `offset` for `client`, with
@@ -69,41 +102,15 @@ impl GlusterVolume {
         offset: u64,
         bytes: u64,
     ) -> Result<f64, NetError> {
-        let mut per_stripe = vec![0u64; self.config.stripe as usize];
-        let unit = self.config.stripe_unit;
-        let mut pos = offset;
-        let end = offset + bytes;
-        while pos < end {
-            let chunk_end = ((pos / unit) + 1) * unit;
-            let take = chunk_end.min(end) - pos;
-            let stripe = ((pos / unit) % self.config.stripe as u64) as usize;
-            per_stripe[stripe] += take;
-            pos += take;
-        }
-        // Pick every stripe's serving replica first, so a dead stripe
-        // leaves the ledgers untouched.
-        let mut serving = Vec::new();
-        for (s, &b) in per_stripe.iter().enumerate() {
-            if b == 0 {
-                continue;
+        let serving = self.serving(net, client, offset, bytes, |primary| {
+            NetError::Partitioned {
+                src: primary,
+                dst: client,
             }
-            let primary = self
-                .stripe_bricks(s as u32)
-                .next()
-                .expect("stripe has bricks");
-            let brick = self
-                .stripe_bricks(s as u32)
-                .find(|&br| net.is_reachable(br, client))
-                .ok_or(NetError::Partitioned {
-                    src: primary,
-                    dst: client,
-                })?;
-            serving.push((brick, b));
-        }
+        })?;
         let mut slowest = 0.0f64;
-        for (brick, b) in serving {
-            let report = net.try_unicast(brick, client, b)?;
-            slowest = slowest.max(report.seconds);
+        for (bricks, b) in serving {
+            slowest = slowest.max(net.try_unicast(bricks[0], client, b)?);
         }
         Ok(slowest)
     }
@@ -120,47 +127,16 @@ impl GlusterVolume {
         offset: u64,
         bytes: u64,
     ) -> Result<f64, NetError> {
-        let unit = self.config.stripe_unit;
-        let mut per_stripe = vec![0u64; self.config.stripe as usize];
-        let mut pos = offset;
-        let end = offset + bytes;
-        while pos < end {
-            let chunk_end = ((pos / unit) + 1) * unit;
-            let take = chunk_end.min(end) - pos;
-            let stripe = ((pos / unit) % self.config.stripe as u64) as usize;
-            per_stripe[stripe] += take;
-            pos += take;
-        }
-        // Validate every stripe first so total loss charges nothing.
-        let mut serving: Vec<(Vec<NodeId>, u64)> = Vec::new();
-        for (s, &b) in per_stripe.iter().enumerate() {
-            if b == 0 {
-                continue;
+        let serving = self.serving(net, client, offset, bytes, |primary| {
+            NetError::Partitioned {
+                src: client,
+                dst: primary,
             }
-            let primary = self
-                .stripe_bricks(s as u32)
-                .next()
-                .expect("stripe has bricks");
-            let reachable: Vec<NodeId> = self
-                .stripe_bricks(s as u32)
-                .filter(|&br| net.is_reachable(client, br))
-                .collect();
-            if reachable.is_empty() {
-                return Err(NetError::Partitioned {
-                    src: client,
-                    dst: primary,
-                });
-            }
-            serving.push((reachable, b));
-        }
+        })?;
         let mut slowest = 0.0f64;
         for (bricks, b) in serving {
             for brick in bricks {
-                let secs = net
-                    .try_unicast(client, brick, b)
-                    .expect("reachability was checked")
-                    .seconds;
-                slowest = slowest.max(secs);
+                slowest = slowest.max(net.try_unicast(client, brick, b)?);
             }
         }
         Ok(slowest)
@@ -240,6 +216,21 @@ mod tests {
         let after: u64 = (2..6).map(|n| net.ledger(n).rx_bytes).sum();
         assert_eq!(before, after, "failed write charges nothing");
         net.heal_all();
+    }
+
+    #[test]
+    fn a_brick_client_is_refused_before_any_byte_moves() {
+        let (mut net, vol) = setup();
+        // Brick 4 replicates stripe 0; brick 3 is stripe 1's primary.
+        assert_eq!(
+            vol.try_write(&mut net, 4, 0, 512 * 1024),
+            Err(NetError::SelfTransfer { node: 4 })
+        );
+        assert_eq!(
+            vol.try_read(&mut net, 3, 0, 512 * 1024),
+            Err(NetError::SelfTransfer { node: 3 })
+        );
+        assert!((0..6).all(|n| net.ledger(n) == Default::default()));
     }
 
     #[test]

@@ -95,7 +95,7 @@ cargo test -q --release -p squirrel-bootsim -- \
     compact_layout_replays_like_the_statistical_volume > /dev/null
 cargo test -q --release -p squirrel-core extent_reads_replay_like_the_read_sequence > /dev/null
 
-echo "== lossy delivery: decode-once vs per-copy reference (release, 16 fault seeds) =="
+echo "== lossy delivery: direct apply vs per-copy reference (release, 16 fault seeds) =="
 cargo test -q --release -p squirrel-core decoding_each_distinct_copy_once_matches_the_per_copy_reference > /dev/null
 
 echo "== benchmark package smoke (out-of-workspace, release) =="

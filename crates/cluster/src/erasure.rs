@@ -149,26 +149,6 @@ struct StoredObject {
     stripes: Vec<Vec<Shard>>,
 }
 
-/// Counters accumulated over the volume's lifetime (all updated from the
-/// serial orchestration path — deterministic at any thread count).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EcStats {
-    /// Reads fully served by the k data shards.
-    pub direct_reads: u64,
-    /// Reads that had to reconstruct at least one data shard from parity.
-    pub degraded_reads: u64,
-    /// Data shards rebuilt from parity during reads.
-    pub read_reconstructions: u64,
-    /// Shards re-materialized by repair passes.
-    pub shards_rematerialized: u64,
-    /// Shards relocated out of unreachable domains by repair passes.
-    pub shards_relocated: u64,
-    /// Bytes repair passes moved over the network.
-    pub repair_bytes: u64,
-    /// The subset of `repair_bytes` that crossed a failure-domain boundary.
-    pub cross_domain_repair_bytes: u64,
-}
-
 /// What one read looked like.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EcReadReport {
@@ -205,8 +185,8 @@ pub struct EcRepairReport {
     /// Healthy shards moved out of an unreachable domain.
     pub shards_relocated: u64,
     /// Stripes with fewer than `k` usable donors — left for a later pass
-    /// (or for [`ErasureCodedVolume::rewrite_object`] from an
-    /// authoritative copy).
+    /// (or for a fresh [`ErasureCodedVolume::write`] from an authoritative
+    /// copy).
     pub unrepaired_stripes: u64,
     /// Objects owning at least one unrepaired stripe.
     pub unrepaired_objects: Vec<String>,
@@ -220,7 +200,6 @@ pub struct ErasureCodedVolume {
     /// Storage nodes eligible to host shards, in id order.
     candidates: Vec<NodeId>,
     objects: BTreeMap<String, StoredObject>,
-    stats: EcStats,
 }
 
 impl ErasureCodedVolume {
@@ -246,16 +225,11 @@ impl ErasureCodedVolume {
             config,
             candidates,
             objects: BTreeMap::new(),
-            stats: EcStats::default(),
         }
     }
 
     pub fn config(&self) -> EcConfig {
         self.config
-    }
-
-    pub fn stats(&self) -> EcStats {
-        self.stats
     }
 
     pub fn has_object(&self, name: &str) -> bool {
@@ -288,8 +262,9 @@ impl ErasureCodedVolume {
         fnv1a(name.as_bytes()) ^ (stripe as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
     }
 
-    /// Store `data` as `name`, striping into k data + m parity shards per
-    /// stripe, placed across distinct racks. Shards whose home is
+    /// Store `data` as `name` (replacing any object of that name), striping
+    /// into k data + m parity shards per stripe, placed across distinct
+    /// racks. Shards whose home is
     /// unreachable from `client` are recorded as lost (not silently written
     /// through a partition); the write itself never fails on partitions —
     /// repair re-materializes the losses, exactly like a real object store
@@ -365,7 +340,7 @@ impl ErasureCodedVolume {
     /// other byte; the decoded object is verified against the stored
     /// checksum before it is returned.
     pub fn try_read(
-        &mut self,
+        &self,
         net: &mut Network,
         client: NodeId,
         name: &str,
@@ -435,12 +410,6 @@ impl ErasureCodedVolume {
         out.truncate(obj.len as usize);
         if fnv1a(&out) != obj.checksum {
             return Err(EcError::Corrupt(name.to_string()));
-        }
-        if degraded {
-            self.stats.degraded_reads += 1;
-            self.stats.read_reconstructions += reconstructed;
-        } else {
-            self.stats.direct_reads += 1;
         }
         Ok(EcReadReport {
             data: out,
@@ -621,25 +590,7 @@ impl ErasureCodedVolume {
         report.cross_domain_repair_bytes = net.cross_domain_bytes() - cross_before;
         report.repair_bytes =
             net.scope_bytes(LinkScope::IntraRack) - intra_before + report.cross_domain_repair_bytes;
-        self.stats.shards_rematerialized += report.shards_rematerialized;
-        self.stats.shards_relocated += report.shards_relocated;
-        self.stats.repair_bytes += report.repair_bytes;
-        self.stats.cross_domain_repair_bytes += report.cross_domain_repair_bytes;
         report
-    }
-
-    /// Rewrite `name` wholesale from an authoritative copy (the scVolume
-    /// catalog) — the escape hatch when a stripe lost more than `m` shards
-    /// and parity cannot bring it back.
-    pub fn rewrite_object(
-        &mut self,
-        net: &mut Network,
-        client: NodeId,
-        name: &str,
-        data: &[u8],
-    ) -> Result<EcWriteReport, EcError> {
-        self.objects.remove(name);
-        self.write(net, client, name, data)
     }
 }
 
@@ -680,7 +631,6 @@ mod tests {
         let r = vol.try_read(&mut net, 1, "obj").unwrap();
         assert_eq!(r.data, data);
         assert!(!r.degraded);
-        assert_eq!(vol.stats().direct_reads, 1);
         assert_eq!(vol.object_len("obj"), Some(300_000));
     }
 
@@ -716,7 +666,6 @@ mod tests {
         );
         assert!(degraded.degraded, "rack 0 hosted data shards");
         assert!(degraded.reconstructed > 0);
-        assert!(vol.stats().degraded_reads > 0);
         net.heal_all();
     }
 
@@ -838,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_object_recovers_from_beyond_parity_loss() {
+    fn rewriting_with_write_recovers_from_beyond_parity_loss() {
         let (mut net, mut vol) = setup();
         let data = payload(150_000);
         vol.write(&mut net, 0, "obj", &data).unwrap();
@@ -849,7 +798,7 @@ mod tests {
         let rep = vol.scrub_and_repair(&mut net, 4);
         if rep.unrepaired_stripes > 0 {
             assert_eq!(rep.unrepaired_objects, vec!["obj".to_string()]);
-            vol.rewrite_object(&mut net, 4, "obj", &data).unwrap();
+            vol.write(&mut net, 4, "obj", &data).unwrap();
         }
         assert!(vol.is_clean());
         assert_eq!(vol.try_read(&mut net, 1, "obj").unwrap().data, data);
@@ -866,7 +815,7 @@ mod tests {
 
     #[test]
     fn unknown_object_and_display() {
-        let (mut net, mut vol) = setup();
+        let (mut net, vol) = setup();
         assert!(matches!(
             vol.try_read(&mut net, 0, "ghost"),
             Err(EcError::UnknownObject(_))

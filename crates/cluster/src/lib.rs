@@ -22,7 +22,7 @@ mod rscode;
 mod topology;
 
 pub use erasure::{
-    EcConfig, EcError, EcReadReport, EcRepairReport, EcStats, EcWriteReport, ErasureCodedVolume,
+    EcConfig, EcError, EcReadReport, EcRepairReport, EcWriteReport, ErasureCodedVolume,
 };
 pub use netsim::{LinkKind, NetError, Network, NodeId, NodeRole, TrafficLedger};
 pub use parallelfs::{GlusterConfig, GlusterVolume};

@@ -51,7 +51,8 @@ const HOP_LATENCY_S: f64 = 0.002;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum NetError {
-    /// A transfer was addressed to its own source.
+    /// A transfer was addressed to a node that already holds the payload:
+    /// its own source or an earlier receiver of the same transfer.
     SelfTransfer { node: NodeId },
     /// A node id outside the cluster.
     UnknownNode { node: NodeId, nodes: usize },
@@ -63,7 +64,7 @@ pub enum NetError {
 impl std::fmt::Display for NetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NetError::SelfTransfer { node } => write!(f, "node {node} transfer to itself"),
+            NetError::SelfTransfer { node } => write!(f, "node {node} already holds the payload"),
             NetError::UnknownNode { node, nodes } => {
                 write!(f, "unknown node {node} (cluster has {nodes})")
             }
@@ -342,19 +343,21 @@ impl Network {
     /// Validate every `(from, to)` edge of a transfer out of `src`, then
     /// charge each one full payload copy: both ledgers, the per-scope byte
     /// tallies and the byte counters. Fails before any byte is charged on
-    /// the first edge that is a self-transfer or leads back into `src`,
-    /// names an unknown node, or crosses a cut link. Returns the slowest
-    /// edge's seconds: one payload copy over that edge, scaled by the
-    /// highest failure-domain boundary it crosses (intra-rack < cross-rack
-    /// < cross-DC < cross-region).
+    /// the first edge into a node that already holds the payload (its own
+    /// sender, `src` or an earlier receiver), that names an unknown node,
+    /// or that crosses a cut link. Returns the slowest edge's seconds: one
+    /// payload copy over that edge, scaled by the highest failure-domain
+    /// boundary it crosses (intra-rack < cross-rack < cross-DC <
+    /// cross-region).
     fn charge(
         &mut self,
         src: NodeId,
         edges: impl Iterator<Item = (NodeId, NodeId)> + Clone,
         bytes: u64,
     ) -> Result<f64, NetError> {
+        let mut holders = std::collections::BTreeSet::from([src]);
         for (from, to) in edges.clone() {
-            if to == from || to == src {
+            if to == from || !holders.insert(to) {
                 return Err(NetError::SelfTransfer { node: to });
             }
             self.check_node(from)?;
@@ -660,9 +663,20 @@ mod tests {
             Err(NetError::SelfTransfer { node: 4 })
         );
         assert_eq!(wire_totals(&four), (0, 0, 0));
+        // A receiver listed twice would be charged twice: refused the same
+        // way, on its second listing, before any byte moves.
+        assert_eq!(
+            four.try_pipeline(4, &[0, 1, 0], 10),
+            Err(NetError::SelfTransfer { node: 0 })
+        );
+        assert_eq!(
+            four.try_tree_multicast(4, &[1, 1], 10, 4),
+            Err(NetError::SelfTransfer { node: 1 })
+        );
+        assert_eq!(wire_totals(&four), (0, 0, 0));
         // Errors render through Display and implement Error.
         let e: Box<dyn std::error::Error> = Box::new(NetError::SelfTransfer { node: 7 });
-        assert_eq!(e.to_string(), "node 7 transfer to itself");
+        assert_eq!(e.to_string(), "node 7 already holds the payload");
     }
 
     #[test]
@@ -1169,6 +1183,15 @@ mod proptests {
                         Ok(0)
                     }
                 };
+                if let Step::Tree(_, d, ..) | Step::Pipeline(_, d, _) = step {
+                    let repeated = d.iter().enumerate().any(|(j, n)| d[..j].contains(n));
+                    prop_assert!(
+                        !repeated || result.is_err(),
+                        "step {} ({:?}) charged a receiver twice",
+                        i,
+                        step
+                    );
+                }
                 match result {
                     Ok(bytes) => moved += bytes,
                     Err(e) => prop_assert_eq!(

@@ -57,7 +57,7 @@ pub use fleet::{
     run_fleet, run_fleet_with_metrics, soak_fleet, FleetConfig, FleetDay, FleetReport,
 };
 pub use sched::{EventQueue, Scheduled};
-pub use squirrel_cluster::{EcRepairReport, EcStats, TopologyConfig};
+pub use squirrel_cluster::{EcRepairReport, TopologyConfig};
 pub use squirrel_faults::{FaultConfig, FaultPlan, FaultReport};
 pub use system::{
     ArcStats, BootOutcome, BootStormReport, BootVerification, BudgetReport, Convergence,

@@ -1,18 +1,17 @@
 //! Discrete-event scheduler core.
 //!
-//! A minimal, fully deterministic event queue: a binary heap ordered by
+//! A minimal, fully deterministic event queue: an ordered map keyed by
 //! `(time_ms, seq)` where `seq` is a monotonic insertion counter. Two events
 //! at the same simulated instant therefore fire in the order they were
-//! scheduled — the tie-break is part of the contract, not an accident of
-//! heap layout. Nothing here consults wall clocks or ambient randomness;
-//! simulated time is whatever the driver pushes.
+//! scheduled — the tie-break is the key itself. Nothing here consults wall
+//! clocks or ambient randomness; simulated time is whatever the driver
+//! pushes.
 //!
 //! The queue is the substrate of [`crate::fleet`]'s long-horizon soak, but
 //! it is deliberately payload-generic so boot-storm scripts, chaos drivers
 //! or future `bootsim`/`cluster` schedulers can reuse it.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// One event popped from the queue: when it was scheduled to fire, its
 /// insertion sequence number, and the payload.
@@ -25,45 +24,18 @@ pub struct Scheduled<E> {
     pub event: E,
 }
 
-/// Heap entry. Ordering reads *only* `(time_ms, seq)`: the payload never
-/// participates, so `E` needs no `Ord` bound and equal-time events pop in
-/// insertion order.
-struct Entry<E> {
-    time_ms: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.time_ms, self.seq) == (other.time_ms, other.seq)
-    }
-}
-
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time_ms, self.seq).cmp(&(other.time_ms, other.seq))
-    }
-}
-
 /// Deterministic discrete-event queue over payloads of type `E`.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Keyed by `(time_ms, seq)`: the payload never participates in the
+    /// order, so `E` needs no `Ord` bound.
+    events: BTreeMap<(u64, u64), E>,
     next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            events: BTreeMap::new(),
             next_seq: 0,
         }
     }
@@ -73,29 +45,27 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time_ms: u64, event: E) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Entry {
-            time_ms,
-            seq,
-            event,
-        }));
+        self.events.insert((time_ms, seq), event);
         seq
     }
 
     /// Pop the next event: smallest `time_ms`, ties by insertion order.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop().map(|Reverse(e)| Scheduled {
-            time_ms: e.time_ms,
-            seq: e.seq,
-            event: e.event,
-        })
+        self.events
+            .pop_first()
+            .map(|((time_ms, seq), event)| Scheduled {
+                time_ms,
+                seq,
+                event,
+            })
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 }
 

@@ -197,7 +197,7 @@ impl Squirrel {
     /// replicated gluster volume serves the raw bytes. Returns the bytes
     /// that crossed the network.
     fn shared_read(&mut self, node: NodeId, image: ImageId) -> Result<u64, SquirrelError> {
-        if let Some(ec) = self.ec.as_mut() {
+        if let Some(ec) = self.ec.as_ref() {
             let name = Self::cache_file_name(image);
             if ec.has_object(&name) {
                 let r = ec

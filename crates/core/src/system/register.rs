@@ -11,7 +11,6 @@ use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
 use squirrel_faults::{FaultPlan, TransferFault};
 use squirrel_zfs::{RecvError, SendStream, ZPool};
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How one receiver's `recv` outcome is treated — shared by the faulty and
@@ -27,24 +26,6 @@ enum RecvDisposition {
     /// Transient rejection (corrupt payload, unresolvable pointer): worth
     /// a bounded retry under a fault plan, fatal on the clean path.
     Retryable(RecvError),
-}
-
-/// `copy`, decoded off the wire, with each payload block whose key and
-/// bytes equal `sent`'s block at the same position holding `sent`'s frame
-/// instead of its own: one buffer, so one proof, for the sender and every
-/// receiver. A block that differs keeps its own frame and is proved on its
-/// own.
-fn sent_frames(mut copy: SendStream, sent: &SendStream) -> SendStream {
-    for (got, sent) in copy.payload.iter_mut().zip(&sent.payload) {
-        let same = match (&got.data, &sent.data) {
-            (Some(a), Some(b)) => got.key == sent.key && a[..] == b[..],
-            _ => false,
-        };
-        if same {
-            got.data.clone_from(&sent.data);
-        }
-    }
-    copy
 }
 
 fn classify_recv(result: Result<(), RecvError>) -> RecvDisposition {
@@ -472,12 +453,12 @@ impl Squirrel {
     /// stream earlier in this call donates to later receivers (nearest
     /// reachable donor; the storage tier is the fallback). Nodes whose
     /// delivery is abandoned stay lagging; the repair workflow
-    /// ([`Self::repair_replication`]) catches them up. Every copy that
-    /// arrives unflipped is the frame sent, so the first attempt to get that
-    /// far decodes it for all receivers, and each payload block whose key
-    /// and bytes equal the sent block's takes the sender's own frame: the
-    /// one proof lands on the scVolume's frames, which every receiver, every
-    /// later full-replication rejoin and every storm then share.
+    /// ([`Self::repair_replication`]) catches them up. A copy that arrives
+    /// unflipped is the stream sent, so it is applied as `stream` itself:
+    /// the one proof lands on the scVolume's frames, which every receiver,
+    /// every later full-replication rejoin and every storm then share. A
+    /// flipped copy is refused by its frame digest, which a debug build
+    /// checks on every flip.
     fn deliver_with_faults(
         &mut self,
         plan: &mut FaultPlan,
@@ -490,9 +471,7 @@ impl Squirrel {
         }
         let storage_src = self.config.storage_root();
         let peer_policy = self.config.distribution == DistributionPolicy::PeerAssisted;
-        let framed = stream.encode_framed();
         let wire = stream.wire_bytes();
-        let decoded = OnceCell::new();
         let mut proof = None;
         let mut updated = 0u32;
         let mut secs = 0.0f64;
@@ -544,20 +523,22 @@ impl Squirrel {
                 }
                 // In-flight corruption: flip one bit of this node's copy. The
                 // frame's magic and digest cover every bit, so it is refused.
-                if let Some(bit) = plan.stream_corruption(framed.len()) {
+                // The draw takes one word at any nonzero length.
+                if let Some(bit) = plan.stream_corruption(wire as usize) {
                     self.obs.inc("squirrel_fault_stream_corruptions_total");
-                    let mut bytes = framed.clone();
-                    bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-                    let rejected = SendStream::decode_framed(&bytes).is_err();
-                    debug_assert!(rejected, "a flipped frame decoded");
+                    debug_assert!(
+                        {
+                            let mut bytes = stream.encode_framed();
+                            let bit = bit % (8 * bytes.len() as u64);
+                            bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+                            SendStream::decode_framed(&bytes).is_err()
+                        },
+                        "a flipped frame decoded"
+                    );
                     continue;
                 }
-                let decode = || SendStream::decode_framed(&framed).map(|c| sent_frames(c, stream));
-                let Ok(copy) = decoded.get_or_init(decode) else {
-                    continue;
-                };
                 let ccvol = &mut self.nodes[node as usize].ccvol;
-                let verified = proof.get_or_insert_with(|| ccvol.verify(copy));
+                let verified = proof.get_or_insert_with(|| ccvol.verify(stream));
                 if plan.crash_mid_recv() {
                     // Die before the apply phase: the pool is untouched and
                     // the retry starts clean.
@@ -568,7 +549,7 @@ impl Squirrel {
                 // each node's own full check, position errors first.
                 let result = match verified {
                     Ok(v) => ccvol.recv_verified(v),
-                    Err(_) => ccvol.recv(copy),
+                    Err(_) => ccvol.recv(stream),
                 };
                 match classify_recv(result) {
                     RecvDisposition::Delivered => {
@@ -607,9 +588,9 @@ impl Squirrel {
     }
 
     /// [`Self::deliver_with_faults`] as first written — every attempt
-    /// clones, decodes and proves its own copy of the frame — kept as the
-    /// reference the decode-once executor must equal in everything but what
-    /// the proofs count.
+    /// clones, flips, decodes and proves its own copy of the frame — kept as
+    /// the reference the direct-apply executor must equal in everything but
+    /// what the proofs count.
     #[cfg(test)]
     fn deliver_with_faults_per_copy(
         &mut self,

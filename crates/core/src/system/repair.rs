@@ -9,7 +9,7 @@ use super::{
     SyncRepairReport,
 };
 use super::{Source, Squirrel};
-use squirrel_cluster::{EcRepairReport, EcStats, ErasureCodedVolume, NodeId};
+use squirrel_cluster::{EcRepairReport, ErasureCodedVolume, NodeId};
 use squirrel_faults::{ChurnEvent, PartitionEvent};
 #[cfg(doc)]
 use squirrel_zfs::ZPool;
@@ -148,7 +148,7 @@ impl Squirrel {
                 .is_some_and(|img| {
                     let (_, blocks) = self.materialize_cache(img);
                     let payload = Self::ec_payload(&blocks);
-                    ec.rewrite_object(&mut self.net, coordinator, &name, &payload)
+                    ec.write(&mut self.net, coordinator, &name, &payload)
                         .is_ok()
                 });
             if !rewritten {
@@ -175,11 +175,6 @@ impl Squirrel {
     /// own scrub.
     pub fn shared_storage_clean(&self) -> bool {
         self.ec.as_ref().is_none_or(ErasureCodedVolume::is_clean)
-    }
-
-    /// Lifetime counters of the erasure-coded tier; `None` when replicated.
-    pub fn ec_stats(&self) -> Option<EcStats> {
-        self.ec.as_ref().map(ErasureCodedVolume::stats)
     }
 
     /// Fault hook: flip one byte of the `nth` stored erasure shard (mod the
@@ -426,10 +421,15 @@ mod tests {
         // least one of the object's shards lives there.
         assert!(sq.evict_cache(1, 0).expect("evict").was_cached);
         assert!(sq.rack_down(3) > 0);
+        sq.network_mut().reset_ledgers();
         let boot = sq.boot(1, 0).expect("cold boot through rack loss");
         assert!(!boot.warm);
-        let stats = sq.ec_stats().expect("ec tier armed");
-        assert_eq!(stats.direct_reads + stats.degraded_reads, 1);
+        // Gluster's bricks are the first four storage nodes; the rest hold
+        // only erasure shards, so their uplinks show the EC tier served.
+        let root = sq.config().storage_root();
+        let shard_only = root + 4..root + sq.config().storage_nodes;
+        let ec_tx: u64 = shard_only.map(|n| sq.network().ledger(n).tx_bytes).sum();
+        assert!(ec_tx > 0, "the cold boot read no erasure shard");
         // The scrub pass re-homes the stranded shards onto surviving
         // racks, leaving the tier clean even while rack 3 is still dark.
         let rep = sq.repair_shared_storage().expect("ec repair report");

@@ -225,7 +225,10 @@ mod tests {
     fn cdc_strategy_matches_direct_boundaries() {
         let data: Vec<u8> = (0..20_000u32).map(|i| (i * 31 % 251) as u8).collect();
         let p = CdcParams::with_average(1024).with_gear_seed(3);
-        assert_eq!(ChunkStrategy::Cdc(p).chunks(&data), chunk_boundaries(&data, &p));
+        assert_eq!(
+            ChunkStrategy::Cdc(p).chunks(&data),
+            chunk_boundaries(&data, &p)
+        );
     }
 
     #[test]
@@ -246,7 +249,9 @@ mod tests {
     #[test]
     fn boundaries_survive_prefix_insertion() {
         // The CDC selling point: shifting content re-synchronizes.
-        let data: Vec<u8> = (0..60_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8).collect();
+        let data: Vec<u8> = (0..60_000u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
         let params = CdcParams::with_average(2048).with_gear_seed(9);
         let mut shifted = vec![0xEEu8; 37];
         shifted.extend_from_slice(&data);

@@ -14,7 +14,7 @@ pub mod par;
 pub mod rng;
 mod sha256;
 
-pub use fast::{FnvBuildHasher, FnvHashMap, FnvHashSet, Fnv1a64};
+pub use fast::{Fnv1a64, FnvBuildHasher, FnvHashMap, FnvHashSet};
 pub use sha256::{sha256, Sha256};
 
 /// Word-wise all-zero test, the fast path of ZFS-style zero-block elision.

@@ -32,7 +32,9 @@ pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         static CORES: OnceLock<usize> = OnceLock::new();
         *CORES.get_or_init(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         })
     } else {
         threads
@@ -168,7 +170,12 @@ impl Drop for PoolCore {
             st.shutdown = true;
             self.inner.work_cv.notify_all();
         }
-        for h in self.handles.lock().expect("pool handles poisoned").drain(..) {
+        for h in self
+            .handles
+            .lock()
+            .expect("pool handles poisoned")
+            .drain(..)
+        {
             let _ = h.join();
         }
     }
@@ -236,7 +243,12 @@ impl WorkerPool {
     /// Persistent threads currently alive (diagnostic; `0` until the first
     /// multi-worker dispatch).
     pub fn spawned_workers(&self) -> usize {
-        self.core.inner.state.lock().expect("pool state poisoned").spawned
+        self.core
+            .inner
+            .state
+            .lock()
+            .expect("pool state poisoned")
+            .spawned
     }
 
     /// Run `work(w)` exactly once for every index `w` in `0..workers`,
@@ -333,7 +345,11 @@ impl WorkerPool {
                     .name(format!("squirrel-pool-{w}"))
                     .spawn(move || worker_loop(&worker_inner, w))
                     .expect("spawn pool worker");
-                self.core.handles.lock().expect("pool handles poisoned").push(handle);
+                self.core
+                    .handles
+                    .lock()
+                    .expect("pool handles poisoned")
+                    .push(handle);
                 st.spawned += 1;
             }
             // SAFETY: lifetime erasure only — a worker takes the pointer
@@ -341,8 +357,7 @@ impl WorkerPool {
             // `dispatch` withdraws the pointer and waits for `active == 0`
             // under the same lock before it returns, so the erased borrow
             // never outlives the referent.
-            let erased: &'static (dyn Fn() + Sync) =
-                unsafe { std::mem::transmute(job) };
+            let erased: &'static (dyn Fn() + Sync) = unsafe { std::mem::transmute(job) };
             st.job = Some(Job(erased as *const _));
             st.epoch += 1;
             st.limit = participants;
@@ -514,7 +529,10 @@ mod tests {
         let expect: Vec<u64> = items.iter().map(|&x| x + 1).collect();
         assert_eq!(pool.parallel_map(&items, heavy, |_, &x| x + 1), expect);
         let spawned = pool.spawned_workers();
-        assert!((1..=3).contains(&spawned), "caller is worker 0, got {spawned}");
+        assert!(
+            (1..=3).contains(&spawned),
+            "caller is worker 0, got {spawned}"
+        );
         // ...and later batches reuse the same workers.
         for _ in 0..5 {
             assert_eq!(pool.parallel_map(&items, heavy, |_, &x| x + 1), expect);
@@ -595,7 +613,11 @@ mod tests {
         let spawned = pool.spawned_workers();
         assert_eq!(spawned, 1);
         clone.parallel_map(&items, heavy, |_, &x| x);
-        assert_eq!(clone.spawned_workers(), spawned, "clone reuses the same threads");
+        assert_eq!(
+            clone.spawned_workers(),
+            spawned,
+            "clone reuses the same threads"
+        );
     }
 
     #[test]
@@ -611,7 +633,10 @@ mod tests {
                 + x
         });
         let nested_sum: u32 = (0..40).sum();
-        assert_eq!(out, outer.iter().map(|&x| nested_sum + x).collect::<Vec<_>>());
+        assert_eq!(
+            out,
+            outer.iter().map(|&x| nested_sum + x).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -85,19 +85,39 @@ mod tests {
         let first4 = |mut rng: SplitMix64| -> [u64; 4] { std::array::from_fn(|_| rng.next_u64()) };
         assert_eq!(
             first4(SplitMix64::new(0)),
-            [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec]
+            [
+                0xe220a8397b1dcdaf,
+                0x6e789e6aa1b965f4,
+                0x06c45d188009454f,
+                0xf88bb8a8724c81ec
+            ]
         );
         assert_eq!(
             first4(SplitMix64::from_parts(&[1, 2])),
-            [0xc27fadf4bf92d7ee, 0x0e763aa6afdcdc79, 0x328f95e27d5a75a7, 0xb3fb7abd72dd930e]
+            [
+                0xc27fadf4bf92d7ee,
+                0x0e763aa6afdcdc79,
+                0x328f95e27d5a75a7,
+                0xb3fb7abd72dd930e
+            ]
         );
         assert_eq!(
             crate::cdc::gear_table(1)[..4],
-            [0x0efcedce449630da, 0x75b1fb650984b44d, 0x653dff3ad431b53d, 0xe6114bf5300a8c02]
+            [
+                0x0efcedce449630da,
+                0x75b1fb650984b44d,
+                0x653dff3ad431b53d,
+                0xe6114bf5300a8c02
+            ]
         );
         assert_eq!(
             crate::cdc::gear_table(7)[..4],
-            [0x6a8eaa9f22bd050c, 0xa643e317c42646ed, 0xccbbfd9ee5771341, 0xe2b4a7790444a285]
+            [
+                0x6a8eaa9f22bd050c,
+                0xa643e317c42646ed,
+                0xccbbfd9ee5771341,
+                0xe2b4a7790444a285
+            ]
         );
     }
 

@@ -50,7 +50,12 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Fresh hasher with the standard initialization vector.
     pub fn new() -> Self {
-        Sha256 { state: H0, len: 0, buf: [0; 64], buf_len: 0 }
+        Sha256 {
+            state: H0,
+            len: 0,
+            buf: [0; 64],
+            buf_len: 0,
+        }
     }
 
     /// Absorb `data`.
@@ -218,7 +223,9 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if x86::ShaNi::detect().is_some() {
             return Some(|state, blocks| {
-                x86::ShaNi::detect().expect("detected above").compress_blocks(state, blocks)
+                x86::ShaNi::detect()
+                    .expect("detected above")
+                    .compress_blocks(state, blocks)
             });
         }
         eprintln!("skip: no SHA extensions on this CPU, SHA-NI half not run");
@@ -256,13 +263,22 @@ mod tests {
     fn nist_vectors_hold_on_both_routines() {
         let million_a = vec![b'a'; 1_000_000];
         let vectors: [(&[u8], &str); 4] = [
-            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
             (
                 b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
                 "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
             ),
-            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+            (
+                &million_a,
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
         ];
         let routines = [Some(compress_blocks_scalar as BlockFn), sha_ni_routine()];
         for (which, routine) in routines.into_iter().enumerate() {
@@ -276,7 +292,9 @@ mod tests {
 
     #[test]
     fn sha_ni_equals_scalar_on_random_inputs() {
-        let Some(sha_ni) = sha_ni_routine() else { return };
+        let Some(sha_ni) = sha_ni_routine() else {
+            return;
+        };
         let lengths = (0..=300).chain([4 << 10, 64 << 10, 1 << 20]);
         for len in lengths {
             let data = pseudo_random(len, 0x5eed ^ len as u64);

@@ -96,7 +96,12 @@ fn compress_blocks_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
     // first; shuffle in once per call and back out once at the end.
     let state_ptr = state.as_mut_ptr().cast::<__m128i>();
     // SAFETY: `state` is 32 bytes: two unaligned 16-byte loads, in bounds.
-    let (dcba, hgfe) = unsafe { (_mm_loadu_si128(state_ptr), _mm_loadu_si128(state_ptr.add(1))) };
+    let (dcba, hgfe) = unsafe {
+        (
+            _mm_loadu_si128(state_ptr),
+            _mm_loadu_si128(state_ptr.add(1)),
+        )
+    };
     let cdab = _mm_shuffle_epi32(dcba, 0xB1);
     let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
     let mut abef = _mm_alignr_epi8(cdab, efgh, 8);

@@ -34,7 +34,9 @@ struct FaultRng {
 
 impl FaultRng {
     fn new(seed: u64) -> Self {
-        FaultRng { state: seed ^ 0x5bd1_e995_9d1b_58d3 }
+        FaultRng {
+            state: seed ^ 0x5bd1_e995_9d1b_58d3,
+        }
     }
 
     #[inline]
@@ -286,7 +288,12 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     pub fn new(seed: u64, config: FaultConfig) -> Self {
-        FaultPlan { seed, rng: FaultRng::new(seed), config, report: FaultReport::default() }
+        FaultPlan {
+            seed,
+            rng: FaultRng::new(seed),
+            config,
+            report: FaultReport::default(),
+        }
     }
 
     /// A plan that injects nothing (all probabilities zero) but still
@@ -357,7 +364,11 @@ impl FaultPlan {
         self.report.block_corruptions += 1;
         // One draw in [0, nodes]: the last value targets the scVolume.
         let pick = self.rng.below(nodes as u64 + 1);
-        let victim = if pick == nodes as u64 { None } else { Some(pick as NodeId) };
+        let victim = if pick == nodes as u64 {
+            None
+        } else {
+            Some(pick as NodeId)
+        };
         Some((victim, self.rng.next_u64()))
     }
 
@@ -539,11 +550,19 @@ mod tests {
     fn stream_corruption_picks_one_bit_of_the_stream() {
         let mut p = FaultPlan::new(
             9,
-            FaultConfig { stream_corrupt_prob: 1.0, ..FaultConfig::default() },
+            FaultConfig {
+                stream_corrupt_prob: 1.0,
+                ..FaultConfig::default()
+            },
         );
-        let bits: Vec<u64> = (0..64).map(|_| p.stream_corruption(128).expect("certain")).collect();
+        let bits: Vec<u64> = (0..64)
+            .map(|_| p.stream_corruption(128).expect("certain"))
+            .collect();
         assert!(bits.iter().all(|&b| b < 128 * 8), "{bits:?}");
-        assert!(bits.iter().any(|&b| b != bits[0]), "the bit is drawn, not fixed");
+        assert!(
+            bits.iter().any(|&b| b != bits[0]),
+            "the bit is drawn, not fixed"
+        );
         // Empty input: nothing to flip, nothing drawn, nothing counted.
         let next = p.clone().stream_corruption(128);
         assert_eq!(p.stream_corruption(0), None);

@@ -212,7 +212,11 @@ fn worker_pass(
             }
         }
     }
-    WorkerResult { map, nonzero_blocks, nonzero_byte_sum }
+    WorkerResult {
+        map,
+        nonzero_blocks,
+        nonzero_byte_sum,
+    }
 }
 
 /// Unique blocks measured whatever the coin says: the smallest digests.
@@ -225,7 +229,11 @@ fn want_sample(h: u128) -> bool {
     ((h >> 64) as u64).is_multiple_of(16)
 }
 
-fn merge(block_size: usize, results: Vec<WorkerResult>, sampling: CompressionSampling) -> SweepStats {
+fn merge(
+    block_size: usize,
+    results: Vec<WorkerResult>,
+    sampling: CompressionSampling,
+) -> SweepStats {
     let mut map: FnvHashMap<u128, BlockInfo> = FnvHashMap::default();
     let mut nonzero_blocks = 0u64;
     let mut nonzero_byte_sum = 0u64;
@@ -282,8 +290,11 @@ fn merge(block_size: usize, results: Vec<WorkerResult>, sampling: CompressionSam
         .collect();
     let frac_n = sampled.len() as u64;
     // Fallback: `max_blocks == 0` measures nothing.
-    let mean_compressed_fraction =
-        if frac_n > 0 { sampled.iter().sum::<f64>() / frac_n as f64 } else { 1.0 };
+    let mean_compressed_fraction = if frac_n > 0 {
+        sampled.iter().sum::<f64>() / frac_n as f64
+    } else {
+        1.0
+    };
 
     SweepStats {
         block_size,
@@ -299,8 +310,22 @@ fn merge(block_size: usize, results: Vec<WorkerResult>, sampling: CompressionSam
 }
 
 /// Convenience full-accuracy sweep for small test corpora.
-pub fn sweep_exact(corpus: &Corpus, set: ContentSet, block_size: usize, codec: Codec) -> SweepStats {
-    sweep(corpus, set, block_size, codec, CompressionSampling { max_blocks: usize::MAX }, 0)
+pub fn sweep_exact(
+    corpus: &Corpus,
+    set: ContentSet,
+    block_size: usize,
+    codec: Codec,
+) -> SweepStats {
+    sweep(
+        corpus,
+        set,
+        block_size,
+        codec,
+        CompressionSampling {
+            max_blocks: usize::MAX,
+        },
+        0,
+    )
 }
 
 #[cfg(test)]
@@ -345,7 +370,11 @@ mod tests {
             caches.cross_similarity(),
             imgs.cross_similarity()
         );
-        assert!(caches.cross_similarity() > 0.4, "{}", caches.cross_similarity());
+        assert!(
+            caches.cross_similarity() > 0.4,
+            "{}",
+            caches.cross_similarity()
+        );
     }
 
     #[test]
@@ -389,7 +418,9 @@ mod tests {
         // way of choosing what is measured: nothing, the digest sample
         // (floor + coin + cap), everything.
         let c = corpus();
-        let exact = CompressionSampling { max_blocks: usize::MAX };
+        let exact = CompressionSampling {
+            max_blocks: usize::MAX,
+        };
         for (codec, sampling) in [
             (Codec::Off, CompressionSampling::default()),
             (Codec::Gzip(6), CompressionSampling::default()),
@@ -399,13 +430,21 @@ mod tests {
             let at = |threads| {
                 let s = sweep(&c, ContentSet::Caches, 4096, codec, sampling, threads);
                 (
-                    (s.nonzero_blocks, s.nonzero_byte_sum, s.unique_blocks, s.unique_byte_sum),
+                    (
+                        s.nonzero_blocks,
+                        s.nonzero_byte_sum,
+                        s.unique_blocks,
+                        s.unique_byte_sum,
+                    ),
                     (s.cross_repetitions, s.per_image_unique_sum),
                     (s.mean_compressed_fraction.to_bits(), s.compression_samples),
                 )
             };
             let serial = at(1);
-            assert!(serial.2 .1 > SAMPLE_FLOOR as u64, "{codec:?}: the coin sampled too");
+            assert!(
+                serial.2 .1 > SAMPLE_FLOOR as u64,
+                "{codec:?}: the coin sampled too"
+            );
             assert_eq!(at(2), serial, "{codec:?} {sampling:?} at 2 threads");
             assert_eq!(at(8), serial, "{codec:?} {sampling:?} at 8 threads");
         }

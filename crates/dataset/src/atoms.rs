@@ -44,7 +44,11 @@ pub enum AtomGroup {
     /// a release's boot content (kernel update, common tweak). The pool is
     /// finite, so late images mostly reuse existing variants — the source
     /// of the saturating memory curves in the paper's Figures 16–17.
-    Variant { family: OsFamily, release: u32, variant: u32 },
+    Variant {
+        family: OsFamily,
+        release: u32,
+        variant: u32,
+    },
     /// Private to one image; `stream` separates independent unique ranges.
     Unique { image: u32, stream: u32 },
 }
@@ -59,11 +63,12 @@ impl AtomGroup {
             AtomGroup::Common => 0x02_0000,
             AtomGroup::Lib { family } => 0x03_0000 | family as u64,
             AtomGroup::Pkg => 0x04_0000,
-            AtomGroup::Variant { family, release, variant } => {
-                0x06_0000_0000
-                    | ((family as u64) << 24)
-                    | ((release as u64) << 16)
-                    | variant as u64
+            AtomGroup::Variant {
+                family,
+                release,
+                variant,
+            } => {
+                0x06_0000_0000 | ((family as u64) << 24) | ((release as u64) << 16) | variant as u64
             }
             AtomGroup::Unique { image, stream } => {
                 0x05_0000_0000 | ((image as u64) << 12) | stream as u64
@@ -85,7 +90,10 @@ pub const INHERIT_SEGMENT_ATOMS: u64 = 128;
 #[inline]
 pub fn resolve_atom(group: AtomGroup, idx: u64) -> (AtomGroup, u64) {
     match group {
-        AtomGroup::Base { family, mut release } => {
+        AtomGroup::Base {
+            family,
+            mut release,
+        } => {
             let seg = idx / INHERIT_SEGMENT_ATOMS;
             let mut coin = SplitMix64::from_parts(&[0xba5e, family as u64, seg]);
             // The cross-family pool is Linux userland; Windows shares none
@@ -243,12 +251,22 @@ mod tests {
     fn any_group(kind: u8, a: u32, b: u32, c: u32) -> AtomGroup {
         let family = OsFamily::ALL[a as usize % OsFamily::ALL.len()];
         match kind {
-            0 => AtomGroup::Base { family, release: b % 12 },
+            0 => AtomGroup::Base {
+                family,
+                release: b % 12,
+            },
             1 => AtomGroup::Common,
             2 => AtomGroup::Lib { family },
             3 => AtomGroup::Pkg,
-            4 => AtomGroup::Variant { family, release: b % 12, variant: c % 64 },
-            _ => AtomGroup::Unique { image: b % 4096, stream: c % 4096 },
+            4 => AtomGroup::Variant {
+                family,
+                release: b % 12,
+                variant: c % 64,
+            },
+            _ => AtomGroup::Unique {
+                image: b % 4096,
+                stream: c % 4096,
+            },
         }
     }
 
@@ -296,7 +314,10 @@ mod tests {
         // The boundary, exactly: the largest 53-bit draw below the
         // threshold passes `unit_f64() < p`, the threshold itself fails.
         let unit = |m: u64| m as f64 / (1u64 << 53) as f64;
-        for (p, threshold) in [(WORD_PROB, WORD_THRESHOLD), (LOCAL_REPEAT, LOCAL_REPEAT_THRESHOLD)] {
+        for (p, threshold) in [
+            (WORD_PROB, WORD_THRESHOLD),
+            (LOCAL_REPEAT, LOCAL_REPEAT_THRESHOLD),
+        ] {
             assert!(unit(threshold - 1) < p && unit(threshold) >= p, "p = {p}");
         }
         assert_eq!(chance_threshold(0.0), 0);
@@ -305,7 +326,10 @@ mod tests {
         // And on a stream of draws.
         let mut rng = SplitMix64::new(40);
         for _ in 0..10_000 {
-            for (p, threshold) in [(WORD_PROB, WORD_THRESHOLD), (LOCAL_REPEAT, LOCAL_REPEAT_THRESHOLD)] {
+            for (p, threshold) in [
+                (WORD_PROB, WORD_THRESHOLD),
+                (LOCAL_REPEAT, LOCAL_REPEAT_THRESHOLD),
+            ] {
                 assert_eq!(draw_below(&mut rng.clone(), threshold), rng.chance(p));
             }
         }
@@ -313,7 +337,9 @@ mod tests {
 
     #[test]
     fn atoms_are_deterministic() {
-        let g = AtomGroup::Lib { family: OsFamily::Ubuntu };
+        let g = AtomGroup::Lib {
+            family: OsFamily::Ubuntu,
+        };
         assert_eq!(atom(g, 5), atom(g, 5));
         assert_ne!(atom(g, 5), atom(g, 6));
     }
@@ -322,7 +348,13 @@ mod tests {
     fn groups_produce_distinct_content() {
         let a = atom(AtomGroup::Common, 1);
         let b = atom(AtomGroup::Pkg, 1);
-        let c = atom(AtomGroup::Unique { image: 3, stream: 0 }, 1);
+        let c = atom(
+            AtomGroup::Unique {
+                image: 3,
+                stream: 0,
+            },
+            1,
+        );
         assert_ne!(a, b);
         assert_ne!(a, c);
         assert_ne!(b, c);
@@ -338,8 +370,20 @@ mod tests {
         let share = |r1: u32, r2: u32| {
             let mut same = 0;
             for idx in 0..n {
-                let a = resolve_atom(AtomGroup::Base { family: f, release: r1 }, idx);
-                let b = resolve_atom(AtomGroup::Base { family: f, release: r2 }, idx);
+                let a = resolve_atom(
+                    AtomGroup::Base {
+                        family: f,
+                        release: r1,
+                    },
+                    idx,
+                );
+                let b = resolve_atom(
+                    AtomGroup::Base {
+                        family: f,
+                        release: r2,
+                    },
+                    idx,
+                );
                 if a == b {
                     same += 1;
                 }
@@ -349,7 +393,10 @@ mod tests {
         let adjacent = share(4, 5);
         let distant = share(0, 7);
         assert!(adjacent > 0.45, "adjacent {adjacent}");
-        assert!(distant < adjacent, "distant {distant} vs adjacent {adjacent}");
+        assert!(
+            distant < adjacent,
+            "distant {distant} vs adjacent {adjacent}"
+        );
         assert!(share(3, 3) == 1.0);
     }
 
@@ -358,8 +405,20 @@ mod tests {
         let n = 200 * INHERIT_SEGMENT_ATOMS;
         let mut same = 0u64;
         for idx in 0..n {
-            let a = resolve_atom(AtomGroup::Base { family: OsFamily::Ubuntu, release: 0 }, idx);
-            let b = resolve_atom(AtomGroup::Base { family: OsFamily::Debian, release: 0 }, idx);
+            let a = resolve_atom(
+                AtomGroup::Base {
+                    family: OsFamily::Ubuntu,
+                    release: 0,
+                },
+                idx,
+            );
+            let b = resolve_atom(
+                AtomGroup::Base {
+                    family: OsFamily::Debian,
+                    release: 0,
+                },
+                idx,
+            );
             if a == b {
                 same += 1;
             }
@@ -379,9 +438,27 @@ mod tests {
 
     #[test]
     fn unique_streams_are_independent() {
-        let a = atom(AtomGroup::Unique { image: 1, stream: 0 }, 0);
-        let b = atom(AtomGroup::Unique { image: 1, stream: 1 }, 0);
-        let c = atom(AtomGroup::Unique { image: 2, stream: 0 }, 0);
+        let a = atom(
+            AtomGroup::Unique {
+                image: 1,
+                stream: 0,
+            },
+            0,
+        );
+        let b = atom(
+            AtomGroup::Unique {
+                image: 1,
+                stream: 1,
+            },
+            0,
+        );
+        let c = atom(
+            AtomGroup::Unique {
+                image: 2,
+                stream: 0,
+            },
+            0,
+        );
         assert_ne!(a, b);
         assert_ne!(a, c);
     }

@@ -141,7 +141,11 @@ mod tests {
         let c = corpus();
         for img in c.iter() {
             let cache = img.cache();
-            assert!(cache.bytes() < img.nonzero_bytes() / 2, "image {}", img.id());
+            assert!(
+                cache.bytes() < img.nonzero_bytes() / 2,
+                "image {}",
+                img.id()
+            );
             assert!(cache.bytes() > 0);
         }
     }
@@ -168,8 +172,11 @@ mod tests {
         let trace = cache.boot_trace();
         assert_eq!(trace.total_bytes(), cache.bytes());
         // No overlapping or out-of-range reads.
-        let mut intervals: Vec<(u64, u64)> =
-            trace.ops.iter().map(|op| (op.offset, op.offset + op.len as u64)).collect();
+        let mut intervals: Vec<(u64, u64)> = trace
+            .ops
+            .iter()
+            .map(|op| (op.offset, op.offset + op.len as u64))
+            .collect();
         intervals.sort_unstable();
         for w in intervals.windows(2) {
             assert!(w[0].1 <= w[1].0, "overlap {w:?}");
@@ -202,7 +209,10 @@ mod tests {
             .filter(|w| w[0].offset + w[0].len as u64 == w[1].offset)
             .count();
         assert!(seq < trace.ops.len() - 1, "trace must contain seeks");
-        assert!(seq > trace.ops.len() / 3, "trace must contain sequential runs");
+        assert!(
+            seq > trace.ops.len() / 3,
+            "trace must contain sequential runs"
+        );
     }
 
     #[test]

@@ -64,12 +64,30 @@ pub struct CensusEntry {
 /// Windows Azure community images, November 2013 (total 607).
 pub fn azure_census() -> Vec<CensusEntry> {
     vec![
-        CensusEntry { family: OsFamily::Ubuntu, count: 579 },
-        CensusEntry { family: OsFamily::RedHatCentos, count: 17 },
-        CensusEntry { family: OsFamily::Suse, count: 5 },
-        CensusEntry { family: OsFamily::Debian, count: 3 },
-        CensusEntry { family: OsFamily::Windows, count: 0 },
-        CensusEntry { family: OsFamily::UnidentifiedLinux, count: 3 },
+        CensusEntry {
+            family: OsFamily::Ubuntu,
+            count: 579,
+        },
+        CensusEntry {
+            family: OsFamily::RedHatCentos,
+            count: 17,
+        },
+        CensusEntry {
+            family: OsFamily::Suse,
+            count: 5,
+        },
+        CensusEntry {
+            family: OsFamily::Debian,
+            count: 3,
+        },
+        CensusEntry {
+            family: OsFamily::Windows,
+            count: 0,
+        },
+        CensusEntry {
+            family: OsFamily::UnidentifiedLinux,
+            count: 3,
+        },
     ]
 }
 
@@ -77,12 +95,30 @@ pub fn azure_census() -> Vec<CensusEntry> {
 /// total of 9871, but its rows sum to 9790; we reproduce the rows.
 pub fn ec2_census() -> Vec<CensusEntry> {
     vec![
-        CensusEntry { family: OsFamily::Ubuntu, count: 5720 },
-        CensusEntry { family: OsFamily::RedHatCentos, count: 847 },
-        CensusEntry { family: OsFamily::Suse, count: 8 },
-        CensusEntry { family: OsFamily::Debian, count: 30 },
-        CensusEntry { family: OsFamily::Windows, count: 531 },
-        CensusEntry { family: OsFamily::UnidentifiedLinux, count: 2654 },
+        CensusEntry {
+            family: OsFamily::Ubuntu,
+            count: 5720,
+        },
+        CensusEntry {
+            family: OsFamily::RedHatCentos,
+            count: 847,
+        },
+        CensusEntry {
+            family: OsFamily::Suse,
+            count: 8,
+        },
+        CensusEntry {
+            family: OsFamily::Debian,
+            count: 30,
+        },
+        CensusEntry {
+            family: OsFamily::Windows,
+            count: 531,
+        },
+        CensusEntry {
+            family: OsFamily::UnidentifiedLinux,
+            count: 2654,
+        },
     ]
 }
 
@@ -108,7 +144,11 @@ pub fn scaled_census(census: &[CensusEntry], n: u32) -> Vec<CensusEntry> {
         .iter()
         .map(|e| CensusEntry {
             family: e.family,
-            count: if e.count == 0 { 0 } else { ((e.count as u64 * n as u64) / total as u64).max(1) as u32 },
+            count: if e.count == 0 {
+                0
+            } else {
+                ((e.count as u64 * n as u64) / total as u64).max(1) as u32
+            },
         })
         .collect();
     // Adjust the largest family so the total hits exactly n.
@@ -143,7 +183,10 @@ mod tests {
     #[test]
     fn azure_has_no_windows() {
         let c = azure_census();
-        let w = c.iter().find(|e| e.family == OsFamily::Windows).expect("row");
+        let w = c
+            .iter()
+            .find(|e| e.family == OsFamily::Windows)
+            .expect("row");
         assert_eq!(w.count, 0);
     }
 
@@ -157,7 +200,11 @@ mod tests {
             }
         }
         // Ubuntu still dominates.
-        let ubuntu = s.iter().find(|e| e.family == OsFamily::Ubuntu).expect("row").count;
+        let ubuntu = s
+            .iter()
+            .find(|e| e.family == OsFamily::Ubuntu)
+            .expect("row")
+            .count;
         assert!(ubuntu > 40, "ubuntu {ubuntu}");
     }
 

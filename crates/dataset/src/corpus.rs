@@ -101,12 +101,8 @@ impl Corpus {
                 // Boot working-set size is a property of the *release* (the
                 // same OS files boot), so same-release caches have equal
                 // lengths and dedup even at large block sizes.
-                let mut crng = SplitMix64::from_parts(&[
-                    cfg.seed,
-                    0xca0,
-                    entry.family as u64,
-                    release as u64,
-                ]);
+                let mut crng =
+                    SplitMix64::from_parts(&[cfg.seed, 0xca0, entry.family as u64, release as u64]);
                 let cache_factor = 0.7 + 0.7 * crng.unit_f64();
                 let atoms = |bytes: u64, factor: f64| -> u64 {
                     (((bytes / cfg.scale) as f64 * factor) as u64 / ATOM_SIZE as u64).max(8)
@@ -118,13 +114,18 @@ impl Corpus {
                 // is the smaller, diverse remainder.
                 let system_atoms = (nonzero * 11 / 20).max(8);
                 let user_atoms = nonzero.saturating_sub(boot_atoms + system_atoms).max(8);
-                let virtual_atoms =
-                    atoms(PAPER_VIRTUAL_BYTES, size_factor).max(boot_atoms + system_atoms + user_atoms);
+                let virtual_atoms = atoms(PAPER_VIRTUAL_BYTES, size_factor)
+                    .max(boot_atoms + system_atoms + user_atoms);
                 images.push(ImageSpec {
                     id,
                     family: entry.family,
                     release,
-                    geometry: Geometry { boot_atoms, system_atoms, user_atoms, virtual_atoms },
+                    geometry: Geometry {
+                        boot_atoms,
+                        system_atoms,
+                        user_atoms,
+                        virtual_atoms,
+                    },
                 });
                 id += 1;
             }
@@ -142,7 +143,12 @@ impl Corpus {
                 ))
             })
             .collect();
-        Corpus { cfg, dict, images, layouts }
+        Corpus {
+            cfg,
+            dict,
+            images,
+            layouts,
+        }
     }
 
     pub fn config(&self) -> &CorpusConfig {
@@ -230,12 +236,19 @@ impl<'c> ImageHandle<'c> {
         let mut atom_buf = [0u8; ATOM_SIZE];
         let iter = self.layout.atoms_at(first_atom, last_atom - first_atom + 1);
         for (atom_off, (group, idx)) in (first_atom..).zip(iter) {
-            fill_atom(self.corpus.dict(), self.corpus.seed(), group, idx, &mut atom_buf);
+            fill_atom(
+                self.corpus.dict(),
+                self.corpus.seed(),
+                group,
+                idx,
+                &mut atom_buf,
+            );
             let atom_start = atom_off * ATOM_SIZE as u64;
             let copy_start = offset.max(atom_start);
             let copy_end = end.min(atom_start + ATOM_SIZE as u64);
             if copy_start < copy_end {
-                let src = &atom_buf[(copy_start - atom_start) as usize..(copy_end - atom_start) as usize];
+                let src =
+                    &atom_buf[(copy_start - atom_start) as usize..(copy_end - atom_start) as usize];
                 let dst_off = (copy_start - offset) as usize;
                 buf[dst_off..dst_off + src.len()].copy_from_slice(src);
             }
@@ -333,7 +346,13 @@ mod tests {
     fn corpus_respects_image_count() {
         let c = small();
         assert_eq!(c.len(), 12);
-        assert!(c.images().iter().filter(|i| i.family == OsFamily::Ubuntu).count() >= 7);
+        assert!(
+            c.images()
+                .iter()
+                .filter(|i| i.family == OsFamily::Ubuntu)
+                .count()
+                >= 7
+        );
     }
 
     #[test]

@@ -75,7 +75,9 @@ impl Dictionary {
     pub fn word_window(&self, idx: usize) -> (&[u8; WORD_READ], usize) {
         let start = self.offsets[idx] as usize;
         let len = self.offsets[idx + 1] as usize - start;
-        let window = self.bytes[start..start + WORD_READ].try_into().expect("padded tail");
+        let window = self.bytes[start..start + WORD_READ]
+            .try_into()
+            .expect("padded tail");
         (window, len)
     }
 

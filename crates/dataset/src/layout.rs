@@ -117,7 +117,10 @@ pub fn build_layout(
         let stream = unique_stream;
         unique_stream += 1;
         runs.push(Run {
-            group: AtomGroup::Unique { image: image_id, stream },
+            group: AtomGroup::Unique {
+                image: image_id,
+                stream,
+            },
             start: 0,
             len: len as u32,
         });
@@ -137,19 +140,30 @@ pub fn build_layout(
                 // A popular shared modification: aligned with the base
                 // layout so it deduplicates across the images carrying it.
                 let u = rng.unit_f64();
-                let variant =
-                    ((u * u * params.boot_variant_pool as f64) as u32).min(params.boot_variant_pool - 1);
+                let variant = ((u * u * params.boot_variant_pool as f64) as u32)
+                    .min(params.boot_variant_pool - 1);
                 push_or_extend(
                     &mut runs,
                     Run {
-                        group: AtomGroup::Variant { family, release, variant },
+                        group: AtomGroup::Variant {
+                            family,
+                            release,
+                            variant,
+                        },
                         start: off,
                         len: len as u32,
                     },
                 );
             }
         } else {
-            push_or_extend(&mut runs, Run { group: base, start: off, len: len as u32 });
+            push_or_extend(
+                &mut runs,
+                Run {
+                    group: base,
+                    start: off,
+                    len: len as u32,
+                },
+            );
         }
         off += len;
     }
@@ -175,7 +189,14 @@ pub fn build_layout(
             canon += len; // dropped: skip canonical content, no emission
             continue;
         }
-        push_or_extend(&mut runs, Run { group: lib, start: canon, len: len as u32 });
+        push_or_extend(
+            &mut runs,
+            Run {
+                group: lib,
+                start: canon,
+                len: len as u32,
+            },
+        );
         canon += len;
         emitted += len;
     }
@@ -192,7 +213,11 @@ pub fn build_layout(
             let mut prng = SplitMix64::from_parts(&[corpus_seed, 0x919, pkg]);
             let pkg_len = prng.range(24, 384); // 12–192 KiB packages
             let len = pkg_len.min(geom.user_atoms - emitted);
-            runs.push(Run { group: AtomGroup::Pkg, start: pkg * 4096, len: len as u32 });
+            runs.push(Run {
+                group: AtomGroup::Pkg,
+                start: pkg * 4096,
+                len: len as u32,
+            });
             emitted += len;
         } else {
             let len = rng.range(16, 256).min(geom.user_atoms - emitted);
@@ -210,7 +235,11 @@ pub fn build_layout(
     starts.push(acc);
     debug_assert_eq!(acc, geom.nonzero_atoms());
 
-    Layout { runs, starts, boot_atoms }
+    Layout {
+        runs,
+        starts,
+        boot_atoms,
+    }
 }
 
 /// Merge adjacent runs from the same group when contiguous (keeps run lists
@@ -254,7 +283,11 @@ impl Layout {
     /// Iterate `(group, group_atom_idx)` for `count` atoms starting at
     /// `atom_off`, clamped to the nonzero area.
     pub fn atoms_at(&self, atom_off: u64, count: u64) -> AtomIter<'_> {
-        AtomIter { layout: self, pos: atom_off, end: (atom_off + count).min(self.nonzero_atoms()) }
+        AtomIter {
+            layout: self,
+            pos: atom_off,
+            end: (atom_off + count).min(self.nonzero_atoms()),
+        }
     }
 }
 
@@ -284,11 +317,23 @@ mod tests {
     use super::*;
 
     fn geom() -> Geometry {
-        Geometry { boot_atoms: 512, system_atoms: 1024, user_atoms: 2048, virtual_atoms: 40_960 }
+        Geometry {
+            boot_atoms: 512,
+            system_atoms: 1024,
+            user_atoms: 2048,
+            virtual_atoms: 40_960,
+        }
     }
 
     fn layout(image: u32) -> Layout {
-        build_layout(&LayoutParams::default(), 42, image, OsFamily::Ubuntu, 2, geom())
+        build_layout(
+            &LayoutParams::default(),
+            42,
+            image,
+            OsFamily::Ubuntu,
+            2,
+            geom(),
+        )
     }
 
     #[test]

@@ -19,7 +19,11 @@ impl Zipf {
     pub fn new(n: u64, s: f64) -> Self {
         assert!(n > 0 && s > 0.0 && (s - 1.0).abs() > 1e-9, "n>0, s!=1");
         let h = |x: f64| (x.powf(1.0 - s) - 1.0) / (1.0 - s);
-        Zipf { n, s, h_n: h(n as f64 + 0.5) }
+        Zipf {
+            n,
+            s,
+            h_n: h(n as f64 + 0.5),
+        }
     }
 
     /// The support size `n` (ranks are `[0, n)`).

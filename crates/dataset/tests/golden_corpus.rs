@@ -33,7 +33,10 @@ const AZURE_CACHES: [&str; 4] = [
 /// corpus seed 2014.
 const ATOMS: [(AtomGroup, &str); 6] = [
     (
-        AtomGroup::Base { family: OsFamily::Ubuntu, release: 3 },
+        AtomGroup::Base {
+            family: OsFamily::Ubuntu,
+            release: 3,
+        },
         "6f18de4ecf4a573796ee07ddec7e10e096e248a66735632dd5a3dd83781d357a",
     ),
     (
@@ -41,7 +44,9 @@ const ATOMS: [(AtomGroup, &str); 6] = [
         "3e6a27bd0095aeb4596d4721356c116c21a402abe4dfa1631b45d62a9dc530bd",
     ),
     (
-        AtomGroup::Lib { family: OsFamily::Debian },
+        AtomGroup::Lib {
+            family: OsFamily::Debian,
+        },
         "9c7c03d8a305fd9b01931cb466fb12c1329d2ab303d062f276f7378c8e5fda74",
     ),
     (
@@ -49,11 +54,18 @@ const ATOMS: [(AtomGroup, &str); 6] = [
         "d9001c6c6b0977a9d000d14e0efe215784389d99e55db688d04b117680758b99",
     ),
     (
-        AtomGroup::Variant { family: OsFamily::RedHatCentos, release: 1, variant: 4 },
+        AtomGroup::Variant {
+            family: OsFamily::RedHatCentos,
+            release: 1,
+            variant: 4,
+        },
         "018610ac9a43d1e4bc0dc3e4dccab8b7a1d58a095e436014523624929c22c9c6",
     ),
     (
-        AtomGroup::Unique { image: 17, stream: 2 },
+        AtomGroup::Unique {
+            image: 17,
+            stream: 2,
+        },
         "6d3b4c3aa5e7a7b85ac43d42534fd26d81cfaea41bda9a436eac0f601d1c5487",
     ),
 ];

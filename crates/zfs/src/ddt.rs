@@ -191,9 +191,15 @@ impl DedupTable {
     /// Drop one reference; frees the entry at zero. Returns `true` when the
     /// entry was freed.
     pub fn release(&mut self, key: &BlockKey) -> bool {
+        self.release_n(key, 1)
+    }
+
+    /// Drop `n` references at once (one per snapshot holding a purged
+    /// table); frees the entry at zero. Returns `true` when it was freed.
+    pub fn release_n(&mut self, key: &BlockKey, n: u64) -> bool {
         let entry = self.entries.get_mut(key).expect("release of unknown block");
-        debug_assert!(entry.refcount > 0);
-        entry.refcount -= 1;
+        debug_assert!(entry.refcount >= n);
+        entry.refcount -= n;
         if entry.refcount == 0 {
             let psize = entry.psize as u64;
             self.entries.remove(key);

@@ -46,6 +46,7 @@
 
 pub mod config;
 pub mod ddt;
+mod history;
 pub mod ingest;
 mod meter;
 #[cfg(test)]

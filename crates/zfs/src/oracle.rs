@@ -4,12 +4,15 @@
 //! and `recv` verdicts must equal a memo-free oracle that decompresses and
 //! hashes the stored bytes again, every time. The history reaches every
 //! change to a snapshot's file set (snapshot, recv, destroy, purge), so the
-//! same steps hold `stats()` to a walk of every snapshot.
+//! same steps hold `stats()` to a walk of every snapshot, and every
+//! snapshot — its file set and every stream sent between any two — to a
+//! reference model that clones the whole live file map per snapshot.
 
 use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, Frame};
-use crate::pool::{Records, ZPool};
-use crate::send::{RecvError, SendStream};
+use crate::history::FileMap;
+use crate::pool::{FileTable, Records, ZPool};
+use crate::send::{RecvError, SendStream, StreamBlock};
 use proptest::prelude::*;
 use squirrel_compress::{decompress, Codec};
 use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
@@ -132,6 +135,85 @@ fn check_verdicts(pools: &[ZPool], step: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// One pool's snapshots as the reference keeps them: every snapshot a
+/// whole clone of the live file map it was taken of.
+type Model = Vec<(String, FileMap)>;
+
+/// What `send_between` must build, from the model's whole maps: every tip
+/// file whose table differs from base's, every base file the tip lacks, and
+/// every upsert key no base table references, in key order.
+fn reference_send(
+    p: &ZPool,
+    base: Option<&(String, FileMap)>,
+    tip: &(String, FileMap),
+) -> SendStream {
+    let empty = FileMap::new();
+    let base_files = base.map_or(&empty, |(_, files)| files);
+    let base_keys: BTreeSet<BlockKey> = base_files.values().flat_map(|t| t.iter_keys()).collect();
+    let mut upserts = Vec::new();
+    let mut payload_keys = BTreeSet::new();
+    for (name, table) in &tip.1 {
+        if base_files.get(name) != Some(table) {
+            upserts.push((name.clone(), table.clone()));
+            payload_keys.extend(table.iter_keys().filter(|k| !base_keys.contains(k)));
+        }
+    }
+    let deletes = base_files
+        .keys()
+        .filter(|n| !tip.1.contains_key(*n))
+        .cloned()
+        .collect();
+    let payload = payload_keys
+        .into_iter()
+        .map(|key| {
+            let e = p.ddt().get(&key).expect("snapshot references live block");
+            StreamBlock {
+                key,
+                psize: e.psize,
+                data: e.data.clone(),
+            }
+        })
+        .collect();
+    SendStream {
+        base: base.map(|(tag, _)| tag.clone()),
+        tip: tip.0.clone(),
+        upserts,
+        deletes,
+        payload,
+    }
+}
+
+/// Every snapshot of `p` against the model: tags, each file set, and the
+/// encoded stream between every (base, tip) pair and from nothing.
+fn check_history(p: &ZPool, model: &Model) -> Result<(), TestCaseError> {
+    let tags: Vec<&str> = model.iter().map(|(tag, _)| tag.as_str()).collect();
+    prop_assert_eq!(p.snapshot_tags(), tags);
+    for (i, (tag, files)) in model.iter().enumerate() {
+        let want: BTreeMap<&str, &FileTable> = files.iter().map(|(n, t)| (n.as_str(), t)).collect();
+        prop_assert!(p.history().view(i) == want, "snapshot {}", tag);
+        let names: Vec<&str> = files.keys().map(String::as_str).collect();
+        prop_assert_eq!(p.snapshot_file_names(tag), Some(names));
+    }
+    for tip in model {
+        for base in std::iter::once(None).chain(model.iter().map(Some)) {
+            let sent = p
+                .send_between(base.map(|(tag, _)| tag.as_str()), &tip.0)
+                .expect("own snapshots");
+            prop_assert!(
+                sent.encode() == reference_send(p, base, tip).encode(),
+                "stream {:?} -> {}",
+                base.map(|(tag, _)| tag),
+                tip.0
+            );
+        }
+    }
+    if let [.., base, tip] = &model[..] {
+        let latest = p.send_latest().expect("two snapshots");
+        prop_assert!(latest.encode() == reference_send(p, Some(base), tip).encode());
+    }
+    Ok(())
+}
+
 #[derive(Clone, Debug)]
 enum Op {
     /// (Re)import file `file` on the sender in one of a few versions.
@@ -157,8 +239,11 @@ enum Op {
         donor: usize,
         nth: u64,
     },
-    DestroyOldestSnapshot {
+    /// Destroy `pool`'s `nth` snapshot (modulo their number): the oldest,
+    /// one in the middle or the latest.
+    DestroySnapshot {
         pool: usize,
+        nth: usize,
     },
     /// Drop file `file` from `pool`'s live set and every snapshot.
     Purge {
@@ -175,7 +260,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => (0usize..3, any::<u64>()).prop_map(|(pool, nth)| Op::Rot { pool, nth }),
         3 => (0usize..3, 0usize..3, any::<u64>())
             .prop_map(|(victim, donor, nth)| Op::Repair { victim, donor, nth }),
-        1 => (0usize..3).prop_map(|pool| Op::DestroyOldestSnapshot { pool }),
+        2 => (0usize..3, any::<usize>()).prop_map(|(pool, nth)| Op::DestroySnapshot { pool, nth }),
         1 => (0usize..3, 0u8..3).prop_map(|(pool, file)| Op::Purge { pool, file }),
     ]
 }
@@ -198,6 +283,7 @@ proptest! {
     #[test]
     fn remembered_verdicts_equal_the_memo_free_oracle(
         cdc in any::<bool>(),
+        threads in 0usize..3,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
         let chunking = if cdc {
@@ -205,9 +291,13 @@ proptest! {
         } else {
             ChunkStrategy::Fixed(BS)
         };
-        let cfg = PoolConfig::new(BS, Codec::Lzjb).with_chunking(chunking);
+        let cfg = PoolConfig {
+            threads: [1, 2, 8][threads],
+            ..PoolConfig::new(BS, Codec::Lzjb).with_chunking(chunking)
+        };
         // Pool 0 sends; pools 1 and 2 receive.
         let mut pools: Vec<ZPool> = (0..3).map(|_| ZPool::new(cfg)).collect();
+        let mut models: Vec<Model> = vec![Model::new(); 3];
         let mut next_tag = 0u32;
         // Receivers that purged a file: only they may lack a block the
         // sender's diff assumes.
@@ -220,7 +310,9 @@ proptest! {
                     pools[0].import_file(&format!("f{file}"), &blocks, (FILE_BLOCKS * BS) as u64);
                 }
                 Op::Snapshot => {
-                    pools[0].snapshot(&format!("s{next_tag}"));
+                    let tag = format!("s{next_tag}");
+                    pools[0].snapshot(&tag);
+                    models[0].push((tag, pools[0].files().clone()));
                     next_tag += 1;
                 }
                 Op::Replicate { to, framed } => {
@@ -245,6 +337,9 @@ proptest! {
                             None => Ok(()),
                         };
                         prop_assert_eq!(pools[to].recv(&stream), expected, "step {}", step);
+                        if expected.is_ok() {
+                            models[to].push((stream.tip.clone(), pools[to].files().clone()));
+                        }
                     }
                 }
                 Op::Rot { pool, nth } => {
@@ -284,20 +379,25 @@ proptest! {
                         }
                     }
                 }
-                Op::DestroyOldestSnapshot { pool } => {
-                    let tags = pools[pool].snapshot_tags();
-                    if tags.len() >= 2 {
-                        let oldest = tags[0].to_string();
-                        pools[pool].destroy_snapshot(&oldest);
+                Op::DestroySnapshot { pool, nth } => {
+                    let count = models[pool].len();
+                    if count > 0 {
+                        let (tag, _) = models[pool].remove(nth % count);
+                        prop_assert!(pools[pool].destroy_snapshot(&tag));
                     }
                 }
                 Op::Purge { pool, file } => {
-                    pools[pool].purge_file(&format!("f{file}"));
+                    let name = format!("f{file}");
+                    pools[pool].purge_file(&name);
+                    for (_, files) in &mut models[pool] {
+                        files.remove(&name);
+                    }
                     purged[pool] = true;
                 }
             }
             check_verdicts(&pools, step)?;
             for (i, p) in pools.iter().enumerate() {
+                check_history(p, &models[i])?;
                 prop_assert!(p.check_refcounts());
                 prop_assert_eq!(p.stats(), p.stats_by_walk(), "stats(), pool {}, step {}", i, step);
             }

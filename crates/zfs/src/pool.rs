@@ -11,13 +11,13 @@
 
 use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, DdtEntry, DedupTable, Frame, SharedPayload};
+use crate::history::{FileMap, History};
 use crate::meter::PoolMeters;
 use crate::stats::SpaceStats;
 use squirrel_compress::{compress, decompress};
 use squirrel_hash::par::WorkerPool;
 use squirrel_hash::ContentHash;
 use squirrel_obs::Metrics;
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// In-core bytes per dedup-table entry (ZFS DDT entries cost a few hundred
@@ -100,10 +100,9 @@ pub struct CdcChunk {
 
 /// A file's records: fixed-size block pointers or content-defined chunks,
 /// never both. The vector sits behind an `Arc` so snapshots and send
-/// streams share it: cloning a table (every snapshot clones the whole file
-/// map) is a refcount bump, and the copy-on-write `Arc::make_mut` in
-/// [`ZPool::write_block`] only materializes a private vector when a shared
-/// table is actually modified.
+/// streams share it: cloning a table is a refcount bump, and the
+/// copy-on-write `Arc::make_mut` in [`ZPool::write_block`] only
+/// materializes a private vector when a shared table is actually modified.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Records {
     /// One pointer per `block_size` record; `None` = hole (zero block).
@@ -153,20 +152,13 @@ impl FileTable {
     }
 }
 
-/// A whole-pool snapshot: the file set at a point in time.
-#[derive(Clone, Debug)]
-pub(crate) struct Snapshot {
-    pub(crate) tag: String,
-    pub(crate) files: BTreeMap<String, FileTable>,
-}
-
 /// The deduplicating, compressing, snapshotting block store.
 pub struct ZPool {
     config: PoolConfig,
     ddt: DedupTable,
-    files: BTreeMap<String, FileTable>,
-    /// Snapshots in creation order.
-    snapshots: Vec<Snapshot>,
+    files: FileMap,
+    /// Snapshots in creation order, each retaining only what changed.
+    snapshots: History,
     /// Pointer records ([`FileTable::ptr_count`]) all snapshots hold, kept
     /// as snapshots come and go so [`ZPool::stats`] never walks history.
     snap_ptrs: u64,
@@ -189,8 +181,8 @@ impl ZPool {
         ZPool {
             config,
             ddt: DedupTable::new(),
-            files: BTreeMap::new(),
-            snapshots: Vec::new(),
+            files: FileMap::new(),
+            snapshots: History::default(),
             snap_ptrs: 0,
             zero_block: OnceLock::new(),
             meters: PoolMeters::disabled(),
@@ -456,12 +448,11 @@ impl ZPool {
 
     // --- snapshots ----------------------------------------------------------
 
-    /// Create a read-only snapshot of the whole file set.
+    /// Create a read-only snapshot of the whole file set. It takes a
+    /// reference on every live pointer, but retains only the files that
+    /// changed since the previous snapshot.
     pub fn snapshot(&mut self, tag: &str) {
-        assert!(
-            !self.snapshots.iter().any(|s| s.tag == tag),
-            "duplicate snapshot tag {tag}"
-        );
+        assert!(!self.has_snapshot(tag), "duplicate snapshot tag {tag}");
         for table in self.files.values() {
             self.snap_ptrs += table.ptr_count();
             for key in table.iter_keys() {
@@ -469,24 +460,21 @@ impl ZPool {
                     .add_ref(key, || unreachable!("snapshot references live block"));
             }
         }
-        self.snapshots.push(Snapshot {
-            tag: tag.to_string(),
-            files: self.files.clone(),
-        });
+        self.snapshots.push(tag, &self.files);
     }
 
     /// Destroy a snapshot, freeing blocks nothing else references.
     pub fn destroy_snapshot(&mut self, tag: &str) -> bool {
-        let Some(i) = self.snapshots.iter().position(|s| s.tag == tag) else {
+        let Some(i) = self.snapshots.position(tag) else {
             return false;
         };
-        let snap = self.snapshots.remove(i);
-        for table in snap.files.values() {
-            self.snap_ptrs -= table.ptr_count();
+        let (ddt, snap_ptrs) = (&mut self.ddt, &mut self.snap_ptrs);
+        self.snapshots.remove(i, |table| {
+            *snap_ptrs -= table.ptr_count();
             for key in table.iter_keys() {
-                self.ddt.release(&key);
+                ddt.release(&key);
             }
-        }
+        });
         true
     }
 
@@ -498,32 +486,35 @@ impl ZPool {
 
     /// Snapshot tags, oldest first.
     pub fn snapshot_tags(&self) -> Vec<&str> {
-        self.snapshots.iter().map(|s| s.tag.as_str()).collect()
+        self.snapshots.tags().collect()
     }
 
     pub fn latest_snapshot(&self) -> Option<&str> {
-        self.snapshots.last().map(|s| s.tag.as_str())
+        self.snapshots
+            .len()
+            .checked_sub(1)
+            .map(|i| self.snapshots.tag(i))
     }
 
     /// File names captured by snapshot `tag`.
     pub fn snapshot_file_names(&self, tag: &str) -> Option<Vec<&str>> {
-        self.find_snapshot(tag)
-            .map(|s| s.files.keys().map(|k| k.as_str()).collect())
+        let i = self.snapshots.position(tag)?;
+        Some(self.snapshots.view(i).into_keys().collect())
     }
 
     pub fn has_snapshot(&self, tag: &str) -> bool {
-        self.snapshots.iter().any(|s| s.tag == tag)
+        self.snapshots.position(tag).is_some()
     }
 
-    pub(crate) fn find_snapshot(&self, tag: &str) -> Option<&Snapshot> {
-        self.snapshots.iter().find(|s| s.tag == tag)
+    pub(crate) fn history(&self) -> &History {
+        &self.snapshots
     }
 
-    pub(crate) fn files(&self) -> &BTreeMap<String, FileTable> {
+    pub(crate) fn files(&self) -> &FileMap {
         &self.files
     }
 
-    pub(crate) fn files_mut(&mut self) -> &mut BTreeMap<String, FileTable> {
+    pub(crate) fn files_mut(&mut self) -> &mut FileMap {
         &mut self.files
     }
 
@@ -554,14 +545,13 @@ impl ZPool {
         }
     }
 
-    /// The snapshots' pointer records counted by walking every snapshot's
-    /// file tables: what `snap_ptrs` must equal.
+    /// The snapshots' pointer records counted from every table they store,
+    /// times the snapshots that hold it: what `snap_ptrs` must equal.
     fn walk_snap_ptrs(&self) -> u64 {
+        let mut ptrs = 0;
         self.snapshots
-            .iter()
-            .flat_map(|s| s.files.values())
-            .map(FileTable::ptr_count)
-            .sum()
+            .for_each_table(|table, held| ptrs += table.ptr_count() * held);
+        ptrs
     }
 
     /// [`stats`](Self::stats) with the snapshots' pointers counted by
@@ -635,23 +625,20 @@ impl ZPool {
     /// is what hoard-budget eviction needs to reclaim disk and DDT memory.
     /// Returns whether anything was removed.
     pub fn purge_file(&mut self, name: &str) -> bool {
-        let mut removed: Vec<FileTable> = Vec::new();
-        if let Some(t) = self.files.remove(name) {
-            removed.push(t);
-        }
-        for snap in &mut self.snapshots {
-            if let Some(t) = snap.files.remove(name) {
-                self.snap_ptrs -= t.ptr_count();
-                removed.push(t);
-            }
-        }
-        let any = !removed.is_empty();
-        for table in removed {
+        let live = self.files.remove(name);
+        if let Some(table) = &live {
             for key in table.iter_keys() {
                 self.ddt.release(&key);
             }
         }
-        any
+        let (ddt, snap_ptrs) = (&mut self.ddt, &mut self.snap_ptrs);
+        let held = self.snapshots.purge(name, |table, held| {
+            *snap_ptrs -= table.ptr_count() * held;
+            for key in table.iter_keys() {
+                ddt.release_n(&key, held);
+            }
+        });
+        live.is_some() || held
     }
 
     // --- physical layout ----------------------------------------------------
@@ -766,13 +753,11 @@ impl ZPool {
                 *counts.entry(key).or_insert(0) += 1;
             }
         }
-        for snap in &self.snapshots {
-            for table in snap.files.values() {
-                for key in table.iter_keys() {
-                    *counts.entry(key).or_insert(0) += 1;
-                }
+        self.snapshots.for_each_table(|table, held| {
+            for key in table.iter_keys() {
+                *counts.entry(key).or_insert(0) += held;
             }
-        }
+        });
         if counts.len() != self.ddt.len() {
             return false;
         }

@@ -13,7 +13,7 @@ use crate::ddt::{BlockKey, Frame};
 use crate::meter::PoolMeters;
 use crate::pool::{CdcChunk, FileTable, Records, ZPool};
 use squirrel_hash::par::{cost, WorkerPool};
-use squirrel_hash::ContentHash;
+use squirrel_hash::{ContentHash, FnvHashSet};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -601,44 +601,58 @@ impl ZPool {
     /// Build a stream carrying the difference from snapshot `base` (or from
     /// nothing, for a full stream) to snapshot `tip`.
     pub fn send_between(&self, base: Option<&str>, tip: &str) -> Result<SendStream, SendError> {
-        let tip_snap = self
-            .find_snapshot(tip)
-            .ok_or_else(|| SendError::UnknownSnapshot(tip.to_string()))?;
-        let base_snap = match base {
-            Some(b) => Some(
-                self.find_snapshot(b)
-                    .ok_or_else(|| SendError::UnknownSnapshot(b.to_string()))?,
-            ),
-            None => None,
+        let find = |tag: &str| {
+            self.history()
+                .position(tag)
+                .ok_or_else(|| SendError::UnknownSnapshot(tag.to_string()))
         };
+        let tip = find(tip)?;
+        let base = base.map(find).transpose()?;
+        Ok(self.send_indexed(base, tip))
+    }
 
-        let empty = BTreeMap::new();
-        let base_files = base_snap.map(|s| &s.files).unwrap_or(&empty);
-
-        // Blocks the receiver already has: everything referenced at base.
-        let base_keys: BTreeSet<BlockKey> =
-            base_files.values().flat_map(|t| t.iter_keys()).collect();
-
+    /// [`send_between`](Self::send_between) on snapshot positions. Only
+    /// the names the deltas between base and tip hold are compared; the
+    /// base's tables are walked once, to strike every incoming key the
+    /// receiver already holds from the payload.
+    fn send_indexed(&self, base: Option<usize>, tip: usize) -> SendStream {
+        let history = self.history();
         let mut upserts = Vec::new();
-        let mut payload_keys: BTreeSet<BlockKey> = BTreeSet::new();
-        for (name, table) in &tip_snap.files {
-            let unchanged = base_files.get(name).is_some_and(|b| b == table);
-            if unchanged {
-                continue;
+        let mut deletes = Vec::new();
+        match base {
+            None => {
+                for (name, table) in history.view(tip) {
+                    upserts.push((name.to_string(), table.clone()));
+                }
             }
-            // Shares the snapshot's record vector (a refcount bump).
-            upserts.push((name.clone(), table.clone()));
-            for key in table.iter_keys() {
-                if !base_keys.contains(&key) {
-                    payload_keys.insert(key);
+            Some(base) => {
+                for name in history.changed_between(base, tip) {
+                    let new = history.table(tip, name);
+                    if history.table(base, name) == new {
+                        continue;
+                    }
+                    match new {
+                        // Shares the snapshot's record vector (a refcount bump).
+                        Some(table) => upserts.push((name.to_string(), table.clone())),
+                        None => deletes.push(name.to_string()),
+                    }
                 }
             }
         }
-        let deletes: Vec<String> = base_files
-            .keys()
-            .filter(|n| !tip_snap.files.contains_key(*n))
-            .cloned()
+
+        // Blocks the receiver cannot already have: every upsert key that no
+        // table at base references.
+        let mut incoming: FnvHashSet<BlockKey> = upserts
+            .iter()
+            .flat_map(|(_, table)| table.iter_keys())
             .collect();
+        if let Some(base) = base.filter(|_| !incoming.is_empty()) {
+            for key in history.view(base).values().flat_map(|t| t.iter_keys()) {
+                incoming.remove(&key);
+            }
+        }
+        let mut payload_keys: Vec<BlockKey> = incoming.into_iter().collect();
+        payload_keys.sort_unstable();
 
         let payload = payload_keys
             .into_iter()
@@ -656,23 +670,22 @@ impl ZPool {
             })
             .collect();
 
-        Ok(SendStream {
-            base: base.map(|s| s.to_string()),
-            tip: tip.to_string(),
+        SendStream {
+            base: base.map(|i| history.tag(i).to_string()),
+            tip: history.tag(tip).to_string(),
             upserts,
             deletes,
             payload,
-        })
+        }
     }
 
     /// Incremental stream from the pool's previous snapshot to its latest
     /// (the common registration step); full stream when only one exists.
     pub fn send_latest(&self) -> Result<SendStream, SendError> {
-        let tags = self.snapshot_tags();
-        match tags.len() {
+        match self.history().len() {
             0 => Err(SendError::UnknownSnapshot("<none>".to_string())),
-            1 => self.send_between(None, tags[0]),
-            n => self.send_between(Some(tags[n - 2]), tags[n - 1]),
+            1 => Ok(self.send_indexed(None, 0)),
+            n => Ok(self.send_indexed(Some(n - 2), n - 1)),
         }
     }
 

@@ -71,5 +71,9 @@ fn main() {
         warm_boots,
         squirrel.network().compute_rx_total()
     );
-    assert_eq!(squirrel.network().compute_rx_total(), 0, "scatter hoarding works");
+    assert_eq!(
+        squirrel.network().compute_rx_total(),
+        0,
+        "scatter hoarding works"
+    );
 }

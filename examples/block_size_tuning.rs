@@ -21,7 +21,10 @@ fn main() {
         ..CorpusConfig::azure(scale, 4242)
     });
     let sim = BootSim::new();
-    println!("{:>9}  {:>12}  {:>12}  {:>12}", "block", "disk (MiB)", "ddt (KiB)", "boot (s)");
+    println!(
+        "{:>9}  {:>12}  {:>12}  {:>12}",
+        "block", "disk (MiB)", "ddt (KiB)", "boot (s)"
+    );
 
     let mut best: Option<(usize, f64)> = None;
     for bs in [4096usize, 8192, 16384, 32768, 65536, 131072] {
@@ -56,7 +59,9 @@ fn main() {
         for id in 0..sample {
             let ws = corpus.image(id).cache().bytes() * scale;
             let trace = paper_scale_trace(ws, id as u64);
-            secs += sim.boot(&trace, &Backend::DedupVolume(params)).total_seconds;
+            secs += sim
+                .boot(&trace, &Backend::DedupVolume(params))
+                .total_seconds;
         }
         let boot = secs / sample as f64;
 
@@ -72,5 +77,8 @@ fn main() {
         }
     }
     let (bs, boot) = best.expect("swept at least one size");
-    println!("\nfastest warm boot: {}K at {boot:.2}s (the paper picks 64K)", bs / 1024);
+    println!(
+        "\nfastest warm boot: {}K at {boot:.2}s (the paper picks 64K)",
+        bs / 1024
+    );
 }

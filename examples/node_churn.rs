@@ -17,7 +17,10 @@ fn main() {
         ..CorpusConfig::azure(4096, 99)
     }));
     let mut sq = Squirrel::new(
-        SquirrelConfig::builder().compute_nodes(4).gc_window_days(7).build(),
+        SquirrelConfig::builder()
+            .compute_nodes(4)
+            .gc_window_days(7)
+            .build(),
         Arc::clone(&corpus),
     );
 

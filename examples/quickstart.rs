@@ -75,7 +75,8 @@ fn main() {
     println!("\nmetrics snapshot:");
     println!(
         "  squirrel_register_wire_bytes_total  {}",
-        snap.counter("squirrel_register_wire_bytes_total").unwrap_or(0)
+        snap.counter("squirrel_register_wire_bytes_total")
+            .unwrap_or(0)
     );
     println!(
         "  squirrel_boot_total{{result=\"warm\"}}   {} across {} nodes",
@@ -88,7 +89,8 @@ fn main() {
     );
     println!(
         "  zpool_recv_streams_total{{ccvol}}     {}",
-        snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}").unwrap_or(0)
+        snap.counter("zpool_recv_streams_total{pool=\"ccvol\"}")
+            .unwrap_or(0)
     );
     // Eight streams applied, one payload proved: the nodes share its buffers
     // — and the eight warm boots after it hashed nothing again.
@@ -108,5 +110,8 @@ fn main() {
     let path = "results/metrics_quickstart.json";
     let _ = std::fs::create_dir_all("results");
     std::fs::write(path, snap.to_json()).expect("write metrics json");
-    println!("\nwrote {path} ({} series)", snap.counters.len() + snap.gauges.len());
+    println!(
+        "\nwrote {path} ({} series)",
+        snap.counters.len() + snap.gauges.len()
+    );
 }

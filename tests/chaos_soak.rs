@@ -47,7 +47,11 @@ fn flat(seed: u64) -> FleetConfig {
 /// correlated domain outages armed.
 fn ec(seed: u64) -> FleetConfig {
     FleetConfig {
-        topology: TopologyConfig { regions: 1, dcs_per_region: 2, racks_per_dc: 2 },
+        topology: TopologyConfig {
+            regions: 1,
+            dcs_per_region: 2,
+            racks_per_dc: 2,
+        },
         storage_nodes: 8,
         storage: SharedStorage::ErasureCoded { k: 4, m: 2 },
         faults: FaultConfig::chaos_with_domains(),
@@ -58,14 +62,21 @@ fn ec(seed: u64) -> FleetConfig {
 /// Tight enough that every registration pushes nodes over. With a budget
 /// the repair stack does not reach a fixed point on every seed (ROADMAP
 /// item 1), so budgeted scenarios pin seed 7, where it does.
-const TIGHT: HoardBudget = HoardBudget { disk_bytes: 40 * 1024, ddt_mem_bytes: 0 };
+const TIGHT: HoardBudget = HoardBudget {
+    disk_bytes: 40 * 1024,
+    ddt_mem_bytes: 0,
+};
 
 /// Run `cfg` at threads 1, 2 and 8, assert the whole outcome is equal, and
 /// hand back the reference.
 fn thread_invariant(cfg: FleetConfig) -> (FleetReport, Convergence, MetricsSnapshot) {
     let reference = soak_fleet(&FleetConfig { threads: 1, ..cfg });
     for threads in [2, 8] {
-        assert_eq!(soak_fleet(&FleetConfig { threads, ..cfg }), reference, "threads={threads}");
+        assert_eq!(
+            soak_fleet(&FleetConfig { threads, ..cfg }),
+            reference,
+            "threads={threads}"
+        );
     }
     reference
 }
@@ -90,10 +101,13 @@ fn erasure_coded_seed_sweep_converges_through_rack_loss() {
     for seed in 1..=16 {
         let (r, c, snap) = soak_fleet(&ec(seed));
         assert!(c.converged && c.scrub_clean, "seed {seed}: {c:?}");
-        rack_loss_repaired |= r.fault.rack_downs > 0
-            && snap.counter_sum("squirrel_ec_repair_bytes_total") > 0;
+        rack_loss_repaired |=
+            r.fault.rack_downs > 0 && snap.counter_sum("squirrel_ec_repair_bytes_total") > 0;
     }
-    assert!(rack_loss_repaired, "no seed lost a rack and repaired shards");
+    assert!(
+        rack_loss_repaired,
+        "no seed lost a rack and repaired shards"
+    );
 }
 
 #[test]
@@ -103,15 +117,26 @@ fn pinned_flat_scenario_replays_at_any_thread_count() {
     assert_eq!(r.days.iter().map(|d| d.registrations).sum::<u64>(), 6);
     assert_eq!(r.read_checksum, PINNED_FLAT);
     assert_eq!(soak_fleet(&flat(2014)).0, r, "same seed, same report");
-    assert_ne!(soak_fleet(&flat(12)).0.fault, r.fault, "different seeds, different schedules");
+    assert_ne!(
+        soak_fleet(&flat(12)).0.fault,
+        r.fault,
+        "different seeds, different schedules"
+    );
 }
 
 #[test]
 fn pinned_ec_scenario_survives_rack_loss_at_any_thread_count() {
     let (r, c, snap) = thread_invariant(ec(2014));
     assert!(c.converged && c.scrub_clean, "every shard healed: {c:?}");
-    assert!(r.fault.rack_downs > 0, "domain chaos must take racks down: {:?}", r.fault);
-    assert_eq!(snap.counter("squirrel_domain_rack_downs_total"), Some(r.fault.rack_downs));
+    assert!(
+        r.fault.rack_downs > 0,
+        "domain chaos must take racks down: {:?}",
+        r.fault
+    );
+    assert_eq!(
+        snap.counter("squirrel_domain_rack_downs_total"),
+        Some(r.fault.rack_downs)
+    );
     assert!(snap.counter_sum("squirrel_ec_shards_rematerialized_total") > 0);
     assert!(snap.counter_sum("squirrel_ec_repair_bytes_total") > 0);
     assert_eq!(r.read_checksum, PINNED_EC);
@@ -119,7 +144,10 @@ fn pinned_ec_scenario_survives_rack_loss_at_any_thread_count() {
 
 #[test]
 fn budget_pressure_converges_at_any_thread_count() {
-    let (r, c, _) = thread_invariant(FleetConfig { budget: TIGHT, ..flat(7) });
+    let (r, c, _) = thread_invariant(FleetConfig {
+        budget: TIGHT,
+        ..flat(7)
+    });
     assert!(r.evictions > 0, "pressure must force evictions: {r:?}");
     assert!(c.within_budget && c.converged && c.scrub_clean, "{c:?}");
     // The budgeted run is a different trajectory than the unlimited one.
@@ -144,7 +172,10 @@ fn peer_assisted_budgeted_ec_scenario_is_thread_invariant() {
 #[test]
 fn every_distribution_policy_survives_the_soak() {
     for policy in DistributionPolicy::standard_set() {
-        let (_, c, _) = soak_fleet(&FleetConfig { distribution: policy, ..flat(11) });
+        let (_, c, _) = soak_fleet(&FleetConfig {
+            distribution: policy,
+            ..flat(11)
+        });
         assert!(c.converged && c.scrub_clean, "{}: {c:?}", policy.name());
     }
 }
@@ -158,7 +189,10 @@ fn heavy_loss_plan_still_heals() {
         block_corrupt_prob: 0.60,
         ..FaultConfig::chaos()
     };
-    let (r, c, _) = soak_fleet(&FleetConfig { faults: heavy, ..flat(7) });
+    let (r, c, _) = soak_fleet(&FleetConfig {
+        faults: heavy,
+        ..flat(7)
+    });
     assert!(c.converged && c.scrub_clean, "{c:?}");
     let repaired = r.blocks_repaired + c.repair.blocks.repaired;
     assert!(repaired > 0 || r.fault.block_corruptions == 0, "{r:?}");
@@ -166,7 +200,10 @@ fn heavy_loss_plan_still_heals() {
 
 #[test]
 fn quiet_plan_stays_warm_and_repairs_nothing() {
-    let (r, c, _) = soak_fleet(&FleetConfig { faults: FaultConfig::default(), ..flat(3) });
+    let (r, c, _) = soak_fleet(&FleetConfig {
+        faults: FaultConfig::default(),
+        ..flat(3)
+    });
     assert!(c.converged && c.scrub_clean, "{c:?}");
     assert_eq!(r.fault.total_injected(), 0, "{:?}", r.fault);
     assert_eq!(r.degraded_boots, 0);

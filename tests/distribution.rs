@@ -56,14 +56,29 @@ fn register_reports_are_bit_identical_across_thread_counts() {
     for policy in DistributionPolicy::standard_set() {
         let run = |threads| {
             let mut sq = system(policy, 4, 6, threads);
-            let reports: Vec<_> =
-                (0..4).map(|img| sq.register(img).expect("register")).collect();
-            assert!(sq.check_replication().is_consistent(), "{} threads={threads}", policy.name());
-            (reports, sq.scvol_stats(), sq.ccvol_stats(0), sq.metrics().snapshot())
+            let reports: Vec<_> = (0..4)
+                .map(|img| sq.register(img).expect("register"))
+                .collect();
+            assert!(
+                sq.check_replication().is_consistent(),
+                "{} threads={threads}",
+                policy.name()
+            );
+            (
+                reports,
+                sq.scvol_stats(),
+                sq.ccvol_stats(0),
+                sq.metrics().snapshot(),
+            )
         };
         let reference = run(1);
         for threads in [2, 8] {
-            assert_eq!(run(threads), reference, "{} threads={threads}", policy.name());
+            assert_eq!(
+                run(threads),
+                reference,
+                "{} threads={threads}",
+                policy.name()
+            );
         }
     }
 }
@@ -81,7 +96,11 @@ fn storage_uplink_bytes_rank_peer_and_pipeline_below_multicast_below_unicast() {
     let (pipeline, _) = tx_for(DistributionPolicy::Pipeline);
     let (peer, _) = tx_for(DistributionPolicy::PeerAssisted);
 
-    assert_eq!(unicast, u64::from(nodes) * wire, "serial uplink pays per receiver");
+    assert_eq!(
+        unicast,
+        u64::from(nodes) * wire,
+        "serial uplink pays per receiver"
+    );
     assert_eq!(multicast, 8 * wire, "tree uplink pays the fanout");
     assert_eq!(pipeline, wire, "chain uplink pays once");
     assert_eq!(peer, wire, "peers re-serve everything past the seed copy");
@@ -102,13 +121,19 @@ fn peer_assisted_register_charges_peers_and_counts_hits() {
         snap.counter("squirrel_dist_transfers_total{policy=\"peer-assisted\"}"),
         Some(1)
     );
-    assert_eq!(snap.counter("squirrel_dist_storage_bytes_total"), Some(wire));
+    assert_eq!(
+        snap.counter("squirrel_dist_storage_bytes_total"),
+        Some(wire)
+    );
     assert_eq!(
         snap.counter("squirrel_dist_peer_bytes_total"),
         Some(u64::from(nodes - 1) * wire)
     );
     // The storage seed counts as the one miss; every other receiver is a hit.
-    assert_eq!(snap.counter("squirrel_dist_peer_hits_total"), Some(u64::from(nodes - 1)));
+    assert_eq!(
+        snap.counter("squirrel_dist_peer_hits_total"),
+        Some(u64::from(nodes - 1))
+    );
     assert_eq!(snap.counter("squirrel_dist_peer_misses_total"), Some(1));
 }
 
@@ -135,7 +160,11 @@ fn crashed_recv_leaves_nodes_lagging_and_the_next_register_counts_them() {
     let mut sq = system(DistributionPolicy::Unicast, 3, 3, 1);
     sq.register(0).expect("register 0");
 
-    let crash_all = FaultConfig { crash_recv_prob: 1.0, max_retries: 2, ..FaultConfig::default() };
+    let crash_all = FaultConfig {
+        crash_recv_prob: 1.0,
+        max_retries: 2,
+        ..FaultConfig::default()
+    };
     sq.set_fault_plan(FaultPlan::new(9, crash_all));
     let r = sq.register(1).expect("register 1");
     assert_eq!(r.nodes_updated, 0, "every recv crashed");
@@ -201,7 +230,11 @@ fn rehoard_from_peer_moves_no_storage_bytes() {
     let compute_tx0 = sq.network().compute_tx_total();
     let r = sq.rehoard_cache(2, 0).expect("rehoard");
     assert_eq!(r.peer, Some(1), "nearest warm peer donates");
-    assert_eq!(sq.network().storage_tx_total(), storage_tx0, "storage uplink untouched");
+    assert_eq!(
+        sq.network().storage_tx_total(),
+        storage_tx0,
+        "storage uplink untouched"
+    );
     assert_eq!(sq.network().compute_tx_total() - compute_tx0, r.wire_bytes);
     assert!(sq.has_cache(2, 0));
     assert!(sq.check_replication().is_consistent());
@@ -227,9 +260,15 @@ fn rejoin_pulls_from_scrub_clean_peer_through_a_cut_storage_link() {
         .unwrap_or(0);
     let out = sq.node_rejoin(2).expect("rejoin");
     assert!(matches!(out, RejoinOutcome::Incremental { .. }), "{out:?}");
-    assert_eq!(sq.network().storage_tx_total(), storage_tx0, "peer served every byte");
     assert_eq!(
-        sq.metrics().snapshot().counter("squirrel_dist_peer_hits_total"),
+        sq.network().storage_tx_total(),
+        storage_tx0,
+        "peer served every byte"
+    );
+    assert_eq!(
+        sq.metrics()
+            .snapshot()
+            .counter("squirrel_dist_peer_hits_total"),
         Some(hits0 + 1)
     );
 }

@@ -47,7 +47,10 @@ fn figure13_ddt_growth_is_sublinear_in_registrations() {
     for img in 0..8 {
         sq.register(img).expect("register");
         let snap = sq.metrics().snapshot();
-        ddt_after.push(snap.gauge_u64("squirrel_scvol_ddt_entries").expect("gauge set"));
+        ddt_after.push(
+            snap.gauge_u64("squirrel_scvol_ddt_entries")
+                .expect("gauge set"),
+        );
     }
     assert!(ddt_after[0] > 0);
     assert!(
@@ -60,8 +63,12 @@ fn figure13_ddt_growth_is_sublinear_in_registrations() {
     );
     // Cross-check against the per-block dedup counters: hits mean sharing.
     let snap = sq.metrics().snapshot();
-    let hits = snap.counter("zpool_ddt_hits_total{pool=\"scvol\"}").unwrap_or(0);
-    let misses = snap.counter("zpool_ddt_misses_total{pool=\"scvol\"}").expect("misses");
+    let hits = snap
+        .counter("zpool_ddt_hits_total{pool=\"scvol\"}")
+        .unwrap_or(0);
+    let misses = snap
+        .counter("zpool_ddt_misses_total{pool=\"scvol\"}")
+        .expect("misses");
     assert!(hits > 0, "cross-image sharing must produce DDT hits");
     assert_eq!(ddt_after[7], misses, "every unique block is one DDT entry");
 }
@@ -92,8 +99,12 @@ fn figure18_warm_boots_move_no_bytes_cold_boots_do() {
     }
     let after_cold = sq.metrics().snapshot();
     assert!(
-        after_cold.counter("squirrel_boot_net_bytes_total").expect("counter")
-            > after_warm.counter("squirrel_boot_net_bytes_total").unwrap_or(0),
+        after_cold
+            .counter("squirrel_boot_net_bytes_total")
+            .expect("counter")
+            > after_warm
+                .counter("squirrel_boot_net_bytes_total")
+                .unwrap_or(0),
         "cold boots cross the network"
     );
     assert_eq!(
@@ -116,11 +127,25 @@ fn figure6_registration_wire_beats_raw_cache() {
         sq.register(img).expect("register");
     }
     let snap = sq.metrics().snapshot();
-    let wire = snap.counter("squirrel_register_wire_bytes_total").expect("wire");
-    let cache = snap.counter("squirrel_register_cache_bytes_total").expect("cache");
-    assert!(wire < cache, "diff wire {wire} must be under raw cache {cache}");
+    let wire = snap
+        .counter("squirrel_register_wire_bytes_total")
+        .expect("wire");
+    let cache = snap
+        .counter("squirrel_register_cache_bytes_total")
+        .expect("cache");
+    assert!(
+        wire < cache,
+        "diff wire {wire} must be under raw cache {cache}"
+    );
     // The same reduction seen by the compression stage of the pool.
-    let c_in = snap.counter("zpool_compress_in_bytes_total{pool=\"scvol\"}").expect("in");
-    let c_out = snap.counter("zpool_compress_out_bytes_total{pool=\"scvol\"}").expect("out");
-    assert!(c_out < c_in, "gzip-6 must shrink cache records: {c_out} vs {c_in}");
+    let c_in = snap
+        .counter("zpool_compress_in_bytes_total{pool=\"scvol\"}")
+        .expect("in");
+    let c_out = snap
+        .counter("zpool_compress_out_bytes_total{pool=\"scvol\"}")
+        .expect("out");
+    assert!(
+        c_out < c_in,
+        "gzip-6 must shrink cache records: {c_out} vs {c_in}"
+    );
 }

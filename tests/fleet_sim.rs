@@ -51,8 +51,10 @@ fn zipf_sequences_replay_from_the_seed() {
 fn zipf_head_mass_grows_with_the_exponent() {
     // Skew monotonicity: a larger exponent concentrates more mass on the
     // head ranks. Deterministic draws, so strict ordering is safe.
-    let masses: Vec<f64> =
-        [0.7, 1.1, 1.5, 2.0].iter().map(|&s| head_mass(1_000, s, 99, 40_000)).collect();
+    let masses: Vec<f64> = [0.7, 1.1, 1.5, 2.0]
+        .iter()
+        .map(|&s| head_mass(1_000, s, 99, 40_000))
+        .collect();
     for pair in masses.windows(2) {
         assert!(pair[1] > pair[0], "head mass not monotone: {masses:?}");
     }
@@ -74,7 +76,10 @@ fn pressured(threads: usize) -> FleetConfig {
         threads,
         boots_per_day: 48,
         storm_vms: 6,
-        budget: HoardBudget { disk_bytes: 48 * 1024, ddt_mem_bytes: 0 },
+        budget: HoardBudget {
+            disk_bytes: 48 * 1024,
+            ddt_mem_bytes: 0,
+        },
         faults: FaultConfig::chaos(),
         ..FleetConfig::default()
     }
@@ -91,8 +96,14 @@ fn fleet_soak_is_bit_identical_at_any_thread_count() {
     assert_eq!(reference.days.len(), 3);
     assert!(reference.boots > 0, "{reference:?}");
     assert!(reference.popularity_decays > 0, "decay cadence never fired");
-    assert!(reference.fault.total_injected() > 0, "chaos must inject faults");
-    assert!(reference.joins > 0 && reference.leaves > 0, "fleet never scaled");
+    assert!(
+        reference.fault.total_injected() > 0,
+        "chaos must inject faults"
+    );
+    assert!(
+        reference.joins > 0 && reference.leaves > 0,
+        "fleet never scaled"
+    );
     assert_eq!(reference.read_checksum, PINNED_READS);
     // The snapshot hash skips counters that never fired, so it pins what
     // the run did, not the inventory of series. The series added since the
@@ -132,6 +143,9 @@ fn fleet_soak_is_bit_identical_at_any_thread_count() {
 #[test]
 fn fleet_soak_diverges_across_seeds() {
     let (a, _) = run_fleet_with_metrics(&pressured(1));
-    let (b, _) = run_fleet_with_metrics(&FleetConfig { seed: 7, ..pressured(1) });
+    let (b, _) = run_fleet_with_metrics(&FleetConfig {
+        seed: 7,
+        ..pressured(1)
+    });
     assert_ne!(a.read_checksum, b.read_checksum);
 }

@@ -13,7 +13,10 @@ fn system(images: u32, nodes: u32, seed: u64) -> Squirrel {
         ..CorpusConfig::azure(4096, seed)
     }));
     Squirrel::new(
-        SquirrelConfig::builder().compute_nodes(nodes).block_size(16 * 1024).build(),
+        SquirrelConfig::builder()
+            .compute_nodes(nodes)
+            .block_size(16 * 1024)
+            .build(),
         corpus,
     )
 }
@@ -56,7 +59,10 @@ fn cache_contents_survive_the_propagation_pipeline() {
         ..CorpusConfig::azure(4096, 33)
     }));
     let mut sq = Squirrel::new(
-        SquirrelConfig::builder().compute_nodes(2).block_size(16 * 1024).build(),
+        SquirrelConfig::builder()
+            .compute_nodes(2)
+            .block_size(16 * 1024)
+            .build(),
         Arc::clone(&corpus),
     );
     sq.register(0).expect("register");
@@ -87,7 +93,10 @@ fn interleaved_churn_preserves_replication() {
         sq.node_rejoin(3).expect("rejoin 3"),
         RejoinOutcome::Incremental { .. }
     ));
-    assert!(sq.check_replication().is_consistent(), "all nodes mirror the scVolume");
+    assert!(
+        sq.check_replication().is_consistent(),
+        "all nodes mirror the scVolume"
+    );
 
     // The deregistered image's cache must be gone from ccVolumes too (the
     // deletion rode along with the r3 diff).

@@ -40,7 +40,13 @@ fn full_footprint(seed: u64) -> (u64, u64) {
 fn starved_budget_degrades_the_catalog_but_never_wedges() {
     // A budget smaller than any single cache: every cache is evicted,
     // every image still boots — degraded, from shared storage.
-    let mut sq = system(HoardBudget { disk_bytes: 1, ddt_mem_bytes: 1 }, 5);
+    let mut sq = system(
+        HoardBudget {
+            disk_bytes: 1,
+            ddt_mem_bytes: 1,
+        },
+        5,
+    );
     for img in 0..IMAGES {
         sq.register(img).expect("register");
     }
@@ -52,7 +58,10 @@ fn starved_budget_degrades_the_catalog_but_never_wedges() {
         assert_eq!(sq.ccvol_file_count(node), Some(0));
         for img in 0..IMAGES {
             let out = sq.boot(node, img).expect("boot survives eviction");
-            assert!(!out.warm && out.degraded, "node {node} image {img}: {out:?}");
+            assert!(
+                !out.warm && out.degraded,
+                "node {node} image {img}: {out:?}"
+            );
             assert!(out.net_bytes > 0, "degraded boots hit the network");
         }
     }
@@ -63,7 +72,13 @@ fn starved_budget_degrades_the_catalog_but_never_wedges() {
 #[test]
 fn budget_equal_to_footprint_keeps_every_cache() {
     let (disk, ddt) = full_footprint(5);
-    let mut sq = system(HoardBudget { disk_bytes: disk, ddt_mem_bytes: ddt }, 5);
+    let mut sq = system(
+        HoardBudget {
+            disk_bytes: disk,
+            ddt_mem_bytes: ddt,
+        },
+        5,
+    );
     for img in 0..IMAGES {
         sq.register(img).expect("register");
     }
@@ -81,7 +96,13 @@ fn budget_equal_to_footprint_keeps_every_cache() {
 #[test]
 fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
     let (disk, _) = full_footprint(5);
-    let mut sq = system(HoardBudget { disk_bytes: disk - 1, ddt_mem_bytes: 0 }, 5);
+    let mut sq = system(
+        HoardBudget {
+            disk_bytes: disk - 1,
+            ddt_mem_bytes: 0,
+        },
+        5,
+    );
     for img in 0..IMAGES {
         sq.register(img).expect("register");
     }
@@ -92,8 +113,9 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
         }
     }
     let before = sq.ccvol_stats(0).expect("node");
-    let baselines: Vec<_> =
-        (0..IMAGES).map(|img| sq.verify_boot(0, img).expect("baseline verify")).collect();
+    let baselines: Vec<_> = (0..IMAGES)
+        .map(|img| sq.verify_boot(0, img).expect("baseline verify"))
+        .collect();
     let report = sq.enforce_hoard_budgets();
     assert!(!report.evictions.is_empty());
     assert_eq!(report.nodes_over_budget, NODES);
@@ -105,10 +127,16 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
         snap.counter("squirrel_budget_evictions_total"),
         Some(report.evictions.len() as u64)
     );
-    assert_eq!(snap.gauge_u64("squirrel_hoard_max_disk_bytes"), Some(disk - 1));
+    assert_eq!(
+        snap.gauge_u64("squirrel_hoard_max_disk_bytes"),
+        Some(disk - 1)
+    );
     // Idempotent: a second pass finds every node within budget.
     let again = sq.enforce_hoard_budgets();
-    assert!(again.evictions.is_empty() && again.nodes_over_budget == 0, "{again:?}");
+    assert!(
+        again.evictions.is_empty() && again.nodes_over_budget == 0,
+        "{again:?}"
+    );
     // Per node, evictions run least-popular-first (ascending popularity).
     for node in 0..NODES {
         let pops: Vec<u64> = report
@@ -117,13 +145,23 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
             .filter(|e| e.node == node)
             .map(|e| e.popularity)
             .collect();
-        assert!(pops.windows(2).all(|w| w[0] <= w[1]), "node {node}: {pops:?}");
+        assert!(
+            pops.windows(2).all(|w| w[0] <= w[1]),
+            "node {node}: {pops:?}"
+        );
     }
     // The least popular image on node 0 went first there.
-    let first = report.evictions.iter().find(|e| e.node == 0).expect("node 0 evicts");
+    let first = report
+        .evictions
+        .iter()
+        .find(|e| e.node == 0)
+        .expect("node 0 evicts");
     assert_eq!(first.image, IMAGES - 1, "least-booted image goes first");
     assert!(first.was_cached && first.popularity == 1, "{first:?}");
-    assert!(first.disk_bytes_freed > 0 && first.ddt_mem_bytes_freed > 0, "{first:?}");
+    assert!(
+        first.disk_bytes_freed > 0 && first.ddt_mem_bytes_freed > 0,
+        "{first:?}"
+    );
     assert!(report.disk_bytes_freed >= first.disk_bytes_freed);
 
     // Re-hoard on demand: warm boots come back, space accounting matches
@@ -139,14 +177,23 @@ fn eviction_is_least_popular_first_and_rehoard_restores_warm_boots() {
         // Evicted images boot degraded from shared storage.
         assert!(!sq.has_cache(0, img));
         let out = sq.boot(0, img).expect("degraded boot");
-        assert!(!out.warm && out.degraded && out.net_bytes > 0, "image {img}: {out:?}");
+        assert!(
+            !out.warm && out.degraded && out.net_bytes > 0,
+            "image {img}: {out:?}"
+        );
         let re = sq.rehoard_cache(0, img).expect("rehoard");
         assert_eq!((re.node, re.image), (0, img));
-        assert!(re.wire_bytes > 0 && re.blocks > 0, "re-hoard crosses the network");
+        assert!(
+            re.wire_bytes > 0 && re.blocks > 0,
+            "re-hoard crosses the network"
+        );
         assert!(sq.has_cache(0, img));
         // The full decompress-and-compare walk sees the original image
         // bytes, with the same fetch profile as the first hoard.
-        assert_eq!(sq.verify_boot(0, img).expect("verify"), baselines[img as usize]);
+        assert_eq!(
+            sq.verify_boot(0, img).expect("verify"),
+            baselines[img as usize]
+        );
         let out = sq.boot(0, img).expect("boot");
         assert!(out.warm && !out.degraded, "image {img}: {out:?}");
     }
@@ -176,7 +223,10 @@ fn enforcement_and_metrics_are_thread_invariant() {
                 .compute_nodes(NODES)
                 .block_size(16 * 1024)
                 .threads(threads)
-                .hoard_budget(HoardBudget { disk_bytes: disk / 2, ddt_mem_bytes: 0 })
+                .hoard_budget(HoardBudget {
+                    disk_bytes: disk / 2,
+                    ddt_mem_bytes: 0,
+                })
                 .build(),
             corpus,
         );
@@ -198,7 +248,13 @@ fn enforcement_and_metrics_are_thread_invariant() {
 #[test]
 fn replication_repair_respects_budget_evictions() {
     let (disk, _) = full_footprint(5);
-    let mut sq = system(HoardBudget { disk_bytes: disk / 2, ddt_mem_bytes: 0 }, 5);
+    let mut sq = system(
+        HoardBudget {
+            disk_bytes: disk / 2,
+            ddt_mem_bytes: 0,
+        },
+        5,
+    );
     for img in 0..IMAGES {
         sq.register(img).expect("register");
     }
@@ -210,5 +266,8 @@ fn replication_repair_respects_budget_evictions() {
     let sync = sq.repair_replication();
     assert_eq!(sync.repaired, 0, "{sync:?}");
     let still = sq.enforce_hoard_budgets();
-    assert!(still.evictions.is_empty(), "repair resurrected caches: {still:?}");
+    assert!(
+        still.evictions.is_empty(),
+        "repair resurrected caches: {still:?}"
+    );
 }

@@ -30,7 +30,11 @@ fn cache_streams_survive_the_wire_format_end_to_end() {
     }
 
     let mut replica = ZPool::new(PoolConfig::new(bs, Codec::Gzip(6)));
-    let tags: Vec<String> = scvol.snapshot_tags().iter().map(|s| s.to_string()).collect();
+    let tags: Vec<String> = scvol
+        .snapshot_tags()
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
     let mut prev: Option<String> = None;
     for tag in &tags {
         let stream = scvol.send_between(prev.as_deref(), tag).expect("send");
@@ -84,7 +88,10 @@ fn full_system_boot_data_path_verifies_after_churn() {
     // actual bytes through the chain — the strongest end-to-end check.
     let corpus = corpus();
     let mut sq = Squirrel::new(
-        SquirrelConfig::builder().compute_nodes(3).block_size(16 * 1024).build(),
+        SquirrelConfig::builder()
+            .compute_nodes(3)
+            .block_size(16 * 1024)
+            .build(),
         Arc::clone(&corpus),
     );
     sq.register(0).expect("r0");

@@ -96,13 +96,22 @@ fn a_registration_verifies_its_payload_once_per_distinct_copy() {
     // crashing receivers throw theirs away.
     let quiet = register_once(8, 1, Some(FaultPlan::quiet(7)));
     assert_eq!((quiet.0, verified(&quiet)), (8, payload));
-    let crashy = || plan(FaultConfig { crash_recv_prob: 0.3, ..FaultConfig::default() });
+    let crashy = || {
+        plan(FaultConfig {
+            crash_recv_prob: 0.3,
+            ..FaultConfig::default()
+        })
+    };
     let lossy = register_once(8, 1, crashy());
     assert!(count(&lossy, "squirrel_fault_recv_crashes_total") > 0);
     assert_eq!((lossy.0, verified(&lossy)), (8, payload));
     // A flipped copy is refused by its frame digest before any proof.
     let flipped = |p, max_retries| {
-        let config = FaultConfig { stream_corrupt_prob: p, max_retries, ..FaultConfig::default() };
+        let config = FaultConfig {
+            stream_corrupt_prob: p,
+            max_retries,
+            ..FaultConfig::default()
+        };
         register_once(8, 1, plan(config))
     };
     let some = flipped(0.3, 4);
@@ -114,7 +123,11 @@ fn a_registration_verifies_its_payload_once_per_distinct_copy() {
     assert_eq!(verified(&all), 0);
     for threads in [2, 8] {
         assert_eq!(register_once(8, threads, None), clean, "threads={threads}");
-        assert_eq!(register_once(8, threads, crashy()), lossy, "threads={threads}");
+        assert_eq!(
+            register_once(8, threads, crashy()),
+            lossy,
+            "threads={threads}"
+        );
     }
 }
 
@@ -253,7 +266,10 @@ fn payload_reuse_trail(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Me
     let storm = sq.boot_storm(0, 12).expect("storm");
     let working_set = storm.blocks_per_vm * BLOCK;
     assert!(working_set > 0);
-    assert_eq!((storm.warm_vms, storm.arc.misses), (12, 4 * storm.blocks_per_vm));
+    assert_eq!(
+        (storm.warm_vms, storm.arc.misses),
+        (12, 4 * storm.blocks_per_vm)
+    );
     step(&sq);
     // Nothing outlives the storm's own caches: the next one starts over.
     assert_eq!(sq.boot_storm(0, 12).expect("storm").arc, storm.arc);
@@ -271,7 +287,11 @@ fn payload_reuse_trail(threads: usize, plan: Option<FaultPlan>) -> (Vec<u64>, Me
 fn a_storm_decompresses_a_record_once_not_once_per_node() {
     let reference = payload_reuse_trail(1, None);
     for threads in [2, 8] {
-        assert_eq!(payload_reuse_trail(threads, None), reference, "threads={threads}");
+        assert_eq!(
+            payload_reuse_trail(threads, None),
+            reference,
+            "threads={threads}"
+        );
     }
 }
 
@@ -336,12 +356,27 @@ fn one_snapshot_answers_the_acceptance_questions() {
     // the copies a storm's shared reads avoided.
     let sq = run_workflows(0);
     let snap = sq.metrics().snapshot();
-    assert!(snap.counter("squirrel_register_wire_bytes_total").expect("wire") > 0);
-    assert_eq!(snap.counter("squirrel_boot_total{node=\"0\",result=\"warm\"}"), Some(1));
-    assert_eq!(snap.counter("squirrel_boot_total{node=\"0\",result=\"cold\"}"), Some(1));
-    assert_eq!(snap.counter("squirrel_boot_total{node=\"2\",result=\"warm\"}"), Some(1));
+    assert!(
+        snap.counter("squirrel_register_wire_bytes_total")
+            .expect("wire")
+            > 0
+    );
+    assert_eq!(
+        snap.counter("squirrel_boot_total{node=\"0\",result=\"warm\"}"),
+        Some(1)
+    );
+    assert_eq!(
+        snap.counter("squirrel_boot_total{node=\"0\",result=\"cold\"}"),
+        Some(1)
+    );
+    assert_eq!(
+        snap.counter("squirrel_boot_total{node=\"2\",result=\"warm\"}"),
+        Some(1)
+    );
     assert!(snap.gauge_u64("squirrel_scvol_ddt_entries").expect("ddt") > 0);
-    let avoided = snap.counter("squirrel_boot_storm_copies_avoided_total").expect("storm");
+    let avoided = snap
+        .counter("squirrel_boot_storm_copies_avoided_total")
+        .expect("storm");
     assert!(avoided > 0, "VMs sharing a node must share its buffers");
 }
 
@@ -353,11 +388,18 @@ fn real_system_snapshot_json_parses_and_lists_every_series() {
     let counters: Vec<(&str, u64)> = section("counters")
         .iter()
         .map(|row| match row.as_arr("counter row").expect("row") {
-            [name, value] => (name.as_str("name").expect("name"), value.as_u64("value").expect("value")),
+            [name, value] => (
+                name.as_str("name").expect("name"),
+                value.as_u64("value").expect("value"),
+            ),
             _ => panic!("counter row {row:?}"),
         })
         .collect();
-    let want: Vec<(&str, u64)> = snap.counters.iter().map(|(name, v)| (name.as_str(), *v)).collect();
+    let want: Vec<(&str, u64)> = snap
+        .counters
+        .iter()
+        .map(|(name, v)| (name.as_str(), *v))
+        .collect();
     assert!(!want.is_empty());
     assert_eq!(counters, want);
     assert_eq!(section("gauges").len(), snap.gauges.len());

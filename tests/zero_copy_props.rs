@@ -104,7 +104,10 @@ fn boot_storm_is_bit_identical_across_thread_counts() {
         // Evict one node's hoard so the storm mixes warm and cold serving.
         let _ = sq.evict_cache(2, 0).expect("evict");
         let storm = sq.boot_storm(0, 9).expect("storm");
-        assert!(storm.warm_vms > 0 && storm.cold_vms > 0, "mixed storm expected");
+        assert!(
+            storm.warm_vms > 0 && storm.cold_vms > 0,
+            "mixed storm expected"
+        );
         let bits: Vec<u64> = storm.boot_seconds.iter().map(|s| s.to_bits()).collect();
         let snap = sq.metrics().snapshot();
         (

@@ -15,16 +15,8 @@ cargo test -q --workspace
 echo "== cargo clippy =="
 cargo clippy --all-targets --workspace -- -D warnings
 
-echo "== cargo fmt (crates formatted so far) =="
-# A ratchet: each crate listed here (squirrel-qcow, squirrel-bench,
-# squirrel-bootsim, squirrel-compress, squirrel-zfs, squirrel-cluster,
-# squirrel-obs, squirrel-curvefit, squirrel-core, squirrel-hash,
-# squirrel-faults, squirrel-dataset) is rustfmt-clean and must stay so. The
-# whole-workspace check lands with the one formatting commit.
-cargo fmt --check -p squirrel-qcow -p squirrel-bench -p squirrel-bootsim \
-    -p squirrel-compress -p squirrel-zfs -p squirrel-cluster -p squirrel-obs \
-    -p squirrel-curvefit -p squirrel-core -p squirrel-hash -p squirrel-faults \
-    -p squirrel-dataset
+echo "== cargo fmt =="
+cargo fmt --check
 
 echo "== cargo doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

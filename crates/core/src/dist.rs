@@ -15,8 +15,9 @@
 //!   legs.
 //! - [`rehoard_cache`](crate::Squirrel::rehoard_cache) and
 //!   [`node_rejoin`](crate::Squirrel::node_rejoin) move bytes to one
-//!   receiver from the source `pick_source` chooses: the nearest qualifying
-//!   peer under `PeerAssisted`, the storage tier otherwise.
+//!   receiver: the nearest qualifying peer under `PeerAssisted`, the
+//!   storage tier otherwise. Every peer above is the first of one donor
+//!   list, `Squirrel::donors`, which block repair asks too.
 //!
 //! All of them record the same `squirrel_dist_*` counters. Folding the
 //! register paths into one executor that walks the plan, faults included,

@@ -213,7 +213,11 @@ impl Squirrel {
         let mut span = self.obs.span("rehoard");
         span.field("node", node);
         span.field("image", image);
-        let source = self.pick_source(node, |peer| peer.can_donate(image));
+        let source = self
+            .wants_peers()
+            .then(|| self.donors(node, None, |p| p.can_donate(image)).next())
+            .flatten()
+            .map_or(Source::Storage, Source::Peer);
         let src = self.source_id(source);
         let donor_pool = self.source_pool(source);
         let refs = donor_pool.block_refs(&name).expect("donor holds the file");

@@ -45,7 +45,11 @@ impl Squirrel {
             return Ok(RejoinOutcome::UpToDate);
         }
 
-        let source = self.pick_source(node, |peer| peer.mirrors(&sc_latest));
+        let source = self
+            .wants_peers()
+            .then(|| self.donors(node, None, |p| p.mirrors(&sc_latest)).next())
+            .flatten()
+            .map_or(Source::Storage, Source::Peer);
         let src = self.source_id(source);
         if let Source::Peer(peer) = source {
             span.field("peer", peer);

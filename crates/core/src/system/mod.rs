@@ -1,7 +1,8 @@
 //! The Squirrel system: scVolume, ccVolumes, and the paper's workflows —
 //! one struct, one `impl` block per workflow file (module map in DESIGN.md).
-//! This file owns what the workflows share: the node guards, the
-//! nearest-first ordering, source choice and single-transfer accounting.
+//! This file owns what the workflows share: the node guards, the one donor
+//! list every transfer and repair takes its source from, and single-transfer
+//! accounting.
 
 mod boot;
 mod budget;
@@ -84,8 +85,8 @@ impl Source {
 
 /// Ids `below` (descending from `t`) and `above` (ascending from `t`)
 /// merged nearest-first: ascending `(|d - t|, d)`, so at equal distance
-/// the lower id wins. The one implementation of that ordering — the
-/// fan-out planner probes a donor set with it, the source picker the fleet.
+/// the lower id wins. The rank of [`Squirrel::donors`] for a peer receiver;
+/// with `below` empty it yields `above` as it comes and never compares.
 fn nearest_first(
     t: NodeId,
     below: impl Iterator<Item = NodeId>,
@@ -456,52 +457,34 @@ impl Squirrel {
         }
     }
 
-    /// The member of `donors` nearest to `t` that has a live link to it.
-    /// Probes outward from `t`'s id in both directions, so with healthy
-    /// links the first candidate wins.
-    fn nearest_reachable(&self, donors: &BTreeSet<NodeId>, t: NodeId) -> Option<NodeId> {
-        nearest_first(
-            t,
-            donors.range(..t).rev().copied(),
-            donors.range(t..).copied(),
-        )
-        .find(|&d| self.net.is_reachable(d, t))
-    }
-
     fn wants_peers(&self) -> bool {
         self.config.distribution == DistributionPolicy::PeerAssisted
     }
 
-    /// The one source picker for single-receiver transfers (rejoin
-    /// catch-up, re-hoard). Under [`DistributionPolicy::PeerAssisted`]: the
-    /// nearest peer — by node-id distance, the flat switch's stand-in for
-    /// topology — that is online, has a live link to `node` and passes
-    /// `proof`, the workflow's own donor check; that may walk a whole pool,
-    /// so it runs nearest-first and only until the first pass. The storage
-    /// root under every other policy, and whenever no peer qualifies.
-    fn pick_source(&self, node: NodeId, proof: impl Fn(&ComputeNode) -> bool) -> Source {
-        if !self.wants_peers() {
-            return Source::Storage;
-        }
-        nearest_first(node, (0..node).rev(), node + 1..self.nodes.len() as NodeId)
-            .find(|&p| {
-                let peer = &self.nodes[p as usize];
-                peer.online && self.net.is_reachable(p, node) && proof(peer)
-            })
-            .map_or(Source::Storage, Source::Peer)
-    }
-
-    /// [`Self::pick_source`] as filter-everything-then-minimum: its oracle.
-    #[cfg(test)]
-    fn pick_source_oracle(&self, node: NodeId, proof: impl Fn(&ComputeNode) -> bool) -> Source {
-        (0..self.nodes.len() as NodeId)
-            .filter(|&p| {
-                let peer = &self.nodes[p as usize];
-                p != node && peer.online && self.net.is_reachable(p, node) && proof(peer)
-            })
-            .min_by_key(|&p| (p.abs_diff(node), p))
-            .filter(|_| self.wants_peers())
-            .map_or(Source::Storage, Source::Peer)
+    /// The one donor list: the `candidates` (an id set, or `None` for every
+    /// compute node) that could send `to` a copy, best first — not `to`,
+    /// online, linked to `to` and passing `proof`, the caller's own check.
+    /// A peer receiver ranks them by [`nearest_first`]; the storage root,
+    /// which has no place on the id line, by ascending id. Lazy, so a caller
+    /// taking the first pays only for the probes (and proofs) up to it.
+    fn donors<'a>(
+        &'a self,
+        to: NodeId,
+        candidates: Option<&'a BTreeSet<NodeId>>,
+        proof: impl Fn(&ComputeNode) -> bool + 'a,
+    ) -> impl Iterator<Item = NodeId> + 'a {
+        let ids = move |lo: NodeId, hi: NodeId| {
+            let set = candidates.map(|c| c.range(lo..hi).copied());
+            let all = candidates.is_none().then_some(lo..hi);
+            set.into_iter().flatten().chain(all.into_iter().flatten())
+        };
+        let root = self.config.storage_root();
+        let at = if to == root { 0 } else { to };
+        let below = ids(0, at).rev();
+        nearest_first(to, below, ids(at, self.nodes.len() as NodeId)).filter(move |&d| {
+            let node = &self.nodes[d as usize];
+            d != to && node.online && self.net.is_reachable(d, to) && proof(node)
+        })
     }
 
     fn source_id(&self, src: Source) -> NodeId {
@@ -797,10 +780,44 @@ mod tests {
         assert_eq!(names, vec!["register", "boot", "boot", "gc"]);
     }
 
+    /// [`Squirrel::donors`] as filter-everything-then-sort: its oracle.
+    fn donors_oracle(
+        sq: &Squirrel,
+        to: NodeId,
+        candidates: Option<&BTreeSet<NodeId>>,
+        proof: impl Fn(&ComputeNode) -> bool,
+    ) -> Vec<NodeId> {
+        let mut found: Vec<NodeId> = (0..sq.nodes.len() as NodeId)
+            .filter(|&d| {
+                let node = &sq.nodes[d as usize];
+                candidates.is_none_or(|c| c.contains(&d))
+                    && d != to
+                    && node.online
+                    && sq.net.is_reachable(d, to)
+                    && proof(node)
+            })
+            .collect();
+        let root = sq.config.storage_root();
+        found.sort_by_key(|&d| (if to == root { 0 } else { d.abs_diff(to) }, d));
+        found
+    }
+
     #[test]
-    fn source_picker_equals_the_scan_everything_oracle() {
+    fn donor_list_equals_the_scan_everything_oracle() {
         const NODES: u32 = 1000;
-        let mut sq = system_with(NODES, |c| c.distribution = DistributionPolicy::PeerAssisted);
+        let mut sq = system_with(NODES, |c| {
+            c.distribution = DistributionPolicy::PeerAssisted;
+            c.topology = TopologyConfig {
+                regions: 1,
+                dcs_per_region: 2,
+                racks_per_dc: 4,
+            };
+        });
+        let root = sq.config.storage_root();
+        let targets: Vec<NodeId> = (0..NODES).collect();
+        let healthy = sq.plan_fanout(&targets, 4096);
+        assert!(healthy.unreachable.is_empty());
+        assert_eq!(healthy.planned_receivers(), targets.len());
         sq.register(0).expect("register");
         let (mut far_picks, mut storage_picks) = (0, 0);
         for seed in 0..4u64 {
@@ -819,46 +836,77 @@ mod tests {
             }
             let tip = sq.scvol.latest_snapshot().expect("tip").to_string();
             let (hermit, centre) = cut_links(&mut sq, &mut rng);
+            // ...and whole racks down.
+            for _ in 0..=seed % 3 {
+                sq.rack_down(rng.below(8) as u32);
+            }
             let mut any = move || rng.below(NODES.into()) as NodeId;
             // Donors that fail the proofs: evicted copies, rotted records.
             for _ in 0..150 {
                 let _ = sq.evict_cache(any(), 0).expect("evict");
                 sq.corrupt_cc_block(any(), u64::from(any()));
             }
+            // An ordered candidate set, like the planner's idle donors or
+            // the fault path's delivered receivers.
+            let set: BTreeSet<NodeId> = (0..300).map(|_| any()).collect();
 
             let probes: Vec<NodeId> = (0..30)
                 .map(|_| any())
-                .chain([hermit, centre - 5, centre, centre + 4])
+                .chain([hermit, centre - 5, centre, centre + 4, root])
                 .collect();
             for &t in &probes {
-                for (what, pick, oracle) in [
-                    (
-                        "rejoin",
-                        sq.pick_source(t, |p| p.mirrors(&tip)),
-                        sq.pick_source_oracle(t, |p| p.mirrors(&tip)),
-                    ),
-                    (
-                        "rehoard",
-                        sq.pick_source(t, |p| p.can_donate(0)),
-                        sq.pick_source_oracle(t, |p| p.can_donate(0)),
-                    ),
-                ] {
-                    assert_eq!(pick, oracle, "seed {seed} {what} donor for node {t}");
-                    far_picks += usize::from(pick.peer().is_some_and(|p| p.abs_diff(t) > 50));
-                    storage_picks += usize::from(pick == Source::Storage);
+                for candidates in [None, Some(&set)] {
+                    for (what, donors, oracle) in [
+                        (
+                            "rejoin",
+                            sq.donors(t, candidates, |p| p.mirrors(&tip)).collect(),
+                            donors_oracle(&sq, t, candidates, |p| p.mirrors(&tip)),
+                        ),
+                        (
+                            "rehoard",
+                            sq.donors(t, candidates, |p| p.can_donate(0)).collect(),
+                            donors_oracle(&sq, t, candidates, |p| p.can_donate(0)),
+                        ),
+                        (
+                            "fan-out",
+                            sq.donors(t, candidates, |_| true).collect::<Vec<_>>(),
+                            donors_oracle(&sq, t, candidates, |_| true),
+                        ),
+                    ] {
+                        let at = format!(
+                            "seed {seed} {what} donors of {t}, set {}",
+                            candidates.is_some()
+                        );
+                        assert_eq!(donors, oracle, "{at}");
+                        if t != root {
+                            far_picks +=
+                                usize::from(donors.first().is_some_and(|p| p.abs_diff(t) > 50));
+                            storage_picks += usize::from(donors.is_empty());
+                        }
+                    }
                 }
             }
+            let plan = sq.plan_fanout(&targets, 4096);
+            assert_eq!(
+                plan.planned_receivers() + plan.unreachable.len(),
+                targets.len(),
+                "seed {seed}"
+            );
+            assert!(plan.unreachable.contains(&hermit), "seed {seed}");
             // The workflow asks for the donor the oracle names.
             for t in probes {
-                if t == hermit || !sq.node_is_online(t) {
+                if t == hermit || t == root || !sq.node_is_online(t) {
                     continue;
                 }
                 let _ = sq.evict_cache(t, 0).expect("evict");
-                let want = sq.pick_source_oracle(t, |p| p.can_donate(0));
+                let want = donors_oracle(&sq, t, None, |p| p.can_donate(0));
                 match sq.rehoard_cache(t, 0) {
-                    Ok(r) => assert_eq!(r.peer, want.peer(), "seed {seed} node {t}"),
-                    Err(e) => assert_eq!(want, Source::Storage, "seed {seed} node {t}: {e}"),
+                    Ok(r) => assert_eq!(r.peer, want.first().copied(), "seed {seed} node {t}"),
+                    Err(e) => assert!(want.is_empty(), "seed {seed} node {t}: {e}"),
                 }
+            }
+            for rack in 0..8 {
+                sq.rack_up(rack);
             }
         }
         assert!(

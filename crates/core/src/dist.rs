@@ -15,9 +15,10 @@
 //!   legs.
 //! - [`rehoard_cache`](crate::Squirrel::rehoard_cache) and
 //!   [`node_rejoin`](crate::Squirrel::node_rejoin) move bytes to one
-//!   receiver: the nearest qualifying peer under `PeerAssisted`, the
-//!   storage tier otherwise. Every peer above is the first of one donor
-//!   list, `Squirrel::donors`, which block repair asks too.
+//!   receiver. Its sender, like each lossy-path receiver's, is
+//!   `Squirrel::source_for`: under `PeerAssisted` the first of the one
+//!   donor list, `Squirrel::donors` (which the planner and block repair ask
+//!   too), else the storage root, whose copy a re-hoard proves first.
 //!
 //! All of them record the same `squirrel_dist_*` counters. Folding the
 //! register paths into one executor that walks the plan, faults included,

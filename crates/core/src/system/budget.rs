@@ -5,11 +5,12 @@
 #[cfg(doc)]
 use super::SquirrelConfig;
 use super::{BudgetReport, EvictReport, RehoardReport, SquirrelError};
-use super::{ComputeNode, Source, Squirrel};
+use super::{ComputeNode, Squirrel};
 #[cfg(doc)]
 use crate::dist::DistributionPolicy;
 use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
+use squirrel_zfs::RecvError;
 
 impl ComputeNode {
     /// Drop the eviction marks of caches a stream delivery restored: once
@@ -194,11 +195,15 @@ impl Squirrel {
     /// paper's partial-hoarding fallback. Under
     /// [`DistributionPolicy::PeerAssisted`] the nearest warm peer holding
     /// an intact, unevicted copy serves the bytes; the scVolume serves them
-    /// otherwise (and whenever no peer qualifies). Replicas are
-    /// bit-identical by construction (same keys, same frames: compression
-    /// is deterministic), so the re-import lands the node in the same state
-    /// regardless of donor. The transfer is charged to the network ledgers
-    /// and `squirrel_dist_*` counters like every other hoard transfer.
+    /// otherwise (and whenever no peer qualifies), once its copy is proved:
+    /// a rotten record refuses the re-hoard with
+    /// [`RecvError::CorruptPayload`] naming the file's first one, and the
+    /// cache stays evicted until scrub-and-repair heals the scVolume.
+    /// Replicas are bit-identical by construction (same keys, same frames:
+    /// compression is deterministic), so the re-import lands the node in
+    /// the same state regardless of donor. The transfer is charged to the
+    /// network ledgers and `squirrel_dist_*` counters like every other hoard
+    /// transfer.
     pub fn rehoard_cache(
         &mut self,
         node: NodeId,
@@ -213,14 +218,20 @@ impl Squirrel {
         let mut span = self.obs.span("rehoard");
         span.field("node", node);
         span.field("image", image);
-        let source = self
-            .wants_peers()
-            .then(|| self.donors(node, None, |p| p.can_donate(image)).next())
-            .flatten()
-            .map_or(Source::Storage, Source::Peer);
-        let src = self.source_id(source);
-        let donor_pool = self.source_pool(source);
+        let src = self.source_for(node, None, |p| p.can_donate(image));
+        let peer = (src != self.config.storage_root()).then_some(src);
+        let donor_pool = self.pool(src);
         let refs = donor_pool.block_refs(&name).expect("donor holds the file");
+        // A peer donor proved its copy in `can_donate`; the scVolume's is
+        // proved here, or a rotten record would become a permanent wrong
+        // cache. Nothing moves and the node's pool is left as it was.
+        if peer.is_none() && donor_pool.file_is_intact(&name) == Some(false) {
+            let rotten = donor_pool.scrub().corrupt;
+            let first = refs.iter().flatten().find(|r| rotten.contains(&r.key));
+            if let Some(r) = first {
+                return Err(SquirrelError::Recv(RecvError::CorruptPayload(r.key)));
+            }
+        }
         // Compressed frames + 24-byte record headers, like repair transfers.
         let wire: u64 = refs.iter().flatten().map(|r| u64::from(r.psize) + 24).sum();
         let len = donor_pool.file_len(&name).expect("donor holds the file");
@@ -242,9 +253,9 @@ impl Squirrel {
         self.nodes[idx].evicted.remove(&image);
         self.obs.inc("squirrel_rehoard_total");
         self.obs.add("squirrel_rehoard_wire_bytes_total", wire);
-        self.record_transfer(source, wire, secs);
+        self.record_transfer(src, wire, secs);
         span.field("wire_bytes", wire);
-        if let Source::Peer(peer) = source {
+        if let Some(peer) = peer {
             span.field("peer", peer);
         }
         Ok(RehoardReport {
@@ -252,7 +263,7 @@ impl Squirrel {
             image,
             wire_bytes: wire,
             blocks: nblocks,
-            peer: source.peer(),
+            peer,
         })
     }
 
@@ -365,9 +376,39 @@ mod tests {
         assert_eq!(r.nodes_updated, 0, "purged nodes skip the diff");
         assert!(!sq.check_replication().is_consistent());
 
+        // Each node's rejoin ships the diff, which its pool refuses, then
+        // the full stream: both are charged to the storage tier.
+        let tag = |image| {
+            sq.registration_info(image)
+                .expect("registered")
+                .snapshot_tag
+        };
+        let (tag_a, tag_b) = (tag(a), tag(b));
+        let wire = |base: Option<&str>| {
+            let stream = sq.scvol.send_between(base, &tag_b).expect("stream");
+            stream.wire_bytes()
+        };
+        let (diff, full) = (wire(Some(&tag_a)), wire(None));
+        let storage_bytes = |sq: &Squirrel| {
+            let snap = sq.metrics().snapshot();
+            let dist = snap.counter("squirrel_dist_storage_bytes_total");
+            (sq.network().storage_tx_total(), dist.unwrap_or(0))
+        };
+        let (tx0, dist0) = storage_bytes(&sq);
         let sync = sq.repair_replication();
         assert!(sync.all_repaired(), "{sync:?}");
         assert!(sq.check_replication().is_consistent());
+        let (tx1, dist1) = storage_bytes(&sq);
+        assert_eq!(tx1 - tx0, 2 * (diff + full));
+        assert_eq!(dist1 - dist0, 2 * (diff + full));
+        assert_eq!(sync.wire_bytes, 2 * full);
+        let snap = sq.metrics().snapshot();
+        let rejoins = |outcome: &str| {
+            let series = format!("squirrel_rejoin_total{{outcome=\"{outcome}\"}}");
+            snap.counter(&series).unwrap_or(0)
+        };
+        assert_eq!(rejoins("full-replication"), 2);
+        assert_eq!(rejoins("incremental"), 0);
         // Full replication re-hoarded everything, marks included.
         assert!(sq.has_cache(0, a) && sq.has_cache(0, b));
         assert!(sq.boot(0, b).expect("boot").warm);
@@ -375,6 +416,33 @@ mod tests {
         let again = sq.enforce_hoard_budgets();
         assert!(again.is_within_budget());
         assert!(!again.evictions.is_empty());
+    }
+
+    #[test]
+    fn rehoard_refuses_a_rotten_scvolume_record() {
+        let mut sq = small_system(3);
+        sq.register(0).expect("register");
+        let baseline = sq.verify_boot(0, 0).expect("verify");
+        let key = sq.corrupt_sc_block(1).expect("rot");
+        let _ = sq.evict_cache(0, 0).expect("evict");
+        let tx = sq.network().storage_tx_total();
+        assert_eq!(
+            sq.rehoard_cache(0, 0),
+            Err(SquirrelError::Recv(RecvError::CorruptPayload(key)))
+        );
+        // Nothing moved or was imported: the cache stays evicted and boots
+        // degrade to shared storage, serving the right bytes.
+        assert_eq!(sq.network().storage_tx_total(), tx);
+        assert!(!sq.has_cache(0, 0));
+        assert!(sq.boot(0, 0).expect("boot").degraded);
+        sq.verify_boot(0, 0)
+            .expect("degraded boot reads true bytes");
+        assert_eq!(sq.scrub_and_repair_scvol().repaired, 1);
+        let re = sq
+            .rehoard_cache(0, 0)
+            .expect("rehoard from the healed scVolume");
+        assert_eq!(re.peer, None);
+        assert_eq!(sq.verify_boot(0, 0), Ok(baseline));
     }
 
     #[test]

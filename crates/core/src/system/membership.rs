@@ -3,12 +3,12 @@
 //! snapshot is still in the window, by full replication otherwise — plus
 //! the replication check that says who is lagging.
 
-use super::{ComputeNode, Source, Squirrel};
+use super::{ComputeNode, Squirrel};
 use super::{NodeReplication, RejoinOutcome, ReplicationReport, SquirrelError};
 #[cfg(doc)]
 use crate::dist::DistributionPolicy;
 use squirrel_cluster::NodeId;
-use squirrel_zfs::{RecvError, ZPool};
+use squirrel_zfs::RecvError;
 
 impl Squirrel {
     /// Take a compute node offline (fail-stop).
@@ -45,102 +45,80 @@ impl Squirrel {
             return Ok(RejoinOutcome::UpToDate);
         }
 
-        let source = self
-            .wants_peers()
-            .then(|| self.donors(node, None, |p| p.mirrors(&sc_latest)).next())
-            .flatten()
-            .map_or(Source::Storage, Source::Peer);
-        let src = self.source_id(source);
-        if let Source::Peer(peer) = source {
-            span.field("peer", peer);
+        let src = self.source_for(node, None, |p| p.mirrors(&sc_latest));
+        if src != self.config.storage_root() {
+            span.field("peer", src);
         }
-        // Wire bytes already charged by an incremental attempt that fell
-        // through to full replication (the transfer happened, the apply
-        // didn't).
+        // Every stream sent is charged, also a diff that falls through to
+        // full replication (the transfer happened, the apply didn't).
         let mut charged = 0u64;
+        let mut send = |base: Option<&str>| -> Result<_, SquirrelError> {
+            let stream = self
+                .scvol
+                .send_between(base, &sc_latest)
+                .map_err(SquirrelError::Send)?;
+            let wire = stream.wire_bytes();
+            // A link partitioned from every source leaves the node online
+            // but still lagging; repair_replication retries later.
+            let secs = self
+                .net
+                .try_unicast(src, node, wire)
+                .map_err(SquirrelError::Net)?;
+            charged += wire;
+            Ok((stream, wire, secs))
+        };
+        let mut incremental = None;
         // Try incremental first.
-        if let Some(base) = &local_latest {
-            if self.scvol.has_snapshot(base) {
-                let stream = self
-                    .scvol
-                    .send_between(Some(base), &sc_latest)
-                    .map_err(SquirrelError::Send)?;
-                let wire = stream.wire_bytes();
-                // A link partitioned from every source leaves the node
-                // online but still lagging; repair_replication retries
-                // later.
-                let secs = self
-                    .net
-                    .try_unicast(src, node, wire)
-                    .map_err(SquirrelError::Net)?;
-                charged += wire;
-                // The transactional recv applies the catch-up stream
-                // all-or-nothing.
-                match self.nodes[idx].ccvol.recv(&stream) {
-                    Ok(()) => {
-                        // The stream mirrors the scVolume's tip, restoring
-                        // any budget-evicted cache it could resolve — on
-                        // this node only. Every other node's marks were
-                        // reconciled by whatever last restored a file on
-                        // it (a registration's delivery, a re-hoard, its own
-                        // rejoin), so an all-node pass would change nothing.
-                        self.nodes[idx].reconcile_evictions();
-                        debug_assert!(
-                            !self.nodes.iter().any(ComputeNode::has_stale_marks),
-                            "a node held the mark of a cache it hoards"
-                        );
-                        self.obs.add_with(
-                            "squirrel_rejoin_total",
-                            &[("outcome", "incremental")],
-                            1,
-                        );
-                        self.obs.add("squirrel_rejoin_wire_bytes_total", wire);
-                        self.record_transfer(source, charged, secs);
-                        span.field("outcome", "incremental");
-                        span.field("wire_bytes", wire);
-                        return Ok(RejoinOutcome::Incremental { wire_bytes: wire });
-                    }
-                    // A budget eviction purged blocks the diff counts on
-                    // the receiver holding; only the full stream below can
-                    // resolve them. (The failed attempt's wire bytes stay
-                    // charged: the transfer happened, the apply didn't.)
-                    Err(RecvError::MissingBlock(_)) => {}
-                    Err(e) => return Err(SquirrelError::Recv(e)),
+        if let Some(base) = local_latest.filter(|b| self.scvol.has_snapshot(b)) {
+            let (stream, wire, secs) = send(Some(&base))?;
+            // The transactional recv applies the catch-up stream
+            // all-or-nothing.
+            match self.nodes[idx].ccvol.recv(&stream) {
+                Ok(()) => {
+                    // The stream mirrors the scVolume's tip, restoring any
+                    // budget-evicted cache it could resolve — on this node
+                    // only. Every other node's marks were reconciled by
+                    // whatever last restored a file on it (a registration's
+                    // delivery, a re-hoard, its own rejoin), so an all-node
+                    // pass would change nothing.
+                    self.nodes[idx].reconcile_evictions();
+                    debug_assert!(
+                        !self.nodes.iter().any(ComputeNode::has_stale_marks),
+                        "a node held the mark of a cache it hoards"
+                    );
+                    incremental = Some((wire, secs));
                 }
+                // A budget eviction purged blocks the diff counts on the
+                // receiver holding; only the full stream below can resolve
+                // them.
+                Err(RecvError::MissingBlock(_)) => {}
+                Err(e) => return Err(SquirrelError::Recv(e)),
             }
         }
-
-        // Full replication: rebuild the ccVolume from a full stream.
-        let stream = self
-            .scvol
-            .send_between(None, &sc_latest)
-            .map_err(SquirrelError::Send)?;
-        let wire = stream.wire_bytes();
-        let secs = self
-            .net
-            .try_unicast(src, node, wire)
-            .map_err(SquirrelError::Net)?;
-        charged += wire;
-        let mut fresh = ZPool::new(Self::ccvol_pool_config(&self.config));
-        // The rebuilt pool records into the same shared ccVolume series and
-        // reuses the system's persistent workers.
-        fresh.set_metrics(&self.ccvol_obs);
-        fresh.set_worker_pool(self.workers.clone());
-        fresh.recv(&stream).map_err(SquirrelError::Recv)?;
-        self.nodes[idx].ccvol = fresh;
-        // A full replication hoards everything again; the budget pass (if
-        // any) re-evicts on its next run.
-        self.nodes[idx].evicted.clear();
-        self.obs.add_with(
-            "squirrel_rejoin_total",
-            &[("outcome", "full-replication")],
-            1,
-        );
+        let (outcome, wire, secs) = match incremental {
+            Some((wire, secs)) => ("incremental", wire, secs),
+            // Full replication: rebuild the ccVolume from a full stream.
+            None => {
+                let (stream, wire, secs) = send(None)?;
+                let mut fresh = Self::empty_ccvol(&self.config, &self.ccvol_obs, &self.workers);
+                fresh.recv(&stream).map_err(SquirrelError::Recv)?;
+                self.nodes[idx].ccvol = fresh;
+                // A full replication hoards everything again; the budget
+                // pass (if any) re-evicts on its next run.
+                self.nodes[idx].evicted.clear();
+                ("full-replication", wire, secs)
+            }
+        };
+        self.obs
+            .add_with("squirrel_rejoin_total", &[("outcome", outcome)], 1);
         self.obs.add("squirrel_rejoin_wire_bytes_total", wire);
-        self.record_transfer(source, charged, secs);
-        span.field("outcome", "full-replication");
+        self.record_transfer(src, charged, secs);
+        span.field("outcome", outcome);
         span.field("wire_bytes", wire);
-        Ok(RejoinOutcome::FullReplication { wire_bytes: wire })
+        Ok(match incremental {
+            Some(_) => RejoinOutcome::Incremental { wire_bytes: wire },
+            None => RejoinOutcome::FullReplication { wire_bytes: wire },
+        })
     }
 
     /// Consistency check: every online node's ccVolume mirrors the

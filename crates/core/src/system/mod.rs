@@ -66,23 +66,6 @@ impl ComputeNode {
     }
 }
 
-/// Who serves the bytes of a single-receiver hoard transfer or a block
-/// repair: the storage root's scVolume, or a compute peer's ccVolume.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Source {
-    Storage,
-    Peer(NodeId),
-}
-
-impl Source {
-    fn peer(self) -> Option<NodeId> {
-        match self {
-            Source::Storage => None,
-            Source::Peer(p) => Some(p),
-        }
-    }
-}
-
 /// Ids `below` (descending from `t`) and `above` (ascending from `t`)
 /// merged nearest-first: ascending `(|d - t|, d)`, so at equal distance
 /// the lower id wins. The rank of [`Squirrel::donors`] for a peer receiver;
@@ -226,17 +209,11 @@ impl Squirrel {
             }
         };
         let workers = WorkerPool::new(config.threads);
-        let ccvol_cfg = Self::ccvol_pool_config(&config);
         let nodes = (0..config.compute_nodes)
-            .map(|_| {
-                let mut ccvol = ZPool::new(ccvol_cfg);
-                ccvol.set_metrics(&ccvol_obs);
-                ccvol.set_worker_pool(workers.clone());
-                ComputeNode {
-                    ccvol,
-                    online: true,
-                    evicted: BTreeSet::new(),
-                }
+            .map(|_| ComputeNode {
+                ccvol: Self::empty_ccvol(&config, &ccvol_obs, &workers),
+                online: true,
+                evicted: BTreeSet::new(),
             })
             .collect();
         // The scVolume is the shared catalog: the hoard budget is a
@@ -315,20 +292,6 @@ impl Squirrel {
     /// Advance the clock (drives the GC window).
     pub fn advance_days(&mut self, days: u64) {
         self.day += days;
-    }
-
-    /// Pool configuration for compute nodes' ccVolumes: the hoard budget is
-    /// carried as a pool quota so the pool reports pressure. Also used when
-    /// a rejoin rebuilds a ccVolume from a full stream.
-    fn ccvol_pool_config(config: &SquirrelConfig) -> PoolConfig {
-        PoolConfig::new(config.block_size, config.codec)
-            .with_threads(config.threads)
-            .with_chunking(config.pool_chunking())
-            .with_dedup_mode(config.dedup_mode)
-            .with_quotas(
-                config.hoard_budget.disk_bytes,
-                config.hoard_budget.ddt_mem_bytes,
-            )
     }
 
     fn cache_file_name(image: ImageId) -> String {
@@ -487,29 +450,66 @@ impl Squirrel {
         })
     }
 
-    fn source_id(&self, src: Source) -> NodeId {
-        src.peer().unwrap_or(self.config.storage_root())
+    /// Who serves `to` a single-receiver copy: under
+    /// [`DistributionPolicy::PeerAssisted`] the first of
+    /// [`Self::donors`]`(to, candidates, proof)`; otherwise, or when none
+    /// qualifies, the storage root.
+    fn source_for(
+        &self,
+        to: NodeId,
+        candidates: Option<&BTreeSet<NodeId>>,
+        proof: impl Fn(&ComputeNode) -> bool,
+    ) -> NodeId {
+        let first = self
+            .wants_peers()
+            .then(|| self.donors(to, candidates, proof).next());
+        first.flatten().unwrap_or(self.config.storage_root())
     }
 
-    fn source_pool(&self, src: Source) -> &ZPool {
-        match src {
-            Source::Storage => &self.scvol,
-            Source::Peer(p) => &self.nodes[p as usize].ccvol,
+    /// The volume node `id` holds: the storage root's scVolume, else a
+    /// compute node's ccVolume.
+    fn pool(&self, id: NodeId) -> &ZPool {
+        if id == self.config.storage_root() {
+            &self.scvol
+        } else {
+            &self.nodes[id as usize].ccvol
         }
     }
 
-    fn source_pool_mut(&mut self, src: Source) -> &mut ZPool {
-        match src {
-            Source::Storage => &mut self.scvol,
-            Source::Peer(p) => &mut self.nodes[p as usize].ccvol,
+    fn pool_mut(&mut self, id: NodeId) -> &mut ZPool {
+        if id == self.config.storage_root() {
+            &mut self.scvol
+        } else {
+            &mut self.nodes[id as usize].ccvol
         }
+    }
+
+    /// A compute node's empty ccVolume — every node's at bring-up, and a
+    /// rejoining node's rebuilt by full replication. The hoard budget is
+    /// carried as a pool quota so the pool reports pressure; the pool
+    /// records into the shared ccVolume series and runs on the system's
+    /// workers.
+    fn empty_ccvol(config: &SquirrelConfig, obs: &Metrics, workers: &WorkerPool) -> ZPool {
+        let mut ccvol = ZPool::new(
+            PoolConfig::new(config.block_size, config.codec)
+                .with_threads(config.threads)
+                .with_chunking(config.pool_chunking())
+                .with_dedup_mode(config.dedup_mode)
+                .with_quotas(
+                    config.hoard_budget.disk_bytes,
+                    config.hoard_budget.ddt_mem_bytes,
+                ),
+        );
+        ccvol.set_metrics(obs);
+        ccvol.set_worker_pool(workers.clone());
+        ccvol
     }
 
     /// Account one completed single-receiver transfer of `bytes` served by
     /// `src`: all on the storage ledger or all on the peer ledger, one peer
     /// hit — or, when a peer was wanted and none qualified, one miss.
-    fn record_transfer(&self, src: Source, bytes: u64, seconds: f64) {
-        let from_peer = src.peer().is_some();
+    fn record_transfer(&self, src: NodeId, bytes: u64, seconds: f64) {
+        let from_peer = src != self.config.storage_root();
         self.record_dist(&DeliveryStats {
             updated: 1,
             seconds,

@@ -219,7 +219,6 @@ impl Squirrel {
                     });
                     served.push(t);
                 } else if self.net.is_reachable(root, t)
-                    || self.donors(t, Some(&donors), |_| true).next().is_some()
                     || targets
                         .iter()
                         .any(|&o| o != t && self.net.is_reachable(o, t))
@@ -398,8 +397,7 @@ impl Squirrel {
         if tests::PER_COPY_REFERENCE.with(std::cell::Cell::get) {
             return self.deliver_with_faults_per_copy(plan, stream, online);
         }
-        let storage_src = self.config.storage_root();
-        let peer_policy = self.config.distribution == DistributionPolicy::PeerAssisted;
+        let peer_policy = self.wants_peers();
         let wire = stream.wire_bytes();
         let mut proof = None;
         let mut updated = 0u32;
@@ -408,8 +406,7 @@ impl Squirrel {
         let mut peer_misses = 0u64;
         let mut donors: BTreeSet<NodeId> = BTreeSet::new();
         for &node in online {
-            let nearest = self.donors(node, Some(&donors), |_| true).next();
-            let src = nearest.unwrap_or(storage_src);
+            let src = self.source_for(node, Some(&donors), |_| true);
             let mut delivered = false;
             for attempt in 0..=plan.max_retries() {
                 if attempt > 0 {
@@ -492,7 +489,7 @@ impl Squirrel {
             if delivered {
                 // Only the peer policy makes a delivered receiver a donor.
                 if peer_policy {
-                    if src == storage_src {
+                    if src == self.config.storage_root() {
                         peer_misses += 1;
                     } else {
                         peer_hits += 1;
@@ -525,15 +522,13 @@ impl Squirrel {
         stream: &SendStream,
         online: &[NodeId],
     ) -> DeliveryStats {
-        let storage_src = self.config.storage_root();
-        let peer_policy = self.config.distribution == DistributionPolicy::PeerAssisted;
+        let peer_policy = self.wants_peers();
         let framed = stream.encode_framed();
         let wire = stream.wire_bytes();
         let (mut updated, mut secs, mut peer_hits, mut peer_misses) = (0u32, 0.0f64, 0u64, 0u64);
         let mut donors: BTreeSet<NodeId> = BTreeSet::new();
         for &node in online {
-            let nearest = self.donors(node, Some(&donors), |_| true).next();
-            let src = nearest.unwrap_or(storage_src);
+            let src = self.source_for(node, Some(&donors), |_| true);
             let mut delivered = false;
             for attempt in 0..=plan.max_retries() {
                 if attempt > 0 {
@@ -593,7 +588,7 @@ impl Squirrel {
             if delivered {
                 // Only the peer policy makes a delivered receiver a donor.
                 if peer_policy {
-                    if src == storage_src {
+                    if src == self.config.storage_root() {
                         peer_misses += 1;
                     } else {
                         peer_hits += 1;
@@ -619,11 +614,9 @@ impl Squirrel {
     /// cache from the scVolume. No snapshot is taken; the deletion reaches
     /// ccVolumes with the next registration's diff.
     pub fn deregister(&mut self, image: ImageId) -> Result<(), SquirrelError> {
-        let reg = self
-            .registered
+        self.registered
             .remove(&image)
             .ok_or(SquirrelError::NotRegistered(image))?;
-        let _ = reg;
         let name = Self::cache_file_name(image);
         self.scvol.delete_file(&name);
         if let Some(ec) = self.ec.as_mut() {

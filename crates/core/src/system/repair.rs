@@ -4,11 +4,11 @@
 //! [`Squirrel::repair_sweep`], [`Squirrel::converge`] and the daily
 //! [`Squirrel::fault_tick`].
 
+use super::Squirrel;
 use super::{
     Convergence, FaultTick, RejoinOutcome, RepairReport, RepairSweep, RotHit, SquirrelError,
     SyncRepairReport,
 };
-use super::{Source, Squirrel};
 use squirrel_cluster::{EcRepairReport, ErasureCodedVolume, NodeId};
 use squirrel_faults::{ChurnEvent, PartitionEvent};
 #[cfg(doc)]
@@ -21,16 +21,16 @@ impl Squirrel {
     /// unknown node or empty pool.
     pub fn corrupt_cc_block(&mut self, node: NodeId, nth: u64) -> Option<BlockKey> {
         self.node(node).ok()?;
-        self.rot_block(Source::Peer(node), nth)
+        self.rot_block(node, nth)
     }
 
     /// Fault hook: rot the `nth` unique block of the scVolume itself.
     pub fn corrupt_sc_block(&mut self, nth: u64) -> Option<BlockKey> {
-        self.rot_block(Source::Storage, nth)
+        self.rot_block(self.config.storage_root(), nth)
     }
 
-    fn rot_block(&mut self, volume: Source, nth: u64) -> Option<BlockKey> {
-        let key = self.source_pool_mut(volume).corrupt_nth_block(nth);
+    fn rot_block(&mut self, volume: NodeId, nth: u64) -> Option<BlockKey> {
+        let key = self.pool_mut(volume).corrupt_nth_block(nth);
         if key.is_some() {
             self.obs.inc("squirrel_fault_block_corruptions_total");
         }
@@ -54,7 +54,7 @@ impl Squirrel {
     /// storage link — leaves the block unrepaired.
     pub fn scrub_and_repair(&mut self, node: NodeId) -> Result<RepairReport, SquirrelError> {
         self.node(node)?;
-        Ok(self.repair_blocks(Source::Peer(node)))
+        Ok(self.repair_blocks(node))
     }
 
     /// Scrub the scVolume and heal every corrupt record from the first
@@ -62,7 +62,7 @@ impl Squirrel {
     /// itself is the redundancy. Donors serving a rotten copy are charged
     /// but rejected ([`ZPool::repair_block`] verifies before installing).
     pub fn scrub_and_repair_scvol(&mut self) -> RepairReport {
-        self.repair_blocks(Source::Storage)
+        self.repair_blocks(self.config.storage_root())
     }
 
     /// The one block-repair loop: scrub `target`'s pool, then for each
@@ -72,25 +72,25 @@ impl Squirrel {
     /// charged — the compressed frame plus the stream payload's per-record
     /// framing (16-byte key + 4-byte psize + 4-byte length) — and the first
     /// one `repair_block` accepts heals the record.
-    fn repair_blocks(&mut self, target: Source) -> RepairReport {
+    fn repair_blocks(&mut self, target: NodeId) -> RepairReport {
         let mut span = self.obs.span("repair");
-        match target.peer() {
+        let root = self.config.storage_root();
+        let node = (target != root).then_some(target);
+        match node {
             Some(node) => span.field("node", node),
             None => span.field("node", "scvol"),
         }
-        let dst = self.source_id(target);
         // The list borrows `self` and each ask charges the network, so the
         // n-th ask walks it afresh: only a rejected copy leads to another.
-        let nth_donor = |sq: &Self, key: BlockKey, nth: usize| match target {
-            Source::Peer(_) => (nth == 0).then_some(Source::Storage),
-            Source::Storage => sq
-                .donors(dst, None, |n| n.ccvol.payload_of(key).is_some())
-                .nth(nth)
-                .map(Source::Peer),
+        let nth_donor = |sq: &Self, key: BlockKey, nth: usize| match node {
+            Some(_) => (nth == 0).then_some(root),
+            None => sq
+                .donors(root, None, |n| n.ccvol.payload_of(key).is_some())
+                .nth(nth),
         };
-        let scrub = self.source_pool(target).scrub();
+        let scrub = self.pool(target).scrub();
         let mut report = RepairReport {
-            node: target.peer(),
+            node,
             blocks_checked: scrub.blocks_checked,
             corrupt_found: scrub.corrupt.len() as u64,
             repaired: 0,
@@ -101,22 +101,15 @@ impl Squirrel {
             let (mut fixed, mut asked) = (false, 0);
             while let Some(donor) = nth_donor(self, *key, asked) {
                 asked += 1;
-                let Some((psize, frame)) = self.source_pool(donor).payload_of(*key) else {
+                let Some((psize, frame)) = self.pool(donor).payload_of(*key) else {
                     continue;
                 };
                 let bytes = u64::from(psize) + 24;
-                if self
-                    .net
-                    .try_unicast(self.source_id(donor), dst, bytes)
-                    .is_err()
-                {
+                if self.net.try_unicast(donor, target, bytes).is_err() {
                     continue;
                 }
                 report.refetch_bytes += bytes;
-                if self
-                    .source_pool_mut(target)
-                    .repair_block(*key, psize, &frame)
-                {
+                if self.pool_mut(target).repair_block(*key, psize, &frame) {
                     fixed = true;
                     break;
                 }

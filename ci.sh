@@ -67,7 +67,6 @@ echo "== boot storm under repetition (release, 20 runs: records resolve concurre
 for i in $(seq 20); do
     cargo test -q --release -p squirrel-core --lib -- \
         a_storm_digests_each_distinct_working_set_once \
-        a_cdc_storms_decompressed_bytes_do_not_depend_on_the_thread_count \
         boot_storm_serves_warm_vms_zero_copy_and_deterministically > /dev/null
 done
 

@@ -34,9 +34,7 @@ use squirrel_compress::Codec;
 use squirrel_dataset::rng::SplitMix64;
 use squirrel_dataset::{BootTrace, ReadOp};
 use squirrel_hash::ContentHash;
-use squirrel_zfs::{
-    CdcParams, ChunkStrategy, DedupMode, FileScatter, PoolConfig, SpaceStats, ZPool,
-};
+use squirrel_zfs::{CdcParams, DedupMode, FileScatter, PoolConfig, SpaceStats, ZPool};
 
 /// Default workload shape: 256 x 16 KiB blocks per version, 4 versions.
 pub const CHUNKING_BLOCKS: usize = 256;
@@ -114,18 +112,17 @@ pub fn version_chain(
 
 /// Import the whole chain into one pool and measure the final state.
 fn run_cell(
-    strategy: (&'static str, ChunkStrategy),
+    strategy: (&'static str, Option<CdcParams>),
     mode: (&'static str, DedupMode),
     versions: &[Vec<Vec<u8>>],
     bs: usize,
     threads: usize,
 ) -> ChunkingCell {
-    let mut pool = ZPool::new(
-        PoolConfig::new(bs, Codec::Lzjb)
-            .with_threads(threads)
-            .with_chunking(strategy.1)
-            .with_dedup_mode(mode.1),
-    );
+    let mut config = PoolConfig::new(bs, Codec::Lzjb)
+        .with_threads(threads)
+        .with_dedup_mode(mode.1);
+    config.cdc = strategy.1;
+    let mut pool = ZPool::new(config);
     let logical = (versions[0].len() * bs) as u64;
     let mut last_tag = String::new();
     for (v, blocks) in versions.iter().enumerate() {
@@ -167,10 +164,7 @@ pub fn run_chunking(
     versions: usize,
 ) -> (Sweep<Vec<ChunkingCell>>, Record) {
     let chain = version_chain(n_blocks, bs, versions, CHUNKING_SHIFT, cfg.seed);
-    let strategies = [
-        ("fixed", ChunkStrategy::Fixed(bs)),
-        ("cdc", ChunkStrategy::Cdc(CdcParams::with_average(bs))),
-    ];
+    let strategies = [("fixed", None), ("cdc", Some(CdcParams::with_average(bs)))];
     let modes = [
         ("forward", DedupMode::Forward),
         ("reverse", DedupMode::Reverse),

@@ -949,11 +949,10 @@ mod tests {
     /// some straddling a cluster boundary, in file "img".
     fn cdc_pool() -> squirrel_zfs::ZPool {
         use squirrel_compress::Codec;
-        use squirrel_zfs::{CdcParams, ChunkStrategy};
+        use squirrel_zfs::CdcParams;
         let bs = 4096usize;
         let mut p = squirrel_zfs::ZPool::new(
-            squirrel_zfs::PoolConfig::new(bs, Codec::Lzjb)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(4096))),
+            squirrel_zfs::PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(4096)),
         );
         let blocks: Vec<Vec<u8>> = (0..32)
             .map(|i| {

@@ -845,53 +845,20 @@ mod tests {
     }
 
     /// A warm storm serves a working-set block from the cache file's bytes
-    /// at that offset, whatever the chunking: CDC chunks smaller and larger
-    /// than the 16 KiB record read the same bytes as the image itself.
+    /// at that offset: it reads the same bytes as a cold storm, which reads
+    /// the image itself.
     #[test]
     fn a_warm_storm_reads_the_bytes_a_cold_storm_reads() {
-        use squirrel_zfs::CdcParams;
-        for chunking in [
-            ChunkStrategy::Fixed(16 * 1024),
-            ChunkStrategy::Cdc(CdcParams::with_average(4 * 1024)),
-            ChunkStrategy::Cdc(CdcParams::with_average(64 * 1024)),
-        ] {
-            let mut sq = system_with(2, |c| c.chunking = chunking);
-            sq.register(0).expect("register");
-            let warm = sq.boot_storm(0, 2).expect("warm storm");
-            assert_eq!(warm.warm_vms, 2, "{chunking:?}");
-            for node in 0..2 {
-                assert!(sq.evict_cache(node, 0).expect("evict").was_cached);
-            }
-            let cold = sq.boot_storm(0, 2).expect("cold storm");
-            assert_eq!(cold.cold_vms, 2, "{chunking:?}");
-            assert_eq!(warm.read_checksum, cold.read_checksum, "{chunking:?}");
+        let mut sq = small_system(2);
+        sq.register(0).expect("register");
+        let warm = sq.boot_storm(0, 2).expect("warm storm");
+        assert_eq!(warm.warm_vms, 2);
+        for node in 0..2 {
+            assert!(sq.evict_cache(node, 0).expect("evict").was_cached);
         }
-    }
-
-    #[test]
-    fn cdc_reverse_system_full_workflow() {
-        use squirrel_zfs::CdcParams;
-        let mut sq = system_with(2, |c| {
-            c.chunking = ChunkStrategy::Cdc(CdcParams::with_average(16 * 1024));
-            c.dedup_mode = DedupMode::Reverse;
-        });
-        sq.register(0).expect("r0");
-        sq.register(1).expect("r1");
-        // Warm boots are served byte-exact from the chunked hoarded cache.
-        let v = sq.verify_boot(1, 0).expect("verify");
-        assert!(v.bytes_verified > 0);
-        assert_eq!(v.backing_fetches, 0);
-        // Chunked pools scrub clean end to end (scVolume and ccVolume).
-        assert!(sq.scrub_scvol().is_clean());
-        assert!(sq.scrub_node(0).expect("node").is_clean());
-        // Evict + rehoard round-trips a chunked cache, whose block count
-        // comes from the file length rather than the per-record refs.
-        assert!(sq.evict_cache(1, 0).expect("evict").was_cached);
-        let re = sq.rehoard_cache(1, 0).expect("rehoard");
-        assert!(re.blocks > 0);
-        let v2 = sq.verify_boot(1, 0).expect("verify rehoarded");
-        assert!(v2.bytes_verified > 0);
-        assert_eq!(v2.backing_fetches, 0);
+        let cold = sq.boot_storm(0, 2).expect("cold storm");
+        assert_eq!(cold.cold_vms, 2);
+        assert_eq!(warm.read_checksum, cold.read_checksum);
     }
 
     /// A warm replay reads only the captured working set, so it fetches
@@ -950,93 +917,44 @@ mod tests {
     /// registered records, node 2 was evicted (cold), and node 3 holds other
     /// intact bytes under the cache's name (warm, but not the same working
     /// set). A working-set block is a hole on every warm node. Each distinct
-    /// working set is hashed once — fixed records: 0 and 1 share their
-    /// frames, so three; CDC blocks are assembled per node, so one per warm
-    /// node plus the cold one — and every VM reads what the per-VM
-    /// reference reads.
+    /// working set is hashed once — 0 and 1 share their frames, so three —
+    /// and every VM reads what the per-VM reference reads.
     #[test]
     fn a_storm_digests_each_distinct_working_set_once() {
-        use squirrel_zfs::CdcParams;
         let bs = 16 * 1024;
-        for (chunking, working_sets) in [
-            (ChunkStrategy::Fixed(bs), 3),
-            (ChunkStrategy::Cdc(CdcParams::with_average(4 * 1024)), 4),
-        ] {
-            for threads in [1, 2, 8] {
-                let mut sq = system_with(4, |c| {
-                    c.chunking = chunking;
-                    c.threads = threads;
-                });
-                sq.register(0).expect("register");
-                assert!(sq.evict_cache(2, 0).expect("evict").was_cached);
-                let (name, blocks) = (Squirrel::cache_file_name(0), sq.working_set_blocks(0));
-                let hole = vec![0u8; bs];
-                if chunking == ChunkStrategy::Fixed(bs) {
-                    for node in [0, 1] {
-                        sq.nodes[node].ccvol.write_block(&name, blocks[0], &hole);
-                    }
-                }
-                let other: Vec<(u64, Vec<u8>)> = blocks
-                    .iter()
-                    .map(|&b| {
-                        let mut data = sq.nodes[3].ccvol.read_block(&name, b).expect("cached");
-                        data.iter_mut().for_each(|x| *x ^= 0x5a);
-                        (b, if b == blocks[0] { hole.clone() } else { data })
-                    })
-                    .collect();
-                sq.nodes[3].ccvol.import_blocks_parallel(&name, &other);
-                let states: Vec<CacheState> = sq.nodes.iter().map(|n| n.cache_state(0)).collect();
-                use CacheState::{Degraded, Warm};
-                assert_eq!(states, [Warm, Warm, Degraded, Warm], "{chunking:?}");
-
-                let reads = storm_reads(&sq, 0, 8);
-                let storm = sq.boot_storm(0, 8).expect("storm");
-                assert_eq!((storm.warm_vms, storm.cold_vms), (6, 2));
-                let read = (storm.read_checksum, storm.bytes_served);
-                assert_eq!(read, reads, "{chunking:?} threads={threads}");
-                let digested = sq
-                    .metrics()
-                    .snapshot()
-                    .counter("squirrel_boot_storm_digested_bytes_total");
-                let per_set = storm.blocks_per_vm * bs as u64;
-                assert_eq!(
-                    digested,
-                    Some(working_sets * per_set),
-                    "{chunking:?} {threads}"
-                );
-            }
-        }
-    }
-
-    /// A storm assembles a CDC-chunked cache's blocks from their chunks on
-    /// every warm node, so what it decompresses follows the working set, not
-    /// how the workers interleave: four storms over eight nodes count the
-    /// same bytes at every thread count, on every run.
-    #[test]
-    fn a_cdc_storms_decompressed_bytes_do_not_depend_on_the_thread_count() {
-        use squirrel_zfs::CdcParams;
-        let run = |threads: usize| {
-            let mut sq = system_with(8, |c| {
-                c.chunking = ChunkStrategy::Cdc(CdcParams::with_average(4 * 1024));
-                c.threads = threads;
-            });
+        for threads in [1, 2, 8] {
+            let mut sq = system_with(4, |c| c.threads = threads);
             sq.register(0).expect("register");
-            let mut after_each = Vec::new();
-            for _ in 0..4 {
-                assert_eq!(sq.boot_storm(0, 16).expect("storm").warm_vms, 16);
-                let snap = sq.metrics().snapshot();
-                after_each
-                    .push(snap.counter("zpool_read_decompressed_bytes_total{pool=\"ccvol\"}"));
+            assert!(sq.evict_cache(2, 0).expect("evict").was_cached);
+            let (name, blocks) = (Squirrel::cache_file_name(0), sq.working_set_blocks(0));
+            let hole = vec![0u8; bs];
+            for node in [0, 1] {
+                sq.nodes[node].ccvol.write_block(&name, blocks[0], &hole);
             }
-            after_each
-        };
-        let reference = run(1);
-        assert!(reference[0] > Some(0));
-        // A schedule-dependent count shows in a few runs out of ten.
-        for threads in [2, 8] {
-            for repeat in 0..10 {
-                assert_eq!(run(threads), reference, "threads={threads} repeat={repeat}");
-            }
+            let other: Vec<(u64, Vec<u8>)> = blocks
+                .iter()
+                .map(|&b| {
+                    let mut data = sq.nodes[3].ccvol.read_block(&name, b).expect("cached");
+                    data.iter_mut().for_each(|x| *x ^= 0x5a);
+                    (b, if b == blocks[0] { hole.clone() } else { data })
+                })
+                .collect();
+            sq.nodes[3].ccvol.import_blocks_parallel(&name, &other);
+            let states: Vec<CacheState> = sq.nodes.iter().map(|n| n.cache_state(0)).collect();
+            use CacheState::{Degraded, Warm};
+            assert_eq!(states, [Warm, Warm, Degraded, Warm]);
+
+            let reads = storm_reads(&sq, 0, 8);
+            let storm = sq.boot_storm(0, 8).expect("storm");
+            assert_eq!((storm.warm_vms, storm.cold_vms), (6, 2));
+            let read = (storm.read_checksum, storm.bytes_served);
+            assert_eq!(read, reads, "threads={threads}");
+            let digested = sq
+                .metrics()
+                .snapshot()
+                .counter("squirrel_boot_storm_digested_bytes_total");
+            let per_set = storm.blocks_per_vm * bs as u64;
+            assert_eq!(digested, Some(3 * per_set), "threads={threads}");
         }
     }
 

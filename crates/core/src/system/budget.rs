@@ -10,7 +10,7 @@ use super::{ComputeNode, Squirrel};
 use crate::dist::DistributionPolicy;
 use squirrel_cluster::NodeId;
 use squirrel_dataset::ImageId;
-use squirrel_zfs::RecvError;
+use squirrel_zfs::{RecvError, WIRE_BLOCK_HEADER};
 
 impl ComputeNode {
     /// Drop the eviction marks of caches a stream delivery restored: once
@@ -232,8 +232,12 @@ impl Squirrel {
                 return Err(SquirrelError::Recv(RecvError::CorruptPayload(r.key)));
             }
         }
-        // Compressed frames + 24-byte record headers, like repair transfers.
-        let wire: u64 = refs.iter().flatten().map(|r| u64::from(r.psize) + 24).sum();
+        // Compressed frames + record headers, like repair transfers.
+        let wire: u64 = refs
+            .iter()
+            .flatten()
+            .map(|r| u64::from(r.psize) + WIRE_BLOCK_HEADER)
+            .sum();
         let len = donor_pool.file_len(&name).expect("donor holds the file");
         // Block count from the file length, not `refs.len()`: for chunked
         // (CDC) files the refs are per *record*, not per block.

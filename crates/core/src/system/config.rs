@@ -6,7 +6,7 @@ use super::Squirrel;
 use crate::dist::DistributionPolicy;
 use squirrel_cluster::{LinkKind, NodeId, TopologyConfig};
 use squirrel_compress::Codec;
-use squirrel_zfs::{ChunkStrategy, DedupMode};
+use squirrel_zfs::PoolConfig;
 
 /// Per-node hoard budget: how much a compute node may spend on hoarded
 /// caches, on the paper's two axes — ccVolume disk footprint and in-core
@@ -96,16 +96,6 @@ pub struct SquirrelConfig {
     /// restores, rejoin catch-ups). Point-to-point unicast by default; see
     /// [`DistributionPolicy`].
     pub distribution: DistributionPolicy,
-    /// How imported cache contents are cut into records. Fixed-size (the
-    /// paper's ZFS recordsize) by default; a `Fixed` strategy always follows
-    /// [`block_size`](Self::block_size), whatever size it names. Switch to
-    /// [`ChunkStrategy::Cdc`] for content-defined chunking, which keeps
-    /// dedup working across byte-shifted image versions.
-    pub chunking: ChunkStrategy,
-    /// Forward (ZFS-style: new blocks scatter toward old copies) or reverse
-    /// (RevDedup-style: each import is relocated into one sequential run,
-    /// fragmenting *older* snapshots instead) deduplication.
-    pub dedup_mode: DedupMode,
     /// Failure-domain layout of the cluster (region → datacenter → rack →
     /// node). Flat — one rack, the paper's DAS-4 — by default; multi-rack
     /// layouts give cross-domain links higher transfer costs and let the
@@ -129,8 +119,6 @@ impl Default for SquirrelConfig {
             metrics: true,
             hoard_budget: HoardBudget::unlimited(),
             distribution: DistributionPolicy::Unicast,
-            chunking: ChunkStrategy::Fixed(64 * 1024),
-            dedup_mode: DedupMode::Forward,
             topology: TopologyConfig::flat(),
             shared_storage: SharedStorage::Replicated,
         }
@@ -145,15 +133,11 @@ impl SquirrelConfig {
         }
     }
 
-    /// The chunking strategy as handed to pools: a `Fixed` strategy always
-    /// tracks [`block_size`](Self::block_size), whatever size it was built
-    /// with, so `..Default::default()` literals stay consistent when only
-    /// the record size is overridden.
-    pub fn pool_chunking(&self) -> ChunkStrategy {
-        match self.chunking {
-            ChunkStrategy::Fixed(_) => ChunkStrategy::Fixed(self.block_size),
-            cdc => cdc,
-        }
+    /// The pool every volume starts from: the paper's fixed records at
+    /// [`block_size`](Self::block_size), forward dedup, the configured codec
+    /// and ingest threads. ccVolumes add the hoard budget as quotas.
+    pub(super) fn pool_config(&self) -> PoolConfig {
+        PoolConfig::new(self.block_size, self.codec).with_threads(self.threads)
     }
 
     /// The first storage node — the scVolume's network endpoint. Node ids
@@ -224,20 +208,6 @@ impl SquirrelConfigBuilder {
         self
     }
 
-    /// Chunking strategy for cache imports; fixed records at
-    /// [`block_size`](Self::block_size) by default. A `Fixed` strategy is
-    /// normalized to the configured record size, so only its kind matters.
-    pub fn chunking(mut self, strategy: ChunkStrategy) -> Self {
-        self.config.chunking = strategy;
-        self
-    }
-
-    /// Dedup placement mode; [`DedupMode::Forward`] by default.
-    pub fn dedup_mode(mut self, mode: DedupMode) -> Self {
-        self.config.dedup_mode = mode;
-        self
-    }
-
     /// Failure-domain layout; [`TopologyConfig::flat`] by default.
     pub fn topology(mut self, topology: TopologyConfig) -> Self {
         self.config.topology = topology;
@@ -295,10 +265,6 @@ mod tests {
             .storage_nodes(4)
             .threads(2)
             .metrics(false)
-            .chunking(ChunkStrategy::Cdc(squirrel_zfs::CdcParams::with_average(
-                4096,
-            )))
-            .dedup_mode(DedupMode::Reverse)
             .build();
         assert_eq!(built.block_size, 16 * 1024);
         assert_eq!(built.codec, Codec::Gzip(1));
@@ -306,15 +272,9 @@ mod tests {
         assert_eq!(built.compute_nodes, 8);
         assert_eq!(built.threads, 2);
         assert!(!built.metrics);
-        assert!(built.chunking.is_cdc());
-        assert_eq!(built.dedup_mode, DedupMode::Reverse);
         let default = SquirrelConfig::builder().build();
         assert_eq!(default.block_size, SquirrelConfig::default().block_size);
         assert!(default.metrics);
-        assert_eq!(default.dedup_mode, DedupMode::Forward);
-        // A Fixed strategy is normalized to the configured record size.
-        let odd = SquirrelConfig::builder().block_size(16 * 1024).build();
-        assert_eq!(odd.pool_chunking(), ChunkStrategy::Fixed(16 * 1024));
     }
 
     #[test]

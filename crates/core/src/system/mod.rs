@@ -32,7 +32,7 @@ use squirrel_obs::{Metrics, MetricsRegistry};
 #[cfg(test)]
 use squirrel_qcow::CorCache;
 use squirrel_qcow::VirtualDisk;
-use squirrel_zfs::{PoolConfig, SpaceStats, ZPool};
+use squirrel_zfs::{SpaceStats, ZPool};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -218,12 +218,7 @@ impl Squirrel {
             .collect();
         // The scVolume is the shared catalog: the hoard budget is a
         // per-compute-node constraint and does not apply to it.
-        let mut scvol = ZPool::new(
-            PoolConfig::new(config.block_size, config.codec)
-                .with_threads(config.threads)
-                .with_chunking(config.pool_chunking())
-                .with_dedup_mode(config.dedup_mode),
-        );
+        let mut scvol = ZPool::new(config.pool_config());
         scvol.set_metrics(&obs.with_label("pool", "scvol"));
         scvol.set_worker_pool(workers.clone());
         Squirrel {
@@ -490,15 +485,11 @@ impl Squirrel {
     /// records into the shared ccVolume series and runs on the system's
     /// workers.
     fn empty_ccvol(config: &SquirrelConfig, obs: &Metrics, workers: &WorkerPool) -> ZPool {
+        let budget = config.hoard_budget;
         let mut ccvol = ZPool::new(
-            PoolConfig::new(config.block_size, config.codec)
-                .with_threads(config.threads)
-                .with_chunking(config.pool_chunking())
-                .with_dedup_mode(config.dedup_mode)
-                .with_quotas(
-                    config.hoard_budget.disk_bytes,
-                    config.hoard_budget.ddt_mem_bytes,
-                ),
+            config
+                .pool_config()
+                .with_quotas(budget.disk_bytes, budget.ddt_mem_bytes),
         );
         ccvol.set_metrics(obs);
         ccvol.set_worker_pool(workers.clone());
@@ -598,7 +589,6 @@ mod testkit {
     pub use squirrel_cluster::{LinkKind, TopologyConfig};
     pub use squirrel_dataset::rng::SplitMix64;
     pub use squirrel_dataset::CorpusConfig;
-    pub use squirrel_zfs::{ChunkStrategy, DedupMode};
 
     pub fn corpus() -> Arc<Corpus> {
         Arc::new(Corpus::generate(CorpusConfig::test_corpus(8, 77)))
@@ -913,5 +903,45 @@ mod tests {
             far_picks > 0 && storage_picks > 0,
             "{far_picks} far, {storage_picks} storage"
         );
+    }
+
+    /// Every volume is built from `SquirrelConfig::pool_config`: fixed
+    /// records at the configured size and codec, forward dedup, the system's
+    /// ingest threads. Only ccVolumes carry the hoard budget, also one that
+    /// a full-replication rejoin rebuilt.
+    #[test]
+    fn every_volume_is_a_fixed_record_pool_of_the_configured_shape() {
+        use squirrel_compress::Codec;
+        use squirrel_zfs::DedupMode;
+        let budget = HoardBudget {
+            disk_bytes: 1 << 30,
+            ddt_mem_bytes: 1 << 20,
+        };
+        let mut sq = system_with(3, |c| {
+            c.codec = Codec::Lz4;
+            c.threads = 2;
+            c.hoard_budget = budget;
+        });
+        sq.node_offline(2).expect("offline");
+        sq.register(0).expect("register");
+        let outcome = sq.node_rejoin(2).expect("rejoin");
+        assert!(
+            matches!(outcome, RejoinOutcome::FullReplication { .. }),
+            "{outcome:?}"
+        );
+        let shape = |pool: &ZPool| {
+            let c = pool.config();
+            assert_eq!(
+                (c.block_size, c.codec, c.threads),
+                (16 * 1024, Codec::Lz4, 2)
+            );
+            assert_eq!((c.cdc, c.dedup_mode), (None, DedupMode::Forward));
+            (c.disk_quota_bytes, c.ddt_mem_quota_bytes)
+        };
+        assert_eq!(shape(&sq.scvol), (0, 0), "the scVolume has no budget");
+        for (node, n) in sq.nodes.iter().enumerate() {
+            let quotas = (budget.disk_bytes, budget.ddt_mem_bytes);
+            assert_eq!(shape(&n.ccvol), quotas, "node {node}");
+        }
     }
 }

@@ -13,7 +13,7 @@ use squirrel_cluster::{EcRepairReport, ErasureCodedVolume, NodeId};
 use squirrel_faults::{ChurnEvent, PartitionEvent};
 #[cfg(doc)]
 use squirrel_zfs::ZPool;
-use squirrel_zfs::{BlockKey, ScrubReport};
+use squirrel_zfs::{BlockKey, ScrubReport, WIRE_BLOCK_HEADER};
 
 impl Squirrel {
     /// Fault hook: rot the `nth` unique block (mod the pool's block count)
@@ -104,7 +104,7 @@ impl Squirrel {
                 let Some((psize, frame)) = self.pool(donor).payload_of(*key) else {
                     continue;
                 };
-                let bytes = u64::from(psize) + 24;
+                let bytes = u64::from(psize) + WIRE_BLOCK_HEADER;
                 if self.net.try_unicast(donor, target, bytes).is_err() {
                     continue;
                 }
@@ -404,6 +404,7 @@ impl Squirrel {
 #[cfg(test)]
 mod tests {
     use super::super::testkit::*;
+    use super::WIRE_BLOCK_HEADER;
 
     #[test]
     fn ec_cold_boot_survives_rack_loss_and_repair_rehomes_shards() {
@@ -454,9 +455,10 @@ mod tests {
         // first and its copy is charged but rejected, then node 1 heals it.
         let key = sq.corrupt_sc_block(2).expect("corrupt");
         assert!(sq.nodes[0].ccvol.inject_corruption(key));
-        // A copy on the wire is its frame plus 24 bytes of record framing;
-        // the rotten frame has its own size.
-        let copy = |n: usize| u64::from(sq.nodes[n].ccvol.payload_of(key).expect("held").0) + 24;
+        // A copy on the wire is its frame plus its record framing; the
+        // rotten frame has its own size.
+        let payload = |n: usize| sq.nodes[n].ccvol.payload_of(key).expect("held").0;
+        let copy = |n: usize| u64::from(payload(n)) + WIRE_BLOCK_HEADER;
         let (rotten, intact) = (copy(0), copy(1));
         sq.network_mut().reset_ledgers();
         let repair = sq.scrub_and_repair_scvol();

@@ -89,30 +89,6 @@ impl std::error::Error for SquirrelError {
     }
 }
 
-impl From<RecvError> for SquirrelError {
-    fn from(e: RecvError) -> Self {
-        SquirrelError::Recv(e)
-    }
-}
-
-impl From<SendError> for SquirrelError {
-    fn from(e: SendError) -> Self {
-        SquirrelError::Send(e)
-    }
-}
-
-impl From<NetError> for SquirrelError {
-    fn from(e: NetError) -> Self {
-        SquirrelError::Net(e)
-    }
-}
-
-impl From<EcError> for SquirrelError {
-    fn from(e: EcError) -> Self {
-        SquirrelError::Ec(e)
-    }
-}
-
 /// Outcome of a registration (paper Figure 6).
 #[derive(Clone, Debug, PartialEq)]
 pub struct RegisterReport {

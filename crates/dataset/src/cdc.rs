@@ -8,46 +8,13 @@
 //!
 //! The chunker itself — Gear rolling hash, parameters, boundary scan —
 //! lives in [`squirrel_hash::cdc`], the same implementation `squirrel_zfs`
-//! pools use when configured with `ChunkStrategy::Cdc`. This module only
+//! pools use when configured with `PoolConfig::with_cdc`. This module only
 //! adapts corpus caches onto that shared code (via the shared
 //! [`ChunkLedger`] accounting), so the dataset-level dedup sweeps and the
 //! pool's ingest path cannot drift apart.
 
 use crate::corpus::Corpus;
-pub use squirrel_hash::cdc::{
-    chunk_boundaries, CdcParams, ChunkLedger, ChunkStrategy, ChunkingStats,
-};
-
-/// Deduplicate the corpus' caches under `strategy` using the shared ledger.
-///
-/// This is the single accounting path both [`cdc_dedup_caches`] and
-/// [`fixed_dedup_caches`] reduce to.
-pub fn dedup_caches(corpus: &Corpus, strategy: ChunkStrategy) -> ChunkingStats {
-    let mut ledger = ChunkLedger::new();
-    match strategy {
-        ChunkStrategy::Fixed(bs) => {
-            for img in corpus.iter() {
-                for block in img.cache().blocks_trimmed(bs) {
-                    if block.is_empty() {
-                        continue;
-                    }
-                    ledger.add_chunk(&block);
-                }
-            }
-        }
-        ChunkStrategy::Cdc(params) => {
-            for img in corpus.iter() {
-                let cache = img.cache();
-                let mut data = vec![0u8; cache.bytes() as usize];
-                img.read_at(0, &mut data);
-                for (s, e) in chunk_boundaries(&data, &params) {
-                    ledger.add_chunk(&data[s..e]);
-                }
-            }
-        }
-    }
-    ledger.finish()
-}
+pub use squirrel_hash::cdc::{chunk_boundaries, CdcParams, ChunkLedger, ChunkingStats};
 
 /// Deduplicate the corpus' caches under CDC with the given parameters.
 ///
@@ -55,13 +22,29 @@ pub fn dedup_caches(corpus: &Corpus, strategy: ChunkStrategy) -> ChunkingStats {
 /// function of (corpus, parameters).
 pub fn cdc_dedup_caches(corpus: &Corpus, params: &CdcParams) -> ChunkingStats {
     let params = params.with_gear_seed(corpus.config().seed);
-    dedup_caches(corpus, ChunkStrategy::Cdc(params))
+    let mut ledger = ChunkLedger::new();
+    for img in corpus.iter() {
+        let mut data = vec![0u8; img.cache().bytes() as usize];
+        img.read_at(0, &mut data);
+        for (s, e) in chunk_boundaries(&data, &params) {
+            ledger.add_chunk(&data[s..e]);
+        }
+    }
+    ledger.finish()
 }
 
-/// Deduplicate the corpus' caches under fixed-size blocks of `bs` (same
-/// accounting as [`cdc_dedup_caches`], for apples-to-apples comparison).
+/// Deduplicate the corpus' caches under fixed-size blocks of `bs` (the same
+/// ledger as [`cdc_dedup_caches`], for apples-to-apples comparison).
 pub fn fixed_dedup_caches(corpus: &Corpus, bs: usize) -> ChunkingStats {
-    dedup_caches(corpus, ChunkStrategy::Fixed(bs))
+    let mut ledger = ChunkLedger::new();
+    for img in corpus.iter() {
+        for block in img.cache().blocks_trimmed(bs) {
+            if !block.is_empty() {
+                ledger.add_chunk(&block);
+            }
+        }
+    }
+    ledger.finish()
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! A Gear-style rolling hash cuts chunk boundaries where the content
 //! dictates, so insertions shift boundaries instead of ruining every
 //! following block — the classic CDC advantage over fixed-size records.
-//! This module owns the single implementation: boundary scan, parameters,
-//! the [`ChunkStrategy`] knob that pools and accounting sweeps share, and
-//! the dedup ledger both accounting paths run on, so the two cannot drift.
+//! This module owns the single implementation: boundary scan, parameters
+//! and the dedup ledger both accounting paths run on, so the two cannot
+//! drift.
 //!
 //! The 256-entry gear table is drawn from a seed with the crate's
 //! [`SplitMix64`], and is memoized per seed: the ingest hot path looks
@@ -105,36 +105,6 @@ pub fn chunk_boundaries_with(
     out
 }
 
-/// How a pool (or an accounting sweep) cuts content into dedup units.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChunkStrategy {
-    /// Fixed records of the given size (ZFS `recordsize` semantics).
-    Fixed(usize),
-    /// Content-defined chunks via the Gear rolling hash.
-    Cdc(CdcParams),
-}
-
-impl ChunkStrategy {
-    pub fn is_cdc(&self) -> bool {
-        matches!(self, ChunkStrategy::Cdc(_))
-    }
-
-    /// Cut `data` into chunk byte ranges covering it exactly (fixed mode
-    /// allows a short tail chunk).
-    pub fn chunks(&self, data: &[u8]) -> Vec<(usize, usize)> {
-        match self {
-            ChunkStrategy::Fixed(bs) => {
-                assert!(*bs > 0, "fixed chunk size must be nonzero");
-                (0..data.len())
-                    .step_by(*bs)
-                    .map(|s| (s, (s + bs).min(data.len())))
-                    .collect()
-            }
-            ChunkStrategy::Cdc(p) => chunk_boundaries(data, p),
-        }
-    }
-}
-
 /// Dedup statistics of one chunking strategy over a content set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ChunkingStats {
@@ -211,24 +181,6 @@ mod tests {
         for &(s, e) in &cuts[..cuts.len() - 1] {
             assert!(e - s >= params.min_size && e - s <= params.max_size);
         }
-    }
-
-    #[test]
-    fn fixed_strategy_steps_by_block_with_short_tail() {
-        let data = vec![7u8; 2500];
-        let cuts = ChunkStrategy::Fixed(1024).chunks(&data);
-        assert_eq!(cuts, vec![(0, 1024), (1024, 2048), (2048, 2500)]);
-        assert!(ChunkStrategy::Fixed(1024).chunks(&[]).is_empty());
-    }
-
-    #[test]
-    fn cdc_strategy_matches_direct_boundaries() {
-        let data: Vec<u8> = (0..20_000u32).map(|i| (i * 31 % 251) as u8).collect();
-        let p = CdcParams::with_average(1024).with_gear_seed(3);
-        assert_eq!(
-            ChunkStrategy::Cdc(p).chunks(&data),
-            chunk_boundaries(&data, &p)
-        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pool configuration: record size, codec, threads, quotas and placement.
 
 use squirrel_compress::Codec;
-pub use squirrel_hash::cdc::ChunkStrategy;
+use squirrel_hash::cdc::CdcParams;
 
 /// How commits place new data relative to existing snapshots' copies.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -50,11 +50,10 @@ pub struct PoolConfig {
     /// ([`crate::SpaceStats::ddt_memory_bytes`]); `0` = unlimited.
     /// Reported, not enforced, like [`disk_quota_bytes`](Self::disk_quota_bytes).
     pub ddt_mem_quota_bytes: u64,
-    /// How whole-file imports cut content into dedup units. `Fixed` keeps
-    /// the classic `block_size` records (and is wire-identical to pools
-    /// that predate this knob); `Cdc` cuts content-defined chunks in the
-    /// parallel prepare stage.
-    pub chunking: ChunkStrategy,
+    /// How whole-file imports cut content into dedup units: `None` keeps
+    /// the classic `block_size` records; `Some` cuts content-defined chunks
+    /// with these parameters in the parallel prepare stage.
+    pub cdc: Option<CdcParams>,
     /// Forward (classic) or reverse (read-optimized, RevDedup-style)
     /// commit placement.
     pub dedup_mode: DedupMode,
@@ -78,8 +77,8 @@ impl PoolConfig {
         }
     }
 
-    /// A pool with the given record size and codec, fixed chunking at that
-    /// size, forward dedup, no quotas.
+    /// A pool with the given record size and codec, fixed records, forward
+    /// dedup, no quotas.
     pub fn new(block_size: usize, codec: Codec) -> Self {
         assert!(
             block_size >= 512 && block_size.is_power_of_two(),
@@ -92,7 +91,7 @@ impl PoolConfig {
             threads: 0,
             disk_quota_bytes: 0,
             ddt_mem_quota_bytes: 0,
-            chunking: ChunkStrategy::Fixed(block_size),
+            cdc: None,
             dedup_mode: DedupMode::Forward,
         }
     }
@@ -116,9 +115,9 @@ impl PoolConfig {
         self
     }
 
-    /// Set the chunking strategy for whole-file imports.
-    pub fn with_chunking(mut self, chunking: ChunkStrategy) -> Self {
-        self.chunking = chunking;
+    /// Cut whole-file imports into content-defined chunks.
+    pub fn with_cdc(mut self, params: CdcParams) -> Self {
+        self.cdc = Some(params);
         self
     }
 
@@ -223,23 +222,12 @@ mod tests {
     }
 
     #[test]
-    fn chunking_defaults_to_fixed_at_block_size() {
-        let c = PoolConfig::new(4096, Codec::Off);
-        assert_eq!(c.chunking, ChunkStrategy::Fixed(4096));
-        assert_eq!(c.dedup_mode, DedupMode::Forward);
-        // Builder that only changes block_size re-derives the fixed size.
-        let b = PoolConfig::builder().block_size(8192).build();
-        assert_eq!(b.chunking, ChunkStrategy::Fixed(8192));
-    }
-
-    #[test]
     fn chunking_and_dedup_mode_are_settable() {
-        use squirrel_hash::cdc::CdcParams;
         let p = CdcParams::with_average(4096);
         let c = PoolConfig::new(4096, Codec::Off)
-            .with_chunking(ChunkStrategy::Cdc(p))
+            .with_cdc(p)
             .with_dedup_mode(DedupMode::Reverse);
-        assert_eq!(c.chunking, ChunkStrategy::Cdc(p));
+        assert_eq!(c.cdc, Some(p));
         assert_eq!(c.dedup_mode, DedupMode::Reverse);
     }
 }

@@ -12,7 +12,7 @@
 //! `zpool_ingest_*` timer):
 //!
 //! 1. **prepare** (parallel, fused) — cut each segment into records by the
-//!    pool's [`ChunkStrategy`] — a fixed record is its block; under CDC the
+//!    pool's [`PoolConfig::cdc`] — a fixed record is its block; under CDC the
 //!    Gear scan cuts each run of consecutive blocks into chunks — then
 //!    zero-scan + SHA-256 + DDT probe each record. The zero probe
 //!    early-exits at the first nonzero cache line and the DDT serves
@@ -43,7 +43,9 @@
 //! pins hold both. Compression runs exactly once per batch-new unique key,
 //! mirroring `write_block`'s lazy `add_ref` closure.
 
-use crate::config::{ChunkStrategy, DedupMode};
+use crate::config::DedupMode;
+#[cfg(doc)]
+use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, Frame};
 use crate::pool::{CdcChunk, FileTable, Records, ZPool};
 use squirrel_compress::Compressor;
@@ -93,7 +95,7 @@ impl ZPool {
 
     /// The staged pipeline. `idxs[j]` is the file block index of `data[j]`;
     /// both are in ascending block order. Only stage 1 and the table commit
-    /// writes depend on the pool's [`ChunkStrategy`]; a [`DedupMode::Reverse`]
+    /// writes depend on the pool's [`PoolConfig::cdc`]; a [`DedupMode::Reverse`]
     /// import ends with a [`ZPool::reverse_dedup_pass`].
     fn ingest(&mut self, name: &str, idxs: &[u64], data: &[&[u8]], logical_len: Option<u64>) {
         let cfg = *self.config();
@@ -104,10 +106,7 @@ impl ZPool {
         // land before the fused prepare stage probes the DDT.
         self.create_file(name);
         let bs = cfg.block_size as u64;
-        let cdc = match cfg.chunking {
-            ChunkStrategy::Fixed(_) => None,
-            ChunkStrategy::Cdc(params) => Some((params, gear_table(params.gear_seed))),
-        };
+        let cdc = cfg.cdc.map(|params| (params, gear_table(params.gear_seed)));
 
         // Segments, in block order: each block on its own under fixed
         // records; under CDC each run of consecutive block indices, an
@@ -346,14 +345,13 @@ mod tests {
     /// and a missing one reads as zero seconds, not as an error.
     #[test]
     fn every_import_times_its_four_stages() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let bs = 1024;
         let blocks = test_blocks(bs, 64);
-        let cdc = ChunkStrategy::Cdc(CdcParams::with_average(2048));
-        for chunking in [ChunkStrategy::Fixed(bs), cdc] {
+        let fixed = PoolConfig::new(bs, Codec::Gzip(6));
+        for config in [fixed, fixed.with_cdc(CdcParams::with_average(2048))] {
+            let cdc = config.cdc;
             let reg = squirrel_obs::MetricsRegistry::new();
-            let config = PoolConfig::new(bs, Codec::Gzip(6)).with_chunking(chunking);
             let mut p = ZPool::new(config.with_threads(2));
             p.set_metrics(&reg.handle());
             p.import_file("f", &blocks, 64 * bs as u64);
@@ -361,11 +359,11 @@ mod tests {
             let names: Vec<&str> = times.iter().map(|(name, _)| name.as_str()).collect();
             let stages = ["commit", "compress", "prepare", "probe"];
             let want = stages.map(|s| format!("zpool_ingest_{s}"));
-            assert_eq!(names, want, "{chunking:?}: sorted by name");
+            assert_eq!(names, want, "{cdc:?}: sorted by name");
             for (name, stats) in &times {
-                assert_eq!(stats.count, 1, "{chunking:?} {name}");
+                assert_eq!(stats.count, 1, "{cdc:?} {name}");
                 if name.ends_with("prepare") || name.ends_with("compress") {
-                    assert!(stats.busy_nanos > 0, "{chunking:?} {name}");
+                    assert!(stats.busy_nanos > 0, "{cdc:?} {name}");
                 }
             }
         }
@@ -456,14 +454,13 @@ mod tests {
 
     #[test]
     fn cdc_import_is_bit_identical_across_threads() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let bs = 1024;
         let blocks = test_blocks(bs, 48);
         let len = 48 * bs as u64;
         let mk = |threads| {
             PoolConfig::new(bs, Codec::Lz4)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(2048)))
+                .with_cdc(CdcParams::with_average(2048))
                 .with_threads(threads)
         };
         let mut reference = ZPool::new(mk(1));
@@ -536,7 +533,6 @@ mod tests {
     /// into several runs (one with a zero block inside it).
     #[test]
     fn cdc_import_streams_match_golden() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let bs = 512;
         let n = 48usize;
@@ -559,7 +555,7 @@ mod tests {
         for threads in [1, 2, 8] {
             let mut p = ZPool::new(
                 PoolConfig::new(bs, Codec::Lz4)
-                    .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)))
+                    .with_cdc(CdcParams::with_average(1024))
                     .with_threads(threads),
             );
             p.import_file("img", &to_blocks(&base), (n * bs) as u64);
@@ -585,7 +581,6 @@ mod tests {
 
     #[test]
     fn cdc_sparse_import_respects_holes() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let bs = 512;
         let sparse: Vec<(u64, Vec<u8>)> = vec![
@@ -595,7 +590,7 @@ mod tests {
         ];
         let mut p = ZPool::new(
             PoolConfig::new(bs, Codec::Lzjb)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)))
+                .with_cdc(CdcParams::with_average(1024))
                 .with_threads(2),
         );
         p.import_blocks_parallel("c", &sparse);
@@ -610,7 +605,6 @@ mod tests {
 
     #[test]
     fn cdc_import_dedups_shifted_content_better_than_fixed() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         // A 64-byte prefix insertion shifts every fixed block boundary, so
         // fixed-block dedup finds nothing; Gear boundaries resynchronize a
@@ -632,10 +626,8 @@ mod tests {
             p.stats().physical_bytes - before
         };
         let fixed_growth = growth(PoolConfig::new(bs, Codec::Off));
-        let cdc_growth = growth(
-            PoolConfig::new(bs, Codec::Off)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(2048))),
-        );
+        let cdc_growth =
+            growth(PoolConfig::new(bs, Codec::Off).with_cdc(CdcParams::with_average(2048)));
         assert!(
             cdc_growth < fixed_growth / 2,
             "cdc grew {cdc_growth} vs fixed {fixed_growth}"

@@ -60,6 +60,6 @@ pub use config::{DedupMode, PoolConfig, PoolConfigBuilder};
 pub use ddt::{BlockKey, DdtEntry, Frame, SharedPayload};
 pub use pool::{BlockRef, CdcChunk, FileScatter, RecordLoc, ReverseDedupReport, ZPool};
 pub use scrub::ScrubReport;
-pub use send::{DecodeError, RecvError, SendError, SendStream, VerifiedStream};
-pub use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
+pub use send::{DecodeError, RecvError, SendError, SendStream, VerifiedStream, WIRE_BLOCK_HEADER};
+pub use squirrel_hash::cdc::CdcParams;
 pub use stats::{QuotaExcess, SpaceStats};

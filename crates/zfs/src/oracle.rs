@@ -15,7 +15,7 @@ use crate::pool::{FileTable, Records, ZPool};
 use crate::send::{RecvError, SendStream, StreamBlock};
 use proptest::prelude::*;
 use squirrel_compress::{decompress, Codec};
-use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
+use squirrel_hash::cdc::CdcParams;
 use squirrel_hash::par::WorkerPool;
 use squirrel_hash::ContentHash;
 use std::collections::{BTreeMap, BTreeSet};
@@ -286,14 +286,10 @@ proptest! {
         threads in 0usize..3,
         ops in proptest::collection::vec(op_strategy(), 1..40),
     ) {
-        let chunking = if cdc {
-            ChunkStrategy::Cdc(CdcParams::with_average(1024))
-        } else {
-            ChunkStrategy::Fixed(BS)
-        };
         let cfg = PoolConfig {
             threads: [1, 2, 8][threads],
-            ..PoolConfig::new(BS, Codec::Lzjb).with_chunking(chunking)
+            cdc: cdc.then(|| CdcParams::with_average(1024)),
+            ..PoolConfig::new(BS, Codec::Lzjb)
         };
         // Pool 0 sends; pools 1 and 2 receive.
         let mut pools: Vec<ZPool> = (0..3).map(|_| ZPool::new(cfg)).collect();

@@ -1099,11 +1099,8 @@ mod tests {
     }
 
     fn cdc_pool(bs: usize) -> ZPool {
-        use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
-        ZPool::new(
-            PoolConfig::new(bs, Codec::Lzjb)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024))),
-        )
+        use squirrel_hash::cdc::CdcParams;
+        ZPool::new(PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(1024)))
     }
 
     /// Patterned blocks with zero blocks, duplicates, and varied content.
@@ -1354,7 +1351,7 @@ mod proptests {
         fn cdc_reads_match_fixed_reads(
             specs in proptest::collection::vec((0u8..4, any::<u8>()), 1..24)
         ) {
-            use squirrel_hash::cdc::{CdcParams, ChunkStrategy};
+            use squirrel_hash::cdc::CdcParams;
             let bs = 512usize;
             let blocks: Vec<Vec<u8>> = specs
                 .iter()
@@ -1370,7 +1367,7 @@ mod proptests {
             fixed.import_file("f", &blocks, len);
             let mut cdc = ZPool::new(
                 PoolConfig::new(bs, Codec::Lz4)
-                    .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024))),
+                    .with_cdc(CdcParams::with_average(1024)),
             );
             cdc.import_file("f", &blocks, len);
             for i in 0..blocks.len() as u64 {

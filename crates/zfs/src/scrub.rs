@@ -349,13 +349,10 @@ mod tests {
 
     #[test]
     fn cdc_pool_scrubs_injects_and_repairs_at_chunk_lsize() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let bs = 512;
-        let mut p = ZPool::new(
-            PoolConfig::new(bs, Codec::Lzjb)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024))),
-        );
+        let mut p =
+            ZPool::new(PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(1024)));
         let blocks: Vec<Vec<u8>> = (0..12)
             .map(|i| (0..bs).map(|j| ((i * 29 + j * 7) % 249) as u8).collect())
             .collect();
@@ -372,8 +369,7 @@ mod tests {
 
         let donor = {
             let mut d = ZPool::new(
-                PoolConfig::new(bs, Codec::Lzjb)
-                    .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024))),
+                PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(1024)),
             );
             d.import_file("img", &blocks, 12 * bs as u64);
             d

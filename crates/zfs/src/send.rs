@@ -98,7 +98,9 @@ impl std::error::Error for RecvError {}
 /// Wire-size constants for [`SendStream::wire_bytes`].
 const WIRE_PTR_BYTES: u64 = 18; // key prefix + flags
 const WIRE_FILE_OVERHEAD: u64 = 64;
-const WIRE_BLOCK_HEADER: u64 = 24;
+/// Framing of one record on the wire, beside its compressed frame: every
+/// transfer of a record (a stream's payload, a repair, a re-hoard) charges it.
+pub const WIRE_BLOCK_HEADER: u64 = 24;
 /// One CDC chunk record: 16-byte key + 8-byte logical offset + 4-byte length.
 const WIRE_CHUNK_BYTES: u64 = 28;
 
@@ -831,7 +833,7 @@ impl ZPool {
 #[cfg(test)]
 mod proptests {
     use super::{SendStream, StreamBlock};
-    use crate::config::{ChunkStrategy, PoolConfig};
+    use crate::config::PoolConfig;
     use crate::pool::ZPool;
     use proptest::prelude::*;
     use squirrel_compress::Codec;
@@ -877,8 +879,8 @@ mod proptests {
     /// re-imported behind a 64-byte prefix, so the diff's chunk table names
     /// chunks the receiver holds and chunks its payload carries.
     fn cdc_golden() -> Golden {
-        let chunking = ChunkStrategy::Cdc(CdcParams::with_average(1024));
-        let mut src = ZPool::new(PoolConfig::new(512, Codec::Lzjb).with_chunking(chunking));
+        let cdc = CdcParams::with_average(1024);
+        let mut src = ZPool::new(PoolConfig::new(512, Codec::Lzjb).with_cdc(cdc));
         let base: Vec<u8> = (0..16 * 512u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
             .collect();
@@ -1500,13 +1502,9 @@ mod tests {
 
     #[test]
     fn cdc_streams_roundtrip_and_replicate() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let bs = 512;
-        let cfg = || {
-            PoolConfig::new(bs, Codec::Lzjb)
-                .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)))
-        };
+        let cfg = || PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(1024));
         let mut src = ZPool::new(cfg());
         let blocks: Vec<Vec<u8>> = (0..16)
             .map(|i| (0..bs).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
@@ -1724,13 +1722,9 @@ mod tests {
 
     #[test]
     fn fanout_of_a_cdc_stream_matches_serial_recv() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let cdc = |bs: usize| {
-            ZPool::new(
-                PoolConfig::new(bs, Codec::Lzjb)
-                    .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(2048))),
-            )
+            ZPool::new(PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(2048)))
         };
         let mut src = cdc(BS);
         let blocks: Vec<Vec<u8>> = (0..48usize)
@@ -1936,10 +1930,8 @@ mod tests {
     /// A CDC receiver holding a sender's full stream of file `img` (16
     /// blocks of 512 B), and `img`'s chunks as `(key, logical_off, len)`.
     fn cdc_receiver() -> (ZPool, Vec<(BlockKey, u64, u32)>) {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
-        let cfg = PoolConfig::new(512, Codec::Lzjb)
-            .with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)));
+        let cfg = PoolConfig::new(512, Codec::Lzjb).with_cdc(CdcParams::with_average(1024));
         let mut src = ZPool::new(cfg);
         let blocks: Vec<Vec<u8>> = (0..16)
             .map(|i| (0..512).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
@@ -2020,10 +2012,9 @@ mod tests {
 
     #[test]
     fn recv_refuses_a_frame_that_inflates_short_of_its_record() {
-        use crate::config::ChunkStrategy;
         use squirrel_hash::cdc::CdcParams;
         let fixed = PoolConfig::new(512, Codec::Lzjb);
-        let cdc = fixed.with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(1024)));
+        let cdc = fixed.with_cdc(CdcParams::with_average(1024));
         for cfg in [fixed, cdc] {
             let mut src = ZPool::new(cfg);
             let blocks: Vec<Vec<u8>> = (0..8)

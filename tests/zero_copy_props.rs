@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use squirrel_repro::compress::Codec;
 use squirrel_repro::core::{Squirrel, SquirrelConfig};
 use squirrel_repro::dataset::{Corpus, CorpusConfig};
-use squirrel_repro::zfs::{CdcParams, ChunkStrategy, PoolConfig, ZPool};
+use squirrel_repro::zfs::{CdcParams, PoolConfig, ZPool};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -53,7 +53,7 @@ proptest! {
             Some(pow) => {
                 let avg = (bs << pow).max(1024);
                 let mut pool = ZPool::new(
-                    config.with_chunking(ChunkStrategy::Cdc(CdcParams::with_average(avg))),
+                    config.with_cdc(CdcParams::with_average(avg)),
                 );
                 // Chunked files are import-only: the last write to an index wins.
                 let blocks: BTreeMap<u64, Vec<u8>> = writes

@@ -6,6 +6,21 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# `cargo test ARGS`, quiet on success; fails when the run fails or when its
+# result lines pass no test at all, so a filter that names a deleted or
+# renamed test cannot pass silently.
+test_some() {
+    local out passed
+    out=$(cargo test "$@" 2>&1) || { echo "$out"; return 1; }
+    passed=$(echo "$out" | awk '/^test result:/ {
+        for (i = 2; i <= NF; i++) if ($i == "passed;") n += $(i - 1)
+    } END { print n + 0 }')
+    if [ "$passed" -eq 0 ]; then
+        echo "no test ran: cargo test $*"
+        return 1
+    fi
+}
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -51,45 +66,45 @@ fi
 echo "== kernel crates (release: unsafe SHA-NI, wrapping arithmetic, debug_assert-free paths) =="
 # squirrel-dataset rides along: its golden corpus pins and the fixed-width
 # atom writer's differential test run in the build that ships.
-cargo test -q --release -p squirrel-hash -p squirrel-compress -p squirrel-dataset > /dev/null
+test_some -q --release -p squirrel-hash -p squirrel-compress -p squirrel-dataset
 
 echo "== worker pool under repetition (release, 20 runs: where a one-in-fifty race hides) =="
 # The two receive tests split one stream's proof over the pool's workers:
 # the first offender in payload order must win at every thread count.
 for i in $(seq 20); do
-    cargo test -q --release -p squirrel-hash par:: > /dev/null
-    cargo test -q --release -p squirrel-zfs --lib -- \
+    test_some -q --release -p squirrel-hash par::
+    test_some -q --release -p squirrel-zfs --lib -- \
         first_corrupt_block_in_payload_order_wins_at_any_thread_count \
-        a_lone_recv_splits_its_proof_over_unproved_frames_only > /dev/null
+        a_lone_recv_splits_its_proof_over_unproved_frames_only
 done
 
 echo "== boot storm under repetition (release, 20 runs: records resolve concurrently) =="
 for i in $(seq 20); do
-    cargo test -q --release -p squirrel-core --lib -- \
+    test_some -q --release -p squirrel-core --lib -- \
         a_storm_digests_each_distinct_working_set_once \
-        boot_storm_serves_warm_vms_zero_copy_and_deterministically > /dev/null
+        boot_storm_serves_warm_vms_zero_copy_and_deterministically
 done
 
 echo "== decode fuzz smoke (release, fixed seeds) =="
-cargo test -q --release -p squirrel-zfs decode_survives > /dev/null
+test_some -q --release -p squirrel-zfs decode_survives
 
 echo "== import pipeline (release: fixed records and CDC, threads 1/2/8, golden pins, write_block replay) =="
 # The pipeline's drain-order checks are debug_assert!s, so only a release
 # build runs the import as it ships.
-cargo test -q --release -p squirrel-zfs ingest:: > /dev/null
+test_some -q --release -p squirrel-zfs ingest::
 
 echo "== boot memo-vs-fresh-replay proptest (release, name-seeded) =="
-cargo test -q --release -p squirrel-core memoised_boots_match_fresh_replays > /dev/null
+test_some -q --release -p squirrel-core memoised_boots_match_fresh_replays
 
 echo "== boot replay: one walk, one price, two record sources, extent reads, against the references (release) =="
-cargo test -q --release -p squirrel-bootsim -- \
+test_some -q --release -p squirrel-bootsim -- \
     replay_matches_the_hashset_reference \
     measured_replay_matches_the_hashset_reference \
-    compact_layout_replays_like_the_statistical_volume > /dev/null
-cargo test -q --release -p squirrel-core extent_reads_replay_like_the_read_sequence > /dev/null
+    compact_layout_replays_like_the_statistical_volume
+test_some -q --release -p squirrel-core extent_reads_replay_like_the_read_sequence
 
 echo "== lossy delivery: direct apply vs per-copy reference (release, 16 fault seeds) =="
-cargo test -q --release -p squirrel-core decoding_each_distinct_copy_once_matches_the_per_copy_reference > /dev/null
+test_some -q --release -p squirrel-core decoding_each_distinct_copy_once_matches_the_per_copy_reference
 
 echo "== benchmark package smoke (out-of-workspace, release) =="
 # The benchmark links the crates' public API from outside the workspace: a

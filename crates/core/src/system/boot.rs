@@ -337,8 +337,7 @@ impl Squirrel {
         // The warm nodes resolve their working sets on the workers: one
         // hole-aware read per distinct stored frame, the first (node, block)
         // that holds it, so nodes holding the same frames share one buffer
-        // per record. Holes and chunked files' blocks are read per (node,
-        // block).
+        // per record. Holes are read per (node, block).
         let warm_nodes: Vec<usize> = by_node
             .keys()
             .copied()

@@ -34,8 +34,12 @@ impl Squirrel {
     /// Count boots of `image` — the popularity signal
     /// [`Self::enforce_hoard_budgets`] ranks eviction candidates by. Called
     /// only from serial workflow code, so the counts (and the labeled
-    /// counter) are deterministic at any thread count.
+    /// counter) are deterministic at any thread count. Zero boots (a storm
+    /// of no VMs) count nothing: no entry, no series, nothing to cool.
     pub(super) fn note_popularity(&mut self, image: ImageId, boots: u64) {
+        if boots == 0 {
+            return;
+        }
         *self.popularity.entry(image).or_insert(0) += boots;
         if self.obs.is_enabled() {
             self.obs.add_with(
@@ -239,8 +243,7 @@ impl Squirrel {
             .map(|r| u64::from(r.psize) + WIRE_BLOCK_HEADER)
             .sum();
         let len = donor_pool.file_len(&name).expect("donor holds the file");
-        // Block count from the file length, not `refs.len()`: for chunked
-        // (CDC) files the refs are per *record*, not per block.
+        // Every block of the file's logical length, holes included.
         let nblocks = len.div_ceil(self.config.block_size as u64);
         let blocks: Vec<Vec<u8>> = (0..nblocks)
             .map(|b| {
@@ -488,6 +491,22 @@ mod tests {
         let cooled = sq.decay_popularity(0.0);
         assert_eq!(cooled, 1);
         assert_eq!(sq.image_popularity(0), 0);
+    }
+
+    #[test]
+    fn a_storm_of_no_vms_counts_no_boots() {
+        let mut sq = small_system(3);
+        sq.register(0).expect("register");
+        let series = r#"squirrel_image_boots_total{image="0"}"#;
+        let storm = sq.boot_storm(0, 0).expect("empty storm");
+        assert_eq!((storm.warm_vms, storm.cold_vms), (0, 0));
+        assert_eq!(sq.image_popularity(0), 0);
+        assert_eq!(sq.metrics().snapshot().counter(series), None);
+        assert_eq!(sq.decay_popularity(0.5), 0, "nothing to cool");
+        // A storm of VMs counts them under that series.
+        let storm = sq.boot_storm(0, 4).expect("storm");
+        assert_eq!(storm.warm_vms, 4);
+        assert_eq!(sq.metrics().snapshot().counter(series), Some(4));
     }
 
     #[test]

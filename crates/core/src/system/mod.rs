@@ -828,7 +828,7 @@ mod tests {
             let (hermit, centre) = cut_links(&mut sq, &mut rng);
             // ...and whole racks down.
             for _ in 0..=seed % 3 {
-                sq.rack_down(rng.below(8) as u32);
+                sq.network_mut().rack_down(rng.below(8) as u32);
             }
             let mut any = move || rng.below(NODES.into()) as NodeId;
             // Donors that fail the proofs: evicted copies, rotted records.
@@ -896,7 +896,7 @@ mod tests {
                 }
             }
             for rack in 0..8 {
-                sq.rack_up(rack);
+                sq.network_mut().rack_up(rack);
             }
         }
         assert!(

@@ -173,56 +173,6 @@ impl Squirrel {
         self.ec.as_ref().is_none_or(ErasureCodedVolume::is_clean)
     }
 
-    /// Fault hook: flip one byte of the `nth` stored erasure shard (mod the
-    /// shard population). `None` under replicated storage or while no
-    /// shards are stored.
-    pub fn corrupt_ec_shard(&mut self, nth: u64) -> Option<(String, u32, u32)> {
-        let victim = self.ec.as_mut()?.corrupt_nth_shard(nth);
-        if victim.is_some() {
-            self.obs.inc("squirrel_fault_ec_shard_corruptions_total");
-        }
-        victim
-    }
-
-    /// Take a whole rack's boundary links down (correlated failure: every
-    /// node in the rack loses cross-rack connectivity at once). Counted in
-    /// `squirrel_domain_rack_downs_total`; idempotent while already down.
-    /// Returns the number of links cut.
-    pub fn rack_down(&mut self, rack: u32) -> usize {
-        let cut = self.net.rack_down(rack);
-        if cut > 0 {
-            self.obs.inc("squirrel_domain_rack_downs_total");
-        }
-        cut
-    }
-
-    /// Heal a rack taken down by [`Self::rack_down`]. Node-level cuts that
-    /// happen to cross the boundary stay cut.
-    pub fn rack_up(&mut self, rack: u32) {
-        if self.net.rack_is_down(rack) {
-            self.obs.inc("squirrel_domain_rack_ups_total");
-        }
-        self.net.rack_up(rack);
-    }
-
-    /// Take a whole datacenter's boundary links down. Counted in
-    /// `squirrel_domain_dc_downs_total`; idempotent while already down.
-    pub fn datacenter_down(&mut self, dc: u32) -> usize {
-        let cut = self.net.datacenter_down(dc);
-        if cut > 0 {
-            self.obs.inc("squirrel_domain_dc_downs_total");
-        }
-        cut
-    }
-
-    /// Heal a datacenter taken down by [`Self::datacenter_down`].
-    pub fn datacenter_up(&mut self, dc: u32) {
-        if self.net.datacenter_is_down(dc) {
-            self.obs.inc("squirrel_domain_dc_ups_total");
-        }
-        self.net.datacenter_up(dc);
-    }
-
     fn record_repair(&self, report: &RepairReport) {
         self.obs.inc("squirrel_repair_runs_total");
         self.obs
@@ -362,16 +312,30 @@ impl Squirrel {
             Some(PartitionEvent::Heal(a, b)) => self.net.heal(a, b),
             _ => {}
         }
-        match domain {
+        // An outage is counted when it changes the network: a domain with
+        // no boundary links cuts nothing.
+        let net = &mut self.net;
+        let outage = match domain {
             Some(PartitionEvent::RackDown(rk)) => {
-                self.rack_down(rk);
+                (net.rack_down(rk) > 0).then_some("squirrel_domain_rack_downs_total")
             }
-            Some(PartitionEvent::RackUp(rk)) => self.rack_up(rk),
+            Some(PartitionEvent::RackUp(rk)) => {
+                let down = net.rack_is_down(rk);
+                net.rack_up(rk);
+                down.then_some("squirrel_domain_rack_ups_total")
+            }
             Some(PartitionEvent::DatacenterDown(dc)) => {
-                self.datacenter_down(dc);
+                (net.datacenter_down(dc) > 0).then_some("squirrel_domain_dc_downs_total")
             }
-            Some(PartitionEvent::DatacenterUp(dc)) => self.datacenter_up(dc),
-            _ => {}
+            Some(PartitionEvent::DatacenterUp(dc)) => {
+                let down = net.datacenter_is_down(dc);
+                net.datacenter_up(dc);
+                down.then_some("squirrel_domain_dc_ups_total")
+            }
+            _ => None,
+        };
+        if let Some(series) = outage {
+            self.obs.inc(series);
         }
         let rot = rot.map(|(victim, nth)| {
             let key = match victim {
@@ -381,11 +345,13 @@ impl Squirrel {
             // Rot aimed at the shared tier also rots one erasure shard when
             // the tier is erasure-coded — same draw, so replicated runs are
             // untouched.
-            let ec_shard = if victim.is_none() {
-                self.corrupt_ec_shard(nth)
-            } else {
-                None
+            let ec_shard = match (victim, self.ec.as_mut()) {
+                (None, Some(ec)) => ec.corrupt_nth_shard(nth),
+                _ => None,
             };
+            if ec_shard.is_some() {
+                self.obs.inc("squirrel_fault_ec_shard_corruptions_total");
+            }
             RotHit {
                 victim,
                 block_hit: key.is_some(),
@@ -417,7 +383,7 @@ mod tests {
         // 7 and 11 — and the distinct-rack placement phase guarantees at
         // least one of the object's shards lives there.
         assert!(sq.evict_cache(1, 0).expect("evict").was_cached);
-        assert!(sq.rack_down(3) > 0);
+        assert!(sq.network_mut().rack_down(3) > 0);
         sq.network_mut().reset_ledgers();
         let boot = sq.boot(1, 0).expect("cold boot through rack loss");
         assert!(!boot.warm);
@@ -432,7 +398,7 @@ mod tests {
         let rep = sq.repair_shared_storage().expect("ec repair report");
         assert!(rep.shards_relocated > 0, "no shard left rack 3: {rep:?}");
         assert!(rep.unrepaired_stripes == 0 && sq.shared_storage_clean());
-        sq.rack_up(3);
+        sq.network_mut().rack_up(3);
         assert!(sq.evict_cache(2, 0).expect("evict").was_cached);
         assert!(!sq.boot(2, 0).expect("boot after heal").warm);
         assert!(sq.shared_storage_clean());

@@ -594,11 +594,17 @@ mod tests {
                 .with_threads(2),
         );
         p.import_blocks_parallel("c", &sparse);
-        // Gaps read as zeros; a chunk never spans the hole between runs.
-        assert_eq!(p.read_block("c", 0).expect("file"), vec![0u8; bs]);
-        assert_eq!(p.read_block("c", 3).expect("file"), vec![0u8; bs]);
+        let mut image = vec![0u8; 8 * bs];
         for (idx, d) in &sparse {
-            assert_eq!(p.read_block("c", *idx).expect("file"), *d, "block {idx}");
+            image[*idx as usize * bs..][..bs].copy_from_slice(d);
+        }
+        p.assert_chunks_tile("c", &image);
+        // A chunk never spans the hole between runs.
+        let imported = |b: u64| sparse.iter().any(|(idx, _)| *idx == b);
+        for r in p.file_layout("c").expect("file") {
+            let end = r.logical_off + u64::from(r.llen);
+            let blocks = r.logical_off / bs as u64..end.div_ceil(bs as u64);
+            assert!(blocks.clone().all(imported), "{r:?} covers {blocks:?}");
         }
         assert!(p.check_refcounts());
     }

@@ -8,9 +8,12 @@
 //! * **Content addressing** — records keyed by SHA-256 (like
 //!   `dedup=sha256`): fixed-size blocks, or content-defined chunks cut by a
 //!   Gear scan; a file's table ([`pool::FileTable`]) holds one kind or the
-//!   other, never both. One refcounted dedup table ([`ddt`]) serves
-//!   concurrent `&self` probes and takes every mutation from the serial
-//!   commit path.
+//!   other, never both. Chunked files are imported and measured (layout,
+//!   scatter, scrub, repair) only: they have no block reads, and `decode`
+//!   and every receive path refuse a stream that carries one, so every
+//!   record read or received is a fixed block. One refcounted dedup table
+//!   ([`ddt`]) serves concurrent `&self` probes and takes every mutation
+//!   from the serial commit path.
 //! * **Inline compression** — every unique block is stored compressed with a
 //!   configurable codec (gzip-6 by default, like the paper's choice).
 //! * **Space accounting** ([`stats`]) — physical data, on-disk DDT, in-core

@@ -6,13 +6,15 @@
 //! change to a snapshot's file set (snapshot, recv, destroy, purge), so the
 //! same steps hold `stats()` to a walk of every snapshot, and every
 //! snapshot — its file set and every stream sent between any two — to a
-//! reference model that clones the whole live file map per snapshot.
+//! reference model that clones the whole live file map per snapshot. On
+//! CDC pools `decode` and `recv` must refuse every stream that carries a
+//! chunked file, while scrub, rot and repair run on as on fixed records.
 
 use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, Frame};
 use crate::history::FileMap;
 use crate::pool::{FileTable, Records, ZPool};
-use crate::send::{RecvError, SendStream, StreamBlock};
+use crate::send::{DecodeError, RecvError, SendStream, StreamBlock};
 use proptest::prelude::*;
 use squirrel_compress::{decompress, Codec};
 use squirrel_hash::cdc::CdcParams;
@@ -54,21 +56,26 @@ fn oracle_intact(p: &ZPool, name: &str) -> Option<bool> {
     Some(table.iter_keys().all(|key| !is_rotten(p, key)))
 }
 
-/// The block a receiver of record size `block_size` must reject `stream`
-/// for: the first, in payload order, whose bytes are not its key's.
-fn oracle_rejects(stream: &SendStream, block_size: u32) -> Option<BlockKey> {
-    let mut lsizes = BTreeMap::new();
-    for (_, table) in &stream.upserts {
-        match &table.records {
-            Records::Blocks(ptrs) => {
-                lsizes.extend(ptrs.iter().flatten().map(|key| (*key, block_size)))
-            }
-            Records::Chunks(chunks) => lsizes.extend(chunks.iter().map(|c| (c.key, c.len))),
-        }
+/// The first upsert of `stream` cut into chunks: `decode` and every
+/// receive path must refuse the stream for it.
+fn chunked_upsert(stream: &SendStream) -> Option<&str> {
+    let (name, _) = stream
+        .upserts
+        .iter()
+        .find(|(_, table)| matches!(table.records, Records::Chunks(_)))?;
+    Some(name)
+}
+
+/// Why a receiver of record size `block_size` must reject `stream` before
+/// looking at its own state: the first chunked upsert, else the first
+/// payload block, in payload order, whose bytes are not its key's.
+fn oracle_rejects(stream: &SendStream, block_size: u32) -> Option<RecvError> {
+    if let Some(name) = chunked_upsert(stream) {
+        return Some(RecvError::ChunkedFile(name.to_string()));
     }
     stream.payload.iter().find_map(|b| {
-        let lsize = lsizes.get(&b.key).copied().unwrap_or(block_size);
-        (key_of(b.data.as_ref()?, lsize) != Some(b.key)).then_some(b.key)
+        let rotten = key_of(b.data.as_ref()?, block_size) != Some(b.key);
+        rotten.then_some(RecvError::CorruptPayload(b.key))
     })
 }
 
@@ -114,7 +121,7 @@ fn check_verdicts(pools: &[ZPool], step: usize) -> Result<(), TestCaseError> {
                     // length an intact frame inflates short of the record,
                     // at half it inflates to other bytes; both must fail.
                     for bs in [BS as u32, 2 * BS as u32, BS as u32 / 2] {
-                        let expected = oracle_rejects(&full, bs).map(RecvError::CorruptPayload);
+                        let expected = oracle_rejects(&full, bs);
                         let mut fresh = ZPool::new(PoolConfig {
                             block_size: bs as usize,
                             ..*p.config()
@@ -323,11 +330,16 @@ proptest! {
                     };
                     if let Some(mut stream) = sent {
                         if framed {
-                            stream = SendStream::decode_framed(&stream.encode_framed())
-                                .expect("clean wire");
+                            let wire = SendStream::decode_framed(&stream.encode_framed());
+                            if chunked_upsert(&stream).is_some() {
+                                let refused = Some(DecodeError::BadChunkTable);
+                                prop_assert_eq!(wire.err(), refused, "step {}", step);
+                            } else {
+                                stream = wire.expect("clean wire");
+                            }
                         }
                         let expected = match oracle_rejects(&stream, BS as u32) {
-                            Some(key) => Err(RecvError::CorruptPayload(key)),
+                            Some(refusal) => Err(refusal),
                             None if purged[to] => oracle_missing(&stream, &pools[to])
                                 .map_or(Ok(()), |key| Err(RecvError::MissingBlock(key))),
                             None => Ok(()),

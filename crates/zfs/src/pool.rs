@@ -5,9 +5,11 @@
 //! VMI caches; snapshots capture the entire file set (Squirrel snapshots the
 //! whole cVolume); a file's records (`Records`) are fixed `recordsize`
 //! blocks or, for CDC imports, content-defined chunks; zero records become
-//! holes. Reference counting is exact: one reference per live file pointer
-//! plus one per snapshot pointer, so destroying snapshots frees exactly the
-//! blocks nothing else uses.
+//! holes. Only fixed records are read by block: a chunked file is imported,
+//! snapshotted, laid out, scrubbed and repaired, but has no block reads and
+//! no receive path. Reference counting is exact: one reference per live
+//! file pointer plus one per snapshot pointer, so destroying snapshots
+//! frees exactly the blocks nothing else uses.
 
 use crate::config::PoolConfig;
 use crate::ddt::{BlockKey, DdtEntry, DedupTable, Frame, SharedPayload};
@@ -108,7 +110,8 @@ pub(crate) enum Records {
     /// One pointer per `block_size` record; `None` = hole (zero block).
     Blocks(Arc<Vec<Option<BlockKey>>>),
     /// Content-defined chunks, sorted by `logical_off`. Chunked files are
-    /// import-only: [`ZPool::write_block`] rejects them.
+    /// import-and-measure only: [`ZPool::write_block`] rejects them, block
+    /// reads answer `None` and a stream that holds one is refused.
     Chunks(Arc<Vec<CdcChunk>>),
 }
 
@@ -329,50 +332,24 @@ impl ZPool {
         block
     }
 
-    /// Fill `buf` with the chunked file's bytes at logical offset `start`
-    /// (zeros where no chunk covers). `chunks` is sorted by `logical_off`.
-    fn read_range_chunked(&self, chunks: &[CdcChunk], start: u64, buf: &mut [u8]) {
-        let end = start + buf.len() as u64;
-        let mut i = chunks.partition_point(|c| c.logical_off + c.len as u64 <= start);
-        while i < chunks.len() && chunks[i].logical_off < end {
-            let c = &chunks[i];
-            let bytes = self.decompress_record(&c.key);
-            let lo = start.max(c.logical_off);
-            // A received frame may inflate short of its chunk (the proof
-            // hashes what comes out); the rest of the chunk reads as zeros.
-            let hi = end.min(c.logical_off + u64::from(c.len).min(bytes.len() as u64));
-            if lo < hi {
-                buf[(lo - start) as usize..(hi - start) as usize].copy_from_slice(
-                    &bytes[(lo - c.logical_off) as usize..(hi - c.logical_off) as usize],
-                );
-            }
-            i += 1;
-        }
-    }
-
-    /// Whether any chunk of a chunked file overlaps the given block.
-    fn block_is_hole_chunked(chunks: &[CdcChunk], start: u64, end: u64) -> bool {
-        let i = chunks.partition_point(|c| c.logical_off + c.len as u64 <= start);
-        chunks.get(i).map(|c| c.logical_off >= end).unwrap_or(true)
+    /// The pointer behind fixed block `block_idx` of `name`, or `Some(None)`
+    /// for a hole (including unwritten space past the table). `None` for a
+    /// chunked or missing file: a chunked file has no block reads.
+    fn block_ptr(&self, name: &str, block_idx: u64) -> Option<Option<BlockKey>> {
+        let Records::Blocks(ptrs) = &self.files.get(name)?.records else {
+            return None;
+        };
+        Some(ptrs.get(block_idx as usize).copied().flatten())
     }
 
     /// Read one block (zeros for holes and unwritten space) into a buffer
-    /// of the caller's own. `None` if the file does not exist. On chunked
-    /// files this assembles the `block_size` window from the chunks that
-    /// overlap it, so logical reads are identical across chunking
-    /// strategies.
+    /// of the caller's own. `None` for a chunked or missing file.
     pub fn read_block(&self, name: &str, block_idx: u64) -> Option<Vec<u8>> {
-        let table = self.files.get(name)?;
-        let bs = self.config.block_size;
-        let ptr = match &table.records {
-            Records::Blocks(ptrs) => ptrs.get(block_idx as usize).copied().flatten(),
-            Records::Chunks(chunks) => {
-                let mut buf = vec![0u8; bs];
-                self.read_range_chunked(chunks, block_idx * bs as u64, &mut buf);
-                return Some(buf);
-            }
-        };
-        Some(ptr.map_or_else(|| vec![0u8; bs], |key| self.decompress_record(&key)))
+        let ptr = self.block_ptr(name, block_idx)?;
+        Some(ptr.map_or_else(
+            || vec![0u8; self.config.block_size],
+            |key| self.decompress_record(&key),
+        ))
     }
 
     /// [`read_block`](Self::read_block) as a shared payload, or `Some(None)`
@@ -381,23 +358,8 @@ impl ZPool {
     /// many consumers (a boot storm, via [`block_frame`](Self::block_frame))
     /// reads it once and hands out clones.
     pub fn read_block_or_hole(&self, name: &str, block_idx: u64) -> Option<Option<SharedPayload>> {
-        let table = self.files.get(name)?;
-        let bs = self.config.block_size;
-        match &table.records {
-            Records::Blocks(ptrs) => {
-                let ptr = ptrs.get(block_idx as usize).copied().flatten();
-                Some(ptr.map(|key| self.decompress_record(&key).into()))
-            }
-            Records::Chunks(chunks) => {
-                let start = block_idx * bs as u64;
-                if Self::block_is_hole_chunked(chunks, start, start + bs as u64) {
-                    return Some(None);
-                }
-                let mut buf = vec![0u8; bs];
-                self.read_range_chunked(chunks, start, &mut buf);
-                Some(Some(buf.into()))
-            }
-        }
+        let ptr = self.block_ptr(name, block_idx)?;
+        Some(ptr.map(|key| self.decompress_record(&key).into()))
     }
 
     /// [`read_block_or_hole`](Self::read_block_or_hole) with a hole served
@@ -419,10 +381,7 @@ impl ZPool {
     /// `Some(None)` for a hole: pools holding one frame read equal bytes
     /// there. `None` for a chunked or missing file.
     pub fn block_frame(&self, name: &str, block_idx: u64) -> Option<Option<&Frame>> {
-        let Records::Blocks(ptrs) = &self.files.get(name)?.records else {
-            return None;
-        };
-        let ptr = ptrs.get(block_idx as usize).copied().flatten();
+        let ptr = self.block_ptr(name, block_idx)?;
         Some(ptr.map(|key| self.record(&key).0))
     }
 
@@ -768,6 +727,40 @@ impl ZPool {
 }
 
 #[cfg(test)]
+impl ZPool {
+    /// The CDC import oracle, over the dedup table's own frames: `name`'s
+    /// chunks tile `image` (the file's logical bytes, zeros for holes) —
+    /// sorted, disjoint, every byte between them zero — and each chunk's
+    /// stored frame inflates to its slice of `image` at its entry's length.
+    pub(crate) fn assert_chunks_tile(&self, name: &str, image: &[u8]) {
+        let table = self.files.get(name).expect("file");
+        let Records::Chunks(chunks) = &table.records else {
+            panic!("{name} is not chunked");
+        };
+        let mut end = 0;
+        for c in chunks.iter() {
+            let (off, len) = (c.logical_off as usize, c.len as usize);
+            assert!(
+                off >= end,
+                "chunk at {off} overlaps the one ending at {end}"
+            );
+            assert!(
+                image[end..off].iter().all(|&b| b == 0),
+                "data in {end}..{off}"
+            );
+            assert_eq!(self.entry(&c.key).lsize, c.len, "chunk at {off}");
+            let (_, frame) = self.payload_of(c.key).expect("stored frame");
+            assert!(
+                decompress(&frame, len) == image[off..off + len],
+                "chunk at {off}"
+            );
+            end = off + len;
+        }
+        assert!(image[end..].iter().all(|&b| b == 0), "data past {end}");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use squirrel_compress::Codec;
@@ -1061,12 +1054,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&first, &again));
         assert_eq!(pools[1].read_block("f", 0).expect("file"), block(512, 1));
         assert_eq!(decompressed(), 3 * 512);
-        // Past the table is a hole; a missing or chunked file has no frames.
+        // Past the table is a hole; a missing file has no frames.
         assert!(matches!(src.block_frame("f", 3), Some(None)));
         assert!(src.block_frame("g", 0).is_none());
-        let mut cdc = cdc_pool(512);
-        cdc.import_file("f", &[block(512, 1)], 512);
-        assert!(cdc.block_frame("f", 0).is_none());
     }
 
     #[test]
@@ -1119,27 +1109,13 @@ mod tests {
     }
 
     #[test]
-    fn cdc_import_reads_back_identically_to_fixed() {
+    fn cdc_import_stores_every_chunk_of_its_input() {
         let bs = 512;
         let n = 24;
         let blocks = patterned(bs, n, 3);
-        let len = (n * bs) as u64;
-        let mut fixed = pool(bs);
-        fixed.import_file("img", &blocks, len);
         let mut cdc = cdc_pool(bs);
-        cdc.import_file("img", &blocks, len);
-        for i in 0..n as u64 {
-            assert_eq!(
-                cdc.read_block("img", i),
-                fixed.read_block("img", i),
-                "block {i}"
-            );
-            assert_eq!(
-                cdc.read_block_shared("img", i).as_deref(),
-                fixed.read_block_shared("img", i).as_deref(),
-                "shared block {i}"
-            );
-        }
+        cdc.import_file("img", &blocks, (n * bs) as u64);
+        cdc.assert_chunks_tile("img", &blocks.concat());
         assert!(cdc.check_refcounts());
         // Chunked lifecycle: snapshot, delete, destroy all balance.
         cdc.snapshot("s");
@@ -1150,22 +1126,20 @@ mod tests {
     }
 
     #[test]
-    fn cdc_hole_blocks_share_the_zero_buffer() {
-        // A gap between sparse runs is a true hole (no chunk covers it);
-        // its shared read hands out the pool's one zero buffer. Zero blocks
-        // *inside* a run may be swallowed by a larger chunk — those still
-        // read as zeros, just not through the shared fast path.
+    fn a_chunked_file_has_no_block_reads() {
         let bs = 512;
         let mut cdc = cdc_pool(bs);
         cdc.import_blocks_parallel("img", &[(0u64, vec![7u8; bs]), (4, vec![9u8; bs])]);
-        let hole = cdc.read_block_shared("img", 2).expect("file");
-        assert!(
-            Arc::ptr_eq(&hole, &cdc.zero_block_shared()),
-            "holes share one buffer"
-        );
-        assert_eq!(cdc.read_block("img", 0).expect("file"), vec![7u8; bs]);
-        assert_eq!(cdc.read_block("img", 2).expect("file"), vec![0u8; bs]);
-        assert_eq!(cdc.read_block("img", 4).expect("file"), vec![9u8; bs]);
+        // Data, a hole between the runs and unwritten space past them.
+        for b in [0, 2, 4, 9] {
+            assert_eq!(cdc.read_block("img", b), None, "block {b}");
+            assert!(cdc.read_block_or_hole("img", b).is_none(), "block {b}");
+            assert!(cdc.read_block_shared("img", b).is_none(), "block {b}");
+            assert!(cdc.block_frame("img", b).is_none(), "block {b}");
+        }
+        // The file is there for everything else: its layout and its scrub.
+        assert!(!cdc.file_layout("img").expect("file").is_empty());
+        assert!(cdc.scrub().is_clean());
     }
 
     #[test]
@@ -1344,11 +1318,10 @@ mod proptests {
             }
         }
 
-        /// Differential: the same corpus imported under fixed and CDC
-        /// chunking must read back byte-identically at every block, through
-        /// both the owned and shared read paths.
+        /// A CDC import of any mix of zero, uniform and patterned blocks
+        /// stores chunks that tile its bytes ([`ZPool::assert_chunks_tile`]).
         #[test]
-        fn cdc_reads_match_fixed_reads(
+        fn cdc_chunks_tile_the_imported_bytes(
             specs in proptest::collection::vec((0u8..4, any::<u8>()), 1..24)
         ) {
             use squirrel_hash::cdc::CdcParams;
@@ -1362,21 +1335,12 @@ mod proptests {
                     _ => (0..bs).map(|j| fill.wrapping_add(j as u8)).collect(),
                 })
                 .collect();
-            let len = (blocks.len() * bs) as u64;
-            let mut fixed = ZPool::new(PoolConfig::new(bs, Codec::Lz4));
-            fixed.import_file("f", &blocks, len);
             let mut cdc = ZPool::new(
                 PoolConfig::new(bs, Codec::Lz4)
                     .with_cdc(CdcParams::with_average(1024)),
             );
-            cdc.import_file("f", &blocks, len);
-            for i in 0..blocks.len() as u64 {
-                prop_assert_eq!(cdc.read_block("f", i), fixed.read_block("f", i));
-                prop_assert_eq!(
-                    cdc.read_block_shared("f", i).as_deref().map(<[u8]>::to_vec),
-                    fixed.read_block_shared("f", i).as_deref().map(<[u8]>::to_vec)
-                );
-            }
+            cdc.import_file("f", &blocks, (blocks.len() * bs) as u64);
+            cdc.assert_chunks_tile("f", &blocks.concat());
             prop_assert!(cdc.check_refcounts());
         }
 

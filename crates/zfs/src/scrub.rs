@@ -377,9 +377,7 @@ mod tests {
         let (psize, frame) = donor.payload_of(key).expect("donor payload");
         assert!(p.repair_block(key, psize, &frame));
         assert!(p.scrub().is_clean());
-        for (i, b) in blocks.iter().enumerate() {
-            assert_eq!(p.read_block("img", i as u64).expect("file"), *b);
-        }
+        p.assert_chunks_tile("img", &blocks.concat());
     }
 
     #[test]

@@ -8,13 +8,18 @@
 //! The receiver must sit exactly at the base snapshot; otherwise `recv`
 //! fails and the caller falls back to a full replication, exactly the
 //! offline-propagation logic of Section 3.5.
+//!
+//! Streams replicate fixed records only. `encode` still writes a CDC pool's
+//! chunk table (the chunking study fingerprints those bytes), but `decode`
+//! refuses one and so does every receive path, before anything is proved:
+//! a chunked file is imported and measured, never replicated or read.
 
 use crate::ddt::{BlockKey, Frame};
 use crate::meter::PoolMeters;
-use crate::pool::{CdcChunk, FileTable, Records, ZPool};
+use crate::pool::{FileTable, Records, ZPool};
 use squirrel_hash::par::{cost, WorkerPool};
 use squirrel_hash::{ContentHash, FnvHashSet};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 
 /// One block carried by a stream. The payload is the *same* frame the
@@ -66,10 +71,9 @@ pub enum RecvError {
     /// nor already on the receiver, or a data-retaining receiver is sent a
     /// new block without its bytes. Nothing was applied.
     MissingBlock(BlockKey),
-    /// A chunk's length differs from that of the record its key names —
-    /// the one the receiver holds, else the payload's. Reading it would
-    /// copy past the record's bytes. Nothing was applied.
-    ChunkLength(BlockKey),
+    /// The named upsert is cut into content-defined chunks: pools receive
+    /// fixed records only. Nothing was proved or applied.
+    ChunkedFile(String),
 }
 
 impl std::fmt::Display for SendError {
@@ -87,7 +91,7 @@ impl std::fmt::Display for RecvError {
             RecvError::DuplicateTip(t) => write!(f, "tip snapshot {t} already present"),
             RecvError::CorruptPayload(k) => write!(f, "corrupt payload block {k:032x}"),
             RecvError::MissingBlock(k) => write!(f, "stream missing payload block {k:032x}"),
-            RecvError::ChunkLength(k) => write!(f, "chunk length differs from record {k:032x}"),
+            RecvError::ChunkedFile(name) => write!(f, "file {name} is chunked"),
         }
     }
 }
@@ -109,6 +113,7 @@ const WIRE_CHUNK_BYTES: u64 = 28;
 /// a multi-terabyte file table, far past anything the encoder produces, so
 /// fixed-mode streams never emit this value and their encoding is
 /// byte-identical to the pre-CDC format (pinned by the golden test).
+/// `encode` writes it; `decode` refuses it.
 const CHUNKED_SENTINEL: u32 = u32::MAX;
 
 /// Errors from [`SendStream::decode`].
@@ -120,8 +125,9 @@ pub enum DecodeError {
     /// The framed stream's trailing content digest does not match its body
     /// (bit rot or in-flight corruption). See [`SendStream::decode_framed`].
     BadChecksum,
-    /// A chunk table is out of `logical_off` order, has overlapping chunks,
-    /// or has a chunk starting at or past its file's length.
+    /// An upsert holds a chunk table (its `u32::MAX` pointer-count
+    /// sentinel): only fixed records are received, so a chunked stream is
+    /// never decoded.
     BadChunkTable,
 }
 
@@ -132,7 +138,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadMagic => write!(f, "bad stream magic"),
             DecodeError::BadString => write!(f, "invalid utf-8 in stream"),
             DecodeError::BadChecksum => write!(f, "stream checksum mismatch"),
-            DecodeError::BadChunkTable => write!(f, "chunk table out of order or past its file"),
+            DecodeError::BadChunkTable => write!(f, "stream holds a chunk table"),
         }
     }
 }
@@ -291,42 +297,18 @@ impl SendStream {
             let name = r.string()?;
             let len = r.u64()?;
             let n_ptrs = r.u32()?;
-            let records = if n_ptrs == CHUNKED_SENTINEL {
-                let n_chunks = r.u32()? as usize;
-                let mut chunks = Vec::with_capacity(n_chunks.min(r.remaining()));
-                // Reads find a block's chunks by binary search and copy
-                // them into place, so the table must be sorted, disjoint
-                // and start inside the file. A chunk may run past `len`:
-                // the last block of an import is zero-padded.
-                let mut end = 0u64;
-                for _ in 0..n_chunks {
-                    let key = r.u128()?;
-                    let logical_off = r.u64()?;
-                    let clen = r.u32()?;
-                    match logical_off.checked_add(clen.into()) {
-                        Some(chunk_end) if logical_off >= end && logical_off < len => {
-                            end = chunk_end;
-                        }
-                        _ => return Err(DecodeError::BadChunkTable),
-                    }
-                    chunks.push(CdcChunk {
-                        key,
-                        logical_off,
-                        len: clen,
-                    });
-                }
-                Records::Chunks(Arc::new(chunks))
-            } else {
-                let n_ptrs = n_ptrs as usize;
-                let mut ptrs = Vec::with_capacity(n_ptrs.min(r.remaining()));
-                for _ in 0..n_ptrs {
-                    ptrs.push(match r.u8()? {
-                        0 => None,
-                        _ => Some(r.u128()?),
-                    });
-                }
-                Records::Blocks(Arc::new(ptrs))
-            };
+            if n_ptrs == CHUNKED_SENTINEL {
+                return Err(DecodeError::BadChunkTable);
+            }
+            let n_ptrs = n_ptrs as usize;
+            let mut ptrs = Vec::with_capacity(n_ptrs.min(r.remaining()));
+            for _ in 0..n_ptrs {
+                ptrs.push(match r.u8()? {
+                    0 => None,
+                    _ => Some(r.u128()?),
+                });
+            }
+            let records = Records::Blocks(Arc::new(ptrs));
             upserts.push((name, FileTable { records, len }));
         }
 
@@ -422,31 +404,15 @@ impl SendStream {
         self.payload.len()
     }
 
-    /// Logical size of every block the stream's upsert tables reference:
-    /// chunk records carry their length on the wire; block pointers are the
-    /// pool record size. Payload validation and DDT staging both need this
-    /// because CDC frames decompress to variable lengths.
-    fn referenced_lsizes(&self, block_size: u32) -> BTreeMap<BlockKey, u32> {
-        let mut sizes = BTreeMap::new();
-        for (_, table) in &self.upserts {
-            match &table.records {
-                Records::Blocks(ptrs) => {
-                    sizes.extend(ptrs.iter().flatten().map(|&key| (key, block_size)));
-                }
-                Records::Chunks(chunks) => sizes.extend(chunks.iter().map(|c| (c.key, c.len))),
-            }
-        }
-        sizes
-    }
-
     /// The pool-independent half of [`ZPool::recv`], done **once** however
-    /// many pools the stream is then applied to: prove every payload block
-    /// against its key, and resolve the logical sizes and the incoming-key
-    /// set the pool-dependent half needs. Nothing here reads receiver
-    /// state, and the payload frames are immutable and shared, so the proof
-    /// holds for every pool of record size `block_size` that is handed this
-    /// same stream — and a frame something already proved (an earlier
-    /// verification, a donor's scrub) is not hashed again.
+    /// many pools the stream is then applied to: refuse a chunked upsert,
+    /// then prove every payload block against its key as a `block_size`
+    /// record and collect the incoming-key set the pool-dependent half
+    /// needs. Nothing here reads receiver state, and the payload frames are
+    /// immutable and shared, so the proof holds for every pool of record
+    /// size `block_size` that is handed this same stream — and a frame
+    /// something already proved (an earlier verification, a donor's scrub)
+    /// is not hashed again.
     ///
     /// Blocks are checked on `workers`, cut by what proving them costs: a
     /// frame already proved at its length weighs nothing, so a re-delivered
@@ -460,25 +426,28 @@ impl SendStream {
         workers: &WorkerPool,
         meters: &PoolMeters,
     ) -> Result<VerifiedStream<'_>, RecvError> {
+        let chunked = self
+            .upserts
+            .iter()
+            .find(|(_, t)| matches!(t.records, Records::Chunks(_)));
+        if let Some((name, _)) = chunked {
+            return Err(RecvError::ChunkedFile(name.clone()));
+        }
         // Nothing is proved until `check_block` has passed over every block.
         let verified = VerifiedStream {
             stream: self,
             block_size,
-            lsizes: self.referenced_lsizes(block_size),
             incoming: self.payload.iter().map(|b| b.key).collect(),
         };
         let checked = {
             let timer = meters.metrics.timer("zpool_recv_verify");
             let check = |_: usize, b: &StreamBlock| timer.busy(|| verified.check_block(b));
             // Proving a block is decompressing it and hashing the result.
-            let prove_cost = |b: &StreamBlock| {
-                let lsize = verified.lsize(b.key);
-                match &b.data {
-                    Some(frame) if !frame.is_proved_at(lsize) => {
-                        u64::from(lsize) * (cost::INFLATE + cost::HASH)
-                    }
-                    _ => 0,
+            let prove_cost = |b: &StreamBlock| match &b.data {
+                Some(frame) if !frame.is_proved_at(block_size) => {
+                    u64::from(block_size) * (cost::INFLATE + cost::HASH)
                 }
+                _ => 0,
             };
             workers
                 .parallel_map(&self.payload, prove_cost, check)
@@ -547,9 +516,8 @@ impl SendStream {
 /// reach [`ZPool::recv_verified`] unverified.
 pub struct VerifiedStream<'a> {
     stream: &'a SendStream,
-    /// Record size the block-pointer lsizes (and so the proof) assume.
+    /// Record size every payload block was proved at.
     block_size: u32,
-    lsizes: BTreeMap<BlockKey, u32>,
     /// Keys the payload carries.
     incoming: BTreeSet<BlockKey>,
 }
@@ -577,21 +545,14 @@ impl Checked {
 }
 
 impl VerifiedStream<'_> {
-    /// Logical size of payload block `key`; a block no upsert references
-    /// is a whole record.
-    fn lsize(&self, key: BlockKey) -> u32 {
-        self.lsizes.get(&key).copied().unwrap_or(self.block_size)
-    }
-
     /// Prove one payload block. Every block is passed over, past an
     /// offender too, so what a rejected stream leaves proved (and what that
     /// cost) does not depend on how the payload was cut into shares.
     fn check_block(&self, b: &StreamBlock) -> Checked {
         let mut checked = Checked::default();
         if let Some(frame) = &b.data {
-            let lsize = self.lsize(b.key);
-            checked.covered = u64::from(lsize);
-            if frame.content_key(lsize, &mut checked.hashed) != Some(b.key) {
+            checked.covered = u64::from(self.block_size);
+            if frame.content_key(self.block_size, &mut checked.hashed) != Some(b.key) {
                 checked.corrupt = Some(b.key);
             }
         }
@@ -692,10 +653,10 @@ impl ZPool {
     }
 
     /// Apply a stream **transactionally**. The receiver's latest snapshot
-    /// must equal the stream's base (or the stream must be full); every
-    /// payload block must hash to its key; every upsert pointer must resolve
-    /// to either a payload block or a block already present, and every
-    /// chunk must be as long as the record it names. All of that is
+    /// must equal the stream's base (or the stream must be full); no upsert
+    /// may be chunked; every payload block must hash to its key as a
+    /// `block_size` record; every upsert pointer must resolve to either a
+    /// payload block or a block already present. All of that is
     /// checked *before* the first mutation, in that order, so any `Err`
     /// leaves the pool exactly as it was — a corrupt or impossible stream
     /// never half-applies. On success the receiver's live files match the
@@ -753,8 +714,7 @@ impl ZPool {
     }
 
     /// Every upsert pointer resolves to a payload block or a block this
-    /// pool already holds, and every chunk is as long as the record its key
-    /// names: the one this pool holds, else the payload's.
+    /// pool already holds.
     fn check_pointers(&self, verified: &VerifiedStream<'_>) -> Result<(), RecvError> {
         // A pool that serves reads needs the bytes of every record it does
         // not hold yet; an accounting-only sender's blocks carry none.
@@ -765,27 +725,10 @@ impl ZPool {
                 }
             }
         }
-        for (_, table) in &verified.stream.upserts {
-            match &table.records {
-                Records::Blocks(ptrs) => {
-                    for &key in ptrs.iter().flatten() {
-                        if !verified.incoming.contains(&key) && self.ddt().get(&key).is_none() {
-                            return Err(RecvError::MissingBlock(key));
-                        }
-                    }
-                }
-                Records::Chunks(chunks) => {
-                    for c in chunks.iter() {
-                        let lsize = match self.ddt().get(&c.key) {
-                            Some(entry) => entry.lsize,
-                            None if verified.incoming.contains(&c.key) => verified.lsize(c.key),
-                            None => return Err(RecvError::MissingBlock(c.key)),
-                        };
-                        if lsize != c.len {
-                            return Err(RecvError::ChunkLength(c.key));
-                        }
-                    }
-                }
+        let upserts = verified.stream.upserts.iter();
+        for key in upserts.flat_map(|(_, table)| table.iter_keys()) {
+            if !verified.incoming.contains(&key) && self.ddt().get(&key).is_none() {
+                return Err(RecvError::MissingBlock(key));
             }
         }
         Ok(())
@@ -803,7 +746,7 @@ impl ZPool {
         for b in &stream.payload {
             // add_ref with an initial "staging" reference; released after the
             // tables are installed so unreferenced payload doesn't leak.
-            let (psize, lsize, data) = (b.psize, verified.lsize(b.key), b.data.clone());
+            let (psize, lsize, data) = (b.psize, verified.block_size, b.data.clone());
             self.ddt_mut().add_ref(b.key, || (psize, lsize, data));
         }
 
@@ -837,7 +780,6 @@ mod proptests {
     use crate::pool::ZPool;
     use proptest::prelude::*;
     use squirrel_compress::Codec;
-    use squirrel_hash::cdc::CdcParams;
 
     /// A sender's history `s1 → s2`: the full stream of `s1` (a receiver's
     /// base), the wire image of the diff, and the pool config of both ends.
@@ -873,32 +815,6 @@ mod proptests {
         src.delete_file("cache-a");
         src.snapshot("s2");
         Golden::new(&src)
-    }
-
-    /// A CDC history: 16 blocks of content cut into ~1 KiB chunks, then
-    /// re-imported behind a 64-byte prefix, so the diff's chunk table names
-    /// chunks the receiver holds and chunks its payload carries.
-    fn cdc_golden() -> Golden {
-        let cdc = CdcParams::with_average(1024);
-        let mut src = ZPool::new(PoolConfig::new(512, Codec::Lzjb).with_cdc(cdc));
-        let base: Vec<u8> = (0..16 * 512u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
-            .collect();
-        let mut shifted = vec![0x77u8; 64];
-        shifted.extend_from_slice(&base[..16 * 512 - 64]);
-        let blocks = |data: &[u8]| data.chunks(512).map(<[u8]>::to_vec).collect::<Vec<_>>();
-        src.import_file("img", &blocks(&base), 16 * 512);
-        src.snapshot("s1");
-        src.import_file("img", &blocks(&shifted), 16 * 512);
-        src.snapshot("s2");
-        Golden::new(&src)
-    }
-
-    /// Bytes of `wire` before its payload: header, tables and deletes.
-    fn tables_end(wire: &[u8]) -> usize {
-        let mut stream = SendStream::decode(wire).expect("clean wire");
-        stream.payload.clear();
-        stream.encode().len() - 4
     }
 
     /// Decode `bytes`; if that succeeds, receive the stream into a fresh
@@ -964,38 +880,6 @@ mod proptests {
             4 => (0u8..4, 0u8..6, any::<u8>()).prop_map(|(file, idx, fill)| Op::Write { file, idx, fill }),
             1 => (0u8..4).prop_map(|file| Op::Delete { file }),
         ]
-    }
-
-    /// Every field of every chunk record — key, offset, length — nudged
-    /// by each of a few steps, in a full stream (its chunks all in the
-    /// payload) and in the diff (most of them held by the receiver).
-    #[test]
-    fn decode_survives_every_cdc_chunk_record_nudge() {
-        let golden = cdc_golden();
-        for clean in [golden.base.encode(), golden.diff.clone()] {
-            // The one chunk table follows its sentinel and its count.
-            let sentinel = clean
-                .windows(4)
-                .position(|w| w == [0xff; 4])
-                .expect("chunk table");
-            let count = clean[sentinel + 4..sentinel + 8]
-                .try_into()
-                .map(u32::from_le_bytes);
-            let count = count.expect("chunk count");
-            for record in (0..count as usize).map(|i| sentinel + 8 + 28 * i) {
-                for (at, width) in [(0, 8), (16, 8), (24, 4)] {
-                    for step in [1, -1, 511, -512, 2048, 1 << 31, i64::MAX, -1 << 40] {
-                        let mut bytes = clean.clone();
-                        let field = &mut bytes[record + at..record + at + width];
-                        let mut value = [0u8; 8];
-                        value[..width].copy_from_slice(field);
-                        let moved = u64::from_le_bytes(value).wrapping_add(step as u64);
-                        field.copy_from_slice(&moved.to_le_bytes()[..width]);
-                        decode_recv_and_read(&golden, &bytes);
-                    }
-                }
-            }
-        }
     }
 
     proptest! {
@@ -1081,39 +965,6 @@ mod proptests {
             let mut bytes = golden.diff.clone();
             let i = offset as usize % (bytes.len() - 4);
             bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
-            decode_recv_and_read(&golden, &bytes);
-        }
-
-        /// A CDC stream — chunk-table sentinel, chunk records, the payload
-        /// chunks — bit-flipped anywhere, or only in its tables, decodes
-        /// cleanly or not at all, and what it applies reads back.
-        #[test]
-        fn decode_survives_cdc_bitflips(
-            full in any::<bool>(),
-            in_tables in any::<bool>(),
-            flips in proptest::collection::vec((any::<u16>(), 0u8..8), 1..6)
-        ) {
-            let golden = cdc_golden();
-            let mut bytes = if full { golden.base.encode() } else { golden.diff.clone() };
-            let within = if in_tables { tables_end(&bytes) } else { bytes.len() };
-            flip(&mut bytes, within, &flips);
-            decode_recv_and_read(&golden, &bytes);
-        }
-
-        /// A CDC stream cut short anywhere, or with any u32 of its tables
-        /// (counts, chunk lengths, offset halves) clobbered.
-        #[test]
-        fn decode_survives_cdc_truncation_and_field_corruption(
-            cut in any::<u16>(),
-            offset in any::<u16>(),
-            value in prop_oneof![Just(u32::MAX), Just(1 << 31), any::<u32>(), 0u32..8192]
-        ) {
-            let golden = cdc_golden();
-            let mut bytes = golden.diff.clone();
-            let i = offset as usize % (tables_end(&bytes) - 4);
-            bytes[i..i + 4].copy_from_slice(&value.to_le_bytes());
-            decode_recv_and_read(&golden, &bytes);
-            bytes.truncate(cut as usize % bytes.len());
             decode_recv_and_read(&golden, &bytes);
         }
     }
@@ -1501,58 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn cdc_streams_roundtrip_and_replicate() {
-        use squirrel_hash::cdc::CdcParams;
-        let bs = 512;
-        let cfg = || PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(1024));
-        let mut src = ZPool::new(cfg());
-        let blocks: Vec<Vec<u8>> = (0..16)
-            .map(|i| (0..bs).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
-            .collect();
-        src.import_file("img", &blocks, 16 * bs as u64);
-        src.snapshot("s1");
-        let stream = src.send_between(None, "s1").expect("send");
-        let on_wire = &stream.upserts[0].1;
-        assert!(
-            matches!(on_wire.records, Records::Chunks(_)),
-            "chunk table on the wire"
-        );
-        // The chunk table survives the binary wire format exactly.
-        let decoded = SendStream::decode(&stream.encode()).expect("decode");
-        assert_eq!(&decoded.upserts[0].1, on_wire);
-        let mut dst = ZPool::new(cfg());
-        dst.recv(&decoded).expect("recv");
-        for i in 0..16u64 {
-            assert_eq!(
-                dst.read_block("img", i),
-                src.read_block("img", i),
-                "block {i}"
-            );
-        }
-        assert!(dst.check_refcounts());
-        assert!(
-            dst.scrub().is_clean(),
-            "receiver DDT carries correct lsizes"
-        );
-        // An incremental on top: re-import with a shifted prefix, send s1→s2.
-        let mut v2 = vec![vec![9u8; bs]];
-        v2.extend(blocks[..15].iter().cloned());
-        src.import_file("img", &v2, 16 * bs as u64);
-        src.snapshot("s2");
-        let inc = src.send_between(Some("s1"), "s2").expect("inc");
-        let inc = SendStream::decode(&inc.encode()).expect("decode");
-        dst.recv(&inc).expect("recv inc");
-        for i in 0..16u64 {
-            assert_eq!(
-                dst.read_block("img", i),
-                src.read_block("img", i),
-                "v2 block {i}"
-            );
-        }
-        assert!(dst.check_refcounts());
-    }
-
-    #[test]
     fn recv_refuses_a_diff_once_the_pool_moved_past_its_base() {
         let mut src = pool();
         fill(&mut src, "a", &[1]);
@@ -1721,34 +1520,6 @@ mod tests {
     }
 
     #[test]
-    fn fanout_of_a_cdc_stream_matches_serial_recv() {
-        use squirrel_hash::cdc::CdcParams;
-        let cdc = |bs: usize| {
-            ZPool::new(PoolConfig::new(bs, Codec::Lzjb).with_cdc(CdcParams::with_average(2048)))
-        };
-        let mut src = cdc(BS);
-        let blocks: Vec<Vec<u8>> = (0..48usize)
-            .map(|i| {
-                (0..BS)
-                    .map(|j| ((i * 37 + j * 11 + (i * j) % 13) % 251) as u8)
-                    .collect()
-            })
-            .collect();
-        src.import_file("img", &blocks, (48 * BS) as u64);
-        src.snapshot("s1");
-        let full = src.send_between(None, "s1").expect("send");
-        assert!(matches!(full.upserts[0].1.records, Records::Chunks(_)));
-        // Chunk records carry their own lengths, so the record size of the
-        // receiver does not enter the proof.
-        let results = fanout_matches_serial(&full, &|| vec![cdc(BS), cdc(BS / 2), cdc(BS)]);
-        assert!(results.iter().all(|r| r.is_ok()), "{results:?}");
-        let mut bad = full.clone();
-        let victim = corrupt(&mut bad, 3);
-        let results = fanout_matches_serial(&bad, &|| vec![cdc(BS), cdc(BS / 2)]);
-        assert_eq!(results, vec![Err(RecvError::CorruptPayload(victim)); 2]);
-    }
-
-    #[test]
     fn first_corrupt_block_in_payload_order_wins_at_any_thread_count() {
         let (_, mut diff) = history();
         assert_eq!(diff.payload_blocks(), 60);
@@ -1902,91 +1673,18 @@ mod tests {
         }
     }
 
-    // --- chunk tables off the wire ------------------------------------------
-
-    /// A hand-built incremental `s1 → s2` that upserts file `evil` of length
-    /// `len` with the `(key, logical_off, len)` chunk table `chunks` and
-    /// carries no payload, encoded as the wire format lays it out.
-    fn chunked_diff(len: u64, chunks: &[(BlockKey, u64, u32)]) -> Vec<u8> {
-        let mut out = STREAM_MAGIC.to_vec();
-        out.push(1);
-        put_string(&mut out, "s1");
-        put_string(&mut out, "s2");
-        out.extend_from_slice(&1u32.to_le_bytes());
-        put_string(&mut out, "evil");
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&CHUNKED_SENTINEL.to_le_bytes());
-        out.extend_from_slice(&(chunks.len() as u32).to_le_bytes());
-        for &(key, off, clen) in chunks {
-            out.extend_from_slice(&key.to_le_bytes());
-            out.extend_from_slice(&off.to_le_bytes());
-            out.extend_from_slice(&clen.to_le_bytes());
-        }
-        out.extend_from_slice(&0u32.to_le_bytes()); // deletes
-        out.extend_from_slice(&0u32.to_le_bytes()); // payload
-        out
-    }
-
-    /// A CDC receiver holding a sender's full stream of file `img` (16
-    /// blocks of 512 B), and `img`'s chunks as `(key, logical_off, len)`.
-    fn cdc_receiver() -> (ZPool, Vec<(BlockKey, u64, u32)>) {
-        use squirrel_hash::cdc::CdcParams;
-        let cfg = PoolConfig::new(512, Codec::Lzjb).with_cdc(CdcParams::with_average(1024));
-        let mut src = ZPool::new(cfg);
-        let blocks: Vec<Vec<u8>> = (0..16)
-            .map(|i| (0..512).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
-            .collect();
-        src.import_file("img", &blocks, 16 * 512);
-        src.snapshot("s1");
-        let mut dst = ZPool::new(cfg);
-        dst.recv(&src.send_between(None, "s1").expect("send"))
-            .expect("recv");
-        let Records::Chunks(chunks) = &dst.files()["img"].records else {
-            panic!("a CDC import is chunked");
-        };
-        let chunks = chunks
-            .iter()
-            .map(|c| (c.key, c.logical_off, c.len))
-            .collect();
-        (dst, chunks)
-    }
-
-    #[test]
-    fn recv_refuses_a_chunk_longer_than_the_record_it_names() {
-        let (mut dst, chunks) = cdc_receiver();
-        assert!(chunks.len() >= 2, "{chunks:?}");
-        let (key, _, len) = chunks[0];
-        let before = state(&dst);
-        let long = SendStream::decode(&chunked_diff(16 * 512, &[(key, 0, len + 2048)]))
-            .expect("a sorted table decodes");
-        assert_eq!(dst.recv(&long), Err(RecvError::ChunkLength(key)));
-        assert_eq!(state(&dst), before, "nothing applied");
-        // The same chunk at its own length is taken and reads as `img` does.
-        let right = SendStream::decode(&chunked_diff(16 * 512, &[(key, 0, len)])).expect("decode");
-        dst.recv(&right).expect("recv");
-        for b in 0..16 {
-            let covered = b * 512 < u64::from(len);
-            let want = if covered {
-                dst.read_block("img", b)
-            } else {
-                Some(vec![0; 512])
-            };
-            assert_eq!(dst.read_block("evil", b), want, "block {b}");
-        }
-    }
-
-    /// Swap payload block `i` of `stream` for the first half of its own
-    /// content, stored raw under that half's key, and point every record
-    /// that named the block at the new key. The frame proves against its
-    /// key but inflates short of the record. Returns the new key.
-    fn shorten_payload_block(stream: &mut SendStream, block_size: u32, i: usize) -> BlockKey {
+    /// Swap payload block `i` of `stream` (of `block_size` records) for the
+    /// first half of its own content, stored raw under that half's key, and
+    /// point every record that named the block at the new key. The frame
+    /// proves against its key but inflates short of the record. Returns the
+    /// new key.
+    fn shorten_payload_block(stream: &mut SendStream, block_size: usize, i: usize) -> BlockKey {
         let old = stream.payload[i].key;
-        let lsize = stream.referenced_lsizes(block_size)[&old] as usize;
         let frame = stream.payload[i]
             .data
             .as_ref()
             .expect("data-retaining sender");
-        let half = &squirrel_compress::decompress(frame, lsize)[..lsize / 2];
+        let half = &squirrel_compress::decompress(frame, block_size)[..block_size / 2];
         let key = ContentHash::of(half).short();
         let raw = squirrel_compress::compress(Codec::Off, half);
         stream.payload[i] = StreamBlock {
@@ -1995,16 +1693,13 @@ mod tests {
             data: Some(raw.into()),
         };
         for (_, table) in &mut stream.upserts {
-            let rename = |k: &mut BlockKey| {
+            let Records::Blocks(ptrs) = &mut table.records else {
+                panic!("a fixed-record stream");
+            };
+            for k in Arc::make_mut(ptrs).iter_mut().flatten() {
                 if *k == old {
                     *k = key;
                 }
-            };
-            match &mut table.records {
-                Records::Blocks(ptrs) => Arc::make_mut(ptrs).iter_mut().flatten().for_each(rename),
-                Records::Chunks(chunks) => Arc::make_mut(chunks)
-                    .iter_mut()
-                    .for_each(|c| rename(&mut c.key)),
             }
         }
         key
@@ -2012,50 +1707,85 @@ mod tests {
 
     #[test]
     fn recv_refuses_a_frame_that_inflates_short_of_its_record() {
-        use squirrel_hash::cdc::CdcParams;
-        let fixed = PoolConfig::new(512, Codec::Lzjb);
-        let cdc = fixed.with_cdc(CdcParams::with_average(1024));
-        for cfg in [fixed, cdc] {
-            let mut src = ZPool::new(cfg);
-            let blocks: Vec<Vec<u8>> = (0..8)
-                .map(|i| (0..512).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
-                .collect();
-            src.import_file("img", &blocks, 8 * 512);
-            src.snapshot("s1");
-            let mut stream = src.send_between(None, "s1").expect("send");
-            let short = shorten_payload_block(&mut stream, 512, 0);
-            let mut dst = ZPool::new(cfg);
-            let before = state(&dst);
-            assert_eq!(
-                dst.recv(&stream),
-                Err(RecvError::CorruptPayload(short)),
-                "{cfg:?}"
-            );
-            assert_eq!(state(&dst), before, "nothing applied");
-        }
+        let mut src = pool();
+        let blocks: Vec<Vec<u8>> = (0..8)
+            .map(|i| (0..512).map(|j| ((i * 37 + j * 11) % 251) as u8).collect())
+            .collect();
+        src.import_file("img", &blocks, 8 * 512);
+        src.snapshot("s1");
+        let mut stream = src.send_between(None, "s1").expect("send");
+        let short = shorten_payload_block(&mut stream, 512, 0);
+        let mut dst = pool();
+        let before = state(&dst);
+        assert_eq!(dst.recv(&stream), Err(RecvError::CorruptPayload(short)));
+        assert_eq!(state(&dst), before, "nothing applied");
     }
 
+    /// A CDC sender's full stream of `img` (48 blocks) at `s1` and its diff
+    /// to a re-import at `s2`: `decode` refuses either off the wire, and
+    /// `verify`, `recv` and `apply_all_on` refuse it, naming the file, on
+    /// fresh receivers and on mirrors at `s1` built by the same import —
+    /// before any frame is proved or any receiver is touched.
     #[test]
-    fn decode_refuses_an_unsorted_overlapping_or_outlying_chunk_table() {
-        let (mut dst, chunks) = cdc_receiver();
-        assert!(chunks.len() >= 2, "{chunks:?}");
-        let ((k0, off0, len0), (k1, off1, len1)) = (chunks[0], chunks[1]);
-        let file = 16 * 512;
-        for (len, bad) in [
-            (file, vec![chunks[1], chunks[0]]),
-            (file, vec![(k0, off0, len0 + 1), (k1, off1, len1)]),
-            (file, vec![(k0, file, len0)]),
-            (u64::MAX, vec![(k0, u64::MAX - 1, len0)]),
-        ] {
-            let wire = chunked_diff(len, &bad);
-            let refused = SendStream::decode(&wire).err();
-            assert_eq!(refused, Some(DecodeError::BadChunkTable), "{bad:?}");
+    fn a_chunked_stream_is_refused_before_anything_is_proved() {
+        use squirrel_hash::cdc::CdcParams;
+        let cfg = PoolConfig::new(BS, Codec::Lzjb).with_cdc(CdcParams::with_average(2 * BS));
+        let blocks: Vec<Vec<u8>> = (0..48usize)
+            .map(|i| {
+                (0..BS)
+                    .map(|j| ((i * 37 + j * 11 + (i * j) % 13) % 251) as u8)
+                    .collect()
+            })
+            .collect();
+        let len = (48 * BS) as u64;
+        let mirror = || {
+            let mut p = ZPool::new(cfg);
+            p.import_file("img", &blocks, len);
+            p.snapshot("s1");
+            p
+        };
+        let mut src = mirror();
+        let mut shifted = blocks.clone();
+        shifted.rotate_right(1);
+        src.import_file("img", &shifted, len);
+        src.snapshot("s2");
+        let full = src.send_between(None, "s1").expect("full");
+        let diff = src.send_between(Some("s1"), "s2").expect("diff");
+        assert!(!full.payload.is_empty() && !diff.payload.is_empty());
+
+        let registry = squirrel_obs::MetricsRegistry::new();
+        let refused = RecvError::ChunkedFile("img".to_string());
+        for (stream, at_base) in [(&full, false), (&diff, true)] {
+            let bad_table = Some(DecodeError::BadChunkTable);
+            assert_eq!(SendStream::decode(&stream.encode()).err(), bad_table);
+            assert_eq!(
+                SendStream::decode_framed(&stream.encode_framed()).err(),
+                bad_table
+            );
+            let receiver = || {
+                let mut p = if at_base { mirror() } else { ZPool::new(cfg) };
+                p.set_metrics(&registry.handle());
+                p
+            };
+            let mut p = receiver();
+            let before = state(&p);
+            assert_eq!(p.verify(stream).err(), Some(refused.clone()));
+            assert_eq!(p.recv(stream), Err(refused.clone()));
+            assert_eq!(state(&p), before, "nothing applied");
+            for threads in [1, 2, 8] {
+                let mut pools: Vec<ZPool> = (0..3).map(|_| receiver()).collect();
+                let results =
+                    stream.apply_all_on(pools.iter_mut().collect(), &WorkerPool::new(threads));
+                assert_eq!(results, vec![Err(refused.clone()); 3], "threads={threads}");
+                assert!(
+                    pools.iter().all(|p| state(p) == before),
+                    "threads={threads}"
+                );
+            }
         }
-        // In order, the same two chunks read back where they belong.
-        let sorted = SendStream::decode(&chunked_diff(16 * 512, &chunks[..2])).expect("decode");
-        dst.recv(&sorted).expect("recv");
-        assert_eq!(dst.read_block("evil", 0), dst.read_block("img", 0));
-        assert_ne!(dst.read_block("evil", 0), Some(vec![0; 512]));
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("zpool_verify_hashed_bytes_total"), Some(0));
+        assert_eq!(snapshot.counter("zpool_recv_streams_total"), Some(0));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Property tests for the zero-copy shared-payload read path: whatever the
-//! record size, codec, chunking or thread count, readers must see the exact
-//! bytes a naive decompress-every-time oracle produces.
+//! record size, codec or thread count, readers must see the exact bytes a
+//! naive decompress-every-time oracle produces.
 
 use proptest::prelude::*;
 use squirrel_repro::compress::Codec;
 use squirrel_repro::core::{Squirrel, SquirrelConfig};
 use squirrel_repro::dataset::{Corpus, CorpusConfig};
-use squirrel_repro::zfs::{CdcParams, PoolConfig, ZPool};
-use std::collections::BTreeMap;
+use squirrel_repro::zfs::{PoolConfig, ZPool};
 use std::sync::Arc;
 
 const CODECS: [Codec; 4] = [Codec::Off, Codec::Gzip(6), Codec::Lzjb, Codec::Lz4];
@@ -28,42 +27,21 @@ proptest! {
     /// The shared read paths — `read_block_shared` and the hole-aware
     /// `read_block_or_hole` a boot storm resolves its working set with —
     /// return bytes identical to re-decompressing the pool record on every
-    /// read, across random record sizes and codecs, on fixed records and on
-    /// CDC chunks averaging 1–8 records (a zero block is a hole; reads cover
-    /// holes and past-EOF blocks).
+    /// read, across random record sizes and codecs (a zero block is a hole;
+    /// reads cover holes and past-EOF blocks).
     #[test]
     fn zero_copy_read_path_matches_decompress_oracle(
         bs_pow in 9u32..13,
         codec_idx in 0usize..CODECS.len(),
-        cdc_avg_pow in prop_oneof![Just(None), (0u32..4).prop_map(Some)],
         writes in proptest::collection::vec((0u64..24, any::<u8>(), any::<bool>()), 1..24),
         reads in proptest::collection::vec(0u64..26, 1..64),
     ) {
         let bs = 1usize << bs_pow;
-        let config = PoolConfig::new(bs, CODECS[codec_idx]);
-        let pool = match cdc_avg_pow {
-            None => {
-                let mut pool = ZPool::new(config);
-                pool.create_file("f");
-                for &(idx, seed, compressible) in &writes {
-                    pool.write_block("f", idx, &block(bs, seed, compressible));
-                }
-                pool
-            }
-            Some(pow) => {
-                let avg = (bs << pow).max(1024);
-                let mut pool = ZPool::new(
-                    config.with_cdc(CdcParams::with_average(avg)),
-                );
-                // Chunked files are import-only: the last write to an index wins.
-                let blocks: BTreeMap<u64, Vec<u8>> = writes
-                    .iter()
-                    .map(|&(idx, seed, compressible)| (idx, block(bs, seed, compressible)))
-                    .collect();
-                pool.import_blocks_parallel("f", &blocks.into_iter().collect::<Vec<_>>());
-                pool
-            }
-        };
+        let mut pool = ZPool::new(PoolConfig::new(bs, CODECS[codec_idx]));
+        pool.create_file("f");
+        for &(idx, seed, compressible) in &writes {
+            pool.write_block("f", idx, &block(bs, seed, compressible));
+        }
         for &idx in &reads {
             // The oracle decompresses from the pool every time.
             let oracle = pool.read_block("f", idx).expect("file");
